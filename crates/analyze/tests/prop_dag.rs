@@ -12,8 +12,8 @@
 
 use hetsort_analyze::analyze_dag;
 use hetsort_core::{
-    execute_dag, execute_dag_opts, execute_dag_pooled_opts, Approach, DagExecOptions,
-    HetSortConfig, PairStrategy, Plan, PlanDag, TieBreak,
+    execute_dag, execute_dag_opts, Approach, DagExecOptions, HetSortConfig, PairStrategy, Plan,
+    PlanDag, TieBreak,
 };
 use hetsort_prng::{prop_assert, run_cases, Rng};
 use hetsort_vgpu::{platform1, platform2};
@@ -78,35 +78,18 @@ fn any_worker_count_and_tiebreak_agree() {
         prop_assert!(base.verified, "sequential MinId output not verified");
         let want = bits(&base.sorted);
 
-        let max_id = execute_dag_opts(
-            &dag,
-            &data,
-            DagExecOptions {
-                tie: TieBreak::MaxId,
-                ..DagExecOptions::default()
-            },
-        )
-        .map_err(|e| format!("seq MaxId: {e}"))?;
-        prop_assert!(
-            bits(&max_id.sorted) == want,
-            "MaxId tie-break changed the output"
-        );
-
-        for workers in [1usize, 2, 3, 8] {
+        for workers in [0usize, 1, 2, 3, 8] {
             for tie in [TieBreak::MinId, TieBreak::MaxId] {
-                let out = execute_dag_pooled_opts(
-                    &dag,
-                    &data,
+                let opts = DagExecOptions {
                     workers,
-                    DagExecOptions {
-                        tie,
-                        ..DagExecOptions::default()
-                    },
-                )
-                .map_err(|e| format!("pooled workers={workers} {tie:?}: {e}"))?;
+                    tie,
+                    ..DagExecOptions::default()
+                };
+                let out = execute_dag_opts(&dag, &data, opts)
+                    .map_err(|e| format!("workers={workers} {tie:?}: {e}"))?;
                 prop_assert!(
                     out.verified && bits(&out.sorted) == want,
-                    "pooled workers={workers} {tie:?} diverged from sequential"
+                    "workers={workers} {tie:?} diverged from inline MinId"
                 );
             }
         }

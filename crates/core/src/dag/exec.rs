@@ -1,41 +1,47 @@
-//! The one DAG engine behind sequential and pooled functional
-//! execution.
+//! The one DAG engine behind every functional execution.
 //!
-//! Both entry points schedule the same [`PlanDag`] through the same
-//! [`ReadySet`] and differ only in the resource model:
+//! [`execute_dag_opts`] schedules a [`PlanDag`] through one
+//! [`ReadySet`] over *all* its nodes — merges included, released by
+//! their dag edges — and its only resource parameter is
+//! [`DagExecOptions::workers`]:
 //!
-//! * [`execute_dag`] — one host thread. Under the default
-//!   [`TieBreak::MinId`] the ready order *is* the plan submission
-//!   order, so outputs, spans, recovery statistics, fault-injection
-//!   occurrence alignment and executed traces are bit-identical to the
-//!   legacy sequential interpreter this engine replaced (the
-//!   differential suite pins this).
-//! * [`execute_dag_pooled`] — a pool of N workers pulls ready
-//!   stream-bound nodes (stream exclusivity falls out of the FIFO
-//!   edges: at most one node per stream is ever ready), while the
-//!   calling thread coordinates merges, firing each pair merge the
-//!   moment both inputs exist — the legacy multi-threaded executor's
-//!   concurrency structure, now over an explicit graph.
+//! * `workers = 0` ([`execute_dag`]) runs every node inline on the
+//!   calling thread. Under the default [`TieBreak::MinId`] the ready
+//!   order *is* the plan submission order, so outputs, spans, recovery
+//!   statistics, fault-injection occurrence alignment and executed
+//!   traces are deterministic (the differential suites pin them).
+//! * `workers = N` ([`execute_dag_pooled`]) spawns N threads that pop
+//!   the stream-bound nodes of the first pass from that same ready set
+//!   (behind one mutex + condvar) while the calling thread pops the
+//!   merge nodes, so each pair merge fires the moment both inputs exist
+//!   and overlaps the staging pipeline (PIPEMERGE semantics). Streams
+//!   never interleave internally: a stream's nodes run under its lock,
+//!   in the order its FIFO edges release them.
 //!
-//! Both engines route the full failure model through the same code:
-//! per-batch checkpointing, survivor re-planning on device loss
-//! (lowered to fresh survivor dags), CPU-fallback degradation, and
-//! panic-safe worker death with typed [`HetSortError::WorkerPanic`].
+//! Every worker count routes the failure model through the same code:
+//! each node runs in one sandbox (typed faults, injected and real
+//! panics), a device loss ends the pass and the unfinished batches are
+//! re-planned onto a survivor dag (per-batch checkpoints survive; every
+//! pass after the first is inline), a dead stream or a pool with no
+//! survivors degrades to host sorting when
+//! [`crate::config::RecoveryPolicy::cpu_fallback`] allows, and the base
+//! dag's merges that no pass reached run last.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::merge::par_merge_into_cfg;
 use hetsort_algos::multiway::par_multiway_merge_into_cfg;
-use hetsort_algos::par::{par_copy, SchedCfg};
+use hetsort_algos::par::SchedCfg;
 use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_algos::verify::{fingerprint, is_sorted};
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
 use hetsort_sim::Access;
 
-use crate::dag::{DagOp, PlanDag, ReadySet, TieBreak};
+use crate::dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};
 use crate::error::HetSortError;
 use crate::exec_real::{assemble_trace, cpu_part_spans, RealOutcome};
 use crate::exec_stream::StreamExec;
@@ -44,9 +50,14 @@ use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
 
 /// Engine knobs. The default is the pinned determinism contract;
-/// non-default values exist for the test battery.
+/// `tie` and `skip_checkpoint` exist for the test battery.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DagExecOptions {
+    /// Threads spawned to run the first pass's stream nodes while the
+    /// calling thread runs the merges. `0` (the default) runs every
+    /// node inline on the caller and spawns nothing. Output bits are
+    /// the same at every count; only wall-clock interleaving differs.
+    pub workers: usize,
     /// Ready-node tie-break (see [`TieBreak`]).
     pub tie: TieBreak,
     /// Test-support defect ([`crate::dag::mutate::DagMutant::SkipCheckpoint`]):
@@ -54,17 +65,6 @@ pub struct DagExecOptions {
     /// re-plan, recomputing *every* batch. Output stays correct; the
     /// differential check on [`RecoveryStats`] kills it.
     pub skip_checkpoint: bool,
-    /// CPU/GPU work stealing in the pooled engine: ready pair/CPU
-    /// merges are dispatched to dedicated steal workers the moment
-    /// their inputs exist, overlapping merges with the staging pipeline
-    /// instead of running them inline on the coordinator. `false` (the
-    /// default) preserves the coordinator-inline path byte-for-byte —
-    /// the deterministic twin the differential battery pins. Stolen
-    /// merges are pure functions of their inputs, so output, span
-    /// multisets and recovery stats are identical either way; only
-    /// wall-clock interleaving differs. Ignored by the sequential
-    /// engine.
-    pub steal: bool,
 }
 
 /// Shared entry checks: data/plan agreement, element width, plan
@@ -100,262 +100,346 @@ fn check_inputs<T>(dag: &PlanDag, data: &[T]) -> Result<(), HetSortError> {
     Ok(())
 }
 
-/// The sorted slice behind a merge source, if it exists yet.
-pub(crate) fn src_slice<'x, T>(
-    src: MergeSrc,
-    batches: &'x [Option<Vec<T>>],
-    pairs: &'x [Option<Vec<T>>],
-) -> Option<&'x [T]> {
-    match src {
-        MergeSrc::Batch(b) => batches[b].as_deref(),
-        MergeSrc::Merged(p) => pairs[p].as_deref(),
+/// Lock a mutex, recovering the guard from a poisoned lock: a panic
+/// inside a node is already recorded against its stream, whose state is
+/// only read for statistics afterwards.
+fn lock_any<G>(m: &Mutex<G>) -> MutexGuard<'_, G> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-/// Span class and label for a pair slot under the dag's (possibly
-/// hybrid) node typing: slots hybrid lowering re-typed to
-/// [`DagOp::CpuMerge`] record under their own class so pooled runs
-/// emit the same span multiset as the sequential engine.
-fn pair_class(cpu_slot: &[bool], slot: usize) -> (OpClass, String) {
-    pair_class_of(cpu_slot.get(slot).copied().unwrap_or(false), slot)
-}
-
-/// As [`pair_class`], from an already-resolved typing flag.
-fn pair_class_of(cpu: bool, slot: usize) -> (OpClass, String) {
-    if cpu {
-        (OpClass::CpuMerge, format!("CpuMerge p{slot}"))
-    } else {
-        (OpClass::PairMerge, format!("PairMerge p{slot}"))
-    }
-}
-
-/// Which pair slots the dag types as [`DagOp::CpuMerge`], indexed by
-/// slot — the pooled coordinator's view of hybrid lowering.
-fn cpu_slots_of(dag: &PlanDag) -> Vec<bool> {
-    let mut v = vec![false; dag.plan.pairs.len()];
-    for node in &dag.nodes {
-        if let DagOp::CpuMerge { slot } = node.op {
-            if let Some(f) = v.get_mut(slot) {
-                *f = true;
-            }
-        }
-    }
-    v
-}
-
-/// Render a lost-GPU set for failover span labels (`"0"`, `"0, 2"`).
-fn gpu_list(lost: &BTreeSet<usize>) -> String {
-    lost.iter()
-        .map(|g| g.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// Fire every pending pair merge whose inputs are ready, repeatedly
-/// (an Online/MergeTree merge may unlock the next). Each fired merge is
-/// recorded as a span on the run clock `t0` under the class the dag
-/// assigned its slot (`cpu_slot`).
-#[allow(clippy::too_many_arguments)] // internal helper: plan context + two buffer banks + clock + span sink
-pub(crate) fn fire_ready_pairs<T>(
-    plan: &Plan,
-    sched: &SchedCfg,
-    merge_threads: usize,
-    cpu_slot: &[bool],
-    sorted_batches: &[Option<Vec<T>>],
-    pair_out: &mut [Option<Vec<T>>],
-    pending: &mut Vec<usize>,
-    t0: std::time::Instant,
-    spans: &mut Vec<ObsSpan>,
-) where
-    T: RadixKey + SortOrd + Default,
-{
-    let mut fired = true;
-    while fired {
-        fired = false;
-        let mut i = 0;
-        while i < pending.len() {
-            let slot = pending[i];
-            let spec = plan.pairs[slot];
-            let (Some(l), Some(r)) = (
-                src_slice(spec.left, sorted_batches, pair_out),
-                src_slice(spec.right, sorted_batches, pair_out),
-            ) else {
-                i += 1;
-                continue;
-            };
-            let mut out = vec![T::default(); spec.out_elems];
-            let m_start = t0.elapsed().as_secs_f64();
-            let (class, label) = pair_class(cpu_slot, slot);
-            let stats = par_merge_into_cfg(sched, merge_threads, l, r, &mut out);
-            spans.push(
-                ObsSpan::new(class, label.clone(), m_start, t0.elapsed().as_secs_f64())
-                    .with_bytes(spec.out_elems as f64 * plan.config.elem_bytes),
-            );
-            spans.extend(cpu_part_spans(&label, m_start, &stats));
-            pair_out[slot] = Some(out);
-            pending.remove(i);
-            fired = true;
-        }
-    }
-}
-
-/// A pair merge handed to a steal worker: inputs snapshotted, typing
-/// resolved, everything the worker needs without touching coordinator
-/// state.
-struct MergeTask<T> {
-    slot: usize,
-    left: Vec<T>,
-    right: Vec<T>,
-    out_elems: usize,
-    cpu: bool,
-}
-
-/// A finished stolen merge on its way back to the coordinator.
-struct MergeDone<T> {
-    slot: usize,
-    out: Vec<T>,
+/// The caller-owned merge half of a run: pair outputs, the final
+/// output, and which of the base dag's merge nodes already ran. Only
+/// the calling thread ever merges, so none of this is shared.
+struct Merges<'a, T> {
+    plan: &'a Plan,
+    sched: SchedCfg,
+    threads: usize,
+    t0: Instant,
+    pair_out: Vec<Option<Vec<T>>>,
+    sorted: Vec<T>,
+    done: Vec<bool>,
     spans: Vec<ObsSpan>,
 }
 
-/// Dispatch every pending pair whose inputs are ready to the steal
-/// pool (removing it from `pending`); returns how many were sent. The
-/// counterpart of [`fire_ready_pairs`] for `steal=on`: the merge
-/// itself happens on a steal worker, and the result re-enters through
-/// the coordinator's done channel. A send failure (workers gone after
-/// an abort) leaves the slot pending for the inline recovery paths.
-fn dispatch_ready_pairs<T: Clone>(
-    plan: &Plan,
-    cpu_slot: &[bool],
-    sorted_batches: &[Option<Vec<T>>],
-    pair_out: &[Option<Vec<T>>],
-    pending: &mut Vec<usize>,
-    task_tx: &std::sync::mpsc::Sender<MergeTask<T>>,
-) -> usize {
-    let mut sent = 0usize;
-    let mut i = 0;
-    while i < pending.len() {
-        let slot = pending[i];
-        let spec = plan.pairs[slot];
-        let (Some(l), Some(r)) = (
-            src_slice(spec.left, sorted_batches, pair_out),
-            src_slice(spec.right, sorted_batches, pair_out),
-        ) else {
-            i += 1;
-            continue;
-        };
-        let task = MergeTask {
-            slot,
-            left: l.to_vec(),
-            right: r.to_vec(),
-            out_elems: spec.out_elems,
-            cpu: cpu_slot.get(slot).copied().unwrap_or(false),
-        };
-        if task_tx.send(task).is_err() {
-            i += 1;
-            continue;
-        }
-        pending.remove(i);
-        sent += 1;
-    }
-    sent
-}
-
-/// Execute one merge node of the sequential engine over the sorted runs
-/// in `w`, writing pair outputs to `pair_out` and the multiway result
-/// to `b_out`.
-#[allow(clippy::too_many_arguments)] // merge context: inputs, outputs, sched, clock, span sink
-fn run_merge_node<T>(
-    plan: &Plan,
-    op: &DagOp,
-    sched: &SchedCfg,
-    host_threads: usize,
-    t0: std::time::Instant,
-    w: &[T],
-    b_out: &mut [T],
-    pair_out: &mut Vec<Vec<T>>,
-    merge_spans: &mut Vec<ObsSpan>,
-    pair_merges_done: &mut usize,
-) -> Result<(), HetSortError>
+impl<T> Merges<'_, T>
 where
     T: RadixKey + SortOrd + Default,
 {
-    let cfg = &plan.config;
-    match op {
-        DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-            let spec = *plan.pairs.get(*slot).ok_or_else(|| HetSortError::Plan {
-                reason: format!("merge references missing pair slot {slot}"),
-            })?;
-            let resolve = |src: MergeSrc, pair_out: &'_ Vec<Vec<T>>| -> Vec<T> {
-                match src {
-                    MergeSrc::Batch(b) => {
-                        let bi = &plan.batches[b];
-                        w[bi.start..bi.start + bi.len].to_vec()
-                    }
-                    MergeSrc::Merged(p) => pair_out[p].clone(),
-                }
-            };
-            // Borrow discipline: snapshot inputs, then write the slot.
-            let left = resolve(spec.left, pair_out);
-            let right = resolve(spec.right, pair_out);
-            let mut out = vec![T::default(); spec.out_elems];
-            let m_start = t0.elapsed().as_secs_f64();
-            let (class, label) = match op {
-                DagOp::CpuMerge { .. } => (OpClass::CpuMerge, format!("CpuMerge p{slot}")),
-                _ => (OpClass::PairMerge, format!("PairMerge p{slot}")),
-            };
-            let stats = par_merge_into_cfg(sched, host_threads, &left, &right, &mut out);
-            merge_spans.push(
-                ObsSpan::new(class, label.clone(), m_start, t0.elapsed().as_secs_f64())
-                    .with_bytes(spec.out_elems as f64 * cfg.elem_bytes),
-            );
-            merge_spans.extend(cpu_part_spans(&label, m_start, &stats));
-            pair_out[*slot] = out;
-            *pair_merges_done += 1;
-        }
-        DagOp::MultiwayMerge { inputs } => {
-            let lists: Vec<&[T]> = inputs
-                .iter()
-                .map(|inp| match *inp {
-                    MergeInput::Batch(b) => {
-                        let bi = &plan.batches[b];
-                        &w[bi.start..bi.start + bi.len]
-                    }
-                    MergeInput::Pair(p) => pair_out[p].as_slice(),
-                })
-                .collect();
-            let m_start = t0.elapsed().as_secs_f64();
-            let label = format!("MultiwayMerge k{}", lists.len());
-            let stats = par_multiway_merge_into_cfg(sched, host_threads, &lists, b_out);
-            merge_spans.push(
-                ObsSpan::new(
-                    OpClass::MultiwayMerge,
-                    label.clone(),
-                    m_start,
-                    t0.elapsed().as_secs_f64(),
-                )
-                .with_bytes(plan.n as f64 * cfg.elem_bytes),
-            );
-            merge_spans.extend(cpu_part_spans(&label, m_start, &stats));
-        }
-        other => {
-            return Err(HetSortError::Plan {
-                reason: format!(
-                    "run_merge_node called on non-merge op {}",
-                    other.class_name()
-                ),
+    /// Execute merge node `id` of the base dag, borrowing its inputs
+    /// from the sorted `batches` and earlier pair outputs.
+    fn run(
+        &mut self,
+        id: usize,
+        op: &DagOp,
+        batches: &[OnceLock<Vec<T>>],
+    ) -> Result<(), HetSortError> {
+        let elem_bytes = self.plan.config.elem_bytes;
+        let t0 = self.t0;
+        let now = move || t0.elapsed().as_secs_f64();
+        let pair_out = &self.pair_out;
+        let input = |src: MergeSrc| -> Result<&[T], HetSortError> {
+            match src {
+                MergeSrc::Batch(b) => batches.get(b).and_then(|c| c.get()),
+                MergeSrc::Merged(p) => pair_out.get(p).and_then(|o| o.as_ref()),
+            }
+            .map(Vec::as_slice)
+            .ok_or_else(|| HetSortError::Plan {
+                reason: format!("merge node {id}: input {src:?} was never produced"),
             })
-        }
+        };
+        let (class, label, m_start, bytes, stats) = match op {
+            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+                let spec = *self
+                    .plan
+                    .pairs
+                    .get(*slot)
+                    .ok_or_else(|| HetSortError::Plan {
+                        reason: format!("merge node {id} references missing pair slot {slot}"),
+                    })?;
+                let (left, right) = (input(spec.left)?, input(spec.right)?);
+                let mut out = vec![T::default(); spec.out_elems];
+                let (class, name) = match op {
+                    DagOp::CpuMerge { .. } => (OpClass::CpuMerge, "CpuMerge"),
+                    _ => (OpClass::PairMerge, "PairMerge"),
+                };
+                let m_start = now();
+                let stats = par_merge_into_cfg(&self.sched, self.threads, left, right, &mut out);
+                self.pair_out[*slot] = Some(out);
+                (
+                    class,
+                    format!("{name} p{slot}"),
+                    m_start,
+                    spec.out_elems as f64 * elem_bytes,
+                    stats,
+                )
+            }
+            DagOp::MultiwayMerge { inputs } => {
+                let lists = inputs
+                    .iter()
+                    .map(|inp| {
+                        input(match *inp {
+                            MergeInput::Batch(b) => MergeSrc::Batch(b),
+                            MergeInput::Pair(p) => MergeSrc::Merged(p),
+                        })
+                    })
+                    .collect::<Result<Vec<&[T]>, _>>()?;
+                self.sorted = vec![T::default(); self.plan.n];
+                let m_start = now();
+                let stats = par_multiway_merge_into_cfg(
+                    &self.sched,
+                    self.threads,
+                    &lists,
+                    &mut self.sorted,
+                );
+                (
+                    OpClass::MultiwayMerge,
+                    format!("MultiwayMerge k{}", lists.len()),
+                    m_start,
+                    self.plan.n as f64 * elem_bytes,
+                    stats,
+                )
+            }
+            other => {
+                return Err(HetSortError::Plan {
+                    reason: format!("node {id}: {} is not a merge", other.class_name()),
+                })
+            }
+        };
+        self.spans
+            .push(ObsSpan::new(class, label.clone(), m_start, now()).with_bytes(bytes));
+        self.spans.extend(cpu_part_spans(&label, m_start, &stats));
+        self.done[id] = true;
+        Ok(())
     }
-    Ok(())
 }
 
-/// Execute the dag sequentially with default options (the pinned
-/// [`TieBreak::MinId`] determinism contract).
+/// One stream's interpreter plus the sorted run it is staging out.
+struct StreamSlot<'p, T> {
+    sx: StreamExec<'p, T>,
+    /// Stage-out chunks of the stream's current batch, appended in
+    /// chunk order (the FIFO edges) until they add up to the batch.
+    assembling: Vec<T>,
+}
+
+/// Scheduling state of one pass, behind the pass mutex.
+struct Sched {
+    ready: ReadySet,
+    /// Nodes popped and not yet finished.
+    inflight: usize,
+    /// A device loss or an unrecovered fault ends the pass: nothing
+    /// more is popped, nodes already running finish.
+    stop: bool,
+    /// Physical GPUs that fell out of the pool during this pass.
+    lost: Vec<usize>,
+    /// The first fault recovery does not absorb.
+    error: Option<HetSortError>,
+    /// Per stream: the panic that killed it. A dead stream's blocked
+    /// successors never become ready and its ready nodes are dropped
+    /// un-run, so the pass drains around it.
+    dead: Vec<Option<String>>,
+}
+
+/// One ready-order pass over a dag: the state every thread of the pass
+/// shares. Stream nodes of batches already in `batches` (the
+/// checkpoint) are skipped.
+struct Pass<'p, T> {
+    dag: &'p PlanDag,
+    batches: &'p [OnceLock<Vec<T>>],
+    streams: Vec<Mutex<StreamSlot<'p, T>>>,
+    sched: Mutex<Sched>,
+    cond: Condvar,
+    /// Other threads share this pass (someone may be waiting on `cond`).
+    pooled: bool,
+}
+
+impl<T> Pass<'_, T>
+where
+    T: RadixKey + SortOrd + Default,
+{
+    /// Execute stream node `id` on its stream's interpreter.
+    fn step(&self, id: usize) -> Result<(), HetSortError> {
+        let plan = &self.dag.plan;
+        let node = &self.dag.nodes[id];
+        let (s, slot) = node
+            .stream
+            .and_then(|s| Some((s, self.streams.get(s)?)))
+            .ok_or_else(|| HetSortError::Plan {
+                reason: format!("node {id} is bound to no stream of its plan"),
+            })?;
+        let mut slot = lock_any(slot);
+        let StreamSlot { sx, assembling } = &mut *slot;
+        if let Some(b) = node.op.batch() {
+            if self.batches.get(b).is_some_and(|c| c.get().is_some()) {
+                // Checkpointed in an earlier pass. "No accesses this
+                // pass" must override the static derivation in the
+                // assembled trace, hence the empty log entry.
+                if plan.config.record_trace {
+                    sx.access_log.push((id, Vec::new()));
+                }
+                return Ok(());
+            }
+        }
+        if let DagOp::StagingCopy {
+            batch,
+            chunk: 0,
+            dir_in: true,
+            ..
+        } = node.op
+        {
+            if plan
+                .config
+                .faults
+                .as_deref()
+                .is_some_and(|inj| inj.should_panic(s))
+            {
+                panic!("injected panic in stream worker {s} at batch {batch}");
+            }
+        }
+        sx.step(id, &mut |batch, _start, chunk| {
+            let len = plan.batches[batch].len;
+            if assembling.capacity() == 0 {
+                *assembling = Vec::with_capacity(len);
+            }
+            assembling.extend_from_slice(chunk);
+            if assembling.len() == len {
+                // Set once per pass at most: the skip above keeps a
+                // checkpointed batch from being staged out again.
+                let _ = self.batches[batch].set(std::mem::take(assembling));
+            }
+        })
+    }
+
+    /// Pop and run ready nodes that satisfy `mine` until the pass is
+    /// drained, stuck behind a dead stream, or stopped. `run` executes
+    /// inside the one node sandbox: whatever it does — return a typed
+    /// fault, lose a device, panic — the node is accounted for before
+    /// the next pop, so no thread can strand `inflight`.
+    fn drive(
+        &self,
+        mine: impl Fn(&DagNode) -> bool,
+        mut run: impl FnMut(usize) -> Result<(), HetSortError>,
+    ) {
+        let wake = || {
+            if self.pooled {
+                self.cond.notify_all();
+            }
+        };
+        loop {
+            let next = {
+                let mut g = lock_any(&self.sched);
+                loop {
+                    if g.stop {
+                        break None;
+                    }
+                    match g.ready.pop_where(|i| mine(&self.dag.nodes[i])) {
+                        Some(id) => {
+                            let dead = |s| g.dead.get(s).is_some_and(Option::is_some);
+                            if !self.dag.nodes[id].stream.is_some_and(dead) {
+                                g.inflight += 1;
+                                break Some(id);
+                            }
+                        }
+                        None if g.inflight == 0 && g.ready.ready_len() == 0 => break None,
+                        None => {
+                            g = match self.cond.wait(g) {
+                                Ok(g) => g,
+                                Err(poisoned) => poisoned.into_inner(),
+                            }
+                        }
+                    }
+                }
+            };
+            let Some(id) = next else {
+                wake();
+                return;
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(id)));
+            let mut g = lock_any(&self.sched);
+            g.inflight -= 1;
+            match outcome {
+                Ok(Ok(())) => g.ready.complete(id),
+                Ok(Err(HetSortError::DeviceLost { gpu })) => {
+                    if !g.lost.contains(&gpu) {
+                        g.lost.push(gpu);
+                    }
+                    g.stop = true;
+                }
+                Ok(Err(e)) => {
+                    g.error.get_or_insert(e);
+                    g.stop = true;
+                }
+                Err(payload) => {
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .map(|m| (*m).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "opaque panic payload".to_string());
+                    let stream = self.dag.nodes[id].stream;
+                    match stream.and_then(|s| g.dead.get_mut(s)) {
+                        Some(slot) => {
+                            slot.get_or_insert(message);
+                        }
+                        None => {
+                            g.error.get_or_insert(HetSortError::Plan {
+                                reason: format!("node {id} panicked outside any stream: {message}"),
+                            });
+                            g.stop = true;
+                        }
+                    }
+                }
+            }
+            drop(g);
+            wake();
+        }
+    }
+}
+
+/// Host-sort every batch not yet in `batches` straight from `data` —
+/// the degradation path for dead streams and pools with no survivor.
+/// Returns how many batches it sorted.
+fn host_sort_missing<T>(
+    plan: &Plan,
+    data: &[T],
+    sched: &SchedCfg,
+    threads: usize,
+    batches: &[OnceLock<Vec<T>>],
+) -> usize
+where
+    T: RadixKey + SortOrd + Default,
+{
+    let mut sorted = 0;
+    for (cell, bi) in batches.iter().zip(&plan.batches) {
+        if cell.get().is_none() {
+            let mut run = data[bi.start..bi.start + bi.len].to_vec();
+            par_radix_sort_cfg(sched, threads, &mut run);
+            let _ = cell.set(run);
+            sorted += 1;
+        }
+    }
+    sorted
+}
+
+/// A failover span on the run clock: which GPUs are gone and what the
+/// engine did about it.
+fn failover_span(lost: &BTreeSet<usize>, action: &str, start: f64, end: f64) -> ObsSpan {
+    let gpus: Vec<String> = lost.iter().map(|g| g.to_string()).collect();
+    ObsSpan::new(
+        OpClass::Other,
+        format!("failover: GPU(s) {} lost{action}", gpus.join(", ")),
+        start,
+        end,
+    )
+}
+
+/// Execute the dag inline on the calling thread with default options
+/// (the pinned [`TieBreak::MinId`] determinism contract).
 ///
 /// # Errors
 ///
-/// Everything [`crate::exec_real::sort_real_plan`] documents, plus
-/// [`HetSortError::Plan`] when the dag fails [`PlanDag::validate`].
+/// As [`execute_dag_opts`].
 pub fn execute_dag<T>(dag: &PlanDag, data: &[T]) -> Result<RealOutcome<T>, HetSortError>
 where
     T: RadixKey + SortOrd + Default,
@@ -363,11 +447,46 @@ where
     execute_dag_opts(dag, data, DagExecOptions::default())
 }
 
-/// Sequential engine with explicit [`DagExecOptions`].
+/// Execute the dag with `workers` threads running the stream nodes and
+/// the calling thread running the merges — the engine behind
+/// [`crate::exec_real_mt::sort_real_parallel`].
+///
+/// Produces bit-identical output to [`execute_dag`]. With a fault
+/// injector armed, global occurrence counters are still exact, but
+/// *which* stream observes an occurrence depends on interleaving —
+/// concurrent fault tests should use single-stream configs or
+/// worker-addressed panics.
 ///
 /// # Errors
 ///
-/// As [`execute_dag`].
+/// As [`execute_dag_opts`].
+pub fn execute_dag_pooled<T>(
+    dag: &PlanDag,
+    data: &[T],
+    workers: usize,
+) -> Result<RealOutcome<T>, HetSortError>
+where
+    T: RadixKey + SortOrd + Default,
+{
+    let opts = DagExecOptions {
+        workers,
+        ..DagExecOptions::default()
+    };
+    execute_dag_opts(dag, data, opts)
+}
+
+/// The engine: execute `dag` over `data` under explicit
+/// [`DagExecOptions`].
+///
+/// # Errors
+///
+/// [`HetSortError::Data`] on plan/data mismatches; [`HetSortError::Plan`]
+/// when the dag fails [`PlanDag::validate`]; typed fault errors
+/// ([`HetSortError::GpuOom`], [`HetSortError::TransferFault`],
+/// [`HetSortError::DeviceSortFault`], [`HetSortError::DeviceLost`])
+/// when the recovery policy does not absorb an injected fault;
+/// [`HetSortError::WorkerPanic`] when a stream dies and CPU fallback is
+/// disabled.
 pub fn execute_dag_opts<T>(
     dag: &PlanDag,
     data: &[T],
@@ -379,901 +498,210 @@ where
     check_inputs(dag, data)?;
     let plan = &dag.plan;
     let cfg = &plan.config;
-    let n = plan.n;
     let nb = plan.nb();
     let input_fp = fingerprint(data);
     let injected_before = cfg.faults.as_ref().map_or(0, |i| i.injected());
-    let t0 = std::time::Instant::now();
-
-    // Memory: A (borrowed), W (working memory for sorted sublists),
-    // B (output), per-stream state (pinned + device buffers) in the
-    // stream interpreters.
-    let mut w = vec![T::default(); if nb > 1 { n } else { 0 }];
-    let mut b_out = vec![T::default(); n];
-    let mut pair_out: Vec<Vec<T>> = (0..plan.pairs.len()).map(|_| Vec::new()).collect();
-    let merge_threads = usize::try_from(cfg.merge_threads_eff()).unwrap_or(usize::MAX);
-    // Cap the functional thread count at this machine's parallelism ×4:
-    // simulated platforms may have more cores than the host.
-    let host_threads = merge_threads.min(4 * hetsort_algos::par::default_threads());
+    let t0 = Instant::now();
+    let now = || t0.elapsed().as_secs_f64();
+    // Thread sizing, one place: merges and host-side sorts get the
+    // configured merge pool capped at this machine's parallelism ×4
+    // (simulated platforms may have more cores than the host); the
+    // device-sort stand-in gets the host's parallelism.
     let device_sort_threads = hetsort_algos::par::default_threads();
-    let memcpy_threads = usize::try_from(cfg.memcpy_threads_eff())
+    let threads = usize::try_from(cfg.merge_threads_eff())
         .unwrap_or(usize::MAX)
-        .min(4 * hetsort_algos::par::default_threads());
+        .min(4 * device_sort_threads);
     let sched = cfg.sched_cfg();
 
-    // --- Phase 1: ready-order passes produce the sorted runs in `w`
-    // (or `b_out` when n_b = 1). A device loss aborts the pass;
-    // unfinished work is re-planned onto the survivors (or host-sorted
-    // when none remain) and the next pass covers only batches not yet
-    // staged out. Merge nodes execute inline only on the original dag
-    // (batch tiling is identical across re-plans, so the *original*
-    // dag's merge schedule stays valid); any still unexecuted after
-    // recovery run in phase 2.
+    // Memory: A (`data`, borrowed), one owned sorted run per batch —
+    // written once by its stream's stage-out, and the checkpoint device
+    // losses re-plan around —, one output per pair slot, and B.
+    let mut batches: Vec<OnceLock<Vec<T>>> = (0..nb).map(|_| OnceLock::new()).collect();
+    let mut merges = Merges {
+        plan,
+        sched,
+        threads,
+        t0,
+        pair_out: (0..plan.pairs.len()).map(|_| None).collect(),
+        sorted: Vec::new(),
+        done: vec![false; dag.nodes.len()],
+        spans: Vec::new(),
+    };
     let mut recovery = RecoveryStats::default();
     let mut pool_stats = PoolStats::default();
     let mut metrics = MetricsRegistry::new();
     let mut replans: Vec<Plan> = Vec::new();
-    let mut lost_gpus: BTreeSet<usize> = Default::default();
-    let mut emitted: Vec<usize> = vec![0usize; nb];
-    let mut final_logs: Vec<Vec<(usize, Vec<Access>)>> = Vec::new();
-    let mut merge_done: Vec<bool> = vec![false; dag.nodes.len()];
-    let mut merge_spans: Vec<ObsSpan> = Vec::new();
-    let mut pair_merges_done = 0usize;
-    let mut cur_dag_owned: Option<PlanDag> = None;
+    let mut lost_gpus: BTreeSet<usize> = BTreeSet::new();
+    let mut final_logs: Vec<Vec<(usize, Vec<Access>)>>;
+    let mut first_panic: Option<HetSortError> = None;
+    let mut survivor: Option<PlanDag> = None;
+
+    // --- Ready-order passes produce the sorted runs. The first pass
+    // schedules every node of the base dag, merges included; a device
+    // loss ends it, and each further pass schedules the stream nodes of
+    // a survivor dag, inline, over the batches not yet checkpointed.
+    // Batch tiling is identical across re-plans, so the *base* dag's
+    // merge schedule stays valid throughout.
     loop {
-        let cur_dag: &PlanDag = cur_dag_owned.as_ref().unwrap_or(dag);
-        let cur = &cur_dag.plan;
-        let on_base = cur_dag_owned.is_none();
-        let mut streams: Vec<StreamExec<T>> = (0..cur.total_streams)
-            .map(|s| StreamExec::new(cur, data, s, host_threads, device_sort_threads, t0))
-            .collect();
-        let mut lost: Option<usize> = None;
-        // Steps skipped because their batch already completed log empty
-        // access lists: "no accesses this pass" must override the
-        // static derivation in the assembled trace.
-        let mut skipped_log: Vec<(usize, Vec<Access>)> = Vec::new();
-        // The original dag schedules everything; survivor dags schedule
-        // stream nodes only (their merges are never executed).
-        let mut ready = ReadySet::new(
-            cur_dag,
-            |i| on_base || !cur_dag.nodes[i].op.is_merge(),
-            opts.tie,
-        );
-        while let Some(si) = ready.pop() {
-            let node = &cur_dag.nodes[si];
-            if node.op.is_merge() {
-                run_merge_node(
-                    plan,
-                    &node.op,
-                    &sched,
-                    host_threads,
-                    t0,
-                    &w,
-                    &mut b_out,
-                    &mut pair_out,
-                    &mut merge_spans,
-                    &mut pair_merges_done,
-                )?;
-                merge_done[si] = true;
-                ready.complete(si);
-                continue;
+        let cur = survivor.as_ref().unwrap_or(dag);
+        let on_base = survivor.is_none();
+        let workers = if on_base { opts.workers } else { 0 };
+        let pass = Pass {
+            dag: cur,
+            batches: &batches,
+            streams: (0..cur.plan.total_streams)
+                .map(|s| {
+                    Mutex::new(StreamSlot {
+                        sx: StreamExec::new(&cur.plan, data, s, threads, device_sort_threads, t0),
+                        assembling: Vec::new(),
+                    })
+                })
+                .collect(),
+            sched: Mutex::new(Sched {
+                ready: ReadySet::new(cur, |i| on_base || !cur.nodes[i].op.is_merge(), opts.tie),
+                inflight: 0,
+                stop: false,
+                lost: Vec::new(),
+                error: None,
+                dead: vec![None; cur.plan.total_streams],
+            }),
+            cond: Condvar::new(),
+            pooled: workers > 0,
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| pass.drive(|n| !n.op.is_merge(), |id| pass.step(id)));
             }
-            if let Some(bi) = node.op.batch() {
-                if emitted[bi] >= cur.batches[bi].len {
-                    if cur.config.record_trace {
-                        skipped_log.push((si, Vec::new()));
-                    }
-                    ready.complete(si);
-                    continue;
-                }
-            }
-            let s = node.stream.ok_or_else(|| HetSortError::Plan {
-                reason: format!("node {si} has no stream"),
-            })?;
-            let dst = if nb > 1 { &mut w } else { &mut b_out };
-            let r = streams[s].step(si, &mut |batch, start, chunk| {
-                par_copy(memcpy_threads, chunk, &mut dst[start..start + chunk.len()]);
-                emitted[batch] += chunk.len();
-            });
-            match r {
-                Ok(()) => ready.complete(si),
-                Err(HetSortError::DeviceLost { gpu }) => {
-                    lost = Some(gpu);
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        for sx in &mut streams {
+            pass.drive(
+                |n| workers == 0 || n.op.is_merge(),
+                |id| match &cur.nodes[id].op {
+                    op if op.is_merge() => merges.run(id, op, &batches),
+                    _ => pass.step(id),
+                },
+            );
+        });
+        let Pass {
+            streams,
+            sched: end,
+            ..
+        } = pass;
+        let end = end.into_inner().unwrap_or_else(|p| p.into_inner());
+        // The trace covers the final pass; earlier aborted passes' logs
+        // reference a different plan's step indices.
+        final_logs = Vec::with_capacity(streams.len());
+        for slot in streams {
+            let StreamSlot { mut sx, .. } = slot.into_inner().unwrap_or_else(|p| p.into_inner());
             recovery.retries += sx.stats.retries;
             recovery.degraded_batches += sx.stats.degraded_batches;
             recovery.oom_replans += sx.stats.oom_replans;
             pool_stats.absorb(sx.pool.stats);
             metrics.record_all(std::mem::take(&mut sx.span_log));
+            final_logs.push(std::mem::take(&mut sx.access_log));
         }
-        if cur.config.record_trace {
-            // The trace covers the final pass; earlier aborted passes'
-            // logs reference a different plan's step indices.
-            final_logs = streams.iter().map(|sx| sx.access_log.clone()).collect();
-            final_logs.push(skipped_log);
+        if let Some(e) = end.error {
+            return Err(e);
         }
-        let Some(gpu) = lost else { break };
+        if let Some((worker, message)) = end
+            .dead
+            .into_iter()
+            .enumerate()
+            .find_map(|(s, m)| Some((s, m?)))
+        {
+            first_panic.get_or_insert(HetSortError::WorkerPanic { worker, message });
+        }
+        if end.lost.is_empty() {
+            break;
+        }
 
-        // Device fault domain: checkpoint what finished, re-plan the
-        // rest over the survivors.
-        recovery.device_lost += 1;
-        recovery.record_lost_gpu(gpu);
-        lost_gpus.insert(gpu);
-        let unfinished: Vec<usize> = (0..nb)
-            .filter(|&b| opts.skip_checkpoint || emitted[b] < plan.batches[b].len)
-            .collect();
-        recovery.batches_recomputed += unfinished
-            .iter()
-            .filter(|&&b| cur.physical_gpu(cur.batches[b].gpu) == gpu)
-            .count();
-        // Partially staged-out batches are recomputed whole.
-        for &b in &unfinished {
-            emitted[b] = 0;
+        // Device fault domain: what finished is checkpointed in
+        // `batches`; re-plan the rest over the survivors. Several
+        // devices can die inside one pooled pass — attribute every
+        // casualty.
+        recovery.device_lost += end.lost.len();
+        for &g in &end.lost {
+            recovery.record_lost_gpu(g);
         }
-        let t_fail = t0.elapsed().as_secs_f64();
+        lost_gpus.extend(&end.lost);
+        for (b, cell) in batches.iter_mut().enumerate() {
+            if opts.skip_checkpoint {
+                cell.take();
+            }
+            let gpu = cur.plan.physical_gpu(cur.plan.batches[b].gpu);
+            if cell.get().is_none() && end.lost.contains(&gpu) {
+                recovery.batches_recomputed += 1;
+            }
+        }
+        let t_fail = now();
         match crate::recover::survivor_plan(plan, &lost_gpus)? {
             Some(rp) => {
                 recovery.replans += 1;
-                metrics.record(ObsSpan::new(
-                    OpClass::Other,
-                    format!(
-                        "failover: GPU {gpu} lost → re-plan {} batch(es) on {} device(s)",
-                        unfinished.len(),
-                        rp.device_ids.len()
-                    ),
-                    t_fail,
-                    t0.elapsed().as_secs_f64(),
-                ));
+                let action = format!(" → re-plan on {} device(s)", rp.device_ids.len());
+                metrics.record(failover_span(&lost_gpus, &action, t_fail, now()));
                 replans.push(rp.clone());
-                cur_dag_owned = Some(PlanDag::from_plan(rp));
+                survivor = Some(PlanDag::from_plan(rp));
             }
             None => {
                 if !cfg.recovery.cpu_fallback {
+                    // The typed error carries one representative id
+                    // (the smallest casualty of this pass).
+                    let gpu = end.lost.iter().min().copied().unwrap_or(0);
                     return Err(HetSortError::DeviceLost { gpu });
                 }
-                // Every device is gone: sort the unfinished batches
-                // host-side straight from `A`.
-                for &b in &unfinished {
-                    let bi = plan.batches[b];
-                    let dst = if nb > 1 { &mut w } else { &mut b_out };
-                    let seg = &mut dst[bi.start..bi.start + bi.len];
-                    par_copy(memcpy_threads, &data[bi.start..bi.start + bi.len], seg);
-                    hetsort_algos::radix_par::par_radix_sort_cfg(&sched, host_threads, seg);
-                    emitted[b] = bi.len;
-                    recovery.degraded_batches += 1;
-                }
-                metrics.record(ObsSpan::new(
-                    OpClass::Other,
-                    format!(
-                        "failover: GPU(s) {} lost, no survivors → host sort of {} batch(es)",
-                        gpu_list(&lost_gpus),
-                        unfinished.len()
-                    ),
-                    t_fail,
-                    t0.elapsed().as_secs_f64(),
-                ));
+                recovery.degraded_batches +=
+                    host_sort_missing(plan, data, &sched, threads, &batches);
+                let action = ", no survivors → host sort";
+                metrics.record(failover_span(&lost_gpus, action, t_fail, now()));
                 break;
             }
         }
     }
-    debug_assert!(
-        (0..nb).all(|b| emitted[b] == plan.batches[b].len),
-        "every batch must be staged out before merging"
-    );
-
-    // --- Phase 2: the original dag's merge schedule over the sorted
-    // runs in `w` — only nodes phase 1 did not already execute.
-    let mut merges = ReadySet::new(dag, |i| dag.nodes[i].op.is_merge(), opts.tie);
-    while let Some(si) = merges.pop() {
-        if !merge_done[si] {
-            run_merge_node(
-                plan,
-                &dag.nodes[si].op,
-                &sched,
-                host_threads,
-                t0,
-                &w,
-                &mut b_out,
-                &mut pair_out,
-                &mut merge_spans,
-                &mut pair_merges_done,
-            )?;
-        }
-        merges.complete(si);
-    }
-
-    recovery.faults_injected = cfg.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
-
-    // With re-plans, the executed trace covers the final pass (the plan
-    // that actually finished the run).
-    let trace = cfg.record_trace.then(|| {
-        let trace_plan = replans.last().unwrap_or(plan);
-        assemble_trace(trace_plan, &final_logs)
-    });
-
-    metrics.record_all(merge_spans);
-    recovery.fold_into(&mut metrics);
-    pool_stats.fold_into(&mut metrics);
-
-    let wall_s = t0.elapsed().as_secs_f64();
-    let verified = is_sorted(&b_out) && fingerprint(&b_out) == input_fp;
-    Ok(RealOutcome {
-        sorted: b_out,
-        wall_s,
-        verified,
-        nb,
-        pair_merges: pair_merges_done,
-        recovery,
-        trace,
-        metrics,
-        replans,
-    })
-}
-
-/// What ended a stream that did not finish cleanly.
-enum StreamFail {
-    Lost(usize),
-    Typed(HetSortError),
-    Panicked(String),
-}
-
-/// Pool scheduler state shared by the workers.
-struct PoolSched {
-    ready: BTreeSet<usize>,
-    indegree: Vec<usize>,
-    inflight: usize,
-    dead: Vec<bool>,
-}
-
-/// Per-stream interpreter state a worker locks while executing one of
-/// the stream's nodes (FIFO edges guarantee at most one ready node per
-/// stream, so the lock is uncontended in practice).
-struct StreamSlot<'p, T> {
-    sx: StreamExec<'p, T>,
-    assembling: Option<(usize, Vec<T>)>,
-}
-
-/// Lock a mutex, recovering the guard from a poisoned lock (a worker
-/// panic is already recorded as a [`StreamFail`]; the data is not
-/// touched again for dead streams).
-fn lock_any<G>(m: &Mutex<G>) -> std::sync::MutexGuard<'_, G> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Execute the dag with a pool of `workers` threads over the stream
-/// subgraph, the calling thread coordinating merges — the parallel
-/// engine behind [`crate::exec_real_mt::sort_real_parallel`].
-///
-/// Produces bit-identical output to [`execute_dag`] (the data path is
-/// deterministic; only wall-clock interleaving differs). With a fault
-/// injector armed, global occurrence counters are still exact, but
-/// *which* stream observes an occurrence depends on interleaving —
-/// concurrent fault tests should use single-stream configs or
-/// worker-addressed panics.
-///
-/// # Errors
-///
-/// As [`crate::exec_real_mt::sort_real_parallel`].
-pub fn execute_dag_pooled<T>(
-    dag: &PlanDag,
-    data: &[T],
-    workers: usize,
-) -> Result<RealOutcome<T>, HetSortError>
-where
-    T: RadixKey + SortOrd + Default,
-{
-    execute_dag_pooled_opts(dag, data, workers, DagExecOptions::default())
-}
-
-/// Pooled engine with explicit [`DagExecOptions`] (`skip_checkpoint`
-/// applies to the sequential recovery mini-pass only and is ignored
-/// here).
-///
-/// # Errors
-///
-/// As [`execute_dag_pooled`].
-pub fn execute_dag_pooled_opts<T>(
-    dag: &PlanDag,
-    data: &[T],
-    workers: usize,
-    opts: DagExecOptions,
-) -> Result<RealOutcome<T>, HetSortError>
-where
-    T: RadixKey + SortOrd + Default,
-{
-    check_inputs(dag, data)?;
-    let plan = &dag.plan;
-    let nb = plan.nb();
-    let input_fp = fingerprint(data);
-    let injected_before = plan.config.faults.as_ref().map_or(0, |i| i.injected());
-    let t0 = std::time::Instant::now();
-    let merge_threads = usize::try_from(plan.config.merge_threads_eff())
-        .unwrap_or(usize::MAX)
-        .min(4 * hetsort_algos::par::default_threads());
-    let device_sort_threads = hetsort_algos::par::default_threads();
-    let sched = plan.config.sched_cfg();
-    let n_workers = workers.max(1);
-    // Hybrid typing per pair slot, as lowered into the dag.
-    let cpu_slot = cpu_slots_of(dag);
-
-    // Steal channels live outside the scope so the steal workers'
-    // borrow of the task receiver satisfies the `'scope` bound; the
-    // task sender is moved into the coordinator closure and dropped
-    // there once no more merges can be dispatched, which is what lets
-    // idle steal workers drain and exit before the scope joins.
-    let (task_tx, task_rx) = std::sync::mpsc::channel::<MergeTask<T>>();
-    let task_rx = Mutex::new(task_rx);
-    let (done_tx, done_rx) = std::sync::mpsc::channel::<MergeDone<T>>();
-
-    // Stream-subgraph scheduling state (merges belong to the
-    // coordinator, not the pool).
-    let stream_scope: Vec<bool> = dag.nodes.iter().map(|n| !n.op.is_merge()).collect();
-    let mut indegree = vec![0usize; dag.nodes.len()];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); dag.nodes.len()];
-    for (i, node) in dag.nodes.iter().enumerate() {
-        if !stream_scope[i] {
-            continue;
-        }
-        for &d in &node.deps {
-            if stream_scope[d] {
-                indegree[i] += 1;
-                dependents[d].push(i);
-            }
-        }
-    }
-    let ready: BTreeSet<usize> = (0..dag.nodes.len())
-        .filter(|&i| stream_scope[i] && indegree[i] == 0)
-        .collect();
-
-    let sched_mx = Mutex::new(PoolSched {
-        ready,
-        indegree,
-        inflight: 0,
-        dead: vec![false; plan.total_streams],
-    });
-    let cond = Condvar::new();
-    let slots: Vec<Mutex<StreamSlot<T>>> = (0..plan.total_streams)
-        .map(|s| {
-            Mutex::new(StreamSlot {
-                sx: StreamExec::new(plan, data, s, merge_threads, device_sort_threads, t0),
-                assembling: None,
-            })
-        })
-        .collect();
-    let fails_mx: Mutex<Vec<Option<StreamFail>>> =
-        Mutex::new((0..plan.total_streams).map(|_| None).collect());
-
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<T>)>();
-
-    let mut sorted_batches: Vec<Option<Vec<T>>> = (0..nb).map(|_| None).collect();
-    let mut pair_out: Vec<Option<Vec<T>>> = (0..plan.pairs.len()).map(|_| None).collect();
-    let mut b_out: Vec<T> = Vec::new();
-    let mut recovery = RecoveryStats::default();
-    let mut pool_stats = PoolStats::default();
-    let mut stream_logs: Vec<Vec<(usize, Vec<Access>)>> = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    let mut merge_spans: Vec<ObsSpan> = Vec::new();
-    let mut replans: Vec<Plan> = Vec::new();
-
-    std::thread::scope(|scope| -> Result<(), HetSortError> {
-        // ---- worker pool over ready stream nodes --------------------
-        let mut handles = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            let tx = tx.clone();
-            let (sched_mx, cond, slots, fails_mx, dependents) =
-                (&sched_mx, &cond, &slots, &fails_mx, &dependents);
-            handles.push(scope.spawn(move || {
-                loop {
-                    // Acquire the next ready node under the tie-break.
-                    let next = {
-                        let mut g = lock_any(sched_mx);
-                        loop {
-                            let pick = match opts.tie {
-                                TieBreak::MinId => g.ready.iter().next().copied(),
-                                TieBreak::MaxId => g.ready.iter().next_back().copied(),
-                            };
-                            if let Some(id) = pick {
-                                g.ready.remove(&id);
-                                g.inflight += 1;
-                                break Some(id);
-                            }
-                            if g.inflight == 0 {
-                                break None;
-                            }
-                            g = match cond.wait(g) {
-                                Ok(g) => g,
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                        }
-                    };
-                    let Some(id) = next else {
-                        // Drained (or permanently stuck behind a dead
-                        // stream): wake any peers still waiting.
-                        cond.notify_all();
-                        return;
-                    };
-                    let node = &dag.nodes[id];
-                    let s = node.stream.unwrap_or(0);
-                    let stream_dead = lock_any(sched_mx).dead[s];
-                    let mut ok = false;
-                    if !stream_dead {
-                        let mut slot = lock_any(&slots[s]);
-                        let StreamSlot { sx, assembling } = &mut *slot;
-                        let r = catch_unwind(AssertUnwindSafe(|| -> Result<(), HetSortError> {
-                            if let DagOp::StagingCopy {
-                                batch,
-                                chunk: 0,
-                                dir_in: true,
-                                ..
-                            } = node.op
-                            {
-                                if let Some(inj) = plan.config.faults.as_deref() {
-                                    if inj.should_panic(s) {
-                                        panic!(
-                                            "injected panic in stream worker {s} at batch {batch}"
-                                        );
-                                    }
-                                }
-                            }
-                            sx.step(id, &mut |batch, _start, chunk| {
-                                let (_, buf) = assembling.get_or_insert_with(|| {
-                                    (batch, Vec::with_capacity(plan.batches[batch].len))
-                                });
-                                buf.extend_from_slice(chunk);
-                                if buf.len() == plan.batches[batch].len {
-                                    if let Some(done) = assembling.take() {
-                                        // A dead coordinator just means
-                                        // the run already failed; don't
-                                        // panic on top.
-                                        let _ = tx.send(done);
-                                    }
-                                }
-                            })
-                        }));
-                        match r {
-                            Ok(Ok(())) => ok = true,
-                            Ok(Err(e)) => {
-                                let mut f = lock_any(fails_mx);
-                                if f[s].is_none() {
-                                    f[s] = Some(match e {
-                                        HetSortError::DeviceLost { gpu } => StreamFail::Lost(gpu),
-                                        other => StreamFail::Typed(other),
-                                    });
-                                }
-                            }
-                            Err(payload) => {
-                                let message = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|m| (*m).to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                                let mut f = lock_any(fails_mx);
-                                if f[s].is_none() {
-                                    f[s] = Some(StreamFail::Panicked(message));
-                                }
-                            }
-                        }
-                    }
-                    {
-                        let mut g = lock_any(sched_mx);
-                        g.inflight -= 1;
-                        if ok {
-                            for &j in &dependents[id] {
-                                g.indegree[j] -= 1;
-                                if g.indegree[j] == 0 {
-                                    g.ready.insert(j);
-                                }
-                            }
-                        } else {
-                            // The stream stalls: its un-run successors
-                            // stay blocked forever, and the pool drains
-                            // around them.
-                            g.dead[s] = true;
-                        }
-                        cond.notify_all();
-                    }
-                }
-            }));
-        }
-        drop(tx);
-
-        // ---- steal workers: CPU lanes for ready merge nodes ---------
-        // With `steal` on, pair/CPU merges leave the coordinator the
-        // moment their inputs exist and run here, overlapping the
-        // staging pipeline. The workers block on the shared task
-        // receiver (lock–recv–release: at most one waits while the
-        // rest merge) and exit when the task sender drops.
-        let steal_workers = if opts.steal { n_workers.clamp(1, 2) } else { 0 };
-        for _ in 0..steal_workers {
-            let done_tx = done_tx.clone();
-            let (task_rx, sched) = (&task_rx, &sched);
-            scope.spawn(move || loop {
-                let task = lock_any(task_rx).recv();
-                let Ok(t) = task else { return };
-                let mut out = vec![T::default(); t.out_elems];
-                let m_start = t0.elapsed().as_secs_f64();
-                let (class, label) = pair_class_of(t.cpu, t.slot);
-                let stats = par_merge_into_cfg(sched, merge_threads, &t.left, &t.right, &mut out);
-                let mut spans =
-                    vec![
-                        ObsSpan::new(class, label.clone(), m_start, t0.elapsed().as_secs_f64())
-                            .with_bytes(t.out_elems as f64 * plan.config.elem_bytes),
-                    ];
-                spans.extend(cpu_part_spans(&label, m_start, &stats));
-                let _ = done_tx.send(MergeDone {
-                    slot: t.slot,
-                    out,
-                    spans,
-                });
-            });
-        }
-        drop(done_tx);
-
-        // ---- merge coordinator (this thread) ------------------------
-        let mut received = 0usize;
-        let mut pending_pairs: Vec<usize> = (0..plan.pairs.len()).collect();
-        let mut stolen_inflight = 0usize;
-        let land = |done: MergeDone<T>,
-                    pair_out: &mut Vec<Option<Vec<T>>>,
-                    merge_spans: &mut Vec<ObsSpan>| {
-            pair_out[done.slot] = Some(done.out);
-            merge_spans.extend(done.spans);
-        };
-        while received < nb {
-            // A disconnect means every worker is done (some possibly
-            // dead); fall through to the join pass to find out which.
-            let Ok((idx, buf)) = rx.recv() else { break };
-            sorted_batches[idx] = Some(buf);
-            received += 1;
-            if opts.steal {
-                stolen_inflight += dispatch_ready_pairs(
-                    plan,
-                    &cpu_slot,
-                    &sorted_batches,
-                    &pair_out,
-                    &mut pending_pairs,
-                    &task_tx,
-                );
-                // Opportunistically land finished merges; a landed
-                // Online/MergeTree output may unlock the next dispatch.
-                while let Ok(done) = done_rx.try_recv() {
-                    land(done, &mut pair_out, &mut merge_spans);
-                    stolen_inflight -= 1;
-                    stolen_inflight += dispatch_ready_pairs(
-                        plan,
-                        &cpu_slot,
-                        &sorted_batches,
-                        &pair_out,
-                        &mut pending_pairs,
-                        &task_tx,
-                    );
-                }
-            } else {
-                fire_ready_pairs(
-                    plan,
-                    &sched,
-                    merge_threads,
-                    &cpu_slot,
-                    &sorted_batches,
-                    &mut pair_out,
-                    &mut pending_pairs,
-                    t0,
-                    &mut merge_spans,
-                );
-            }
-        }
-        // Settle every dispatched merge before inspecting stream
-        // outcomes: pair_out must be complete for the recovery and
-        // final-merge phases (a chained merge may still dispatch here).
-        while stolen_inflight > 0 {
-            let Ok(done) = done_rx.recv() else { break };
-            land(done, &mut pair_out, &mut merge_spans);
-            stolen_inflight -= 1;
-            stolen_inflight += dispatch_ready_pairs(
-                plan,
-                &cpu_slot,
-                &sorted_batches,
-                &pair_out,
-                &mut pending_pairs,
-                &task_tx,
-            );
-        }
-        // No further steal dispatch (recovery merges run inline); let
-        // the steal workers drain and exit.
-        drop(task_tx);
-        for h in handles {
-            // Workers catch their own panics; a join error would mean a
-            // bug in the pool loop itself — surface it as a panic.
-            if h.join().is_err() {
-                return Err(HetSortError::Plan {
-                    reason: "dag pool worker died outside the node sandbox".to_string(),
-                });
-            }
-        }
-
-        // ---- collect per-stream outcomes (stream order, like the
-        // legacy per-worker join pass): clean streams contribute stats,
-        // logs and spans; failed streams contribute their fault.
-        let mut fails = lock_any(&fails_mx);
-        let mut first_err: Option<HetSortError> = None;
-        let mut first_panic: Option<HetSortError> = None;
-        let mut newly_lost: Vec<usize> = Vec::new();
-        for s in 0..plan.total_streams {
-            match fails[s].take() {
-                None => {
-                    let mut slot = lock_any(&slots[s]);
-                    recovery.retries += slot.sx.stats.retries;
-                    recovery.degraded_batches += slot.sx.stats.degraded_batches;
-                    recovery.oom_replans += slot.sx.stats.oom_replans;
-                    pool_stats.absorb(slot.sx.pool.stats);
-                    stream_logs.push(std::mem::take(&mut slot.sx.access_log));
-                    metrics.record_all(std::mem::take(&mut slot.sx.span_log));
-                }
-                Some(StreamFail::Lost(gpu)) => {
-                    if !newly_lost.contains(&gpu) {
-                        newly_lost.push(gpu);
-                    }
-                }
-                Some(StreamFail::Typed(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                Some(StreamFail::Panicked(message)) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(HetSortError::WorkerPanic { worker: s, message });
-                    }
-                }
-            }
-        }
-        drop(fails);
-        if let Some(e) = first_err {
+    if let Some(e) = first_panic {
+        if !cfg.recovery.cpu_fallback {
             return Err(e);
         }
+        // Graceful degradation: host-sort whatever the dead stream(s)
+        // never delivered.
+        recovery.degraded_batches += host_sort_missing(plan, data, &sched, threads, &batches);
+    }
 
-        // ---- device-loss recovery: re-plan missing batches ----------
-        // Completed batches in `sorted_batches` are the checkpoint;
-        // each round lowers a survivor dag and runs a sequential
-        // mini-pass over only the still-missing batches. A further loss
-        // during recovery shrinks the pool again.
-        if !newly_lost.is_empty() {
-            let mut lost_gpus: BTreeSet<usize> = Default::default();
-            let mut cur_owned: Option<Plan> = None;
-            while !newly_lost.is_empty() {
-                let cur: &Plan = cur_owned.as_ref().unwrap_or(plan);
-                recovery.device_lost += newly_lost.len();
-                // Several devices can die inside one checkpoint window
-                // (one loss event per GPU, all observed at this join);
-                // attribute every casualty, not an arbitrary pick.
-                for &g in &newly_lost {
-                    recovery.record_lost_gpu(g);
-                }
-                recovery.batches_recomputed += sorted_batches
-                    .iter()
-                    .enumerate()
-                    .filter(|(b, sl)| {
-                        sl.is_none() && newly_lost.contains(&cur.physical_gpu(cur.batches[*b].gpu))
-                    })
-                    .count();
-                lost_gpus.extend(newly_lost.drain(..));
-                let missing = sorted_batches.iter().filter(|sl| sl.is_none()).count();
-                let t_fail = t0.elapsed().as_secs_f64();
-                match crate::recover::survivor_plan(plan, &lost_gpus)? {
-                    None => {
-                        // The typed error carries one representative id
-                        // (the smallest casualty); the span and the
-                        // RecoveryStats mask name the full set.
-                        let gpu = lost_gpus.iter().next().copied().unwrap_or(0);
-                        if !plan.config.recovery.cpu_fallback {
-                            return Err(HetSortError::DeviceLost { gpu });
-                        }
-                        for (b, slot) in sorted_batches.iter_mut().enumerate() {
-                            if slot.is_none() {
-                                let bi = &plan.batches[b];
-                                let mut buf = data[bi.start..bi.start + bi.len].to_vec();
-                                par_radix_sort_cfg(&sched, merge_threads, &mut buf);
-                                *slot = Some(buf);
-                                recovery.degraded_batches += 1;
-                            }
-                        }
-                        metrics.record(ObsSpan::new(
-                            OpClass::Other,
-                            format!(
-                                "failover: GPU(s) {} lost, no survivors → host sort of {missing} batch(es)",
-                                gpu_list(&lost_gpus)
-                            ),
-                            t_fail,
-                            t0.elapsed().as_secs_f64(),
-                        ));
-                    }
-                    Some(rp) => {
-                        recovery.replans += 1;
-                        metrics.record(ObsSpan::new(
-                            OpClass::Other,
-                            format!(
-                                "failover: re-plan {missing} batch(es) on {} device(s)",
-                                rp.device_ids.len()
-                            ),
-                            t_fail,
-                            t0.elapsed().as_secs_f64(),
-                        ));
-                        let rp_dag = PlanDag::from_plan(rp.clone());
-                        let mut sxs: Vec<StreamExec<T>> = (0..rp_dag.plan.total_streams)
-                            .map(|s| {
-                                StreamExec::new(
-                                    &rp_dag.plan,
-                                    data,
-                                    s,
-                                    merge_threads,
-                                    device_sort_threads,
-                                    t0,
-                                )
-                            })
-                            .collect();
-                        let mut partial: Vec<Vec<T>> = vec![Vec::new(); nb];
-                        let mut mini = ReadySet::new(
-                            &rp_dag,
-                            |i| !rp_dag.nodes[i].op.is_merge(),
-                            TieBreak::MinId,
-                        );
-                        'mini: while let Some(si) = mini.pop() {
-                            mini.complete(si);
-                            let node = &rp_dag.nodes[si];
-                            if let Some(bi) = node.op.batch() {
-                                if sorted_batches[bi].is_some() {
-                                    continue;
-                                }
-                            }
-                            let Some(s) = node.stream else { continue };
-                            let r = sxs[s].step(si, &mut |batch, _start, chunk| {
-                                partial[batch].extend_from_slice(chunk);
-                            });
-                            match r {
-                                Ok(()) => {}
-                                Err(HetSortError::DeviceLost { gpu }) => {
-                                    newly_lost.push(gpu);
-                                    break 'mini;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        for sx in &mut sxs {
-                            recovery.retries += sx.stats.retries;
-                            recovery.degraded_batches += sx.stats.degraded_batches;
-                            recovery.oom_replans += sx.stats.oom_replans;
-                            pool_stats.absorb(sx.pool.stats);
-                            metrics.record_all(std::mem::take(&mut sx.span_log));
-                        }
-                        for (b, buf) in partial.into_iter().enumerate() {
-                            if sorted_batches[b].is_none() && buf.len() == plan.batches[b].len {
-                                sorted_batches[b] = Some(buf);
-                            }
-                        }
-                        replans.push(rp_dag.plan.clone());
-                        cur_owned = Some(rp_dag.plan);
-                    }
-                }
-            }
-            fire_ready_pairs(
-                plan,
-                &sched,
-                merge_threads,
-                &cpu_slot,
-                &sorted_batches,
-                &mut pair_out,
-                &mut pending_pairs,
-                t0,
-                &mut merge_spans,
-            );
+    // --- The base dag's merges that the first pass did not reach
+    // (all of them ran already on a fault-free run).
+    let mut rest = ReadySet::new(dag, |i| dag.nodes[i].op.is_merge(), opts.tie);
+    while let Some(id) = rest.pop() {
+        if !merges.done[id] {
+            merges.run(id, &dag.nodes[id].op, &batches)?;
         }
+        rest.complete(id);
+    }
+    // A one-batch plan has nothing to merge: its sorted run is B.
+    let sorted = if nb == 1 {
+        batches
+            .pop()
+            .and_then(OnceLock::into_inner)
+            .ok_or_else(|| HetSortError::Plan {
+                reason: "batch 0 was never produced".to_string(),
+            })?
+    } else {
+        merges.sorted
+    };
 
-        if let Some(e) = first_panic {
-            if !plan.config.recovery.cpu_fallback {
-                return Err(e);
-            }
-            // Graceful degradation: host-sort whatever the dead
-            // stream(s) never delivered, straight from A.
-            for (b, slot) in sorted_batches.iter_mut().enumerate() {
-                if slot.is_none() {
-                    let bi = &plan.batches[b];
-                    let mut buf = data[bi.start..bi.start + bi.len].to_vec();
-                    par_radix_sort_cfg(&sched, merge_threads, &mut buf);
-                    *slot = Some(buf);
-                    recovery.degraded_batches += 1;
-                }
-            }
-            fire_ready_pairs(
-                plan,
-                &sched,
-                merge_threads,
-                &cpu_slot,
-                &sorted_batches,
-                &mut pair_out,
-                &mut pending_pairs,
-                t0,
-                &mut merge_spans,
-            );
-        }
-        if !pending_pairs.is_empty() {
-            return Err(HetSortError::MergeStall {
-                pending: pending_pairs.len(),
-            });
-        }
-
-        // ---- final merge --------------------------------------------
-        b_out = vec![T::default(); plan.n];
-        if nb == 1 {
-            let only = sorted_batches[0]
-                .as_deref()
-                .ok_or_else(|| HetSortError::Plan {
-                    reason: "batch 0 was never produced".to_string(),
-                })?;
-            b_out.copy_from_slice(only);
-        } else {
-            let inputs = dag
-                .nodes
-                .iter()
-                .rev()
-                .find_map(|node| match &node.op {
-                    DagOp::MultiwayMerge { inputs } => Some(inputs.clone()),
-                    _ => None,
-                })
-                .ok_or_else(|| HetSortError::Plan {
-                    reason: "plan has no final merge".to_string(),
-                })?;
-            let mut lists: Vec<&[T]> = Vec::with_capacity(inputs.len());
-            for (k, inp) in inputs.iter().enumerate() {
-                let sl = match *inp {
-                    MergeInput::Batch(b) => sorted_batches[b].as_deref(),
-                    MergeInput::Pair(p) => pair_out[p].as_deref(),
-                }
-                .ok_or_else(|| HetSortError::Plan {
-                    reason: format!("final merge input {k} was never produced"),
-                })?;
-                lists.push(sl);
-            }
-            let m_start = t0.elapsed().as_secs_f64();
-            let label = format!("MultiwayMerge k{}", lists.len());
-            let stats = par_multiway_merge_into_cfg(&sched, merge_threads, &lists, &mut b_out);
-            merge_spans.push(
-                ObsSpan::new(
-                    OpClass::MultiwayMerge,
-                    label.clone(),
-                    m_start,
-                    t0.elapsed().as_secs_f64(),
-                )
-                .with_bytes(plan.n as f64 * plan.config.elem_bytes),
-            );
-            merge_spans.extend(cpu_part_spans(&label, m_start, &stats));
-        }
-        Ok(())
-    })?;
-
-    recovery.faults_injected =
-        plan.config.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
-    let trace = plan
-        .config
+    recovery.faults_injected = cfg.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
+    // With re-plans, the executed trace covers the final pass (the plan
+    // that actually finished the run).
+    let trace = cfg
         .record_trace
-        .then(|| assemble_trace(plan, &stream_logs));
-    metrics.record_all(merge_spans);
+        .then(|| assemble_trace(replans.last().unwrap_or(plan), &final_logs));
+    metrics.record_all(merges.spans);
     recovery.fold_into(&mut metrics);
     pool_stats.fold_into(&mut metrics);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let verified = is_sorted(&b_out) && fingerprint(&b_out) == input_fp;
+    let wall_s = now();
+    let verified = is_sorted(&sorted) && fingerprint(&sorted) == input_fp;
     Ok(RealOutcome {
-        sorted: b_out,
+        sorted,
         wall_s,
         verified,
         nb,
-        pair_merges: plan.pairs.len(),
+        pair_merges: merges.pair_out.iter().flatten().count(),
         recovery,
         trace,
         metrics,
@@ -1344,7 +772,7 @@ mod tests {
         let mut expect = d.clone();
         introsort(&mut expect);
         let g = dag(Approach::PipeMerge, 4_000, 800, n);
-        for workers in [1usize, 2, 3, 8] {
+        for workers in [0usize, 1, 2, 3, 8] {
             let out = execute_dag_pooled(&g, &d, workers).unwrap();
             assert!(out.verified, "workers={workers}");
             assert_eq!(
@@ -1381,65 +809,6 @@ mod tests {
             out.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn stealing_is_observationally_invisible() {
-        use crate::config::HybridMode;
-        use std::collections::BTreeMap;
-        let n = 30_000;
-        let d = data(n, 21);
-        for hybrid in [HybridMode::Off, HybridMode::Fraction(0.5), HybridMode::Auto] {
-            let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
-                .with_batch_elems(4_000)
-                .with_pinned_elems(800)
-                .with_hybrid(hybrid);
-            let g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
-            let run = |steal: bool| {
-                execute_dag_pooled_opts(
-                    &g,
-                    &d,
-                    3,
-                    DagExecOptions {
-                        steal,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            };
-            let twin = run(false);
-            let stolen = run(true);
-            assert!(twin.verified && stolen.verified, "{hybrid:?}");
-            assert_eq!(
-                twin.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                stolen
-                    .sorted
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "{hybrid:?}: steal changed the output"
-            );
-            assert_eq!(twin.recovery, stolen.recovery, "{hybrid:?}");
-            // Span multisets (class × label), CpuPart excluded: the
-            // per-worker breakdown of a parallel merge is structure,
-            // not schedule.
-            let multiset = |out: &RealOutcome<f64>| {
-                let mut m: BTreeMap<(String, String), usize> = BTreeMap::new();
-                for s in out.metrics.spans() {
-                    if s.class.name() == "CpuPart" {
-                        continue;
-                    }
-                    *m.entry((s.class.name().to_string(), s.label.clone()))
-                        .or_insert(0) += 1;
-                }
-                m
-            };
-            assert_eq!(
-                multiset(&twin),
-                multiset(&stolen),
-                "{hybrid:?}: steal changed the span multiset"
-            );
-        }
     }
 
     #[test]
@@ -1491,6 +860,36 @@ mod tests {
         let g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
         let seq = execute_dag(&g, &d).unwrap();
         assert_eq!(seq.recovery.lost_gpus(), vec![0, 1]);
+    }
+
+    #[test]
+    fn rebound_stream_is_a_typed_error_at_every_worker_count() {
+        // Renaming every node of a stream to an id the plan does not
+        // have keeps all FIFO chains intact; only `stream-bind` sees
+        // it. The pooled run sits under a watchdog so a regression
+        // (a worker dying with its node still counted in flight) fails
+        // instead of hanging the suite.
+        let mut g = dag(Approach::PipeData, 2_000, 400, 6_000);
+        for node in &mut g.nodes {
+            if node.stream == Some(1) {
+                node.stream = Some(99);
+            }
+        }
+        let d = data(6_000, 1);
+        for workers in [0usize, 2] {
+            let (g, d) = (g.clone(), d.clone());
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(execute_dag_pooled(&g, &d, workers));
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(Err(HetSortError::Plan { reason })) => {
+                    assert!(reason.starts_with("stream-bind:"), "{reason}")
+                }
+                Ok(other) => panic!("workers={workers}: expected Plan error, got {other:?}"),
+                Err(_) => panic!("workers={workers}: engine hung (or died) on a rebound stream"),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! The executable dependency-DAG IR behind every executor.
+//! The executable dependency-DAG IR behind the functional engine and
+//! the simulator.
 //!
 //! A [`Plan`] is already a static step DAG, but its `Vec<Step>` form
-//! leaves the scheduling contract implicit: executors used to walk the
-//! step list in submission order and re-implement checkpointing,
-//! re-planning and span recording per mode. [`PlanDag`] makes the
+//! leaves the scheduling contract implicit. [`PlanDag`] makes the
 //! contract explicit and machine-checkable:
 //!
 //! * every node is a typed op ([`DagOp`]) with explicit dependency
@@ -12,19 +11,18 @@
 //!   interpreter ([`crate::exec_stream`]) and the fault-injection
 //!   occurrence counters keep their exact meaning;
 //! * [`PlanDag::validate`] rejects malformed graphs with *named* rules
-//!   (`missing-ref`, `cycle`, `duplicate-producer`, `fifo`,
-//!   `sort-input`, `merge-inputs`, `chunk-cover`) so the mutation kill
+//!   (`missing-ref`, `cycle`, `duplicate-producer`, `stream-bind`,
+//!   `fifo`, `sort-input`, `merge-inputs`, `chunk-cover`) so the mutation kill
 //!   suite can assert which rule caught which defect — residency is
 //!   re-checked by `hetsort-analyze`, which owns the platform budget
 //!   model;
-//! * [`ReadySet`] is the one scheduling structure all engines share:
-//!   pop any ready node, deterministically ([`TieBreak::MinId`] is the
-//!   documented default — over a backward-dependency dag it reproduces
-//!   the legacy submission order exactly, which is what makes the DAG
-//!   engine bit-identical to the executors it replaced).
+//! * [`ReadySet`] is the one scheduling structure: pop any ready
+//!   node, deterministically ([`TieBreak::MinId`] is the documented
+//!   default — over a backward-dependency dag it reproduces the plan's
+//!   submission order exactly).
 //!
-//! The engines themselves live in [`exec`]; defect constructors for the
-//! kill suite live in [`mutate`].
+//! The engine lives in [`exec`]; defect constructors for the kill suite
+//! live in [`mutate`].
 
 pub mod exec;
 pub mod mutate;
@@ -244,8 +242,8 @@ pub struct DagNode {
 
 /// A plan lowered to its explicit dependency DAG. Node `i` of a
 /// lowered dag corresponds to `plan.steps[i]` — the invariant the
-/// engines rely on to drive [`crate::exec_stream::StreamExec`] and keep
-/// fault-occurrence counters aligned with the legacy executors.
+/// engine relies on to drive [`crate::exec_stream::StreamExec`] and keep
+/// fault-occurrence counters aligned with plan submission order.
 #[derive(Debug, Clone)]
 pub struct PlanDag {
     /// The plan this dag was lowered from (owned: survivor re-plans
@@ -326,8 +324,8 @@ impl PlanDag {
     ///
     /// When the config enables [`HybridMode`], a post-pass re-types the
     /// selected pair-merge slots to [`DagOp::CpuMerge`]. Routing lives
-    /// here — not in an engine — so *every* consumer of a plan (both
-    /// functional engines, the simulator, the bench gate, the service)
+    /// here — not in the engine — so *every* consumer of a plan (the
+    /// functional engine, the simulator, the bench gate, the service)
     /// interprets the identical hybrid dag, and the decision depends
     /// only on the config and the plan, never on runtime state.
     pub fn from_plan(plan: Plan) -> PlanDag {
@@ -375,6 +373,8 @@ impl PlanDag {
     /// * `cycle` — the dependency relation is not acyclic;
     /// * `duplicate-producer` — two nodes produce the same artifact
     ///   (a batch's sort, a chunk's copy, a merge slot's output);
+    /// * `stream-bind` — a stream op is bound to no stream, or to one
+    ///   the plan does not have, or a merge is bound to a stream;
     /// * `fifo` — a stream's nodes lack the FIFO discipline the stream
     ///   interpreter relies on: one total chain under paper staging;
     ///   per-lane chains (host staging vs device DMA/sort) plus the
@@ -463,6 +463,23 @@ impl PlanDag {
                     ));
                 }
                 producers.insert(key, i);
+            }
+        }
+
+        // stream-bind: stream ops name a stream of the plan, merges none
+        // (the engine indexes per-stream interpreter state by it).
+        for (i, node) in self.nodes.iter().enumerate() {
+            let bound = match node.stream {
+                None => node.op.is_merge(),
+                Some(s) => !node.op.is_merge() && s < self.plan.total_streams,
+            };
+            if !bound {
+                return err(format!(
+                    "stream-bind: node {i} ({}) is bound to stream {:?} of {}",
+                    node.op.class_name(),
+                    node.stream,
+                    self.plan.total_streams
+                ));
             }
         }
 
@@ -740,7 +757,7 @@ impl PlanDag {
     }
 
     /// The full deterministic execution order under `tie` — what the
-    /// engines follow, exposed for the CLI and equivalence tests.
+    /// engine follows, exposed for the CLI and equivalence tests.
     ///
     /// # Errors
     ///
@@ -777,10 +794,10 @@ impl PlanDag {
     }
 }
 
-/// The shared scheduling structure: indegree tracking plus a ready set
+/// The scheduling structure: indegree tracking plus a ready set
 /// popped in deterministic [`TieBreak`] order. `in_scope` restricts the
 /// set to a subgraph (e.g. stream nodes only); dependencies on
-/// out-of-scope nodes are treated as satisfied — the engines guarantee
+/// out-of-scope nodes are treated as satisfied — the engine guarantees
 /// them by phase ordering.
 pub struct ReadySet {
     indegree: Vec<usize>,
@@ -826,9 +843,16 @@ impl ReadySet {
 
     /// Pop the next ready node under the tie-break, if any.
     pub fn pop(&mut self) -> Option<usize> {
+        self.pop_where(|_| true)
+    }
+
+    /// Pop the next ready node that satisfies `mine` under the
+    /// tie-break — how threads with different roles (stream workers,
+    /// the merging caller) share one ready set.
+    pub fn pop_where(&mut self, mine: impl Fn(usize) -> bool) -> Option<usize> {
         let next = match self.tie {
-            TieBreak::MinId => self.ready.iter().next().copied(),
-            TieBreak::MaxId => self.ready.iter().next_back().copied(),
+            TieBreak::MinId => self.ready.iter().copied().find(|&i| mine(i)),
+            TieBreak::MaxId => self.ready.iter().rev().copied().find(|&i| mine(i)),
         }?;
         self.ready.remove(&next);
         Some(next)

@@ -49,12 +49,16 @@ pub enum DagMutant {
     WrongStreamEvent,
     /// Hoist a buffer's `Free` above its last reader.
     FreeBeforeLastReader,
+    /// Rename every node of one stream to a stream the plan does not
+    /// have: every FIFO chain stays intact, but the engine has no
+    /// interpreter state to run the nodes on.
+    RebindStream,
 }
 
 impl DagMutant {
     /// Every mutant, in display order (the kill suite's acceptance
-    /// floor is 8; this battery seeds 10).
-    pub const ALL: [DagMutant; 10] = [
+    /// floor is 8; this battery seeds 11).
+    pub const ALL: [DagMutant; 11] = [
         DagMutant::DropFifoEdge,
         DagMutant::SwapDepDirection,
         DagMutant::DuplicateProducer,
@@ -65,6 +69,7 @@ impl DagMutant {
         DagMutant::SkipCheckpoint,
         DagMutant::WrongStreamEvent,
         DagMutant::FreeBeforeLastReader,
+        DagMutant::RebindStream,
     ];
 
     /// Stable display name.
@@ -80,6 +85,7 @@ impl DagMutant {
             DagMutant::SkipCheckpoint => "skip-checkpoint",
             DagMutant::WrongStreamEvent => "wrong-stream-event",
             DagMutant::FreeBeforeLastReader => "free-before-last-reader",
+            DagMutant::RebindStream => "rebind-stream",
         }
     }
 
@@ -99,6 +105,7 @@ impl DagMutant {
             DagMutant::SkipCheckpoint => "differential:recovery-stats",
             DagMutant::WrongStreamEvent => "analyzer:missing-sync",
             DagMutant::FreeBeforeLastReader => "analyzer:use-after-free",
+            DagMutant::RebindStream => "validator:stream-bind",
         }
     }
 
@@ -202,6 +209,18 @@ impl DagMutant {
                     }
                 }
                 false
+            }
+            DagMutant::RebindStream => {
+                let Some(from) = dag.nodes.iter().find_map(|n| n.stream) else {
+                    return false;
+                };
+                let to = dag.plan.total_streams + 99;
+                for node in &mut dag.nodes {
+                    if node.stream == Some(from) {
+                        node.stream = Some(to);
+                    }
+                }
+                true
             }
             DagMutant::SkipCheckpoint
             | DagMutant::WrongStreamEvent

@@ -79,13 +79,6 @@ pub enum HetSortError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The merge coordinator ran out of batches with pair merges still
-    /// waiting on inputs (a plan/executor bug, surfaced rather than
-    /// deadlocking).
-    MergeStall {
-        /// Pair merges never fired.
-        pending: usize,
-    },
     /// The discrete-event simulation itself failed.
     Sim {
         /// The simulator's diagnosis.
@@ -168,9 +161,6 @@ impl fmt::Display for HetSortError {
             }
             HetSortError::WorkerPanic { worker, message } => {
                 write!(f, "stream worker {worker} panicked: {message}")
-            }
-            HetSortError::MergeStall { pending } => {
-                write!(f, "{pending} pair merge(s) never became ready")
             }
             HetSortError::Sim { reason } => write!(f, "simulation failed: {reason}"),
             HetSortError::Overloaded { job, reason } => {

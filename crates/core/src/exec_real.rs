@@ -1,14 +1,14 @@
 //! Functional execution: run the *same* plan on real data.
 //!
-//! This module owns the sequential entry points ([`sort_real`],
-//! [`sort_real_plan`]) and the shared [`RealOutcome`] result type; the
-//! actual interpretation is the unified DAG engine in
-//! [`crate::dag::exec`]. A plan is lowered to a [`crate::dag::PlanDag`]
-//! (typed ops + explicit dependency edges), validated, and executed by
-//! [`crate::dag::exec::execute_dag`] in deterministic min-node-id ready
-//! order — which, for planner-built dags, reproduces the legacy
-//! submission-order loop bit for bit (proven by
-//! `tests/dag_differential.rs`).
+//! This module owns the inline entry points ([`sort_real`],
+//! [`sort_real_plan`]) and the [`RealOutcome`] result type; the
+//! interpretation is the one DAG engine in [`crate::dag::exec`]. A plan
+//! is lowered to a [`crate::dag::PlanDag`] (typed ops + explicit
+//! dependency edges), validated, and executed by
+//! [`crate::dag::exec::execute_dag`] — the engine with zero workers:
+//! every node inline on the calling thread in deterministic
+//! min-node-id ready order, which for planner-built dags is the plan's
+//! submission order.
 //!
 //! Stream-bound ops run through [`crate::exec_stream::StreamExec`],
 //! which implements the failure model: injected faults, bounded

@@ -1,29 +1,28 @@
 //! Concurrent functional execution: the multi-threaded counterpart of
 //! [`crate::exec_real`].
 //!
-//! The sequential interpreter proves the plan's data path correct; this
-//! entry point proves its *concurrency structure* correct by actually
-//! running it concurrently, the way the paper's implementation does.
-//! Since the DAG unification, the machinery lives in
-//! [`crate::dag::exec::execute_dag_pooled`]: a worker pool pops ready
-//! stream-bound ops from a shared ready set (the FIFO edges guarantee
-//! at most one ready op per stream, so streams never interleave
-//! internally), and a merge coordinator fires each pipelined pair merge
-//! the moment both inputs exist (PIPEMERGE semantics) before the final
-//! multiway merge.
+//! The inline run proves the plan's data path correct; this entry point
+//! proves its *concurrency structure* correct by actually running it
+//! concurrently, the way the paper's implementation does. It is the
+//! same engine ([`crate::dag::exec`]) with one worker per stream: the
+//! workers pop ready stream-bound ops from the shared ready set (a
+//! stream's ops run under its lock in FIFO-edge order, so streams never
+//! interleave internally) while the calling thread pops the merges —
+//! each pipelined pair merge the moment its dag edges release it
+//! (PIPEMERGE semantics), then the final multiway merge.
 //!
-//! Batch payloads are owned `Vec`s handed over a channel, so there is
-//! no shared mutable state on the data path — the safe-Rust translation
-//! of the paper's `W` buffer (which is only ever written once per
-//! region).
+//! Batch payloads are owned `Vec`s published once by their stream, so
+//! there is no shared mutable state on the data path — the safe-Rust
+//! translation of the paper's `W` buffer (which is only ever written
+//! once per region).
 //!
-//! The pool is panic-safe: a stream whose worker dies (injected via
+//! The engine is panic-safe: a stream whose worker dies (injected via
 //! [`hetsort_vgpu::FaultInjector::panic_worker`] or otherwise) never
-//! poisons the run. Its unfinished ops stay blocked, the pool drains
-//! around them, and the coordinator either host-sorts the dead stream's
+//! poisons the run. Its unfinished ops stay blocked, the pass drains
+//! around them, and the engine either host-sorts the dead stream's
 //! missing batches (when [`crate::config::RecoveryPolicy::cpu_fallback`]
 //! is on) or reports a typed [`HetSortError::WorkerPanic`] naming the
-//! worker — never a raw panic or a hung channel.
+//! worker — never a raw panic or a hang.
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
 
@@ -152,37 +151,47 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn worker_panic_degrades_gracefully() {
-        let inj = Arc::new(FaultInjector::new().panic_worker(0, 1));
-        let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeData)
+    /// A PIPEDATA config whose stream 0 panics at its first batch.
+    fn panicking_cfg() -> HetSortConfig {
+        HetSortConfig::paper_defaults(platform1(), Approach::PipeData)
             .with_batch_elems(5_000)
             .with_pinned_elems(1_000)
-            .with_faults(inj);
+            .with_faults(Arc::new(FaultInjector::new().panic_worker(0, 1)))
+    }
+
+    /// Both entry points: `panic:W@K` means the same at every worker
+    /// count (inline, then one worker per stream).
+    type Entry = fn(&Plan, &[f64]) -> Result<RealOutcome<f64>, HetSortError>;
+    const ENTRIES: [(&str, Entry); 2] = [
+        ("inline", sort_real_plan::<f64>),
+        ("pooled", sort_real_parallel::<f64>),
+    ];
+
+    #[test]
+    fn worker_panic_degrades_gracefully() {
         let n = 42_000;
         let d = data(n, 5);
-        let plan = Plan::build(cfg, n).unwrap();
-        let out = sort_real_parallel(&plan, &d).unwrap();
-        assert!(out.verified, "must recover from a dead worker");
-        assert!(out.recovery.degraded_batches >= 1);
-        assert_eq!(out.recovery.faults_injected, 1);
+        for (name, sort) in ENTRIES {
+            let plan = Plan::build(panicking_cfg(), n).unwrap();
+            let out = sort(&plan, &d).unwrap();
+            assert!(out.verified, "{name}: must recover from a dead worker");
+            assert!(out.recovery.degraded_batches >= 1, "{name}");
+            assert_eq!(out.recovery.faults_injected, 1, "{name}");
+        }
     }
 
     #[test]
     fn worker_panic_without_fallback_is_typed() {
-        let inj = Arc::new(FaultInjector::new().panic_worker(0, 1));
-        let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeData)
-            .with_batch_elems(5_000)
-            .with_pinned_elems(1_000)
-            .with_faults(inj)
-            .with_recovery(RecoveryPolicy::none());
         let n = 42_000;
         let d = data(n, 5);
-        let plan = Plan::build(cfg, n).unwrap();
-        let err = sort_real_parallel(&plan, &d).unwrap_err();
-        assert!(
-            matches!(err, HetSortError::WorkerPanic { worker: 0, .. }),
-            "expected WorkerPanic, got {err:?}"
-        );
+        for (name, sort) in ENTRIES {
+            let cfg = panicking_cfg().with_recovery(RecoveryPolicy::none());
+            let plan = Plan::build(cfg, n).unwrap();
+            let err = sort(&plan, &d).unwrap_err();
+            assert!(
+                matches!(err, HetSortError::WorkerPanic { worker: 0, .. }),
+                "{name}: expected WorkerPanic, got {err:?}"
+            );
+        }
     }
 }

@@ -1,10 +1,11 @@
-//! The per-stream step interpreter shared by both functional executors.
+//! The per-stream step interpreter of the functional engine.
 //!
-//! [`crate::exec_real`] drives one [`StreamExec`] per stream from a
-//! single thread; [`crate::exec_real_mt`] gives each worker thread its
-//! own. Either way, the stream-bound steps (staging copies, transfers,
-//! device sorts) run through this interpreter, which owns the stream's
-//! pinned and device buffers and implements the whole failure model:
+//! [`crate::dag::exec`] keeps one [`StreamExec`] per stream behind that
+//! stream's lock; whichever thread pops one of the stream's ready nodes
+//! — the caller at `workers = 0`, a pool worker otherwise — runs it
+//! here. The stream-bound steps (staging copies, transfers, device
+//! sorts) run through this interpreter, which owns the stream's pinned
+//! and device buffers and implements the per-batch failure model:
 //!
 //! * every device-buffer growth, HtoD, DtoH, and device sort consults
 //!   the configured [`FaultInjector`] (if any);

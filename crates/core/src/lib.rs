@@ -12,21 +12,23 @@
 //! | [`Approach::PipeMerge`] | §III-D3 | pair-wise merges pipelined under GPU sorting |
 //! | `par_memcpy` flag | PARMEMCPY | parallel staging copies (host-side bottleneck) |
 //!
-//! A [`plan::Plan`] is the static step DAG of one configured run. Two
-//! executors interpret the *same* plan:
+//! A [`plan::Plan`] is the static step DAG of one configured run,
+//! lowered to one op-dag IR ([`dag::PlanDag`]) with two interpreters:
 //!
 //! * [`exec_sim`] lowers it onto the calibrated [`hetsort_vgpu::Machine`]
 //!   and returns a [`report::TimingReport`] (paper-scale timing);
-//! * [`exec_real`] executes it on actual `f64` data — staging copies,
-//!   device-resident radix sorts, pair and multiway merges — and
-//!   verifies the output (laptop-scale functional truth).
+//! * [`dag::exec`] — the one functional engine, behind [`exec_real`]
+//!   (inline) and [`exec_real_mt`] (one worker per stream) — executes
+//!   it on actual data: staging copies, device-resident radix sorts,
+//!   pair and multiway merges, verified output (laptop-scale
+//!   functional truth).
 //!
 //! This split is the substitution strategy for the missing GPU: pipeline
 //! *semantics* are executed for real, pipeline *durations* come from the
 //! calibrated simulator. See `DESIGN.md`.
 //!
 //! Every fallible API returns a typed [`error::HetSortError`]; the
-//! functional executors additionally implement the failure model of
+//! functional engine additionally implements the failure model of
 //! `DESIGN.md` ("Failure model & recovery") — deterministic fault
 //! injection via [`hetsort_vgpu::FaultInjector`], bounded transfer
 //! retries, OOM batch splitting, and CPU-fallback degradation governed
@@ -57,9 +59,7 @@ pub use config::{
     Approach, CpuSched, DeviceSortKind, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy,
     StagingMode, SUPPORTED_ELEM_BYTES,
 };
-pub use dag::exec::{
-    execute_dag, execute_dag_opts, execute_dag_pooled, execute_dag_pooled_opts, DagExecOptions,
-};
+pub use dag::exec::{execute_dag, execute_dag_opts, execute_dag_pooled, DagExecOptions};
 pub use dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};
 pub use error::HetSortError;
 pub use exec_real::{sort_real, RealOutcome};

@@ -1,9 +1,9 @@
-//! Device-loss recovery shared by the functional executors.
+//! Device-loss re-planning for the functional engine.
 //!
 //! When a [`FaultInjector`](hetsort_vgpu::FaultInjector) pool schedule
-//! kills a GPU mid-run, the executors checkpoint per-batch completion
+//! kills a GPU mid-run, the engine checkpoints per-batch completion
 //! (host-resident sorted runs survive; device-resident state died with
-//! the card) and rebuild the *unfinished* work as a fresh plan over the
+//! the card) and rebuilds the *unfinished* work as a fresh plan over the
 //! surviving devices. Two properties make that re-plan cheap and safe:
 //!
 //! * batch tiling (`index`/`start`/`len`) depends only on `n` and
@@ -14,7 +14,7 @@
 //!   indices back to physical device numbers, so the shared fault
 //!   schedule, spans, and residency accounting keep addressing the same
 //!   hardware, and re-runs [`Plan::check_invariants`] before the
-//!   executor resumes.
+//!   engine resumes.
 
 use std::collections::BTreeSet;
 

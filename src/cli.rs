@@ -534,11 +534,11 @@ FAULT INJECTION (sort only):
   --faults SPEC      deterministic fault schedule, e.g. 'oom:1,htod:3':
                      oom:K fails the K-th device allocation, htod:K /
                      dtoh:K the K-th transfer, sort:K the K-th device
-                     sort, panic:W@K kills stream worker W at its K-th
-                     batch (parallel executor only), lose:G@N loses
-                     GPU G at its N-th device op (persistent; the
-                     executors re-plan onto the survivors), join:G@N
-                     revives it at the N-th global op
+                     sort, panic:W@K kills stream W at its K-th batch,
+                     lose:G@N loses GPU G at its N-th device op
+                     (persistent; the engine re-plans onto the
+                     survivors), join:G@N revives it at the N-th
+                     global op
   --retries K        retry budget for transient transfer faults (default 2)
   --no-cpu-fallback  fail with a typed error instead of degrading a
                      broken batch to a host-side sort

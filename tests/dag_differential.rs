@@ -1,29 +1,32 @@
-//! Hybrid differential suite: every execution mode of the unified
-//! [`PlanDag`] engine must agree on the data.
+//! DAG-engine differential suite: every way of running a [`PlanDag`]
+//! must agree on the data.
 //!
-//! The modes under test are the cross product of hybrid lowering
+//! Every scenario runs under the cross product of hybrid lowering
 //! ([`HybridMode::Off`] / `Fraction` / `Auto` — which re-types trailing
-//! or cost-model-selected pair merges to [`DagOp::CpuMerge`] nodes) and
-//! engine (sequential interpreter, pooled, pooled with CPU/GPU work
-//! stealing). The contract:
+//! or cost-model-selected pair merges to [`DagOp::CpuMerge`] nodes),
+//! staging protocol ([`StagingMode::Paper`] / `DoubleBuffered`) and
+//! worker count (`0` = every node inline on the caller, and one worker
+//! per stream). The contract:
 //!
-//! * **Output** is bitwise identical across all modes and equal to the
-//!   reference CPU sort — hybrid routing and stealing change *where* a
-//!   merge runs, never what it computes.
-//! * **`steal=on` vs `steal=off`** in the pooled engine additionally
-//!   agree on recovery stats and the span multiset (class × label):
-//!   stolen merges are pure functions of their inputs, so the
-//!   observable schedule is the deterministic twin's.
+//! * **Output** is bitwise identical across the whole grid and equal to
+//!   the reference CPU sort — hybrid routing, the staging protocol and
+//!   the worker count change *where and when* work runs, never what it
+//!   computes.
+//! * **Worker counts** additionally agree on the failover span labels,
+//!   and on fault-free runs on recovery stats and the span multiset
+//!   (class × label): the worker count is a resource parameter of one
+//!   engine, so the observable schedule is the inline run's.
 //! * Hybrid dags — including the all-CPU `Fraction(1.0)` extreme —
 //!   pass [`analyze_dag`] with zero findings: the re-typed nodes keep
 //!   the validator's producer keys and the lowered trace's sync edges.
 //! * Fault injection (transient faults, OOM splits, device loss up to
-//!   losing *every* GPU) recovers to the reference output in all modes,
+//!   losing *every* GPU) recovers to the reference output everywhere,
 //!   and every lost device is attributed in
 //!   [`RecoveryStats::lost_gpu_mask`].
 //!
 //! [`PlanDag`]: hetsort::core::PlanDag
 //! [`HybridMode::Off`]: hetsort::core::HybridMode
+//! [`StagingMode::Paper`]: hetsort::core::StagingMode
 //! [`DagOp::CpuMerge`]: hetsort::core::DagOp
 //! [`analyze_dag`]: hetsort::analyze::analyze_dag
 //! [`RecoveryStats::lost_gpu_mask`]: hetsort::core::RecoveryStats
@@ -34,10 +37,9 @@ use std::sync::Arc;
 use hetsort::algos::introsort::introsort;
 use hetsort::algos::keys::{KeyValue, RadixKey, SortOrd};
 use hetsort::analyze::analyze_dag;
-use hetsort::core::exec_real::{sort_real_plan, RealOutcome};
+use hetsort::core::exec_real::RealOutcome;
 use hetsort::core::{
-    execute_dag_pooled_opts, Approach, DagExecOptions, DagOp, HetSortConfig, HybridMode, Plan,
-    PlanDag,
+    execute_dag_pooled, Approach, DagOp, HetSortConfig, HybridMode, Plan, PlanDag, StagingMode,
 };
 use hetsort::obs::{MetricsRegistry, OpClass};
 use hetsort::vgpu::{platform1, platform2, FaultInjector, PlatformSpec};
@@ -90,86 +92,107 @@ fn span_multiset(reg: &MetricsRegistry) -> BTreeMap<(OpClass, String), usize> {
     m
 }
 
-/// The hybrid modes every scenario runs under.
-fn hybrid_modes() -> [(&'static str, HybridMode); 3] {
-    [
+/// The lowering grid every scenario runs under: hybrid mode × staging
+/// protocol.
+fn lowering_grid() -> Vec<(String, HybridMode, StagingMode)> {
+    let mut grid = Vec::new();
+    for (hname, hybrid) in [
         ("off", HybridMode::Off),
         ("frac0.5", HybridMode::Fraction(0.5)),
         ("auto", HybridMode::Auto),
-    ]
+    ] {
+        for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
+            grid.push((format!("h={hname}/{}", staging.name()), hybrid, staging));
+        }
+    }
+    grid
 }
 
-/// Run one config through the sequential engine and the pooled engine
-/// with stealing off and on, cross-check the three, and return the
-/// sequential outcome. `mk` builds the config from scratch each time so
-/// per-run fault-injector state never leaks between executions.
+/// The failover span labels of a run, sorted.
+fn failover_labels(reg: &MetricsRegistry) -> Vec<String> {
+    let mut labels: Vec<String> = reg
+        .spans()
+        .iter()
+        .filter(|s| s.label.starts_with("failover"))
+        .map(|s| s.label.clone())
+        .collect();
+    labels.sort();
+    labels
+}
+
+/// Run one config at both worker counts — inline (`workers = 0`) and
+/// one worker per stream —, cross-check the two, and return the inline
+/// outcome. `mk` builds the config from scratch each time so per-run
+/// fault-injector state never leaks between executions.
 fn check_modes<T>(label: &str, mk: &dyn Fn() -> HetSortConfig, data: &[T]) -> RealOutcome<T>
 where
     T: RadixKey + SortOrd + Default + Bits,
 {
-    let plan = || {
-        Plan::build(mk().with_trace_recording(), data.len())
-            .unwrap_or_else(|e| panic!("{label}: plan: {e}"))
-    };
-    let seq = sort_real_plan(&plan(), data).unwrap_or_else(|e| panic!("{label}: seq: {e}"));
-
-    let pooled = |steal: bool| {
-        let p = plan();
-        let workers = p.total_streams.max(1);
-        let dag = PlanDag::from_plan(p);
-        let opts = DagExecOptions {
-            steal,
-            ..DagExecOptions::default()
+    let run = |per_stream: bool| {
+        let plan = Plan::build(mk().with_trace_recording(), data.len())
+            .unwrap_or_else(|e| panic!("{label}: plan: {e}"));
+        let workers = if per_stream {
+            plan.total_streams.max(1)
+        } else {
+            0
         };
-        execute_dag_pooled_opts(&dag, data, workers, opts)
-            .unwrap_or_else(|e| panic!("{label}: pooled steal={steal}: {e}"))
+        execute_dag_pooled(&PlanDag::from_plan(plan), data, workers)
+            .unwrap_or_else(|e| panic!("{label}: workers={workers}: {e}"))
     };
-    let twin = pooled(false);
-    let stealing = pooled(true);
+    let inline = run(false);
+    let pooled = run(true);
 
-    // Across engines only the data path is pinned (pooled interleaving
-    // produces a different wall-clock schedule).
-    for (mode, out) in [("pooled", &twin), ("steal", &stealing)] {
-        assert!(out.verified, "{label}/{mode}: verification failed");
+    assert!(inline.verified, "{label}/inline: verification failed");
+    assert!(pooled.verified, "{label}/pooled: verification failed");
+    assert_eq!(
+        all_bits(&inline.sorted),
+        all_bits(&pooled.sorted),
+        "{label}: output differs between worker counts"
+    );
+    assert_eq!(inline.nb, pooled.nb, "{label}: batch counts differ");
+    assert_eq!(
+        inline.pair_merges, pooled.pair_merges,
+        "{label}: pair-merge counts differ"
+    );
+    assert_eq!(
+        failover_labels(&inline.metrics),
+        failover_labels(&pooled.metrics),
+        "{label}: worker counts disagree on the failover spans"
+    );
+    // Which stream meets an injected fault depends on the pooled
+    // interleaving; without faults the worker count must be
+    // observationally invisible: identical recovery stats and span
+    // multiset, not just identical bytes.
+    if mk().faults.is_none() {
         assert_eq!(
-            all_bits(&seq.sorted),
-            all_bits(&out.sorted),
-            "{label}/{mode}: output differs from sequential engine"
+            inline.recovery,
+            pooled.recovery,
+            "{label}: worker count changes recovery stats\n  0: {}\n  N: {}",
+            inline.recovery.summary(),
+            pooled.recovery.summary()
         );
-        assert_eq!(seq.nb, out.nb, "{label}/{mode}: batch counts differ");
         assert_eq!(
-            seq.pair_merges, out.pair_merges,
-            "{label}/{mode}: pair-merge counts differ"
+            span_multiset(&inline.metrics),
+            span_multiset(&pooled.metrics),
+            "{label}: worker count changes the span multiset"
         );
     }
-
-    // Within the pooled engine, stealing must be observationally
-    // invisible: identical recovery stats and span multiset, not just
-    // identical bytes.
-    assert_eq!(
-        twin.recovery,
-        stealing.recovery,
-        "{label}: steal changes recovery stats\n  off: {}\n  on:  {}",
-        twin.recovery.summary(),
-        stealing.recovery.summary()
-    );
-    assert_eq!(
-        span_multiset(&twin.metrics),
-        span_multiset(&stealing.metrics),
-        "{label}: steal changes the span multiset"
-    );
-    seq
+    inline
 }
 
-/// Run `mk`'s config under every hybrid mode (each through all three
-/// engines) and assert the outputs are all bitwise equal to `expect`.
+/// Run `mk`'s config across the lowering grid (each at both worker
+/// counts) and assert the outputs are all bitwise equal to `expect`.
 fn check_hybrid_grid<T>(label: &str, mk: &dyn Fn() -> HetSortConfig, data: &[T], expect: &[T])
 where
     T: RadixKey + SortOrd + Default + Bits,
 {
-    for (hname, hmode) in hybrid_modes() {
-        let label = format!("{label}/h={hname}");
-        let out = check_modes(&label, &|| mk().with_hybrid(hmode), data);
+    for (gname, hybrid, staging) in lowering_grid() {
+        let label = format!("{label}/{gname}");
+        let out = check_modes(
+            &label,
+            &|| mk().with_hybrid(hybrid).with_staging(staging),
+            data,
+        );
         assert_eq!(
             all_bits(&out.sorted),
             all_bits(expect),
@@ -221,8 +244,9 @@ fn hybrid_modes_agree_bitwise_f64() {
 fn hybrid_modes_agree_bitwise_key_value_records() {
     // 16-byte key/value rows (§IV-E workload of [5]): the payload must
     // ride along bit-exactly through staging, device sort, and merges —
-    // including merges stolen by the CPU pool. One geometry per
-    // platform keeps the grid (3 hybrid × 3 engine modes) affordable.
+    // including merges routed to the CPU pool. One geometry per
+    // platform keeps the grid (3 hybrid × 2 staging × 2 worker counts)
+    // affordable.
     for plat in [platform1(), platform2()] {
         let label = format!("{}/PipeMerge/kv16", plat.name);
         let n = 30_000;
@@ -286,7 +310,8 @@ fn hybrid_modes_agree_under_faults() {
     // Recovery paths must hold in every mode: transient transfer faults
     // with retries, an OOM split, and a mid-run device loss each
     // recover to the reference output whether merges run on the pair
-    // lane, the CPU pool, or a steal worker. Fresh injectors per
+    // lane or the CPU pool, under either staging protocol. Fresh
+    // injectors per
     // execution (the config closure) keep occurrence counters from
     // leaking across runs.
     let n = 40_000;
@@ -308,9 +333,13 @@ fn hybrid_modes_agree_under_faults() {
                     FaultInjector::parse(spec).expect("valid fault spec"),
                 ))
         };
-        for (hname, hmode) in hybrid_modes() {
-            let label = format!("{label}/h={hname}");
-            let out = check_modes(&label, &|| mk().with_hybrid(hmode), &data);
+        for (gname, hybrid, staging) in lowering_grid() {
+            let label = format!("{label}/{gname}");
+            let out = check_modes(
+                &label,
+                &|| mk().with_hybrid(hybrid).with_staging(staging),
+                &data,
+            );
             assert!(out.recovery.any(), "{label}: fault schedule never fired");
             assert_eq!(
                 all_bits(&out.sorted),
@@ -334,9 +363,13 @@ fn no_survivor_fallback_attributes_the_loss() {
             .with_pinned_elems(800)
             .with_faults(Arc::new(FaultInjector::new().lose_device(0, 2)))
     };
-    for (hname, hmode) in hybrid_modes() {
-        let label = format!("p1/PipeData/no-survivors/h={hname}");
-        let out = check_modes(&label, &|| mk().with_hybrid(hmode), &data);
+    for (gname, hybrid, staging) in lowering_grid() {
+        let label = format!("p1/PipeData/no-survivors/{gname}");
+        let out = check_modes(
+            &label,
+            &|| mk().with_hybrid(hybrid).with_staging(staging),
+            &data,
+        );
         assert!(out.recovery.device_lost >= 1);
         assert!(
             out.recovery.degraded_batches > 0,
