@@ -110,7 +110,7 @@ pub fn par_radix_with_scratch<T: RadixKey>(
 
 /// [`par_radix_with_scratch`] with an explicit scheduling policy. The
 /// input is over-decomposed into [`SchedCfg::over_parts`] chunks (≥
-/// [`MIN_RADIX_CHUNK`] elements each) claimed from the scheduler's
+/// `MIN_RADIX_CHUNK` elements each) claimed from the scheduler's
 /// queue; the exclusive scan runs over (bucket, chunk) in chunk order,
 /// so the permutation — and therefore stability — is identical under
 /// every policy and thread count.

@@ -1,6 +1,6 @@
 //! # hetsort-analyze — static plan verifier + happens-before race detector
 //!
-//! The executors in `hetsort-core` interpret a static [`Plan`] DAG over
+//! The executors in `hetsort-core` interpret a static [`Plan`] op-dag over
 //! streams, events, and staging buffers. A schedule bug — a missing
 //! wait, an aliased staging buffer, an over-budget allocation — would
 //! surface as silent data corruption or a hang at run time. This crate
@@ -18,7 +18,7 @@
 //!    or not-yet-recorded events, i.e. wait-graph cycles), buffer
 //!    lifetimes (use-after-free, double-free, leaked allocations),
 //!    and (with capacities) device over-subscription.
-//! 3. **Schedule-space explorer** ([`explore`]): stateless model
+//! 3. **Schedule-space explorer** ([`mod@explore`]): stateless model
 //!    checking with persistent-set DPOR + sleep sets over
 //!    `enabled()`/`step()` scheduler models — every reachable
 //!    interleaving of a lowered trace ([`trace_model`]), of the MT

@@ -12,7 +12,8 @@
 //! `Plan::check_invariants` and the static linter exist to catch).
 
 use hetsort_core::config::PairStrategy;
-use hetsort_core::plan::{Plan, StepKind};
+use hetsort_core::dag::DagOp;
+use hetsort_core::plan::Plan;
 use hetsort_sim::{Buffer, OpTrace, TraceKind};
 use hetsort_vgpu::{platform1, platform2};
 
@@ -231,7 +232,7 @@ impl Mutant {
             }
             Mutant::DuplicateMergeInput => {
                 for s in plan.steps.iter_mut() {
-                    if let StepKind::MultiwayMerge { inputs } = &mut s.kind {
+                    if let DagOp::MultiwayMerge { inputs } = &mut s.op {
                         let Some(&first) = inputs.first() else {
                             return false;
                         };
@@ -243,7 +244,7 @@ impl Mutant {
             }
             Mutant::DropMergeInput => {
                 for s in plan.steps.iter_mut() {
-                    if let StepKind::MultiwayMerge { inputs } = &mut s.kind {
+                    if let DagOp::MultiwayMerge { inputs } = &mut s.op {
                         return inputs.pop().is_some();
                     }
                 }
@@ -336,7 +337,7 @@ impl Mutant {
 /// variant names the [`FindingClass`] exploration must report.
 ///
 /// The recovery-side variants build on [`crate::replan_model`]; the
-/// admission-side variants carry an [`AdmissionDefect`] that
+/// admission-side variants carry an [`crate::AdmissionDefect`] that
 /// `hetsort-serve`'s admission model implements (serve depends on this
 /// crate, so the model lives there). `tests/explore_mutation.rs` kills
 /// the former, serve's `tests/explore_admission.rs` the latter; the

@@ -17,7 +17,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hetsort_core::plan::{Plan, StepKind};
+use hetsort_core::dag::DagOp;
+use hetsort_core::plan::Plan;
 
 /// The peak memory footprint a plan keeps resident for its whole run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -50,8 +51,8 @@ impl Residency {
         let pinned_bytes = plan
             .steps
             .iter()
-            .map(|s| match s.kind {
-                StepKind::PinnedAlloc { bytes, .. } => bytes,
+            .map(|s| match s.op {
+                DagOp::PinnedAlloc { bytes, .. } => bytes,
                 _ => 0.0,
             })
             .sum();

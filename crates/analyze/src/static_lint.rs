@@ -15,8 +15,9 @@
 use std::collections::BTreeMap;
 
 use hetsort_core::config::{Approach, PairStrategy};
-use hetsort_core::optrace::step_label;
-use hetsort_core::plan::{Plan, StepKind};
+use hetsort_core::dag::DagOp;
+use hetsort_core::optrace::node_label;
+use hetsort_core::plan::Plan;
 
 use crate::finding::{Finding, FindingClass};
 use crate::residency::Residency;
@@ -91,17 +92,18 @@ pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
     // Staging chunks vs the pinned buffer, one finding per stream.
     let mut over: BTreeMap<usize, (usize, String, usize)> = BTreeMap::new();
     for (si, step) in plan.steps.iter().enumerate() {
-        let len = match &step.kind {
-            StepKind::StageIn { len, .. }
-            | StepKind::HtoD { len, .. }
-            | StepKind::DtoH { len, .. }
-            | StepKind::StageOut { len, .. } => *len,
+        let len = match step.op {
+            DagOp::StagingCopy { len, .. } | DagOp::HtoD { len, .. } | DagOp::DtoH { len, .. } => {
+                len
+            }
             _ => continue,
         };
         if len > cfg.pinned_elems {
-            let stream = step.stream.unwrap_or(0);
+            // A stream-less chunk op is charged to the sentinel lane
+            // `total_streams` (as `core::optrace` does), never stream 0.
+            let stream = step.stream.unwrap_or(plan.total_streams);
             over.entry(stream)
-                .or_insert_with(|| (0, step_label(plan, si), len))
+                .or_insert_with(|| (0, node_label(&step.op, si), len))
                 .0 += 1;
         }
     }
@@ -171,7 +173,7 @@ mod tests {
     fn broken_merge_coverage_is_malformed() {
         let mut p = plan(Approach::BLineMulti, 6000);
         for s in p.steps.iter_mut() {
-            if let StepKind::MultiwayMerge { inputs } = &mut s.kind {
+            if let DagOp::MultiwayMerge { inputs } = &mut s.op {
                 inputs.pop();
             }
         }

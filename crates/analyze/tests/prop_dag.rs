@@ -7,28 +7,36 @@
 //! 2. Deleting any single dependency edge is never silent: either the
 //!    structural validator rejects the dag, or the happens-before
 //!    checker reports the race in the trace lowered from the mutated
-//!    edges. (Lowering deduplicates dependency lists, so every
-//!    remaining edge is load-bearing — this property is the proof.)
+//!    edges. (The builder emits duplicate-free dependency lists, so
+//!    every edge is load-bearing — this property is the proof.)
+//! 3. One IR: a plan's `steps` *are* the dag — `from_plan` copies them
+//!    verbatim, both trace entry points lower them identically, no node
+//!    repeats a dep, and min-id ready order is submission order — over
+//!    every approach × staging mode × hybrid mode × pair strategy.
 
 use hetsort_analyze::analyze_dag;
+use hetsort_core::optrace::{lower_dag, lower_plan};
 use hetsort_core::{
-    execute_dag, execute_dag_opts, Approach, DagExecOptions, HetSortConfig, PairStrategy, Plan,
-    PlanDag, TieBreak,
+    execute_dag, execute_dag_opts, Approach, DagExecOptions, HetSortConfig, HybridMode,
+    PairStrategy, Plan, PlanDag, StagingMode, TieBreak,
 };
 use hetsort_prng::{prop_assert, run_cases, Rng};
 use hetsort_vgpu::{platform1, platform2};
 
-fn arb_dag(rng: &mut Rng) -> PlanDag {
+const STRATEGIES: [PairStrategy; 3] = [
+    PairStrategy::PaperHeuristic,
+    PairStrategy::Online,
+    PairStrategy::MergeTree,
+];
+
+/// A random multi-batch config and its input size.
+fn arb_cfg(rng: &mut Rng) -> (HetSortConfig, usize) {
     let approach = *rng.pick(&[
         Approach::BLineMulti,
         Approach::PipeData,
         Approach::PipeMerge,
     ]);
-    let strategy = *rng.pick(&[
-        PairStrategy::PaperHeuristic,
-        PairStrategy::Online,
-        PairStrategy::MergeTree,
-    ]);
+    let strategy = *rng.pick(&STRATEGIES);
     let plat = if rng.bool() { platform2() } else { platform1() };
     let n = rng.usize_in(1, 6_000);
     let bs = ((n as f64 * rng.f64_in(0.05, 1.0)) as usize).max(1);
@@ -41,8 +49,12 @@ fn arb_dag(rng: &mut Rng) -> PlanDag {
     if rng.bool() {
         cfg = cfg.with_par_memcpy();
     }
-    let plan = Plan::build(cfg, n).expect("valid geometry must plan");
-    PlanDag::from_plan(plan)
+    (cfg, n)
+}
+
+fn arb_dag(rng: &mut Rng) -> PlanDag {
+    let (cfg, n) = arb_cfg(rng);
+    PlanDag::from_plan(Plan::build(cfg, n).expect("valid geometry must plan"))
 }
 
 fn lcg_data(n: usize, seed: u64) -> Vec<f64> {
@@ -124,6 +136,63 @@ fn single_edge_deletion_never_silent() {
                 dag.nodes[dropped].op.class_name(),
                 dag.nodes[node].op.class_name()
             );
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn plan_steps_are_the_dag() {
+    run_cases("plan_steps_are_the_dag", 10, |rng| {
+        let (base, n) = arb_cfg(rng);
+        for approach in [
+            Approach::BLine,
+            Approach::BLineMulti,
+            Approach::PipeData,
+            Approach::PipeMerge,
+        ] {
+            for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
+                for hybrid in [HybridMode::Off, HybridMode::Fraction(0.5), HybridMode::Auto] {
+                    for strategy in STRATEGIES {
+                        let mut cfg = base
+                            .clone()
+                            .with_staging(staging)
+                            .with_hybrid(hybrid)
+                            .with_pair_strategy(strategy);
+                        cfg.approach = approach;
+                        if approach == Approach::BLine {
+                            // BLINE is the one-batch baseline.
+                            cfg = cfg.with_batch_elems(n);
+                        }
+                        let what =
+                            format!("{approach:?}/{staging:?}/{hybrid:?}/{strategy:?} n={n}");
+                        let plan = Plan::build(cfg, n).map_err(|e| format!("{what}: {e}"))?;
+                        let dag = PlanDag::from_plan(plan.clone());
+                        prop_assert!(dag.nodes == plan.steps, "{what}: from_plan altered nodes");
+                        prop_assert!(
+                            lower_plan(&plan) == lower_dag(&dag),
+                            "{what}: lower_plan and lower_dag disagree"
+                        );
+                        for (i, node) in plan.steps.iter().enumerate() {
+                            let mut deps = node.deps.clone();
+                            deps.sort_unstable();
+                            deps.dedup();
+                            prop_assert!(
+                                deps.len() == node.deps.len(),
+                                "{what}: node {i} repeats a dep: {:?}",
+                                node.deps
+                            );
+                        }
+                        let order = dag
+                            .ready_order(TieBreak::MinId)
+                            .map_err(|e| e.to_string())?;
+                        prop_assert!(
+                            order.iter().copied().eq(0..dag.nodes.len()),
+                            "{what}: min-id ready order is not submission order"
+                        );
+                    }
+                }
+            }
         }
         Ok(())
     });

@@ -152,13 +152,13 @@ impl RecoveryPolicy {
 }
 
 /// Hybrid CPU/GPU merge routing: which pipelined pair merges are
-/// lowered to [`DagOp::CpuMerge`] nodes instead of the default
+/// emitted as [`DagOp::CpuMerge`] nodes instead of the default
 /// GPU-adjacent pair-merge lane.
 ///
-/// Routing happens at dag lowering (`PlanDag::from_plan`), so every
-/// consumer of a plan — both functional executors, the simulator, the
+/// Routing happens where the plan is built (`plan_builders`), so every
+/// consumer of a plan — the functional engine, the simulator, the
 /// bench gate, and the service — sees the same hybrid dag. The
-/// decision is a pure function of the config and the plan, never of
+/// decision is a pure function of the config and the pair slots, never of
 /// runtime queue state, so hybrid runs stay deterministic and
 /// replayable.
 ///
@@ -312,7 +312,7 @@ pub struct HetSortConfig {
     pub pair_merge_threads: u32,
     /// Scheduling strategy for pipelined merges (PIPEMERGE only).
     pub pair_strategy: PairStrategy,
-    /// Hybrid CPU/GPU merge routing: lower some pair merges to
+    /// Hybrid CPU/GPU merge routing: type some pair merges as
     /// [`DagOp::CpuMerge`](crate::dag::DagOp::CpuMerge) nodes backed by
     /// the full CPU merge pool.
     pub hybrid: HybridMode,

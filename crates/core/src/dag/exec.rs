@@ -1,7 +1,8 @@
 //! The one DAG engine behind every functional execution.
 //!
-//! [`execute_dag_opts`] schedules a [`PlanDag`] through one
-//! [`ReadySet`] over *all* its nodes — merges included, released by
+//! [`execute_dag_opts`] schedules a [`PlanDag`]'s nodes (the `&Plan`
+//! entry points hand it `plan.steps` in place) through one
+//! [`ReadySet`] over *all* of them — merges included, released by
 //! their dag edges — and its only resource parameter is
 //! [`DagExecOptions::workers`]:
 //!
@@ -43,8 +44,9 @@ use hetsort_sim::Access;
 
 use crate::dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};
 use crate::error::HetSortError;
-use crate::exec_real::{assemble_trace, cpu_part_spans, RealOutcome};
+use crate::exec_real::{cpu_part_spans, RealOutcome};
 use crate::exec_stream::StreamExec;
+use crate::optrace::trace_nodes;
 use crate::plan::{MergeInput, MergeSrc, Plan};
 use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
@@ -69,8 +71,7 @@ pub struct DagExecOptions {
 
 /// Shared entry checks: data/plan agreement, element width, plan
 /// invariants, dag validity.
-fn check_inputs<T>(dag: &PlanDag, data: &[T]) -> Result<(), HetSortError> {
-    let plan = &dag.plan;
+fn check_inputs<T>(plan: &Plan, nodes: &[DagNode], data: &[T]) -> Result<(), HetSortError> {
     if data.len() != plan.n {
         return Err(HetSortError::data(format!(
             "data length {} does not match plan n = {}",
@@ -87,17 +88,7 @@ fn check_inputs<T>(dag: &PlanDag, data: &[T]) -> Result<(), HetSortError> {
         )));
     }
     plan.check_invariants()?;
-    dag.validate()?;
-    if dag.nodes.len() != plan.steps.len() {
-        return Err(HetSortError::Plan {
-            reason: format!(
-                "dag has {} nodes for {} plan steps",
-                dag.nodes.len(),
-                plan.steps.len()
-            ),
-        });
-    }
-    Ok(())
+    PlanDag::check(plan, nodes)
 }
 
 /// Lock a mutex, recovering the guard from a poisoned lock: a panic
@@ -246,7 +237,8 @@ struct Sched {
 /// shares. Stream nodes of batches already in `batches` (the
 /// checkpoint) are skipped.
 struct Pass<'p, T> {
-    dag: &'p PlanDag,
+    plan: &'p Plan,
+    nodes: &'p [DagNode],
     batches: &'p [OnceLock<Vec<T>>],
     streams: Vec<Mutex<StreamSlot<'p, T>>>,
     sched: Mutex<Sched>,
@@ -261,8 +253,8 @@ where
 {
     /// Execute stream node `id` on its stream's interpreter.
     fn step(&self, id: usize) -> Result<(), HetSortError> {
-        let plan = &self.dag.plan;
-        let node = &self.dag.nodes[id];
+        let plan = self.plan;
+        let node = &self.nodes[id];
         let (s, slot) = node
             .stream
             .and_then(|s| Some((s, self.streams.get(s)?)))
@@ -298,7 +290,7 @@ where
                 panic!("injected panic in stream worker {s} at batch {batch}");
             }
         }
-        sx.step(id, &mut |batch, _start, chunk| {
+        sx.step(id, &node.op, &mut |batch, _start, chunk| {
             let len = plan.batches[batch].len;
             if assembling.capacity() == 0 {
                 *assembling = Vec::with_capacity(len);
@@ -334,10 +326,10 @@ where
                     if g.stop {
                         break None;
                     }
-                    match g.ready.pop_where(|i| mine(&self.dag.nodes[i])) {
+                    match g.ready.pop_where(|i| mine(&self.nodes[i])) {
                         Some(id) => {
                             let dead = |s| g.dead.get(s).is_some_and(Option::is_some);
-                            if !self.dag.nodes[id].stream.is_some_and(dead) {
+                            if !self.nodes[id].stream.is_some_and(dead) {
                                 g.inflight += 1;
                                 break Some(id);
                             }
@@ -377,7 +369,7 @@ where
                         .map(|m| (*m).to_string())
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "opaque panic payload".to_string());
-                    let stream = self.dag.nodes[id].stream;
+                    let stream = self.nodes[id].stream;
                     match stream.and_then(|s| g.dead.get_mut(s)) {
                         Some(slot) => {
                             slot.get_or_insert(message);
@@ -495,8 +487,28 @@ pub fn execute_dag_opts<T>(
 where
     T: RadixKey + SortOrd + Default,
 {
-    check_inputs(dag, data)?;
-    let plan = &dag.plan;
+    execute_nodes(&dag.plan, &dag.nodes, data, opts)
+}
+
+/// The dag a pass runs: the latest survivor re-plan's own nodes, or the
+/// `base` dag while no device has been lost.
+fn latest<'a>(replans: &'a [Plan], base: (&'a Plan, &'a [DagNode])) -> (&'a Plan, &'a [DagNode]) {
+    replans.last().map_or(base, |rp| (rp, rp.steps.as_slice()))
+}
+
+/// [`execute_dag_opts`] over borrowed parts: `nodes` is the dag to run,
+/// `plan` the geometry it indexes into. The `&Plan` entry points pass
+/// `&plan.steps` and so run the plan in place.
+pub(crate) fn execute_nodes<T>(
+    plan: &Plan,
+    nodes: &[DagNode],
+    data: &[T],
+    opts: DagExecOptions,
+) -> Result<RealOutcome<T>, HetSortError>
+where
+    T: RadixKey + SortOrd + Default,
+{
+    check_inputs(plan, nodes, data)?;
     let cfg = &plan.config;
     let nb = plan.nb();
     let input_fp = fingerprint(data);
@@ -524,7 +536,7 @@ where
         t0,
         pair_out: (0..plan.pairs.len()).map(|_| None).collect(),
         sorted: Vec::new(),
-        done: vec![false; dag.nodes.len()],
+        done: vec![false; nodes.len()],
         spans: Vec::new(),
     };
     let mut recovery = RecoveryStats::default();
@@ -534,36 +546,40 @@ where
     let mut lost_gpus: BTreeSet<usize> = BTreeSet::new();
     let mut final_logs: Vec<Vec<(usize, Vec<Access>)>>;
     let mut first_panic: Option<HetSortError> = None;
-    let mut survivor: Option<PlanDag> = None;
 
     // --- Ready-order passes produce the sorted runs. The first pass
     // schedules every node of the base dag, merges included; a device
     // loss ends it, and each further pass schedules the stream nodes of
-    // a survivor dag, inline, over the batches not yet checkpointed.
-    // Batch tiling is identical across re-plans, so the *base* dag's
-    // merge schedule stays valid throughout.
+    // the latest survivor re-plan, inline, over the batches not yet
+    // checkpointed. Batch tiling is identical across re-plans, so the
+    // *base* dag's merge schedule stays valid throughout.
     loop {
-        let cur = survivor.as_ref().unwrap_or(dag);
-        let on_base = survivor.is_none();
+        let on_base = replans.is_empty();
+        let (cur, cur_nodes) = latest(&replans, (plan, nodes));
         let workers = if on_base { opts.workers } else { 0 };
         let pass = Pass {
-            dag: cur,
+            plan: cur,
+            nodes: cur_nodes,
             batches: &batches,
-            streams: (0..cur.plan.total_streams)
+            streams: (0..cur.total_streams)
                 .map(|s| {
                     Mutex::new(StreamSlot {
-                        sx: StreamExec::new(&cur.plan, data, s, threads, device_sort_threads, t0),
+                        sx: StreamExec::new(cur, data, s, threads, device_sort_threads, t0),
                         assembling: Vec::new(),
                     })
                 })
                 .collect(),
             sched: Mutex::new(Sched {
-                ready: ReadySet::new(cur, |i| on_base || !cur.nodes[i].op.is_merge(), opts.tie),
+                ready: ReadySet::new(
+                    cur_nodes,
+                    |i| on_base || !cur_nodes[i].op.is_merge(),
+                    opts.tie,
+                ),
                 inflight: 0,
                 stop: false,
                 lost: Vec::new(),
                 error: None,
-                dead: vec![None; cur.plan.total_streams],
+                dead: vec![None; cur.total_streams],
             }),
             cond: Condvar::new(),
             pooled: workers > 0,
@@ -574,7 +590,7 @@ where
             }
             pass.drive(
                 |n| workers == 0 || n.op.is_merge(),
-                |id| match &cur.nodes[id].op {
+                |id| match &cur_nodes[id].op {
                     op if op.is_merge() => merges.run(id, op, &batches),
                     _ => pass.step(id),
                 },
@@ -587,7 +603,7 @@ where
         } = pass;
         let end = end.into_inner().unwrap_or_else(|p| p.into_inner());
         // The trace covers the final pass; earlier aborted passes' logs
-        // reference a different plan's step indices.
+        // reference a different dag's node ids.
         final_logs = Vec::with_capacity(streams.len());
         for slot in streams {
             let StreamSlot { mut sx, .. } = slot.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -626,7 +642,7 @@ where
             if opts.skip_checkpoint {
                 cell.take();
             }
-            let gpu = cur.plan.physical_gpu(cur.plan.batches[b].gpu);
+            let gpu = cur.physical_gpu(cur.batches[b].gpu);
             if cell.get().is_none() && end.lost.contains(&gpu) {
                 recovery.batches_recomputed += 1;
             }
@@ -637,8 +653,7 @@ where
                 recovery.replans += 1;
                 let action = format!(" → re-plan on {} device(s)", rp.device_ids.len());
                 metrics.record(failover_span(&lost_gpus, &action, t_fail, now()));
-                replans.push(rp.clone());
-                survivor = Some(PlanDag::from_plan(rp));
+                replans.push(rp);
             }
             None => {
                 if !cfg.recovery.cpu_fallback {
@@ -666,10 +681,10 @@ where
 
     // --- The base dag's merges that the first pass did not reach
     // (all of them ran already on a fault-free run).
-    let mut rest = ReadySet::new(dag, |i| dag.nodes[i].op.is_merge(), opts.tie);
+    let mut rest = ReadySet::new(nodes, |i| nodes[i].op.is_merge(), opts.tie);
     while let Some(id) = rest.pop() {
         if !merges.done[id] {
-            merges.run(id, &dag.nodes[id].op, &batches)?;
+            merges.run(id, &nodes[id].op, &batches)?;
         }
         rest.complete(id);
     }
@@ -686,11 +701,17 @@ where
     };
 
     recovery.faults_injected = cfg.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
-    // With re-plans, the executed trace covers the final pass (the plan
-    // that actually finished the run).
-    let trace = cfg
-        .record_trace
-        .then(|| assemble_trace(replans.last().unwrap_or(plan), &final_logs));
+    // The executed trace describes the nodes that ran — with re-plans,
+    // the final pass's (the dag that actually finished the run) — with
+    // the accesses each stream logged substituted in.
+    let trace = cfg.record_trace.then(|| {
+        let (ran, ran_nodes) = latest(&replans, (plan, nodes));
+        let mut overrides: Vec<Option<Vec<Access>>> = vec![None; ran_nodes.len()];
+        for (id, acc) in final_logs.into_iter().flatten() {
+            overrides[id] = Some(acc);
+        }
+        trace_nodes(ran, ran_nodes, &overrides)
+    });
     metrics.record_all(merges.spans);
     recovery.fold_into(&mut metrics);
     pool_stats.fold_into(&mut metrics);
@@ -787,7 +808,11 @@ mod tests {
     fn cpu_merge_node_executes_with_its_own_span_class() {
         let n = 12_000;
         let d = data(n, 9);
-        let mut g = dag(Approach::PipeMerge, 2_000, 400, n);
+        let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
+            .with_batch_elems(2_000)
+            .with_pinned_elems(400)
+            .with_trace_recording();
+        let mut g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
         // Re-type one pair merge onto the CPU merge resource.
         let idx = g
             .nodes
@@ -809,6 +834,26 @@ mod tests {
             out.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
+        // The executed trace describes the dag that ran: every pair
+        // slot's trace label names the class its span was recorded
+        // under — `CpuMerge` for the hand-re-typed one.
+        let trace = out.trace.expect("trace recording is on");
+        for (i, node) in g.nodes.iter().enumerate() {
+            let (DagOp::PairMerge { slot } | DagOp::CpuMerge { slot }) = node.op else {
+                continue;
+            };
+            let span = out
+                .metrics
+                .spans()
+                .iter()
+                .find(|s| s.label.ends_with(&format!("Merge p{slot}")))
+                .expect("every pair slot ran");
+            let label = format!("{} slot {slot} (step {i})", span.class.name());
+            assert!(
+                trace.records.iter().any(|r| r.label == label),
+                "no trace record `{label}`"
+            );
+        }
     }
 
     #[test]
@@ -888,6 +933,52 @@ mod tests {
                 }
                 Ok(other) => panic!("workers={workers}: expected Plan error, got {other:?}"),
                 Err(_) => panic!("workers={workers}: engine hung (or died) on a rebound stream"),
+            }
+        }
+    }
+
+    #[test]
+    fn rewritten_chunk_fields_are_a_typed_error_on_every_entry_point() {
+        // The interpreters read each node's own `(start, len)`, so a
+        // dag whose chunk ops disagree with the batch tiling must be
+        // rejected — by name — before anything runs or is timed. Both
+        // rewrites keep every per-batch `StagingCopy` length sum intact.
+        let base = dag(Approach::PipeMerge, 2_000, 400, 12_000);
+        let mut dma = base.clone();
+        let mut shifted = base;
+        for node in &mut dma.nodes {
+            if let DagOp::HtoD { start, len, .. } | DagOp::DtoH { start, len, .. } = &mut node.op {
+                (*start, *len) = (0, 1);
+            }
+        }
+        for node in &mut shifted.nodes {
+            if let DagOp::StagingCopy {
+                start,
+                dir_in: true,
+                ..
+            } = &mut node.op
+            {
+                *start += 7;
+            }
+        }
+        let d = data(12_000, 5);
+        for g in [dma, shifted] {
+            let outcomes = [
+                g.validate(),
+                execute_dag(&g, &d).map(drop),
+                execute_dag_pooled(&g, &d, 2).map(drop),
+                crate::exec_sim::simulate_dag(&g).map(drop),
+            ];
+            for (entry, outcome) in outcomes.into_iter().enumerate() {
+                match outcome {
+                    Err(HetSortError::Plan { reason }) => {
+                        assert!(
+                            reason.starts_with("chunk-cover:"),
+                            "entry {entry}: {reason}"
+                        )
+                    }
+                    other => panic!("entry {entry}: expected Plan error, got {other:?}"),
+                }
             }
         }
     }

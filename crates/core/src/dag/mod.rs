@@ -1,15 +1,15 @@
-//! The executable dependency-DAG IR behind the functional engine and
-//! the simulator.
+//! The op-dag IR: what the planner emits and what the functional
+//! engine and the simulator execute.
 //!
-//! A [`Plan`] is already a static step DAG, but its `Vec<Step>` form
-//! leaves the scheduling contract implicit. [`PlanDag`] makes the
-//! contract explicit and machine-checkable:
+//! [`crate::plan_builders`] emits each approach directly as
+//! [`DagNode`]s ([`Plan::steps`]); a [`PlanDag`] pairs a plan's
+//! geometry with the executable copy of those nodes. The scheduling
+//! contract is explicit and machine-checkable:
 //!
 //! * every node is a typed op ([`DagOp`]) with explicit dependency
-//!   edges (`deps`) and an optional stream binding — node `i` of a
-//!   lowered dag corresponds 1:1 to `plan.steps[i]`, so the stream
-//!   interpreter ([`crate::exec_stream`]) and the fault-injection
-//!   occurrence counters keep their exact meaning;
+//!   edges (`deps`) and an optional stream binding. Every interpreter
+//!   — the stream interpreter, the simulator, the trace builder —
+//!   reads the node it is handed, nothing else;
 //! * [`PlanDag::validate`] rejects malformed graphs with *named* rules
 //!   (`missing-ref`, `cycle`, `duplicate-producer`, `stream-bind`,
 //!   `fifo`, `sort-input`, `merge-inputs`, `chunk-cover`) so the mutation kill
@@ -29,11 +29,8 @@ pub mod mutate;
 
 use std::collections::BTreeMap;
 
-use hetsort_vgpu::calib::amdahl_speedup;
-
-use crate::config::{HybridMode, PairStrategy};
 use crate::error::HetSortError;
-use crate::plan::{MergeInput, MergeSrc, Plan, StepKind};
+use crate::plan::{MergeInput, MergeSrc, Plan};
 
 /// Scheduler tie-break among ready nodes. Every choice yields a valid
 /// topological execution; [`TieBreak::MinId`] is the determinism
@@ -49,11 +46,10 @@ pub enum TieBreak {
     MaxId,
 }
 
-/// A typed DAG operation. Mirrors [`StepKind`] with the staging
-/// directions folded into one op and one addition: [`DagOp::CpuMerge`],
-/// a pair merge pinned to the host merge resource. Hybrid lowering
-/// ([`crate::config::HybridMode`]) re-types a configured subset of
-/// pair-merge nodes to it in [`PlanDag::from_plan`].
+/// A typed DAG operation — the paper's workflow (§III-D) in eight op
+/// kinds. [`DagOp::CpuMerge`] is a pair merge pinned to the host merge
+/// resource: hybrid routing ([`crate::config::HybridMode`]) types a
+/// configured subset of pair-merge slots as it when the plan is built.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DagOp {
     /// Allocate a stream's pinned staging buffer.
@@ -126,72 +122,6 @@ pub enum DagOp {
 }
 
 impl DagOp {
-    /// Lower one plan step kind to its DAG op.
-    pub fn from_step(kind: &StepKind) -> DagOp {
-        match kind {
-            StepKind::PinnedAlloc {
-                stream,
-                bytes,
-                dir_in,
-            } => DagOp::PinnedAlloc {
-                stream: *stream,
-                bytes: *bytes,
-                dir_in: *dir_in,
-            },
-            StepKind::StageIn {
-                batch,
-                chunk,
-                start,
-                len,
-            } => DagOp::StagingCopy {
-                batch: *batch,
-                chunk: *chunk,
-                start: *start,
-                len: *len,
-                dir_in: true,
-            },
-            StepKind::HtoD {
-                batch,
-                chunk,
-                start,
-                len,
-            } => DagOp::HtoD {
-                batch: *batch,
-                chunk: *chunk,
-                start: *start,
-                len: *len,
-            },
-            StepKind::GpuSort { batch } => DagOp::Sort { batch: *batch },
-            StepKind::DtoH {
-                batch,
-                chunk,
-                start,
-                len,
-            } => DagOp::DtoH {
-                batch: *batch,
-                chunk: *chunk,
-                start: *start,
-                len: *len,
-            },
-            StepKind::StageOut {
-                batch,
-                chunk,
-                start,
-                len,
-            } => DagOp::StagingCopy {
-                batch: *batch,
-                chunk: *chunk,
-                start: *start,
-                len: *len,
-                dir_in: false,
-            },
-            StepKind::PairMerge { slot } => DagOp::PairMerge { slot: *slot },
-            StepKind::MultiwayMerge { inputs } => DagOp::MultiwayMerge {
-                inputs: inputs.clone(),
-            },
-        }
-    }
-
     /// The batch a stream-bound op operates on, if any.
     pub fn batch(&self) -> Option<usize> {
         match self {
@@ -211,6 +141,16 @@ impl DagOp {
         matches!(
             self,
             DagOp::PairMerge { .. } | DagOp::MultiwayMerge { .. } | DagOp::CpuMerge { .. }
+        )
+    }
+
+    /// Whether this op runs on its stream's device lane (DMA + sort)
+    /// rather than the host lane (pinned allocs + staging copies) — the
+    /// two FIFO chains double-buffered staging splits a stream into.
+    pub fn is_device_lane(&self) -> bool {
+        matches!(
+            self,
+            DagOp::HtoD { .. } | DagOp::Sort { .. } | DagOp::DtoH { .. }
         )
     }
 
@@ -234,128 +174,33 @@ impl DagOp {
 pub struct DagNode {
     /// The operation.
     pub op: DagOp,
-    /// Node ids that must complete first (deduplicated on lowering).
+    /// Node ids that must complete first (always backward in a
+    /// planner-built dag, and duplicate-free: every edge is
+    /// load-bearing). Intra-stream FIFO ordering is encoded here too.
     pub deps: Vec<usize>,
-    /// Stream the op is submitted to (`None` for merges).
+    /// Stream the op is submitted to (`None` for merges; blocking
+    /// approaches use stream 0 as "the default stream").
     pub stream: Option<usize>,
 }
 
-/// A plan lowered to its explicit dependency DAG. Node `i` of a
-/// lowered dag corresponds to `plan.steps[i]` — the invariant the
-/// engine relies on to drive [`crate::exec_stream::StreamExec`] and keep
-/// fault-occurrence counters aligned with plan submission order.
+/// A plan's geometry plus the executable copy of its op-dag. Engines
+/// execute [`PlanDag::nodes`] — never `plan.steps` — so the mutation
+/// suites can rewrite the nodes and watch which check notices.
 #[derive(Debug, Clone)]
 pub struct PlanDag {
-    /// The plan this dag was lowered from (owned: survivor re-plans
-    /// lower their own dags during recovery).
+    /// The plan whose geometry (batches, pair slots, config, device
+    /// map) the nodes index into.
     pub plan: Plan,
-    /// Nodes, id == plan step index.
+    /// The nodes the engines execute; [`Plan::steps`] as built.
     pub nodes: Vec<DagNode>,
 }
 
-/// Which pair-merge slots hybrid lowering routes to the CPU merge
-/// resource, per [`HybridMode`].
-///
-/// * [`HybridMode::Fraction`] routes the *last* `round(frac · slots)`
-///   slots: later slots consume later batches and therefore contend
-///   with the multiway-merge warm-up, where the spare full merge pool
-///   helps most.
-/// * [`HybridMode::Auto`] is deterministic greedy earliest-finish
-///   scheduling between the pair-merge pool and the full CPU merge
-///   pool, using the platform's calibrated merge throughput under
-///   Amdahl scaling; each pool's accumulated predicted busy time is
-///   the queue-depth proxy.
-fn hybrid_cpu_slots(plan: &Plan) -> Vec<bool> {
-    let n_slots = plan.pairs.len();
-    let mut cpu = vec![false; n_slots];
-    match plan.config.hybrid {
-        HybridMode::Off => {}
-        HybridMode::Fraction(f) => {
-            let f = f.clamp(0.0, 1.0);
-            let k = ((f * n_slots as f64).round() as usize).min(n_slots);
-            for flag in cpu.iter_mut().skip(n_slots - k) {
-                *flag = true;
-            }
-        }
-        HybridMode::Auto => {
-            let cfg = &plan.config;
-            let cpu_model = &cfg.platform.cpu;
-            let per_core = 1e9 / cpu_model.merge_ns_per_elem_core;
-            // The pair lane runs at the thread count the executors and
-            // simulator actually grant pipelined merges; the CPU lane
-            // gets the full multiway pool.
-            let pair_threads = if cfg.pair_strategy == PairStrategy::PaperHeuristic {
-                cfg.pair_merge_threads_eff()
-            } else {
-                cfg.merge_threads_eff()
-            };
-            let cap_pair = amdahl_speedup(
-                cpu_model.merge_parallel_fraction,
-                pair_threads.max(1) as usize,
-            ) * per_core;
-            let cap_cpu = amdahl_speedup(
-                cpu_model.merge_parallel_fraction,
-                cfg.merge_threads_eff().max(1) as usize,
-            ) * per_core;
-            let (mut busy_pair, mut busy_cpu) = (0.0f64, 0.0f64);
-            for (slot, spec) in plan.pairs.iter().enumerate() {
-                let t_pair = busy_pair + spec.out_elems as f64 / cap_pair;
-                let t_cpu = busy_cpu + spec.out_elems as f64 / cap_cpu;
-                // Ties keep the default lane, so Auto degrades to Off
-                // when the pools are indistinguishable.
-                if t_cpu < t_pair {
-                    cpu[slot] = true;
-                    busy_cpu = t_cpu;
-                } else {
-                    busy_pair = t_pair;
-                }
-            }
-        }
-    }
-    cpu
-}
-
 impl PlanDag {
-    /// Lower a plan to its DAG. Dependency lists are deduplicated (the
-    /// planner may emit an explicit dep that coincides with the stream
-    /// FIFO dep), so every remaining edge is load-bearing — which is
-    /// what makes "any single edge deletion is rejected" a theorem the
-    /// property suite can test.
-    ///
-    /// When the config enables [`HybridMode`], a post-pass re-types the
-    /// selected pair-merge slots to [`DagOp::CpuMerge`]. Routing lives
-    /// here — not in the engine — so *every* consumer of a plan (the
-    /// functional engine, the simulator, the bench gate, the service)
-    /// interprets the identical hybrid dag, and the decision depends
-    /// only on the config and the plan, never on runtime state.
+    /// Wrap a plan with the executable copy of its nodes. No
+    /// conversion happens here: [`crate::plan_builders`] already
+    /// emitted the dag (duplicate-free deps, hybrid routing applied).
     pub fn from_plan(plan: Plan) -> PlanDag {
-        let mut nodes: Vec<DagNode> = plan
-            .steps
-            .iter()
-            .map(|s| {
-                let mut deps: Vec<usize> = Vec::with_capacity(s.deps.len());
-                for &d in &s.deps {
-                    if !deps.contains(&d) {
-                        deps.push(d);
-                    }
-                }
-                DagNode {
-                    op: DagOp::from_step(&s.kind),
-                    deps,
-                    stream: s.stream,
-                }
-            })
-            .collect();
-        if plan.config.hybrid.is_on() && !plan.pairs.is_empty() {
-            let cpu = hybrid_cpu_slots(&plan);
-            for node in &mut nodes {
-                if let DagOp::PairMerge { slot } = node.op {
-                    if cpu.get(slot).copied().unwrap_or(false) {
-                        node.op = DagOp::CpuMerge { slot };
-                    }
-                }
-            }
-        }
+        let nodes = plan.steps.clone();
         PlanDag { plan, nodes }
     }
 
@@ -384,7 +229,10 @@ impl PlanDag {
     ///   `HtoD` (would sort an incompletely-loaded buffer);
     /// * `merge-inputs` — a merge does not depend on the producer of
     ///   each of its inputs;
-    /// * `chunk-cover` — staging chunks do not tile a batch exactly.
+    /// * `chunk-cover` — a batch's `StageIn`, `HtoD`, `DtoH` and
+    ///   `StageOut` chunks do not carry identical `(start, len)` per
+    ///   chunk index, do not tile `[start, start + len)` of the batch
+    ///   contiguously in chunk order, or exceed `pinned_elems`.
     ///
     /// Residency (peak device bytes vs capacity) is deliberately *not*
     /// here: `hetsort-analyze` owns the platform budget model and
@@ -394,11 +242,17 @@ impl PlanDag {
     ///
     /// [`HetSortError::Plan`] naming the violated rule.
     pub fn validate(&self) -> Result<(), HetSortError> {
+        PlanDag::check(&self.plan, &self.nodes)
+    }
+
+    /// [`PlanDag::validate`] over borrowed parts, so the `&Plan` entry
+    /// points check `plan.steps` in place.
+    pub(crate) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> {
         let err = |reason: String| Err(HetSortError::Plan { reason });
-        let n = self.nodes.len();
+        let n = nodes.len();
 
         // missing-ref: every dep must name an existing node.
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in nodes.iter().enumerate() {
             for &d in &node.deps {
                 if d >= n {
                     return err(format!("missing-ref: node {i} references missing node {d}"));
@@ -410,7 +264,7 @@ impl PlanDag {
         {
             let mut indeg = vec![0usize; n];
             let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (i, node) in self.nodes.iter().enumerate() {
+            for (i, node) in nodes.iter().enumerate() {
                 indeg[i] = node.deps.len();
                 for &d in &node.deps {
                     dependents[d].push(i);
@@ -438,7 +292,7 @@ impl PlanDag {
         // duplicate-producer: every artifact has exactly one producer.
         {
             let mut producers: BTreeMap<String, usize> = BTreeMap::new();
-            for (i, node) in self.nodes.iter().enumerate() {
+            for (i, node) in nodes.iter().enumerate() {
                 let key = match &node.op {
                     DagOp::PinnedAlloc { stream, dir_in, .. } => {
                         format!("pinned s{stream} in={dir_in}")
@@ -468,17 +322,17 @@ impl PlanDag {
 
         // stream-bind: stream ops name a stream of the plan, merges none
         // (the engine indexes per-stream interpreter state by it).
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in nodes.iter().enumerate() {
             let bound = match node.stream {
                 None => node.op.is_merge(),
-                Some(s) => !node.op.is_merge() && s < self.plan.total_streams,
+                Some(s) => !node.op.is_merge() && s < plan.total_streams,
             };
             if !bound {
                 return err(format!(
                     "stream-bind: node {i} ({}) is bound to stream {:?} of {}",
                     node.op.class_name(),
                     node.stream,
-                    self.plan.total_streams
+                    plan.total_streams
                 ));
             }
         }
@@ -494,9 +348,9 @@ impl PlanDag {
         // the trace gives same-stream ops program order on one thread,
         // so the happens-before analyzer can never see an intra-stream
         // edge deletion — the structural validator must.
-        if !self.plan.config.double_buffered() {
+        if !plan.config.double_buffered() {
             let mut tail: BTreeMap<usize, usize> = BTreeMap::new();
-            for (i, node) in self.nodes.iter().enumerate() {
+            for (i, node) in nodes.iter().enumerate() {
                 if let Some(s) = node.stream {
                     if let Some(&prev) = tail.get(&s) {
                         if !node.deps.contains(&prev) {
@@ -509,7 +363,7 @@ impl PlanDag {
                 }
             }
         } else {
-            let elided = self.plan.stage_out_elided();
+            let elided = plan.stage_out_elided();
             #[derive(Default)]
             struct LaneState {
                 host_tail: Option<usize>,
@@ -532,7 +386,7 @@ impl PlanDag {
                     })
                 }
             };
-            for (i, node) in self.nodes.iter().enumerate() {
+            for (i, node) in nodes.iter().enumerate() {
                 let Some(s) = node.stream else { continue };
                 let st = lanes.entry(s).or_default();
                 // Batch boundary: the previous batch's last HtoD and
@@ -548,11 +402,7 @@ impl PlanDag {
                         st.cur_batch = Some(b);
                     }
                 }
-                let dev_lane = matches!(
-                    node.op,
-                    DagOp::HtoD { .. } | DagOp::Sort { .. } | DagOp::DtoH { .. }
-                );
-                let (tail, lane) = if dev_lane {
+                let (tail, lane) = if node.op.is_device_lane() {
                     (&mut st.dev_tail, "device-lane")
                 } else {
                     (&mut st.host_tail, "host-lane")
@@ -629,7 +479,7 @@ impl PlanDag {
         let mut last_htod: BTreeMap<usize, usize> = BTreeMap::new();
         let mut last_stage_out: BTreeMap<usize, usize> = BTreeMap::new();
         let mut slot_node: BTreeMap<usize, usize> = BTreeMap::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in nodes.iter().enumerate() {
             match &node.op {
                 DagOp::HtoD { batch, .. } => {
                     last_htod.insert(*batch, i);
@@ -649,7 +499,7 @@ impl PlanDag {
         }
 
         // sort-input: a sort depends on its batch's last HtoD.
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in nodes.iter().enumerate() {
             if let DagOp::Sort { batch } = node.op {
                 match last_htod.get(&batch) {
                     Some(&h) if node.deps.contains(&h) => {}
@@ -686,18 +536,14 @@ impl PlanDag {
                     )),
                 }
             };
-            for (i, node) in self.nodes.iter().enumerate() {
+            for (i, node) in nodes.iter().enumerate() {
                 match &node.op {
                     DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-                        let spec =
-                            self.plan
-                                .pairs
-                                .get(*slot)
-                                .ok_or_else(|| HetSortError::Plan {
-                                    reason: format!(
-                                    "merge-inputs: node {i} references missing pair slot {slot}"
-                                ),
-                                })?;
+                        let spec = plan.pairs.get(*slot).ok_or_else(|| HetSortError::Plan {
+                            reason: format!(
+                                "merge-inputs: node {i} references missing pair slot {slot}"
+                            ),
+                        })?;
                         check(i, &node.deps, spec.left)?;
                         check(i, &node.deps, spec.right)?;
                     }
@@ -715,39 +561,75 @@ impl PlanDag {
             }
         }
 
-        // chunk-cover: staging chunks tile each batch exactly, both ways.
+        // chunk-cover: the interpreters index buffers by each chunk op's
+        // own `(start, len)`, so all four ops of a chunk must agree on
+        // it, the chunks must tile the batch in order, and none may
+        // exceed the pinned buffer it is staged through.
         {
-            let nb = self.plan.nb();
-            let mut cover_in = vec![0usize; nb];
-            let mut cover_out = vec![0usize; nb];
-            for node in &self.nodes {
-                if let DagOp::StagingCopy {
-                    batch, len, dir_in, ..
-                } = node.op
-                {
-                    if batch >= nb {
+            let nb = plan.nb();
+            // Per batch, per op kind: the `(start, len)` of chunk `c` at
+            // index `c` (duplicate-producer already made chunks unique).
+            const KINDS: [&str; 4] = ["StageIn", "HtoD", "DtoH", "StageOut"];
+            let mut extents: Vec<[BTreeMap<usize, (usize, usize)>; 4]> =
+                (0..nb).map(|_| Default::default()).collect();
+            for node in nodes {
+                let (kind, batch, chunk, start, len) = match node.op {
+                    DagOp::StagingCopy {
+                        batch,
+                        chunk,
+                        start,
+                        len,
+                        dir_in,
+                    } => (if dir_in { 0 } else { 3 }, batch, chunk, start, len),
+                    DagOp::HtoD {
+                        batch,
+                        chunk,
+                        start,
+                        len,
+                    } => (1, batch, chunk, start, len),
+                    DagOp::DtoH {
+                        batch,
+                        chunk,
+                        start,
+                        len,
+                    } => (2, batch, chunk, start, len),
+                    _ => continue,
+                };
+                let Some(of_batch) = extents.get_mut(batch) else {
+                    return err(format!(
+                        "chunk-cover: {} names batch {batch} of {nb}",
+                        KINDS[kind]
+                    ));
+                };
+                of_batch[kind].insert(chunk, (start, len));
+            }
+            let ps = plan.config.pinned_elems;
+            for b in &plan.batches {
+                let [stage_in, rest @ ..] = &extents[b.index];
+                let mut at = b.start;
+                for (want, (&chunk, &(start, len))) in stage_in.iter().enumerate() {
+                    if chunk != want || start != at || len > ps {
                         return err(format!(
-                            "chunk-cover: staging copy names batch {batch} of {nb}"
+                            "chunk-cover: batch {} StageIn chunk {chunk} covers [{start}, +{len}); \
+                             chunk {want} is due at {at} with ≤ {ps} elements",
+                            b.index
                         ));
                     }
-                    if dir_in {
-                        cover_in[batch] += len;
-                    } else {
-                        cover_out[batch] += len;
-                    }
+                    at += len;
                 }
-            }
-            for b in &self.plan.batches {
-                if cover_in[b.index] != b.len {
+                if at != b.start + b.len {
                     return err(format!(
                         "chunk-cover: batch {} stages in {} of {} elements",
-                        b.index, cover_in[b.index], b.len
+                        b.index,
+                        at - b.start,
+                        b.len
                     ));
                 }
-                if cover_out[b.index] != b.len {
+                if let Some(k) = rest.iter().position(|chunks| chunks != stage_in) {
                     return err(format!(
-                        "chunk-cover: batch {} stages out {} of {} elements",
-                        b.index, cover_out[b.index], b.len
+                        "chunk-cover: batch {} {} chunks differ from its StageIn chunks",
+                        b.index,
+                        KINDS[k + 1]
                     ));
                 }
             }
@@ -764,7 +646,7 @@ impl PlanDag {
     /// [`HetSortError::Plan`] if the graph has a cycle (nodes remain
     /// unreachable).
     pub fn ready_order(&self, tie: TieBreak) -> Result<Vec<usize>, HetSortError> {
-        let mut rs = ReadySet::new(self, |_| true, tie);
+        let mut rs = ReadySet::new(&self.nodes, |_| true, tie);
         let mut order = Vec::with_capacity(self.nodes.len());
         while let Some(i) = rs.pop() {
             order.push(i);
@@ -784,7 +666,7 @@ impl PlanDag {
     /// Maximum ready-set width observed replaying the [`TieBreak::MinId`]
     /// order — an upper bound on exploitable op-level parallelism.
     pub fn max_ready_width(&self) -> usize {
-        let mut rs = ReadySet::new(self, |_| true, TieBreak::MinId);
+        let mut rs = ReadySet::new(&self.nodes, |_| true, TieBreak::MinId);
         let mut width = 0usize;
         while let Some(i) = rs.pop() {
             width = width.max(rs.ready_len() + 1);
@@ -809,14 +691,14 @@ pub struct ReadySet {
 }
 
 impl ReadySet {
-    /// Build the scheduler state for the in-scope subgraph of `dag`.
-    pub fn new(dag: &PlanDag, in_scope: impl Fn(usize) -> bool, tie: TieBreak) -> ReadySet {
-        let n = dag.nodes.len();
+    /// Build the scheduler state for the in-scope subgraph of `nodes`.
+    pub fn new(nodes: &[DagNode], in_scope: impl Fn(usize) -> bool, tie: TieBreak) -> ReadySet {
+        let n = nodes.len();
         let in_scope: Vec<bool> = (0..n).map(in_scope).collect();
         let mut indegree = vec![0usize; n];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut remaining = 0usize;
-        for (i, node) in dag.nodes.iter().enumerate() {
+        for (i, node) in nodes.iter().enumerate() {
             if !in_scope[i] {
                 continue;
             }
@@ -906,7 +788,7 @@ mod tests {
             (Approach::PipeMerge, 7000),
         ] {
             let d = dag(approach, n);
-            assert_eq!(d.nodes.len(), d.plan.steps.len());
+            assert_eq!(d.nodes, d.plan.steps);
             d.validate().unwrap_or_else(|e| panic!("{approach:?}: {e}"));
         }
         for strategy in [PairStrategy::Online, PairStrategy::MergeTree] {
@@ -924,8 +806,8 @@ mod tests {
 
     #[test]
     fn lowering_dedups_the_sort_dep() {
-        // The planner lists a sort's last-HtoD dep twice (explicit +
-        // FIFO); the dag keeps one copy so each edge is load-bearing.
+        // A sort's last-HtoD dep is both an explicit edge and its FIFO
+        // edge; the dag keeps one copy so each edge is load-bearing.
         let d = dag(Approach::PipeData, 2000);
         for (i, node) in d.nodes.iter().enumerate() {
             let mut sorted = node.deps.clone();
@@ -933,12 +815,6 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), node.deps.len(), "node {i} has dup deps");
         }
-        // And at least one plan step actually had the duplicate.
-        assert!(d
-            .plan
-            .steps
-            .iter()
-            .any(|s| { matches!(s.kind, StepKind::GpuSort { .. }) && s.deps.len() == 2 }));
     }
 
     #[test]
@@ -1070,7 +946,7 @@ mod tests {
         let d = dag(Approach::PipeMerge, 6000);
         // Merge-only scope: pair merges become ready immediately (their
         // stream deps are out of scope), the multiway waits on pairs.
-        let mut rs = ReadySet::new(&d, |i| d.nodes[i].op.is_merge(), TieBreak::MinId);
+        let mut rs = ReadySet::new(&d.nodes, |i| d.nodes[i].op.is_merge(), TieBreak::MinId);
         let mut order = Vec::new();
         while let Some(i) = rs.pop() {
             order.push(i);

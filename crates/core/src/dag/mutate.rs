@@ -40,6 +40,10 @@ pub enum DagMutant {
     MergeBeforeInputs,
     /// Shrink one staging chunk so the chunks no longer tile the batch.
     ChunkGap,
+    /// Shift one stage-in chunk's `start` without touching any `len`:
+    /// the per-batch length sums still add up, but the interpreter
+    /// would stage the wrong window of `A`.
+    ShiftChunk,
     /// Engine defect: ignore the per-batch checkpoint when re-planning
     /// after a device loss, recomputing every batch. Output stays
     /// correct — only the differential on recovery statistics sees it.
@@ -57,8 +61,8 @@ pub enum DagMutant {
 
 impl DagMutant {
     /// Every mutant, in display order (the kill suite's acceptance
-    /// floor is 8; this battery seeds 11).
-    pub const ALL: [DagMutant; 11] = [
+    /// floor is 8; this battery seeds 12).
+    pub const ALL: [DagMutant; 12] = [
         DagMutant::DropFifoEdge,
         DagMutant::SwapDepDirection,
         DagMutant::DuplicateProducer,
@@ -66,6 +70,7 @@ impl DagMutant {
         DagMutant::MissingRef,
         DagMutant::MergeBeforeInputs,
         DagMutant::ChunkGap,
+        DagMutant::ShiftChunk,
         DagMutant::SkipCheckpoint,
         DagMutant::WrongStreamEvent,
         DagMutant::FreeBeforeLastReader,
@@ -82,6 +87,7 @@ impl DagMutant {
             DagMutant::MissingRef => "missing-ref",
             DagMutant::MergeBeforeInputs => "merge-before-inputs",
             DagMutant::ChunkGap => "chunk-gap",
+            DagMutant::ShiftChunk => "shift-chunk",
             DagMutant::SkipCheckpoint => "skip-checkpoint",
             DagMutant::WrongStreamEvent => "wrong-stream-event",
             DagMutant::FreeBeforeLastReader => "free-before-last-reader",
@@ -101,7 +107,7 @@ impl DagMutant {
             DagMutant::Cycle => "validator:cycle",
             DagMutant::MissingRef => "validator:missing-ref",
             DagMutant::MergeBeforeInputs => "validator:merge-inputs",
-            DagMutant::ChunkGap => "validator:chunk-cover",
+            DagMutant::ChunkGap | DagMutant::ShiftChunk => "validator:chunk-cover",
             DagMutant::SkipCheckpoint => "differential:recovery-stats",
             DagMutant::WrongStreamEvent => "analyzer:missing-sync",
             DagMutant::FreeBeforeLastReader => "analyzer:use-after-free",
@@ -206,6 +212,20 @@ impl DagMutant {
                             *len -= 1;
                             return true;
                         }
+                    }
+                }
+                false
+            }
+            DagMutant::ShiftChunk => {
+                for node in &mut dag.nodes {
+                    if let DagOp::StagingCopy {
+                        start,
+                        dir_in: true,
+                        ..
+                    } = &mut node.op
+                    {
+                        *start += 1;
+                        return true;
                     }
                 }
                 false

@@ -2,17 +2,17 @@
 //!
 //! This module owns the inline entry points ([`sort_real`],
 //! [`sort_real_plan`]) and the [`RealOutcome`] result type; the
-//! interpretation is the one DAG engine in [`crate::dag::exec`]. A plan
-//! is lowered to a [`crate::dag::PlanDag`] (typed ops + explicit
-//! dependency edges), validated, and executed by
-//! [`crate::dag::exec::execute_dag`] — the engine with zero workers:
-//! every node inline on the calling thread in deterministic
-//! min-node-id ready order, which for planner-built dags is the plan's
-//! submission order.
+//! interpretation is the one DAG engine in [`crate::dag::exec`]. A
+//! plan's `steps` already are the op-dag (typed ops + explicit
+//! dependency edges): [`sort_real_plan`] validates them and runs them
+//! in place on the engine with zero workers — every node inline on the
+//! calling thread in deterministic min-node-id ready order, which for
+//! planner-built dags is the plan's submission order.
 //!
-//! Stream-bound ops run through [`crate::exec_stream::StreamExec`],
-//! which implements the failure model: injected faults, bounded
-//! retries, OOM batch splitting, and CPU-fallback degradation per the
+//! Stream-bound ops run through the per-stream interpreter
+//! (`exec_stream::StreamExec`), which implements the failure model:
+//! injected faults, bounded retries, OOM batch splitting, and
+//! CPU-fallback degradation per the
 //! configured [`crate::config::RecoveryPolicy`]. Unrecovered faults
 //! surface as typed [`HetSortError`]s.
 //!
@@ -23,11 +23,10 @@
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::par::SchedStats;
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
-use hetsort_sim::{Access, OpTrace};
+use hetsort_sim::OpTrace;
 
 use crate::config::HetSortConfig;
 use crate::error::HetSortError;
-use crate::optrace::trace_with_accesses;
 use crate::plan::Plan;
 use crate::report::RecoveryStats;
 
@@ -85,17 +84,6 @@ pub(crate) fn cpu_part_spans(parent_label: &str, m_start: f64, stats: &SchedStat
         .collect()
 }
 
-/// Merge per-stream access logs into one executed trace.
-pub(crate) fn assemble_trace(plan: &Plan, logs: &[Vec<(usize, Vec<Access>)>]) -> OpTrace {
-    let mut overrides: Vec<Option<Vec<Access>>> = vec![None; plan.steps.len()];
-    for log in logs {
-        for (si, acc) in log {
-            overrides[*si] = Some(acc.clone());
-        }
-    }
-    trace_with_accesses(plan, &overrides)
-}
-
 /// Sort `data` with the configured heterogeneous pipeline, functionally.
 ///
 /// # Errors
@@ -123,7 +111,7 @@ pub fn sort_real_plan<T>(plan: &Plan, data: &[T]) -> Result<RealOutcome<T>, HetS
 where
     T: RadixKey + SortOrd + Default,
 {
-    crate::dag::exec::execute_dag(&crate::dag::PlanDag::from_plan(plan.clone()), data)
+    crate::dag::exec::execute_nodes(plan, &plan.steps, data, Default::default())
 }
 
 #[cfg(test)]

@@ -49,11 +49,11 @@ pub fn sort_real_parallel<T>(plan: &Plan, data: &[T]) -> Result<RealOutcome<T>, 
 where
     T: RadixKey + SortOrd + Default,
 {
-    crate::dag::exec::execute_dag_pooled(
-        &crate::dag::PlanDag::from_plan(plan.clone()),
-        data,
-        plan.total_streams.max(1),
-    )
+    let opts = crate::dag::exec::DagExecOptions {
+        workers: plan.total_streams.max(1),
+        ..Default::default()
+    };
+    crate::dag::exec::execute_nodes(plan, &plan.steps, data, opts)
 }
 
 #[cfg(test)]

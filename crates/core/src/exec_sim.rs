@@ -1,17 +1,17 @@
-//! Simulated execution: lower a [`PlanDag`] onto the calibrated
-//! [`Machine`] and time it at paper scale.
+//! Simulated execution: map an op-dag onto the calibrated [`Machine`]
+//! and time it at paper scale.
 //!
-//! Like the functional executors, the simulator runs off the DAG IR:
-//! [`simulate_plan`] lowers the plan through [`PlanDag::from_plan`]
-//! (validating it on the way) and [`simulate_dag`] maps each typed op
-//! onto the corresponding machine primitive. Dependency edges become
+//! Like the functional engine, the simulator reads the nodes it is
+//! handed: [`simulate_plan`] times `plan.steps` in place,
+//! [`simulate_dag`] times `dag.nodes`; both validate first and map each
+//! typed op onto the corresponding machine primitive. Dependency edges become
 //! op-start constraints, so the simulated timeline is exactly the
 //! plan's dependency structure under the platform's calibrated costs.
 
 use hetsort_sim::OpId;
 use hetsort_vgpu::{Machine, TransferDir};
 
-use crate::dag::{DagOp, PlanDag};
+use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
 use crate::plan::Plan;
 use crate::report::TimingReport;
@@ -31,13 +31,13 @@ pub fn simulate(
     simulate_plan(&plan)
 }
 
-/// Simulate an already-built plan (lowered through the DAG IR).
+/// Simulate an already-built plan's own nodes.
 ///
 /// # Errors
 ///
 /// [`HetSortError::GpuOom`] and [`HetSortError::Sim`] as above.
 pub fn simulate_plan(plan: &Plan) -> Result<TimingReport, HetSortError> {
-    simulate_dag(&PlanDag::from_plan(plan.clone()))
+    simulate_nodes(plan, &plan.steps)
 }
 
 /// Simulate a validated op dag on the configured platform.
@@ -47,17 +47,21 @@ pub fn simulate_plan(plan: &Plan) -> Result<TimingReport, HetSortError> {
 /// [`HetSortError::Plan`] when the dag fails validation,
 /// [`HetSortError::GpuOom`] and [`HetSortError::Sim`] as above.
 pub fn simulate_dag(dag: &PlanDag) -> Result<TimingReport, HetSortError> {
-    let plan = &dag.plan;
+    simulate_nodes(&dag.plan, &dag.nodes)
+}
+
+/// Time `nodes` over `plan`'s geometry: what [`simulate_plan`] (the
+/// plan's own nodes, in place) and [`simulate_dag`] share.
+fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSortError> {
     // Re-validate on every execution path, not only at build time.
     plan.check_invariants()?;
-    dag.validate()?;
+    PlanDag::check(plan, nodes)?;
     let cfg = &plan.config;
     let mut m = Machine::new(cfg.platform.clone());
 
     // Device memory bookkeeping: each stream keeps one batch buffer of
     // 2·b_s elements resident (data + Thrust's out-of-place scratch,
     // §III-B) on its GPU for the whole run.
-    let mut per_gpu_streams = vec![0usize; cfg.platform.n_gpus()];
     for s in 0..plan.total_streams {
         let gpu = plan
             .batches
@@ -65,7 +69,6 @@ pub fn simulate_dag(dag: &PlanDag) -> Result<TimingReport, HetSortError> {
             .find(|b| b.stream == s)
             .map(|b| b.gpu)
             .unwrap_or(s % cfg.platform.n_gpus().max(1));
-        per_gpu_streams[gpu] += 1;
         m.device_alloc(
             gpu,
             cfg.device_sort.mem_factor() * cfg.elem_bytes * cfg.batch_elems as f64,
@@ -104,7 +107,7 @@ pub fn simulate_dag(dag: &PlanDag) -> Result<TimingReport, HetSortError> {
     let memcpy_threads = cfg.memcpy_threads_eff();
     let merge_threads = cfg.merge_threads_eff();
     let pair_merge_threads = cfg.pair_merge_threads_eff();
-    let mut op_ids: Vec<OpId> = Vec::with_capacity(dag.nodes.len());
+    let mut op_ids: Vec<OpId> = Vec::with_capacity(nodes.len());
     let mut n_async_transfers = 0usize;
     let mut n_sorts = 0usize;
 
@@ -118,7 +121,7 @@ pub fn simulate_dag(dag: &PlanDag) -> Result<TimingReport, HetSortError> {
         .collect();
     let mut stream_started = vec![false; plan.total_streams];
 
-    for node in &dag.nodes {
+    for node in nodes {
         let mut deps: Vec<OpId> = node.deps.iter().map(|&d| op_ids[d]).collect();
         if let Some(s) = node.stream {
             if !stream_started[s] {

@@ -1,10 +1,12 @@
-//! The per-stream step interpreter of the functional engine.
+//! The per-stream node interpreter of the functional engine.
 //!
 //! [`crate::dag::exec`] keeps one [`StreamExec`] per stream behind that
 //! stream's lock; whichever thread pops one of the stream's ready nodes
 //! — the caller at `workers = 0`, a pool worker otherwise — runs it
-//! here. The stream-bound steps (staging copies, transfers, device
-//! sorts) run through this interpreter, which owns the stream's pinned
+//! here, handing it the [`DagOp`] to execute. The stream-bound ops
+//! (staging copies, transfers, device sorts) run through this
+//! interpreter — which reads nothing but the op it is handed and the
+//! plan's geometry — and it owns the stream's pinned
 //! and device buffers and implements the per-batch failure model:
 //!
 //! * every device-buffer growth, HtoD, DtoH, and device sort consults
@@ -39,11 +41,12 @@ use hetsort_sim::{Access, Buffer};
 use hetsort_vgpu::{FaultInjector, FaultSite, TransferDir};
 
 use crate::config::{DeviceSortKind, RecoveryPolicy};
+use crate::dag::DagOp;
 use crate::error::HetSortError;
 use crate::optrace::{
     pinned_in_id, pinned_out_id, region_host_batch, REGION_A, REGION_B, REGION_W,
 };
-use crate::plan::{BatchInfo, Plan, StepKind};
+use crate::plan::{BatchInfo, Plan};
 use crate::pool::BufferPool;
 use crate::report::RecoveryStats;
 
@@ -87,9 +90,9 @@ pub(crate) struct StreamExec<'a, T> {
     pub(crate) pool: BufferPool<T>,
     /// Per-stream recovery counters (merged by the caller).
     pub(crate) stats: RecoveryStats,
-    /// When `config.record_trace` is set: the buffer accesses each step
-    /// actually performed, `(step index, accesses)` — the raw material
-    /// of [`crate::optrace::trace_with_accesses`].
+    /// When `config.record_trace` is set: the buffer accesses each node
+    /// actually performed, `(node id, accesses)` — the overrides of
+    /// [`crate::optrace::trace_nodes`].
     pub(crate) access_log: Vec<(usize, Vec<Access>)>,
     /// Run origin shared by every stream of the run, so span timestamps
     /// from different worker threads are directly comparable.
@@ -280,8 +283,10 @@ where
         }
     }
 
-    /// Execute one stream-bound step. `emit` receives every completed
-    /// `StageOut` chunk as `(batch, global_start, chunk_data)`.
+    /// Execute stream-bound node `si`, whose op is `op`. `emit` receives
+    /// every completed `StageOut` chunk as
+    /// `(batch, global_start, chunk_data)`. Chunk extents are trusted:
+    /// the validator's `chunk-cover` rule bounds them before any run.
     ///
     /// # Errors
     ///
@@ -289,6 +294,7 @@ where
     pub(crate) fn step(
         &mut self,
         si: usize,
+        op: &DagOp,
         emit: &mut impl FnMut(usize, usize, &[T]),
     ) -> Result<(), HetSortError> {
         let ps = self.plan.config.pinned_elems;
@@ -296,8 +302,8 @@ where
         // Accesses this step actually performs — which differ from the
         // static lowering once recovery reroutes a batch host-side.
         let mut acc: Vec<Access> = Vec::new();
-        match &self.plan.steps[si].kind {
-            StepKind::PinnedAlloc { dir_in, .. } => {
+        match op {
+            DagOp::PinnedAlloc { dir_in, .. } => {
                 let elided = self.plan.stage_out_elided();
                 if *dir_in {
                     // Double-buffered plans carve both halves out of
@@ -314,8 +320,12 @@ where
                     self.pinned_out.resize(ps, T::default());
                 }
             }
-            StepKind::StageIn {
-                start, len, chunk, ..
+            DagOp::StagingCopy {
+                start,
+                len,
+                chunk,
+                dir_in: true,
+                ..
             } => {
                 // Host→pinned staging memcpy: the PARMEMCPY knob makes
                 // this copy parallel (self-scheduled chunks).
@@ -333,7 +343,7 @@ where
                 }));
                 acc.push(Access::write(self.pin_in_buf(half)));
             }
-            StepKind::HtoD {
+            DagOp::HtoD {
                 batch,
                 chunk,
                 start,
@@ -380,7 +390,7 @@ where
                     }
                 }
             }
-            StepKind::GpuSort { batch } => {
+            DagOp::Sort { batch } => {
                 let b = self.plan.batches[*batch];
                 if self.mode != Mode::CpuFallback {
                     self.device_check(&b)?;
@@ -468,7 +478,7 @@ where
                     }
                 }
             }
-            StepKind::DtoH {
+            DagOp::DtoH {
                 batch, start, len, ..
             } => {
                 let b = self.plan.batches[*batch];
@@ -523,8 +533,12 @@ where
                     acc.push(Access::write(self.pin_out_buf()));
                 }
             }
-            StepKind::StageOut {
-                batch, start, len, ..
+            DagOp::StagingCopy {
+                batch,
+                start,
+                len,
+                dir_in: false,
+                ..
             } => {
                 let region = if self.plan.nb() > 1 {
                     REGION_W
@@ -553,7 +567,7 @@ where
                     len: *len,
                 }));
             }
-            StepKind::PairMerge { .. } | StepKind::MultiwayMerge { .. } => {
+            DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge { .. } => {
                 return Err(HetSortError::Plan {
                     reason: format!("step {si}: merge steps are not stream-bound"),
                 });
@@ -564,28 +578,16 @@ where
         if self.plan.config.record_trace {
             self.access_log.push((si, acc));
         }
-        let elem_bytes = self.plan.config.elem_bytes;
-        let (class, batch, bytes) = match &self.plan.steps[si].kind {
-            StepKind::PinnedAlloc { .. } => (OpClass::PinnedAlloc, None, ps as f64 * elem_bytes),
-            StepKind::StageIn { batch, len, .. } | StepKind::StageOut { batch, len, .. } => {
-                (OpClass::StagingCopy, Some(*batch), *len as f64 * elem_bytes)
-            }
-            StepKind::HtoD { batch, len, .. } => {
-                (OpClass::HtoD, Some(*batch), *len as f64 * elem_bytes)
-            }
-            StepKind::GpuSort { batch } => (
-                OpClass::GpuSort,
-                Some(*batch),
-                self.plan.batches[*batch].len as f64 * elem_bytes,
-            ),
-            StepKind::DtoH { batch, len, .. } => {
-                (OpClass::DtoH, Some(*batch), *len as f64 * elem_bytes)
-            }
-            // Merge steps errored out above.
-            StepKind::PairMerge { .. } | StepKind::MultiwayMerge { .. } => {
-                (OpClass::Other, None, 0.0)
-            }
+        let batch = op.batch();
+        let (class, elems) = match *op {
+            DagOp::StagingCopy { len, .. } => (OpClass::StagingCopy, len),
+            DagOp::HtoD { len, .. } => (OpClass::HtoD, len),
+            DagOp::Sort { batch } => (OpClass::GpuSort, self.plan.batches[batch].len),
+            DagOp::DtoH { len, .. } => (OpClass::DtoH, len),
+            // Merges errored out above.
+            _ => (OpClass::PinnedAlloc, ps),
         };
+        let bytes = elems as f64 * self.plan.config.elem_bytes;
         let mut span = ObsSpan::new(
             class,
             match batch {

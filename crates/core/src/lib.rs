@@ -12,10 +12,11 @@
 //! | [`Approach::PipeMerge`] | §III-D3 | pair-wise merges pipelined under GPU sorting |
 //! | `par_memcpy` flag | PARMEMCPY | parallel staging copies (host-side bottleneck) |
 //!
-//! A [`plan::Plan`] is the static step DAG of one configured run,
-//! lowered to one op-dag IR ([`dag::PlanDag`]) with two interpreters:
+//! A [`plan::Plan`] is the static op-dag of one configured run — its
+//! `steps` are the [`dag::DagNode`]s [`plan_builders`] emits, the one
+//! IR — with two interpreters that each read the nodes they are handed:
 //!
-//! * [`exec_sim`] lowers it onto the calibrated [`hetsort_vgpu::Machine`]
+//! * [`exec_sim`] maps them onto the calibrated [`hetsort_vgpu::Machine`]
 //!   and returns a [`report::TimingReport`] (paper-scale timing);
 //! * [`dag::exec`] — the one functional engine, behind [`exec_real`]
 //!   (inline) and [`exec_real_mt`] (one worker per stream) — executes

@@ -1,30 +1,29 @@
-//! Lowering a [`PlanDag`] (or a [`Plan`], via the IR) to a structured
-//! [`OpTrace`].
+//! Lowering an op-dag to a structured [`OpTrace`].
 //!
-//! The trace builder is dag-native: [`lower_dag`] /
-//! [`trace_dag_with_accesses`] walk [`PlanDag::nodes`] and synthesize
-//! the event edges from the *dag's* dependency lists — so a mutated dag
-//! (a dropped or rewired edge) lowers to a trace missing exactly that
-//! sync edge, which is what lets the happens-before checker kill
-//! trace-level mutants instead of silently re-deriving the edge from
-//! the pristine plan. The plan-based entry points delegate through
-//! [`PlanDag::from_plan`]:
+//! There is one trace builder, [`trace_nodes`], over a plan's geometry
+//! and the nodes to describe. It synthesizes the event edges from the
+//! *nodes'* dependency lists — so a mutated dag (a dropped or rewired
+//! edge) lowers to a trace missing exactly that sync edge, which is
+//! what lets the happens-before checker kill trace-level mutants
+//! instead of silently re-deriving the edge from a pristine plan:
 //!
-//! * [`lower_plan`] emits the *static* trace — what the schedule claims
-//!   it will do, with every op's buffer accesses derived from the
-//!   plan alone. `hetsort analyze` checks this before anything runs.
-//! * [`trace_with_accesses`] emits the *executed* trace — the same
-//!   thread/event structure, but with the accesses each
-//!   [`crate::exec_stream::StreamExec`] actually performed substituted
+//! * [`lower_plan`] / [`lower_dag`] emit the *static* trace of
+//!   `plan.steps` / `dag.nodes` — what the schedule claims it will do,
+//!   with every op's buffer accesses derived from the node alone
+//!   ([`node_accesses`]). `hetsort analyze` checks this before anything
+//!   runs.
+//! * The engine passes `overrides` to emit the *executed* trace — the
+//!   same thread/event structure over the nodes that ran, but with the
+//!   accesses each stream interpreter actually performed substituted
 //!   in. Recovery re-plans (OOM splits, CPU fallbacks) touch different
 //!   buffers than the static schedule, and this is how those paths get
 //!   re-checked.
 //!
 //! Thread model: one trace thread per stream (`0..total_streams`), plus
 //! a host thread (`total_streams`) for the pair/multiway merges. The
-//! plan's cross-thread dependencies are synthesized as
+//! dag's cross-thread dependencies are synthesized as
 //! `EventRecord`/`StreamWaitEvent` pairs — the event id is the producer
-//! step's index — so the happens-before checker sees exactly the sync
+//! node's index — so the happens-before checker sees exactly the sync
 //! edges the executors rely on (stream FIFO order plus the explicit
 //! dependencies), and a mutation that drops one produces a reportable
 //! race instead of a silently-wrong schedule.
@@ -52,8 +51,8 @@
 
 use hetsort_sim::{Access, Buffer, OpTrace, TraceKind};
 
-use crate::dag::{DagOp, PlanDag};
-use crate::plan::{MergeInput, MergeSrc, Plan, StepKind};
+use crate::dag::{DagNode, DagOp, PlanDag};
+use crate::plan::{MergeInput, MergeSrc, Plan};
 
 /// Host region id of the input list `A`.
 pub const REGION_A: usize = 0;
@@ -124,126 +123,9 @@ fn src_read(plan: &Plan, src: MergeSrc) -> Access {
     }
 }
 
-/// The buffer accesses step `si` performs on the fault-free GPU path.
-pub fn static_step_accesses(plan: &Plan, si: usize) -> Vec<Access> {
-    // Stream-less data ops get the sentinel lane `total_streams` so
-    // their pinned ids (`3·S ..`) can never alias stream 0's real
-    // staging buffers.
-    let stream = plan.steps[si].stream.unwrap_or(plan.total_streams);
-    let db = plan.config.double_buffered();
-    let elided = plan.stage_out_elided();
-    let pin_in = |chunk: usize| Buffer::Pinned {
-        id: pinned_in_id(stream, if db { chunk % 2 } else { 0 }),
-    };
-    let pin_out = Buffer::Pinned {
-        id: pinned_out_id(plan.asynchronous, stream),
-    };
-    // Single-batch plans stage straight into B; multi-batch into W.
-    let out_region = if plan.nb() > 1 { REGION_W } else { REGION_B };
-    match &plan.steps[si].kind {
-        StepKind::PinnedAlloc { .. } => Vec::new(),
-        StepKind::StageIn {
-            start, len, chunk, ..
-        } => vec![
-            Access::read(Buffer::Host {
-                region: REGION_A,
-                start: *start,
-                len: *len,
-            }),
-            Access::write(pin_in(*chunk)),
-        ],
-        StepKind::HtoD { batch, chunk, .. } => {
-            vec![
-                Access::read(pin_in(*chunk)),
-                Access::write(dev_buf(plan, *batch)),
-            ]
-        }
-        StepKind::GpuSort { batch } => {
-            let d = dev_buf(plan, *batch);
-            vec![Access::read(d), Access::write(d)]
-        }
-        StepKind::DtoH { batch, .. } => {
-            if elided {
-                vec![Access::read(dev_buf(plan, *batch))]
-            } else {
-                vec![Access::read(dev_buf(plan, *batch)), Access::write(pin_out)]
-            }
-        }
-        StepKind::StageOut {
-            batch, start, len, ..
-        } => vec![
-            if elided {
-                Access::read(dev_buf(plan, *batch))
-            } else {
-                Access::read(pin_out)
-            },
-            Access::write(Buffer::Host {
-                region: out_region,
-                start: *start,
-                len: *len,
-            }),
-        ],
-        StepKind::PairMerge { slot } => {
-            let spec = plan.pairs[*slot];
-            vec![
-                src_read(plan, spec.left),
-                src_read(plan, spec.right),
-                Access::write(Buffer::Host {
-                    region: region_pair(plan.total_streams, *slot),
-                    start: 0,
-                    len: spec.out_elems,
-                }),
-            ]
-        }
-        StepKind::MultiwayMerge { inputs } => {
-            let mut acc: Vec<Access> = inputs
-                .iter()
-                .map(|inp| {
-                    src_read(
-                        plan,
-                        match *inp {
-                            MergeInput::Batch(b) => MergeSrc::Batch(b),
-                            MergeInput::Pair(p) => MergeSrc::Merged(p),
-                        },
-                    )
-                })
-                .collect();
-            acc.push(Access::write(Buffer::Host {
-                region: REGION_B,
-                start: 0,
-                len: plan.n,
-            }));
-            acc
-        }
-    }
-}
-
-/// A short label for step `si` (`HtoD b2.c1 (step 17)`).
-pub fn step_label(plan: &Plan, si: usize) -> String {
-    match &plan.steps[si].kind {
-        StepKind::PinnedAlloc { stream, dir_in, .. } => {
-            let way = if *dir_in { "in" } else { "out" };
-            format!("PinnedAlloc {way} s{stream} (step {si})")
-        }
-        StepKind::StageIn { batch, chunk, .. } => format!("StageIn b{batch}.c{chunk} (step {si})"),
-        StepKind::HtoD { batch, chunk, .. } => format!("HtoD b{batch}.c{chunk} (step {si})"),
-        StepKind::GpuSort { batch } => format!("GpuSort b{batch} (step {si})"),
-        StepKind::DtoH { batch, chunk, .. } => format!("DtoH b{batch}.c{chunk} (step {si})"),
-        StepKind::StageOut { batch, chunk, .. } => {
-            format!("StageOut b{batch}.c{chunk} (step {si})")
-        }
-        StepKind::PairMerge { slot } => format!("PairMerge slot {slot} (step {si})"),
-        StepKind::MultiwayMerge { inputs } => {
-            format!("MultiwayMerge k={} (step {si})", inputs.len())
-        }
-    }
-}
-
-/// A short label for dag node `i` (`HtoD b2.c1 (step 17)`). For
-/// planner-lowered dags this matches [`step_label`] exactly; the one
-/// addition is [`DagOp::CpuMerge`], which no plan step spells.
-pub fn dag_node_label(dag: &PlanDag, i: usize) -> String {
-    match &dag.nodes[i].op {
+/// A short label for node `i` (`HtoD b2.c1 (step 17)`).
+pub fn node_label(op: &DagOp, i: usize) -> String {
+    match op {
         DagOp::PinnedAlloc { stream, dir_in, .. } => {
             let way = if *dir_in { "in" } else { "out" };
             format!("PinnedAlloc {way} s{stream} (step {i})")
@@ -268,15 +150,13 @@ pub fn dag_node_label(dag: &PlanDag, i: usize) -> String {
     }
 }
 
-/// The buffer accesses dag node `i` performs on the fault-free path.
+/// The buffer accesses `node` performs on the fault-free path.
 /// [`DagOp::CpuMerge`] touches exactly what the equivalent
 /// [`DagOp::PairMerge`] would — only the executing resource differs.
-pub fn dag_node_accesses(dag: &PlanDag, i: usize) -> Vec<Access> {
-    let plan = &dag.plan;
-    let node = &dag.nodes[i];
-    // Sentinel lane for stream-less data ops — see
-    // [`static_step_accesses`]; `unwrap_or(0)` here would alias stream
-    // 0's pinned buffers and fabricate conflicts in the checker.
+pub fn node_accesses(plan: &Plan, node: &DagNode) -> Vec<Access> {
+    // Stream-less data ops get the sentinel lane `total_streams` so
+    // their pinned ids (`3·S ..`) can never alias stream 0's real
+    // staging buffers and fabricate conflicts in the checker.
     let stream = node.stream.unwrap_or(plan.total_streams);
     let db = plan.config.double_buffered();
     let elided = plan.stage_out_elided();
@@ -375,37 +255,31 @@ pub fn dag_node_accesses(dag: &PlanDag, i: usize) -> Vec<Access> {
     }
 }
 
-/// Lower the plan to its static trace (fault-free accesses).
+/// Lower the plan's own nodes to their static trace (fault-free
+/// accesses).
 pub fn lower_plan(plan: &Plan) -> OpTrace {
-    trace_with_accesses(plan, &[])
+    trace_nodes(plan, &plan.steps, &[])
 }
 
-/// Lower a dag to its static trace (fault-free accesses).
+/// Lower a dag's nodes to their static trace (fault-free accesses).
 pub fn lower_dag(dag: &PlanDag) -> OpTrace {
-    trace_dag_with_accesses(dag, &[])
+    trace_nodes(&dag.plan, &dag.nodes, &[])
 }
 
-/// Lower the plan, substituting executed accesses where provided.
-///
-/// `overrides[si] = Some(accesses)` replaces the static access list of
-/// step `si` (data-touching steps only); `None` or a short vector keeps
-/// the static derivation.
-pub fn trace_with_accesses(plan: &Plan, overrides: &[Option<Vec<Access>>]) -> OpTrace {
-    trace_dag_with_accesses(&PlanDag::from_plan(plan.clone()), overrides)
-}
-
-/// Lower a dag, substituting executed accesses where provided. The
-/// event edges come from the *dag's* dependency lists: a dag whose
-/// edges were mutated lowers to a trace missing exactly those sync
-/// edges, which the happens-before checker then reports as a race.
-pub fn trace_dag_with_accesses(dag: &PlanDag, overrides: &[Option<Vec<Access>>]) -> OpTrace {
-    let plan = &dag.plan;
+/// Lower `nodes` over `plan`'s geometry, substituting executed accesses
+/// where provided: `overrides[i] = Some(accesses)` replaces the static
+/// access list of node `i` (data-touching nodes only); `None` or a
+/// short vector keeps the static derivation. The event edges come from
+/// the nodes' dependency lists: nodes whose edges were mutated lower to
+/// a trace missing exactly those sync edges, which the happens-before
+/// checker then reports as a race.
+pub fn trace_nodes(plan: &Plan, nodes: &[DagNode], overrides: &[Option<Vec<Access>>]) -> OpTrace {
     let host = host_thread(plan);
-    let thread_of = |i: usize| dag.nodes[i].stream.unwrap_or(host);
+    let thread_of = |i: usize| nodes[i].stream.unwrap_or(host);
     // Nodes with a cross-thread consumer record an event right after
     // completing; consumers wait on it right before starting.
-    let mut needs_event = vec![false; dag.nodes.len()];
-    for (i, node) in dag.nodes.iter().enumerate() {
+    let mut needs_event = vec![false; nodes.len()];
+    for (i, node) in nodes.iter().enumerate() {
         for &d in &node.deps {
             if thread_of(d) != thread_of(i) {
                 needs_event[d] = true;
@@ -421,13 +295,13 @@ pub fn trace_dag_with_accesses(dag: &PlanDag, overrides: &[Option<Vec<Access>>])
     let dev_bytes = plan.config.device_sort.mem_factor()
         * plan.config.elem_bytes
         * plan.config.batch_elems as f64;
-    for (si, node) in dag.nodes.iter().enumerate() {
+    for (si, node) in nodes.iter().enumerate() {
         let th = thread_of(si);
         for &d in &node.deps {
             if thread_of(d) != th {
                 trace.push(
                     th,
-                    format!("wait on {} (step {si})", dag_node_label(dag, d)),
+                    format!("wait on {} (step {si})", node_label(&nodes[d].op, d)),
                     TraceKind::StreamWaitEvent { event: d },
                 );
             }
@@ -449,7 +323,7 @@ pub fn trace_dag_with_accesses(dag: &PlanDag, overrides: &[Option<Vec<Access>>])
                         alloced.push((th, buf));
                         trace.push(
                             th,
-                            format!("{} half {half}", dag_node_label(dag, si)),
+                            format!("{} half {half}", node_label(&node.op, si)),
                             TraceKind::Alloc {
                                 buf,
                                 bytes: *bytes / 2.0,
@@ -465,7 +339,7 @@ pub fn trace_dag_with_accesses(dag: &PlanDag, overrides: &[Option<Vec<Access>>])
                     alloced.push((th, Buffer::Pinned { id }));
                     trace.push(
                         th,
-                        dag_node_label(dag, si),
+                        node_label(&node.op, si),
                         TraceKind::Alloc {
                             buf: Buffer::Pinned { id },
                             bytes: *bytes,
@@ -494,14 +368,14 @@ pub fn trace_dag_with_accesses(dag: &PlanDag, overrides: &[Option<Vec<Access>>])
                 let accesses = overrides
                     .get(si)
                     .and_then(|o| o.clone())
-                    .unwrap_or_else(|| dag_node_accesses(dag, si));
-                trace.push(th, dag_node_label(dag, si), TraceKind::Op { accesses });
+                    .unwrap_or_else(|| node_accesses(plan, node));
+                trace.push(th, node_label(&node.op, si), TraceKind::Op { accesses });
             }
         }
         if needs_event[si] {
             trace.push(
                 th,
-                format!("record ev{si} ({})", dag_node_label(dag, si)),
+                format!("record ev{si} ({})", node_label(&node.op, si)),
                 TraceKind::EventRecord { event: si },
             );
         }
@@ -547,7 +421,7 @@ mod tests {
         let allocs = p
             .steps
             .iter()
-            .filter(|s| matches!(s.kind, StepKind::PinnedAlloc { .. }))
+            .filter(|s| matches!(s.op, DagOp::PinnedAlloc { .. }))
             .count();
         assert_eq!(ops, p.steps.len() - allocs);
         assert_eq!(tr.n_threads, p.total_streams + 1);
@@ -598,7 +472,7 @@ mod tests {
             DagOp::HtoD { chunk, .. } if dag.plan.config.double_buffered() => chunk % 2,
             _ => 0,
         };
-        let acc = dag_node_accesses(&dag, i);
+        let acc = node_accesses(&dag.plan, &dag.nodes[i]);
         let pinned_ids: Vec<usize> = acc
             .iter()
             .filter_map(|a| match a.buf {
@@ -636,8 +510,8 @@ mod tests {
         let p = plan(Approach::BLineMulti, 4000);
         assert!(p.stage_out_elided());
         let dag = PlanDag::from_plan(p.clone());
-        for (i, node) in dag.nodes.iter().enumerate() {
-            let acc = dag_node_accesses(&dag, i);
+        for node in &dag.nodes {
+            let acc = node_accesses(&dag.plan, node);
             match &node.op {
                 DagOp::DtoH { .. } => {
                     assert!(

@@ -1,12 +1,14 @@
-//! The static step DAG of one heterogeneous sort run.
+//! The static op-dag of one heterogeneous sort run.
 //!
 //! A [`Plan`] encodes, independent of any executor, exactly which
 //! operations the configured approach performs and in what dependency
 //! order: staging copies chunk by chunk through the pinned buffers,
 //! transfers, device sorts, pipelined pair merges, and the final
-//! multiway merge. Both the simulated executor ([`crate::exec_sim`])
-//! and the functional executor ([`crate::exec_real`]) interpret this
-//! same structure, so what we time is what we proved correct.
+//! multiway merge. Its [`Plan::steps`] are [`DagNode`]s — the one IR
+//! [`crate::plan_builders`] emits — and both the simulator
+//! ([`crate::exec_sim`]) and the functional engine
+//! ([`crate::dag::exec`]) interpret the nodes they are handed, so what
+//! we time is what we proved correct.
 //!
 //! Workflows encoded (paper §III-D):
 //!
@@ -18,6 +20,7 @@
 //!   resident in `W`.
 
 use crate::config::HetSortConfig;
+use crate::dag::{DagNode, DagOp};
 use crate::error::HetSortError;
 
 /// One contiguous batch of the input.
@@ -64,97 +67,6 @@ pub struct PairSpec {
     pub out_elems: usize,
 }
 
-/// What a step does.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StepKind {
-    /// Allocate a pinned staging buffer for a stream (`dir_in` selects
-    /// the inbound or outbound buffer).
-    PinnedAlloc {
-        /// Owning stream.
-        stream: usize,
-        /// Buffer size in bytes.
-        bytes: f64,
-        /// Inbound (A→device) or outbound (device→W/B) buffer.
-        dir_in: bool,
-    },
-    /// Copy a chunk of `A` into the stream's inbound pinned buffer.
-    StageIn {
-        /// Batch index.
-        batch: usize,
-        /// Chunk index within the batch.
-        chunk: usize,
-        /// Global element offset of the chunk.
-        start: usize,
-        /// Chunk length in elements.
-        len: usize,
-    },
-    /// DMA the inbound pinned buffer to the device batch buffer.
-    HtoD {
-        /// Batch index.
-        batch: usize,
-        /// Chunk index.
-        chunk: usize,
-        /// Global element offset.
-        start: usize,
-        /// Chunk length.
-        len: usize,
-    },
-    /// Sort the device-resident batch (Thrust stand-in).
-    GpuSort {
-        /// Batch index.
-        batch: usize,
-    },
-    /// DMA a chunk of the sorted batch into the outbound pinned buffer.
-    DtoH {
-        /// Batch index.
-        batch: usize,
-        /// Chunk index.
-        chunk: usize,
-        /// Global element offset.
-        start: usize,
-        /// Chunk length.
-        len: usize,
-    },
-    /// Copy the outbound pinned buffer into `W` (or `B` when n_b = 1).
-    StageOut {
-        /// Batch index.
-        batch: usize,
-        /// Chunk index.
-        chunk: usize,
-        /// Global element offset.
-        start: usize,
-        /// Chunk length.
-        len: usize,
-    },
-    /// Pipelined two-way merge (PIPEMERGE and the rejected strategies);
-    /// inputs and output size live in [`Plan::pairs`] at this slot.
-    PairMerge {
-        /// Index into [`Plan::pairs`].
-        slot: usize,
-    },
-    /// Final multiway merge into `B`.
-    MultiwayMerge {
-        /// Sublists merged.
-        inputs: Vec<MergeInput>,
-    },
-}
-
-/// One step plus its explicit dependencies (indices into
-/// [`Plan::steps`]; always backward).
-#[derive(Debug, Clone)]
-pub struct Step {
-    /// The operation.
-    pub kind: StepKind,
-    /// Indices of steps that must complete first. Intra-stream FIFO
-    /// ordering is *also* encoded here (dependency on the previous step
-    /// of the same stream), so executors need no queue support.
-    pub deps: Vec<usize>,
-    /// Stream this step is submitted to, if any (transfers and staging
-    /// copies; merges and the blocking approaches' host ops included —
-    /// blocking approaches use stream 0 as "the default stream").
-    pub stream: Option<usize>,
-}
-
 /// The full static DAG.
 #[derive(Debug, Clone)]
 pub struct Plan {
@@ -166,8 +78,10 @@ pub struct Plan {
     pub batches: Vec<BatchInfo>,
     /// Pipelined two-way merges (inputs + output sizes per slot).
     pub pairs: Vec<PairSpec>,
-    /// Steps in submission (topological) order.
-    pub steps: Vec<Step>,
+    /// The op-dag in submission (topological) order: node `i`'s deps
+    /// all point backward. Intra-stream FIFO ordering is encoded as
+    /// dependency edges too, so executors need no queue support.
+    pub steps: Vec<DagNode>,
     /// Total streams (`n_s · n_GPU` for piped approaches, 1 otherwise).
     pub total_streams: usize,
     /// Whether transfers are asynchronous chunked copies (piped).
@@ -264,8 +178,8 @@ impl Plan {
         self.steps
             .iter()
             .rev()
-            .find_map(|s| match &s.kind {
-                StepKind::MultiwayMerge { inputs } => Some(inputs.len()),
+            .find_map(|s| match &s.op {
+                DagOp::MultiwayMerge { inputs } => Some(inputs.len()),
                 _ => None,
             })
             .unwrap_or(0)
@@ -305,7 +219,13 @@ impl Plan {
         // Chunk tiling.
         let mut covered = vec![0usize; self.nb()];
         for s in &self.steps {
-            if let StepKind::StageIn { batch, len, .. } = s.kind {
+            if let DagOp::StagingCopy {
+                batch,
+                len,
+                dir_in: true,
+                ..
+            } = s.op
+            {
                 covered[batch] += len;
             }
         }
@@ -349,7 +269,7 @@ impl Plan {
                 Ok(())
             };
             for s in &self.steps {
-                if let StepKind::MultiwayMerge { inputs } = &s.kind {
+                if let DagOp::MultiwayMerge { inputs } = &s.op {
                     for inp in inputs {
                         let src = match *inp {
                             MergeInput::Batch(b) => MergeSrc::Batch(b),
@@ -494,8 +414,13 @@ mod tests {
         let lens: Vec<usize> = plan
             .steps
             .iter()
-            .filter_map(|s| match s.kind {
-                StepKind::StageIn { batch: 2, len, .. } => Some(len),
+            .filter_map(|s| match s.op {
+                DagOp::StagingCopy {
+                    batch: 2,
+                    len,
+                    dir_in: true,
+                    ..
+                } => Some(len),
                 _ => None,
             })
             .collect();
@@ -587,11 +512,7 @@ mod tests {
         let mut dev: Vec<Option<usize>> = vec![None; plan.total_streams];
         for (i, s) in plan.steps.iter().enumerate() {
             let Some(st) = s.stream else { continue };
-            let dev_lane = matches!(
-                s.kind,
-                StepKind::HtoD { .. } | StepKind::GpuSort { .. } | StepKind::DtoH { .. }
-            );
-            let tail = if dev_lane {
+            let tail = if s.op.is_device_lane() {
                 &mut dev[st]
             } else {
                 &mut host[st]
@@ -606,24 +527,29 @@ mod tests {
         }
         // Cross edges: each HtoD names its StageIn, each StageOut its DtoH.
         for (i, s) in plan.steps.iter().enumerate() {
-            match s.kind {
-                StepKind::HtoD { batch, chunk, .. } => {
+            match s.op {
+                DagOp::HtoD { batch, chunk, .. } => {
                     let si = plan
                         .steps
                         .iter()
                         .position(|t| {
-                            matches!(t.kind, StepKind::StageIn { batch: b, chunk: c, .. }
+                            matches!(t.op, DagOp::StagingCopy { batch: b, chunk: c, dir_in: true, .. }
                                 if b == batch && c == chunk)
                         })
                         .unwrap();
                     assert!(s.deps.contains(&si), "HtoD {i} missing StageIn dep");
                 }
-                StepKind::StageOut { batch, chunk, .. } => {
+                DagOp::StagingCopy {
+                    batch,
+                    chunk,
+                    dir_in: false,
+                    ..
+                } => {
                     let d = plan
                         .steps
                         .iter()
                         .position(|t| {
-                            matches!(t.kind, StepKind::DtoH { batch: b, chunk: c, .. }
+                            matches!(t.op, DagOp::DtoH { batch: b, chunk: c, .. }
                                 if b == batch && c == chunk)
                         })
                         .unwrap();

@@ -1,7 +1,7 @@
 //! A free-list buffer pool for the executors' scratch allocations.
 //!
 //! The hot paths this serves are the per-merge output buffers and the
-//! recovery staging buffers in [`crate::exec_stream::StreamExec`]:
+//! recovery staging buffers of the stream interpreter (`StreamExec`):
 //! before the pool, every Split-mode merge zero-initialized a fresh
 //! `vec![T::default(); b.len]` and every DtoH fault cloned the whole
 //! device buffer. A checkout that can be served from a recycled

@@ -19,21 +19,7 @@
 use std::collections::BTreeSet;
 
 use crate::error::HetSortError;
-use crate::plan::{Plan, StepKind};
-
-/// The batch a stream-bound step operates on, if any.
-pub fn step_batch(kind: &StepKind) -> Option<usize> {
-    match kind {
-        StepKind::StageIn { batch, .. }
-        | StepKind::HtoD { batch, .. }
-        | StepKind::GpuSort { batch }
-        | StepKind::DtoH { batch, .. }
-        | StepKind::StageOut { batch, .. } => Some(*batch),
-        StepKind::PinnedAlloc { .. }
-        | StepKind::PairMerge { .. }
-        | StepKind::MultiwayMerge { .. } => None,
-    }
-}
+use crate::plan::Plan;
 
 /// Build a recovery re-plan of `base` (the *original* plan) over the
 /// devices not in `lost`, relabelled to physical device numbers and

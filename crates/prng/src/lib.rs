@@ -9,7 +9,7 @@
 //! * [`run_cases`] + [`prop_assert!`]/[`prop_assert_eq!`] — a minimal
 //!   property-test harness with per-case seeds, env-var reproduction
 //!   (`PTEST_SEED`, `PTEST_CASES`), and shrink-free failure reports;
-//! * [`bench`] — a wall-clock bench timer for `harness = false`
+//! * [`mod@bench`] — a wall-clock bench timer for `harness = false`
 //!   benchmarks.
 
 // No unsafe anywhere in this crate — enforced, not assumed.
@@ -225,7 +225,7 @@ pub mod bench {
         );
     }
 
-    /// Like [`bench`] but also reports elements/second throughput.
+    /// Like [`bench()`] but also reports elements/second throughput.
     pub fn bench_throughput<R>(
         label: &str,
         samples: usize,

@@ -7,7 +7,7 @@
 //! alignment of reservations, releases, displacements, and rejoins.
 //! Two independent layers keep the model honest:
 //!
-//! * a [`MirrorCtl`] re-implements [`AdmissionController`] semantics
+//! * a `MirrorCtl` re-implements [`AdmissionController`] semantics
 //!   op for op — including the empty-state round-off reset — with
 //!   injectable [`AdmissionDefect`]s for the mutation kill-suite;
 //! * when no defect is seeded, the model *also* drives a real
