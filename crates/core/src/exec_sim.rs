@@ -384,6 +384,39 @@ mod tests {
     }
 
     #[test]
+    fn engine_visits_per_event_do_not_scale_with_the_dag() {
+        // Clock-free cost gate on the simulator's event loop: what it
+        // visits per event is the dag's live and ready ops, never the op
+        // table. A loop that scans the table per event visits 3 x 20 027
+        // slots at n = 5e9 and 8 x fewer at n/8, failing both bounds.
+        let visits_per_event = |approach, n: usize| {
+            let plan = Plan::build(p1(approach), n).unwrap();
+            let stats = simulate_plan(&plan).unwrap().timeline.stats();
+            assert_eq!(stats.rate_solves, stats.events);
+            (stats.active_visits + stats.admit_visits) as f64 / stats.events as f64
+        };
+        // PIPEMERGE's own concurrency grows until the pipeline is full
+        // (1.7 live ops per event at n/8, 2.7 at n: 1.39 x the visits
+        // for 8 x the nodes); BLINEMULTI's dag is equally wide at every
+        // n, so there the count must be flat.
+        let n = 5_000_000_000;
+        for (approach, max_growth) in [(Approach::PipeMerge, 1.5), (Approach::BLineMulti, 1.1)] {
+            let (paper, eighth) = (
+                visits_per_event(approach, n),
+                visits_per_event(approach, n / 8),
+            );
+            assert!(
+                paper <= 8.0 && eighth <= 8.0,
+                "{approach:?}: {eighth} visits per event at n/8, {paper} at n"
+            );
+            assert!(
+                paper / eighth <= max_growth && eighth / paper <= max_growth,
+                "{approach:?}: visits per event moved with n: {eighth} at n/8, {paper} at n"
+            );
+        }
+    }
+
+    #[test]
     fn pipemerge_not_slower_than_pipedata() {
         let n = 5_000_000_000usize;
         let pd = simulate(p1(Approach::PipeData), n).unwrap();

@@ -17,8 +17,12 @@
 //! mechanism.
 //!
 //! Complexity: O(F·(F+R)) per solve in the worst case (each round freezes
-//! at least one flow); F and R are small (tens) at any instant in the
-//! sorting pipelines, and solves happen only at op start/finish events.
+//! at least one flow); F and R are small at any instant in the sorting
+//! pipelines (about three running ops per event at the paper's largest
+//! plan, five fluids). The engine calls it once per event — every latency
+//! expiry and every completion, including those that change no rate —
+//! with the running ops in ascending op-id order; the rates depend on
+//! that order only in their last bits, which is why the engine fixes it.
 
 use crate::error::SimError;
 

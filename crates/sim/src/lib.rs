@@ -48,7 +48,7 @@ pub use fairshare::{max_min_rates, Flow};
 pub use op::{Op, OpId, OpSpec, OpTag};
 pub use optrace::{Access, Buffer, OpTrace, TraceKind, TraceRecord};
 pub use resource::{FluidId, LaneId, QueueId, TokenId};
-pub use trace::{Span, Timeline};
+pub use trace::{SimStats, Span, Timeline};
 
 /// Absolute time tolerance (seconds) used when grouping simultaneous
 /// events. One picosecond: far below any modeled duration, far above

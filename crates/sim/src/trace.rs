@@ -37,6 +37,21 @@ impl Span {
     }
 }
 
+/// Work the event loop did, as exact counts: equal dags give equal
+/// counts on every machine, so cost per event can be gated without a
+/// clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Events processed (iterations of the event loop).
+    pub events: u64,
+    /// Fair-share solves (one per event that reached the solver).
+    pub rate_solves: u64,
+    /// Running and in-latency ops visited, summed over events.
+    pub active_visits: u64,
+    /// Ready ops examined by admission, summed over admission passes.
+    pub admit_visits: u64,
+}
+
 /// Complete result of a simulation run.
 #[derive(Debug, Clone)]
 pub struct Timeline {
@@ -47,8 +62,12 @@ pub struct Timeline {
     makespan: f64,
     /// `(name, capacity)` of every fluid resource.
     fluid_info: Vec<(String, f64)>,
-    /// Piecewise-constant fluid usage: `(segment start, usage per fluid)`.
-    usage_samples: Vec<(f64, Vec<f64>)>,
+    /// Start time of each piecewise-constant usage segment.
+    usage_starts: Vec<f64>,
+    /// Usage per fluid in each segment: segment `i`, fluid `r` at
+    /// `i * fluid_info.len() + r`.
+    usage: Vec<f64>,
+    stats: SimStats,
 }
 
 impl Timeline {
@@ -60,7 +79,9 @@ impl Timeline {
         queue_names: Vec<String>,
         makespan: f64,
         fluid_info: Vec<(String, f64)>,
-        usage_samples: Vec<(f64, Vec<f64>)>,
+        usage_starts: Vec<f64>,
+        usage: Vec<f64>,
+        stats: SimStats,
     ) -> Self {
         Timeline {
             spans,
@@ -69,8 +90,15 @@ impl Timeline {
             queue_names,
             makespan,
             fluid_info,
-            usage_samples,
+            usage_starts,
+            usage,
+            stats,
         }
+    }
+
+    /// Event-loop work counts of the run that produced this timeline.
+    pub fn stats(&self) -> SimStats {
+        self.stats
     }
 
     /// Names and capacities of the fluid resources.
@@ -83,6 +111,15 @@ impl Timeline {
         self.fluid_info.iter().position(|(n, _)| n == name)
     }
 
+    /// Usage of `fluid` in every segment, in time order.
+    fn usage_of(&self, fluid: usize) -> impl Iterator<Item = f64> + '_ {
+        self.usage
+            .iter()
+            .skip(fluid)
+            .step_by(self.fluid_info.len())
+            .copied()
+    }
+
     /// Time-averaged utilization of a fluid resource over the whole run,
     /// as a fraction of its capacity in `[0, 1]`.
     pub fn utilization(&self, fluid: usize) -> f64 {
@@ -91,13 +128,18 @@ impl Timeline {
             return 0.0;
         }
         let mut weighted = 0.0;
-        for (i, (t0, usage)) in self.usage_samples.iter().enumerate() {
+        for (i, (t0, usage)) in self
+            .usage_starts
+            .iter()
+            .zip(self.usage_of(fluid))
+            .enumerate()
+        {
             let t1 = self
-                .usage_samples
+                .usage_starts
                 .get(i + 1)
-                .map(|(t, _)| *t)
+                .copied()
                 .unwrap_or(self.makespan);
-            weighted += usage[fluid] * (t1 - t0).max(0.0);
+            weighted += usage * (t1 - t0).max(0.0);
         }
         weighted / (cap * self.makespan)
     }
@@ -108,11 +150,7 @@ impl Timeline {
         if cap <= 0.0 {
             return 0.0;
         }
-        self.usage_samples
-            .iter()
-            .map(|(_, u)| u[fluid])
-            .fold(0.0f64, f64::max)
-            / cap
+        self.usage_of(fluid).fold(0.0f64, f64::max) / cap
     }
 
     /// Total simulated wall-clock (time of the last completion).
