@@ -54,7 +54,7 @@ pub use mergesort::par_mergesort;
 pub use multiway::{
     multiway_merge_into, par_multiway_merge_into, par_multiway_merge_into_cfg, selection_part_cap,
 };
-pub use par::{par_copy, Sched, SchedCfg, SchedStats, WorkerStats};
+pub use par::{par_copy, SchedCfg, SchedStats, WorkerStats};
 pub use radix::radix_sort;
 pub use radix_par::{par_radix_sort, par_radix_sort_cfg};
 pub use samplesort::{par_samplesort, par_samplesort_cfg};

@@ -12,7 +12,7 @@
 //! element from `b`.
 
 use crate::keys::SortOrd;
-use crate::par::{par_parts_with, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
+use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
 
 /// Sequentially merge sorted `a` and `b` into `out`.
 ///
@@ -141,7 +141,7 @@ pub fn par_merge_into_cfg<T: SortOrd>(
 
     let out_chunks = split_ranges_mut(out, &out_ranges);
     let parts: Vec<(usize, &mut [T])> = out_chunks.into_iter().enumerate().collect();
-    par_parts_with(cfg, threads, parts, |_, (p, chunk)| {
+    par_parts_stats(threads, parts, |_, (p, chunk)| {
         let (ai0, bi0) = cuts[p];
         let (ai1, bi1) = cuts[p + 1];
         merge_into(&a[ai0..ai1], &b[bi0..bi1], chunk);
@@ -244,13 +244,13 @@ mod tests {
 
     #[test]
     fn par_merge_cfg_policies_agree() {
-        // Length-skewed inputs: both scheduling policies and every
+        // Length-skewed inputs: every partition granularity and every
         // thread count must produce the sequential merge bit for bit.
         let a = lcg_sorted(9, 5_000);
         let b = lcg_sorted(10, 50);
         let mut seq = vec![0u64; a.len() + b.len()];
         merge_into(&a, &b, &mut seq);
-        for cfg in [SchedCfg::self_sched(), SchedCfg::round_robin_static()] {
+        for cfg in [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
             for threads in [2, 3, 8, 16] {
                 let mut out = vec![0u64; seq.len()];
                 let stats = par_merge_into_cfg(&cfg, threads, &a, &b, &mut out);

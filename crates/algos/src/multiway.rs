@@ -15,7 +15,7 @@
 //! matching a left-to-right stable merge of the batch array.
 
 use crate::keys::SortOrd;
-use crate::par::{par_parts_with, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
+use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
 
 /// How far ahead of each list cursor [`LoserTree::pop`] prefetches.
 /// Eight elements is roughly a cache line of `u64` keys — far enough to
@@ -316,13 +316,13 @@ pub fn par_multiway_merge_into_cfg<T: SortOrd>(
     // compute them through the same scheduling policy as the merge.
     let interior: Vec<(usize, &mut Vec<usize>)> =
         boundaries[1..nparts].iter_mut().enumerate().collect();
-    par_parts_with(cfg, threads, interior, |_, (i, slot)| {
+    par_parts_stats(threads, interior, |_, (i, slot)| {
         *slot = multiway_cuts(lists, out_ranges[i].end);
     });
 
     let out_chunks = split_ranges_mut(out, &out_ranges);
     let parts: Vec<(usize, &mut [T])> = out_chunks.into_iter().enumerate().collect();
-    par_parts_with(cfg, threads, parts, |_, (p, chunk)| {
+    par_parts_stats(threads, parts, |_, (p, chunk)| {
         // Fan-in reduction: keep only the sublists this output range
         // actually draws from (order preserved → stability preserved).
         let subs: Vec<&[T]> = lists
@@ -548,7 +548,7 @@ mod tests {
 
     #[test]
     fn cfg_policies_agree_under_skew() {
-        // One long list plus tiny ones: both scheduling policies and
+        // One long list plus tiny ones: every partition granularity and
         // every thread count must reproduce the sequential merge.
         let a = lcg_sorted(41, 8_000);
         let b = lcg_sorted(42, 5);
@@ -556,7 +556,7 @@ mod tests {
         let lists: Vec<&[u64]> = vec![&a, &b, &c];
         let mut seq = vec![0u64; 8_007];
         multiway_merge_into(&lists, &mut seq);
-        for cfg in [SchedCfg::self_sched(), SchedCfg::round_robin_static()] {
+        for cfg in [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
             for threads in [2, 3, 8, 16] {
                 let mut out = vec![0u64; seq.len()];
                 let stats = par_multiway_merge_into_cfg(&cfg, threads, &lists, &mut out);

@@ -6,10 +6,10 @@
 //! over-decomposed (~[`SchedCfg::DEFAULT_CHUNKS_PER_THREAD`]× the
 //! worker count) and claimed from an atomic work queue, so a worker
 //! that lands a cheap part immediately grabs the next one instead of
-//! idling — the dynamic analogue of the static round-robin assignment
-//! the GNU parallel mode (and therefore the paper's CPU baseline) uses.
-//! [`Sched::RoundRobin`] preserves that static assignment for A/B
-//! comparison.
+//! idling — the dynamic analogue of the static one-part-per-worker
+//! assignment the GNU parallel mode (and therefore the paper's CPU
+//! baseline) uses. DESIGN.md § 13 records the A/B against that static
+//! assignment which made self-scheduling the only policy.
 //!
 //! `threads == 0` and `threads == 1` both mean "run inline on the
 //! calling thread" (zero spawn overhead, no queue, no atomics), so
@@ -20,25 +20,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// How parts are assigned to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sched {
-    /// Atomic work queue: each worker claims the next unclaimed part
-    /// when it finishes its current one. Skew-resistant.
-    SelfSched,
-    /// Static round-robin by part index (worker `w` runs parts
-    /// `w, w+n, w+2n, …`), the GNU-parallel-mode assignment the paper
-    /// benchmarks. Kept for A/B comparison and reproducibility studies.
-    RoundRobin,
-}
-
-/// Scheduling policy plus decomposition granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Decomposition granularity of the self-scheduled work queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedCfg {
-    /// Assignment policy.
-    pub sched: Sched,
     /// Parts created per worker thread when a caller over-decomposes a
-    /// range; `0` means "auto" ([`Self::DEFAULT_CHUNKS_PER_THREAD`]).
+    /// range; `0` means "auto" ([`Self::DEFAULT_CHUNKS_PER_THREAD`]),
+    /// `1` is the one-part-per-worker partition.
     pub chunks_per_thread: u32,
 }
 
@@ -47,23 +34,6 @@ impl SchedCfg {
     /// cannot stall the tail for long, few enough that queue traffic
     /// stays negligible next to a merge of thousands of elements.
     pub const DEFAULT_CHUNKS_PER_THREAD: u32 = 4;
-
-    /// The skew-resistant default: self-scheduling, auto granularity.
-    pub fn self_sched() -> Self {
-        SchedCfg {
-            sched: Sched::SelfSched,
-            chunks_per_thread: 0,
-        }
-    }
-
-    /// The pre-existing static scheduler: one part per worker, assigned
-    /// round-robin. Reproduces the paper's GNU-parallel-mode behaviour.
-    pub fn round_robin_static() -> Self {
-        SchedCfg {
-            sched: Sched::RoundRobin,
-            chunks_per_thread: 1,
-        }
-    }
 
     /// Effective chunks-per-thread with `0` resolved to the default.
     pub fn chunks_eff(&self) -> u32 {
@@ -89,13 +59,7 @@ impl SchedCfg {
     }
 }
 
-impl Default for SchedCfg {
-    fn default() -> Self {
-        Self::self_sched()
-    }
-}
-
-/// What one worker did during a [`par_parts_with`] call. Times are
+/// What one worker did during a [`par_parts_stats`] call. Times are
 /// seconds relative to the call's entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerStats {
@@ -111,7 +75,7 @@ pub struct WorkerStats {
     pub busy_s: f64,
 }
 
-/// Per-worker execution record returned by [`par_parts_with`] — the raw
+/// Per-worker execution record returned by [`par_parts_stats`] — the raw
 /// material for per-worker observability spans and imbalance metrics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedStats {
@@ -158,27 +122,24 @@ pub fn split_evenly(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Execute one closure per part on up to `threads` scoped threads using
-/// the default skew-resistant scheduler. The closure receives
-/// `(part_index, part)`; every part runs exactly once.
+/// Execute one closure per part on up to `threads` scoped threads. The
+/// closure receives `(part_index, part)`; every part runs exactly once.
 pub fn par_parts<P, F>(threads: usize, parts: Vec<P>, f: F)
 where
     P: Send,
     F: Fn(usize, P) + Sync,
 {
-    par_parts_with(&SchedCfg::default(), threads, parts, f);
+    par_parts_stats(threads, parts, f);
 }
 
-/// Like [`par_parts`] but with an explicit scheduling policy, returning
-/// per-worker execution stats.
+/// Like [`par_parts`] but returning per-worker execution stats.
 ///
-/// Under [`Sched::SelfSched`] workers claim parts from an atomic queue
-/// in index order; under [`Sched::RoundRobin`] worker `w` statically
-/// runs parts `w, w+n, w+2n, …`. Either way each part runs exactly
-/// once, and disjoint-output callers produce identical results under
-/// both policies. `threads ≤ 1` (or a single part) runs inline on the
-/// calling thread with no queue and no atomics.
-pub fn par_parts_with<P, F>(cfg: &SchedCfg, threads: usize, parts: Vec<P>, f: F) -> SchedStats
+/// Workers claim parts from an atomic queue in index order; each part
+/// runs exactly once, so disjoint-output callers produce identical
+/// results whichever worker claims which part. `threads ≤ 1` (or a
+/// single part) runs inline on the calling thread with no queue and no
+/// atomics.
+pub fn par_parts_stats<P, F>(threads: usize, parts: Vec<P>, f: F) -> SchedStats
 where
     P: Send,
     F: Fn(usize, P) + Sync,
@@ -213,95 +174,51 @@ where
     let nparts = parts.len();
     let fref = &f;
 
-    let run_list = |worker: usize, list: Vec<(usize, P)>| -> WorkerStats {
+    // Atomic work queue: slots hold the parts; `next` hands out
+    // indices. Each slot's mutex is locked exactly once (by the
+    // claiming worker), so there is no contention on the data,
+    // only one fetch_add per part.
+    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let next = AtomicUsize::new(0);
+    let slots_ref = &slots;
+    let next_ref = &next;
+    let run_queue = move |worker: usize| -> WorkerStats {
         let start_s = t0.elapsed().as_secs_f64();
         let mut busy = 0.0f64;
-        let n = list.len();
-        for (i, p) in list {
+        let mut count = 0usize;
+        loop {
+            let i = next_ref.fetch_add(1, Ordering::Relaxed);
+            if i >= slots_ref.len() {
+                break;
+            }
+            let p = slots_ref[i]
+                .lock()
+                .expect("work-queue slot poisoned")
+                .take()
+                .expect("work-queue slot claimed twice");
             let s = Instant::now();
             fref(i, p);
             busy += s.elapsed().as_secs_f64();
+            count += 1;
         }
         WorkerStats {
             worker,
-            parts: n,
+            parts: count,
             start_s,
             end_s: t0.elapsed().as_secs_f64(),
             busy_s: busy,
         }
     };
-
-    let mut workers: Vec<WorkerStats> = match cfg.sched {
-        Sched::RoundRobin => {
-            // Static assignment: preserve per-worker order for
-            // determinism; this is the paper's GNU-parallel-mode model.
-            let mut buckets: Vec<Vec<(usize, P)>> = (0..nworkers).map(|_| Vec::new()).collect();
-            for (i, p) in parts.into_iter().enumerate() {
-                buckets[i % nworkers].push((i, p));
-            }
-            std::thread::scope(|s| {
-                let mut iter = buckets.into_iter().enumerate();
-                // First worker runs on the calling thread to save a spawn.
-                let (_, mine) = iter.next().expect("nworkers >= 1");
-                let handles: Vec<_> = iter
-                    .map(|(w, bucket)| s.spawn(move || run_list(w, bucket)))
-                    .collect();
-                let mut out = vec![run_list(0, mine)];
-                for h in handles {
-                    out.push(h.join().expect("parallel worker panicked"));
-                }
-                out
-            })
+    let mut workers = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..nworkers)
+            .map(|w| s.spawn(move || run_queue(w)))
+            .collect();
+        let mut out = vec![run_queue(0)];
+        for h in handles {
+            out.push(h.join().expect("parallel worker panicked"));
         }
-        Sched::SelfSched => {
-            // Atomic work queue: slots hold the parts; `next` hands out
-            // indices. Each slot's mutex is locked exactly once (by the
-            // claiming worker), so there is no contention on the data,
-            // only one fetch_add per part.
-            let slots: Vec<Mutex<Option<P>>> =
-                parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-            let next = AtomicUsize::new(0);
-            let slots_ref = &slots;
-            let next_ref = &next;
-            let run_queue = move |worker: usize| -> WorkerStats {
-                let start_s = t0.elapsed().as_secs_f64();
-                let mut busy = 0.0f64;
-                let mut count = 0usize;
-                loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots_ref.len() {
-                        break;
-                    }
-                    let p = slots_ref[i]
-                        .lock()
-                        .expect("work-queue slot poisoned")
-                        .take()
-                        .expect("work-queue slot claimed twice");
-                    let s = Instant::now();
-                    fref(i, p);
-                    busy += s.elapsed().as_secs_f64();
-                    count += 1;
-                }
-                WorkerStats {
-                    worker,
-                    parts: count,
-                    start_s,
-                    end_s: t0.elapsed().as_secs_f64(),
-                    busy_s: busy,
-                }
-            };
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (1..nworkers)
-                    .map(|w| s.spawn(move || run_queue(w)))
-                    .collect();
-                let mut out = vec![run_queue(0)];
-                for h in handles {
-                    out.push(h.join().expect("parallel worker panicked"));
-                }
-                out
-            })
-        }
-    };
+        out
+    });
     workers.sort_by_key(|w| w.worker);
     debug_assert_eq!(workers.iter().map(|w| w.parts).sum::<usize>(), nparts);
     SchedStats {
@@ -347,7 +264,7 @@ where
         .zip(chunks)
         .map(|(r, c)| (&src[r.clone()], c))
         .collect();
-    par_parts_with(&cfg, threads, pairs, |_, (s, d)| {
+    par_parts_stats(threads, pairs, |_, (s, d)| {
         d.copy_from_slice(s);
     });
 }
@@ -447,49 +364,35 @@ mod tests {
     #[test]
     fn par_parts_runs_every_part_once() {
         for threads in [1, 2, 4, 9] {
-            for cfg in [SchedCfg::self_sched(), SchedCfg::round_robin_static()] {
-                let counter = AtomicUsize::new(0);
-                let hits: Vec<AtomicUsize> = (0..17).map(|_| AtomicUsize::new(0)).collect();
-                let parts: Vec<usize> = (0..17).collect();
-                let stats = par_parts_with(&cfg, threads, parts, |i, p| {
-                    assert_eq!(i, p);
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-                assert_eq!(counter.load(Ordering::Relaxed), 17);
-                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-                assert_eq!(stats.parts, 17);
-                assert_eq!(stats.workers.len(), threads.min(17));
-                assert_eq!(stats.workers.iter().map(|w| w.parts).sum::<usize>(), 17);
-            }
+            let counter = AtomicUsize::new(0);
+            let hits: Vec<AtomicUsize> = (0..17).map(|_| AtomicUsize::new(0)).collect();
+            let parts: Vec<usize> = (0..17).collect();
+            let stats = par_parts_stats(threads, parts, |i, p| {
+                assert_eq!(i, p);
+                hits[i].fetch_add(1, Ordering::Relaxed);
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(counter.load(Ordering::Relaxed), 17);
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            assert_eq!(stats.parts, 17);
+            assert_eq!(stats.workers.len(), threads.min(17));
+            assert_eq!(stats.workers.iter().map(|w| w.parts).sum::<usize>(), 17);
         }
     }
 
     #[test]
     fn par_parts_empty_is_noop() {
         par_parts::<usize, _>(4, Vec::new(), |_, _| panic!("should not run"));
-        let stats = par_parts_with::<usize, _>(&SchedCfg::default(), 4, Vec::new(), |_, _| {
-            panic!("should not run")
-        });
+        let stats = par_parts_stats::<usize, _>(4, Vec::new(), |_, _| panic!("should not run"));
         assert_eq!(stats, SchedStats::default());
     }
 
     #[test]
     fn inline_path_reports_single_worker() {
-        let stats = par_parts_with(&SchedCfg::default(), 1, vec![1, 2, 3], |_, _| {});
+        let stats = par_parts_stats(1, vec![1, 2, 3], |_, _| {});
         assert_eq!(stats.workers.len(), 1);
         assert_eq!(stats.workers[0].parts, 3);
         assert_eq!(stats.parts, 3);
-    }
-
-    #[test]
-    fn round_robin_assignment_is_static() {
-        // Worker w runs parts w, w+n, w+2n, …: with 10 parts on 3
-        // workers the per-worker part counts are fixed at 4/3/3.
-        let cfg = SchedCfg::round_robin_static();
-        let stats = par_parts_with(&cfg, 3, (0..10).collect::<Vec<usize>>(), |_, _| {});
-        let counts: Vec<usize> = stats.workers.iter().map(|w| w.parts).collect();
-        assert_eq!(counts, vec![4, 3, 3]);
     }
 
     #[test]
@@ -500,8 +403,10 @@ mod tests {
         assert_eq!(cfg.over_parts(4, 1_000), 16, "4x over-decomposition");
         assert_eq!(cfg.over_parts(4, 5), 5, "capped at max_parts");
         assert_eq!(cfg.over_parts(4, 0), 1, "never zero");
-        let rr = SchedCfg::round_robin_static();
-        assert_eq!(rr.over_parts(4, 1_000), 4, "static: one part per worker");
+        let one = SchedCfg {
+            chunks_per_thread: 1,
+        };
+        assert_eq!(one.over_parts(4, 1_000), 4, "one part per worker");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! the canonical counting-sort partition. See the `SAFETY` notes.
 
 use crate::keys::RadixKey;
-use crate::par::{par_parts_with, split_evenly, SchedCfg};
+use crate::par::{par_parts_stats, split_evenly, SchedCfg};
 
 const BUCKETS: usize = 256;
 
@@ -138,7 +138,7 @@ pub fn par_radix_with_scratch_cfg<T: RadixKey>(
         let parts: Vec<(std::ops::Range<usize>, &mut Vec<HistCount>)> =
             chunks.iter().cloned().zip(slots.iter_mut()).collect();
         let data_ref: &[T] = data;
-        par_parts_with(cfg, threads, parts, |_, (range, hist)| {
+        par_parts_stats(threads, parts, |_, (range, hist)| {
             count_digits(&data_ref[range], digits, hist);
         });
         local_hists = slots;
@@ -183,7 +183,7 @@ pub fn par_radix_with_scratch_cfg<T: RadixKey>(
         let parts: Vec<(std::ops::Range<usize>, [usize; BUCKETS])> =
             chunks.iter().cloned().zip(chunk_offsets).collect();
         let target_ref = &target;
-        par_parts_with(cfg, threads, parts, move |_, (range, mut offsets)| {
+        par_parts_stats(threads, parts, move |_, (range, mut offsets)| {
             for &x in &src[range] {
                 let byte = ((x.radix_key() >> (8 * d)) & 0xFF) as usize;
                 // SAFETY: `offsets[byte]` walks this chunk's private
@@ -207,7 +207,7 @@ pub fn par_radix_with_scratch_cfg<T: RadixKey>(
                 (0..nchunks).map(|_| vec![0; BUCKETS * digits]).collect();
             let parts: Vec<(std::ops::Range<usize>, &mut Vec<HistCount>)> =
                 chunks.iter().cloned().zip(slots.iter_mut()).collect();
-            par_parts_with(cfg, threads, parts, |_, (range, hist)| {
+            par_parts_stats(threads, parts, |_, (range, hist)| {
                 count_digits(&next_src[range], digits, hist);
             });
             local_hists = slots;
@@ -307,7 +307,7 @@ mod tests {
         let base = lcg(29, 40_000);
         let mut expect = base.clone();
         radix_sort(&mut expect);
-        for cfg in [SchedCfg::self_sched(), SchedCfg::round_robin_static()] {
+        for cfg in [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
             for threads in [2usize, 8, 16] {
                 let mut v = base.clone();
                 par_radix_sort_cfg(&cfg, threads, &mut v);

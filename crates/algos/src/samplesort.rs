@@ -13,7 +13,7 @@
 use crate::introsort::introsort;
 use crate::keys::SortOrd;
 use crate::multiway::upper_bound;
-use crate::par::{par_parts_with, split_evenly, split_ranges_mut, SchedCfg};
+use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg};
 
 /// Oversampling factor for splitter selection.
 const OVERSAMPLE: usize = 32;
@@ -56,7 +56,7 @@ pub fn par_samplesort_cfg<T: SortOrd + Default>(cfg: &SchedCfg, threads: usize, 
         let parts: Vec<(usize, &[T])> = chunks.iter().copied().enumerate().collect();
         let local_ref = &local;
         let splitters_ref = &splitters;
-        par_parts_with(cfg, threads, parts, move |_, (c, chunk)| {
+        par_parts_stats(threads, parts, move |_, (c, chunk)| {
             let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
             for &x in chunk {
                 let b = upper_bound(splitters_ref, &x);
@@ -87,7 +87,7 @@ pub fn par_samplesort_cfg<T: SortOrd + Default>(cfg: &SchedCfg, threads: usize, 
     let out_chunks = split_ranges_mut(data, &bucket_ranges);
     let parts: Vec<(usize, &mut [T])> = out_chunks.into_iter().enumerate().collect();
     let local_ref = &local;
-    par_parts_with(cfg, threads, parts, move |_, (b, out)| {
+    par_parts_stats(threads, parts, move |_, (b, out)| {
         let mut off = 0usize;
         for chunk_buckets in local_ref {
             let piece = &chunk_buckets[b];
@@ -183,7 +183,7 @@ mod tests {
         let mut expect = base.clone();
         introsort(&mut expect);
         let expect: Vec<u64> = expect.iter().map(|x| x.to_bits()).collect();
-        for cfg in [SchedCfg::self_sched(), SchedCfg::round_robin_static()] {
+        for cfg in [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
             for threads in [2usize, 8] {
                 let mut v = base.clone();
                 par_samplesort_cfg(&cfg, threads, &mut v);

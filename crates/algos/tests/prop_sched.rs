@@ -1,5 +1,5 @@
 //! Property tests for the self-scheduling runtime under adversarial
-//! skew: for every scheduling policy and thread count, the parallel
+//! skew: for every partition granularity and thread count, the parallel
 //! merge and radix sort must be *identical* to their sequential
 //! references — across pathological list-length ratios (one list 10⁴×
 //! longer than its siblings), constant keys (every comparison ties),
@@ -15,8 +15,10 @@ use hetsort_prng::{prop_assert, prop_assert_eq, run_cases, Rng};
 
 const THREADS: [usize; 5] = [1, 2, 3, 8, 16];
 
-fn policies() -> [SchedCfg; 2] {
-    [SchedCfg::self_sched(), SchedCfg::round_robin_static()]
+/// Partition granularities: one part per worker (the static partition's
+/// geometry), the default over-decomposition, and a fine one.
+fn policies() -> [SchedCfg; 3] {
+    [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread })
 }
 
 /// One long list plus a handful of tiny ones — the 10⁴× length-skew

@@ -1,11 +1,12 @@
-//! The experiment implementations, one per reproduced table/figure.
+//! The paper's figures as typed data, one function per figure.
 //!
-//! Every function is deterministic and pure-simulation (paper-scale);
-//! the functional counterparts run in the test suite and the criterion
-//! benches at host scale.
+//! Every function is deterministic and pure-simulation (paper-scale)
+//! and builds its configs through [`HetSortConfig::paper_protocol`];
+//! [`crate::registry`] turns each into its `results/` file. The
+//! functional counterparts run in the test suite at host scale.
 
 use hetsort_core::reference::reference_time;
-use hetsort_core::{simulate, Approach, HetSortConfig, Plan, StagingMode, TimingReport};
+use hetsort_core::{simulate, Approach, HetSortConfig, Plan, TimingReport};
 use hetsort_model::{Efficiency, LowerBoundModel};
 use hetsort_vgpu::calib::amdahl_speedup;
 use hetsort_vgpu::{platform1, platform2, PlatformSpec};
@@ -23,7 +24,7 @@ pub const THREAD_SWEEP: [u32; 9] = [1, 2, 3, 4, 6, 8, 10, 12, 16];
 pub fn fig01_03() -> (String, String, String) {
     let mk = |approach: Approach| {
         // Small scaled-down instance: 6 batches, chunky staging.
-        let cfg = HetSortConfig::paper_defaults(platform1(), approach)
+        let cfg = HetSortConfig::paper_protocol(platform1(), approach)
             .with_batch_elems(100_000_000)
             .with_pinned_elems(20_000_000);
         let plan = Plan::build(cfg, 600_000_000).expect("plan");
@@ -145,10 +146,7 @@ pub fn fig05() -> Vec<Fig5Row> {
     sizes
         .iter()
         .map(|&n| {
-            // Figure 5 reproduces the paper's measured BLINE, which
-            // stages through the single-buffer pinned protocol.
-            let cfg = HetSortConfig::paper_defaults(plat.clone(), Approach::BLine)
-                .with_staging(StagingMode::Paper);
+            let cfg = HetSortConfig::paper_protocol(plat.clone(), Approach::BLine);
             let r = simulate(cfg, n).expect("fig5 sim");
             Fig5Row {
                 n,
@@ -217,9 +215,7 @@ pub struct Fig7Data {
 
 /// Figure 7 experiment.
 pub fn fig07() -> Fig7Data {
-    // §IV-E measures the paper's single-buffer staging protocol.
-    let cfg = HetSortConfig::paper_defaults(platform1(), Approach::BLine)
-        .with_staging(StagingMode::Paper);
+    let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
     let r = simulate(cfg, 800_000_000).expect("fig7 sim");
     Fig7Data {
         // BLINE always transfers and sorts; a missing line here means
@@ -253,9 +249,7 @@ pub fn fig08() -> Vec<hetsort_core::accounting::OverheadRow> {
     sizes
         .iter()
         .map(|&n| {
-            // Same single-buffer protocol as Figure 7 (§IV-E).
-            let cfg = HetSortConfig::paper_defaults(platform1(), Approach::BLine)
-                .with_staging(StagingMode::Paper);
+            let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
             let r = simulate(cfg, n).expect("fig8 sim");
             hetsort_core::accounting::OverheadRow::from_report(&r)
         })
@@ -295,14 +289,32 @@ impl ApproachSweepRow {
     }
 }
 
+/// One plotted series of Figures 9/10: `(label, approach, PARMEMCPY)`.
+pub type Series = (&'static str, Approach, bool);
+/// BLINEMULTI.
+pub const BLINE_MULTI: Series = ("BLineMulti", Approach::BLineMulti, false);
+/// PIPEDATA.
+pub const PIPE_DATA: Series = ("PipeData", Approach::PipeData, false);
+/// PIPEMERGE.
+pub const PIPE_MERGE: Series = ("PipeMerge", Approach::PipeMerge, false);
+/// PIPEMERGE with PARMEMCPY — the fastest configuration.
+pub const PAR_MEMCPY: Series = ("PipeMerge+ParMemCpy", Approach::PipeMerge, true);
 /// The four approaches of §III-D4 in figure order.
-fn approaches() -> Vec<(&'static str, Approach, bool)> {
-    vec![
-        ("BLineMulti", Approach::BLineMulti, false),
-        ("PipeData", Approach::PipeData, false),
-        ("PipeMerge", Approach::PipeMerge, false),
-        ("PipeMerge+ParMemCpy", Approach::PipeMerge, true),
-    ]
+pub const SERIES: [Series; 4] = [BLINE_MULTI, PIPE_DATA, PIPE_MERGE, PAR_MEMCPY];
+
+/// The config of one series at batch size `b_s`, under the paper's
+/// staging protocol.
+pub fn series_cfg(
+    plat: &PlatformSpec,
+    (_, approach, par_memcpy): Series,
+    bs: usize,
+) -> HetSortConfig {
+    let cfg = HetSortConfig::paper_protocol(plat.clone(), approach).with_batch_elems(bs);
+    if par_memcpy {
+        cfg.with_par_memcpy()
+    } else {
+        cfg
+    }
 }
 
 /// Shared sweep driver for Figures 9 and 10.
@@ -315,17 +327,9 @@ pub fn approach_sweep(
         .iter()
         .map(|&n| {
             let mut totals = Vec::new();
-            for (label, a, pm) in approaches() {
-                // Figure reproductions replay the paper's single-buffer
-                // staging protocol (DESIGN.md § 19).
-                let mut cfg = HetSortConfig::paper_defaults(plat.clone(), a)
-                    .with_batch_elems(batch_elems)
-                    .with_staging(StagingMode::Paper);
-                if pm {
-                    cfg = cfg.with_par_memcpy();
-                }
-                let r = simulate(cfg, n).expect("sweep sim");
-                totals.push((label.to_string(), r.total_s));
+            for series in SERIES {
+                let r = simulate(series_cfg(plat, series, batch_elems), n).expect("sweep sim");
+                totals.push((series.0.to_string(), r.total_s));
             }
             totals.push((
                 "Reference".to_string(),
@@ -410,12 +414,10 @@ pub fn fig11() -> Fig11Data {
     let points = sizes
         .iter()
         .map(|&n| {
-            let c1 = HetSortConfig::paper_defaults(p2_single.clone(), Approach::PipeData)
-                .with_batch_elems(350_000_000)
-                .with_staging(StagingMode::Paper);
-            let c2 = HetSortConfig::paper_defaults(p2.clone(), Approach::PipeData)
-                .with_batch_elems(350_000_000)
-                .with_staging(StagingMode::Paper);
+            let c1 = HetSortConfig::paper_protocol(p2_single.clone(), Approach::PipeData)
+                .with_batch_elems(350_000_000);
+            let c2 = HetSortConfig::paper_protocol(p2.clone(), Approach::PipeData)
+                .with_batch_elems(350_000_000);
             (
                 n,
                 simulate(c1, n).expect("fig11 1gpu").total_s,

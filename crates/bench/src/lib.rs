@@ -1,24 +1,20 @@
 //! # hetsort-bench — the experiment harness
 //!
-//! One module per reproduced table/figure; each binary under `src/bin`
-//! is a thin wrapper that prints the series and writes a CSV under
-//! `results/`. `cargo run -p hetsort-bench --bin all_experiments`
-//! regenerates everything.
+//! [`registry::REGISTRY`] holds one entry per reproduced table/figure
+//! and per file under `results/`; the `experiments` binary runs them by
+//! name (`experiments list` prints the table below from the registry
+//! itself), and `experiments all` regenerates every deterministic file.
+//! `bench_gate` is the separate model-time regression gate over
+//! [`gate`]'s pinned scenario matrix.
 //!
-//! | Binary | Reproduces |
+//! | Entries | Reproduce |
 //! |---|---|
-//! | `fig01_03` | Figures 1–3 (illustrative schedules, ASCII Gantt) |
-//! | `fig04` | Figure 4 (CPU sort scalability + speedup) |
-//! | `fig05` | Figure 5 (BLINE vs reference, PLATFORM2) |
-//! | `fig06` | Figure 6 (pair-merge scalability) |
-//! | `fig07` | Figure 7 (end-to-end components vs related work) |
-//! | `fig08` | Figure 8 (the missing-overhead sweep) |
-//! | `fig09` | Figure 9 (all approaches, PLATFORM1) |
-//! | `fig10` | Figure 10 (1 vs 2 GPUs, PLATFORM2) |
-//! | `fig11` | Figure 11 (lower-bound models vs PIPEDATA) |
 //! | `table2` | Table II (platform inventory) |
-//! | `calibrate` | calibration report (model vs paper headline numbers) |
-//! | `ablations` | extension: b_s / n_s / p_s sweeps + distribution sensitivity |
+//! | `fig01_03` | Figures 1–3 (illustrative schedules, ASCII Gantt) |
+//! | `fig04` … `fig11` | Figures 4–11 |
+//! | `calibrate`, `calibrate_components` | model vs paper headline numbers |
+//! | `ablation_*`, `rejected_strategies`, `kv_records`, `nvlink_future` | extensions beyond the paper's figures |
+//! | `host_fig04`, `host_fig06` | the real algorithms timed on this host (not part of `all`) |
 
 // No unsafe anywhere in this crate — enforced, not assumed.
 #![forbid(unsafe_code)]
@@ -26,5 +22,6 @@
 pub mod experiments;
 pub mod gate;
 pub mod output;
+pub mod registry;
 
-pub use output::{results_dir, write_csv};
+pub use output::results_dir;

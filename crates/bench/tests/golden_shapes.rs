@@ -5,7 +5,7 @@
 
 use hetsort_bench::gate::{run_scenario, scenario_matrix, Scenario, PAPER_N};
 use hetsort_core::exec_sim::simulate_plan;
-use hetsort_core::{Approach, HetSortConfig, Plan, StagingMode};
+use hetsort_core::{Approach, HetSortConfig, Plan};
 use hetsort_model::LowerBoundModel;
 use hetsort_obs::OpClass;
 use hetsort_vgpu::{platform2, Machine, TransferDir};
@@ -29,9 +29,7 @@ fn pipedata_stays_within_085x_of_the_lower_bound() {
     let model = LowerBoundModel::one_gpu(&p2s);
     // Same single-buffer staging protocol the model was fitted under
     // (DESIGN.md § 19) — efficiency compares like with like.
-    let cfg = HetSortConfig::paper_defaults(p2s, Approach::PipeData)
-        .with_batch_elems(350_000_000)
-        .with_staging(StagingMode::Paper);
+    let cfg = HetSortConfig::paper_protocol(p2s, Approach::PipeData).with_batch_elems(350_000_000);
     let n = 4_900_000_000usize;
     let total = simulate_plan(&Plan::build(cfg, n).expect("plan"))
         .expect("sim")

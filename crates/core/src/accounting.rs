@@ -67,21 +67,18 @@ pub const RELATED_WORK_DTOH_S: f64 = 0.477;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Approach, HetSortConfig, StagingMode};
+    use crate::config::{Approach, HetSortConfig};
     use crate::exec_sim::simulate;
     use hetsort_vgpu::platform1;
 
     // These tests reproduce the paper's §IV-E numbers, which measure
-    // the *paper's* single-buffer pinned protocol — pin StagingMode
-    // explicitly so the double-buffered default doesn't change the
-    // accounting under them.
+    // the *paper's* single-buffer pinned protocol.
 
     #[test]
     fn figure7_transfer_times_consistent_with_related_work() {
         // The paper validates its setup by matching [5]'s transfer
         // times at n = 8e8 (5.96 GiB): ours must land within ~5%.
-        let cfg = HetSortConfig::paper_defaults(platform1(), Approach::BLine)
-            .with_staging(StagingMode::Paper);
+        let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
         let r = simulate(cfg, 800_000_000).unwrap();
         let row = OverheadRow::from_report(&r);
         assert!(
@@ -100,8 +97,7 @@ mod tests {
 
     #[test]
     fn missing_overhead_grows_with_n() {
-        let cfg = HetSortConfig::paper_defaults(platform1(), Approach::BLine)
-            .with_staging(StagingMode::Paper);
+        let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
         let rows: Vec<OverheadRow> = [200_000_000usize, 400_000_000, 800_000_000]
             .iter()
             .map(|&n| OverheadRow::from_report(&simulate(cfg.clone(), n).unwrap()))
@@ -122,8 +118,7 @@ mod tests {
     fn one_big_pinned_buffer_is_worse() {
         // §IV-E: allocating ps = n pinned memory costs 2.2 s at
         // n = 8e8 — more than the literature's whole end-to-end.
-        let cfg = HetSortConfig::paper_defaults(platform1(), Approach::BLine)
-            .with_staging(StagingMode::Paper)
+        let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine)
             .with_pinned_elems(800_000_000)
             .with_batch_elems(800_000_000);
         let r = simulate(cfg, 800_000_000).unwrap();

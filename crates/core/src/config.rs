@@ -57,7 +57,7 @@ impl Approach {
 /// GPU), or using a merge tree to determine optimal merges, results in
 /// delaying the multiway merging procedure, and thus degrades
 /// performance." All three are implemented so the rejection is testable
-/// (`cargo run -p hetsort-bench --bin rejected_strategies`).
+/// (`cargo run -p hetsort-bench --bin experiments -- rejected_strategies`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PairStrategy {
     /// The paper's heuristic: merge the first `⌊(n_b−1)/2⌋` (1 GPU) or
@@ -255,38 +255,6 @@ impl StagingMode {
     }
 }
 
-/// CPU scheduling policy for parallel merges, sorts, and staging
-/// copies (the `algos::par` runtime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CpuSched {
-    /// Chunked self-scheduling: over-decomposed parts claimed from an
-    /// atomic work queue. Skew-resistant; the default.
-    #[default]
-    SelfSched,
-    /// Static round-robin assignment, one part per worker — the GNU
-    /// parallel-mode model the paper benchmarks. Kept for A/B runs.
-    RoundRobin,
-}
-
-impl CpuSched {
-    /// Stable CLI/display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CpuSched::SelfSched => "self",
-            CpuSched::RoundRobin => "rr",
-        }
-    }
-
-    /// Parse a CLI name (`"self"` / `"rr"`).
-    pub fn parse(s: &str) -> Option<CpuSched> {
-        match s {
-            "self" | "selfsched" | "self-sched" => Some(CpuSched::SelfSched),
-            "rr" | "roundrobin" | "round-robin" => Some(CpuSched::RoundRobin),
-            _ => None,
-        }
-    }
-}
-
 /// A fully specified heterogeneous sort configuration.
 #[derive(Debug, Clone)]
 pub struct HetSortConfig {
@@ -316,14 +284,9 @@ pub struct HetSortConfig {
     /// [`DagOp::CpuMerge`](crate::dag::DagOp::CpuMerge) nodes backed by
     /// the full CPU merge pool.
     pub hybrid: HybridMode,
-    /// How CPU workers claim parts inside parallel merges/sorts/copies.
-    pub cpu_sched: CpuSched,
     /// Host↔pinned staging organization (single-buffer paper shape or
     /// double-buffered halves with outbound elision).
     pub staging: StagingMode,
-    /// Work-queue chunks created per CPU worker under
-    /// [`CpuSched::SelfSched`]; `0` = auto (see [`Self::sched_chunks_eff`]).
-    pub sched_chunks_per_thread: u32,
     /// Element size in bytes: 8 for the paper's `f64` keys, 16 for the
     /// key/value records of \[5\] (`hetsort_algos::keys::KeyValue`).
     /// Drives every transfer/staging volume and the GPU memory check.
@@ -369,15 +332,23 @@ impl HetSortConfig {
             pair_merge_threads: 0,
             pair_strategy: PairStrategy::default(),
             hybrid: HybridMode::default(),
-            cpu_sched: CpuSched::default(),
             staging: StagingMode::default(),
-            sched_chunks_per_thread: 0,
             elem_bytes: 8.0,
             device_sort: DeviceSortKind::default(),
             recovery: RecoveryPolicy::default(),
             faults: None,
             record_trace: false,
         }
+    }
+
+    /// [`Self::paper_defaults`] under the paper's measurement protocol:
+    /// one pinned staging buffer per stream per direction
+    /// ([`StagingMode::Paper`]). Every reproduction of a number the
+    /// paper reports — figures, calibration, lower-bound probes —
+    /// builds its configs here, so a better default staging protocol
+    /// cannot move them (DESIGN.md § 19).
+    pub fn paper_protocol(platform: PlatformSpec, approach: Approach) -> Self {
+        Self::paper_defaults(platform, approach).with_staging(StagingMode::Paper)
     }
 
     /// Record executed-access traces for the race detector.
@@ -422,12 +393,6 @@ impl HetSortConfig {
         self
     }
 
-    /// Select the CPU worker scheduling policy.
-    pub fn with_cpu_sched(mut self, s: CpuSched) -> Self {
-        self.cpu_sched = s;
-        self
-    }
-
     /// Select the staging organization.
     pub fn with_staging(mut self, s: StagingMode) -> Self {
         self.staging = s;
@@ -437,12 +402,6 @@ impl HetSortConfig {
     /// Is the double-buffered staging path selected?
     pub fn double_buffered(&self) -> bool {
         self.staging == StagingMode::DoubleBuffered
-    }
-
-    /// Set the self-scheduling chunks-per-worker knob (`0` = auto).
-    pub fn with_sched_chunks(mut self, chunks: u32) -> Self {
-        self.sched_chunks_per_thread = chunks;
-        self
     }
 
     /// Set the element size in bytes (8 = keys, 16 = key/value records).
@@ -494,25 +453,6 @@ impl HetSortConfig {
             self.platform.cpu.cores
         } else {
             1
-        }
-    }
-
-    /// Effective self-scheduling chunks per worker: the explicit knob,
-    /// or the runtime default when `0`; always `1` under
-    /// [`CpuSched::RoundRobin`] (static assignment never over-splits).
-    pub fn sched_chunks_eff(&self) -> u32 {
-        self.sched_cfg().chunks_eff()
-    }
-
-    /// The `algos::par` scheduling policy this config selects.
-    pub fn sched_cfg(&self) -> hetsort_algos::par::SchedCfg {
-        use hetsort_algos::par::{Sched, SchedCfg};
-        match self.cpu_sched {
-            CpuSched::SelfSched => SchedCfg {
-                sched: Sched::SelfSched,
-                chunks_per_thread: self.sched_chunks_per_thread,
-            },
-            CpuSched::RoundRobin => SchedCfg::round_robin_static(),
         }
     }
 
@@ -647,25 +587,6 @@ mod tests {
         assert_eq!(c.merge_threads_eff(), 16);
         assert_eq!(c.memcpy_threads_eff(), 1);
         assert_eq!(c.clone().with_par_memcpy().memcpy_threads_eff(), 16);
-    }
-
-    #[test]
-    fn sched_knob_defaults_and_parse() {
-        use hetsort_algos::par::{Sched, SchedCfg};
-        let c = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge);
-        assert_eq!(c.cpu_sched, CpuSched::SelfSched);
-        assert_eq!(c.sched_chunks_eff(), SchedCfg::DEFAULT_CHUNKS_PER_THREAD);
-        assert_eq!(c.sched_cfg().sched, Sched::SelfSched);
-        let c = c.clone().with_sched_chunks(8);
-        assert_eq!(c.sched_chunks_eff(), 8);
-        let rr = c.with_cpu_sched(CpuSched::RoundRobin);
-        assert_eq!(rr.sched_cfg(), SchedCfg::round_robin_static());
-        assert_eq!(rr.sched_chunks_eff(), 1, "static never over-splits");
-        // CLI names round-trip.
-        for s in [CpuSched::SelfSched, CpuSched::RoundRobin] {
-            assert_eq!(CpuSched::parse(s.name()), Some(s));
-        }
-        assert_eq!(CpuSched::parse("nope"), None);
     }
 
     #[test]

@@ -523,7 +523,7 @@ where
     let threads = usize::try_from(cfg.merge_threads_eff())
         .unwrap_or(usize::MAX)
         .min(4 * device_sort_threads);
-    let sched = cfg.sched_cfg();
+    let sched = SchedCfg::default();
 
     // Memory: A (`data`, borrowed), one owned sorted run per batch —
     // written once by its stream's stage-out, and the checkpoint device

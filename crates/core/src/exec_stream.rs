@@ -127,7 +127,7 @@ where
             host_threads,
             device_sort_threads,
             memcpy_threads,
-            sched: plan.config.sched_cfg(),
+            sched: SchedCfg::default(),
             stream,
             pinned_in: Vec::new(),
             pinned_out: Vec::new(),

@@ -57,8 +57,8 @@ pub mod reference;
 pub mod report;
 
 pub use config::{
-    Approach, CpuSched, DeviceSortKind, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy,
-    StagingMode, SUPPORTED_ELEM_BYTES,
+    Approach, DeviceSortKind, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy, StagingMode,
+    SUPPORTED_ELEM_BYTES,
 };
 pub use dag::exec::{execute_dag, execute_dag_opts, execute_dag_pooled, DagExecOptions};
 pub use dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};

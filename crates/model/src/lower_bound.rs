@@ -1,6 +1,6 @@
 //! The §IV-G lower-limit baseline models, rebuilt the paper's way.
 
-use hetsort_core::{simulate, Approach, HetSortConfig, StagingMode};
+use hetsort_core::{simulate, Approach, HetSortConfig};
 use hetsort_vgpu::PlatformSpec;
 
 /// The paper's measured 1-GPU model slope on PLATFORM2 (s/element).
@@ -35,10 +35,9 @@ impl LowerBoundModel {
         let mut single = plat.clone();
         single.gpus.truncate(1);
         let n = (single.max_batch_elems(1) / 1_000_000) * 1_000_000;
-        // The paper's probe stages through a single pinned buffer —
-        // pin the protocol so the fitted slope stays the published one.
-        let cfg =
-            HetSortConfig::paper_defaults(single, Approach::BLine).with_staging(StagingMode::Paper);
+        // The paper's probe stages through a single pinned buffer, so
+        // the fitted slope stays the published one.
+        let cfg = HetSortConfig::paper_protocol(single, Approach::BLine);
         let r = simulate(cfg, n).expect("1-GPU lower-bound probe failed");
         LowerBoundModel {
             slope: r.total_s / n as f64,
@@ -57,9 +56,8 @@ impl LowerBoundModel {
         assert!(plat.n_gpus() >= 2, "two_gpu model needs 2 GPUs");
         let bs = (plat.max_batch_elems(1) / 1_000_000) * 1_000_000;
         let n = 2 * bs;
-        let cfg = HetSortConfig::paper_defaults(plat.clone(), Approach::BLineMulti)
-            .with_batch_elems(bs)
-            .with_staging(StagingMode::Paper);
+        let cfg =
+            HetSortConfig::paper_protocol(plat.clone(), Approach::BLineMulti).with_batch_elems(bs);
         let r = simulate(cfg, n).expect("2-GPU lower-bound probe failed");
         LowerBoundModel {
             slope: r.total_s / n as f64,

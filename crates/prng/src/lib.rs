@@ -1,16 +1,14 @@
 //! Deterministic randomness for the whole workspace.
 //!
 //! The build environment is fully offline, so this crate supplies the
-//! three things external crates used to provide:
+//! two things external crates used to provide:
 //!
 //! * [`Rng`] — a SplitMix64 generator (Steele et al., OOPSLA 2014):
 //!   tiny, fast, passes BigCrush at the quality level tests need, and
 //!   bit-reproducible across platforms;
 //! * [`run_cases`] + [`prop_assert!`]/[`prop_assert_eq!`] — a minimal
 //!   property-test harness with per-case seeds, env-var reproduction
-//!   (`PTEST_SEED`, `PTEST_CASES`), and shrink-free failure reports;
-//! * [`mod@bench`] — a wall-clock bench timer for `harness = false`
-//!   benchmarks.
+//!   (`PTEST_SEED`, `PTEST_CASES`), and shrink-free failure reports.
 
 // No unsafe anywhere in this crate — enforced, not assumed.
 #![forbid(unsafe_code)]
@@ -195,69 +193,6 @@ macro_rules! prop_assert_eq {
             ));
         }
     }};
-}
-
-/// Minimal wall-clock bench runner for `harness = false` benchmarks.
-pub mod bench {
-    use std::time::Instant;
-
-    /// Time `f` for `samples` iterations after one warmup call and
-    /// print `label: median / min per iteration`.
-    ///
-    /// The return value of `f` is consumed via `std::hint::black_box`
-    /// so the optimizer cannot delete the measured work.
-    pub fn bench<R>(label: &str, samples: usize, mut f: impl FnMut() -> R) {
-        std::hint::black_box(f());
-        let mut times: Vec<f64> = (0..samples.max(1))
-            .map(|_| {
-                let t0 = Instant::now();
-                std::hint::black_box(f());
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
-        let min = times[0];
-        println!(
-            "bench  {label:<44} median {:>10}  min {:>10}",
-            fmt_s(median),
-            fmt_s(min)
-        );
-    }
-
-    /// Like [`bench()`] but also reports elements/second throughput.
-    pub fn bench_throughput<R>(
-        label: &str,
-        samples: usize,
-        elems: usize,
-        mut f: impl FnMut() -> R,
-    ) {
-        std::hint::black_box(f());
-        let mut times: Vec<f64> = (0..samples.max(1))
-            .map(|_| {
-                let t0 = Instant::now();
-                std::hint::black_box(f());
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
-        println!(
-            "bench  {label:<44} median {:>10}  {:>12.3e} elem/s",
-            fmt_s(median),
-            elems as f64 / median
-        );
-    }
-
-    fn fmt_s(s: f64) -> String {
-        if s >= 1.0 {
-            format!("{s:.3} s")
-        } else if s >= 1e-3 {
-            format!("{:.3} ms", s * 1e3)
-        } else {
-            format!("{:.3} us", s * 1e6)
-        }
-    }
 }
 
 #[cfg(test)]

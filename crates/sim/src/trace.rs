@@ -304,34 +304,6 @@ impl Timeline {
     pub fn lane_name(&self, lane: LaneId) -> &str {
         &self.lane_names[lane.0]
     }
-
-    /// Export every span as CSV (`op,tag,lane,queue,key,work,t_start,
-    /// t_end`) — the raw material for external plotting tools.
-    pub fn spans_csv(&self) -> String {
-        let mut out = String::from(
-            "op,tag,lane,queue,key,work,t_start,t_end
-",
-        );
-        for s in &self.spans {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{:.9},{:.9}
-",
-                s.op.0,
-                self.tag_name(s.tag),
-                s.lane
-                    .map(|l| self.lane_names[l.0].clone())
-                    .unwrap_or_default(),
-                s.queue
-                    .map(|q| self.queue_names[q.0].clone())
-                    .unwrap_or_default(),
-                s.user_key,
-                s.work,
-                s.t_start,
-                s.t_end
-            ));
-        }
-        out
-    }
 }
 
 /// Length of the union of half-open intervals; sorts in place.
@@ -478,20 +450,6 @@ mod tests {
             "{}",
             tl.utilization(f)
         );
-    }
-
-    #[test]
-    fn spans_csv_roundtrip() {
-        let (tl, _, _) = two_op_timeline();
-        let csv = tl.spans_csv();
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        assert_eq!(lines.len(), 3); // header + 2 spans
-        assert!(lines[0].starts_with("op,tag"));
-        assert!(lines[1].contains("alpha"));
-        assert!(lines[2].contains("beta"));
-        // Parse a timestamp back.
-        let t_end: f64 = lines[2].split(',').next_back().unwrap().parse().unwrap();
-        assert!((t_end - 3.0).abs() < 1e-6);
     }
 
     #[test]

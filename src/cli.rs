@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use hetsort_core::{
-    Approach, CpuSched, HetSortConfig, HetSortError, HybridMode, PairStrategy, RecoveryPolicy,
+    Approach, HetSortConfig, HetSortError, HybridMode, PairStrategy, RecoveryPolicy,
 };
 use hetsort_vgpu::{platform1, platform2, FaultInjector, PlatformSpec};
 
@@ -173,10 +173,6 @@ pub struct RunArgs {
     pub strategy: PairStrategy,
     /// Hybrid CPU/GPU merge routing (`off`, a fraction, or `auto`).
     pub hybrid: HybridMode,
-    /// CPU merge/sort scheduling policy.
-    pub sched: CpuSched,
-    /// Self-scheduling chunks-per-thread override (0 = default 4).
-    pub sched_chunks: u32,
     /// RNG seed (functional sort).
     pub seed: u64,
     /// Fault schedule spec (functional sort), e.g. `oom:1,htod:3`.
@@ -204,8 +200,6 @@ impl Default for RunArgs {
             pinned: 0,
             strategy: PairStrategy::PaperHeuristic,
             hybrid: HybridMode::Off,
-            sched: CpuSched::SelfSched,
-            sched_chunks: 0,
             seed: 42,
             faults: None,
             retries: None,
@@ -226,11 +220,7 @@ impl RunArgs {
     pub fn config(&self) -> Result<HetSortConfig, CliError> {
         let mut cfg = HetSortConfig::paper_defaults(self.platform_spec()?, self.approach)
             .with_pair_strategy(self.strategy)
-            .with_hybrid(self.hybrid)
-            .with_cpu_sched(self.sched);
-        if self.sched_chunks > 0 {
-            cfg = cfg.with_sched_chunks(self.sched_chunks);
-        }
+            .with_hybrid(self.hybrid);
         if self.par_memcpy {
             cfg = cfg.with_par_memcpy();
         }
@@ -376,14 +366,6 @@ fn parse_inner(args: &[String]) -> Result<Command, String> {
                     "--pinned" => run.pinned = parse_count(need("--pinned")?)?,
                     "--strategy" => run.strategy = parse_strategy(need("--strategy")?)?,
                     "--hybrid" => run.hybrid = HybridMode::parse(need("--hybrid")?)?,
-                    "--sched" => {
-                        let v = need("--sched")?;
-                        run.sched = CpuSched::parse(v)
-                            .ok_or_else(|| format!("unknown sched '{v}' (self|rr)"))?;
-                    }
-                    "--sched-chunks" => {
-                        run.sched_chunks = parse_count(need("--sched-chunks")?)? as u32
-                    }
                     "--seed" => {
                         run.seed = need("--seed")?
                             .parse()
@@ -435,7 +417,6 @@ USAGE:
                     [--par-memcpy] [--batch 5e8] [--streams 2]
                     [--pinned 1e6] [--strategy paper|online|tree]
                     [--hybrid off|FRAC|auto]
-                    [--sched self|rr] [--sched-chunks 4]
   hetsort sort      [-n 1e6] [--seed 42] [--faults SPEC] [--retries K]
                     [--no-cpu-fallback] [... same options]
   hetsort gantt     [-n 2e9] [... same options]
@@ -471,15 +452,6 @@ HYBRID CPU/GPU EXECUTION:
                      pool per batch. Routing happens at dag lowering,
                      so the simulator, analyzer, and both functional
                      engines all see the identical hybrid schedule
-
-CPU SCHEDULING:
-  --sched self|rr    CPU merge/sort work scheduling: 'self' (default)
-                     over-decomposes each parallel region into chunks
-                     that workers claim from an atomic queue (skew- and
-                     interference-resistant); 'rr' is the fixed
-                     round-robin partitioning of the GNU parallel-mode
-                     model (one static part per thread)
-  --sched-chunks K   chunks per worker under --sched self (default 4)
 
 ANALYSIS:
   hetsort dag        print the op dag every executor interprets: node
@@ -629,30 +601,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_sched_knobs() {
-        let Command::Sort(r) = parse(&argv("sort -n 1e5 --sched rr")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.sched, CpuSched::RoundRobin);
-        let cfg = r.config().unwrap();
-        assert_eq!(cfg.cpu_sched, CpuSched::RoundRobin);
-        assert_eq!(cfg.sched_chunks_eff(), 1, "rr never over-splits");
-
-        let Command::Sort(r) = parse(&argv("sort --sched self --sched-chunks 8")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.sched, CpuSched::SelfSched);
-        assert_eq!(r.config().unwrap().sched_chunks_eff(), 8);
-
-        // Default is self-scheduling with the default chunk factor.
-        let Command::Sort(r) = parse(&argv("sort")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.sched, CpuSched::SelfSched);
-        assert_eq!(r.config().unwrap().sched_chunks_eff(), 4);
-
-        assert!(parse(&argv("sort --sched bogus")).is_err());
-        assert!(parse(&argv("sort --sched")).is_err());
+    fn sched_flags_are_unknown_options() {
+        // The self/rr A/B knob is gone (DESIGN.md § 13): both spellings
+        // are usage errors (exit 2), not silently accepted.
+        for line in ["sort -n 1e5 --sched rr", "sort --sched-chunks 8"] {
+            let Err(CliError::Usage(msg)) = parse(&argv(line)) else {
+                panic!("{line} must be a usage error")
+            };
+            assert!(msg.contains("unknown option '--sched"), "{line}: {msg}");
+        }
     }
 
     #[test]

@@ -6,21 +6,15 @@
 //! values next to the paper's.
 
 use hetsort::core::reference::{reference_time, reference_time_full};
-use hetsort::core::{simulate, Approach, HetSortConfig, StagingMode};
+use hetsort::core::{simulate, Approach, HetSortConfig};
 use hetsort::model::LowerBoundModel;
-use hetsort::vgpu::PlatformSpec;
 use hetsort::vgpu::{platform1, platform2};
 
-/// The paper's measurement protocol stages through a single pinned
-/// buffer, so every figure reproduction pins `StagingMode::Paper` —
-/// otherwise the claims would drift whenever the default staging
-/// protocol improves (DESIGN.md § 19).
-fn paper_cfg(plat: PlatformSpec, a: Approach) -> HetSortConfig {
-    HetSortConfig::paper_defaults(plat, a).with_staging(StagingMode::Paper)
-}
+// Every claim is checked under the paper's single-buffer measurement
+// protocol (`HetSortConfig::paper_protocol`, DESIGN.md § 19).
 
 fn p1(a: Approach) -> HetSortConfig {
-    paper_cfg(platform1(), a).with_batch_elems(500_000_000)
+    HetSortConfig::paper_protocol(platform1(), a).with_batch_elems(500_000_000)
 }
 
 #[test]
@@ -41,7 +35,7 @@ fn fig5_ratio_band() {
     // CPU and GPU is between 1.22 and 1.32" (PLATFORM2, n_b = 1).
     let p = platform2();
     for n in [200_000_000usize, 400_000_000, 700_000_000] {
-        let cfg = paper_cfg(p.clone(), Approach::BLine);
+        let cfg = HetSortConfig::paper_protocol(p.clone(), Approach::BLine);
         let g = simulate(cfg, n).unwrap().total_s;
         let c = reference_time_full(&p, n);
         let ratio = c / g;
@@ -67,7 +61,7 @@ fn fig6_merge_speedup() {
 fn fig7_transfer_times_match_related_work() {
     // §IV-E1: "Our HtoD and DtoH times are 0.536 s and 0.484 s ...
     // theirs are 0.542 s and 0.477 s" at ~6 GB.
-    let cfg = paper_cfg(platform1(), Approach::BLine);
+    let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
     let r = simulate(cfg, 800_000_000).unwrap();
     let htod = r.component("HtoD").expect("HtoD ran");
     let dtoh = r.component("DtoH").expect("DtoH ran");
@@ -81,7 +75,7 @@ fn fig8_missing_overheads_are_substantial_and_growing() {
     // response time" than the literature's 1+2+3.
     let mut last_missing = 0.0;
     for n in [200_000_000usize, 600_000_000, 1_000_000_000] {
-        let cfg = paper_cfg(platform1(), Approach::BLine);
+        let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
         let r = simulate(cfg, n).unwrap();
         let missing = r.missing_overhead_s();
         assert!(
@@ -101,7 +95,7 @@ fn fig8_pinned_everything_is_unacceptable() {
     // components in Figure 7."
     let plat = platform1();
     assert!((plat.pinned_alloc.seconds(6.4e9) - 2.2).abs() < 1e-9);
-    let cfg = paper_cfg(plat, Approach::BLine);
+    let cfg = HetSortConfig::paper_protocol(plat, Approach::BLine);
     let r = simulate(cfg, 800_000_000).unwrap();
     assert!(2.2 > r.literature_total_s);
 }
@@ -152,7 +146,7 @@ fn fig10_two_gpus_help_but_sublinearly() {
     let mut p2s = p2.clone();
     p2s.gpus.truncate(1);
     let mk = |plat| {
-        paper_cfg(plat, Approach::PipeMerge)
+        HetSortConfig::paper_protocol(plat, Approach::PipeMerge)
             .with_batch_elems(350_000_000)
             .with_par_memcpy()
     };
@@ -173,14 +167,15 @@ fn fig10_two_gpus_help_but_sublinearly() {
         {
             let mut p = platform2();
             p.gpus.truncate(1);
-            paper_cfg(p, Approach::BLineMulti).with_batch_elems(350_000_000)
+            HetSortConfig::paper_protocol(p, Approach::BLineMulti).with_batch_elems(350_000_000)
         },
         n,
     )
     .unwrap()
     .total_s;
     let bl2 = simulate(
-        paper_cfg(platform2(), Approach::BLineMulti).with_batch_elems(350_000_000),
+        HetSortConfig::paper_protocol(platform2(), Approach::BLineMulti)
+            .with_batch_elems(350_000_000),
         n,
     )
     .unwrap()
@@ -189,14 +184,15 @@ fn fig10_two_gpus_help_but_sublinearly() {
         {
             let mut p = platform2();
             p.gpus.truncate(1);
-            paper_cfg(p, Approach::PipeData).with_batch_elems(350_000_000)
+            HetSortConfig::paper_protocol(p, Approach::PipeData).with_batch_elems(350_000_000)
         },
         n,
     )
     .unwrap()
     .total_s;
     let pd2 = simulate(
-        paper_cfg(platform2(), Approach::PipeData).with_batch_elems(350_000_000),
+        HetSortConfig::paper_protocol(platform2(), Approach::PipeData)
+            .with_batch_elems(350_000_000),
         n,
     )
     .unwrap()
@@ -232,7 +228,8 @@ fn fig11_models_and_efficiency() {
     p2s.gpus.truncate(1);
     let mk1 = |n| {
         simulate(
-            paper_cfg(p2s.clone(), Approach::PipeData).with_batch_elems(350_000_000),
+            HetSortConfig::paper_protocol(p2s.clone(), Approach::PipeData)
+                .with_batch_elems(350_000_000),
             n,
         )
         .unwrap()
@@ -270,7 +267,8 @@ fn observability_reproduces_the_papers_shapes() {
     // Pair-merge count: one GPU ⌊(n_b−1)/2⌋, two GPUs ⌊(n_b−1)/2²⌋,
     // counted as PairMerge spans.
     for (plat, ngpu) in [(platform1(), 1u32), (platform2(), 2u32)] {
-        let cfg = paper_cfg(plat, Approach::PipeMerge).with_batch_elems(40_000_000);
+        let cfg =
+            HetSortConfig::paper_protocol(plat, Approach::PipeMerge).with_batch_elems(40_000_000);
         let plan = Plan::build(cfg, 400_000_000).unwrap();
         let nb = plan.nb();
         let reg = simulate_plan(&plan).unwrap().metrics();
@@ -282,7 +280,7 @@ fn observability_reproduces_the_papers_shapes() {
     // effective bandwidth of BLINE's blocking pinned copies (no chunk
     // sync, no stream contention) against the platform's pageable spec
     // using recorded span bytes and busy time.
-    let cfg = paper_cfg(platform1(), Approach::BLine);
+    let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
     let plan = Plan::build(cfg, 800_000_000).unwrap();
     let reg = simulate_plan(&plan).unwrap().metrics();
     let h = reg.class_stats(OpClass::HtoD);
