@@ -34,7 +34,6 @@
 //! scalability experiments (Figures 4 and 6) can sweep thread counts
 //! deterministically.
 
-pub mod bitonic;
 pub mod insertion;
 pub mod introsort;
 pub mod keys;

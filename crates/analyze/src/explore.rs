@@ -107,12 +107,6 @@ impl Footprint {
         Footprint::write(Res::Global)
     }
 
-    /// Add a read access.
-    pub fn and_read(mut self, res: Res) -> Footprint {
-        self.0.push(ResAccess { res, write: false });
-        self
-    }
-
     /// Add a write access.
     pub fn and_write(mut self, res: Res) -> Footprint {
         self.0.push(ResAccess { res, write: true });

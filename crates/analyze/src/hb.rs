@@ -344,8 +344,8 @@ pub fn check_trace(trace: &OpTrace, gpu_capacity: Option<&[f64]>) -> Vec<Finding
     }
     // Leak check, gated on the trace actually releasing buffers:
     // plan-lowered and executor traces free what they allocate, so a
-    // survivor in `live` is a leak there; recorder-style traces with
-    // no Free records at all (e.g. VirtualCuda logs) opt out.
+    // survivor in `live` is a leak there; hand-built traces with no
+    // Free records at all opt out.
     if saw_free {
         let mut leaked: Vec<&(usize, f64)> = live.values().collect();
         leaked.sort_by_key(|(rec, _)| *rec);

@@ -28,10 +28,10 @@
 //!    interleaving-only invariants: reachable deadlock, budget
 //!    safety, and replan cover.
 //!
-//! Traces come from two producers: [`lower_plan`](hetsort_core::optrace)
-//! derives the static trace from a plan; the executors (with
-//! `record_trace` set) and `hetsort-vgpu`'s `VirtualCuda` record the
-//! trace of what actually ran, recovery detours included.
+//! Every trace comes from one producer, `hetsort_core::optrace`:
+//! [`lower_plan`] derives the static trace from a plan's nodes, and the
+//! executors (with `record_trace` set) hand the nodes they actually
+//! ran — recovery detours included — to the same lowering.
 //!
 //! The analyzer's recall is mutation-tested: [`Mutant`] seeds the
 //! trace/plan defect classes, [`ExploreMutant`] the model-level ones,
@@ -110,14 +110,6 @@ pub fn analyze_plan_with_trace(plan: &Plan, trace: &OpTrace) -> AnalysisReport {
         .collect();
     findings.extend(hb::check_trace(trace, Some(&caps)));
     AnalysisReport { findings }
-}
-
-/// Happens-before analysis of a bare trace (no plan, no capacity
-/// model) — for traces recorded by `VirtualCuda`.
-pub fn analyze_trace(trace: &OpTrace) -> AnalysisReport {
-    AnalysisReport {
-        findings: hb::check_trace(trace, None),
-    }
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 //! A built [`Plan`] pins two kinds of memory for its entire run:
 //!
 //! * **device**: every stream scheduled on a GPU keeps one
-//!   `mem_factor · elem_bytes · b_s` batch buffer resident from its
-//!   first `HtoD` until its last `DtoH` — with round-robin batch
-//!   rotation the buffers never free between batches, so the peak per
-//!   GPU is simply `streams_on_gpu × dev_bytes`;
+//!   `2 · elem_bytes · b_s` batch buffer ([`DEVICE_MEM_FACTOR`])
+//!   resident from its first `HtoD` until its last `DtoH` — with
+//!   round-robin batch rotation the buffers never free between batches,
+//!   so the peak per GPU is simply `streams_on_gpu × dev_bytes`;
 //! * **pinned host**: every `PinnedAlloc` step's staging buffer lives
 //!   until the run ends (piped approaches allocate an inbound and an
 //!   outbound buffer per stream).
@@ -17,6 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use hetsort_core::config::DEVICE_MEM_FACTOR;
 use hetsort_core::dag::DagOp;
 use hetsort_core::plan::Plan;
 
@@ -36,7 +37,7 @@ impl Residency {
     /// Compute the peak residency of a built plan.
     pub fn of_plan(plan: &Plan) -> Residency {
         let cfg = &plan.config;
-        let dev_bytes = cfg.device_sort.mem_factor() * cfg.elem_bytes * cfg.batch_elems as f64;
+        let dev_bytes = DEVICE_MEM_FACTOR * cfg.elem_bytes * cfg.batch_elems as f64;
         let mut streams_on: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
         for b in &plan.batches {
             streams_on

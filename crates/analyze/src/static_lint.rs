@@ -7,14 +7,15 @@
 //! * the PIPEMERGE pair-count heuristic: `⌊(n_b−1)/2^n_GPU⌋` pipelined
 //!   pair merges (§III-D3) when the paper strategy is selected;
 //! * peak device residency per GPU against its capacity — each stream
-//!   keeps one `mem_factor·elem_bytes·b_s` buffer resident for the whole
-//!   run, so over-subscription is a statically guaranteed OOM;
+//!   keeps one `2·elem_bytes·b_s` buffer (`DEVICE_MEM_FACTOR`) resident
+//!   for the whole run, so over-subscription is a statically guaranteed
+//!   OOM;
 //! * staging-chunk sizes against the pinned buffer `p_s` — a chunk
 //!   larger than the buffer it is staged through cannot be copied.
 
 use std::collections::BTreeMap;
 
-use hetsort_core::config::{Approach, PairStrategy};
+use hetsort_core::config::{Approach, PairStrategy, DEVICE_MEM_FACTOR};
 use hetsort_core::dag::DagOp;
 use hetsort_core::optrace::node_label;
 use hetsort_core::plan::Plan;
@@ -58,7 +59,7 @@ pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
     // Peak device residency per GPU ([`Residency`] — the same math the
     // serve-layer admission controller budgets with).
     let residency = Residency::of_plan(plan);
-    let dev_bytes = cfg.device_sort.mem_factor() * cfg.elem_bytes * cfg.batch_elems as f64;
+    let dev_bytes = DEVICE_MEM_FACTOR * cfg.elem_bytes * cfg.batch_elems as f64;
     for (gpu, need) in &residency.device_bytes {
         match cfg.platform.gpus.get(*gpu) {
             None => findings.push(Finding {

@@ -14,6 +14,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use hetsort_bench::registry::{find, Experiment, REGISTRY};
+use hetsort_obs::stdout_exit_code;
 
 const USAGE: &str = "usage: experiments list | all | <name>... [n]   (names: `experiments list`)";
 
@@ -53,13 +54,6 @@ fn main() -> ExitCode {
     } else {
         selected.iter().try_for_each(|e| e.report(host_n, &mut out))
     };
-    match done {
-        Ok(()) => ExitCode::SUCCESS,
-        // `experiments table2 | head`: the reader has what it wanted.
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("experiments: {e}");
-            ExitCode::from(1)
-        }
-    }
+    // `experiments table2 | head`: a closed pipe is success.
+    stdout_exit_code("experiments", done)
 }

@@ -71,39 +71,11 @@ pub enum PairStrategy {
     MergeTree,
 }
 
-/// Which sort runs on the (virtual) device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeviceSortKind {
-    /// Thrust's radix sort: fastest, but out-of-place — each resident
-    /// batch occupies `2·b_s` of global memory (§III-B).
-    #[default]
-    ThrustRadix,
-    /// An in-place bitonic network (Peters et al. \[35\]): only `1·b_s`
-    /// of global memory per batch — so batches can be twice as large
-    /// and the CPU merges fewer sublists — but the sort itself is a
-    /// few times slower. The ablation quantifies the trade.
-    BitonicInPlace,
-}
-
-impl DeviceSortKind {
-    /// Device-memory footprint per resident batch, in units of `b_s`.
-    pub fn mem_factor(&self) -> f64 {
-        match self {
-            DeviceSortKind::ThrustRadix => 2.0,
-            DeviceSortKind::BitonicInPlace => 1.0,
-        }
-    }
-
-    /// Sort-throughput multiplier relative to the radix calibration
-    /// (in-place bitonic runs ~5× slower at these sizes — the reason
-    /// radix won historically, cf. \[35\] vs \[5\]).
-    pub fn throughput_factor(&self) -> f64 {
-        match self {
-            DeviceSortKind::ThrustRadix => 1.0,
-            DeviceSortKind::BitonicInPlace => 0.2,
-        }
-    }
-}
+/// Device-memory footprint of one resident batch, in units of `b_s`:
+/// the device sort is Thrust's out-of-place radix sort, so every batch
+/// on the GPU occupies its data plus an equal scratch area (§III-B,
+/// "total memory required on the GPU is ≈ 2·b_s·n_s").
+pub const DEVICE_MEM_FACTOR: f64 = 2.0;
 
 /// How the executors react to GPU OOM, transfer faults, device-sort
 /// failures, and worker panics.
@@ -182,11 +154,6 @@ pub enum HybridMode {
 }
 
 impl HybridMode {
-    /// Is hybrid routing enabled at all?
-    pub fn is_on(&self) -> bool {
-        !matches!(self, HybridMode::Off)
-    }
-
     /// Stable CLI/display name (`off`, a fraction, or `auto`).
     pub fn describe(&self) -> String {
         match self {
@@ -291,8 +258,6 @@ pub struct HetSortConfig {
     /// key/value records of \[5\] (`hetsort_algos::keys::KeyValue`).
     /// Drives every transfer/staging volume and the GPU memory check.
     pub elem_bytes: f64,
-    /// Which sort runs on the device.
-    pub device_sort: DeviceSortKind,
     /// Reaction to faults (OOM, transfer, sort, panic).
     pub recovery: RecoveryPolicy,
     /// Fault schedule the executors consult (testing/chaos runs); `None`
@@ -334,7 +299,6 @@ impl HetSortConfig {
             hybrid: HybridMode::default(),
             staging: StagingMode::default(),
             elem_bytes: 8.0,
-            device_sort: DeviceSortKind::default(),
             recovery: RecoveryPolicy::default(),
             faults: None,
             record_trace: false,
@@ -407,12 +371,6 @@ impl HetSortConfig {
     /// Set the element size in bytes (8 = keys, 16 = key/value records).
     pub fn with_elem_bytes(mut self, b: f64) -> Self {
         self.elem_bytes = b;
-        self
-    }
-
-    /// Select the device sort implementation.
-    pub fn with_device_sort(mut self, k: DeviceSortKind) -> Self {
-        self.device_sort = k;
         self
     }
 
@@ -541,10 +499,7 @@ impl HetSortConfig {
             1
         };
         self.elem_bytes_usize()?;
-        let need = self.device_sort.mem_factor()
-            * self.elem_bytes
-            * self.batch_elems as f64
-            * streams as f64;
+        let need = DEVICE_MEM_FACTOR * self.elem_bytes * self.batch_elems as f64 * streams as f64;
         let min_mem = self
             .platform
             .gpus
@@ -697,8 +652,6 @@ mod tests {
         assert!(HybridMode::parse("1.5").is_err());
         assert!(HybridMode::parse("-0.1").is_err());
         assert!(HybridMode::parse("frob").is_err());
-        assert!(!HybridMode::Off.is_on());
-        assert!(HybridMode::Auto.is_on());
         assert_eq!(HybridMode::Fraction(0.5).describe(), "0.5");
 
         let base = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge);

@@ -260,7 +260,10 @@ mod tests {
     #[test]
     fn source_chains_to_cuda() {
         use std::error::Error;
-        let e = HetSortError::Cuda(CudaError::NoSuchDevice { gpu: 3, n_gpus: 1 });
+        let e = HetSortError::Cuda(CudaError::BadFaultSpec {
+            spec: "htod".into(),
+            reason: "missing occurrence".into(),
+        });
         assert!(e.source().is_some());
         assert!(HetSortError::config("x").source().is_none());
     }

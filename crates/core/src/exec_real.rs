@@ -259,22 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn bitonic_device_sort_is_equivalent() {
-        use crate::config::DeviceSortKind;
-        let d = data(30_000, 21);
-        let mut expect = d.clone();
-        introsort(&mut expect);
-        let c =
-            cfg(Approach::PipeMerge, 5_000, 1_000).with_device_sort(DeviceSortKind::BitonicInPlace);
-        let out = sort_real(c, &d).unwrap();
-        assert!(out.verified);
-        assert_eq!(
-            out.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn length_mismatch_rejected() {
         let plan = Plan::build(cfg(Approach::BLineMulti, 1_000, 100), 5_000).unwrap();
         assert!(matches!(

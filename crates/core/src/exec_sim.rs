@@ -11,6 +11,7 @@
 use hetsort_sim::OpId;
 use hetsort_vgpu::{Machine, TransferDir};
 
+use crate::config::DEVICE_MEM_FACTOR;
 use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
 use crate::plan::Plan;
@@ -71,7 +72,7 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
             .unwrap_or(s % cfg.platform.n_gpus().max(1));
         m.device_alloc(
             gpu,
-            cfg.device_sort.mem_factor() * cfg.elem_bytes * cfg.batch_elems as f64,
+            DEVICE_MEM_FACTOR * cfg.elem_bytes * cfg.batch_elems as f64,
         )?;
     }
 
@@ -180,11 +181,10 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                 // Device radix sort is memory-bandwidth-bound: key/value
                 // records move twice the bytes of bare keys, so work
                 // scales with the element size (CUB's pairs sort shows
-                // the same ratio). Alternative device sorts scale by
-                // their throughput factor (bitonic ≈ 5× slower).
+                // the same ratio).
                 m.gpu_sort(
                     b.gpu,
-                    b.len as f64 * cfg.elem_bytes / 8.0 / cfg.device_sort.throughput_factor(),
+                    b.len as f64 * cfg.elem_bytes / 8.0,
                     queue,
                     &deps,
                     Some(gpu_lanes[b.gpu]),
@@ -485,36 +485,6 @@ mod tests {
             hy.component(tags::CPU_MERGE).expect("cpu merges ran") > 0.0,
             "hybrid run accounts CPU-routed merges separately"
         );
-    }
-
-    #[test]
-    fn bitonic_trade_off_in_sim() {
-        use crate::config::DeviceSortKind;
-        // In-place bitonic: twice the batch fits (1e9 elements in
-        // 16 GiB with 2 streams at 8 B/elem), fewer merge inputs —
-        // but the slower sort dominates and radix still wins overall
-        // (why Thrust's radix is the paper's choice).
-        let n = 4_000_000_000usize;
-        let radix = simulate(p1(Approach::PipeMerge).with_batch_elems(500_000_000), n).unwrap();
-        let bitonic_cfg = p1(Approach::PipeMerge)
-            .with_device_sort(DeviceSortKind::BitonicInPlace)
-            .with_batch_elems(1_000_000_000);
-        let bitonic = simulate(bitonic_cfg, n).unwrap();
-        assert!(bitonic.nb < radix.nb, "bigger batches → fewer batches");
-        assert!(
-            bitonic.component(tags::GPU_SORT).expect("sort ran")
-                > radix.component(tags::GPU_SORT).expect("sort ran"),
-            "bitonic sorts slower"
-        );
-        assert!(
-            bitonic.total_s > radix.total_s,
-            "radix should win end-to-end: {} vs {}",
-            radix.total_s,
-            bitonic.total_s
-        );
-        // And the radix config must NOT fit 1e9-element batches (the
-        // out-of-place scratch is the whole reason batches are small).
-        assert!(simulate(p1(Approach::PipeMerge).with_batch_elems(1_000_000_000), n).is_err());
     }
 
     #[test]

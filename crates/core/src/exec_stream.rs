@@ -40,7 +40,7 @@ use hetsort_obs::{ObsSpan, OpClass};
 use hetsort_sim::{Access, Buffer};
 use hetsort_vgpu::{FaultInjector, FaultSite, TransferDir};
 
-use crate::config::{DeviceSortKind, RecoveryPolicy};
+use crate::config::{RecoveryPolicy, DEVICE_MEM_FACTOR};
 use crate::dag::DagOp;
 use crate::error::HetSortError;
 use crate::optrace::{
@@ -262,7 +262,7 @@ where
             Ok(())
         } else {
             let cfg = &self.plan.config;
-            let per_elem = cfg.device_sort.mem_factor() * cfg.elem_bytes;
+            let per_elem = DEVICE_MEM_FACTOR * cfg.elem_bytes;
             let used = per_elem * self.device.len() as f64;
             Err(HetSortError::GpuOom {
                 gpu: self.plan.physical_gpu(b.gpu),
@@ -270,16 +270,6 @@ where
                 requested_bytes: per_elem * want as f64,
                 free_bytes: (cfg.platform.gpus[b.gpu].global_mem_bytes - used).max(0.0),
             })
-        }
-    }
-
-    /// Sort a device-resident slice with the configured device sort.
-    fn device_sort(kind: DeviceSortKind, sched: &SchedCfg, threads: usize, buf: &mut [T]) {
-        match kind {
-            DeviceSortKind::ThrustRadix => par_radix_sort_cfg(sched, threads, buf),
-            DeviceSortKind::BitonicInPlace => {
-                hetsort_algos::bitonic::par_bitonic_sort(threads, buf)
-            }
         }
     }
 
@@ -411,8 +401,7 @@ where
                 }
                 match self.mode {
                     Mode::Device => {
-                        Self::device_sort(
-                            self.plan.config.device_sort,
+                        par_radix_sort_cfg(
                             &self.sched,
                             self.device_sort_threads,
                             &mut self.device[..b.len],
@@ -425,7 +414,6 @@ where
                         // GPU sorts device-sized sub-runs; the CPU
                         // merges them — the halved-b_s re-plan.
                         let cap = self.device_cap.min(b.len).max(1);
-                        let kind = self.plan.config.device_sort;
                         let dev_threads = self.device_sort_threads;
                         let sched = self.sched;
                         let StreamExec {
@@ -433,7 +421,7 @@ where
                         } = self;
                         for run in host_batch.chunks_mut(cap) {
                             device[..run.len()].copy_from_slice(run);
-                            Self::device_sort(kind, &sched, dev_threads, &mut device[..run.len()]);
+                            par_radix_sort_cfg(&sched, dev_threads, &mut device[..run.len()]);
                             run.copy_from_slice(&device[..run.len()]);
                         }
                         if b.len > cap {

@@ -20,9 +20,10 @@
 //!   and returns a [`report::TimingReport`] (paper-scale timing);
 //! * [`dag::exec`] — the one functional engine, behind [`exec_real`]
 //!   (inline) and [`exec_real_mt`] (one worker per stream) — executes
-//!   it on actual data: staging copies, device-resident radix sorts,
-//!   pair and multiway merges, verified output (laptop-scale
-//!   functional truth).
+//!   it on actual data: staging copies, device-resident radix sorts
+//!   (the one device sort, Thrust's out-of-place radix stand-in —
+//!   [`config::DEVICE_MEM_FACTOR`] is its footprint), pair and
+//!   multiway merges, verified output (laptop-scale functional truth).
 //!
 //! This split is the substitution strategy for the missing GPU: pipeline
 //! *semantics* are executed for real, pipeline *durations* come from the
@@ -57,7 +58,7 @@ pub mod reference;
 pub mod report;
 
 pub use config::{
-    Approach, DeviceSortKind, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy, StagingMode,
+    Approach, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy, StagingMode,
     SUPPORTED_ELEM_BYTES,
 };
 pub use dag::exec::{execute_dag, execute_dag_opts, execute_dag_pooled, DagExecOptions};

@@ -51,6 +51,7 @@
 
 use hetsort_sim::{Access, Buffer, OpTrace, TraceKind};
 
+use crate::config::DEVICE_MEM_FACTOR;
 use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::plan::{MergeInput, MergeSrc, Plan};
 
@@ -292,9 +293,7 @@ pub fn trace_nodes(plan: &Plan, nodes: &[DagNode], overrides: &[Option<Vec<Acces
     // each stream releases its own buffers in the epilogue below.
     let mut alloced: Vec<(usize, Buffer)> = Vec::new();
     let mut dev_alloced = vec![false; plan.total_streams];
-    let dev_bytes = plan.config.device_sort.mem_factor()
-        * plan.config.elem_bytes
-        * plan.config.batch_elems as f64;
+    let dev_bytes = DEVICE_MEM_FACTOR * plan.config.elem_bytes * plan.config.batch_elems as f64;
     for (si, node) in nodes.iter().enumerate() {
         let th = thread_of(si);
         for &d in &node.deps {

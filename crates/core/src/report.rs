@@ -192,19 +192,6 @@ impl TimingReport {
         self.total_s - self.literature_total_s
     }
 
-    /// Render a one-line CSV row: `approach,platform,n,nb,total,lit,<tags>`.
-    pub fn csv_row(&self, tag_order: &[&str]) -> String {
-        let mut row = format!(
-            "{},{},{},{},{:.6},{:.6}",
-            self.approach, self.platform, self.n, self.nb, self.total_s, self.literature_total_s
-        );
-        for t in tag_order {
-            // A fixed column layout renders absent components as zero.
-            row.push_str(&format!(",{:.6}", self.component(t).unwrap_or(0.0)));
-        }
-        row
-    }
-
     /// Render a human-readable component table.
     pub fn summary(&self) -> String {
         let mut s = format!(
@@ -264,16 +251,6 @@ mod tests {
         // Absurd ids saturate instead of wrapping onto GPU 0.
         r.record_lost_gpu(200);
         assert_eq!(r.lost_gpus(), vec![1, 3, 63]);
-    }
-
-    #[test]
-    fn csv_row_shape() {
-        let r = sample_report();
-        let row = r.csv_row(&[tags::HTOD, tags::DTOH]);
-        let fields: Vec<&str> = row.split(',').collect();
-        assert_eq!(fields.len(), 8);
-        assert_eq!(fields[0], "BLine");
-        assert_eq!(fields[2], "10");
     }
 
     #[test]

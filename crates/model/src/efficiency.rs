@@ -34,11 +34,6 @@ impl Efficiency {
             self.model_s / self.measured_s
         }
     }
-
-    /// Is the measurement beating the serial lower bound?
-    pub fn beats_bound(&self) -> bool {
-        self.measured_s < self.model_s
-    }
 }
 
 #[cfg(test)]
@@ -57,10 +52,8 @@ mod tests {
         let measured = model_t / 0.93;
         let e = Efficiency::new(&m, n, measured);
         assert!((e.slowdown() - 0.93).abs() < 1e-12);
-        assert!(!e.beats_bound());
         // At small n the paper observes PIPEDATA *beating* the bound.
         let e2 = Efficiency::new(&m, 1_400_000_000, m.predict(1_400_000_000) * 0.9);
-        assert!(e2.beats_bound());
         assert!(e2.slowdown() > 1.0);
     }
 

@@ -29,6 +29,8 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::process::ExitCode;
+
 pub mod bench_schema;
 pub mod chrome;
 pub mod json;
@@ -42,3 +44,18 @@ pub use json::Json;
 pub use registry::{ClassStats, MetricsRegistry};
 pub use span::{ObsSpan, OpClass};
 pub use timeline::{registry_from_timeline, spans_from_timeline};
+
+/// Exit code of a binary whose report went to stdout, shared by
+/// `hetsort` and `experiments`: a closed pipe (`… | head -1`) means the
+/// reader has what it wanted and is a success; any other write error
+/// is reported on stderr under `prog` and is exit 1.
+pub fn stdout_exit_code(prog: &str, written: std::io::Result<()>) -> ExitCode {
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{prog}: {e}");
+            ExitCode::from(1)
+        }
+    }
+}

@@ -6,7 +6,7 @@
 //! host staging. Jobs are admitted only while, on every GPU,
 //!
 //! ```text
-//! Σ_{jobs in flight} mem_factor · elem_bytes · b_s · streams_on_gpu
+//! Σ_{jobs in flight} 2 · elem_bytes · b_s · streams_on_gpu
 //!     ≤ device_budget_bytes
 //! ```
 //!

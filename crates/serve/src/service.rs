@@ -149,14 +149,13 @@ pub struct SortService {
 fn shape_key(job: &SortJob) -> String {
     let c = &job.config;
     format!(
-        "{}/{}/b{}/p{}/s{}/e{}/d{:?}/pm{}",
+        "{}/{}/b{}/p{}/s{}/e{}/pm{}",
         c.platform.name,
         c.approach.name(),
         c.batch_elems,
         c.pinned_elems,
         c.streams_per_gpu,
         c.elem_bytes.to_bits(),
-        c.device_sort,
         c.par_memcpy,
     )
 }

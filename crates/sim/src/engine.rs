@@ -914,11 +914,17 @@ mod oracle_props {
             for _ in 0..rng.usize_in(0, 3) {
                 op = op.demand(*rng.pick(&fluids), rng.f64_in(0.1, 2.0));
             }
-            // Gang request: distinct resources, up to all of each.
+            // Gang request: up to all of each resource, sometimes asked
+            // for in two instalments.
             let first = rng.usize_in(0, tokens.len());
             for g in 0..rng.usize_in(0, 3) {
                 let r = (first + g) % tokens.len();
-                op = op.tokens(tokens[r], rng.u32_in(1, totals[r] + 1));
+                let count = rng.u32_in(1, totals[r] + 1);
+                let again = rng.u32_in(0, count);
+                if again > 0 {
+                    op = op.tokens(tokens[r], again);
+                }
+                op = op.tokens(tokens[r], count - again);
             }
             if rng.bool() {
                 op = op.queue(*rng.pick(&queues));
@@ -1207,6 +1213,33 @@ mod tests {
         let tag = sim.tag("x");
         let a = sim.op(Op::new(tag, 10.0).cap(10.0));
         let b = sim.op(Op::new(tag, 10.0).cap(10.0).dep(a).dep(a).dep(a));
+        let tl = sim.run().unwrap();
+        assert!((tl.span(b).t_start - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn repeated_token_requests_are_summed() {
+        // 2 + 2 of a pool of 3: each request fits, the op never can.
+        let mut sim = SimBuilder::new();
+        let pool = sim.tokens("pool", 3);
+        let tag = sim.tag("x");
+        let op = sim.op(Op::new(tag, 1.0).cap(1.0).tokens(pool, 2).tokens(pool, 2));
+        assert_eq!(
+            sim.run().unwrap_err(),
+            SimError::ImpossibleTokenRequest {
+                op,
+                resource: "pool".into(),
+                requested: 4,
+                available: 3,
+            }
+        );
+        // 1 + 1 of a pool of 2 fits, but not beside a holder of one:
+        // `b` is admitted when `a` releases, not into a negative pool.
+        let mut sim = SimBuilder::new();
+        let pool = sim.tokens("pool", 2);
+        let tag = sim.tag("x");
+        sim.op(Op::new(tag, 10.0).cap(10.0).tokens(pool, 1));
+        let b = sim.op(Op::new(tag, 10.0).cap(10.0).tokens(pool, 1).tokens(pool, 1));
         let tl = sim.run().unwrap();
         assert!((tl.span(b).t_start - 1.0).abs() < 1e-9);
     }

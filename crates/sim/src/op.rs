@@ -45,7 +45,9 @@ pub struct OpSpec {
     /// An op running at rate ρ uses `ρ·demand` units/s of the resource.
     pub demands: Vec<(FluidId, f64)>,
     /// `(resource, count)` pairs of tokens held from admission to
-    /// completion, acquired atomically in op-id order.
+    /// completion, acquired atomically in op-id order. At most one
+    /// entry per resource ([`Op::tokens`] sums repeats), so validation
+    /// and admission can judge each entry on its own.
     pub tokens: Vec<(TokenId, u32)>,
     /// Optional FIFO queue (CUDA-stream semantics).
     pub queue: Option<QueueId>,
@@ -126,8 +128,12 @@ impl Op {
     }
 
     /// Require `count` tokens of `resource` for the op's whole duration.
+    /// Asking for the same resource again adds to the request.
     pub fn tokens(mut self, resource: TokenId, count: u32) -> Self {
-        self.spec.tokens.push((resource, count));
+        match self.spec.tokens.iter_mut().find(|(r, _)| *r == resource) {
+            Some((_, held)) => *held = held.saturating_add(count),
+            None => self.spec.tokens.push((resource, count)),
+        }
         self
     }
 

@@ -3,10 +3,9 @@
 //! A [`Timeline`](crate::Timeline) records *when* ops ran; an
 //! [`OpTrace`] records *what they touched and how they were ordered* —
 //! the input of the `hetsort-analyze` happens-before race detector.
-//! Producers are the virtual CUDA layer (`hetsort-vgpu`, every API call
-//! tagged with the `DevPtr`/`PinnedPtr` it touches) and the functional
-//! executors (`hetsort-core`, every plan step tagged with the staging /
-//! device / host buffers it reads and writes).
+//! The one producer is `hetsort-core`'s `optrace::trace_nodes`: every
+//! dag node tagged with the staging / device / host buffers it reads
+//! and writes, statically or as the functional engine executed it.
 //!
 //! The trace model is deliberately CUDA-shaped:
 //!
@@ -22,14 +21,14 @@
 /// A buffer identity, as fine-grained as races are meaningful.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Buffer {
-    /// A device allocation (`DevPtr`): one id per allocation per GPU.
+    /// A device allocation: one id per allocation per GPU.
     Dev {
         /// Owning GPU.
         gpu: usize,
         /// Allocation id, unique per GPU.
         id: usize,
     },
-    /// A pinned host staging buffer (`PinnedPtr`): treated as one unit —
+    /// A pinned host staging buffer: treated as one unit —
     /// chunked copies reuse the whole buffer, which is exactly the
     /// lifetime hazard the analyzer must see.
     Pinned {

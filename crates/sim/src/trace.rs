@@ -106,11 +106,6 @@ impl Timeline {
         &self.fluid_info
     }
 
-    /// Look up a fluid resource index by name.
-    pub fn find_fluid(&self, name: &str) -> Option<usize> {
-        self.fluid_info.iter().position(|(n, _)| n == name)
-    }
-
     /// Usage of `fluid` in every segment, in time order.
     fn usage_of(&self, fluid: usize) -> impl Iterator<Item = f64> + '_ {
         self.usage
@@ -199,18 +194,6 @@ impl Timeline {
             .sum()
     }
 
-    /// Wall-clock covered by at least one span of this tag (union of
-    /// intervals; the honest measure under overlap).
-    pub fn union_time(&self, tag: OpTag) -> f64 {
-        let mut iv: Vec<(f64, f64)> = self
-            .spans
-            .iter()
-            .filter(|s| s.tag == tag && s.t_end > s.t_start)
-            .map(|s| (s.t_start, s.t_end))
-            .collect();
-        union_length(&mut iv)
-    }
-
     /// `(first start, last end)` over spans with this tag; `None` if the
     /// tag was never used.
     pub fn window(&self, tag: OpTag) -> Option<(f64, f64)> {
@@ -222,15 +205,6 @@ impl Timeline {
             });
         }
         out
-    }
-
-    /// Total work performed under a tag.
-    pub fn total_work(&self, tag: OpTag) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.tag == tag)
-            .map(|s| s.work)
-            .sum()
     }
 
     /// Number of spans under a tag.
@@ -306,26 +280,6 @@ impl Timeline {
     }
 }
 
-/// Length of the union of half-open intervals; sorts in place.
-fn union_length(iv: &mut [(f64, f64)]) -> f64 {
-    if iv.is_empty() {
-        return 0.0;
-    }
-    iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut total = 0.0;
-    let (mut cur_s, mut cur_e) = iv[0];
-    for &(s, e) in iv.iter().skip(1) {
-        if s > cur_e {
-            total += cur_e - cur_s;
-            cur_s = s;
-            cur_e = e;
-        } else if e > cur_e {
-            cur_e = e;
-        }
-    }
-    total + (cur_e - cur_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,32 +316,10 @@ mod tests {
     }
 
     #[test]
-    fn union_time_merges_overlap() {
-        // Two concurrent ops with the same tag on one fluid: both spans
-        // cover [0,2], union is 2, busy is 4.
-        let mut sim = SimBuilder::new();
-        let link = sim.fluid("l", 10.0);
-        let tag = sim.tag("x");
-        sim.op(Op::new(tag, 10.0).demand(link, 1.0));
-        sim.op(Op::new(tag, 10.0).demand(link, 1.0));
-        let tl = sim.run().unwrap();
-        assert!((tl.busy_time(tag) - 4.0).abs() < 1e-9);
-        assert!((tl.union_time(tag) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn union_length_handles_gaps() {
-        let mut iv = vec![(0.0, 1.0), (2.0, 3.0), (2.5, 2.75), (10.0, 10.5)];
-        assert!((union_length(&mut iv) - 2.5).abs() < 1e-12);
-        assert_eq!(union_length(&mut []), 0.0);
-    }
-
-    #[test]
-    fn total_work_and_count() {
+    fn count_per_tag() {
         let (tl, _, _) = two_op_timeline();
         let alpha = tl.find_tag("alpha").unwrap();
         assert_eq!(tl.count(alpha), 1);
-        assert!((tl.total_work(alpha) - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -414,7 +346,7 @@ mod tests {
         let tag = sim.tag("x");
         sim.op(Op::new(tag, 20.0).demand(link, 1.0));
         let tl = sim.run().unwrap();
-        let f = tl.find_fluid("l").unwrap();
+        let f = 0; // the only fluid
         assert!(
             (tl.utilization(f) - 1.0).abs() < 1e-9,
             "{}",
@@ -428,7 +360,7 @@ mod tests {
         let tag = sim.tag("x");
         sim.op(Op::new(tag, 10.0).cap(5.0).demand(link, 1.0));
         let tl = sim.run().unwrap();
-        let f = tl.find_fluid("l").unwrap();
+        let f = 0; // the only fluid
         assert!((tl.utilization(f) - 0.5).abs() < 1e-9);
     }
 
@@ -444,7 +376,7 @@ mod tests {
         sim.op(Op::new(tag, 10.0).cap(5.0).demand(link, 1.0));
         sim.op(Op::new(tag, 5.0).cap(5.0).demand(link, 1.0));
         let tl = sim.run().unwrap();
-        let f = tl.find_fluid("l").unwrap();
+        let f = 0; // the only fluid
         assert!(
             (tl.utilization(f) - 0.75).abs() < 1e-6,
             "{}",

@@ -54,12 +54,6 @@ pub fn gnu_sort_parallel_fraction(n: f64) -> f64 {
     (0.268 + 0.077 * log10n).clamp(0.0, 0.975)
 }
 
-/// Invert an observed speedup at `p` workers into an Amdahl fraction.
-pub fn phi_from_speedup(speedup: f64, p: usize) -> f64 {
-    let p = p.max(2) as f64;
-    ((1.0 - 1.0 / speedup) / (1.0 - 1.0 / p)).clamp(0.0, 1.0)
-}
-
 /// `log₂` clamped below at 1 (merge trees of 1–2 lists still do work).
 pub fn log2_at_least_1(x: f64) -> f64 {
     x.max(2.0).log2()
@@ -90,15 +84,6 @@ mod tests {
         assert!((amdahl_speedup(1.0, 16) - 16.0).abs() < 1e-12);
         assert!((amdahl_speedup(0.0, 16) - 1.0).abs() < 1e-12);
         assert!((amdahl_speedup(0.5, 1) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phi_roundtrip() {
-        for &phi in &[0.3, 0.73, 0.9, 0.961] {
-            let s = amdahl_speedup(phi, 16);
-            let back = phi_from_speedup(s, 16);
-            assert!((back - phi).abs() < 1e-9, "{phi} vs {back}");
-        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Typed errors for the virtual CUDA substrate.
 //!
-//! Every fallible driver-level operation (`cudaSetDevice`, `cudaMalloc`,
-//! `cudaMemcpyAsync`) reports a [`CudaError`] instead of a formatted
+//! Device allocation ([`Machine::device_alloc`](crate::Machine::device_alloc)),
+//! the device-pool liveness check
+//! ([`FaultInjector::device_op`](crate::FaultInjector::device_op)) and
+//! fault-schedule parsing report a [`CudaError`] instead of a formatted
 //! string, so executors can pattern-match on the failure kind — the
 //! foundation the recovery policies in `hetsort-core` are built on.
 
 use std::fmt;
-
-use crate::machine::TransferDir;
 
 /// A driver-level failure of the virtual CUDA layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,33 +21,6 @@ pub enum CudaError {
         requested_bytes: f64,
         /// Bytes still free on the device at the time of the request.
         free_bytes: f64,
-    },
-    /// `cudaSetDevice` on a device index the platform does not have.
-    NoSuchDevice {
-        /// Requested device.
-        gpu: usize,
-        /// Devices the platform actually has.
-        n_gpus: usize,
-    },
-    /// A stream handle that was never created.
-    NoSuchStream {
-        /// Requested stream index.
-        stream: usize,
-        /// Streams that exist.
-        n_streams: usize,
-    },
-    /// A fault schedule failed this DMA transfer (the virtual
-    /// `cudaErrorUnknown` a flaky bus produces).
-    InjectedTransferFault {
-        /// Direction of the failed copy.
-        dir: TransferDir,
-        /// Which occurrence of that direction tripped (1-based).
-        occurrence: usize,
-    },
-    /// A fault schedule failed this device sort kernel.
-    InjectedSortFault {
-        /// Which device sort tripped (1-based).
-        occurrence: usize,
     },
     /// The device fell off the bus (a scheduled `DeviceLost` pool
     /// event): every subsequent allocation, copy, or kernel on it fails
@@ -76,22 +49,6 @@ impl fmt::Display for CudaError {
                 f,
                 "GPU {gpu} out of memory: requested {requested_bytes:.3e} B but only {free_bytes:.3e} B free"
             ),
-            CudaError::NoSuchDevice { gpu, n_gpus } => {
-                write!(f, "no such device {gpu} (platform has {n_gpus})")
-            }
-            CudaError::NoSuchStream { stream, n_streams } => {
-                write!(f, "no such stream {stream} ({n_streams} exist)")
-            }
-            CudaError::InjectedTransferFault { dir, occurrence } => {
-                let d = match dir {
-                    TransferDir::HtoD => "HtoD",
-                    TransferDir::DtoH => "DtoH",
-                };
-                write!(f, "injected transfer fault on {d} occurrence {occurrence}")
-            }
-            CudaError::InjectedSortFault { occurrence } => {
-                write!(f, "injected device-sort fault on occurrence {occurrence}")
-            }
             CudaError::DeviceLost { gpu } => {
                 write!(f, "GPU {gpu} lost: device removed from the pool")
             }
@@ -118,16 +75,13 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("GPU 1"), "{s}");
         assert!(s.contains("8.000e9"), "{s}");
-        let e = CudaError::InjectedTransferFault {
-            dir: TransferDir::HtoD,
-            occurrence: 3,
-        };
-        assert!(e.to_string().contains("HtoD occurrence 3"));
+        let e = CudaError::DeviceLost { gpu: 2 };
+        assert!(e.to_string().contains("GPU 2 lost"));
     }
 
     #[test]
     fn implements_std_error() {
         fn takes_error(_: &dyn std::error::Error) {}
-        takes_error(&CudaError::NoSuchDevice { gpu: 4, n_gpus: 1 });
+        takes_error(&CudaError::DeviceLost { gpu: 4 });
     }
 }

@@ -1,5 +1,4 @@
-//! Deterministic fault injection for the virtual CUDA layer and the
-//! functional executors.
+//! Deterministic fault injection for the functional executors.
 //!
 //! A [`FaultInjector`] holds an immutable *schedule* — "fail the 2nd
 //! device allocation", "fail the 3rd HtoD copy", "panic worker 1 when it
@@ -24,7 +23,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::error::CudaError;
-use crate::machine::TransferDir;
 
 /// A fault site the injector can arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,14 +44,6 @@ impl FaultSite {
             FaultSite::HtoD => 1,
             FaultSite::DtoH => 2,
             FaultSite::DeviceSort => 3,
-        }
-    }
-
-    /// The site for a transfer direction.
-    pub fn for_dir(dir: TransferDir) -> FaultSite {
-        match dir {
-            TransferDir::HtoD => FaultSite::HtoD,
-            TransferDir::DtoH => FaultSite::DtoH,
         }
     }
 }
@@ -251,11 +241,6 @@ impl FaultInjector {
             || !self.join_sched.is_empty()
     }
 
-    /// Does the schedule contain device loss/join events?
-    pub fn has_pool_events(&self) -> bool {
-        !self.lose_sched.is_empty() || !self.join_sched.is_empty()
-    }
-
     /// A fresh injector with the *same schedule* but zeroed occurrence
     /// counters and an empty dead set. This is how a service scopes one
     /// shared schedule per job: each job runs against its own fork, so
@@ -322,17 +307,6 @@ impl FaultInjector {
             .unwrap_or_else(|e| e.into_inner())
             .lost
             .contains(&gpu)
-    }
-
-    /// The GPUs currently marked dead, ascending.
-    pub fn lost_devices(&self) -> Vec<usize> {
-        self.pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .lost
-            .iter()
-            .copied()
-            .collect()
     }
 
     /// The GPUs this injector is *scheduled* to lose, in schedule
@@ -445,7 +419,6 @@ mod tests {
     #[test]
     fn device_loss_fires_at_nth_op_and_persists() {
         let inj = FaultInjector::new().lose_device(1, 3);
-        assert!(inj.has_pool_events());
         // Ops on GPU 0 never count against GPU 1's schedule.
         assert!(inj.device_op(0).is_ok());
         assert!(inj.device_op(1).is_ok());
@@ -456,7 +429,6 @@ mod tests {
         // Dead stays dead without a join.
         assert_eq!(inj.device_op(1), Err(CudaError::DeviceLost { gpu: 1 }));
         assert!(inj.device_op(0).is_ok());
-        assert_eq!(inj.lost_devices(), vec![1]);
         assert_eq!(inj.injected(), 1);
     }
 
@@ -469,7 +441,6 @@ mod tests {
         assert!(inj.device_op(0).is_ok()); // global 3
         assert!(inj.device_op(1).is_ok()); // global 4: join applies first
         assert!(!inj.is_lost(1));
-        assert!(inj.lost_devices().is_empty());
     }
 
     #[test]
@@ -495,7 +466,6 @@ mod tests {
     #[test]
     fn parse_pool_events() {
         let inj = FaultInjector::parse("lose:1@2,join:1@5").unwrap();
-        assert!(inj.has_pool_events());
         assert!(inj.device_op(1).is_ok()); // gpu1 op 1, global 1
         assert!(inj.device_op(1).is_err()); // gpu1 op 2: lost
         assert!(inj.device_op(0).is_ok()); // global 3

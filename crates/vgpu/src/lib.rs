@@ -14,7 +14,12 @@
 //!   host↔staging `memcpy`, `cudaMemcpy[Async]` in streams, device sort
 //!   kernels, and the CPU merge family — onto simulation ops with the
 //!   correct queueing (stream FIFO), token (copy engines, kernel slot),
-//!   and fluid-demand (PCIe direction, host bus, cores) semantics.
+//!   and fluid-demand (PCIe direction, host bus, cores) semantics. Its
+//!   one caller is `hetsort-core`'s `exec_sim`, which lowers a plan's
+//!   op-dag node by node;
+//! * a [`FaultInjector`] is the deterministic fault schedule (OOM,
+//!   transfer and sort faults, worker panics, device loss/join) the
+//!   functional engine consults at every fault site.
 //!
 //! Every numeric constant is calibrated against a measurement the paper
 //! itself reports; see [`calib`] for the provenance of each number and
@@ -26,14 +31,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod calib;
-pub mod cuda;
 pub mod error;
 pub mod fault;
 pub mod machine;
 pub mod platform;
 pub mod tags;
 
-pub use cuda::{CudaEvent, CudaRun, CudaStream, DevPtr, PinnedPtr, VirtualCuda};
 pub use error::CudaError;
 pub use fault::{FaultInjector, FaultSite};
 pub use machine::{Machine, TransferDir};

@@ -126,16 +126,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Bytes still free on a device.
-    pub fn device_mem_free(&self, gpu: usize) -> f64 {
-        self.plat.gpus[gpu].global_mem_bytes - self.dev_mem_used[gpu]
-    }
-
-    /// Release a device allocation.
-    pub fn device_free(&mut self, gpu: usize, bytes: f64) {
-        self.dev_mem_used[gpu] = (self.dev_mem_used[gpu] - bytes).max(0.0);
-    }
-
     /// Pinned-memory allocation (`cudaMallocHost`): pure latency from
     /// the paper's affine model.
     pub fn pinned_alloc(&mut self, bytes: f64, deps: &[OpId], lane: Option<LaneId>) -> OpId {
@@ -628,8 +618,6 @@ mod tests {
         assert!(m.device_alloc(0, 8.0 * crate::calib::GIB).is_ok());
         assert!(m.device_alloc(0, 8.0 * crate::calib::GIB).is_ok());
         assert!(m.device_alloc(0, 1.0).is_err(), "16 GiB exhausted");
-        m.device_free(0, 8.0 * crate::calib::GIB);
-        assert!(m.device_alloc(0, 1.0).is_ok());
     }
 
     #[test]

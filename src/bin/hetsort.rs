@@ -1,12 +1,15 @@
 //! The `hetsort` command-line tool: simulate, sort, and visualize
 //! heterogeneous sorting pipelines. See `hetsort help`.
 
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use hetsort::analyze::{
     analyze_plan, analyze_plan_with_trace, explore_plan, AnalysisReport, ExploreConfig, ReplanModel,
 };
 use hetsort::cli::{parse, CliError, Command, RunArgs, ServeArgs, USAGE};
 use hetsort::core::{Approach, HetSortConfig, HetSortError, PairStrategy, Plan};
-use hetsort::obs::{chrome_trace, Json, MetricsRegistry};
+use hetsort::obs::{chrome_trace, stdout_exit_code, Json, MetricsRegistry};
 use hetsort::serve::{
     clean_scenarios, synthetic_jobs, AdmissionModel, ServeBudget, ServeConfig, SortService,
     MIX_COALESCE_ELEMS,
@@ -14,30 +17,40 @@ use hetsort::serve::{
 use hetsort::vgpu::{platform1, platform2};
 use hetsort::workloads::{generate, Distribution};
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match parse(&args) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
-    if let Err(e) = run(cmd) {
-        eprintln!("error: {e}");
-        std::process::exit(match e {
-            CliError::Usage(_) => 2,
-            CliError::Run(_) => 1,
-        });
-    }
+    // Everything the CLI prints goes through this one locked writer, so
+    // a reader that closes the pipe (`hetsort dag … | head -1`) surfaces
+    // as an `io::Error` here instead of a `println!` panic.
+    let written = match run(cmd, &mut io::stdout().lock()) {
+        Ok(()) => Ok(()),
+        Err(CliError::Io(e)) => Err(e),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(if matches!(e, CliError::Usage(_)) {
+                2
+            } else {
+                1
+            });
+        }
+    };
+    stdout_exit_code("hetsort", written)
 }
 
-fn run(cmd: Command) -> Result<(), CliError> {
+fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
     match cmd {
-        Command::Help => println!("{USAGE}"),
+        Command::Help => writeln!(w, "{USAGE}")?,
         Command::Platforms => {
             for p in [platform1(), platform2()] {
-                println!(
+                writeln!(
+                    w,
                     "{:<10} {} cores, {} GPU(s): {}",
                     p.name,
                     p.cpu.cores,
@@ -47,26 +60,28 @@ fn run(cmd: Command) -> Result<(), CliError> {
                         .map(|g| g.name.clone())
                         .collect::<Vec<_>>()
                         .join(", ")
-                );
+                )?;
             }
         }
         Command::Simulate(r) => {
             let plan = Plan::build(r.config()?, r.n)?;
             let analysis = r.analyze.then(|| analyze_plan(&plan));
             let report = hetsort::core::exec_sim::simulate_plan(&plan)?;
-            println!("{}", report.summary());
-            println!(
+            writeln!(w, "{}", report.summary())?;
+            writeln!(
+                w,
                 "PCIe/bus utilization: {}",
                 utilization_line(&report.timeline)
-            );
+            )?;
             let ref_t = hetsort::core::reference::reference_time_full(&r.platform_spec()?, r.n);
-            println!(
+            writeln!(
+                w,
                 "reference CPU sort: {ref_t:.3} s → speedup {:.2}x",
                 ref_t / report.total_s
-            );
+            )?;
             if let Some(path) = &r.json {
                 let doc = metrics_doc(&plan, "simulate", &report.metrics(), analysis.as_ref());
-                write_output(path, &doc.pretty())?;
+                write_output(path, &doc.pretty(), w)?;
             }
             if let Some(a) = analysis {
                 require_clean(&plan, a, "static schedule")?;
@@ -93,16 +108,17 @@ fn run(cmd: Command) -> Result<(), CliError> {
                 .trace
                 .as_ref()
                 .map(|trace| analyze_plan_with_trace(&plan, trace));
-            println!(
+            writeln!(
+                w,
                 "sorted {} elements in {:.3} s wall — {} batches, {} pair merges, verified: {}",
                 out.sorted.len(),
                 out.wall_s,
                 out.nb,
                 out.pair_merges,
                 out.verified
-            );
+            )?;
             if out.recovery.any() {
-                println!("recovery: {}", out.recovery.summary());
+                writeln!(w, "recovery: {}", out.recovery.summary())?;
             }
             if let Some(path) = &r.json {
                 // Merge both analyses into one findings list for export.
@@ -114,7 +130,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     (None, b) => b.clone(),
                 };
                 let doc = metrics_doc(&plan, "sort", &out.metrics, merged.as_ref());
-                write_output(path, &doc.pretty())?;
+                write_output(path, &doc.pretty(), w)?;
             }
             if let Some(a) = static_analysis {
                 require_clean(&plan, a, "static schedule")?;
@@ -155,7 +171,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     " (simulated)"
                 },
             );
-            write_output(&chrome, &chrome_trace(&reg, &label))?;
+            write_output(&chrome, &chrome_trace(&reg, &label), w)?;
             eprintln!(
                 "trace: {} spans over {:.6} s, overlap {:.3}, bus util {:.3}",
                 reg.spans().len(),
@@ -166,14 +182,16 @@ fn run(cmd: Command) -> Result<(), CliError> {
         }
         Command::Gantt(r) => {
             let gantt = gantt(&r)?;
-            println!("{gantt}");
-            println!(
+            writeln!(w, "{gantt}")?;
+            writeln!(
+                w,
                 "legend: first letter of component (M=MCpy/MultiwayMerge, H=HtoD, D=DtoH, G=GPUSort, P=PinnedAlloc/PairMerge)"
-            );
+            )?;
         }
         Command::Dag(r) => {
             let dag = hetsort::core::build_dag(r.config()?, r.n)?;
-            println!(
+            writeln!(
+                w,
                 "{} on {}: n={} → {} nodes, {} dependency edges, {} streams, ready-front width ≤ {}",
                 dag.plan.config.approach.name(),
                 dag.plan.config.platform.name,
@@ -182,28 +200,28 @@ fn run(cmd: Command) -> Result<(), CliError> {
                 dag.edge_count(),
                 dag.plan.total_streams,
                 dag.max_ready_width(),
-            );
+            )?;
             let mut census: std::collections::BTreeMap<&'static str, usize> =
                 std::collections::BTreeMap::new();
             for node in &dag.nodes {
                 *census.entry(node.op.class_name()).or_insert(0) += 1;
             }
             for (class, count) in &census {
-                println!("  {class:<14} × {count}");
+                writeln!(w, "  {class:<14} × {count}")?;
             }
             match dag.validate() {
-                Ok(()) => println!("validator: structurally sound"),
-                Err(e) => println!("validator: REJECTED — {e}"),
+                Ok(()) => writeln!(w, "validator: structurally sound")?,
+                Err(e) => writeln!(w, "validator: REJECTED — {e}")?,
             }
             let report = hetsort::analyze::analyze_dag(&dag);
             if report.is_clean() {
-                println!("analyzer: clean");
+                writeln!(w, "analyzer: clean")?;
             } else {
-                print!("{report}");
+                write!(w, "{report}")?;
             }
             require_clean(&dag.plan, report, "op dag")?;
         }
-        Command::ServeSim(s) => serve_sim(&s)?,
+        Command::ServeSim(s) => serve_sim(&s, w)?,
         Command::Analyze {
             run,
             matrix,
@@ -215,13 +233,14 @@ fn run(cmd: Command) -> Result<(), CliError> {
                 None => ExploreConfig::default(),
             };
             if matrix {
-                analyze_matrix()?;
+                analyze_matrix(w)?;
                 if explore {
-                    explore_matrix(&ecfg)?;
+                    explore_matrix(&ecfg, w)?;
                 }
             } else {
                 let plan = Plan::build(run.config()?, run.n)?;
-                println!(
+                writeln!(
+                    w,
                     "analyzing {} on {}: n={} → {} batches, {} streams, {} steps",
                     plan.config.approach.name(),
                     plan.config.platform.name,
@@ -229,12 +248,12 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     plan.nb(),
                     plan.total_streams,
                     plan.steps.len()
-                );
+                )?;
                 let report = analyze_plan(&plan);
-                print!("{report}");
+                write!(w, "{report}")?;
                 require_clean(&plan, report, "static schedule")?;
                 if explore {
-                    explore_one(&plan, &ecfg)?;
+                    explore_one(&plan, &ecfg, w)?;
                 }
             }
         }
@@ -244,7 +263,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
 
 /// `serve-sim`: run the multi-tenant service on the deterministic
 /// synthetic mix and report what happened.
-fn serve_sim(s: &ServeArgs) -> Result<(), CliError> {
+fn serve_sim(s: &ServeArgs, w: &mut impl Write) -> Result<(), CliError> {
     let platform = s.platform_spec()?;
     let mut cfg = ServeConfig::new(ServeBudget::new(s.device_budget, s.pinned_budget))
         .with_queue_cap(s.queue_cap);
@@ -253,7 +272,7 @@ fn serve_sim(s: &ServeArgs) -> Result<(), CliError> {
     }
     let pool_events = s.pool_events()?;
     if !pool_events.is_empty() {
-        println!("chaos: {} pool event(s) scheduled", pool_events.len());
+        writeln!(w, "chaos: {} pool event(s) scheduled", pool_events.len())?;
         cfg = cfg.with_pool_events(pool_events);
     }
     let jobs = synthetic_jobs(&platform, s.jobs, s.seed);
@@ -267,35 +286,39 @@ fn serve_sim(s: &ServeArgs) -> Result<(), CliError> {
         .filter(|r| r.coalesced_into.is_some())
         .count();
     let bytes = out.metrics.counter("bytes_sorted");
-    println!(
+    writeln!(
+        w,
         "serve-sim: {} jobs on {} (seed {}, queue {}, budget dev {:.1e} B/GPU + pinned {:.1e} B)",
         s.jobs, platform.name, s.seed, s.queue_cap, s.device_budget, s.pinned_budget
-    );
-    println!(
+    )?;
+    writeln!(
+        w,
         "completed {} (verified {verified}, recovered {recovered}, coalesced {coalesced}), shed {}, failed {}",
         out.completed.len(),
         out.shed.len(),
         out.failed.len()
-    );
+    )?;
     let losses = out.metrics.counter("pool_losses");
     let joins = out.metrics.counter("pool_joins");
     if losses > 0.0 || joins > 0.0 {
-        println!(
+        writeln!(
+            w,
             "pool churn: {losses:.0} loss(es), {joins:.0} join(s), {:.0} job(s) displaced and re-queued",
             out.metrics.counter("jobs_displaced"),
-        );
+        )?;
     }
     if out.makespan_s > 0.0 {
-        println!(
+        writeln!(
+            w,
             "makespan {:.6} s virtual — {:.1} MB sorted, {:.1} MB/s service throughput, {} admission decisions",
             out.makespan_s,
             bytes / 1e6,
             bytes / 1e6 / out.makespan_s,
             out.admission_log.len()
-        );
+        )?;
     }
     for (id, e) in out.shed.iter().take(3) {
-        println!("  shed example: job {id}: {e}");
+        writeln!(w, "  shed example: job {id}: {e}")?;
     }
     if let Some(path) = &s.json {
         let doc = Json::obj(vec![
@@ -317,7 +340,7 @@ fn serve_sim(s: &ServeArgs) -> Result<(), CliError> {
                 Json::n(out.admission_log.len() as f64),
             ),
         ]);
-        write_output(path, &doc.pretty())?;
+        write_output(path, &doc.pretty(), w)?;
     }
     if !out.failed.is_empty() {
         let (id, e) = &out.failed[0];
@@ -333,7 +356,6 @@ fn serve_sim(s: &ServeArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Write `content` to `path`, with `-` meaning stdout.
 /// Generate the CLI's uniform input, mapping generator rejections into
 /// the typed CLI error instead of panicking.
 fn gen_input(n: usize, seed: u64) -> Result<Vec<f64>, CliError> {
@@ -346,10 +368,10 @@ fn gen_input(n: usize, seed: u64) -> Result<Vec<f64>, CliError> {
         .data)
 }
 
-fn write_output(path: &str, content: &str) -> Result<(), CliError> {
+/// Write `content` to `path`, with `-` meaning the CLI's stdout `w`.
+fn write_output(path: &str, content: &str, w: &mut impl Write) -> Result<(), CliError> {
     if path == "-" {
-        print!("{content}");
-        Ok(())
+        Ok(w.write_all(content.as_bytes())?)
     } else {
         std::fs::write(path, content).map_err(|e| {
             CliError::Run(HetSortError::Data {
@@ -417,7 +439,7 @@ fn require_clean(plan: &Plan, report: AnalysisReport, what: &str) -> Result<(), 
 
 /// Analyze every shipped configuration: all approaches × pair
 /// strategies × both platforms, at paper-scale geometry.
-fn analyze_matrix() -> Result<(), CliError> {
+fn analyze_matrix(w: &mut impl Write) -> Result<(), CliError> {
     let mut total = 0usize;
     let mut dirty = 0usize;
     for platform in [platform1(), platform2()] {
@@ -455,16 +477,17 @@ fn analyze_matrix() -> Result<(), CliError> {
                     dirty += 1;
                     format!("{} finding(s)", report.findings.len())
                 };
-                println!(
+                writeln!(
+                    w,
                     "{:<10} {:<11} {:<15} n={:<12} steps={:<6} {verdict}",
                     plan.config.platform.name,
                     approach.name(),
                     format!("{strategy:?}"),
                     n,
                     plan.steps.len()
-                );
+                )?;
                 if !report.is_clean() {
-                    print!("{report}");
+                    write!(w, "{report}")?;
                 }
             }
         }
@@ -474,28 +497,33 @@ fn analyze_matrix() -> Result<(), CliError> {
             reason: format!("{dirty} of {total} shipped configurations have findings"),
         }));
     }
-    println!("all {total} shipped configurations analyze clean");
+    writeln!(w, "all {total} shipped configurations analyze clean")?;
     Ok(())
 }
 
 /// Print one exploration report line (and its findings) and tally it.
-fn explore_verdict(report: &hetsort::analyze::ExploreReport, dirty: &mut usize) {
-    println!("{}", report.summary());
+fn explore_verdict(
+    report: &hetsort::analyze::ExploreReport,
+    dirty: &mut usize,
+    w: &mut impl Write,
+) -> io::Result<()> {
+    writeln!(w, "{}", report.summary())?;
     if !report.is_clean() {
         *dirty += 1;
         for f in &report.findings {
-            println!("  {f}");
+            writeln!(w, "  {f}")?;
         }
     }
+    Ok(())
 }
 
 /// Model-check one configured plan: exhaustively explore its lowered
 /// trace, and — when a fault spec schedules device losses — the
 /// checkpoint/re-plan coordinator racing those losses.
-fn explore_one(plan: &Plan, ecfg: &ExploreConfig) -> Result<(), CliError> {
+fn explore_one(plan: &Plan, ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliError> {
     let mut dirty = 0usize;
     let report = explore_plan(plan, ecfg);
-    explore_verdict(&report, &mut dirty);
+    explore_verdict(&report, &mut dirty, w)?;
 
     let losses: Vec<usize> = plan
         .config
@@ -506,7 +534,7 @@ fn explore_one(plan: &Plan, ecfg: &ExploreConfig) -> Result<(), CliError> {
     if !losses.is_empty() {
         let mut model = ReplanModel::new(plan.clone(), losses, None);
         let report = hetsort::analyze::explore(&mut model, ecfg);
-        explore_verdict(&report, &mut dirty);
+        explore_verdict(&report, &mut dirty, w)?;
     }
     if dirty > 0 {
         return Err(CliError::Run(HetSortError::Plan {
@@ -520,10 +548,13 @@ fn explore_one(plan: &Plan, ecfg: &ExploreConfig) -> Result<(), CliError> {
 /// approach (PIPEMERGE with and without --par-memcpy) on both
 /// platforms, the recovery coordinator under single- and double-loss
 /// schedules, and the admission state machine's scenarios.
-fn explore_matrix(ecfg: &ExploreConfig) -> Result<(), CliError> {
+fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliError> {
     let mut total = 0usize;
     let mut dirty = 0usize;
-    println!("model-checking the schedule space (small exhaustive geometry):");
+    writeln!(
+        w,
+        "model-checking the schedule space (small exhaustive geometry):"
+    )?;
     for platform in [platform1(), platform2()] {
         let variants: Vec<(HetSortConfig, usize)> = [
             Approach::BLine,
@@ -550,7 +581,7 @@ fn explore_matrix(ecfg: &ExploreConfig) -> Result<(), CliError> {
         for (cfg, n) in variants {
             let plan = Plan::build(cfg, n)?;
             total += 1;
-            explore_verdict(&explore_plan(&plan, ecfg), &mut dirty);
+            explore_verdict(&explore_plan(&plan, ecfg), &mut dirty, w)?;
         }
     }
     // Recovery coordinator: PIPEMERGE on PLATFORM2 racing a single
@@ -562,21 +593,21 @@ fn explore_matrix(ecfg: &ExploreConfig) -> Result<(), CliError> {
     for faults in [vec![0], vec![1], vec![1, 0]] {
         let mut model = ReplanModel::new(plan.clone(), faults, None);
         total += 1;
-        explore_verdict(&hetsort::analyze::explore(&mut model, ecfg), &mut dirty);
+        explore_verdict(&hetsort::analyze::explore(&mut model, ecfg), &mut dirty, w)?;
     }
     // Admission state machine under its shipped scenarios (budget
     // round-off, equal-job churn, lose→join displacement).
     for scenario in clean_scenarios() {
         let mut model = AdmissionModel::new(scenario);
         total += 1;
-        explore_verdict(&hetsort::analyze::explore(&mut model, ecfg), &mut dirty);
+        explore_verdict(&hetsort::analyze::explore(&mut model, ecfg), &mut dirty, w)?;
     }
     if dirty > 0 {
         return Err(CliError::Run(HetSortError::Plan {
             reason: format!("{dirty} of {total} explored models have findings"),
         }));
     }
-    println!("all {total} explored models are clean");
+    writeln!(w, "all {total} explored models are clean")?;
     Ok(())
 }
 

@@ -1,8 +1,8 @@
 //! Command-line interface plumbing for the `hetsort` binary.
 //!
 //! Hand-rolled parsing (no extra dependencies): subcommands `simulate`,
-//! `sort`, `gantt`, `analyze`, and `platforms`, with `--key value`
-//! options. See `hetsort --help`.
+//! `sort`, `gantt`, `dag`, `analyze`, `trace`, `serve-sim`, `platforms`
+//! and `help`, with `--key value` options. See `hetsort help`.
 
 use std::sync::Arc;
 
@@ -18,6 +18,9 @@ pub enum CliError {
     Usage(String),
     /// The run itself failed: exit 1.
     Run(HetSortError),
+    /// Writing the report to stdout failed; a closed pipe is exit 0
+    /// (`hetsort_obs::stdout_exit_code`), anything else exit 1.
+    Io(std::io::Error),
 }
 
 impl std::fmt::Display for CliError {
@@ -25,6 +28,7 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::Usage(msg) => write!(f, "{msg}"),
             CliError::Run(e) => write!(f, "{e}"),
+            CliError::Io(e) => write!(f, "{e}"),
         }
     }
 }
@@ -34,6 +38,7 @@ impl std::error::Error for CliError {
         match self {
             CliError::Usage(_) => None,
             CliError::Run(e) => Some(e),
+            CliError::Io(e) => Some(e),
         }
     }
 }
@@ -41,6 +46,12 @@ impl std::error::Error for CliError {
 impl From<HetSortError> for CliError {
     fn from(e: HetSortError) -> Self {
         CliError::Run(e)
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Io(e)
     }
 }
 
