@@ -15,8 +15,9 @@
 //! * [`radix`] — LSD radix sort with order-preserving key transforms for
 //!   floats (the Thrust/CUB device-sort stand-in used by the functional
 //!   executor).
-//! * [`radix_par`] — the parallel count/scan/scatter radix sort, the
-//!   structural twin of what Thrust actually runs on the device.
+//! * [`radix_par`] — the parallel radix sort the functional engine
+//!   runs as its device sort: [`radix`] per thread-sized slice, then a
+//!   [`merge`] tree; bit-identical to [`radix`] on the whole batch.
 //! * [`merge`] — sequential two-way merge plus the *merge path* parallel
 //!   pairwise merge (Green et al. \[18\]) used by the PIPEMERGE pipeline.
 //! * [`multiway`] — loser-tree k-way merge plus a co-rank-partitioned

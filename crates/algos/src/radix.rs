@@ -18,8 +18,13 @@ use crate::keys::RadixKey;
 /// Number of buckets per digit (8-bit digits).
 const BUCKETS: usize = 256;
 
+/// Histogram count type. `u64`, never `u32`: the paper's headline run
+/// sorts n = 4.9×10⁹ elements, and a `u32` count of ≥ 2³² equal-digit
+/// elements wraps silently into garbage bucket offsets.
+pub type HistCount = u64;
+
 /// Elements per cache block of the counting pass. 1024 keys (8 KiB of
-/// extracted `u64`s) fits in L1 alongside one digit's 1 KiB counter row,
+/// extracted `u64`s) fits in L1 alongside one digit's 2 KiB counter row,
 /// so the digit-major inner loop below never thrashes.
 const COUNT_BLOCK: usize = 1024;
 
@@ -31,13 +36,9 @@ const COUNT_BLOCK: usize = 1024;
 /// counters on every iteration; blocking keeps one row hot at a time.
 /// Counts are exactly the element-major counts, just accumulated in a
 /// different order.
-pub(crate) fn count_all_digits<T: RadixKey, C: Copy + From<u8> + std::ops::AddAssign>(
-    data: &[T],
-    hist: &mut [C],
-) {
+fn count_all_digits<T: RadixKey>(data: &[T], hist: &mut [HistCount]) {
     let digits = T::KEY_BYTES;
     debug_assert_eq!(hist.len(), BUCKETS * digits);
-    let one = C::from(1u8);
     let mut keys = [0u64; COUNT_BLOCK];
     for block in data.chunks(COUNT_BLOCK) {
         let keys = &mut keys[..block.len()];
@@ -48,7 +49,7 @@ pub(crate) fn count_all_digits<T: RadixKey, C: Copy + From<u8> + std::ops::AddAs
             let row = &mut hist[d * BUCKETS..(d + 1) * BUCKETS];
             let shift = 8 * d;
             for &k in keys.iter() {
-                row[((k >> shift) & 0xFF) as usize] += one;
+                row[((k >> shift) & 0xFF) as usize] += 1;
             }
         }
     }
@@ -79,7 +80,7 @@ pub fn radix_sort_with_scratch<T: RadixKey>(data: &mut [T], scratch: &mut [T]) -
 
     // Histogram all digits in one cache-blocked pass.
     let digits = T::KEY_BYTES;
-    let mut hist = vec![0u32; BUCKETS * digits];
+    let mut hist: Vec<HistCount> = vec![0; BUCKETS * digits];
     count_all_digits(data, &mut hist);
 
     let mut passes = 0usize;
@@ -111,26 +112,6 @@ pub fn radix_sort_with_scratch<T: RadixKey>(data: &mut [T], scratch: &mut [T]) -
         passes += 1;
     }
     passes
-}
-
-/// Convenience: sort and return the number of permute passes that an
-/// out-of-place radix sorter would execute (used by the device cost
-/// model to attribute work).
-pub fn radix_pass_count<T: RadixKey>(data: &[T]) -> usize {
-    let n = data.len();
-    if n <= 1 {
-        return 0;
-    }
-    let digits = T::KEY_BYTES;
-    let mut hist = vec![0u32; BUCKETS * digits];
-    count_all_digits(data, &mut hist);
-    (0..digits)
-        .filter(|d| {
-            !hist[d * BUCKETS..(d + 1) * BUCKETS]
-                .iter()
-                .any(|&c| c as usize == n)
-        })
-        .count()
 }
 
 #[cfg(test)]
@@ -230,13 +211,32 @@ mod tests {
 
     #[test]
     fn constant_high_bytes_skip_passes() {
+        let passes = |mut v: Vec<u64>| {
+            let mut scratch = v.clone();
+            radix_sort_with_scratch(&mut v, &mut scratch)
+        };
         // Values < 256: only digit 0 varies → exactly 1 permute pass.
-        let v: Vec<u64> = (0..100).map(|i| (i * 37) % 256).collect();
-        assert_eq!(radix_pass_count(&v), 1);
+        assert_eq!(passes((0..100).map(|i| (i * 37) % 256).collect()), 1);
         // Uniform value → zero passes.
-        assert_eq!(radix_pass_count(&vec![9u64; 50]), 0);
+        assert_eq!(passes(vec![9u64; 50]), 0);
         // Full-range u64 → 8 passes (with overwhelming probability).
-        assert_eq!(radix_pass_count(&lcg(3, 4096)), 8);
+        assert_eq!(passes(lcg(3, 4096)), 8);
+    }
+
+    #[test]
+    fn histogram_counts_cannot_wrap_at_paper_scale() {
+        // Mock a batch that has already counted u32::MAX elements whose
+        // low digit is 0x00 (paper scale: n = 4.9e9 > 2³²) without
+        // allocating them: seed the histogram, then run the real
+        // counting kernel over 10 more such elements.
+        let mut hist: Vec<HistCount> = vec![0; BUCKETS * <u64 as RadixKey>::KEY_BYTES];
+        hist[0] = u32::MAX as HistCount; // digit 0, bucket 0x00
+        count_all_digits(&[0u64; 10], &mut hist);
+        assert_eq!(
+            hist[0],
+            u32::MAX as u64 + 10,
+            "a u32 histogram wraps to 9 here and scatters through garbage offsets"
+        );
     }
 
     #[test]

@@ -1,228 +1,102 @@
-//! Parallel LSD radix sort — the Thrust device sort modeled faithfully.
+//! Parallel radix sort — the device-sort stand-in of the functional
+//! engine (Thrust's out-of-place radix sort of one `b_s` batch, §III-B).
 //!
-//! Thrust's radix sort is a sequence of count → scan → scatter passes
-//! over thousands of GPU threads. This is the CPU translation: each
-//! pass computes per-chunk digit histograms in parallel, prefix-scans
-//! them into disjoint per-(bucket, chunk) output blocks, and scatters
-//! in parallel. Stability is preserved (chunks own contiguous input
-//! ranges, scanned in order), so the pass sequence sorts exactly like
-//! the sequential [`crate::radix`] — verified bit-for-bit by tests.
+//! Sort `t` contiguous slices with the sequential LSD kernel
+//! ([`crate::radix`]), one worker each, then merge them with a
+//! ⌈log₂ t⌉-level pairwise tree of merge-path merges ([`crate::merge`]),
+//! ping-ponging between the batch and one scratch buffer. Each worker's
+//! scatter passes stay inside its own slice; memory is crossed by the
+//! whole machine only in the merge levels. The slices are equal-sized
+//! whatever the keys are, so the work is balanced on any distribution.
 //!
-//! Histogram counts are [`HistCount`] (`u64`): the paper's headline run
-//! sorts n = 4.9×10⁹ elements, and a `u32` count wraps exactly there
-//! when one worker chunk holds ≥ 2³² equal-digit elements.
-//!
-//! The scatter writes through a raw pointer because each chunk's
-//! targets interleave globally while remaining *pairwise disjoint* —
-//! the canonical counting-sort partition. See the `SAFETY` notes.
+//! Every merge takes the left run first on ties, so the result is the
+//! stable LSD permutation of the whole batch — bit-identical to
+//! [`crate::radix::radix_sort`] at every thread count, payloads of
+//! equal-key records included. DESIGN.md § 21 records the two shapes
+//! this one beat (an eight-pass cross-thread count → scan → scatter, and
+//! an MSD partition followed by per-bucket LSD).
 
-use crate::keys::RadixKey;
-use crate::par::{par_parts_stats, split_evenly, SchedCfg};
+use crate::keys::{RadixKey, SortOrd};
+use crate::merge::par_merge_into_cfg;
+use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg};
+use crate::radix::{radix_sort, radix_sort_with_scratch};
 
-const BUCKETS: usize = 256;
+/// Elements a slice needs before it is worth a worker of its own: a
+/// batch is cut into at most ⌈n / `MIN_SLICE`⌉ slices, and one under two
+/// of them is sorted by the sequential kernel.
+const MIN_SLICE: usize = 4 * 1024;
 
-/// Histogram count type. `u64`, never `u32`: a chunk with ≥ 2³²
-/// equal-digit elements (paper scale) must not wrap silently.
-pub type HistCount = u64;
-
-/// Smallest per-chunk slice the sort will hand to the scheduler, in
-/// elements — bounds histogram memory (one `BUCKETS × digits` table
-/// per chunk) and keeps queue overhead negligible.
-const MIN_RADIX_CHUNK: usize = 4 * 1024;
-
-/// Elements per cache block of [`count_digits`] — see
-/// `radix::count_all_digits` for the rationale (8 KiB of extracted keys
-/// plus one 2 KiB counter row stay L1-resident).
-const COUNT_BLOCK: usize = 1024;
-
-/// Count digit occurrences of `chunk` into `hist` (layout
-/// `[digit][bucket]`, `BUCKETS * digits` wide). This is the per-worker
-/// counting kernel of every pass; extracted so overflow behaviour is
-/// testable without allocating paper-scale inputs.
-///
-/// Cache-blocked: keys are extracted once per 1024-element block, then
-/// each digit's counter row is filled from the resident block, instead
-/// of striding across all `digits` rows per element. Counts are exactly
-/// the element-major counts, accumulated in a different order.
-fn count_digits<T: RadixKey>(chunk: &[T], digits: usize, hist: &mut [HistCount]) {
-    let mut keys = [0u64; COUNT_BLOCK];
-    for block in chunk.chunks(COUNT_BLOCK) {
-        let keys = &mut keys[..block.len()];
-        for (k, x) in keys.iter_mut().zip(block.iter()) {
-            *k = x.radix_key();
-        }
-        for d in 0..digits {
-            let row = &mut hist[d * BUCKETS..(d + 1) * BUCKETS];
-            let shift = 8 * d;
-            for &k in keys.iter() {
-                row[((k >> shift) & 0xFF) as usize] += 1;
-            }
-        }
-    }
-}
-
-/// Shared mutable output for the scatter phase.
-///
-/// SAFETY invariant: all concurrent writers write pairwise-disjoint
-/// index sets (guaranteed by the exclusive scan over per-chunk bucket
-/// counts), and the pointer outlives the scoped threads.
-struct ScatterTarget<T>(*mut T);
-// SAFETY: concurrent writers touch pairwise-disjoint index sets (the
-// exclusive scan hands each chunk a private block per bucket) and the
-// pointee outlives the scoped threads, so shared access cannot alias.
-unsafe impl<T: Send> Sync for ScatterTarget<T> {}
-// SAFETY: the wrapper is just a pointer to a `Send` buffer owned by the
-// spawning scope; moving it to another thread moves no non-Send state.
-unsafe impl<T: Send> Send for ScatterTarget<T> {}
-
-/// Sort `data` with a parallel LSD radix sort on `threads` workers.
+/// Sort `data` with the parallel radix sort on `threads` workers.
 ///
 /// Falls back to the sequential radix sort for small inputs or one
 /// thread. Allocates one scratch buffer of equal length.
-pub fn par_radix_sort<T: RadixKey + Default>(threads: usize, data: &mut [T]) {
+pub fn par_radix_sort<T: RadixKey + SortOrd + Default>(threads: usize, data: &mut [T]) {
     par_radix_sort_cfg(&SchedCfg::default(), threads, data);
 }
 
-/// [`par_radix_sort`] with an explicit scheduling policy.
-pub fn par_radix_sort_cfg<T: RadixKey + Default>(cfg: &SchedCfg, threads: usize, data: &mut [T]) {
-    let threads = threads.max(1);
-    let n = data.len();
-    if threads == 1 || n < 8 * 1024 {
-        crate::radix::radix_sort(data);
-        return;
-    }
-    let mut scratch: Vec<T> = vec![T::default(); n];
-    let passes = par_radix_with_scratch_cfg(cfg, threads, data, &mut scratch);
-    if passes % 2 == 1 {
-        data.copy_from_slice(&scratch);
-    }
-}
-
-/// Parallel radix sort with a caller-provided scratch buffer; returns
-/// the number of permute passes (odd → result lives in `scratch`).
-pub fn par_radix_with_scratch<T: RadixKey>(
-    threads: usize,
-    data: &mut [T],
-    scratch: &mut [T],
-) -> usize {
-    par_radix_with_scratch_cfg(&SchedCfg::default(), threads, data, scratch)
-}
-
-/// [`par_radix_with_scratch`] with an explicit scheduling policy. The
-/// input is over-decomposed into [`SchedCfg::over_parts`] chunks (≥
-/// `MIN_RADIX_CHUNK` elements each) claimed from the scheduler's
-/// queue; the exclusive scan runs over (bucket, chunk) in chunk order,
-/// so the permutation — and therefore stability — is identical under
-/// every policy and thread count.
-pub fn par_radix_with_scratch_cfg<T: RadixKey>(
+/// [`par_radix_sort`] with an explicit scheduling policy (the merge
+/// levels over-decompose by it; the output is identical under all).
+pub fn par_radix_sort_cfg<T: RadixKey + SortOrd + Default>(
     cfg: &SchedCfg,
     threads: usize,
     data: &mut [T],
-    scratch: &mut [T],
-) -> usize {
-    assert_eq!(data.len(), scratch.len(), "scratch must match input length");
+) {
     let n = data.len();
-    if n <= 1 {
-        return 0;
+    if threads <= 1 || n < 2 * MIN_SLICE {
+        radix_sort(data);
+        return;
     }
-    let digits = T::KEY_BYTES;
-    let nchunks = cfg.over_parts(threads, n.div_ceil(MIN_RADIX_CHUNK));
-    let chunks = split_evenly(n, nchunks);
+    let mut runs = split_evenly(n, threads.min(n.div_ceil(MIN_SLICE)));
+    let mut scratch: Vec<T> = vec![T::default(); n];
 
-    // Global histograms for every digit in one parallel pass
-    // (per-chunk local tables, reduced afterwards).
-    let mut local_hists: Vec<Vec<HistCount>>;
-    {
-        let mut slots: Vec<Vec<HistCount>> =
-            (0..nchunks).map(|_| vec![0; BUCKETS * digits]).collect();
-        let parts: Vec<(std::ops::Range<usize>, &mut Vec<HistCount>)> =
-            chunks.iter().cloned().zip(slots.iter_mut()).collect();
-        let data_ref: &[T] = data;
-        par_parts_stats(threads, parts, |_, (range, hist)| {
-            count_digits(&data_ref[range], digits, hist);
-        });
-        local_hists = slots;
-    }
-    let mut global = vec![0u64; BUCKETS * digits];
-    for h in &local_hists {
-        for (g, &c) in global.iter_mut().zip(h.iter()) {
-            *g += c;
+    // Each tree level flips sides and the last must land in `data`, so
+    // the sorted slices start in `scratch` iff the level count is odd.
+    let levels = runs.len().next_power_of_two().trailing_zeros();
+    let mut in_data = levels & 1 == 0;
+    let halves: Vec<(&mut [T], &mut [T])> = split_ranges_mut(data, &runs)
+        .into_iter()
+        .zip(split_ranges_mut(&mut scratch, &runs))
+        .collect();
+    par_parts_stats(threads, halves, |_, (d, s)| {
+        // An odd pass count leaves the sorted slice in its scratch half.
+        let in_scratch = radix_sort_with_scratch(d, s) % 2 == 1;
+        match (in_scratch, in_data) {
+            (true, true) => d.copy_from_slice(s),
+            (false, false) => s.copy_from_slice(d),
+            _ => {}
         }
-    }
+    });
 
-    let mut passes = 0usize;
-    let mut src_is_data = true;
-    for d in 0..digits {
-        let g = &global[d * BUCKETS..(d + 1) * BUCKETS];
-        if g.iter().any(|&c| c as usize == n) {
-            continue; // constant digit, skip the permute
-        }
-        // Exclusive scan over (bucket, chunk): chunk c's block for
-        // bucket b starts at Σ_{b'<b} total[b'] + Σ_{c'<c} hist[c'][b].
-        let mut bucket_starts = [0usize; BUCKETS];
-        let mut sum = 0usize;
-        for (b, s) in bucket_starts.iter_mut().enumerate() {
-            *s = sum;
-            sum += g[b] as usize;
-        }
-        let mut chunk_offsets: Vec<[usize; BUCKETS]> = vec![[0usize; BUCKETS]; nchunks];
-        for b in 0..BUCKETS {
-            let mut off = bucket_starts[b];
-            for (c, co) in chunk_offsets.iter_mut().enumerate() {
-                co[b] = off;
-                off += local_hists[c][d * BUCKETS + b] as usize;
-            }
-        }
-
-        let (src, dst): (&[T], &mut [T]) = if src_is_data {
-            (&*data, &mut *scratch)
+    while runs.len() > 1 {
+        let (src, dst): (&[T], &mut [T]) = if in_data {
+            (&*data, &mut scratch)
         } else {
-            (&*scratch, &mut *data)
+            (&scratch, &mut *data)
         };
-        let target = ScatterTarget(dst.as_mut_ptr());
-        let parts: Vec<(std::ops::Range<usize>, [usize; BUCKETS])> =
-            chunks.iter().cloned().zip(chunk_offsets).collect();
-        let target_ref = &target;
-        par_parts_stats(threads, parts, move |_, (range, mut offsets)| {
-            for &x in &src[range] {
-                let byte = ((x.radix_key() >> (8 * d)) & 0xFF) as usize;
-                // SAFETY: `offsets[byte]` walks this chunk's private
-                // block for `byte` (exclusive scan above): no two
-                // chunks ever produce the same index, every index is
-                // in-bounds (Σ blocks = n), and the scoped-thread join
-                // sequences all writes before the next pass reads.
-                unsafe {
-                    *target_ref.0.add(offsets[byte]) = x;
+        runs = runs
+            .chunks(2)
+            .map(|pair| match pair {
+                // Left run first: ties keep their input order.
+                [l, r] => {
+                    let out = &mut dst[l.start..r.end];
+                    par_merge_into_cfg(cfg, threads, &src[l.clone()], &src[r.clone()], out);
+                    l.start..r.end
                 }
-                offsets[byte] += 1;
-            }
-        });
-
-        // Histograms stay valid across passes: counting-sort permutes,
-        // never changes the multiset, but per-chunk *contents* change —
-        // recompute local histograms for the remaining digits.
-        if d + 1 < digits {
-            let next_src: &[T] = if src_is_data { &*scratch } else { &*data };
-            let mut slots: Vec<Vec<HistCount>> =
-                (0..nchunks).map(|_| vec![0; BUCKETS * digits]).collect();
-            let parts: Vec<(std::ops::Range<usize>, &mut Vec<HistCount>)> =
-                chunks.iter().cloned().zip(slots.iter_mut()).collect();
-            par_parts_stats(threads, parts, |_, (range, hist)| {
-                count_digits(&next_src[range], digits, hist);
-            });
-            local_hists = slots;
-        }
-
-        src_is_data = !src_is_data;
-        passes += 1;
+                [l] => {
+                    dst[l.clone()].copy_from_slice(&src[l.clone()]);
+                    l.clone()
+                }
+                _ => unreachable!("chunks(2) yields one or two runs"),
+            })
+            .collect();
+        in_data = !in_data;
     }
-    passes
+    debug_assert!(in_data, "the last tree level writes the batch");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radix::radix_sort;
     use crate::verify::{fingerprint, is_sorted};
 
     fn lcg(seed: u64, n: usize) -> Vec<u64> {
@@ -314,41 +188,5 @@ mod tests {
                 assert_eq!(v, expect, "cfg={cfg:?} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn histogram_counts_cannot_wrap_at_paper_scale() {
-        // Mock a chunk that has already counted u32::MAX elements whose
-        // low digit is 0x00 (paper scale: n = 4.9e9 > 2³²) without
-        // allocating them: seed the histogram, then run the real
-        // counting kernel over 10 more such elements.
-        let digits = <u64 as RadixKey>::KEY_BYTES;
-        let mut hist: Vec<HistCount> = vec![0; BUCKETS * digits];
-        hist[0] = u32::MAX as HistCount; // digit 0, bucket 0x00
-        count_digits(&[0u64; 10], digits, &mut hist);
-        assert_eq!(
-            hist[0],
-            u32::MAX as u64 + 10,
-            "a u32 histogram wraps to 9 here and merges garbage silently"
-        );
-        // The wrap a u32 histogram would have produced is observable:
-        assert_ne!(hist[0] as u32 as u64, hist[0]);
-    }
-
-    #[test]
-    fn scratch_parity_reported() {
-        let mut v = lcg(23, 20_000);
-        let mut scratch = vec![0u64; v.len()];
-        let passes = par_radix_with_scratch(4, &mut v, &mut scratch);
-        let out: &[u64] = if passes % 2 == 1 { &scratch } else { &v };
-        assert!(is_sorted(out));
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch must match")]
-    fn scratch_mismatch_panics() {
-        let mut v = vec![1u64, 2];
-        let mut s = vec![0u64; 3];
-        par_radix_with_scratch(2, &mut v, &mut s);
     }
 }

@@ -1,15 +1,18 @@
-//! Adversarial differential tests for the optimized host merge kernels.
+//! Adversarial differential tests for the optimized host kernels.
 //!
-//! The branchless `merge_into`, the software-prefetched loser tree, and
-//! the parallel wrappers must reproduce the straightforward reference
-//! kernels **bit for bit** — including on inputs chosen to break
-//! float-comparison shortcuts: NaNs with distinct payloads, signed
-//! zeros, infinities, and constant keys (where stability is the only
-//! thing distinguishing correct from wrong output).
+//! The branchless `merge_into`, the software-prefetched loser tree, the
+//! parallel wrappers and the slices-then-merge device sort must
+//! reproduce the straightforward reference kernels **bit for bit** —
+//! including on inputs chosen to break float-comparison shortcuts: NaNs
+//! with distinct payloads, signed zeros, infinities, and constant keys
+//! (where stability is the only thing distinguishing correct from wrong
+//! output).
 
-use hetsort_algos::keys::SortOrd;
+use hetsort_algos::keys::{KeyValue, SortOrd};
 use hetsort_algos::merge::{merge_into, merge_into_reference, par_merge_into};
 use hetsort_algos::multiway::{multiway_merge_into, par_multiway_merge_into_cfg};
+use hetsort_algos::radix::radix_sort;
+use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_algos::SchedCfg;
 use hetsort_prng::{prop_assert_eq, run_cases, Rng};
 
@@ -27,18 +30,20 @@ const SPECIALS: [f64; 8] = [
     f64::MIN_POSITIVE,
 ];
 
+fn adversarial_key(r: &mut Rng) -> f64 {
+    let pick = r.usize_in(0, 9);
+    if pick < SPECIALS.len() {
+        SPECIALS[pick]
+    } else if pick == SPECIALS.len() {
+        // A second NaN payload, distinguishable only by bits.
+        f64::from_bits(0x7FF8_0000_0000_0001)
+    } else {
+        r.f64_unit() * 200.0 - 100.0
+    }
+}
+
 fn adversarial_sorted(rng: &mut Rng, max_len: usize) -> Vec<f64> {
-    let mut v = rng.vec_with(max_len, |r| {
-        let pick = r.usize_in(0, 9);
-        if pick < SPECIALS.len() {
-            SPECIALS[pick]
-        } else if pick == SPECIALS.len() {
-            // A second NaN payload, distinguishable only by bits.
-            f64::from_bits(0x7FF8_0000_0000_0001)
-        } else {
-            r.f64_unit() * 200.0 - 100.0
-        }
-    });
+    let mut v = rng.vec_with(max_len, adversarial_key);
     v.sort_by(|a, b| a.total_order(b));
     v
 }
@@ -143,5 +148,74 @@ fn merge_tail_copy_handles_disjoint_ranges() {
         let mut got = vec![0.0f64; expect.len()];
         merge_into(a, b, &mut got);
         assert_eq!(bits(&got), bits(&expect));
+    }
+}
+
+/// Worker counts of the device-sort cases: inline, the two-core box,
+/// odd tree shapes (a run carried over a level), more workers than the
+/// smallest inputs have slices.
+const SORT_THREADS: [usize; 6] = [1, 2, 3, 4, 7, 16];
+
+#[test]
+fn device_sort_matches_sequential_radix_on_specials() {
+    // Lengths straddle the 8 Ki sequential cutoff and the 4 Ki slice
+    // floor, and none is a multiple of every worker count.
+    const LENS: [usize; 6] = [8 * 1024 - 1, 8 * 1024, 8 * 1024 + 1, 12_289, 20_011, 40_961];
+    run_cases(
+        "device_sort_matches_sequential_radix_on_specials",
+        12,
+        |rng| {
+            let n = LENS[rng.usize_in(0, LENS.len() - 1)];
+            let base: Vec<f64> = (0..n).map(|_| adversarial_key(rng)).collect();
+            let mut by_order = base.clone();
+            by_order.sort_by(|a, b| a.total_order(b));
+            let mut seq = base.clone();
+            radix_sort(&mut seq);
+            prop_assert_eq!(bits(&seq), bits(&by_order));
+            for chunks_per_thread in [0u32, 1, 8] {
+                let cfg = SchedCfg { chunks_per_thread };
+                for threads in SORT_THREADS {
+                    let mut par = base.clone();
+                    par_radix_sort_cfg(&cfg, threads, &mut par);
+                    prop_assert_eq!(
+                        (n, chunks_per_thread, threads, bits(&par)),
+                        (n, chunks_per_thread, threads, bits(&seq))
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn device_sort_is_stable_across_slices_and_tree_levels() {
+    // Four distinct keys, payload = input index: the only correct order
+    // of equal keys is ascending payload, and every slice boundary and
+    // every tree merge sits inside a run of ties.
+    const KEYS: [f64; 4] = [-0.0, 0.0, 1.5, f64::NAN];
+    let n = 40_961usize;
+    let base: Vec<KeyValue> = (0..n)
+        .map(|i| KeyValue {
+            key: KEYS[(i * 7 + i / 3) % KEYS.len()],
+            value: i as u64,
+        })
+        .collect();
+    for threads in SORT_THREADS {
+        let mut v = base.clone();
+        par_radix_sort_cfg(&SchedCfg::default(), threads, &mut v);
+        assert_eq!(v.len(), n);
+        for w in v.windows(2) {
+            match w[0].total_order(&w[1]) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => assert!(
+                    w[0].value < w[1].value,
+                    "threads={threads}: payload {} precedes {} within one key",
+                    w[0].value,
+                    w[1].value
+                ),
+                std::cmp::Ordering::Greater => panic!("threads={threads}: unsorted"),
+            }
+        }
     }
 }

@@ -490,6 +490,13 @@ where
     execute_nodes(&dag.plan, &dag.nodes, data, opts)
 }
 
+/// Threads one batch sort runs on: the host's parallelism divided among
+/// the `workers` stream workers that may each be sorting a batch at once
+/// (`0` = the inline engine, one sort at a time), never below one.
+fn sort_width(host_threads: usize, workers: usize) -> usize {
+    (host_threads / workers.max(1)).max(1)
+}
+
 /// The dag a pass runs: the latest survivor re-plan's own nodes, or the
 /// `base` dag while no device has been lost.
 fn latest<'a>(replans: &'a [Plan], base: (&'a Plan, &'a [DagNode])) -> (&'a Plan, &'a [DagNode]) {
@@ -515,14 +522,16 @@ where
     let injected_before = cfg.faults.as_ref().map_or(0, |i| i.injected());
     let t0 = Instant::now();
     let now = || t0.elapsed().as_secs_f64();
-    // Thread sizing, one place: merges and host-side sorts get the
-    // configured merge pool capped at this machine's parallelism ×4
-    // (simulated platforms may have more cores than the host); the
-    // device-sort stand-in gets the host's parallelism.
-    let device_sort_threads = hetsort_algos::par::default_threads();
+    // Thread sizing, one place: merges get the configured merge pool
+    // capped at this machine's parallelism ×4 (simulated platforms may
+    // have more cores than the host); every batch sort, device stand-in
+    // or degraded host path, gets the host's parallelism shared among
+    // the stream workers that sort concurrently.
+    let host = hetsort_algos::par::default_threads();
+    let sort_threads = sort_width(host, opts.workers);
     let threads = usize::try_from(cfg.merge_threads_eff())
         .unwrap_or(usize::MAX)
-        .min(4 * device_sort_threads);
+        .min(4 * host);
     let sched = SchedCfg::default();
 
     // Memory: A (`data`, borrowed), one owned sorted run per batch —
@@ -564,7 +573,7 @@ where
             streams: (0..cur.total_streams)
                 .map(|s| {
                     Mutex::new(StreamSlot {
-                        sx: StreamExec::new(cur, data, s, threads, device_sort_threads, t0),
+                        sx: StreamExec::new(cur, data, s, threads, sort_threads, t0),
                         assembling: Vec::new(),
                     })
                 })
@@ -663,7 +672,7 @@ where
                     return Err(HetSortError::DeviceLost { gpu });
                 }
                 recovery.degraded_batches +=
-                    host_sort_missing(plan, data, &sched, threads, &batches);
+                    host_sort_missing(plan, data, &sched, sort_threads, &batches);
                 let action = ", no survivors → host sort";
                 metrics.record(failover_span(&lost_gpus, action, t_fail, now()));
                 break;
@@ -676,7 +685,7 @@ where
         }
         // Graceful degradation: host-sort whatever the dead stream(s)
         // never delivered.
-        recovery.degraded_batches += host_sort_missing(plan, data, &sched, threads, &batches);
+        recovery.degraded_batches += host_sort_missing(plan, data, &sched, sort_threads, &batches);
     }
 
     // --- The base dag's merges that the first pass did not reach
@@ -755,6 +764,22 @@ mod tests {
             .with_batch_elems(bs)
             .with_pinned_elems(ps);
         PlanDag::from_plan(Plan::build(cfg, n).unwrap())
+    }
+
+    #[test]
+    fn sort_width_shares_the_host_among_stream_workers() {
+        let host = hetsort_algos::par::default_threads();
+        for workers in [0usize, 1, 4, 64] {
+            let w = sort_width(host, workers);
+            assert!(w >= 1, "workers={workers}");
+            assert!(
+                w * workers.max(1) <= host.max(workers),
+                "workers={workers}: {w} thread(s) each oversubscribes {host}"
+            );
+        }
+        assert_eq!(sort_width(8, 0), 8, "the inline engine sorts at full width");
+        assert_eq!(sort_width(8, 3), 2);
+        assert_eq!(sort_width(2, 4), 1);
     }
 
     #[test]

@@ -68,8 +68,11 @@ pub(crate) struct StreamExec<'a, T> {
     data: &'a [T],
     injector: Option<&'a FaultInjector>,
     policy: RecoveryPolicy,
+    /// Split-mode merge workers (the engine's merge width).
     host_threads: usize,
-    device_sort_threads: usize,
+    /// Workers of every batch sort: device stand-in, Split sub-runs and
+    /// the CpuFallback host sort alike.
+    sort_threads: usize,
     /// Host↔pinned staging copy workers (PARMEMCPY), host-capped.
     memcpy_threads: usize,
     /// CPU scheduling policy for merges, sorts, and staging copies.
@@ -113,7 +116,7 @@ where
         data: &'a [T],
         stream: usize,
         host_threads: usize,
-        device_sort_threads: usize,
+        sort_threads: usize,
         t0: Instant,
     ) -> Self {
         let memcpy_threads = usize::try_from(plan.config.memcpy_threads_eff())
@@ -125,7 +128,7 @@ where
             injector: plan.config.faults.as_deref(),
             policy: plan.config.recovery,
             host_threads,
-            device_sort_threads,
+            sort_threads,
             memcpy_threads,
             sched: SchedCfg::default(),
             stream,
@@ -403,7 +406,7 @@ where
                     Mode::Device => {
                         par_radix_sort_cfg(
                             &self.sched,
-                            self.device_sort_threads,
+                            self.sort_threads,
                             &mut self.device[..b.len],
                         );
                         let d = self.dev_buf(&b);
@@ -414,7 +417,7 @@ where
                         // GPU sorts device-sized sub-runs; the CPU
                         // merges them — the halved-b_s re-plan.
                         let cap = self.device_cap.min(b.len).max(1);
-                        let dev_threads = self.device_sort_threads;
+                        let dev_threads = self.sort_threads;
                         let sched = self.sched;
                         let StreamExec {
                             host_batch, device, ..
@@ -456,7 +459,7 @@ where
                         self.host_batch.clear();
                         self.host_batch
                             .extend_from_slice(&self.data[b.start..b.start + b.len]);
-                        par_radix_sort_cfg(&self.sched, self.host_threads, &mut self.host_batch);
+                        par_radix_sort_cfg(&self.sched, self.sort_threads, &mut self.host_batch);
                         acc.push(Access::read(Buffer::Host {
                             region: REGION_A,
                             start: b.start,
