@@ -9,11 +9,9 @@
 use std::sync::Arc;
 
 use hetsort_analyze::analyze_plan_with_trace;
-use hetsort_core::dag::mutate::DagMutant;
+use hetsort_core::dag::mutate::{execute_dag_hooked, DagMutant, EngineHooks};
 use hetsort_core::optrace::lower_dag;
-use hetsort_core::{
-    execute_dag, execute_dag_opts, Approach, DagExecOptions, HetSortConfig, Plan, PlanDag,
-};
+use hetsort_core::{execute_dag, Approach, HetSortConfig, Plan, PlanDag};
 use hetsort_vgpu::{platform1, platform2, FaultInjector};
 
 /// The base dag every structural/trace mutant is applied to: PIPEMERGE
@@ -99,15 +97,11 @@ fn kill_skip_checkpoint() {
         PlanDag::from_plan(Plan::build(cfg, n).unwrap())
     };
     let healthy = execute_dag(&mk(), &data).unwrap();
-    let mutated = execute_dag_opts(
-        &mk(),
-        &data,
-        DagExecOptions {
-            skip_checkpoint: true,
-            ..DagExecOptions::default()
-        },
-    )
-    .unwrap();
+    let hooks = EngineHooks {
+        skip_checkpoint: true,
+        ..EngineHooks::default()
+    };
+    let mutated = execute_dag_hooked(&mk(), &data, 0, hooks).unwrap();
 
     // The defect is invisible to output verification...
     assert!(healthy.verified && mutated.verified);

@@ -15,10 +15,11 @@
 //!    every approach × staging mode × hybrid mode × pair strategy.
 
 use hetsort_analyze::analyze_dag;
+use hetsort_core::dag::mutate::{execute_dag_hooked, EngineHooks};
 use hetsort_core::optrace::{lower_dag, lower_plan};
 use hetsort_core::{
-    execute_dag, execute_dag_opts, Approach, DagExecOptions, HetSortConfig, HybridMode,
-    PairStrategy, Plan, PlanDag, StagingMode, TieBreak,
+    execute_dag, Approach, HetSortConfig, HybridMode, PairStrategy, Plan, PlanDag, StagingMode,
+    TieBreak,
 };
 use hetsort_prng::{prop_assert, run_cases, Rng};
 use hetsort_vgpu::{platform1, platform2};
@@ -92,12 +93,11 @@ fn any_worker_count_and_tiebreak_agree() {
 
         for workers in [0usize, 1, 2, 3, 8] {
             for tie in [TieBreak::MinId, TieBreak::MaxId] {
-                let opts = DagExecOptions {
-                    workers,
+                let hooks = EngineHooks {
                     tie,
-                    ..DagExecOptions::default()
+                    ..EngineHooks::default()
                 };
-                let out = execute_dag_opts(&dag, &data, opts)
+                let out = execute_dag_hooked(&dag, &data, workers, hooks)
                     .map_err(|e| format!("workers={workers} {tie:?}: {e}"))?;
                 prop_assert!(
                     out.verified && bits(&out.sorted) == want,

@@ -3,9 +3,9 @@
 //! [`registry::REGISTRY`] holds one entry per reproduced table/figure
 //! and per file under `results/`; the `experiments` binary runs them by
 //! name (`experiments list` prints the table below from the registry
-//! itself), and `experiments all` regenerates every deterministic file.
-//! `bench_gate` is the separate model-time regression gate over
-//! [`gate`]'s pinned scenario matrix.
+//! itself), and `experiments all` regenerates every deterministic file
+//! — the root `BENCH.json` ([`gate`]'s pinned scenario matrix, the
+//! `bench` entry) among them.
 //!
 //! | Entries | Reproduce |
 //! |---|---|
@@ -14,6 +14,7 @@
 //! | `fig04` … `fig11` | Figures 4–11 |
 //! | `calibrate`, `calibrate_components` | model vs paper headline numbers |
 //! | `ablation_*`, `rejected_strategies`, `kv_records`, `nvlink_future` | extensions beyond the paper's figures |
+//! | `bench` | `BENCH.json`: model seconds of the 15 pinned scenarios |
 //! | `host_fig04`, `host_fig06` | the real algorithms timed on this host (not part of `all`) |
 
 // No unsafe anywhere in this crate — enforced, not assumed.

@@ -1,11 +1,12 @@
-//! The experiments registry: one entry per file under `results/`.
+//! The experiments registry: one entry per file under `results/`, plus
+//! the root `BENCH.json`.
 //!
 //! An entry names its file, the file's header line, and a function that
 //! returns the rows plus a one-line comparison with the paper. The
 //! `experiments` binary prints every entry through one column printer
 //! and writes the file; `tests/golden_results.rs` runs every
 //! deterministic entry and compares with the committed file byte for
-//! byte. Every simulated config comes from
+//! byte. Every simulated config of a `results/` file comes from
 //! [`HetSortConfig::paper_protocol`]: the committed numbers reproduce
 //! the paper's single-buffer staging measurements, so they must not
 //! move when the default staging protocol improves (DESIGN.md § 19).
@@ -45,7 +46,8 @@ pub struct Experiment {
     pub name: &'static str,
     /// What it reproduces.
     pub about: &'static str,
-    /// File under `results/`; `None` = console only.
+    /// File, relative to `results/` (`BENCH.json` alone sits beside
+    /// that directory, at the repository root); `None` = console only.
     pub file: Option<&'static str>,
     /// The file's first line (the CSV header).
     pub header: &'static str,
@@ -197,6 +199,13 @@ pub const REGISTRY: &[Experiment] = &[
         file: Some("ablation_nvlink_gpu_merge.csv"),
         header: "architecture,total_s,cpu_merge_s",
         run: Run::Model(nvlink_future),
+    },
+    Experiment {
+        name: "bench",
+        about: "BENCH.json: the 15 pinned scenarios (every approach on both platforms, the serve mix) under the shipped defaults",
+        file: Some("../BENCH.json"),
+        header: "{",
+        run: Run::Model(bench),
     },
     Experiment {
         name: "host_fig04",
@@ -980,6 +989,24 @@ fn nvlink_future() -> Output {
             "merging batch pairs on the device shrinks the CPU's merge work and the end-to-end \
              time by {:.0}% — the paper's closing argument for GPU-side merging",
             100.0 * (cpu_arch.total_s - assist_total) / cpu_arch.total_s
+        ),
+    }
+}
+
+// ---------------------------------------------------------------- BENCH.json
+
+/// `BENCH.json`, a JSON document in the registry's header + rows shape:
+/// its first line is the header, the rest are the rows.
+fn bench() -> Output {
+    let doc = crate::gate::run_matrix().expect("pinned scenario matrix");
+    let mut lines = doc.lines().map(String::from);
+    assert_eq!(lines.next().as_deref(), Some("{"));
+    Output {
+        rows: lines.collect(),
+        note: format!(
+            "model seconds, pinned byte for byte (generated {}): after an intended model \
+             change rerun this, bump gate::GENERATED, and say why in the PR",
+            crate::gate::GENERATED
         ),
     }
 }

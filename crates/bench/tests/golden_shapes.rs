@@ -1,16 +1,16 @@
-//! Golden-shape tests over the gate's pinned scenarios: structural
-//! facts the paper fixes that must hold in every BENCH.json the matrix
-//! can ever produce — independent of cost-model retuning, which only
-//! moves the *magnitudes* the tolerance bands govern.
+//! Golden-shape tests over the pinned scenarios: structural facts the
+//! paper fixes that must hold in every BENCH.json the matrix can ever
+//! produce — independent of cost-model retuning, which only moves the
+//! *magnitudes* (a refreeze of the byte-pinned file, said in the PR).
 
-use hetsort_bench::gate::{run_scenario, scenario_matrix, Scenario, PAPER_N};
+use hetsort_bench::gate::{run_scenario, scenario_matrix, Scenario, ScenarioResult, PAPER_N};
 use hetsort_core::exec_sim::simulate_plan;
 use hetsort_core::{Approach, HetSortConfig, Plan};
 use hetsort_model::LowerBoundModel;
 use hetsort_obs::OpClass;
 use hetsort_vgpu::{platform2, Machine, TransferDir};
 
-fn run(id: &str) -> (Scenario, hetsort_obs::ScenarioResult) {
+fn run(id: &str) -> (Scenario, ScenarioResult) {
     let s = scenario_matrix()
         .into_iter()
         .find(|s| s.id == id)

@@ -77,6 +77,14 @@ pub enum PairStrategy {
 /// "total memory required on the GPU is ≈ 2·b_s·n_s").
 pub const DEVICE_MEM_FACTOR: f64 = 2.0;
 
+/// Largest plan [`HetSortConfig::validate`] accepts, in dag nodes
+/// (`n_b × (4·chunks per batch + 1)`; allocations and merges add a few
+/// hundred more). The paper's largest run is 20 027 nodes; the largest
+/// plan known to build and simulate in seconds is n = 10¹² under the
+/// defaults, 4.0 M nodes — this is twice that. Input size is otherwise
+/// unbounded user input, and the lowering allocates per node.
+pub const MAX_PLAN_NODES: u128 = 1 << 23;
+
 /// How the executors react to GPU OOM, transfer faults, device-sort
 /// failures, and worker panics.
 ///
@@ -512,11 +520,21 @@ impl HetSortConfig {
                 self.batch_elems
             )));
         }
-        if self.approach == Approach::BLine && self.n_batches(n) > 1 {
+        let nb = self.n_batches(n);
+        if self.approach == Approach::BLine && nb > 1 {
             return Err(HetSortError::config(format!(
-                "BLine requires n_b = 1 but n={n} with b_s={} gives n_b={}; use BLineMulti",
-                self.batch_elems,
-                self.n_batches(n)
+                "BLine requires n_b = 1 but n={n} with b_s={} gives n_b={nb}; use BLineMulti",
+                self.batch_elems
+            )));
+        }
+        // Plan size, before the lowering allocates anything per batch
+        // or per node: four chunk ops per chunk plus one sort per batch.
+        let chunks = self.batch_elems.min(n).div_ceil(self.pinned_elems);
+        let nodes = nb as u128 * (4 * chunks as u128 + 1);
+        if nodes > MAX_PLAN_NODES {
+            return Err(HetSortError::config(format!(
+                "n={n} is n_b={nb} batches of {chunks} chunk(s): {nodes} dag nodes, the limit is \
+                 {MAX_PLAN_NODES} (raise b_s or p_s)"
             )));
         }
         Ok(())
@@ -626,6 +644,37 @@ mod tests {
                 assert!(reason.contains("must be positive"), "{reason}")
             }
             other => panic!("expected Config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn plan_size_is_bounded_before_anything_is_built() {
+        let base = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge);
+        // Everything that finishes today still validates: the paper's
+        // largest run, and n = 1e12 (4.0 M nodes).
+        assert!(base.validate(5_000_000_000).is_ok());
+        assert!(base.validate(1_000_000_000_000).is_ok());
+        // A small input through one-element chunks is a small plan,
+        // whatever b_s is.
+        assert!(base.clone().with_pinned_elems(1).validate(1000).is_ok());
+        // Past the limit: a typed error naming n_b, chunks and the
+        // limit — at sizes whose node count overflows u64 arithmetic on
+        // the way (usize::MAX × 4 chunks) as well as at modest ones.
+        for (cfg, n) in [
+            (base.clone(), 1_000_000_000_000_000_000),
+            (base.clone(), 10_000_000_000_000),
+            (base.clone().with_pinned_elems(1), 2_000_000_000),
+            (base.clone().with_pinned_elems(1), usize::MAX),
+        ] {
+            match cfg.validate(n) {
+                Err(HetSortError::Config { reason }) => {
+                    let nb = cfg.n_batches(n);
+                    assert!(reason.contains(&format!("n_b={nb} ")), "{reason}");
+                    assert!(reason.contains("chunk(s)"), "{reason}");
+                    assert!(reason.contains(&MAX_PLAN_NODES.to_string()), "{reason}");
+                }
+                other => panic!("n={n}: expected Config error, got {other:?}"),
+            }
         }
     }
 

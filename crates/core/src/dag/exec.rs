@@ -7,7 +7,7 @@
 //! [`DagExecOptions::workers`]:
 //!
 //! * `workers = 0` ([`execute_dag`]) runs every node inline on the
-//!   calling thread. Under the default [`TieBreak::MinId`] the ready
+//!   calling thread. Under [`crate::dag::TieBreak::MinId`] the ready
 //!   order *is* the plan submission order, so outputs, spans, recovery
 //!   statistics, fault-injection occurrence alignment and executed
 //!   traces are deterministic (the differential suites pin them).
@@ -42,17 +42,19 @@ use hetsort_algos::verify::{fingerprint, is_sorted};
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
 use hetsort_sim::Access;
 
-use crate::dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};
+use crate::dag::mutate::EngineHooks;
+use crate::dag::{DagNode, DagOp, PlanDag, ReadySet};
 use crate::error::HetSortError;
 use crate::exec_real::{cpu_part_spans, RealOutcome};
 use crate::exec_stream::StreamExec;
 use crate::optrace::trace_nodes;
-use crate::plan::{MergeInput, MergeSrc, Plan};
+use crate::plan::{MergeSrc, Plan};
 use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
 
-/// Engine knobs. The default is the pinned determinism contract;
-/// `tie` and `skip_checkpoint` exist for the test battery.
+/// The engine's one knob. The test battery's hooks (tie-break,
+/// seeded engine defect) are not options: they enter through
+/// [`crate::dag::mutate::execute_dag_hooked`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DagExecOptions {
     /// Threads spawned to run the first pass's stream nodes while the
@@ -60,13 +62,6 @@ pub struct DagExecOptions {
     /// node inline on the caller and spawns nothing. Output bits are
     /// the same at every count; only wall-clock interleaving differs.
     pub workers: usize,
-    /// Ready-node tie-break (see [`TieBreak`]).
-    pub tie: TieBreak,
-    /// Test-support defect ([`crate::dag::mutate::DagMutant::SkipCheckpoint`]):
-    /// ignore the per-batch checkpoint when a device loss triggers a
-    /// re-plan, recomputing *every* batch. Output stays correct; the
-    /// differential check on [`RecoveryStats`] kills it.
-    pub skip_checkpoint: bool,
 }
 
 /// Shared entry checks: data/plan agreement, element width, plan
@@ -170,12 +165,7 @@ where
             DagOp::MultiwayMerge { inputs } => {
                 let lists = inputs
                     .iter()
-                    .map(|inp| {
-                        input(match *inp {
-                            MergeInput::Batch(b) => MergeSrc::Batch(b),
-                            MergeInput::Pair(p) => MergeSrc::Merged(p),
-                        })
-                    })
+                    .map(|&src| input(src))
                     .collect::<Result<Vec<&[T]>, _>>()?;
                 self.sorted = vec![T::default(); self.plan.n];
                 let m_start = now();
@@ -427,7 +417,7 @@ fn failover_span(lost: &BTreeSet<usize>, action: &str, start: f64, end: f64) -> 
 }
 
 /// Execute the dag inline on the calling thread with default options
-/// (the pinned [`TieBreak::MinId`] determinism contract).
+/// (the pinned [`crate::dag::TieBreak::MinId`] determinism contract).
 ///
 /// # Errors
 ///
@@ -460,11 +450,7 @@ pub fn execute_dag_pooled<T>(
 where
     T: RadixKey + SortOrd + Default,
 {
-    let opts = DagExecOptions {
-        workers,
-        ..DagExecOptions::default()
-    };
-    execute_dag_opts(dag, data, opts)
+    execute_dag_opts(dag, data, DagExecOptions { workers })
 }
 
 /// The engine: execute `dag` over `data` under explicit
@@ -487,7 +473,13 @@ pub fn execute_dag_opts<T>(
 where
     T: RadixKey + SortOrd + Default,
 {
-    execute_nodes(&dag.plan, &dag.nodes, data, opts)
+    execute_nodes(
+        &dag.plan,
+        &dag.nodes,
+        data,
+        opts.workers,
+        EngineHooks::default(),
+    )
 }
 
 /// Threads one batch sort runs on: the host's parallelism divided among
@@ -505,12 +497,14 @@ fn latest<'a>(replans: &'a [Plan], base: (&'a Plan, &'a [DagNode])) -> (&'a Plan
 
 /// [`execute_dag_opts`] over borrowed parts: `nodes` is the dag to run,
 /// `plan` the geometry it indexes into. The `&Plan` entry points pass
-/// `&plan.steps` and so run the plan in place.
+/// `&plan.steps` and so run the plan in place. `hooks` is the default
+/// everywhere but under the test battery.
 pub(crate) fn execute_nodes<T>(
     plan: &Plan,
     nodes: &[DagNode],
     data: &[T],
-    opts: DagExecOptions,
+    workers: usize,
+    hooks: EngineHooks,
 ) -> Result<RealOutcome<T>, HetSortError>
 where
     T: RadixKey + SortOrd + Default,
@@ -528,7 +522,7 @@ where
     // or degraded host path, gets the host's parallelism shared among
     // the stream workers that sort concurrently.
     let host = hetsort_algos::par::default_threads();
-    let sort_threads = sort_width(host, opts.workers);
+    let sort_threads = sort_width(host, workers);
     let threads = usize::try_from(cfg.merge_threads_eff())
         .unwrap_or(usize::MAX)
         .min(4 * host);
@@ -565,7 +559,7 @@ where
     loop {
         let on_base = replans.is_empty();
         let (cur, cur_nodes) = latest(&replans, (plan, nodes));
-        let workers = if on_base { opts.workers } else { 0 };
+        let workers = if on_base { workers } else { 0 };
         let pass = Pass {
             plan: cur,
             nodes: cur_nodes,
@@ -582,7 +576,7 @@ where
                 ready: ReadySet::new(
                     cur_nodes,
                     |i| on_base || !cur_nodes[i].op.is_merge(),
-                    opts.tie,
+                    hooks.tie,
                 ),
                 inflight: 0,
                 stop: false,
@@ -648,7 +642,7 @@ where
         }
         lost_gpus.extend(&end.lost);
         for (b, cell) in batches.iter_mut().enumerate() {
-            if opts.skip_checkpoint {
+            if hooks.skip_checkpoint {
                 cell.take();
             }
             let gpu = cur.physical_gpu(cur.batches[b].gpu);
@@ -690,7 +684,7 @@ where
 
     // --- The base dag's merges that the first pass did not reach
     // (all of them ran already on a fault-free run).
-    let mut rest = ReadySet::new(nodes, |i| nodes[i].op.is_merge(), opts.tie);
+    let mut rest = ReadySet::new(nodes, |i| nodes[i].op.is_merge(), hooks.tie);
     while let Some(id) = rest.pop() {
         if !merges.done[id] {
             merges.run(id, &nodes[id].op, &batches)?;
@@ -743,6 +737,8 @@ where
 mod tests {
     use super::*;
     use crate::config::{Approach, HetSortConfig};
+    use crate::dag::mutate::execute_dag_hooked;
+    use crate::dag::TieBreak;
     use crate::plan::Plan;
     use hetsort_algos::introsort::introsort;
     use hetsort_vgpu::platform1;
@@ -786,24 +782,14 @@ mod tests {
     fn tie_break_permutation_preserves_output() {
         let d = data(24_000, 17);
         let g = dag(Approach::PipeMerge, 3_000, 500, 24_000);
-        let min = execute_dag_opts(
-            &g,
-            &d,
-            DagExecOptions {
-                tie: TieBreak::MinId,
+        let run = |tie| {
+            let hooks = EngineHooks {
+                tie,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        let max = execute_dag_opts(
-            &g,
-            &d,
-            DagExecOptions {
-                tie: TieBreak::MaxId,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+            };
+            execute_dag_hooked(&g, &d, 0, hooks).unwrap()
+        };
+        let (min, max) = (run(TieBreak::MinId), run(TieBreak::MaxId));
         assert!(min.verified && max.verified);
         assert_eq!(
             min.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

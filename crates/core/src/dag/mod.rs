@@ -30,7 +30,7 @@ pub mod mutate;
 use std::collections::BTreeMap;
 
 use crate::error::HetSortError;
-use crate::plan::{MergeInput, MergeSrc, Plan};
+use crate::plan::{MergeSrc, Plan};
 
 /// Scheduler tie-break among ready nodes. Every choice yields a valid
 /// topological execution; [`TieBreak::MinId`] is the determinism
@@ -110,7 +110,7 @@ pub enum DagOp {
     /// Final multiway merge into `B`.
     MultiwayMerge {
         /// Sublists merged.
-        inputs: Vec<MergeInput>,
+        inputs: Vec<MergeSrc>,
     },
     /// A two-way merge pinned to the CPU merge resource. Same data
     /// semantics as [`DagOp::PairMerge`]; recorded under its own span
@@ -548,11 +548,7 @@ impl PlanDag {
                         check(i, &node.deps, spec.right)?;
                     }
                     DagOp::MultiwayMerge { inputs } => {
-                        for inp in inputs {
-                            let src = match *inp {
-                                MergeInput::Batch(b) => MergeSrc::Batch(b),
-                                MergeInput::Pair(p) => MergeSrc::Merged(p),
-                            };
+                        for &src in inputs {
                             check(i, &node.deps, src)?;
                         }
                     }

@@ -13,12 +13,50 @@
 //! cannot see by design — they live in the lowered event semantics)
 //! rewrite an [`OpTrace`] via [`DagMutant::apply_trace`]; and
 //! [`DagMutant::SkipCheckpoint`] is an *engine* defect enabled through
-//! [`crate::dag::exec::DagExecOptions`], killed differentially by
-//! comparing [`crate::report::RecoveryStats`].
+//! [`EngineHooks`], killed differentially by comparing
+//! [`crate::report::RecoveryStats`].
+//!
+//! [`execute_dag_hooked`] is the battery's way into the engine: the
+//! hooks it sets are deliberately not fields of the public
+//! [`crate::dag::exec::DagExecOptions`].
 
+use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_sim::optrace::{OpTrace, TraceKind};
 
-use crate::dag::{DagOp, PlanDag};
+use crate::dag::{DagOp, PlanDag, TieBreak};
+use crate::error::HetSortError;
+use crate::exec_real::RealOutcome;
+
+/// What only the test battery may vary about an engine run. The
+/// default is what every production entry point runs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineHooks {
+    /// Ready-node tie-break (see [`TieBreak`]).
+    pub tie: TieBreak,
+    /// The [`DagMutant::SkipCheckpoint`] defect: ignore the per-batch
+    /// checkpoint when a device loss triggers a re-plan, recomputing
+    /// *every* batch. Output stays correct; the differential check on
+    /// [`crate::report::RecoveryStats`] kills it.
+    pub skip_checkpoint: bool,
+}
+
+/// [`crate::dag::exec::execute_dag_opts`] at `workers` with the test
+/// battery's `hooks` set.
+///
+/// # Errors
+///
+/// As [`crate::dag::exec::execute_dag_opts`].
+pub fn execute_dag_hooked<T>(
+    dag: &PlanDag,
+    data: &[T],
+    workers: usize,
+    hooks: EngineHooks,
+) -> Result<RealOutcome<T>, HetSortError>
+where
+    T: RadixKey + SortOrd + Default,
+{
+    crate::dag::exec::execute_nodes(&dag.plan, &dag.nodes, data, workers, hooks)
+}
 
 /// A seeded defect and (implicitly) the check contracted to kill it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

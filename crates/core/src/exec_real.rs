@@ -111,7 +111,7 @@ pub fn sort_real_plan<T>(plan: &Plan, data: &[T]) -> Result<RealOutcome<T>, HetS
 where
     T: RadixKey + SortOrd + Default,
 {
-    crate::dag::exec::execute_nodes(plan, &plan.steps, data, Default::default())
+    crate::dag::exec::execute_nodes(plan, &plan.steps, data, 0, Default::default())
 }
 
 #[cfg(test)]

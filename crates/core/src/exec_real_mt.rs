@@ -49,11 +49,8 @@ pub fn sort_real_parallel<T>(plan: &Plan, data: &[T]) -> Result<RealOutcome<T>, 
 where
     T: RadixKey + SortOrd + Default,
 {
-    let opts = crate::dag::exec::DagExecOptions {
-        workers: plan.total_streams.max(1),
-        ..Default::default()
-    };
-    crate::dag::exec::execute_nodes(plan, &plan.steps, data, opts)
+    let workers = plan.total_streams.max(1);
+    crate::dag::exec::execute_nodes(plan, &plan.steps, data, workers, Default::default())
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ use hetsort_sim::{Access, Buffer, OpTrace, TraceKind};
 
 use crate::config::DEVICE_MEM_FACTOR;
 use crate::dag::{DagNode, DagOp, PlanDag};
-use crate::plan::{MergeInput, MergeSrc, Plan};
+use crate::plan::{MergeSrc, Plan};
 
 /// Host region id of the input list `A`.
 pub const REGION_A: usize = 0;
@@ -234,18 +234,7 @@ pub fn node_accesses(plan: &Plan, node: &DagNode) -> Vec<Access> {
         }
         DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => pair_accesses(*slot),
         DagOp::MultiwayMerge { inputs } => {
-            let mut acc: Vec<Access> = inputs
-                .iter()
-                .map(|inp| {
-                    src_read(
-                        plan,
-                        match *inp {
-                            MergeInput::Batch(b) => MergeSrc::Batch(b),
-                            MergeInput::Pair(p) => MergeSrc::Merged(p),
-                        },
-                    )
-                })
-                .collect();
+            let mut acc: Vec<Access> = inputs.iter().map(|&src| src_read(plan, src)).collect();
             acc.push(Access::write(Buffer::Host {
                 region: REGION_B,
                 start: 0,

@@ -38,16 +38,8 @@ pub struct BatchInfo {
     pub gpu: usize,
 }
 
-/// Input of the final multiway merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeInput {
-    /// An unpaired sorted batch resident in `W`.
-    Batch(usize),
-    /// The output of pipelined pair merge slot `p`.
-    Pair(usize),
-}
-
-/// Source of one side of a pipelined two-way merge.
+/// One sorted run a merge reads: a side of a pipelined two-way merge
+/// or an input of the final multiway merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeSrc {
     /// A sorted batch resident in `W`.
@@ -270,11 +262,7 @@ impl Plan {
             };
             for s in &self.steps {
                 if let DagOp::MultiwayMerge { inputs } = &s.op {
-                    for inp in inputs {
-                        let src = match *inp {
-                            MergeInput::Batch(b) => MergeSrc::Batch(b),
-                            MergeInput::Pair(p) => MergeSrc::Merged(p),
-                        };
+                    for &src in inputs {
                         visit_src(src, &mut batch_seen, &mut slot_seen)?;
                     }
                 }

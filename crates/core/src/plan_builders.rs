@@ -21,7 +21,7 @@ use hetsort_vgpu::calib::amdahl_speedup;
 use crate::config::{HetSortConfig, HybridMode, PairStrategy};
 use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
-use crate::plan::{BatchInfo, MergeInput, MergeSrc, PairSpec, Plan};
+use crate::plan::{BatchInfo, MergeSrc, PairSpec, Plan};
 
 /// Build the plan for sorting `n` elements under `config`.
 ///
@@ -78,7 +78,7 @@ fn geometry(config: &HetSortConfig, n: usize) -> (usize, usize, usize, Vec<Batch
 
 /// The pipelined merge schedule under the configured strategy: pair
 /// specs plus the final multiway merge's inputs.
-fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>, Vec<MergeInput>) {
+fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>, Vec<MergeSrc>) {
     let bs = config.batch_elems;
     let batch_len = |b: usize| bs.min(n - b * bs);
     match (nb > 1, config.pair_strategy) {
@@ -92,8 +92,8 @@ fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>,
                     out_elems: batch_len(2 * p) + batch_len(2 * p + 1),
                 })
                 .collect();
-            let mut inputs: Vec<MergeInput> = (0..npairs).map(MergeInput::Pair).collect();
-            inputs.extend((2 * npairs..nb).map(MergeInput::Batch));
+            let mut inputs: Vec<MergeSrc> = (0..npairs).map(MergeSrc::Merged).collect();
+            inputs.extend((2 * npairs..nb).map(MergeSrc::Batch));
             (pairs, inputs)
         }
         (true, PairStrategy::Online) => {
@@ -112,7 +112,7 @@ fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>,
                 });
                 acc = MergeSrc::Merged(pairs.len() - 1);
             }
-            (pairs, vec![MergeInput::Pair(nb - 2)])
+            (pairs, vec![MergeSrc::Merged(nb - 2)])
         }
         (true, PairStrategy::MergeTree) => {
             // Rejected strategy (§III-D3): a full binary merge tree;
@@ -140,11 +140,7 @@ fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>,
                 }
                 level = next;
             }
-            let root = match level[0].0 {
-                MergeSrc::Merged(slot) => MergeInput::Pair(slot),
-                MergeSrc::Batch(b) => MergeInput::Batch(b),
-            };
-            (pairs, vec![root])
+            (pairs, vec![level[0].0])
         }
     }
 }
@@ -418,10 +414,7 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
     if nb > 1 {
         let deps: Vec<usize> = final_inputs
             .iter()
-            .map(|inp| match *inp {
-                MergeInput::Batch(b) => last_stage_out[b],
-                MergeInput::Pair(slot) => pair_nodes[slot],
-            })
+            .map(|&src| src_dep(src, &pair_nodes))
             .collect();
         let merge = DagOp::MultiwayMerge {
             inputs: final_inputs,

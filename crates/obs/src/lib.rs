@@ -3,7 +3,7 @@
 //! The paper's core contribution is *accounting*: showing that pinned
 //! allocation, staging memcpys, and synchronization are first-order
 //! costs the literature omits. This crate is the subsystem that makes
-//! that accounting machine-readable and regression-checkable:
+//! that accounting machine-readable:
 //!
 //! * [`span`] — the span vocabulary: every operation the pipeline
 //!   performs is one [`ObsSpan`] tagged with an [`OpClass`]
@@ -19,11 +19,9 @@
 //! * [`chrome`] — Chrome-trace JSON export (`chrome://tracing` /
 //!   Perfetto "trace event format") plus a structural validator used
 //!   by the tests.
-//! * [`bench_schema`] — the stable `BENCH.json` schema (component
-//!   breakdowns + end-to-end times per scenario) and the tolerance-band
-//!   comparison that powers the `bench_gate` regression gate.
-//! * [`json`] — the dependency-free JSON value/parser/writer the two
-//!   exports share.
+//! * [`json`] — the dependency-free JSON value/parser/writer every
+//!   export shares (Chrome traces, metrics documents, and
+//!   `hetsort-bench`'s `BENCH.json`).
 
 // Library code must surface failures as typed results, never panics.
 #![forbid(unsafe_code)]
@@ -31,14 +29,12 @@
 
 use std::process::ExitCode;
 
-pub mod bench_schema;
 pub mod chrome;
 pub mod json;
 pub mod registry;
 pub mod span;
 pub mod timeline;
 
-pub use bench_schema::{compare, BenchDoc, GateFinding, GateReport, ScenarioResult, Tolerance};
 pub use chrome::{chrome_trace, validate_chrome, ChromeSummary};
 pub use json::Json;
 pub use registry::{ClassStats, MetricsRegistry};

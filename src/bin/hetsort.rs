@@ -501,29 +501,70 @@ fn analyze_matrix(w: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Print one exploration report line (and its findings) and tally it.
-fn explore_verdict(
-    report: &hetsort::analyze::ExploreReport,
-    dirty: &mut usize,
-    w: &mut impl Write,
-) -> io::Result<()> {
-    writeln!(w, "{}", report.summary())?;
-    if !report.is_clean() {
-        *dirty += 1;
-        for f in &report.findings {
-            writeln!(w, "  {f}")?;
+/// What a run of explorations found. A model whose exploration hit the
+/// op budget proves nothing about the interleavings it never reached,
+/// so it fails the run exactly like one with findings.
+#[derive(Default)]
+struct ExploreTally {
+    total: usize,
+    with_findings: usize,
+    truncated: Vec<String>,
+}
+
+impl ExploreTally {
+    /// Print one exploration report line (and its findings) and tally it.
+    fn record(
+        &mut self,
+        report: &hetsort::analyze::ExploreReport,
+        w: &mut impl Write,
+    ) -> io::Result<()> {
+        writeln!(w, "{}", report.summary())?;
+        self.total += 1;
+        if !report.is_clean() {
+            self.with_findings += 1;
+            for f in &report.findings {
+                writeln!(w, "  {f}")?;
+            }
         }
+        if report.truncated {
+            self.truncated.push(report.model.clone());
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// The model count, or the exit-1 error unless every model was
+    /// explored to the end and is clean.
+    fn verdict(self) -> Result<usize, CliError> {
+        let total = self.total;
+        let mut reasons = Vec::new();
+        if self.with_findings > 0 {
+            reasons.push(format!(
+                "{} of {total} explored model(s) have findings",
+                self.with_findings
+            ));
+        }
+        if !self.truncated.is_empty() {
+            reasons.push(format!(
+                "{} of {total} truncated at the op budget (raise --max-ops): {}",
+                self.truncated.len(),
+                self.truncated.join("; ")
+            ));
+        }
+        if !reasons.is_empty() {
+            return Err(CliError::Run(HetSortError::Plan {
+                reason: format!("schedule-space exploration: {}", reasons.join(", and ")),
+            }));
+        }
+        Ok(total)
+    }
 }
 
 /// Model-check one configured plan: exhaustively explore its lowered
 /// trace, and — when a fault spec schedules device losses — the
 /// checkpoint/re-plan coordinator racing those losses.
 fn explore_one(plan: &Plan, ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliError> {
-    let mut dirty = 0usize;
-    let report = explore_plan(plan, ecfg);
-    explore_verdict(&report, &mut dirty, w)?;
+    let mut tally = ExploreTally::default();
+    tally.record(&explore_plan(plan, ecfg), w)?;
 
     let losses: Vec<usize> = plan
         .config
@@ -533,15 +574,9 @@ fn explore_one(plan: &Plan, ecfg: &ExploreConfig, w: &mut impl Write) -> Result<
         .unwrap_or_default();
     if !losses.is_empty() {
         let mut model = ReplanModel::new(plan.clone(), losses, None);
-        let report = hetsort::analyze::explore(&mut model, ecfg);
-        explore_verdict(&report, &mut dirty, w)?;
+        tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
     }
-    if dirty > 0 {
-        return Err(CliError::Run(HetSortError::Plan {
-            reason: "schedule-space exploration found defects".into(),
-        }));
-    }
-    Ok(())
+    tally.verdict().map(|_| ())
 }
 
 /// Model-check the shipped matrix at small exhaustive geometry: every
@@ -549,8 +584,7 @@ fn explore_one(plan: &Plan, ecfg: &ExploreConfig, w: &mut impl Write) -> Result<
 /// platforms, the recovery coordinator under single- and double-loss
 /// schedules, and the admission state machine's scenarios.
 fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliError> {
-    let mut total = 0usize;
-    let mut dirty = 0usize;
+    let mut tally = ExploreTally::default();
     writeln!(
         w,
         "model-checking the schedule space (small exhaustive geometry):"
@@ -580,8 +614,7 @@ fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliErr
         .collect();
         for (cfg, n) in variants {
             let plan = Plan::build(cfg, n)?;
-            total += 1;
-            explore_verdict(&explore_plan(&plan, ecfg), &mut dirty, w)?;
+            tally.record(&explore_plan(&plan, ecfg), w)?;
         }
     }
     // Recovery coordinator: PIPEMERGE on PLATFORM2 racing a single
@@ -592,21 +625,15 @@ fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliErr
     let plan = Plan::build(cfg, 4500)?;
     for faults in [vec![0], vec![1], vec![1, 0]] {
         let mut model = ReplanModel::new(plan.clone(), faults, None);
-        total += 1;
-        explore_verdict(&hetsort::analyze::explore(&mut model, ecfg), &mut dirty, w)?;
+        tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
     }
     // Admission state machine under its shipped scenarios (budget
     // round-off, equal-job churn, lose→join displacement).
     for scenario in clean_scenarios() {
         let mut model = AdmissionModel::new(scenario);
-        total += 1;
-        explore_verdict(&hetsort::analyze::explore(&mut model, ecfg), &mut dirty, w)?;
+        tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
     }
-    if dirty > 0 {
-        return Err(CliError::Run(HetSortError::Plan {
-            reason: format!("{dirty} of {total} explored models have findings"),
-        }));
-    }
+    let total = tally.verdict()?;
     writeln!(w, "all {total} explored models are clean")?;
     Ok(())
 }

@@ -260,8 +260,9 @@ impl RunArgs {
     }
 }
 
-/// Parse a number with optional scientific/underscore notation
-/// (`5e9`, `1_000_000`, `250000`).
+/// Parse a count with optional scientific/underscore notation
+/// (`5e9`, `2.5e9`, `1_000_000`, `250000`). A value that is not a whole
+/// number (`1.5`) is an error, not a truncation.
 pub fn parse_count(s: &str) -> Result<usize, String> {
     let cleaned: String = s.chars().filter(|&c| c != '_').collect();
     if let Ok(v) = cleaned.parse::<usize>() {
@@ -270,7 +271,7 @@ pub fn parse_count(s: &str) -> Result<usize, String> {
     cleaned
         .parse::<f64>()
         .ok()
-        .filter(|v| v.is_finite() && *v >= 0.0 && *v <= 1e18)
+        .filter(|v| v.is_finite() && *v >= 0.0 && *v <= 1e18 && v.fract() == 0.0)
         .map(|v| v as usize)
         .ok_or_else(|| format!("cannot parse count '{s}'"))
 }
@@ -549,6 +550,9 @@ mod tests {
         assert_eq!(parse_count("1_000_000").unwrap(), 1_000_000);
         assert_eq!(parse_count("5e9").unwrap(), 5_000_000_000);
         assert_eq!(parse_count("2.5e3").unwrap(), 2_500);
+        assert_eq!(parse_count("2.5e9").unwrap(), 2_500_000_000);
+        assert!(parse_count("1.5").is_err(), "not a whole number");
+        assert!(parse_count("2.5e0").is_err());
         assert!(parse_count("abc").is_err());
         assert!(parse_count("-5").is_err());
     }

@@ -17,8 +17,8 @@
 //! * [`analyze`] — static plan verifier + happens-before race detector
 //!   for stream/event schedules (`hetsort analyze`).
 //! * [`obs`] — observability: structured spans, metrics registry,
-//!   Chrome-trace export, and the `BENCH.json` regression-gate schema
-//!   (`hetsort trace`, `bench_gate`).
+//!   Chrome-trace and metrics-document export (`hetsort trace`,
+//!   `--json`).
 //! * [`serve`] — multi-tenant sort service: bounded queue,
 //!   memory-budget admission control over the analyzer's residency
 //!   math, small-job coalescing, priorities/deadlines, and typed

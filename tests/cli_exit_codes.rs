@@ -1,0 +1,77 @@
+//! The CLI never reports partial work as a pass and never dies on its
+//! input: a truncated exploration is exit 1, an oversized plan is a
+//! typed exit 1 (not an allocation abort), and a fractional count is a
+//! usage error.
+
+use std::process::{Command, Output};
+
+fn hetsort(args: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hetsort"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("spawn hetsort")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn truncated_exploration_is_exit_one_and_names_the_models() {
+    // Single plan: the one explored model hits the 20-op budget.
+    let out = hetsort("analyze -n 2500 -b 1000 --pinned 500 --explore --max-ops 20");
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert!(stdout.contains("TRUNCATED at op budget"), "{stdout}");
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(
+        stderr.contains("1 of 1 truncated at the op budget"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("PipeMerge n=2500 gpus=1 streams=2"),
+        "{stderr}"
+    );
+
+    // Matrix: some of the 16 models finish inside 50 ops, most do not.
+    let out = hetsort("analyze --matrix --explore --max-ops 50");
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(!stdout.contains("explored models are clean"), "{stdout}");
+    let truncated = stdout.matches("TRUNCATED at op budget").count();
+    assert!((1..16).contains(&truncated), "{stdout}");
+    assert!(
+        stderr.contains(&format!("{truncated} of 16 truncated at the op budget")),
+        "{stderr}"
+    );
+    assert!(stderr.contains("admission equal-jobs"), "{stderr}");
+
+    // The same plan under a budget that completes is still exit 0.
+    let out = hetsort("analyze -n 2500 -b 1000 --pinned 500 --explore");
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+}
+
+#[test]
+fn oversized_plan_is_a_typed_error_not_an_abort() {
+    for args in ["simulate -n 1e18", "simulate -n 2e9 --pinned 1"] {
+        let out = hetsort(args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(stderr.contains("invalid configuration"), "{args}: {stderr}");
+        assert!(
+            stderr.contains("n_b=") && stderr.contains("dag nodes"),
+            "{args}: {stderr}"
+        );
+        assert!(!stderr.contains("memory allocation"), "{args}: {stderr}");
+    }
+}
+
+#[test]
+fn fractional_count_is_a_usage_error() {
+    let out = hetsort("sort -n 1.5");
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cannot parse count '1.5'"), "{stderr}");
+    // Scientific notation with an integral value stays valid.
+    let out = hetsort("simulate -n 2.5e9");
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+}
