@@ -29,7 +29,8 @@
 //!   schedule completes (engine-level, every model gets it for free);
 //! * **budget safety** — no interleaving of
 //!   reserve/release/lose/join overcommits a device or pinned cap
-//!   ([`FindingClass::Budget`], checked by the serve admission model);
+//!   ([`FindingClass::Budget`], checked by `hetsort-serve`'s admission
+//!   model, which drives the shipped controller);
 //! * **replan cover** — every device-loss interleaving yields
 //!   recovery plans whose batches exactly partition the unfinished
 //!   work ([`FindingClass::ReplanCover`], checked by
@@ -494,23 +495,6 @@ pub fn explore(model: &mut dyn SchedModel, cfg: &ExploreConfig) -> ExploreReport
         }
     }
     rep
-}
-
-/// A seeded defect in the serve admission model — declared here so
-/// the mutation vocabulary lives with the explorer, implemented by
-/// `hetsort-serve`'s admission model (the dependency points
-/// serve → analyze, so the model itself cannot live in this crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionDefect {
-    /// `release` subtracts the reservation's footprint twice — the
-    /// controller under-accounts and later admissions overcommit.
-    DoubleRelease,
-    /// The empty-controller round-off reset is skipped — f64 residue
-    /// accumulates and boundary-sized jobs can block forever.
-    NoDrainReset,
-    /// Reservations displaced by `lose_gpu` are re-queued without
-    /// being released — the controller leaks the dead reservation.
-    SkipDisplaceRelease,
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@ fn rw(write: bool) -> &'static str {
 /// Check a trace for races, event-discipline violations, aliasing
 /// hazards, and (when GPU capacities are given) device-memory
 /// over-subscription.
-pub fn check_trace(trace: &OpTrace, gpu_capacity: Option<&[f64]>) -> Vec<Finding> {
+pub fn check_trace(trace: &OpTrace, gpu_capacity: Option<&[u64]>) -> Vec<Finding> {
     let n = trace.n_threads.max(1);
     let mut findings = Vec::new();
     let mut clocks: Vec<Vec<u64>> = vec![vec![0; n]; n];
@@ -98,11 +98,11 @@ pub fn check_trace(trace: &OpTrace, gpu_capacity: Option<&[f64]>) -> Vec<Finding
             first_record.entry(event).or_insert(i);
         }
     }
-    let mut live: HashMap<ExactKey, (usize, f64)> = HashMap::new();
+    let mut live: HashMap<ExactKey, (usize, u64)> = HashMap::new();
     // Freed (and not since re-allocated) buffers: key → freeing record.
     let mut freed: HashMap<ExactKey, usize> = HashMap::new();
     let mut saw_free = false;
-    let mut dev_used: HashMap<usize, f64> = HashMap::new();
+    let mut dev_used: HashMap<usize, u64> = HashMap::new();
     let mut history: HashMap<CoarseKey, Vec<Past>> = HashMap::new();
 
     for (i, r) in trace.records.iter().enumerate() {
@@ -179,7 +179,7 @@ pub fn check_trace(trace: &OpTrace, gpu_capacity: Option<&[f64]>) -> Vec<Finding
                         });
                     }
                     if let ExactKey::Dev(gpu, _) = key {
-                        let used = dev_used.entry(gpu).or_insert(0.0);
+                        let used = dev_used.entry(gpu).or_insert(0);
                         *used += bytes;
                         if let Some(cap) = gpu_capacity.and_then(|c| c.get(gpu)) {
                             if *used > *cap {
@@ -347,7 +347,7 @@ pub fn check_trace(trace: &OpTrace, gpu_capacity: Option<&[f64]>) -> Vec<Finding
     // survivor in `live` is a leak there; hand-built traces with no
     // Free records at all opt out.
     if saw_free {
-        let mut leaked: Vec<&(usize, f64)> = live.values().collect();
+        let mut leaked: Vec<&(usize, u64)> = live.values().collect();
         leaked.sort_by_key(|(rec, _)| *rec);
         for (rec, _) in leaked {
             let r = &trace.records[*rec];
@@ -472,7 +472,7 @@ mod tests {
             "alloc a",
             TraceKind::Alloc {
                 buf: dev(0),
-                bytes: 6.0,
+                bytes: 6,
             },
         );
         tr.push(
@@ -480,10 +480,10 @@ mod tests {
             "alloc a again",
             TraceKind::Alloc {
                 buf: dev(0),
-                bytes: 6.0,
+                bytes: 6,
             },
         );
-        let fs = check_trace(&tr, Some(&[10.0]));
+        let fs = check_trace(&tr, Some(&[10]));
         assert!(fs.iter().any(|f| f.code == "double-alloc"));
         assert!(fs.iter().any(|f| f.code == "device-over-capacity"));
     }
@@ -507,7 +507,7 @@ mod tests {
             "alloc a",
             TraceKind::Alloc {
                 buf: dev(0),
-                bytes: 1.0,
+                bytes: 1,
             },
         );
         tr.push(
@@ -515,7 +515,7 @@ mod tests {
             "alloc b",
             TraceKind::Alloc {
                 buf: dev(1),
-                bytes: 1.0,
+                bytes: 1,
             },
         );
         tr.push(0, "free a", TraceKind::Free { buf: dev(0) });
@@ -554,7 +554,7 @@ mod tests {
             "alloc",
             TraceKind::Alloc {
                 buf: dev(0),
-                bytes: 1.0,
+                bytes: 1,
             },
         );
         tr.push(0, "free", TraceKind::Free { buf: dev(0) });
@@ -563,7 +563,7 @@ mod tests {
             "realloc",
             TraceKind::Alloc {
                 buf: dev(0),
-                bytes: 1.0,
+                bytes: 1,
             },
         );
         tr.push(
@@ -584,7 +584,7 @@ mod tests {
             "alloc",
             TraceKind::Alloc {
                 buf: dev(0),
-                bytes: 1.0,
+                bytes: 1,
             },
         );
         assert!(check_trace(&rec, None).is_empty());

@@ -55,7 +55,7 @@ pub mod residency;
 pub mod static_lint;
 pub mod trace_model;
 
-pub use explore::{explore, AdmissionDefect, ExploreConfig, ExploreReport, SchedModel};
+pub use explore::{explore, ExploreConfig, ExploreReport, SchedModel};
 pub use finding::{AnalysisReport, Finding, FindingClass};
 pub use mutate::{ExploreMutant, Mutant};
 pub use replan_model::{ReplanDefect, ReplanModel};
@@ -101,7 +101,7 @@ pub fn analyze_dag(dag: &PlanDag) -> AnalysisReport {
 /// re-checks recovery detours the static schedule never had).
 pub fn analyze_plan_with_trace(plan: &Plan, trace: &OpTrace) -> AnalysisReport {
     let mut findings = static_lint::lint_plan(plan);
-    let caps: Vec<f64> = plan
+    let caps: Vec<u64> = plan
         .config
         .platform
         .gpus

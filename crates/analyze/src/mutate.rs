@@ -10,6 +10,10 @@
 //! event edges an executor could plausibly forget); structural mutants
 //! edit the plan in place (the hand-mutated-plan shapes
 //! `Plan::check_invariants` and the static linter exist to catch).
+//!
+//! [`ExploreMutant`] seeds the recovery coordinator the schedule-space
+//! explorer drives. The admission controller's seeded defects are a
+//! serve concept and live in `hetsort_serve::admission_model`.
 
 use hetsort_core::config::PairStrategy;
 use hetsort_core::dag::DagOp;
@@ -331,17 +335,16 @@ impl Mutant {
     }
 }
 
-/// A seeded defect in the *models* the schedule-space explorer drives
-/// (recovery coordinator, admission state machine) rather than in a
-/// plan/trace pair. The explorer-targeted half of the kill-suite: each
-/// variant names the [`FindingClass`] exploration must report.
+/// A seeded defect in the recovery coordinator the schedule-space
+/// explorer drives ([`crate::replan_model`]) rather than in a
+/// plan/trace pair: the explorer-targeted half of the kill-suite. Each
+/// variant names the [`FindingClass`] exploration must report, and
+/// `tests/explore_mutation.rs` kills every one.
 ///
-/// The recovery-side variants build on [`crate::replan_model`]; the
-/// admission-side variants carry an [`crate::AdmissionDefect`] that
-/// `hetsort-serve`'s admission model implements (serve depends on this
-/// crate, so the model lives there). `tests/explore_mutation.rs` kills
-/// the former, serve's `tests/explore_admission.rs` the latter; the
-/// two subsets partition [`ExploreMutant::ALL`].
+/// The admission-side defects are seeded into the shipped
+/// `AdmissionController` itself and killed by `hetsort-serve`'s
+/// `tests/explore_admission.rs`; they are a serve concept and live
+/// there (`hetsort_serve::admission_model::AdmissionDefect`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExploreMutant {
     /// The coordinator re-plans without reading the checkpoint:
@@ -352,23 +355,14 @@ pub enum ExploreMutant {
     /// The recovery path loses a `stream_wait_event`: the survivor
     /// plan's consumer runs unordered with its producer.
     DropRecoveryWait,
-    /// `release` subtracts a reservation's footprint twice.
-    DoubleRelease,
-    /// The controller skips its empty-state round-off reset.
-    NoDrainReset,
-    /// Displaced reservations are re-queued without being released.
-    SkipDisplaceRelease,
 }
 
 impl ExploreMutant {
     /// Every explorer-targeted mutant, in a stable order.
-    pub const ALL: [ExploreMutant; 6] = [
+    pub const ALL: [ExploreMutant; 3] = [
         ExploreMutant::DropCheckpoint,
         ExploreMutant::DropRecoveryBatch,
         ExploreMutant::DropRecoveryWait,
-        ExploreMutant::DoubleRelease,
-        ExploreMutant::NoDrainReset,
-        ExploreMutant::SkipDisplaceRelease,
     ];
 
     /// Display name.
@@ -377,9 +371,6 @@ impl ExploreMutant {
             ExploreMutant::DropCheckpoint => "drop-checkpoint",
             ExploreMutant::DropRecoveryBatch => "drop-recovery-batch",
             ExploreMutant::DropRecoveryWait => "drop-recovery-wait",
-            ExploreMutant::DoubleRelease => "double-release",
-            ExploreMutant::NoDrainReset => "no-drain-reset",
-            ExploreMutant::SkipDisplaceRelease => "skip-displace-release",
         }
     }
 
@@ -390,10 +381,6 @@ impl ExploreMutant {
                 FindingClass::ReplanCover
             }
             ExploreMutant::DropRecoveryWait => FindingClass::MissingSync,
-            ExploreMutant::DoubleRelease | ExploreMutant::SkipDisplaceRelease => {
-                FindingClass::Budget
-            }
-            ExploreMutant::NoDrainReset => FindingClass::Deadlock,
         }
     }
 
@@ -406,20 +393,7 @@ impl ExploreMutant {
             ExploreMutant::DropRecoveryBatch => {
                 Some(crate::replan_model::ReplanDefect::DropRecoveryBatch)
             }
-            _ => None,
-        }
-    }
-
-    /// The admission-controller defect this mutant seeds, if any
-    /// (implemented by `hetsort-serve`'s admission model).
-    pub fn admission_defect(&self) -> Option<crate::explore::AdmissionDefect> {
-        match self {
-            ExploreMutant::DoubleRelease => Some(crate::explore::AdmissionDefect::DoubleRelease),
-            ExploreMutant::NoDrainReset => Some(crate::explore::AdmissionDefect::NoDrainReset),
-            ExploreMutant::SkipDisplaceRelease => {
-                Some(crate::explore::AdmissionDefect::SkipDisplaceRelease)
-            }
-            _ => None,
+            ExploreMutant::DropRecoveryWait => None,
         }
     }
 }
@@ -446,31 +420,26 @@ mod tests {
                 "no mutant seeds {class:?}"
             );
         }
-        // The interleaving-only classes are seeded by the explorer
-        // mutants instead.
+        // The interleaving-only classes: the explorer mutants seed
+        // ReplanCover and MissingSync; the other two are asserted where
+        // their defects live.
+        let asserted_elsewhere = [
+            // hetsort-serve tests/explore_admission.rs: both admission
+            // defects, seeded into the shipped AdmissionController.
+            Budget,
+            // tests/explore_sweep.rs
+            // seeded_wait_cycle_is_a_reachable_deadlock_in_every_interleaving_engine.
+            Deadlock,
+        ];
         for class in [Budget, ReplanCover, Deadlock, MissingSync] {
             assert!(
                 ExploreMutant::ALL
                     .iter()
-                    .any(|m| m.expected_class() == class),
+                    .any(|m| m.expected_class() == class)
+                    || asserted_elsewhere.contains(&class),
                 "no explorer mutant seeds {class:?}"
             );
         }
         assert!(Mutant::ALL.len() >= 8);
-    }
-
-    #[test]
-    fn explorer_mutants_partition_between_replan_and_admission() {
-        // The analyze-side kill test handles every mutant without an
-        // admission defect; serve's kill test handles the rest. Make
-        // sure nothing falls through the crack between the two suites.
-        let (serve, analyze): (Vec<&ExploreMutant>, Vec<&ExploreMutant>) = ExploreMutant::ALL
-            .iter()
-            .partition(|m| m.admission_defect().is_some());
-        assert_eq!(serve.len(), 3, "{serve:?}");
-        assert_eq!(analyze.len(), 3, "{analyze:?}");
-        assert!(analyze
-            .iter()
-            .all(|m| m.replan_defect().is_some() || **m == ExploreMutant::DropRecoveryWait));
     }
 }

@@ -3,7 +3,8 @@
 //! A built [`Plan`] pins two kinds of memory for its entire run:
 //!
 //! * **device**: every stream scheduled on a GPU keeps one
-//!   `2 · elem_bytes · b_s` batch buffer ([`DEVICE_MEM_FACTOR`])
+//!   `2 · elem_bytes · b_s` batch buffer
+//!   ([`HetSortConfig::device_bytes`](hetsort_core::HetSortConfig::device_bytes))
 //!   resident from its first `HtoD` until its last `DtoH` — with
 //!   round-robin batch rotation the buffers never free between batches,
 //!   so the peak per GPU is simply `streams_on_gpu × dev_bytes`;
@@ -17,7 +18,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hetsort_core::config::DEVICE_MEM_FACTOR;
 use hetsort_core::dag::DagOp;
 use hetsort_core::plan::Plan;
 
@@ -28,16 +28,16 @@ pub struct Residency {
     /// ([`Plan::physical_gpu`]) — a recovery re-plan built on surviving
     /// devices accounts against the original platform's device numbers,
     /// so pool bookkeeping stays consistent across plan generations.
-    pub device_bytes: BTreeMap<usize, f64>,
+    pub device_bytes: BTreeMap<usize, u64>,
     /// Total pinned host staging bytes (sum over `PinnedAlloc` steps).
-    pub pinned_bytes: f64,
+    pub pinned_bytes: u64,
 }
 
 impl Residency {
     /// Compute the peak residency of a built plan.
     pub fn of_plan(plan: &Plan) -> Residency {
         let cfg = &plan.config;
-        let dev_bytes = DEVICE_MEM_FACTOR * cfg.elem_bytes * cfg.batch_elems as f64;
+        let dev_bytes = cfg.device_bytes(cfg.batch_elems);
         let mut streams_on: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
         for b in &plan.batches {
             streams_on
@@ -47,14 +47,14 @@ impl Residency {
         }
         let device_bytes = streams_on
             .into_iter()
-            .map(|(gpu, streams)| (gpu, dev_bytes * streams.len() as f64))
+            .map(|(gpu, streams)| (gpu, dev_bytes.saturating_mul(streams.len() as u64)))
             .collect();
         let pinned_bytes = plan
             .steps
             .iter()
             .map(|s| match s.op {
                 DagOp::PinnedAlloc { bytes, .. } => bytes,
-                _ => 0.0,
+                _ => 0,
             })
             .sum();
         Residency {
@@ -64,32 +64,33 @@ impl Residency {
     }
 
     /// Total device bytes across every GPU.
-    pub fn device_total(&self) -> f64 {
+    pub fn device_total(&self) -> u64 {
         self.device_bytes.values().sum()
     }
 
     /// Largest single-GPU residency (0 when no batches are scheduled).
-    pub fn device_peak(&self) -> f64 {
-        self.device_bytes.values().fold(0.0, |a, &b| a.max(b))
+    pub fn device_peak(&self) -> u64 {
+        self.device_bytes.values().copied().max().unwrap_or(0)
     }
 
     /// Fold another footprint into this one (per-GPU sums).
     pub fn add(&mut self, other: &Residency) {
         for (gpu, b) in &other.device_bytes {
-            *self.device_bytes.entry(*gpu).or_insert(0.0) += b;
+            *self.device_bytes.entry(*gpu).or_insert(0) += b;
         }
         self.pinned_bytes += other.pinned_bytes;
     }
 
-    /// Remove a previously-added footprint (per-GPU differences,
-    /// clamped at zero against f64 round-off).
+    /// Remove a previously-added footprint (per-GPU differences). A
+    /// footprint removed twice saturates at zero instead of wrapping,
+    /// so the under-count shows up as a later overcommit.
     pub fn sub(&mut self, other: &Residency) {
         for (gpu, b) in &other.device_bytes {
             if let Some(cur) = self.device_bytes.get_mut(gpu) {
-                *cur = (*cur - b).max(0.0);
+                *cur = cur.saturating_sub(*b);
             }
         }
-        self.pinned_bytes = (self.pinned_bytes - other.pinned_bytes).max(0.0);
+        self.pinned_bytes = self.pinned_bytes.saturating_sub(other.pinned_bytes);
     }
 }
 
@@ -121,13 +122,13 @@ mod tests {
         let r = Residency::of_plan(&p);
         // Platform 1 has one GPU; every scheduled stream holds one
         // 2 × 8 B × b_s buffer.
-        let streams = p.total_streams as f64;
+        let streams = p.total_streams as u64;
         assert_eq!(r.device_bytes.len(), 1);
-        assert_eq!(r.device_total(), streams * 2.0 * 8.0 * 1000.0);
+        assert_eq!(r.device_total(), streams * 2 * 8 * 1000);
         assert_eq!(r.device_peak(), r.device_total());
-        assert_eq!(r.pinned_bytes, streams * 3.0 * 8.0 * 250.0);
+        assert_eq!(r.pinned_bytes, streams * 3 * 8 * 250);
         let paper = Residency::of_plan(&plan_staged(Approach::PipeData, StagingMode::Paper));
-        assert_eq!(paper.pinned_bytes, streams * 2.0 * 8.0 * 250.0);
+        assert_eq!(paper.pinned_bytes, streams * 2 * 8 * 250);
     }
 
     #[test]
@@ -137,10 +138,10 @@ mod tests {
         // buffer per stream, period.
         let p = plan_staged(Approach::BLineMulti, StagingMode::DoubleBuffered);
         let r = Residency::of_plan(&p);
-        let streams = p.total_streams as f64;
-        assert_eq!(r.pinned_bytes, streams * 2.0 * 8.0 * 250.0, "two halves");
+        let streams = p.total_streams as u64;
+        assert_eq!(r.pinned_bytes, streams * 2 * 8 * 250, "two halves");
         let paper = Residency::of_plan(&plan_staged(Approach::BLineMulti, StagingMode::Paper));
-        assert_eq!(paper.pinned_bytes, streams * 8.0 * 250.0, "one buffer");
+        assert_eq!(paper.pinned_bytes, streams * 8 * 250, "one buffer");
     }
 
     #[test]
@@ -166,7 +167,7 @@ mod tests {
         agg.sub(&a);
         assert_eq!(agg.device_total(), b.device_total());
         agg.sub(&b);
-        assert_eq!(agg.device_total(), 0.0);
-        assert_eq!(agg.pinned_bytes, 0.0);
+        assert_eq!(agg.device_total(), 0);
+        assert_eq!(agg.pinned_bytes, 0);
     }
 }

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use hetsort_core::config::{Approach, PairStrategy, DEVICE_MEM_FACTOR};
+use hetsort_core::config::{Approach, PairStrategy};
 use hetsort_core::dag::DagOp;
 use hetsort_core::optrace::node_label;
 use hetsort_core::plan::Plan;
@@ -59,7 +59,7 @@ pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
     // Peak device residency per GPU ([`Residency`] — the same math the
     // serve-layer admission controller budgets with).
     let residency = Residency::of_plan(plan);
-    let dev_bytes = DEVICE_MEM_FACTOR * cfg.elem_bytes * cfg.batch_elems as f64;
+    let dev_bytes = cfg.device_bytes(cfg.batch_elems);
     for (gpu, need) in &residency.device_bytes {
         match cfg.platform.gpus.get(*gpu) {
             None => findings.push(Finding {
@@ -77,10 +77,10 @@ pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
                         class: FindingClass::Oom,
                         code: "device-over-capacity",
                         message: format!(
-                            "GPU {gpu} holds {:.0} resident stream buffer(s) of \
+                            "GPU {gpu} holds {} resident stream buffer(s) of \
                              {dev_bytes:.3e} B each ({need:.3e} B peak) but has only \
                              {:.3e} B — statically guaranteed OOM",
-                            need / dev_bytes.max(f64::MIN_POSITIVE),
+                            need / dev_bytes.max(1),
                             g.global_mem_bytes
                         ),
                         ops: Vec::new(),

@@ -36,7 +36,7 @@ use crate::hb;
 /// Exhaustive-interleaving model of one [`OpTrace`].
 pub struct TraceModel {
     trace: OpTrace,
-    caps: Option<Vec<f64>>,
+    caps: Option<Vec<u64>>,
     label: String,
     /// Record indices per thread, in submission order.
     queues: Vec<Vec<usize>>,
@@ -51,7 +51,7 @@ pub struct TraceModel {
 impl TraceModel {
     /// Model `trace`, optionally checking device capacities (bytes per
     /// GPU, as for [`hb::check_trace`]).
-    pub fn new(trace: OpTrace, caps: Option<Vec<f64>>, label: impl Into<String>) -> TraceModel {
+    pub fn new(trace: OpTrace, caps: Option<Vec<u64>>, label: impl Into<String>) -> TraceModel {
         let mut queues = vec![Vec::new(); trace.n_threads];
         for (i, rec) in trace.records.iter().enumerate() {
             if rec.thread < queues.len() {
@@ -184,7 +184,7 @@ pub fn explore_plan(plan: &Plan, cfg: &ExploreConfig) -> ExploreReport {
 /// Explore a specific trace under a plan's capacity model (the
 /// lowered trace, a mutated one, or a recorded execution).
 pub fn explore_plan_trace(plan: &Plan, trace: OpTrace, cfg: &ExploreConfig) -> ExploreReport {
-    let caps: Vec<f64> = plan
+    let caps: Vec<u64> = plan
         .config
         .platform
         .gpus

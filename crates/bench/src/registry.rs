@@ -15,7 +15,7 @@ use std::io::{self, Write};
 use std::time::Instant;
 
 use hetsort_core::reference::{reference_time, reference_time_full};
-use hetsort_core::{simulate, Approach, HetSortConfig, PairStrategy};
+use hetsort_core::{simulate, Approach, ElemWidth, HetSortConfig, PairStrategy};
 use hetsort_vgpu::{platform1, platform2, Machine, PlatformSpec, TransferDir};
 
 use crate::experiments as ex;
@@ -285,7 +285,7 @@ fn table2() -> Output {
             rows.push(format!(
                 "  GPU   {}: {:.0} GiB, sort {:.2e} keys/s",
                 g.name,
-                g.global_mem_bytes / (1024.0 * 1024.0 * 1024.0),
+                g.global_mem_bytes as f64 / (1024.0 * 1024.0 * 1024.0),
                 g.sort_keys_per_s
             ));
         }
@@ -860,7 +860,7 @@ fn kv_records() -> Output {
     // [5]'s actual workload: 3.75e8 16-byte records = 5.59 GiB. Sizing
     // is in elements; 2 × 16 B × 5e8 = 16 GB fits.
     let kv_cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine)
-        .with_elem_bytes(16.0)
+        .with_elem_bytes(ElemWidth::KeyValue)
         .with_batch_elems(500_000_000);
     let kv = simulate(kv_cfg, 375_000_000).expect("kv sim");
     let row = |name: &str, n: usize, bytes: u32, r: &hetsort_core::TimingReport| {
@@ -892,7 +892,7 @@ fn nvlink_platform() -> PlatformSpec {
     p.pcie.pageable_bps = 30.0e9;
     p.pcie.bidir_total_bps = 120.0e9;
     p.pcie.chunk_sync_s = 0.2e-3;
-    p.gpus[0].global_mem_bytes = 32.0 * 1024.0 * 1024.0 * 1024.0;
+    p.gpus[0].global_mem_bytes = 32 << 30;
     p.gpus[0].sort_keys_per_s = 3.2e9;
     p.gpus[0].mem_bw_bps = 900.0e9;
     p
@@ -915,7 +915,7 @@ fn gpu_merge_assist(plat: &PlatformSpec, n: usize, bs: usize, ps: usize) -> (f64
     let chunk_bytes = 8.0 * ps as f64;
     let chunks = bs / ps;
     // One pinned buffer per stream.
-    let allocs = [[(); 2]; 2].map(|set| set.map(|()| m.pinned_alloc(chunk_bytes, &[], None)));
+    let allocs = [[(); 2]; 2].map(|set| set.map(|()| m.pinned_alloc(8 * ps as u64, &[], None)));
 
     let mut merged_outs = Vec::new();
     for k in 0..nb / 2 {
@@ -947,7 +947,7 @@ fn gpu_merge_assist(plat: &PlatformSpec, n: usize, bs: usize, ps: usize) -> (f64
         // shipped back through this set's first stream while the other
         // set's next pair proceeds.
         let q = Some(queues[0]);
-        let mut last = m.gpu_merge(0, 2.0 * bs as f64, 8.0, q, &sorts, None);
+        let mut last = m.gpu_merge(0, 2.0 * bs as f64, 8, q, &sorts, None);
         for c in 0..2 * chunks {
             let key = k as u64 * 100_000 + c as u64;
             let dt = m.transfer(

@@ -75,7 +75,7 @@ pub enum PairStrategy {
 /// the device sort is Thrust's out-of-place radix sort, so every batch
 /// on the GPU occupies its data plus an equal scratch area (§III-B,
 /// "total memory required on the GPU is ≈ 2·b_s·n_s").
-pub const DEVICE_MEM_FACTOR: f64 = 2.0;
+pub const DEVICE_MEM_FACTOR: u64 = 2;
 
 /// Largest plan [`HetSortConfig::validate`] accepts, in dag nodes
 /// (`n_b × (4·chunks per batch + 1)`; allocations and merges add a few
@@ -230,6 +230,27 @@ impl StagingMode {
     }
 }
 
+/// Element width: the two record layouts the executors sort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ElemWidth {
+    /// 8-byte `f64` keys, the paper's element type.
+    #[default]
+    Key,
+    /// 16-byte key/value records of \[5\]
+    /// (`hetsort_algos::keys::KeyValue`).
+    KeyValue,
+}
+
+impl ElemWidth {
+    /// Bytes per element: 8 or 16.
+    pub const fn bytes(self) -> u64 {
+        match self {
+            ElemWidth::Key => 8,
+            ElemWidth::KeyValue => 16,
+        }
+    }
+}
+
 /// A fully specified heterogeneous sort configuration.
 #[derive(Debug, Clone)]
 pub struct HetSortConfig {
@@ -262,10 +283,10 @@ pub struct HetSortConfig {
     /// Host↔pinned staging organization (single-buffer paper shape or
     /// double-buffered halves with outbound elision).
     pub staging: StagingMode,
-    /// Element size in bytes: 8 for the paper's `f64` keys, 16 for the
-    /// key/value records of \[5\] (`hetsort_algos::keys::KeyValue`).
-    /// Drives every transfer/staging volume and the GPU memory check.
-    pub elem_bytes: f64,
+    /// Element width: the paper's 8-byte keys or 16-byte key/value
+    /// records. Drives every transfer/staging volume and the GPU memory
+    /// check.
+    pub elem_bytes: ElemWidth,
     /// Reaction to faults (OOM, transfer, sort, panic).
     pub recovery: RecoveryPolicy,
     /// Fault schedule the executors consult (testing/chaos runs); `None`
@@ -275,10 +296,6 @@ pub struct HetSortConfig {
     /// `hetsort-analyze` race detector); off by default.
     pub record_trace: bool,
 }
-
-/// Element widths the executors support: 8-byte `f64` keys and the
-/// 16-byte `KeyValue` records of \[5\].
-pub const SUPPORTED_ELEM_BYTES: [usize; 2] = [8, 16];
 
 impl HetSortConfig {
     /// Paper defaults for a platform: all cores for merging, `n_s = 2`
@@ -306,7 +323,7 @@ impl HetSortConfig {
             pair_strategy: PairStrategy::default(),
             hybrid: HybridMode::default(),
             staging: StagingMode::default(),
-            elem_bytes: 8.0,
+            elem_bytes: ElemWidth::Key,
             recovery: RecoveryPolicy::default(),
             faults: None,
             record_trace: false,
@@ -376,9 +393,9 @@ impl HetSortConfig {
         self.staging == StagingMode::DoubleBuffered
     }
 
-    /// Set the element size in bytes (8 = keys, 16 = key/value records).
-    pub fn with_elem_bytes(mut self, b: f64) -> Self {
-        self.elem_bytes = b;
+    /// Set the element width (keys or key/value records).
+    pub fn with_elem_bytes(mut self, w: ElemWidth) -> Self {
+        self.elem_bytes = w;
         self
     }
 
@@ -443,32 +460,12 @@ impl HetSortConfig {
         }
     }
 
-    /// `elem_bytes` as the exact integer width it must be.
-    ///
-    /// The field stays `f64` because the cost model multiplies it into
-    /// transfer volumes, but the *executors* compare it against
-    /// `size_of::<T>()` — an exact-f64-equality check that silently
-    /// never matches for fractional or unsupported widths. Validation
-    /// therefore requires a positive integer in
-    /// [`SUPPORTED_ELEM_BYTES`] and returns a typed error otherwise.
-    pub fn elem_bytes_usize(&self) -> Result<usize, HetSortError> {
-        let b = self.elem_bytes;
-        if !b.is_finite() || b <= 0.0 || b.fract() != 0.0 {
-            return Err(HetSortError::config(format!(
-                "elem_bytes must be a positive integer number of bytes, got {b}"
-            )));
-        }
-        // Float→int `as` saturates rather than truncates, and the
-        // guard above already rejected non-integers; an absurd width
-        // like 1e30 saturates to usize::MAX and fails the allow-list
-        // check below with a typed error.
-        let w = b as usize;
-        if !SUPPORTED_ELEM_BYTES.contains(&w) {
-            return Err(HetSortError::config(format!(
-                "unsupported element width {w} B (supported: {SUPPORTED_ELEM_BYTES:?})"
-            )));
-        }
-        Ok(w)
+    /// Device bytes that `elems` resident elements occupy: the data
+    /// plus Thrust's out-of-place scratch ([`DEVICE_MEM_FACTOR`]). A
+    /// stream's footprint is `device_bytes(batch_elems)`; every sizing
+    /// check, allocation and residency count goes through here.
+    pub fn device_bytes(&self, elems: usize) -> u64 {
+        (DEVICE_MEM_FACTOR * self.elem_bytes.bytes()).saturating_mul(elems as u64)
     }
 
     /// Validate against the hardware model and `n`.
@@ -506,14 +503,16 @@ impl HetSortConfig {
         } else {
             1
         };
-        self.elem_bytes_usize()?;
-        let need = DEVICE_MEM_FACTOR * self.elem_bytes * self.batch_elems as f64 * streams as f64;
+        let need = self
+            .device_bytes(self.batch_elems)
+            .saturating_mul(streams as u64);
         let min_mem = self
             .platform
             .gpus
             .iter()
             .map(|g| g.global_mem_bytes)
-            .fold(f64::INFINITY, f64::min);
+            .min()
+            .unwrap_or(u64::MAX);
         if need > min_mem {
             return Err(HetSortError::config(format!(
                 "b_s={} with {streams} stream(s) needs {need:.3e} B on the GPU but only {min_mem:.3e} B exist",
@@ -610,30 +609,6 @@ mod tests {
         assert!(bl.validate(150).is_err());
         assert!(bl.validate(100).is_ok());
         assert!(base.validate(0).is_err());
-    }
-
-    #[test]
-    fn elem_bytes_must_be_supported_integer_width() {
-        let base = HetSortConfig::paper_defaults(platform1(), Approach::PipeData);
-        assert_eq!(base.elem_bytes_usize().expect("8 is supported"), 8);
-        assert_eq!(
-            base.clone()
-                .with_elem_bytes(16.0)
-                .elem_bytes_usize()
-                .expect("16 is supported"),
-            16
-        );
-        // Fractional, non-finite, non-positive, and unsupported widths
-        // are typed Config errors — not a silently-never-equal f64
-        // comparison deep in the executor.
-        for bad in [8.5, 0.0, -8.0, f64::NAN, f64::INFINITY, 12.0, 4.0] {
-            let c = base.clone().with_elem_bytes(bad);
-            match c.elem_bytes_usize() {
-                Err(HetSortError::Config { .. }) => {}
-                other => panic!("elem_bytes={bad}: expected Config error, got {other:?}"),
-            }
-            assert!(c.validate(1000).is_err(), "validate must reject {bad}");
-        }
     }
 
     #[test]

@@ -74,8 +74,8 @@ fn check_inputs<T>(plan: &Plan, nodes: &[DagNode], data: &[T]) -> Result<(), Het
             plan.n
         )));
     }
-    let elem_bytes = plan.config.elem_bytes_usize()?;
-    if std::mem::size_of::<T>() != elem_bytes {
+    let elem_bytes = plan.config.elem_bytes.bytes();
+    if std::mem::size_of::<T>() as u64 != elem_bytes {
         return Err(HetSortError::data(format!(
             "element type is {} bytes but the config models {} — call with_elem_bytes",
             std::mem::size_of::<T>(),
@@ -122,7 +122,7 @@ where
         op: &DagOp,
         batches: &[OnceLock<Vec<T>>],
     ) -> Result<(), HetSortError> {
-        let elem_bytes = self.plan.config.elem_bytes;
+        let bytes = |elems: usize| (elems as u64 * self.plan.config.elem_bytes.bytes()) as f64;
         let t0 = self.t0;
         let now = move || t0.elapsed().as_secs_f64();
         let pair_out = &self.pair_out;
@@ -158,7 +158,7 @@ where
                     class,
                     format!("{name} p{slot}"),
                     m_start,
-                    spec.out_elems as f64 * elem_bytes,
+                    bytes(spec.out_elems),
                     stats,
                 )
             }
@@ -179,7 +179,7 @@ where
                     OpClass::MultiwayMerge,
                     format!("MultiwayMerge k{}", lists.len()),
                     m_start,
-                    self.plan.n as f64 * elem_bytes,
+                    bytes(self.plan.n),
                     stats,
                 )
             }

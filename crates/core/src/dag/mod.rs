@@ -57,7 +57,7 @@ pub enum DagOp {
         /// Owning stream.
         stream: usize,
         /// Buffer size in bytes.
-        bytes: f64,
+        bytes: u64,
         /// Inbound (A→device) or outbound (device→W/B) buffer.
         dir_in: bool,
     },

@@ -38,9 +38,9 @@ pub enum HetSortError {
         /// The batch being processed, when known.
         batch: Option<usize>,
         /// Bytes the allocation asked for.
-        requested_bytes: f64,
+        requested_bytes: u64,
         /// Bytes still free on the device.
-        free_bytes: f64,
+        free_bytes: u64,
     },
     /// A DMA transfer failed and retries (if any) were exhausted.
     TransferFault {
@@ -243,8 +243,8 @@ mod tests {
     fn cuda_oom_maps_to_gpu_oom() {
         let e: HetSortError = CudaError::DeviceOom {
             gpu: 1,
-            requested_bytes: 4e9,
-            free_bytes: 1e9,
+            requested_bytes: 4_000_000_000,
+            free_bytes: 1_000_000_000,
         }
         .into();
         assert!(matches!(

@@ -11,7 +11,6 @@
 use hetsort_sim::OpId;
 use hetsort_vgpu::{Machine, TransferDir};
 
-use crate::config::DEVICE_MEM_FACTOR;
 use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
 use crate::plan::Plan;
@@ -70,14 +69,14 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
             .find(|b| b.stream == s)
             .map(|b| b.gpu)
             .unwrap_or(s % cfg.platform.n_gpus().max(1));
-        m.device_alloc(
-            gpu,
-            DEVICE_MEM_FACTOR * cfg.elem_bytes * cfg.batch_elems as f64,
-        )?;
+        m.device_alloc(gpu, cfg.device_bytes(cfg.batch_elems))?;
     }
 
     let db = cfg.double_buffered();
     let elided = plan.stage_out_elided();
+    // Work amount of a transfer or staging copy: the simulator divides
+    // it by a bandwidth, so the exact byte count becomes an f64 here.
+    let volume = |elems: usize| (cfg.elem_bytes.bytes() * elems as u64) as f64;
 
     // Streams and display lanes.
     let queues: Vec<_> = (0..plan.total_streams)
@@ -145,7 +144,7 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                 } else {
                     m.host_memcpy(
                         *dir_in,
-                        cfg.elem_bytes * *len as f64,
+                        volume(*len),
                         memcpy_threads,
                         node.stream.map(|s| host_queues[s]),
                         &deps,
@@ -166,7 +165,7 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                 m.transfer(
                     TransferDir::HtoD,
                     gpu,
-                    cfg.elem_bytes * *len as f64,
+                    volume(*len),
                     true,
                     asynchronous,
                     queue,
@@ -184,7 +183,7 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                 // the same ratio).
                 m.gpu_sort(
                     b.gpu,
-                    b.len as f64 * cfg.elem_bytes / 8.0,
+                    volume(b.len) / 8.0,
                     queue,
                     &deps,
                     Some(gpu_lanes[b.gpu]),
@@ -201,7 +200,7 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                     m.transfer(
                         TransferDir::DtoH,
                         gpu,
-                        cfg.elem_bytes * *len as f64,
+                        volume(*len),
                         false,
                         false,
                         queue,
@@ -216,7 +215,7 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                     m.transfer(
                         TransferDir::DtoH,
                         gpu,
-                        cfg.elem_bytes * *len as f64,
+                        volume(*len),
                         true,
                         plan.asynchronous,
                         queue,

@@ -40,7 +40,7 @@ use hetsort_obs::{ObsSpan, OpClass};
 use hetsort_sim::{Access, Buffer};
 use hetsort_vgpu::{FaultInjector, FaultSite, TransferDir};
 
-use crate::config::{RecoveryPolicy, DEVICE_MEM_FACTOR};
+use crate::config::RecoveryPolicy;
 use crate::dag::DagOp;
 use crate::error::HetSortError;
 use crate::optrace::{
@@ -265,13 +265,14 @@ where
             Ok(())
         } else {
             let cfg = &self.plan.config;
-            let per_elem = DEVICE_MEM_FACTOR * cfg.elem_bytes;
-            let used = per_elem * self.device.len() as f64;
+            let used = cfg.device_bytes(self.device.len());
             Err(HetSortError::GpuOom {
                 gpu: self.plan.physical_gpu(b.gpu),
                 batch: Some(b.index),
-                requested_bytes: per_elem * want as f64,
-                free_bytes: (cfg.platform.gpus[b.gpu].global_mem_bytes - used).max(0.0),
+                requested_bytes: cfg.device_bytes(want),
+                free_bytes: cfg.platform.gpus[b.gpu]
+                    .global_mem_bytes
+                    .saturating_sub(used),
             })
         }
     }
@@ -578,7 +579,7 @@ where
             // Merges errored out above.
             _ => (OpClass::PinnedAlloc, ps),
         };
-        let bytes = elems as f64 * self.plan.config.elem_bytes;
+        let bytes = (elems as u64 * self.plan.config.elem_bytes.bytes()) as f64;
         let mut span = ObsSpan::new(
             class,
             match batch {

@@ -58,8 +58,7 @@ pub mod reference;
 pub mod report;
 
 pub use config::{
-    Approach, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy, StagingMode,
-    SUPPORTED_ELEM_BYTES,
+    Approach, ElemWidth, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy, StagingMode,
 };
 pub use dag::exec::{execute_dag, execute_dag_opts, execute_dag_pooled, DagExecOptions};
 pub use dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};

@@ -51,7 +51,6 @@
 
 use hetsort_sim::{Access, Buffer, OpTrace, TraceKind};
 
-use crate::config::DEVICE_MEM_FACTOR;
 use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::plan::{MergeSrc, Plan};
 
@@ -282,7 +281,7 @@ pub fn trace_nodes(plan: &Plan, nodes: &[DagNode], overrides: &[Option<Vec<Acces
     // each stream releases its own buffers in the epilogue below.
     let mut alloced: Vec<(usize, Buffer)> = Vec::new();
     let mut dev_alloced = vec![false; plan.total_streams];
-    let dev_bytes = DEVICE_MEM_FACTOR * plan.config.elem_bytes * plan.config.batch_elems as f64;
+    let dev_bytes = plan.config.device_bytes(plan.config.batch_elems);
     for (si, node) in nodes.iter().enumerate() {
         let th = thread_of(si);
         for &d in &node.deps {
@@ -314,7 +313,7 @@ pub fn trace_nodes(plan: &Plan, nodes: &[DagNode], overrides: &[Option<Vec<Acces
                             format!("{} half {half}", node_label(&node.op, si)),
                             TraceKind::Alloc {
                                 buf,
-                                bytes: *bytes / 2.0,
+                                bytes: *bytes / 2,
                             },
                         );
                     }

@@ -271,11 +271,11 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
     //    host thread for both directions (as in the §IV-E
     //    reproduction) — and elided stage-out never bounces outbound
     //    at all, so the inbound halves are the whole pinned footprint.
-    let ps_bytes = config.elem_bytes * config.pinned_elems as f64;
+    let ps_bytes = config.elem_bytes.bytes() * config.pinned_elems as u64;
     // Double-buffered staging doubles the *inbound* buffer: two
     // parity-selected halves share one allocation (one producer key, so
     // the alloc count per stream is unchanged either way).
-    let in_bytes = if db { 2.0 * ps_bytes } else { ps_bytes };
+    let in_bytes = if db { 2 * ps_bytes } else { ps_bytes };
     for s in 0..total_streams {
         let alloc = |bytes, dir_in| DagOp::PinnedAlloc {
             stream: s,

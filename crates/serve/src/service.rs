@@ -155,7 +155,7 @@ fn shape_key(job: &SortJob) -> String {
         c.batch_elems,
         c.pinned_elems,
         c.streams_per_gpu,
-        c.elem_bytes.to_bits(),
+        c.elem_bytes.bytes(),
         c.par_memcpy,
     )
 }
@@ -819,7 +819,7 @@ impl SortService {
                 s.t_end += start;
                 s
             }));
-            let bytes = q.plan.config.elem_bytes * q.job.data.len() as f64;
+            let bytes = (q.plan.config.elem_bytes.bytes() * q.job.data.len() as u64) as f64;
             done.push(Done {
                 recovered: real.recovery.any(),
                 report: JobReport {
@@ -864,7 +864,10 @@ mod tests {
         // 1000 = 32 kB device and, under the default double-buffered
         // staging, 2 streams × 3 buffers (two inbound halves + one
         // outbound) × 8 B × 250 = 12 kB pinned.
-        ServeBudget::new(32_000.0 * n_jobs as f64, 12_000.0 * n_jobs as f64)
+        ServeBudget {
+            device_bytes: 32_000 * n_jobs as u64,
+            pinned_bytes: 12_000 * n_jobs as u64,
+        }
     }
 
     fn data(n: usize, seed: u64) -> Vec<f64> {

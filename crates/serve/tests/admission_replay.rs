@@ -2,50 +2,35 @@
 //! explorer, replayed step for step against the **shipped**
 //! [`AdmissionController`]. Each test pins one adversarial order the
 //! explorer surfaced; if a future edit re-introduces the defect the
-//! explorer models (dropping the drain reset, double-releasing,
-//! skipping displacement releases), the corresponding replay fails
-//! directly — no model in the loop.
+//! explorer seeds (double-releasing, skipping displacement releases),
+//! the corresponding replay fails directly — no model in the loop.
 
 use hetsort_serve::{gpu_footprint, AdmissionController, ServeBudget};
 
-/// Explorer counterexample for the empty-state round-off reset
-/// (`AdmissionDefect::NoDrainReset`): the interleaving
-/// reserve(1)·reserve(2)·release(1)·release(2) leaves
-/// `0.1 + 0.3 − 0.1 − 0.3 ≈ 5.6e-17` of phantom residency in plain
-/// f64 arithmetic, and a budget-sized job then never fits. The
-/// serialized order reserve·release·reserve·release cancels exactly,
-/// which is why only exhaustive exploration found it.
+fn budget(device_bytes: u64, pinned_bytes: u64) -> ServeBudget {
+    ServeBudget {
+        device_bytes,
+        pinned_bytes,
+    }
+}
+
+/// Byte counts are integers, so a drained controller holds exactly
+/// zero whichever order two reservations are released in, and a
+/// budget-sized job fits again.
 #[test]
-fn concurrent_release_order_leaves_no_roundoff_residue() {
-    let budget = ServeBudget::new(0.4, 1.0);
-    let boundary = gpu_footprint(0, 0.4, 0.0);
-
-    let mut ac = AdmissionController::new(budget);
-    ac.reserve(1, gpu_footprint(0, 0.1, 0.0));
-    ac.reserve(2, gpu_footprint(0, 0.3, 0.0));
-    assert!(!ac.fits(&boundary), "pool is exactly full");
-    assert!(ac.release(1));
-    assert!(ac.release(2));
-    assert!(
-        ac.ever_fits(&boundary),
-        "a budget-sized job is admissible by definition"
-    );
-    assert!(
-        ac.fits(&boundary),
-        "drained controller must admit exactly what ever_fits admits; \
-         in-flight residue: {:?}",
-        ac.in_flight()
-    );
-
-    // The serialized order — the one a single-threaded test would
-    // exercise — cancels exactly and never needed the reset. Keeping
-    // both orders pinned documents why the reset exists.
-    let mut ac = AdmissionController::new(budget);
-    ac.reserve(1, gpu_footprint(0, 0.1, 0.0));
-    assert!(ac.release(1));
-    ac.reserve(2, gpu_footprint(0, 0.3, 0.0));
-    assert!(ac.release(2));
-    assert!(ac.fits(&boundary));
+fn either_release_order_drains_to_an_exact_budget() {
+    let boundary = gpu_footprint(0, 4, 0);
+    for order in [[1, 2], [2, 1]] {
+        let mut ac = AdmissionController::new(budget(4, 1));
+        ac.reserve(1, gpu_footprint(0, 1, 0));
+        ac.reserve(2, gpu_footprint(0, 3, 0));
+        assert!(!ac.fits(&boundary), "pool is exactly full");
+        for id in order {
+            assert!(ac.release(id));
+        }
+        assert!(ac.ever_fits(&boundary));
+        assert!(ac.fits(&boundary), "{order:?}: {:?}", ac.in_flight());
+    }
 }
 
 /// Explorer counterexample for lose/join revalidation: losing a GPU
@@ -55,14 +40,13 @@ fn concurrent_release_order_leaves_no_roundoff_residue() {
 /// budget is whole again.
 #[test]
 fn lose_then_join_revalidates_displaced_reservations() {
-    let budget = ServeBudget::new(2.0, 2.0);
-    let mut ac = AdmissionController::new(budget);
-    ac.reserve(1, gpu_footprint(0, 1.0, 0.5));
-    ac.reserve(2, gpu_footprint(1, 1.0, 0.5));
+    let mut ac = AdmissionController::new(budget(4, 4));
+    ac.reserve(1, gpu_footprint(0, 2, 1));
+    ac.reserve(2, gpu_footprint(1, 2, 1));
 
     let displaced = ac.lose_gpu(1);
     assert_eq!(displaced, vec![2], "only the GPU-1 reservation is hit");
-    let on_lost = gpu_footprint(1, 0.5, 0.0);
+    let on_lost = gpu_footprint(1, 1, 0);
     assert!(!ac.fits(&on_lost), "dead device admits nothing");
     assert!(!ac.ever_fits(&on_lost), "… and never will while dead");
 
@@ -80,8 +64,8 @@ fn lose_then_join_revalidates_displaced_reservations() {
 
     assert!(ac.release(1));
     assert!(ac.held().is_empty());
-    assert_eq!(ac.in_flight().device_total(), 0.0);
-    assert_eq!(ac.in_flight().pinned_bytes, 0.0);
+    assert_eq!(ac.in_flight().device_total(), 0);
+    assert_eq!(ac.in_flight().pinned_bytes, 0);
 }
 
 /// Explorer counterexample shape for `AdmissionDefect::DoubleRelease`:
@@ -91,9 +75,8 @@ fn lose_then_join_revalidates_displaced_reservations() {
 /// second subtraction.
 #[test]
 fn release_is_idempotent_and_budget_holds_under_reuse() {
-    let budget = ServeBudget::new(2.0, 4.0);
-    let fp = gpu_footprint(0, 1.0, 0.25);
-    let mut ac = AdmissionController::new(budget);
+    let fp = gpu_footprint(0, 4, 1);
+    let mut ac = AdmissionController::new(budget(8, 16));
 
     ac.reserve(1, fp.clone());
     ac.reserve(2, fp.clone());
@@ -114,5 +97,5 @@ fn release_is_idempotent_and_budget_holds_under_reuse() {
     assert!(ac.release(2));
     assert!(ac.release(3));
     assert!(ac.held().is_empty());
-    assert!(ac.fits(&gpu_footprint(0, 2.0, 0.0)), "fully drained");
+    assert!(ac.fits(&gpu_footprint(0, 8, 0)), "fully drained");
 }

@@ -128,17 +128,16 @@ fn audit(seed: u64, out: &ServeOutcome) {
     // included: per-GPU device bytes and the pinned pool never exceed
     // the budget.
     let budget = serve_config().budget;
-    let eps = 1e-6;
     for ev in &out.admission_log {
         for (gpu, bytes) in &ev.in_flight.device_bytes {
             assert!(
-                *bytes <= budget.device_bytes * (1.0 + eps),
+                *bytes <= budget.device_bytes,
                 "seed {seed} t={}: GPU {gpu} over budget: {bytes}",
                 ev.t_s
             );
         }
         assert!(
-            ev.in_flight.pinned_bytes <= budget.pinned_bytes * (1.0 + eps),
+            ev.in_flight.pinned_bytes <= budget.pinned_bytes,
             "seed {seed} t={}: pinned over budget",
             ev.t_s
         );
@@ -163,8 +162,8 @@ fn chaos_multi_seed_conserves_jobs_and_bitwise_outputs() {
 }
 
 /// Bit-for-bit replay: same seed, same schedule, same everything —
-/// including the admission audit log (times, reservation groupings,
-/// and in-flight footprints compared as raw bits).
+/// including the admission audit log (times as raw bits, reservation
+/// groupings, and in-flight byte counts).
 #[test]
 fn chaos_same_seed_rerun_replays_admission_log_exactly() {
     let seed = 29u64;
@@ -189,23 +188,7 @@ fn chaos_same_seed_rerun_replays_admission_log_exactly() {
     for (x, y) in a.admission_log.iter().zip(&b.admission_log) {
         assert_eq!(x.t_s.to_bits(), y.t_s.to_bits(), "audit time diverged");
         assert_eq!(x.reservations, y.reservations, "groupings diverged");
-        assert_eq!(
-            x.in_flight.pinned_bytes.to_bits(),
-            y.in_flight.pinned_bytes.to_bits()
-        );
-        let xs: Vec<(usize, u64)> = x
-            .in_flight
-            .device_bytes
-            .iter()
-            .map(|(g, v)| (*g, v.to_bits()))
-            .collect();
-        let ys: Vec<(usize, u64)> = y
-            .in_flight
-            .device_bytes
-            .iter()
-            .map(|(g, v)| (*g, v.to_bits()))
-            .collect();
-        assert_eq!(xs, ys, "in-flight footprint diverged");
+        assert_eq!(x.in_flight, y.in_flight, "in-flight footprint diverged");
     }
     assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
 }

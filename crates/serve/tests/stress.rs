@@ -243,17 +243,16 @@ fn stress_220_jobs_audited_end_to_end() {
                 .fold(Residency::default(), |acc, r| footprint_max(&acc, &r));
             agg.add(&group);
         }
-        let eps = 1e-6;
         for (gpu, bytes) in &agg.device_bytes {
             assert!(
-                *bytes <= budget.device_bytes * (1.0 + eps),
+                *bytes <= budget.device_bytes,
                 "t={}: GPU {gpu} over budget: {bytes} > {}",
                 ev.t_s,
                 budget.device_bytes
             );
         }
         assert!(
-            agg.pinned_bytes <= budget.pinned_bytes * (1.0 + eps),
+            agg.pinned_bytes <= budget.pinned_bytes,
             "t={}: pinned over budget: {} > {}",
             ev.t_s,
             agg.pinned_bytes,
@@ -261,9 +260,9 @@ fn stress_220_jobs_audited_end_to_end() {
         );
         // The controller's own aggregate agrees with the recompute.
         for (gpu, bytes) in &ev.in_flight.device_bytes {
-            let re = agg.device_bytes.get(gpu).copied().unwrap_or(0.0);
-            assert!(
-                (re - bytes).abs() <= eps * bytes.abs().max(1.0),
+            let re = agg.device_bytes.get(gpu).copied().unwrap_or(0);
+            assert_eq!(
+                re, *bytes,
                 "t={}: controller says GPU {gpu} holds {bytes}, audit says {re}",
                 ev.t_s
             );

@@ -119,7 +119,7 @@ pub enum TraceKind {
         /// The buffer brought to life.
         buf: Buffer,
         /// Size in bytes (as modeled; 0 when unknown).
-        bytes: f64,
+        bytes: u64,
     },
     /// Deallocation.
     Free {

@@ -60,10 +60,10 @@ pub fn log2_at_least_1(x: f64) -> f64 {
 }
 
 /// Gibibytes → bytes.
-pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+pub const GIB: u64 = 1 << 30;
 
 /// Size of the paper's element type (64-bit floats).
-pub const ELEM_BYTES: f64 = 8.0;
+pub const ELEM_BYTES: u64 = 8;
 
 #[cfg(test)]
 mod tests {

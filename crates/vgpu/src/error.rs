@@ -18,9 +18,9 @@ pub enum CudaError {
         /// The device that ran out.
         gpu: usize,
         /// Bytes the allocation asked for.
-        requested_bytes: f64,
+        requested_bytes: u64,
         /// Bytes still free on the device at the time of the request.
-        free_bytes: f64,
+        free_bytes: u64,
     },
     /// The device fell off the bus (a scheduled `DeviceLost` pool
     /// event): every subsequent allocation, copy, or kernel on it fails
@@ -69,8 +69,8 @@ mod tests {
     fn display_names_the_failure() {
         let e = CudaError::DeviceOom {
             gpu: 1,
-            requested_bytes: 8e9,
-            free_bytes: 2e9,
+            requested_bytes: 8_000_000_000,
+            free_bytes: 2_000_000_000,
         };
         let s = e.to_string();
         assert!(s.contains("GPU 1"), "{s}");

@@ -317,6 +317,11 @@ impl FaultInjector {
         self.lose_sched.iter().map(|&(gpu, _)| gpu).collect()
     }
 
+    /// The GPUs this injector is scheduled to revive, in schedule order.
+    pub fn scheduled_joins(&self) -> Vec<usize> {
+        self.join_sched.iter().map(|&(gpu, _)| gpu).collect()
+    }
+
     /// Record one occurrence of `site`; `Some(occurrence)` if the
     /// schedule fails this one.
     pub fn trip(&self, site: FaultSite) -> Option<usize> {

@@ -55,7 +55,7 @@ pub struct Machine {
     gpu_exec: Vec<hetsort_sim::TokenId>,
     ce_h2d: Vec<hetsort_sim::TokenId>,
     ce_d2h: Vec<hetsort_sim::TokenId>,
-    dev_mem_used: Vec<f64>,
+    dev_mem_used: Vec<u64>,
 }
 
 impl Machine {
@@ -87,7 +87,7 @@ impl Machine {
             gpu_exec,
             ce_h2d,
             ce_d2h,
-            dev_mem_used: vec![0.0; n_gpus],
+            dev_mem_used: vec![0; n_gpus],
         }
     }
 
@@ -112,14 +112,14 @@ impl Machine {
     }
 
     /// Record a device allocation; errors if the GPU would overflow.
-    pub fn device_alloc(&mut self, gpu: usize, bytes: f64) -> Result<(), crate::error::CudaError> {
+    pub fn device_alloc(&mut self, gpu: usize, bytes: u64) -> Result<(), crate::error::CudaError> {
         let used = &mut self.dev_mem_used[gpu];
         let cap = self.plat.gpus[gpu].global_mem_bytes;
-        if *used + bytes > cap {
+        if used.saturating_add(bytes) > cap {
             return Err(crate::error::CudaError::DeviceOom {
                 gpu,
                 requested_bytes: bytes,
-                free_bytes: cap - *used,
+                free_bytes: cap.saturating_sub(*used),
             });
         }
         *used += bytes;
@@ -128,7 +128,7 @@ impl Machine {
 
     /// Pinned-memory allocation (`cudaMallocHost`): pure latency from
     /// the paper's affine model.
-    pub fn pinned_alloc(&mut self, bytes: f64, deps: &[OpId], lane: Option<LaneId>) -> OpId {
+    pub fn pinned_alloc(&mut self, bytes: u64, deps: &[OpId], lane: Option<LaneId>) -> OpId {
         let tag = self.sim.tag(tags::PINNED_ALLOC);
         let mut op =
             Op::fixed(tag, self.plat.pinned_alloc.seconds(bytes)).deps(deps.iter().copied());
@@ -274,7 +274,7 @@ impl Machine {
         &mut self,
         gpu: usize,
         elems_out: f64,
-        elem_bytes: f64,
+        elem_bytes: u64,
         queue: Option<QueueId>,
         deps: &[OpId],
         lane: Option<LaneId>,
@@ -539,11 +539,11 @@ mod tests {
     #[test]
     fn pinned_alloc_costs_match_paper() {
         let mut m = Machine::new(platform1());
-        let small = m.pinned_alloc(8e6, &[], None);
+        let small = m.pinned_alloc(8_000_000, &[], None);
         let tl = m.run().unwrap();
         assert!(close(tl.span(small).duration(), 0.01, 1e-9));
         let mut m = Machine::new(platform1());
-        let big = m.pinned_alloc(6.4e9, &[], None);
+        let big = m.pinned_alloc(6_400_000_000, &[], None);
         let tl = m.run().unwrap();
         assert!(close(tl.span(big).duration(), 2.2, 1e-9));
     }
@@ -615,9 +615,9 @@ mod tests {
     #[test]
     fn device_memory_accounting() {
         let mut m = Machine::new(platform1());
-        assert!(m.device_alloc(0, 8.0 * crate::calib::GIB).is_ok());
-        assert!(m.device_alloc(0, 8.0 * crate::calib::GIB).is_ok());
-        assert!(m.device_alloc(0, 1.0).is_err(), "16 GiB exhausted");
+        assert!(m.device_alloc(0, 8 * crate::calib::GIB).is_ok());
+        assert!(m.device_alloc(0, 8 * crate::calib::GIB).is_ok());
+        assert!(m.device_alloc(0, 1).is_err(), "16 GiB exhausted");
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub struct GpuSpec {
     /// Marketing name (Table II).
     pub name: String,
     /// Global memory in bytes.
-    pub global_mem_bytes: f64,
+    pub global_mem_bytes: u64,
     /// Device radix-sort throughput for 8-byte keys, elements/second,
     /// measured end-of-kernel to end-of-kernel (no transfers).
     /// GP100: Figure 7's GPUSort bar ≈ 0.42 s at n = 8·10⁸ → 1.9·10⁹/s.
@@ -97,8 +97,8 @@ pub struct GpuSpec {
 impl GpuSpec {
     /// Device merge throughput (elements/second) for `elem_bytes`-sized
     /// elements: bandwidth-bound at 3 accesses per output element.
-    pub fn merge_keys_per_s(&self, elem_bytes: f64) -> f64 {
-        self.mem_bw_bps / (3.0 * elem_bytes)
+    pub fn merge_keys_per_s(&self, elem_bytes: u64) -> f64 {
+        self.mem_bw_bps / (3.0 * elem_bytes as f64)
     }
 }
 
@@ -144,8 +144,8 @@ impl PinnedAllocModel {
     }
 
     /// Seconds to allocate a pinned buffer of `bytes`.
-    pub fn seconds(&self, bytes: f64) -> f64 {
-        self.cost.eval(bytes).max(0.0)
+    pub fn seconds(&self, bytes: u64) -> f64 {
+        self.cost.eval(bytes as f64).max(0.0)
     }
 }
 
@@ -173,9 +173,10 @@ impl PlatformSpec {
             .gpus
             .iter()
             .map(|g| g.global_mem_bytes)
-            .fold(f64::INFINITY, f64::min);
-        ((min_mem / (2.0 * crate::calib::ELEM_BYTES * streams_per_gpu.max(1) as f64)).floor())
-            as usize
+            .min()
+            .unwrap_or(u64::MAX);
+        let per_elem = (2 * crate::calib::ELEM_BYTES).saturating_mul(streams_per_gpu.max(1) as u64);
+        usize::try_from(min_mem / per_elem).unwrap_or(usize::MAX)
     }
 
     /// Number of GPUs.
@@ -209,7 +210,7 @@ pub fn platform1() -> PlatformSpec {
         },
         gpus: vec![GpuSpec {
             name: "Quadro GP100".into(),
-            global_mem_bytes: 16.0 * GIB,
+            global_mem_bytes: 16 * GIB,
             sort_keys_per_s: 1.9e9,
             mem_bw_bps: 720.0e9,
             kernel_launch_s: 50.0e-6,
@@ -250,14 +251,14 @@ pub fn platform2() -> PlatformSpec {
         gpus: vec![
             GpuSpec {
                 name: "Tesla K40m #0".into(),
-                global_mem_bytes: 12.0 * GIB,
+                global_mem_bytes: 12 * GIB,
                 sort_keys_per_s: 4.03e8,
                 mem_bw_bps: 288.0e9,
                 kernel_launch_s: 50.0e-6,
             },
             GpuSpec {
                 name: "Tesla K40m #1".into(),
-                global_mem_bytes: 12.0 * GIB,
+                global_mem_bytes: 12 * GIB,
                 sort_keys_per_s: 4.03e8,
                 mem_bw_bps: 288.0e9,
                 kernel_launch_s: 50.0e-6,
@@ -282,7 +283,7 @@ mod tests {
         let p = platform1();
         assert_eq!(p.cpu.cores, 16);
         assert_eq!(p.gpus.len(), 1);
-        assert!((p.gpus[0].global_mem_bytes - 16.0 * GIB).abs() < 1.0);
+        assert_eq!(p.gpus[0].global_mem_bytes, 16 * GIB);
     }
 
     #[test]
@@ -290,16 +291,16 @@ mod tests {
         let p = platform2();
         assert_eq!(p.cpu.cores, 20);
         assert_eq!(p.gpus.len(), 2);
-        assert!((p.gpus[0].global_mem_bytes - 12.0 * GIB).abs() < 1.0);
+        assert_eq!(p.gpus[0].global_mem_bytes, 12 * GIB);
     }
 
     #[test]
     fn pinned_alloc_matches_paper_measurements() {
         let m = PinnedAllocModel::paper();
         // ps = 1e6 elements (8 MB) → 0.01 s (§IV-E).
-        assert!((m.seconds(8e6) - 0.01).abs() < 1e-9);
+        assert!((m.seconds(8_000_000) - 0.01).abs() < 1e-9);
         // ps = 8e8 elements (6.4 GB) → 2.2 s (§IV-E).
-        assert!((m.seconds(6.4e9) - 2.2).abs() < 1e-9);
+        assert!((m.seconds(6_400_000_000) - 2.2).abs() < 1e-9);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!
 //! All generators are deterministic given a seed.
 
-// No unsafe anywhere in this crate — enforced, not assumed.
+// No unsafe anywhere in this crate — enforced, not assumed. Library
+// code surfaces failures as `WorkloadError`; tests are free to unwrap.
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dist;
 pub mod gen;

@@ -25,7 +25,7 @@ fn nvlink_box() -> PlatformSpec {
         },
         gpus: vec![GpuSpec {
             name: "Hypothetical V100-class".into(),
-            global_mem_bytes: 32.0 * 1024.0 * 1024.0 * 1024.0,
+            global_mem_bytes: 32 << 30,
             sort_keys_per_s: 3.2e9,
             kernel_launch_s: 20.0e-6,
             mem_bw_bps: 900.0e9,

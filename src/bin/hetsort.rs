@@ -265,8 +265,11 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
 /// synthetic mix and report what happened.
 fn serve_sim(s: &ServeArgs, w: &mut impl Write) -> Result<(), CliError> {
     let platform = s.platform_spec()?;
-    let mut cfg = ServeConfig::new(ServeBudget::new(s.device_budget, s.pinned_budget))
-        .with_queue_cap(s.queue_cap);
+    let budget = ServeBudget {
+        device_bytes: s.device_budget,
+        pinned_bytes: s.pinned_budget,
+    };
+    let mut cfg = ServeConfig::new(budget).with_queue_cap(s.queue_cap);
     if !s.no_coalesce {
         cfg = cfg.with_coalescing(MIX_COALESCE_ELEMS);
     }
@@ -627,8 +630,8 @@ fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliErr
         let mut model = ReplanModel::new(plan.clone(), faults, None);
         tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
     }
-    // Admission state machine under its shipped scenarios (budget
-    // round-off, equal-job churn, lose→join displacement).
+    // The shipped admission controller under its scenarios (equal-job
+    // churn, lose→join displacement).
     for scenario in clean_scenarios() {
         let mut model = AdmissionModel::new(scenario);
         tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;

@@ -111,9 +111,9 @@ pub struct ServeArgs {
     /// Bounded queue depth.
     pub queue_cap: usize,
     /// Per-GPU device-memory budget in bytes.
-    pub device_budget: f64,
+    pub device_budget: u64,
     /// Total pinned-staging budget in bytes.
-    pub pinned_budget: f64,
+    pub pinned_budget: u64,
     /// Disable small-job coalescing.
     pub no_coalesce: bool,
     /// Elastic-pool chaos schedule (`lose:G@T,join:G@T`, virtual
@@ -130,8 +130,8 @@ impl Default for ServeArgs {
             seed: 42,
             platform: "p1".into(),
             queue_cap: 24,
-            device_budget: 1.0e6,
-            pinned_budget: 1.0e6,
+            device_budget: 1_000_000,
+            pinned_budget: 1_000_000,
             no_coalesce: false,
             chaos: None,
             json: None,
@@ -146,12 +146,36 @@ impl ServeArgs {
     }
 
     /// Resolve the `--chaos` schedule (empty when the flag is absent).
+    /// An event naming a GPU the platform does not have is a usage
+    /// error.
     pub fn pool_events(&self) -> Result<Vec<hetsort_serve::PoolEvent>, CliError> {
-        match &self.chaos {
-            Some(spec) => hetsort_serve::parse_schedule(spec)
-                .map_err(|e| CliError::Usage(format!("bad --chaos schedule: {e}"))),
-            None => Ok(Vec::new()),
-        }
+        let Some(spec) = &self.chaos else {
+            return Ok(Vec::new());
+        };
+        let events = hetsort_serve::parse_schedule(spec)
+            .map_err(|e| CliError::Usage(format!("bad --chaos schedule: {e}")))?;
+        check_gpus(
+            "--chaos",
+            events.iter().map(|e| e.gpu),
+            &self.platform_spec()?,
+        )?;
+        Ok(events)
+    }
+}
+
+/// Reject a schedule that names a GPU `platform` does not have.
+fn check_gpus(
+    flag: &str,
+    gpus: impl IntoIterator<Item = usize>,
+    platform: &PlatformSpec,
+) -> Result<(), CliError> {
+    let n = platform.n_gpus();
+    match gpus.into_iter().find(|&g| g >= n) {
+        Some(g) => Err(CliError::Usage(format!(
+            "{flag} names GPU {g}, but {} has {n} GPU(s)",
+            platform.name
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -174,12 +198,12 @@ pub struct RunArgs {
     pub approach: Approach,
     /// PARMEMCPY.
     pub par_memcpy: bool,
-    /// Batch size override (0 = auto).
-    pub batch: usize,
-    /// Streams per GPU override (0 = default 2).
-    pub streams: usize,
-    /// Pinned buffer size override (0 = default 1e6).
-    pub pinned: usize,
+    /// Batch size override (`None` = auto).
+    pub batch: Option<usize>,
+    /// Streams per GPU override (`None` = default 2).
+    pub streams: Option<usize>,
+    /// Pinned buffer size override (`None` = default 1e6).
+    pub pinned: Option<usize>,
     /// Pair-merge strategy.
     pub strategy: PairStrategy,
     /// Hybrid CPU/GPU merge routing (`off`, a fraction, or `auto`).
@@ -206,9 +230,9 @@ impl Default for RunArgs {
             platform: "p1".into(),
             approach: Approach::PipeMerge,
             par_memcpy: false,
-            batch: 0,
-            streams: 0,
-            pinned: 0,
+            batch: None,
+            streams: None,
+            pinned: None,
             strategy: PairStrategy::PaperHeuristic,
             hybrid: HybridMode::Off,
             seed: 42,
@@ -227,7 +251,8 @@ impl RunArgs {
         platform_by_key(&self.platform).map_err(CliError::Usage)
     }
 
-    /// Build the sort configuration.
+    /// Build the sort configuration. An explicit override reaches
+    /// [`HetSortConfig::validate`] as given, 0 included.
     pub fn config(&self) -> Result<HetSortConfig, CliError> {
         let mut cfg = HetSortConfig::paper_defaults(self.platform_spec()?, self.approach)
             .with_pair_strategy(self.strategy)
@@ -235,14 +260,14 @@ impl RunArgs {
         if self.par_memcpy {
             cfg = cfg.with_par_memcpy();
         }
-        if self.batch > 0 {
-            cfg = cfg.with_batch_elems(self.batch);
+        if let Some(b) = self.batch {
+            cfg = cfg.with_batch_elems(b);
         }
-        if self.streams > 0 {
-            cfg = cfg.with_streams(self.streams);
+        if let Some(s) = self.streams {
+            cfg = cfg.with_streams(s);
         }
-        if self.pinned > 0 {
-            cfg = cfg.with_pinned_elems(self.pinned);
+        if let Some(p) = self.pinned {
+            cfg = cfg.with_pinned_elems(p);
         }
         let mut policy = RecoveryPolicy::default();
         if let Some(r) = self.retries {
@@ -254,6 +279,8 @@ impl RunArgs {
         cfg = cfg.with_recovery(policy);
         if let Some(spec) = &self.faults {
             let inj = FaultInjector::parse(spec).map_err(HetSortError::from)?;
+            let gpus = inj.scheduled_losses().into_iter();
+            check_gpus("--faults", gpus.chain(inj.scheduled_joins()), &cfg.platform)?;
             cfg = cfg.with_faults(Arc::new(inj));
         }
         Ok(cfg)
@@ -330,10 +357,10 @@ fn parse_inner(args: &[String]) -> Result<Command, String> {
                     "--platform" | "-p" => s.platform = need("--platform")?.clone(),
                     "--queue-cap" => s.queue_cap = parse_count(need("--queue-cap")?)?,
                     "--device-budget" => {
-                        s.device_budget = parse_count(need("--device-budget")?)? as f64
+                        s.device_budget = parse_count(need("--device-budget")?)? as u64
                     }
                     "--pinned-budget" => {
-                        s.pinned_budget = parse_count(need("--pinned-budget")?)? as f64
+                        s.pinned_budget = parse_count(need("--pinned-budget")?)? as u64
                     }
                     "--no-coalesce" => s.no_coalesce = true,
                     "--chaos" => {
@@ -373,9 +400,9 @@ fn parse_inner(args: &[String]) -> Result<Command, String> {
                     "--platform" | "-p" => run.platform = need("--platform")?.clone(),
                     "--approach" | "-a" => run.approach = parse_approach(need("--approach")?)?,
                     "--par-memcpy" => run.par_memcpy = true,
-                    "--batch" | "-b" => run.batch = parse_count(need("--batch")?)?,
-                    "--streams" | "-s" => run.streams = parse_count(need("--streams")?)?,
-                    "--pinned" => run.pinned = parse_count(need("--pinned")?)?,
+                    "--batch" | "-b" => run.batch = Some(parse_count(need("--batch")?)?),
+                    "--streams" | "-s" => run.streams = Some(parse_count(need("--streams")?)?),
+                    "--pinned" => run.pinned = Some(parse_count(need("--pinned")?)?),
                     "--strategy" => run.strategy = parse_strategy(need("--strategy")?)?,
                     "--hybrid" => run.hybrid = HybridMode::parse(need("--hybrid")?)?,
                     "--seed" => {
@@ -570,7 +597,7 @@ mod tests {
         assert_eq!(r.platform, "p2");
         assert_eq!(r.approach, Approach::PipeData);
         assert!(r.par_memcpy);
-        assert_eq!(r.batch, 350_000_000);
+        assert_eq!(r.batch, Some(350_000_000));
         assert_eq!(r.strategy, PairStrategy::MergeTree);
     }
 
@@ -700,7 +727,7 @@ mod tests {
         };
         assert_eq!(r.n, 1_000_000);
         assert_eq!(r.approach, Approach::PipeMerge);
-        assert_eq!(r.streams, 3);
+        assert_eq!(r.streams, Some(3));
         // Analyze-only flags stay analyze-only.
         assert!(parse(&argv("dag --matrix")).is_err());
         // Paper-scale default like the other non-sort inspectors.
@@ -723,8 +750,8 @@ mod tests {
         assert_eq!(s.seed, 7);
         assert_eq!(s.platform, "p2");
         assert_eq!(s.queue_cap, 16);
-        assert_eq!(s.device_budget, 2.0e6);
-        assert_eq!(s.pinned_budget, 5.0e5);
+        assert_eq!(s.device_budget, 2_000_000);
+        assert_eq!(s.pinned_budget, 500_000);
         assert!(s.no_coalesce);
         assert_eq!(s.platform_spec().unwrap().name, "PLATFORM2");
 
@@ -739,13 +766,19 @@ mod tests {
         assert!(parse(&argv("serve-sim --jobs")).is_err());
 
         let Command::ServeSim(s) =
-            parse(&argv("serve-sim --chaos lose:1@0.004,join:1@0.02")).unwrap()
+            parse(&argv("serve-sim -p p2 --chaos lose:1@0.004,join:1@0.02")).unwrap()
         else {
             panic!()
         };
         let evs = s.pool_events().unwrap();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].gpu, 1);
+        // PLATFORM1 has no GPU 1.
+        let p1 = ServeArgs {
+            platform: "p1".into(),
+            ..s
+        };
+        assert!(matches!(p1.pool_events(), Err(CliError::Usage(_))));
         assert!(parse(&argv("serve-sim --chaos evict:1@2")).is_err());
     }
 

@@ -1,7 +1,8 @@
 //! The CLI never reports partial work as a pass and never dies on its
 //! input: a truncated exploration is exit 1, an oversized plan is a
-//! typed exit 1 (not an allocation abort), and a fractional count is a
-//! usage error.
+//! typed exit 1 (not an allocation abort), an explicit zero reaches
+//! validation instead of meaning "default", and a fractional count or
+//! a schedule naming a GPU the platform lacks is a usage error.
 
 use std::process::{Command, Output};
 
@@ -32,15 +33,15 @@ fn truncated_exploration_is_exit_one_and_names_the_models() {
         "{stderr}"
     );
 
-    // Matrix: some of the 16 models finish inside 50 ops, most do not.
+    // Matrix: some of the 15 models finish inside 50 ops, most do not.
     let out = hetsort("analyze --matrix --explore --max-ops 50");
     let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
     assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
     assert!(!stdout.contains("explored models are clean"), "{stdout}");
     let truncated = stdout.matches("TRUNCATED at op budget").count();
-    assert!((1..16).contains(&truncated), "{stdout}");
+    assert!((1..15).contains(&truncated), "{stdout}");
     assert!(
-        stderr.contains(&format!("{truncated} of 16 truncated at the op budget")),
+        stderr.contains(&format!("{truncated} of 15 truncated at the op budget")),
         "{stderr}"
     );
     assert!(stderr.contains("admission equal-jobs"), "{stderr}");
@@ -73,5 +74,40 @@ fn fractional_count_is_a_usage_error() {
     assert!(stderr.contains("cannot parse count '1.5'"), "{stderr}");
     // Scientific notation with an integral value stays valid.
     let out = hetsort("simulate -n 2.5e9");
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+}
+
+#[test]
+fn explicit_zero_overrides_are_config_errors() {
+    for (args, reason) in [
+        ("sort -n 1000 --streams 0", "at least one stream"),
+        ("sort -n 1000 --batch 0", "b_s) must be positive"),
+        ("sort -n 1000 --pinned 0", "p_s) must be positive"),
+        ("simulate --streams 0 -a pipedata", "at least one stream"),
+    ] {
+        let out = hetsort(args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(stderr.contains(reason), "{args}: {stderr}");
+    }
+}
+
+#[test]
+fn schedules_naming_a_missing_gpu_are_usage_errors() {
+    for args in [
+        "sort -n 1000 --faults lose:5@1",
+        "sort -n 1000 --faults join:1@3",
+        "serve-sim --jobs 10 -p p1 --chaos lose:3@0.001",
+    ] {
+        let out = hetsort(args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(
+            stderr.contains("PLATFORM1 has 1 GPU(s)"),
+            "{args}: {stderr}"
+        );
+    }
+    // GPU 1 exists on PLATFORM2.
+    let out = hetsort("serve-sim --jobs 10 -p p2 --chaos lose:1@0.001");
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
 }

@@ -262,7 +262,7 @@ fn hybrid_modes_agree_bitwise_key_value_records() {
         let cfg = HetSortConfig::paper_defaults(plat.clone(), Approach::PipeMerge)
             .with_batch_elems(7_000)
             .with_pinned_elems(1_500)
-            .with_elem_bytes(16.0);
+            .with_elem_bytes(hetsort::core::ElemWidth::KeyValue);
         let mut expect = rows.clone();
         introsort(&mut expect);
         check_hybrid_grid(&label, &|| cfg.clone(), &rows, &expect);

@@ -164,7 +164,7 @@ fn span_counts_match_plan_shape() {
     // Transferred bytes match n both ways (every element crosses once).
     let bytes_in = out.metrics.class_stats(OpClass::HtoD).bytes;
     let bytes_out = out.metrics.class_stats(OpClass::DtoH).bytes;
-    let expect_bytes = n as f64 * plan.config.elem_bytes;
+    let expect_bytes = (n as u64 * plan.config.elem_bytes.bytes()) as f64;
     assert!(
         (bytes_in - expect_bytes).abs() < 1.0,
         "HtoD bytes {bytes_in}"

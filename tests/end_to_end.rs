@@ -4,7 +4,7 @@
 //! figures measure.
 
 use hetsort::algos::introsort::introsort;
-use hetsort::core::{simulate, sort_real, Approach, HetSortConfig};
+use hetsort::core::{simulate, sort_real, Approach, ElemWidth, HetSortConfig};
 use hetsort::vgpu::{platform1, platform2};
 use hetsort::workloads::{generate, Distribution};
 
@@ -119,7 +119,7 @@ fn key_value_records_sort_with_payload_integrity() {
     use hetsort::workloads::generate_kv;
     let records = generate_kv(Distribution::Uniform, 30_000, 17).expect("valid workload");
     let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
-        .with_elem_bytes(16.0)
+        .with_elem_bytes(ElemWidth::KeyValue)
         .with_batch_elems(4_000)
         .with_pinned_elems(800);
     let out = sort_real(cfg, &records).expect("kv pipeline");
@@ -151,32 +151,12 @@ fn element_size_mismatch_is_rejected() {
 }
 
 #[test]
-fn unsupported_elem_bytes_is_a_typed_config_error() {
-    use hetsort::core::HetSortError;
-    // Fractional or unsupported widths must die at plan build with a
-    // Config error — not survive until an exact f64 comparison deep in
-    // the executor silently never matches.
-    for bad in [16.5, 12.0, 0.0, -8.0] {
-        let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
-            .with_elem_bytes(bad)
-            .with_batch_elems(4_000)
-            .with_pinned_elems(800);
-        match hetsort::core::Plan::build(cfg, 10_000) {
-            Err(HetSortError::Config { reason }) => {
-                assert!(reason.contains("elem"), "elem_bytes={bad}: {reason}")
-            }
-            other => panic!("elem_bytes={bad}: expected Config error, got {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn key_value_records_sort_in_parallel_executor() {
     use hetsort::workloads::generate_kv;
     // The elem_bytes = 16 path through the threaded executor.
     let records = generate_kv(Distribution::Uniform, 20_000, 23).expect("valid workload");
     let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
-        .with_elem_bytes(16.0)
+        .with_elem_bytes(ElemWidth::KeyValue)
         .with_batch_elems(3_000)
         .with_pinned_elems(600);
     let plan = hetsort::core::Plan::build(cfg, records.len()).expect("plan");

@@ -85,7 +85,7 @@ fn recovery_disabled_surfaces_typed_oom() {
     };
     assert_eq!(gpu, 0);
     assert_eq!(batch, Some(0), "the OOM hits batch 0's allocation");
-    assert!(requested_bytes > 0.0);
+    assert!(requested_bytes > 0);
 }
 
 #[test]

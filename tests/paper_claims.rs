@@ -94,7 +94,7 @@ fn fig8_pinned_everything_is_unacceptable() {
     // 8·10⁸ takes 2.2 s, which is longer than the sum of the time
     // components in Figure 7."
     let plat = platform1();
-    assert!((plat.pinned_alloc.seconds(6.4e9) - 2.2).abs() < 1e-9);
+    assert!((plat.pinned_alloc.seconds(6_400_000_000) - 2.2).abs() < 1e-9);
     let cfg = HetSortConfig::paper_protocol(plat, Approach::BLine);
     let r = simulate(cfg, 800_000_000).unwrap();
     assert!(2.2 > r.literature_total_s);

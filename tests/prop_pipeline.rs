@@ -99,7 +99,7 @@ fn kv_records_sort_for_random_configs() {
         let n = rng.usize_in(100, 3_000);
         let bs = ((n as f64 * rng.f64_in(0.1, 1.0)) as usize).max(1);
         let cfg = HetSortConfig::paper_defaults(platform1(), approach)
-            .with_elem_bytes(16.0)
+            .with_elem_bytes(hetsort::core::ElemWidth::KeyValue)
             .with_batch_elems(bs)
             .with_pinned_elems((bs / 4).max(1));
         let records = hetsort::workloads::generate_kv(
