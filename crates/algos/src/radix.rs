@@ -56,9 +56,10 @@ fn count_all_digits<T: RadixKey>(data: &[T], hist: &mut [HistCount]) {
 }
 
 /// Sort `data` in place (internally out-of-place with one scratch
-/// allocation of equal length).
-pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
-    let mut scratch: Vec<T> = data.to_vec();
+/// allocation of equal length). The scratch is never read before a
+/// scatter pass has written all of it, so it is not a copy of `data`.
+pub fn radix_sort<T: RadixKey + Default>(data: &mut [T]) {
+    let mut scratch: Vec<T> = vec![T::default(); data.len()];
     let ping_pongs = radix_sort_with_scratch(data, &mut scratch);
     // If an odd number of permute passes ran, the sorted result is in
     // `scratch`; copy back.

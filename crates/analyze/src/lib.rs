@@ -27,6 +27,8 @@
 //!    HB checker runs on every explored linearization, plus three
 //!    interleaving-only invariants: reachable deadlock, budget
 //!    safety, and replan cover.
+//! 4. **Host-memory model** ([`host_memory`]): the engine's peak host
+//!    bytes over the inline order, and the bound over any order.
 //!
 //! Every trace comes from one producer, `hetsort_core::optrace`:
 //! [`lower_plan`] derives the static trace from a plan's nodes, and the
@@ -49,6 +51,7 @@
 pub mod explore;
 pub mod finding;
 pub mod hb;
+pub mod host_memory;
 pub mod mutate;
 pub mod replan_model;
 pub mod residency;
@@ -57,6 +60,7 @@ pub mod trace_model;
 
 pub use explore::{explore, ExploreConfig, ExploreReport, SchedModel};
 pub use finding::{AnalysisReport, Finding, FindingClass};
+pub use host_memory::{host_bound_bytes, host_peak_bytes};
 pub use mutate::{ExploreMutant, Mutant};
 pub use replan_model::{ReplanDefect, ReplanModel};
 pub use residency::Residency;

@@ -1,8 +1,9 @@
 //! DAG mutation kill suite: every seeded [`DagMutant`] must be killed
 //! by exactly the check its contract names — a structural validator
 //! rule (`validator:<rule>`), an analyzer finding class over the
-//! dag-lowered trace (`analyzer:<class>`), or a differential
-//! comparison (`differential:<check>`). A mutant that no check
+//! dag-lowered trace (`analyzer:<class>`), a differential comparison
+//! (`differential:<check>`), or a typed engine error
+//! (`engine:<error>`). A mutant that no check
 //! catches, or that a *different* check catches than the one named,
 //! fails the build: the battery has a hole or the contract is stale.
 
@@ -10,8 +11,10 @@ use std::sync::Arc;
 
 use hetsort_analyze::analyze_plan_with_trace;
 use hetsort_core::dag::mutate::{execute_dag_hooked, DagMutant, EngineHooks};
+use hetsort_core::dag::DagOp;
 use hetsort_core::optrace::lower_dag;
-use hetsort_core::{execute_dag, Approach, HetSortConfig, Plan, PlanDag};
+use hetsort_core::plan::MergeSrc;
+use hetsort_core::{execute_dag, Approach, HetSortConfig, HetSortError, Plan, PlanDag};
 use hetsort_vgpu::{platform1, platform2, FaultInjector};
 
 /// The base dag every structural/trace mutant is applied to: PIPEMERGE
@@ -132,6 +135,56 @@ fn kill_skip_checkpoint() {
     );
 }
 
+/// Kill the early-free engine defect: with every batch run dropped the
+/// moment its stage-out completes, the first merge to run must refuse
+/// with a typed [`HetSortError::Plan`] naming itself and the consumed
+/// batch — at the inline engine and with pooled stream workers. A
+/// panic, or an `Ok` with wrong data, fails the test: neither is a kill.
+///
+/// [`HetSortError::Plan`]: hetsort_core::HetSortError::Plan
+fn kill_free_before_consumer() {
+    let dag = base_dag();
+    let data = lcg_data(dag.plan.n, 0xF8EE);
+    let hooks = EngineHooks {
+        free_before_consumer: true,
+        ..EngineHooks::default()
+    };
+    for workers in [0usize, 2] {
+        let healthy = execute_dag_hooked(&dag, &data, workers, EngineHooks::default()).unwrap();
+        assert!(
+            healthy.verified,
+            "workers={workers}: the base run must sort"
+        );
+        let reason = match execute_dag_hooked(&dag, &data, workers, hooks) {
+            Err(HetSortError::Plan { reason }) => reason,
+            other => panic!(
+                "workers={workers}: free-before-consumer survived: {:?}",
+                other.map(|o| o.verified)
+            ),
+        };
+        // "merge node <id>: input Batch(<b>) was already consumed", where
+        // node <id> is a merge and batch <b> one of its inputs.
+        let named = dag.nodes.iter().enumerate().any(|(id, node)| {
+            let inputs = match &node.op {
+                DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+                    let p = dag.plan.pairs[*slot];
+                    vec![p.left, p.right]
+                }
+                DagOp::MultiwayMerge { inputs } => inputs.clone(),
+                _ => return false,
+            };
+            inputs.iter().any(|src| {
+                matches!(src, MergeSrc::Batch(_))
+                    && reason == format!("merge node {id}: input {src:?} was already consumed")
+            })
+        });
+        assert!(
+            named,
+            "workers={workers}: the error must name the merge node and its consumed batch: {reason}"
+        );
+    }
+}
+
 #[test]
 fn every_mutant_is_killed_by_its_named_check() {
     let mut kills = 0usize;
@@ -143,6 +196,8 @@ fn every_mutant_is_killed_by_its_named_check() {
             kill_trace(m, class);
         } else if contract == "differential:recovery-stats" {
             kill_skip_checkpoint();
+        } else if contract == "engine:consumed-input" {
+            kill_free_before_consumer();
         } else {
             panic!("{}: unknown kill contract '{contract}'", m.name());
         }

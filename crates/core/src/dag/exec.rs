@@ -30,7 +30,7 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
@@ -96,6 +96,40 @@ fn lock_any<G>(m: &Mutex<G>) -> MutexGuard<'_, G> {
     }
 }
 
+/// One sorted run through its life: a batch its stream stages out, or
+/// a pair merge's output. [`Plan::check_invariants`] proves every run
+/// has exactly one consumer merge, so the run is dead once that merge
+/// has read it.
+enum Run<T> {
+    /// Not produced yet (this pass may still produce it).
+    Pending,
+    /// Produced and waiting for its consumer.
+    Sorted(Vec<T>),
+    /// Read by its consumer and freed. For the checkpoint a consumed
+    /// batch is as done as a sorted one: no re-plan recomputes it.
+    Consumed,
+}
+
+impl<T> Run<T> {
+    /// Whether the run was produced (consumed or not).
+    fn is_done(&self) -> bool {
+        !matches!(self, Run::Pending)
+    }
+
+    /// Hand the run to its one consumer, leaving [`Run::Consumed`].
+    /// `Err` says why there is nothing to hand over.
+    fn take(&mut self) -> Result<Vec<T>, &'static str> {
+        match std::mem::replace(self, Run::Consumed) {
+            Run::Sorted(run) => Ok(run),
+            Run::Pending => {
+                *self = Run::Pending;
+                Err("was never produced")
+            }
+            Run::Consumed => Err("was already consumed"),
+        }
+    }
+}
+
 /// The caller-owned merge half of a run: pair outputs, the final
 /// output, and which of the base dag's merge nodes already ran. Only
 /// the calling thread ever merges, so none of this is shared.
@@ -104,7 +138,7 @@ struct Merges<'a, T> {
     sched: SchedCfg,
     threads: usize,
     t0: Instant,
-    pair_out: Vec<Option<Vec<T>>>,
+    pair_out: Vec<Run<T>>,
     sorted: Vec<T>,
     done: Vec<bool>,
     spans: Vec<ObsSpan>,
@@ -114,83 +148,80 @@ impl<T> Merges<'_, T>
 where
     T: RadixKey + SortOrd + Default,
 {
-    /// Execute merge node `id` of the base dag, borrowing its inputs
-    /// from the sorted `batches` and earlier pair outputs.
+    /// Execute merge node `id` of the base dag. The merge is the one
+    /// consumer of each input — sorted `batches` and earlier pair
+    /// outputs — so it takes them, and they are freed when it returns.
     fn run(
         &mut self,
         id: usize,
         op: &DagOp,
-        batches: &[OnceLock<Vec<T>>],
+        batches: &[Mutex<Run<T>>],
     ) -> Result<(), HetSortError> {
-        let bytes = |elems: usize| (elems as u64 * self.plan.config.elem_bytes.bytes()) as f64;
         let t0 = self.t0;
         let now = move || t0.elapsed().as_secs_f64();
-        let pair_out = &self.pair_out;
-        let input = |src: MergeSrc| -> Result<&[T], HetSortError> {
-            match src {
-                MergeSrc::Batch(b) => batches.get(b).and_then(|c| c.get()),
-                MergeSrc::Merged(p) => pair_out.get(p).and_then(|o| o.as_ref()),
-            }
-            .map(Vec::as_slice)
-            .ok_or_else(|| HetSortError::Plan {
-                reason: format!("merge node {id}: input {src:?} was never produced"),
-            })
-        };
-        let (class, label, m_start, bytes, stats) = match op {
+        // `slot` is the pair slot a two-way merge writes; `None` is B.
+        let (srcs, out_elems, slot) = match op {
             DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-                let spec = *self
+                let spec = self
                     .plan
                     .pairs
                     .get(*slot)
                     .ok_or_else(|| HetSortError::Plan {
                         reason: format!("merge node {id} references missing pair slot {slot}"),
                     })?;
-                let (left, right) = (input(spec.left)?, input(spec.right)?);
-                let mut out = vec![T::default(); spec.out_elems];
-                let (class, name) = match op {
-                    DagOp::CpuMerge { .. } => (OpClass::CpuMerge, "CpuMerge"),
-                    _ => (OpClass::PairMerge, "PairMerge"),
-                };
-                let m_start = now();
-                let stats = par_merge_into_cfg(&self.sched, self.threads, left, right, &mut out);
-                self.pair_out[*slot] = Some(out);
-                (
-                    class,
-                    format!("{name} p{slot}"),
-                    m_start,
-                    bytes(spec.out_elems),
-                    stats,
-                )
+                (vec![spec.left, spec.right], spec.out_elems, Some(*slot))
             }
-            DagOp::MultiwayMerge { inputs } => {
-                let lists = inputs
-                    .iter()
-                    .map(|&src| input(src))
-                    .collect::<Result<Vec<&[T]>, _>>()?;
-                self.sorted = vec![T::default(); self.plan.n];
-                let m_start = now();
-                let stats = par_multiway_merge_into_cfg(
-                    &self.sched,
-                    self.threads,
-                    &lists,
-                    &mut self.sorted,
-                );
-                (
-                    OpClass::MultiwayMerge,
-                    format!("MultiwayMerge k{}", lists.len()),
-                    m_start,
-                    bytes(self.plan.n),
-                    stats,
-                )
-            }
+            DagOp::MultiwayMerge { inputs } => (inputs.clone(), self.plan.n, None),
             other => {
                 return Err(HetSortError::Plan {
                     reason: format!("node {id}: {} is not a merge", other.class_name()),
                 })
             }
         };
+        let runs = srcs
+            .iter()
+            .map(|&src| {
+                match src {
+                    MergeSrc::Batch(b) => batches.get(b).map(|c| lock_any(c).take()),
+                    MergeSrc::Merged(p) => self.pair_out.get_mut(p).map(Run::take),
+                }
+                .unwrap_or(Err("was never produced"))
+                .map_err(|what| HetSortError::Plan {
+                    reason: format!("merge node {id}: input {src:?} {what}"),
+                })
+            })
+            .collect::<Result<Vec<Vec<T>>, _>>()?;
+        let lists: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
+        let mut out = vec![T::default(); out_elems];
+        let m_start = now();
+        let (class, label, stats) = match slot {
+            Some(slot) => {
+                let (class, name) = match op {
+                    DagOp::CpuMerge { .. } => (OpClass::CpuMerge, "CpuMerge"),
+                    _ => (OpClass::PairMerge, "PairMerge"),
+                };
+                let (left, right) = (lists[0], lists[1]);
+                let stats = par_merge_into_cfg(&self.sched, self.threads, left, right, &mut out);
+                (class, format!("{name} p{slot}"), stats)
+            }
+            None => {
+                let stats =
+                    par_multiway_merge_into_cfg(&self.sched, self.threads, &lists, &mut out);
+                let label = format!("MultiwayMerge k{}", lists.len());
+                (OpClass::MultiwayMerge, label, stats)
+            }
+        };
+        let m_end = now();
+        // The inputs die here, before the next merge allocates.
+        drop(lists);
+        drop(runs);
+        match slot {
+            Some(slot) => self.pair_out[slot] = Run::Sorted(out),
+            None => self.sorted = out,
+        }
+        let bytes = (out_elems as u64 * self.plan.config.elem_bytes.bytes()) as f64;
         self.spans
-            .push(ObsSpan::new(class, label.clone(), m_start, now()).with_bytes(bytes));
+            .push(ObsSpan::new(class, label.clone(), m_start, m_end).with_bytes(bytes));
         self.spans.extend(cpu_part_spans(&label, m_start, &stats));
         self.done[id] = true;
         Ok(())
@@ -203,6 +234,9 @@ struct StreamSlot<'p, T> {
     /// Stage-out chunks of the stream's current batch, appended in
     /// chunk order (the FIFO edges) until they add up to the batch.
     assembling: Vec<T>,
+    /// Nodes of this stream the pass has not run yet. At zero the
+    /// stream's buffers are dead and [`StreamExec::release`] frees them.
+    left: usize,
 }
 
 /// Scheduling state of one pass, behind the pass mutex.
@@ -224,26 +258,28 @@ struct Sched {
 }
 
 /// One ready-order pass over a dag: the state every thread of the pass
-/// shares. Stream nodes of batches already in `batches` (the
+/// shares. Stream nodes of batches already done in `batches` (the
 /// checkpoint) are skipped.
 struct Pass<'p, T> {
     plan: &'p Plan,
     nodes: &'p [DagNode],
-    batches: &'p [OnceLock<Vec<T>>],
+    batches: &'p [Mutex<Run<T>>],
     streams: Vec<Mutex<StreamSlot<'p, T>>>,
     sched: Mutex<Sched>,
     cond: Condvar,
     /// Other threads share this pass (someone may be waiting on `cond`).
     pooled: bool,
+    /// The [`EngineHooks::free_before_consumer`] defect.
+    free_before_consumer: bool,
 }
 
 impl<T> Pass<'_, T>
 where
     T: RadixKey + SortOrd + Default,
 {
-    /// Execute stream node `id` on its stream's interpreter.
+    /// Execute stream node `id` on its stream's interpreter, and free
+    /// the stream's buffers after its last node.
     fn step(&self, id: usize) -> Result<(), HetSortError> {
-        let plan = self.plan;
         let node = &self.nodes[id];
         let (s, slot) = node
             .stream
@@ -252,9 +288,31 @@ where
                 reason: format!("node {id} is bound to no stream of its plan"),
             })?;
         let mut slot = lock_any(slot);
-        let StreamSlot { sx, assembling } = &mut *slot;
+        let StreamSlot {
+            sx,
+            assembling,
+            left,
+        } = &mut *slot;
+        self.run_on(id, node, s, sx, assembling)?;
+        *left -= 1;
+        if *left == 0 {
+            sx.release();
+        }
+        Ok(())
+    }
+
+    /// [`Pass::step`]'s node body, on stream `s`'s locked state.
+    fn run_on(
+        &self,
+        id: usize,
+        node: &DagNode,
+        s: usize,
+        sx: &mut StreamExec<'_, T>,
+        assembling: &mut Vec<T>,
+    ) -> Result<(), HetSortError> {
+        let plan = self.plan;
         if let Some(b) = node.op.batch() {
-            if self.batches.get(b).is_some_and(|c| c.get().is_some()) {
+            if self.batches.get(b).is_some_and(|c| lock_any(c).is_done()) {
                 // Checkpointed in an earlier pass. "No accesses this
                 // pass" must override the static derivation in the
                 // assembled trace, hence the empty log entry.
@@ -287,9 +345,17 @@ where
             }
             assembling.extend_from_slice(chunk);
             if assembling.len() == len {
+                let run = std::mem::take(assembling);
                 // Set once per pass at most: the skip above keeps a
                 // checkpointed batch from being staged out again.
-                let _ = self.batches[batch].set(std::mem::take(assembling));
+                let mut cell = lock_any(&self.batches[batch]);
+                if !cell.is_done() {
+                    *cell = if self.free_before_consumer {
+                        Run::Consumed
+                    } else {
+                        Run::Sorted(run)
+                    };
+                }
             }
         })
     }
@@ -379,25 +445,26 @@ where
     }
 }
 
-/// Host-sort every batch not yet in `batches` straight from `data` —
-/// the degradation path for dead streams and pools with no survivor.
-/// Returns how many batches it sorted.
+/// Host-sort every batch not yet done in `batches` straight from
+/// `data` — the degradation path for dead streams and pools with no
+/// survivor. Returns how many batches it sorted.
 fn host_sort_missing<T>(
     plan: &Plan,
     data: &[T],
     sched: &SchedCfg,
     threads: usize,
-    batches: &[OnceLock<Vec<T>>],
+    batches: &[Mutex<Run<T>>],
 ) -> usize
 where
     T: RadixKey + SortOrd + Default,
 {
     let mut sorted = 0;
     for (cell, bi) in batches.iter().zip(&plan.batches) {
-        if cell.get().is_none() {
+        let mut cell = lock_any(cell);
+        if !cell.is_done() {
             let mut run = data[bi.start..bi.start + bi.len].to_vec();
             par_radix_sort_cfg(sched, threads, &mut run);
-            let _ = cell.set(run);
+            *cell = Run::Sorted(run);
             sorted += 1;
         }
     }
@@ -528,16 +595,19 @@ where
         .min(4 * host);
     let sched = SchedCfg::default();
 
-    // Memory: A (`data`, borrowed), one owned sorted run per batch —
-    // written once by its stream's stage-out, and the checkpoint device
-    // losses re-plan around —, one output per pair slot, and B.
-    let mut batches: Vec<OnceLock<Vec<T>>> = (0..nb).map(|_| OnceLock::new()).collect();
+    // Memory: A (`data`, borrowed) and B, plus what is alive: a batch's
+    // run from its first stage-out chunk until its one consumer merge
+    // returns, a pair output from its merge until its consumer returns,
+    // and a stream's device, pinned and recovery buffers until the
+    // stream's last node. A consumed batch still counts as done for
+    // the checkpoint device losses re-plan around.
+    let mut batches: Vec<Mutex<Run<T>>> = (0..nb).map(|_| Mutex::new(Run::Pending)).collect();
     let mut merges = Merges {
         plan,
         sched,
         threads,
         t0,
-        pair_out: (0..plan.pairs.len()).map(|_| None).collect(),
+        pair_out: (0..plan.pairs.len()).map(|_| Run::Pending).collect(),
         sorted: Vec::new(),
         done: vec![false; nodes.len()],
         spans: Vec::new(),
@@ -569,6 +639,7 @@ where
                     Mutex::new(StreamSlot {
                         sx: StreamExec::new(cur, data, s, threads, sort_threads, t0),
                         assembling: Vec::new(),
+                        left: cur_nodes.iter().filter(|n| n.stream == Some(s)).count(),
                     })
                 })
                 .collect(),
@@ -586,6 +657,7 @@ where
             }),
             cond: Condvar::new(),
             pooled: workers > 0,
+            free_before_consumer: hooks.free_before_consumer,
         };
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -642,11 +714,12 @@ where
         }
         lost_gpus.extend(&end.lost);
         for (b, cell) in batches.iter_mut().enumerate() {
+            let cell = cell.get_mut().unwrap_or_else(PoisonError::into_inner);
             if hooks.skip_checkpoint {
-                cell.take();
+                *cell = Run::Pending;
             }
             let gpu = cur.physical_gpu(cur.batches[b].gpu);
-            if cell.get().is_none() && end.lost.contains(&gpu) {
+            if !cell.is_done() && end.lost.contains(&gpu) {
                 recovery.batches_recomputed += 1;
             }
         }
@@ -695,9 +768,13 @@ where
     let sorted = if nb == 1 {
         batches
             .pop()
-            .and_then(OnceLock::into_inner)
-            .ok_or_else(|| HetSortError::Plan {
-                reason: "batch 0 was never produced".to_string(),
+            .map_or(Err("was never produced"), |c| {
+                c.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+            })
+            .map_err(|what| HetSortError::Plan {
+                reason: format!("batch 0 {what}"),
             })?
     } else {
         merges.sorted
@@ -725,7 +802,7 @@ where
         wall_s,
         verified,
         nb,
-        pair_merges: merges.pair_out.iter().flatten().count(),
+        pair_merges: merges.pair_out.iter().filter(|r| r.is_done()).count(),
         recovery,
         trace,
         metrics,

@@ -11,10 +11,12 @@
 //! Structural mutants rewrite a [`PlanDag`] via [`DagMutant::apply`];
 //! trace-level mutants (sync/lifetime defects the structural validator
 //! cannot see by design — they live in the lowered event semantics)
-//! rewrite an [`OpTrace`] via [`DagMutant::apply_trace`]; and
-//! [`DagMutant::SkipCheckpoint`] is an *engine* defect enabled through
-//! [`EngineHooks`], killed differentially by comparing
-//! [`crate::report::RecoveryStats`].
+//! rewrite an [`OpTrace`] via [`DagMutant::apply_trace`]; and two are
+//! *engine* defects enabled through [`EngineHooks`]:
+//! [`DagMutant::SkipCheckpoint`], killed differentially by comparing
+//! [`crate::report::RecoveryStats`], and
+//! [`DagMutant::FreeBeforeConsumer`], killed by the typed error a merge
+//! returns when its input was already freed.
 //!
 //! [`execute_dag_hooked`] is the battery's way into the engine: the
 //! hooks it sets are deliberately not fields of the public
@@ -38,6 +40,11 @@ pub struct EngineHooks {
     /// *every* batch. Output stays correct; the differential check on
     /// [`crate::report::RecoveryStats`] kills it.
     pub skip_checkpoint: bool,
+    /// The [`DagMutant::FreeBeforeConsumer`] defect: drop every batch
+    /// run the moment its stage-out completes, before its consumer
+    /// merge has read it. The merge must refuse with a typed
+    /// [`HetSortError::Plan`] naming itself and the consumed input.
+    pub free_before_consumer: bool,
 }
 
 /// [`crate::dag::exec::execute_dag_opts`] at `workers` with the test
@@ -95,12 +102,15 @@ pub enum DagMutant {
     /// have: every FIFO chain stays intact, but the engine has no
     /// interpreter state to run the nodes on.
     RebindStream,
+    /// Engine defect: free a batch run as soon as its stage-out
+    /// completes, before its one consumer merge has read it.
+    FreeBeforeConsumer,
 }
 
 impl DagMutant {
     /// Every mutant, in display order (the kill suite's acceptance
-    /// floor is 8; this battery seeds 12).
-    pub const ALL: [DagMutant; 12] = [
+    /// floor is 8; this battery seeds 13).
+    pub const ALL: [DagMutant; 13] = [
         DagMutant::DropFifoEdge,
         DagMutant::SwapDepDirection,
         DagMutant::DuplicateProducer,
@@ -113,6 +123,7 @@ impl DagMutant {
         DagMutant::WrongStreamEvent,
         DagMutant::FreeBeforeLastReader,
         DagMutant::RebindStream,
+        DagMutant::FreeBeforeConsumer,
     ];
 
     /// Stable display name.
@@ -130,13 +141,15 @@ impl DagMutant {
             DagMutant::WrongStreamEvent => "wrong-stream-event",
             DagMutant::FreeBeforeLastReader => "free-before-last-reader",
             DagMutant::RebindStream => "rebind-stream",
+            DagMutant::FreeBeforeConsumer => "free-before-consumer",
         }
     }
 
     /// The named check contracted to kill this mutant:
     /// `validator:<rule>` ([`PlanDag::validate`]),
     /// `analyzer:<finding-class>` (`hetsort-analyze` over the lowered
-    /// trace), or `differential:<check>` (the equivalence suite).
+    /// trace), `differential:<check>` (the equivalence suite), or
+    /// `engine:<error>` (a typed error the engine itself returns).
     pub fn expected_kill(&self) -> &'static str {
         match self {
             DagMutant::DropFifoEdge => "validator:fifo",
@@ -150,6 +163,7 @@ impl DagMutant {
             DagMutant::WrongStreamEvent => "analyzer:missing-sync",
             DagMutant::FreeBeforeLastReader => "analyzer:use-after-free",
             DagMutant::RebindStream => "validator:stream-bind",
+            DagMutant::FreeBeforeConsumer => "engine:consumed-input",
         }
     }
 
@@ -281,6 +295,7 @@ impl DagMutant {
                 true
             }
             DagMutant::SkipCheckpoint
+            | DagMutant::FreeBeforeConsumer
             | DagMutant::WrongStreamEvent
             | DagMutant::FreeBeforeLastReader => false,
         }
@@ -345,7 +360,9 @@ mod tests {
     #[test]
     fn structural_mutants_apply_and_break_validation() {
         for m in DagMutant::ALL {
-            if m.is_trace_level() || m == DagMutant::SkipCheckpoint {
+            if m.is_trace_level()
+                || matches!(m, DagMutant::SkipCheckpoint | DagMutant::FreeBeforeConsumer)
+            {
                 continue;
             }
             let mut d = dag();
@@ -372,7 +389,8 @@ mod tests {
             assert!(
                 kill.starts_with("validator:")
                     || kill.starts_with("analyzer:")
-                    || kill.starts_with("differential:"),
+                    || kill.starts_with("differential:")
+                    || kill.starts_with("engine:"),
                 "{kill}"
             );
         }

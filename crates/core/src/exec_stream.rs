@@ -7,7 +7,8 @@
 //! (staging copies, transfers, device sorts) run through this
 //! interpreter — which reads nothing but the op it is handed and the
 //! plan's geometry — and it owns the stream's pinned
-//! and device buffers and implements the per-batch failure model:
+//! and device buffers (freed by [`StreamExec::release`] once the stream
+//! has run its last node) and implements the per-batch failure model:
 //!
 //! * every device-buffer growth, HtoD, DtoH, and device sort consults
 //!   the configured [`FaultInjector`] (if any);
@@ -144,6 +145,17 @@ where
             t0,
             span_log: Vec::new(),
         }
+    }
+
+    /// Free every buffer the stream holds — device, pinned staging,
+    /// recovery staging and the pool's recycled scratch — once it has
+    /// run its last node. Counters and logs stay for the engine's fold.
+    pub(crate) fn release(&mut self) {
+        self.device = Vec::new();
+        self.pinned_in = Vec::new();
+        self.pinned_out = Vec::new();
+        self.host_batch = Vec::new();
+        self.pool.clear();
     }
 
     /// Which half of the inbound staging buffer chunk `chunk` lands in:

@@ -105,6 +105,11 @@ impl<T: Default + Clone> BufferPool<T> {
             self.free.push(buf);
         }
     }
+
+    /// Free every recycled buffer; the counters stay.
+    pub fn clear(&mut self) {
+        self.free = Vec::new();
+    }
 }
 
 #[cfg(test)]

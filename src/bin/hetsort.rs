@@ -5,7 +5,8 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use hetsort::analyze::{
-    analyze_plan, analyze_plan_with_trace, explore_plan, AnalysisReport, ExploreConfig, ReplanModel,
+    analyze_plan, analyze_plan_with_trace, explore_plan, host_bound_bytes, host_peak_bytes,
+    AnalysisReport, ExploreConfig, ReplanModel,
 };
 use hetsort::cli::{parse, CliError, Command, RunArgs, ServeArgs, USAGE};
 use hetsort::core::{Approach, HetSortConfig, HetSortError, PairStrategy, Plan};
@@ -249,6 +250,12 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
                     plan.total_streams,
                     plan.steps.len()
                 )?;
+                let peak = host_peak_bytes(&plan);
+                writeln!(
+                    w,
+                    "peak host bytes: {peak} ({:.2} × n·elem)",
+                    input_multiple(&plan, peak)
+                )?;
                 let report = analyze_plan(&plan);
                 write!(w, "{report}")?;
                 require_clean(&plan, report, "static schedule")?;
@@ -440,8 +447,15 @@ fn require_clean(plan: &Plan, report: AnalysisReport, what: &str) -> Result<(), 
     }))
 }
 
+/// `bytes` as a multiple of the plan's input size `n·elem`.
+fn input_multiple(plan: &Plan, bytes: u64) -> f64 {
+    bytes as f64 / (plan.n as u64 * plan.config.elem_bytes.bytes()) as f64
+}
+
 /// Analyze every shipped configuration: all approaches × pair
-/// strategies × both platforms, at paper-scale geometry.
+/// strategies × both platforms, at paper-scale geometry. A plan whose
+/// modelled peak host bytes exceed the any-order host bound is a
+/// finding too.
 fn analyze_matrix(w: &mut impl Write) -> Result<(), CliError> {
     let mut total = 0usize;
     let mut dirty = 0usize;
@@ -473,21 +487,30 @@ fn analyze_matrix(w: &mut impl Write) -> Result<(), CliError> {
                 };
                 let plan = Plan::build(cfg, n)?;
                 let report = analyze_plan(&plan);
+                let (peak, bound) = (host_peak_bytes(&plan), host_bound_bytes(&plan));
                 total += 1;
-                let verdict = if report.is_clean() {
+                let mut problems = Vec::new();
+                if !report.is_clean() {
+                    problems.push(format!("{} finding(s)", report.findings.len()));
+                }
+                if peak > bound {
+                    problems.push(format!("peak host bytes {peak} above the bound {bound}"));
+                }
+                let verdict = if problems.is_empty() {
                     "clean".to_string()
                 } else {
                     dirty += 1;
-                    format!("{} finding(s)", report.findings.len())
+                    problems.join(", ")
                 };
                 writeln!(
                     w,
-                    "{:<10} {:<11} {:<15} n={:<12} steps={:<6} {verdict}",
+                    "{:<10} {:<11} {:<15} n={:<12} steps={:<6} host={:.2}× {verdict}",
                     plan.config.platform.name,
                     approach.name(),
                     format!("{strategy:?}"),
                     n,
-                    plan.steps.len()
+                    plan.steps.len(),
+                    input_multiple(&plan, peak)
                 )?;
                 if !report.is_clean() {
                     write!(w, "{report}")?;
