@@ -12,7 +12,7 @@
 //! element from `b`.
 
 use crate::keys::SortOrd;
-use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
+use crate::par::{self, par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
 
 /// Sequentially merge sorted `a` and `b` into `out`.
 ///
@@ -101,7 +101,7 @@ pub fn co_rank<T: SortOrd>(k: usize, a: &[T], b: &[T]) -> (usize, usize) {
 
 /// Merge sorted `a` and `b` into `out` using `threads` workers
 /// (Merge Path partitioning, self-scheduled chunks). Falls back to
-/// [`merge_into`] for a single thread or tiny inputs.
+/// [`merge_into`] at one worker ([`par::MIN_PART`]).
 pub fn par_merge_into<T: SortOrd>(threads: usize, a: &[T], b: &[T], out: &mut [T]) {
     par_merge_into_cfg(&SchedCfg::default(), threads, a, b, out);
 }
@@ -122,13 +122,12 @@ pub fn par_merge_into_cfg<T: SortOrd>(
 ) -> SchedStats {
     assert_eq!(out.len(), a.len() + b.len(), "output must hold both inputs");
     let n = out.len();
-    let threads = threads.max(1);
-    if threads == 1 || n < 4 * threads {
+    let threads = threads.min(n / par::MIN_PART);
+    if threads <= 1 {
         merge_into(a, b, out);
         return SchedStats::default();
     }
-    // Over-decompose (each part keeps ≥ ~4 elements; the fallback above
-    // guarantees n/4 ≥ threads, so every worker can get a part).
+    // Over-decompose (each part keeps ≥ ~4 elements).
     let nparts = cfg.over_parts(threads, n / 4);
     let out_ranges = split_evenly(n, nparts);
     // Co-ranks at each output range boundary.
@@ -246,15 +245,17 @@ mod tests {
     fn par_merge_cfg_policies_agree() {
         // Length-skewed inputs: every partition granularity and every
         // thread count must produce the sequential merge bit for bit.
-        let a = lcg_sorted(9, 5_000);
+        // 50 050 elements is twelve grains, so every width runs parallel.
+        let a = lcg_sorted(9, 50_000);
         let b = lcg_sorted(10, 50);
         let mut seq = vec![0u64; a.len() + b.len()];
         merge_into(&a, &b, &mut seq);
-        for cfg in [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
+        for cfg in [1, 4, 0].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
             for threads in [2, 3, 8, 16] {
                 let mut out = vec![0u64; seq.len()];
                 let stats = par_merge_into_cfg(&cfg, threads, &a, &b, &mut out);
                 assert_eq!(out, seq, "cfg={cfg:?} threads={threads}");
+                assert!(stats.workers.len() > 1, "cfg={cfg:?} threads={threads}");
                 assert_eq!(
                     stats.workers.iter().map(|w| w.parts).sum::<usize>(),
                     stats.parts
@@ -265,8 +266,8 @@ mod tests {
 
     #[test]
     fn par_merge_is_permutation_and_sorted() {
-        let a = lcg_sorted(5, 4321);
-        let b = lcg_sorted(6, 1234);
+        let a = lcg_sorted(5, 43_210);
+        let b = lcg_sorted(6, 12_340);
         let mut out = vec![0u64; a.len() + b.len()];
         par_merge_into(4, &a, &b, &mut out);
         assert!(is_sorted(&out));
@@ -275,19 +276,19 @@ mod tests {
 
     #[test]
     fn par_merge_heavy_duplicates() {
-        let a = vec![7u64; 500];
-        let mut b = vec![7u64; 300];
-        b.extend_from_slice(&[8; 200]);
-        let mut out = vec![0u64; 1000];
+        let a = vec![7u64; 5_000];
+        let mut b = vec![7u64; 3_000];
+        b.extend_from_slice(&[8; 2_000]);
+        let mut out = vec![0u64; 10_000];
         par_merge_into(4, &a, &b, &mut out);
         assert!(is_sorted(&out));
-        assert_eq!(out.iter().filter(|&&x| x == 7).count(), 800);
+        assert_eq!(out.iter().filter(|&&x| x == 7).count(), 8_000);
     }
 
     #[test]
     fn par_merge_floats() {
-        let mut a: Vec<f64> = (0..1000).map(|i| (i as f64) * 0.5 - 100.0).collect();
-        let mut b: Vec<f64> = (0..800).map(|i| (i as f64) * 0.7 - 50.0).collect();
+        let mut a: Vec<f64> = (0..10_000).map(|i| (i as f64) * 0.5 - 100.0).collect();
+        let mut b: Vec<f64> = (0..8_000).map(|i| (i as f64) * 0.7 - 50.0).collect();
         a.push(f64::INFINITY);
         b.insert(0, f64::NEG_INFINITY);
         let mut out = vec![0.0f64; a.len() + b.len()];

@@ -15,7 +15,7 @@
 //! matching a left-to-right stable merge of the batch array.
 
 use crate::keys::SortOrd;
-use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
+use crate::par::{self, par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
 
 /// How far ahead of each list cursor [`LoserTree::pop`] prefetches.
 /// Eight elements is roughly a cache line of `u64` keys — far enough to
@@ -300,8 +300,8 @@ pub fn par_multiway_merge_into_cfg<T: SortOrd>(
 ) -> SchedStats {
     let total: usize = lists.iter().map(|l| l.len()).sum();
     assert_eq!(out.len(), total, "output must hold all inputs");
-    let threads = threads.max(1);
-    if threads == 1 || total < 4 * threads || lists.len() <= 1 {
+    let threads = threads.min(total / par::MIN_PART);
+    if threads <= 1 || lists.len() <= 1 {
         multiway_merge_into(lists, out);
         return SchedStats::default();
     }
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let lists_owned: Vec<Vec<u64>> = (0..6).map(|i| lcg_sorted(i + 21, 777)).collect();
+        let lists_owned: Vec<Vec<u64>> = (0..6).map(|i| lcg_sorted(i + 21, 7_777)).collect();
         let lists: Vec<&[u64]> = lists_owned.iter().map(|v| v.as_slice()).collect();
         let total: usize = lists.iter().map(|l| l.len()).sum();
         let mut seq = vec![0u64; total];
@@ -491,7 +491,7 @@ mod tests {
 
     #[test]
     fn parallel_preserves_multiset() {
-        let lists_owned: Vec<Vec<u64>> = (0..5).map(|i| lcg_sorted(i + 31, 400)).collect();
+        let lists_owned: Vec<Vec<u64>> = (0..5).map(|i| lcg_sorted(i + 31, 4_000)).collect();
         let lists: Vec<&[u64]> = lists_owned.iter().map(|v| v.as_slice()).collect();
         let mut expect = Fingerprint {
             sum: 0,
@@ -502,7 +502,7 @@ mod tests {
         for l in &lists {
             expect = crate::verify::combine(expect, fingerprint(l));
         }
-        let mut out = vec![0u64; 2000];
+        let mut out = vec![0u64; 20_000];
         par_multiway_merge_into(4, &lists, &mut out);
         assert!(is_sorted(&out));
         assert_eq!(fingerprint(&out), expect);
@@ -549,18 +549,20 @@ mod tests {
     #[test]
     fn cfg_policies_agree_under_skew() {
         // One long list plus tiny ones: every partition granularity and
-        // every thread count must reproduce the sequential merge.
-        let a = lcg_sorted(41, 8_000);
+        // every thread count must reproduce the sequential merge. The
+        // output is nineteen grains, so every width runs parallel.
+        let a = lcg_sorted(41, 80_000);
         let b = lcg_sorted(42, 5);
         let c = lcg_sorted(43, 2);
         let lists: Vec<&[u64]> = vec![&a, &b, &c];
-        let mut seq = vec![0u64; 8_007];
+        let mut seq = vec![0u64; 80_007];
         multiway_merge_into(&lists, &mut seq);
-        for cfg in [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
+        for cfg in [1, 4, 0].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
             for threads in [2, 3, 8, 16] {
                 let mut out = vec![0u64; seq.len()];
                 let stats = par_multiway_merge_into_cfg(&cfg, threads, &lists, &mut out);
                 assert_eq!(out, seq, "cfg={cfg:?} threads={threads}");
+                assert!(stats.workers.len() > 1, "cfg={cfg:?} threads={threads}");
                 assert_eq!(
                     stats.workers.iter().map(|w| w.parts).sum::<usize>(),
                     stats.parts,

@@ -17,7 +17,7 @@
 //! Figure 4's single-thread columns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Decomposition granularity of the self-scheduled work queue.
@@ -30,10 +30,10 @@ pub struct SchedCfg {
 }
 
 impl SchedCfg {
-    /// Auto over-decomposition factor: enough chunks that one slow part
-    /// cannot stall the tail for long, few enough that queue traffic
-    /// stays negligible next to a merge of thousands of elements.
-    pub const DEFAULT_CHUNKS_PER_THREAD: u32 = 4;
+    /// Auto over-decomposition factor: 32 parts at two workers, fine
+    /// enough that the multiway fan-in filter turns tie runs into copies
+    /// (DESIGN.md § 13), coarse next to a merge of thousands of elements.
+    pub const DEFAULT_CHUNKS_PER_THREAD: u32 = 16;
 
     /// Effective chunks-per-thread with `0` resolved to the default.
     pub fn chunks_eff(&self) -> u32 {
@@ -242,21 +242,21 @@ where
 /// Parallel memcpy: copy `src` into `dst` (equal lengths) with up to
 /// `threads` workers over self-scheduled chunks. The PARMEMCPY staging
 /// path uses this for host↔pinned copies. Chunks are kept ≥
-/// [`MIN_COPY_CHUNK`] elements so thread overhead never dominates small
-/// buffers; `threads ≤ 1` is a plain `copy_from_slice`.
+/// [`MIN_PART`] elements, so thread overhead never dominates small
+/// buffers; one worker is a plain `copy_from_slice`.
 pub fn par_copy<T>(threads: usize, src: &[T], dst: &mut [T])
 where
     T: Copy + Send + Sync,
 {
     assert_eq!(src.len(), dst.len(), "par_copy length mismatch");
     let len = src.len();
-    let threads = threads.max(1);
-    if threads == 1 || len <= MIN_COPY_CHUNK {
+    let threads = threads.min(len / MIN_PART);
+    if threads <= 1 {
         dst.copy_from_slice(src);
         return;
     }
     let cfg = SchedCfg::default();
-    let parts = cfg.over_parts(threads, len.div_ceil(MIN_COPY_CHUNK));
+    let parts = cfg.over_parts(threads, len / MIN_PART);
     let ranges = split_evenly(len, parts);
     let chunks = split_ranges_mut(dst, &ranges);
     let pairs: Vec<(&[T], &mut [T])> = ranges
@@ -269,8 +269,9 @@ where
     });
 }
 
-/// Smallest chunk [`par_copy`] will hand to a worker, in elements.
-pub const MIN_COPY_CHUNK: usize = 4 * 1024;
+/// The grain: every kernel (copy, merges, device sort) over `n` elements
+/// runs on `threads.min(n / MIN_PART)` workers, and inline at one.
+pub const MIN_PART: usize = 4 * 1024;
 
 /// Carve a mutable slice into the given disjoint, ascending ranges.
 ///
@@ -318,11 +319,13 @@ where
     }
 }
 
-/// Default worker count: the machine's available parallelism.
+/// Default worker count: the machine's available parallelism, read once
+/// per process (a `taskset` launch sees its own mask). Each uncached
+/// call re-reads cgroup files, 15–18 µs on a 2-vCPU VM, and a 600-job
+/// `serve_mix` iteration made 1 593 of them.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 #[cfg(test)]
@@ -400,13 +403,36 @@ mod tests {
         let cfg = SchedCfg::default();
         assert_eq!(cfg.chunks_eff(), SchedCfg::DEFAULT_CHUNKS_PER_THREAD);
         assert_eq!(cfg.over_parts(1, 100), 1, "single thread never splits");
-        assert_eq!(cfg.over_parts(4, 1_000), 16, "4x over-decomposition");
+        assert_eq!(cfg.over_parts(4, 1_000), 64, "16x over-decomposition");
         assert_eq!(cfg.over_parts(4, 5), 5, "capped at max_parts");
         assert_eq!(cfg.over_parts(4, 0), 1, "never zero");
         let one = SchedCfg {
             chunks_per_thread: 1,
         };
         assert_eq!(one.over_parts(4, 1_000), 4, "one part per worker");
+    }
+
+    #[test]
+    fn merges_under_two_grains_run_on_one_worker() {
+        // Below two grains both merges stay on the caller at any width.
+        use crate::merge::par_merge_into_cfg;
+        use crate::multiway::par_multiway_merge_into_cfg;
+        let cfg = SchedCfg::default();
+        let workers = |n: usize| {
+            let v: Vec<u64> = (0..n as u64).collect();
+            let mut out = vec![0u64; n];
+            let (a, b) = v.split_at(n / 2);
+            let pair = par_merge_into_cfg(&cfg, 8, a, b, &mut out);
+            let lists = [&v[..n / 3], &v[n / 3..2 * n / 3], &v[2 * n / 3..]];
+            let multi = par_multiway_merge_into_cfg(&cfg, 8, &lists, &mut out);
+            (pair.workers.len(), multi.workers.len())
+        };
+        for n in [32usize, MIN_PART, 2 * MIN_PART - 1] {
+            let (pair, multi) = workers(n);
+            assert!(pair <= 1 && multi <= 1, "n={n}: {pair} and {multi} workers");
+        }
+        // Two grains is the smallest input that gets a second worker.
+        assert_eq!(workers(2 * MIN_PART), (2, 2));
     }
 
     #[test]
@@ -417,7 +443,7 @@ mod tests {
     #[test]
     fn par_copy_matches_memcpy() {
         for threads in [1, 2, 4] {
-            for len in [0usize, 10, MIN_COPY_CHUNK - 1, MIN_COPY_CHUNK * 3 + 17] {
+            for len in [0usize, 10, MIN_PART - 1, MIN_PART * 3 + 17] {
                 let src: Vec<u64> = (0..len as u64).map(|x| x.wrapping_mul(0x9E37)).collect();
                 let mut dst = vec![0u64; len];
                 par_copy(threads, &src, &mut dst);

@@ -18,18 +18,14 @@
 
 use crate::keys::{RadixKey, SortOrd};
 use crate::merge::par_merge_into_cfg;
-use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg};
+use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, MIN_PART};
 use crate::radix::{radix_sort, radix_sort_with_scratch};
-
-/// Elements a slice needs before it is worth a worker of its own: a
-/// batch is cut into at most ⌈n / `MIN_SLICE`⌉ slices, and one under two
-/// of them is sorted by the sequential kernel.
-const MIN_SLICE: usize = 4 * 1024;
 
 /// Sort `data` with the parallel radix sort on `threads` workers.
 ///
-/// Falls back to the sequential radix sort for small inputs or one
-/// thread. Allocates one scratch buffer of equal length.
+/// A batch is cut into `threads.min(n / MIN_PART)` slices; at one slice
+/// (one thread, or under two [`MIN_PART`]s) it is the sequential radix
+/// sort. Allocates one scratch buffer of equal length.
 pub fn par_radix_sort<T: RadixKey + SortOrd + Default>(threads: usize, data: &mut [T]) {
     par_radix_sort_cfg(&SchedCfg::default(), threads, data);
 }
@@ -42,11 +38,12 @@ pub fn par_radix_sort_cfg<T: RadixKey + SortOrd + Default>(
     data: &mut [T],
 ) {
     let n = data.len();
-    if threads <= 1 || n < 2 * MIN_SLICE {
+    let slices = threads.min(n / MIN_PART);
+    if slices <= 1 {
         radix_sort(data);
         return;
     }
-    let mut runs = split_evenly(n, threads.min(n.div_ceil(MIN_SLICE)));
+    let mut runs = split_evenly(n, slices);
     let mut scratch: Vec<T> = vec![T::default(); n];
 
     // Each tree level flips sides and the last must land in `data`, so
@@ -181,7 +178,7 @@ mod tests {
         let base = lcg(29, 40_000);
         let mut expect = base.clone();
         radix_sort(&mut expect);
-        for cfg in [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
+        for cfg in [1, 4, 0].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
             for threads in [2usize, 8, 16] {
                 let mut v = base.clone();
                 par_radix_sort_cfg(&cfg, threads, &mut v);

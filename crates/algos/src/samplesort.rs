@@ -183,7 +183,7 @@ mod tests {
         let mut expect = base.clone();
         introsort(&mut expect);
         let expect: Vec<u64> = expect.iter().map(|x| x.to_bits()).collect();
-        for cfg in [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
+        for cfg in [1, 4, 0].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
             for threads in [2usize, 8] {
                 let mut v = base.clone();
                 par_samplesort_cfg(&cfg, threads, &mut v);

@@ -9,7 +9,7 @@
 //! output).
 
 use hetsort_algos::keys::{KeyValue, SortOrd};
-use hetsort_algos::merge::{merge_into, merge_into_reference, par_merge_into};
+use hetsort_algos::merge::{merge_into, merge_into_reference, par_merge_into_cfg};
 use hetsort_algos::multiway::{multiway_merge_into, par_multiway_merge_into_cfg};
 use hetsort_algos::radix::radix_sort;
 use hetsort_algos::radix_par::par_radix_sort_cfg;
@@ -64,14 +64,24 @@ fn fold_reference(lists: &[&[f64]]) -> Vec<f64> {
     acc
 }
 
+/// Asserts a property still crosses the grain: inputs that all sit
+/// under two `MIN_PART`s only ever test the inline path.
+fn assert_crossed(name: &str, parallel_runs: usize) {
+    assert!(
+        parallel_runs > 0,
+        "{name}: no case ran on more than one worker"
+    );
+}
+
 #[test]
 fn branchless_merge_matches_reference_on_specials() {
+    let mut parallel = 0;
     run_cases(
         "branchless_merge_matches_reference_on_specials",
         200,
         |rng| {
-            let a = adversarial_sorted(rng, 300);
-            let b = adversarial_sorted(rng, 300);
+            let a = adversarial_sorted(rng, 6_000);
+            let b = adversarial_sorted(rng, 6_000);
             let mut expect = vec![0.0f64; a.len() + b.len()];
             merge_into_reference(&a, &b, &mut expect);
             let mut got = vec![0.0f64; expect.len()];
@@ -79,12 +89,14 @@ fn branchless_merge_matches_reference_on_specials() {
             prop_assert_eq!(bits(&got), bits(&expect));
             for threads in [1usize, 2, 8] {
                 let mut par = vec![0.0f64; expect.len()];
-                par_merge_into(threads, &a, &b, &mut par);
+                let stats = par_merge_into_cfg(&SchedCfg::default(), threads, &a, &b, &mut par);
+                parallel += usize::from(stats.workers.len() > 1);
                 prop_assert_eq!((threads, bits(&par)), (threads, bits(&expect)));
             }
             Ok(())
         },
     );
+    assert_crossed("branchless_merge", parallel);
 }
 
 #[test]
@@ -92,8 +104,9 @@ fn constant_keys_merge_stably_and_bit_identically() {
     // All keys equal: every output position is decided purely by the
     // tie rule. -0.0 vs +0.0 would surface any a/b swap as a sign-bit
     // difference even though the values compare equal under ==.
-    let a = vec![-0.0f64; 513];
-    let b = vec![0.0f64; 257];
+    // 9 230 elements: two grains, so threads > 1 runs two workers.
+    let a = vec![-0.0f64; 5_133];
+    let b = vec![0.0f64; 4_097];
     let mut expect = vec![1.0f64; a.len() + b.len()];
     merge_into_reference(&a, &b, &mut expect);
     let mut got = vec![1.0f64; expect.len()];
@@ -101,8 +114,9 @@ fn constant_keys_merge_stably_and_bit_identically() {
     assert_eq!(bits(&got), bits(&expect));
     for threads in [1usize, 2, 8] {
         let mut par = vec![1.0f64; expect.len()];
-        par_merge_into(threads, &a, &b, &mut par);
+        let stats = par_merge_into_cfg(&SchedCfg::default(), threads, &a, &b, &mut par);
         assert_eq!(bits(&par), bits(&expect), "threads={threads}");
+        assert_eq!(stats.workers.len() > 1, threads > 1, "threads={threads}");
     }
     // Same discipline through the loser tree: list index breaks ties.
     let lists: Vec<&[f64]> = vec![&a, &b, &a];
@@ -110,13 +124,20 @@ fn constant_keys_merge_stably_and_bit_identically() {
     let mut got = vec![1.0f64; expect.len()];
     multiway_merge_into(&lists, &mut got);
     assert_eq!(bits(&got), bits(&expect));
+    for threads in [2usize, 8] {
+        let mut par = vec![1.0f64; expect.len()];
+        let stats = par_multiway_merge_into_cfg(&SchedCfg::default(), threads, &lists, &mut par);
+        assert_eq!(bits(&par), bits(&expect), "threads={threads}");
+        assert!(stats.workers.len() > 1, "threads={threads}");
+    }
 }
 
 #[test]
 fn prefetched_loser_tree_matches_fold_oracle() {
+    let mut parallel = 0;
     run_cases("prefetched_loser_tree_matches_fold_oracle", 120, |rng| {
         let k = rng.usize_in(3, 9);
-        let lists: Vec<Vec<f64>> = (0..k).map(|_| adversarial_sorted(rng, 150)).collect();
+        let lists: Vec<Vec<f64>> = (0..k).map(|_| adversarial_sorted(rng, 4_000)).collect();
         let refs: Vec<&[f64]> = lists.iter().map(|l| l.as_slice()).collect();
         let expect = fold_reference(&refs);
         let mut got = vec![0.0f64; expect.len()];
@@ -124,11 +145,13 @@ fn prefetched_loser_tree_matches_fold_oracle() {
         prop_assert_eq!(bits(&got), bits(&expect));
         for threads in [1usize, 2, 8] {
             let mut par = vec![0.0f64; expect.len()];
-            par_multiway_merge_into_cfg(&SchedCfg::default(), threads, &refs, &mut par);
+            let stats = par_multiway_merge_into_cfg(&SchedCfg::default(), threads, &refs, &mut par);
+            parallel += usize::from(stats.workers.len() > 1);
             prop_assert_eq!((threads, bits(&par)), (threads, bits(&expect)));
         }
         Ok(())
     });
+    assert_crossed("prefetched_loser_tree", parallel);
 }
 
 #[test]
@@ -172,7 +195,7 @@ fn device_sort_matches_sequential_radix_on_specials() {
             let mut seq = base.clone();
             radix_sort(&mut seq);
             prop_assert_eq!(bits(&seq), bits(&by_order));
-            for chunks_per_thread in [0u32, 1, 8] {
+            for chunks_per_thread in [1u32, 4, 0] {
                 let cfg = SchedCfg { chunks_per_thread };
                 for threads in SORT_THREADS {
                     let mut par = base.clone();

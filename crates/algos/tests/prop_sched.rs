@@ -8,7 +8,7 @@
 use hetsort_algos::introsort::introsort;
 use hetsort_algos::keys::SortOrd;
 use hetsort_algos::multiway::{multiway_merge_into, par_multiway_merge_into_cfg};
-use hetsort_algos::par::SchedCfg;
+use hetsort_algos::par::{SchedCfg, MIN_PART};
 use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_algos::verify::is_sorted;
 use hetsort_prng::{prop_assert, prop_assert_eq, run_cases, Rng};
@@ -16,9 +16,9 @@ use hetsort_prng::{prop_assert, prop_assert_eq, run_cases, Rng};
 const THREADS: [usize; 5] = [1, 2, 3, 8, 16];
 
 /// Partition granularities: one part per worker (the static partition's
-/// geometry), the default over-decomposition, and a fine one.
+/// geometry), a coarse over-decomposition, and the default (16×).
 fn policies() -> [SchedCfg; 3] {
-    [1, 0, 8].map(|chunks_per_thread| SchedCfg { chunks_per_thread })
+    [1, 4, 0].map(|chunks_per_thread| SchedCfg { chunks_per_thread })
 }
 
 /// One long list plus a handful of tiny ones — the 10⁴× length-skew
@@ -40,8 +40,18 @@ fn skewed_lists(rng: &mut Rng) -> Vec<Vec<u64>> {
     lists
 }
 
+/// Asserts the suite still crosses the grain: a property whose inputs
+/// all sit under two [`MIN_PART`]s only ever tests the inline path.
+fn assert_crossed(name: &str, parallel_runs: usize) {
+    assert!(
+        parallel_runs > 0,
+        "{name}: no case ran on more than one worker"
+    );
+}
+
 #[test]
 fn skewed_merge_identical_across_policies_and_threads() {
+    let mut parallel = 0;
     run_cases("skewed_merge_identical", 40, |rng| {
         let lists = skewed_lists(rng);
         let views: Vec<&[u64]> = lists.iter().map(|l| l.as_slice()).collect();
@@ -51,38 +61,44 @@ fn skewed_merge_identical_across_policies_and_threads() {
         for cfg in policies() {
             for threads in THREADS {
                 let mut out = vec![0u64; total];
-                par_multiway_merge_into_cfg(&cfg, threads, &views, &mut out);
+                let stats = par_multiway_merge_into_cfg(&cfg, threads, &views, &mut out);
+                parallel += usize::from(stats.workers.len() > 1);
                 prop_assert_eq!(&out, &seq);
             }
         }
         Ok(())
     });
+    assert_crossed("skewed_merge_identical", parallel);
 }
 
 #[test]
 fn constant_keys_merge_is_stable_concatenation() {
+    let mut parallel = 0;
     run_cases("constant_keys_merge", 30, |rng| {
         // Every key equal: ties resolve by list index, so the stable
         // merge is exactly the concatenation of the input lists.
         let key = rng.u64();
         let k = rng.usize_in(2, 40);
-        let lists: Vec<Vec<u64>> = (0..k).map(|_| vec![key; rng.usize_in(0, 400)]).collect();
+        let lists: Vec<Vec<u64>> = (0..k).map(|_| vec![key; rng.usize_in(0, 4_000)]).collect();
         let views: Vec<&[u64]> = lists.iter().map(|l| l.as_slice()).collect();
         let total: usize = views.iter().map(|l| l.len()).sum();
         let expect: Vec<u64> = lists.concat();
         for cfg in policies() {
             for threads in THREADS {
                 let mut out = vec![0u64; total];
-                par_multiway_merge_into_cfg(&cfg, threads, &views, &mut out);
+                let stats = par_multiway_merge_into_cfg(&cfg, threads, &views, &mut out);
+                parallel += usize::from(stats.workers.len() > 1);
                 prop_assert_eq!(&out, &expect);
             }
         }
         Ok(())
     });
+    assert_crossed("constant_keys_merge", parallel);
 }
 
 #[test]
 fn float_specials_merge_identical_across_policies() {
+    let mut parallel = 0;
     run_cases("float_specials_merge", 30, |rng| {
         let mk = |rng: &mut Rng, len: usize| -> Vec<f64> {
             let mut v: Vec<f64> = (0..len).map(|_| rng.any_f64()).collect();
@@ -90,7 +106,7 @@ fn float_specials_merge_identical_across_policies() {
             v
         };
         // Length-skewed float lists seeded with NaN/±0.0/±∞ via any_f64.
-        let long_len = rng.usize_in(2_000, 8_000);
+        let long_len = rng.usize_in(2_000, 20_000);
         let short_a = rng.usize_in(0, 3);
         let short_b = rng.usize_in(0, 3);
         let lists = [mk(rng, long_len), mk(rng, short_a), mk(rng, short_b)];
@@ -102,20 +118,26 @@ fn float_specials_merge_identical_across_policies() {
         for cfg in policies() {
             for threads in THREADS {
                 let mut out = vec![0.0f64; total];
-                par_multiway_merge_into_cfg(&cfg, threads, &views, &mut out);
+                let stats = par_multiway_merge_into_cfg(&cfg, threads, &views, &mut out);
+                parallel += usize::from(stats.workers.len() > 1);
                 let bits: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
                 prop_assert_eq!(&bits, &seq_bits);
             }
         }
         Ok(())
     });
+    assert_crossed("float_specials_merge", parallel);
 }
 
 #[test]
 fn radix_identical_across_policies_and_threads() {
+    // The device sort reports no stats: count the inputs that are
+    // sliced (two grains or more) instead.
+    let mut sliced = 0;
     run_cases("radix_identical", 30, |rng| {
         // Mix of uniform, constant, and special floats.
-        let n = rng.usize_in(1, 10_000);
+        let n = rng.usize_in(1, 40_000);
+        sliced += usize::from(n >= 2 * MIN_PART);
         let constant = rng.bool();
         let data: Vec<f64> = if constant {
             vec![rng.any_f64(); n]
@@ -136,6 +158,7 @@ fn radix_identical_across_policies_and_threads() {
         }
         Ok(())
     });
+    assert_crossed("radix_identical", sliced);
 }
 
 /// The SortOrd total order puts NaN last; a tiny deterministic spot

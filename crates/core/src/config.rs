@@ -412,7 +412,7 @@ impl HetSortConfig {
         self
     }
 
-    /// Effective multiway-merge thread count.
+    /// Simulated multiway-merge thread count (simulator only; the engine's come from the host).
     pub fn merge_threads_eff(&self) -> u32 {
         if self.merge_threads == 0 {
             self.platform.cpu.cores
@@ -421,7 +421,7 @@ impl HetSortConfig {
         }
     }
 
-    /// Effective pipelined pair-merge thread count.
+    /// Simulated pipelined pair-merge thread count (simulator only).
     pub fn pair_merge_threads_eff(&self) -> u32 {
         if self.pair_merge_threads == 0 {
             (self.platform.cpu.cores / 2).max(1)
@@ -430,7 +430,7 @@ impl HetSortConfig {
         }
     }
 
-    /// Staging copy thread count (PARMEMCPY uses all cores, §III-D2).
+    /// Simulated staging copy threads (PARMEMCPY: all cores, §III-D2; simulator only).
     pub fn memcpy_threads_eff(&self) -> u32 {
         if self.par_memcpy {
             self.platform.cpu.cores

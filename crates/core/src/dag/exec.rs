@@ -583,16 +583,13 @@ where
     let injected_before = cfg.faults.as_ref().map_or(0, |i| i.injected());
     let t0 = Instant::now();
     let now = || t0.elapsed().as_secs_f64();
-    // Thread sizing, one place: merges get the configured merge pool
-    // capped at this machine's parallelism ×4 (simulated platforms may
-    // have more cores than the host); every batch sort, device stand-in
-    // or degraded host path, gets the host's parallelism shared among
-    // the stream workers that sort concurrently.
+    // Thread sizing, one place, from the host alone: merges run at the
+    // host's parallelism, PARMEMCPY staging copies too (plain copies at
+    // one), and every batch sort, device stand-in or degraded host path,
+    // gets the host shared among the stream workers that sort at once.
     let host = hetsort_algos::par::default_threads();
     let sort_threads = sort_width(host, workers);
-    let threads = usize::try_from(cfg.merge_threads_eff())
-        .unwrap_or(usize::MAX)
-        .min(4 * host);
+    let copy_threads = if cfg.par_memcpy { host } else { 1 };
     let sched = SchedCfg::default();
 
     // Memory: A (`data`, borrowed) and B, plus what is alive: a batch's
@@ -605,7 +602,7 @@ where
     let mut merges = Merges {
         plan,
         sched,
-        threads,
+        threads: host,
         t0,
         pair_out: (0..plan.pairs.len()).map(|_| Run::Pending).collect(),
         sorted: Vec::new(),
@@ -637,7 +634,7 @@ where
             streams: (0..cur.total_streams)
                 .map(|s| {
                     Mutex::new(StreamSlot {
-                        sx: StreamExec::new(cur, data, s, threads, sort_threads, t0),
+                        sx: StreamExec::new(cur, data, s, host, sort_threads, copy_threads, t0),
                         assembling: Vec::new(),
                         left: cur_nodes.iter().filter(|n| n.stream == Some(s)).count(),
                     })
@@ -853,6 +850,39 @@ mod tests {
         assert_eq!(sort_width(8, 0), 8, "the inline engine sorts at full width");
         assert_eq!(sort_width(8, 3), 2);
         assert_eq!(sort_width(2, 4), 1);
+    }
+
+    #[test]
+    fn merge_width_never_exceeds_the_host() {
+        // Pair merges of 50 000 elements are twelve grains: wide enough
+        // that only the host's parallelism can bound their workers.
+        let host = hetsort_algos::par::default_threads();
+        let n = 200_000;
+        let d = data(n, 21);
+        let g = dag(Approach::PipeMerge, 25_000, 5_000, n);
+        assert!(!g.plan.pairs.is_empty(), "the plan has pair merges");
+        let runs = [(0, execute_dag(&g, &d)), (2, execute_dag_pooled(&g, &d, 2))];
+        for (workers, out) in runs {
+            let out = out.unwrap();
+            assert!(out.verified, "workers={workers}");
+            let parts: Vec<usize> = out
+                .metrics
+                .spans()
+                .iter()
+                .filter(|s| s.class == OpClass::CpuPart)
+                .map(|s| {
+                    let (_, tail) = s.label.rsplit_once(" w").expect("a worker index");
+                    let (k, _) = tail.split_once(' ').expect("a part count");
+                    k.parse().expect("a numeric worker index")
+                })
+                .collect();
+            // One CPU runs every merge inline: no CpuPart spans at all.
+            assert_eq!(parts.is_empty(), host == 1, "workers={workers}: {parts:?}");
+            assert!(
+                parts.iter().all(|&k| k < host),
+                "workers={workers}: worker index ≥ host parallelism {host}: {parts:?}"
+            );
+        }
     }
 
     #[test]

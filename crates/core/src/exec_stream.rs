@@ -74,7 +74,8 @@ pub(crate) struct StreamExec<'a, T> {
     /// Workers of every batch sort: device stand-in, Split sub-runs and
     /// the CpuFallback host sort alike.
     sort_threads: usize,
-    /// Host↔pinned staging copy workers (PARMEMCPY), host-capped.
+    /// Host↔pinned staging copy workers: the host's under PARMEMCPY,
+    /// else one.
     memcpy_threads: usize,
     /// CPU scheduling policy for merges, sorts, and staging copies.
     sched: SchedCfg,
@@ -110,19 +111,18 @@ impl<'a, T> StreamExec<'a, T>
 where
     T: RadixKey + SortOrd + Default,
 {
-    /// Fresh state for stream `stream` of `plan` over `data`. `t0` is
-    /// the run origin every stream of the run shares.
+    /// Fresh state for stream `stream` of `plan` over `data`, with the
+    /// engine's merge, sort and copy widths. `t0` is the run origin
+    /// every stream of the run shares.
     pub(crate) fn new(
         plan: &'a Plan,
         data: &'a [T],
         stream: usize,
         host_threads: usize,
         sort_threads: usize,
+        memcpy_threads: usize,
         t0: Instant,
     ) -> Self {
-        let memcpy_threads = usize::try_from(plan.config.memcpy_threads_eff())
-            .unwrap_or(usize::MAX)
-            .min(4 * hetsort_algos::par::default_threads());
         StreamExec {
             plan,
             data,

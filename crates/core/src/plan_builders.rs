@@ -173,9 +173,9 @@ fn hybrid_cpu_slots(cfg: &HetSortConfig, pairs: &[PairSpec]) -> Vec<bool> {
         HybridMode::Auto => {
             let cpu_model = &cfg.platform.cpu;
             let per_core = 1e9 / cpu_model.merge_ns_per_elem_core;
-            // The pair lane runs at the thread count the executors and
-            // simulator actually grant pipelined merges; the CPU lane
-            // gets the full multiway pool.
+            // The pair lane runs at the thread count the simulator
+            // grants pipelined merges; the CPU lane gets the full
+            // multiway pool.
             let pair_threads = if cfg.pair_strategy == PairStrategy::PaperHeuristic {
                 cfg.pair_merge_threads_eff()
             } else {
