@@ -20,8 +20,9 @@
 //!   [`merge`] tree; bit-identical to [`radix`] on the whole batch.
 //! * [`merge`] — sequential two-way merge plus the *merge path* parallel
 //!   pairwise merge (Green et al. \[18\]) used by the PIPEMERGE pipeline.
-//! * [`multiway`] — loser-tree k-way merge plus a co-rank-partitioned
-//!   parallel multiway merge (the GNU parallel-mode stand-in).
+//! * [`multiway`] — co-rank-partitioned k-way merge, each part merged by
+//!   a tree of two-way merges in bounded scratch (the GNU parallel-mode
+//!   stand-in).
 //! * [`mergesort`] — parallel multiway mergesort (sort p runs, multiway
 //!   merge), the reference CPU implementation of the paper.
 //! * [`samplesort`] — a TBB-flavored parallel samplesort baseline.

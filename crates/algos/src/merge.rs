@@ -16,7 +16,10 @@ use crate::par::{self, par_parts_stats, split_evenly, split_ranges_mut, SchedCfg
 
 /// Sequentially merge sorted `a` and `b` into `out`.
 ///
-/// The inner loop is branchless: while both inputs have elements, the
+/// When all of `a` sorts before-or-equal all of `b` — disjoint ranges,
+/// or both inside one run of equal keys — the stable merge is `a` then
+/// `b`: one comparison and two copies. Otherwise the inner loop is
+/// branchless: while both inputs have elements, the
 /// comparison result advances the cursors as index arithmetic and
 /// selects the output via [`SortOrd::select`] (an integer-domain
 /// conditional move), so random key interleavings cost no branch
@@ -30,6 +33,14 @@ use crate::par::{self, par_parts_stats, split_evenly, split_ranges_mut, SchedCfg
 /// Panics if `out.len() != a.len() + b.len()`.
 pub fn merge_into<T: SortOrd>(a: &[T], b: &[T], out: &mut [T]) {
     assert_eq!(out.len(), a.len() + b.len(), "output must hold both inputs");
+    if let (Some(last), Some(first)) = (a.last(), b.first()) {
+        if last.le(first) {
+            let (lo, hi) = out.split_at_mut(a.len());
+            lo.copy_from_slice(a);
+            hi.copy_from_slice(b);
+            return;
+        }
+    }
     let mut i = 0;
     let mut j = 0;
     let mut o = 0;
@@ -185,6 +196,36 @@ mod tests {
         assert_eq!(out, [1, 2]);
         let mut empty: [u64; 0] = [];
         merge_into(&[], &[], &mut empty);
+    }
+
+    #[test]
+    fn ordered_halves_copy_bit_identically() {
+        // The `a.last() ≤ b.first()` guard: ordered, reversed, equal-run,
+        // touching and one-empty inputs all match the reference bit for bit.
+        let cases: [(Vec<f64>, Vec<f64>); 6] = [
+            (vec![-1.0, 0.0, 1.0], vec![1.0, 2.0, f64::NAN]),
+            (vec![2.0, 3.0], vec![f64::NEG_INFINITY, -0.0]),
+            (vec![-0.0; 5], vec![-0.0; 3]),
+            (vec![-0.0, -0.0], vec![0.0, 0.0]),
+            (vec![], vec![1.5, 2.5]),
+            (vec![1.5, 2.5], vec![]),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, b) in &cases {
+            let mut want = vec![7.0; a.len() + b.len()];
+            merge_into_reference(a, b, &mut want);
+            let mut got = vec![7.0; want.len()];
+            merge_into(a, b, &mut got);
+            assert_eq!(bits(&got), bits(&want), "a={a:?} b={b:?}");
+        }
+        // All keys equal: every payload of `a` precedes every one of `b`.
+        use crate::keys::KeyValue;
+        let kv = |value| KeyValue { key: 1.0, value };
+        let a: Vec<KeyValue> = (0..40).map(kv).collect();
+        let b: Vec<KeyValue> = (40..70).map(kv).collect();
+        let mut out = vec![kv(u64::MAX); 70];
+        merge_into(&a, &b, &mut out);
+        assert!(out.iter().map(|r| r.value).eq(0..70));
     }
 
     #[test]

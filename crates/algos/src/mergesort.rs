@@ -16,7 +16,8 @@ use crate::par::{par_chunks_mut, split_evenly};
 /// Sort `data` with `threads` workers using parallel multiway mergesort.
 ///
 /// Allocates one scratch buffer of `data.len()` (the algorithm is
-/// out-of-place internally, like its GNU counterpart).
+/// out-of-place internally, like its GNU counterpart), plus the merge's
+/// own scratch of at most [`crate::multiway::MERGE_SCRATCH_ELEMS`].
 pub fn par_mergesort<T: SortOrd + Default>(threads: usize, data: &mut [T]) {
     let threads = threads.max(1);
     let n = data.len();

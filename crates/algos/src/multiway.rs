@@ -1,168 +1,98 @@
-//! K-way merging: loser-tree sequential merge and a co-rank-partitioned
-//! parallel multiway merge.
+//! K-way merging: co-rank parts, each merged by a tree of two-way merges.
 //!
 //! This is the stand-in for the GNU parallel mode's `multiway_merge`,
 //! which the paper uses for the final merge of all sorted batches
 //! (§III-A: "O(n·log n_b) work ... multiway merge is more cache-efficient
-//! than pairwise merging"). The sequential kernel is a classic loser
-//! tree: each output element costs ⌈log₂ k⌉ comparisons but only one
-//! read and one write of memory — the cache-efficiency the paper relies
-//! on. The parallel version cuts the output into `p` ranges and finds
-//! each list's split by *multisequence selection*: a per-list binary
-//! search on the global stable rank.
+//! than pairwise merging"). The shape is Casanova et al.'s
+//! partition-then-merge-blocks: the output is cut into parts by
+//! *multisequence selection* (a per-list binary search on the global
+//! stable rank), and each part is merged by a tree of branchless
+//! [`merge_into`]s that ping-pongs between the part's output and one
+//! part-sized scratch. At width `w` a part holds at most
+//! [`MERGE_SCRATCH_ELEMS`]` / w` elements, so every pass of the tree
+//! runs over a few MiB. A loser tree (the GNU kernel) writes each
+//! element once but pays ⌈log₂ k⌉ unpredictable branches for it, and
+//! loses at every fan-in the engine runs (DESIGN.md § 21).
 //!
 //! Stability: ties are resolved by list index (earlier list first),
 //! matching a left-to-right stable merge of the batch array.
 
+use std::sync::Mutex;
+
 use crate::keys::SortOrd;
+use crate::merge::merge_into;
 use crate::par::{self, par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
 
-/// How far ahead of each list cursor [`LoserTree::pop`] prefetches.
-/// Eight elements is roughly a cache line of `u64` keys — far enough to
-/// cover the ⌈log₂ k⌉ replay comparisons before the line is needed,
-/// close enough that the line is still resident when the cursor reaches
-/// it.
-const PREFETCH_DIST: usize = 8;
+/// The most merge scratch one multiway merge holds, in elements, at any
+/// width: 512 Ki, 4 MiB of `f64`. At width `w` no part is longer than
+/// `MERGE_SCRATCH_ELEMS / w`, and at most `w` part-sized buffers exist.
+pub const MERGE_SCRATCH_ELEMS: usize = 512 * 1024;
 
-/// Hint the CPU to pull `slice[idx]`'s cache line toward L1. Out-of-range
-/// indices are ignored; on non-x86 targets this is a no-op. Purely a
-/// performance hint — never reads the data, so it cannot change results.
-#[inline(always)]
-fn prefetch_read<T>(slice: &[T], idx: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if idx < slice.len() {
-        // SAFETY: idx is in bounds, and _mm_prefetch only hints the
-        // memory subsystem; it performs no load observable by the
-        // program.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(slice.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
-        }
+/// Merge two or more sorted `lists`, together as long as `dst`, into
+/// `dst` by a tree of stable two-way merges; `tmp` is scratch of the
+/// same length. Each half of the lists is merged into `tmp` (using
+/// `dst` as its own scratch), then the halves into `dst`, the left one
+/// first on ties, so ties keep list-index order. A one-list half is
+/// read in place.
+fn tree_into<T: SortOrd>(lists: &[&[T]], dst: &mut [T], tmp: &mut [T]) {
+    if let [a, b] = lists {
+        merge_into(a, b, dst);
+        return;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (slice, idx);
+    let (left, right) = lists.split_at(lists.len() / 2);
+    let split = left.iter().map(|l| l.len()).sum();
+    let (tmp_l, tmp_r) = tmp.split_at_mut(split);
+    let (dst_l, dst_r) = dst.split_at_mut(split);
+    let a: &[T] = match left {
+        [one] => one,
+        _ => {
+            tree_into(left, tmp_l, dst_l);
+            tmp_l
+        }
+    };
+    let b: &[T] = match right {
+        [one] => one,
+        _ => {
+            tree_into(right, tmp_r, dst_r);
+            tmp_r
+        }
+    };
+    merge_into(a, b, dst);
+}
+
+/// Merge one part's sublists into `out`, skipping the empty ones: a
+/// copy at fan-in 1, one [`merge_into`] at 2, and at 3 or more a
+/// [`tree_into`] whose scratch comes from `spare` — or is allocated at
+/// `longest`, the longest part's length — and goes back there after.
+fn merge_part<T: SortOrd>(
+    lists: &[&[T]],
+    out: &mut [T],
+    spare: &Mutex<Vec<Vec<T>>>,
+    longest: usize,
+) {
+    let lists: Vec<&[T]> = lists.iter().copied().filter(|l| !l.is_empty()).collect();
+    match lists[..] {
+        [] => {}
+        [a] => out.copy_from_slice(a),
+        [a, b] => merge_into(a, b, out),
+        _ => {
+            let reused = spare.lock().expect("merge scratch list poisoned").pop();
+            let mut tmp = reused.unwrap_or_else(|| vec![lists[0][0]; longest]);
+            tree_into(&lists, out, &mut tmp[..out.len()]);
+            spare.lock().expect("merge scratch list poisoned").push(tmp);
+        }
     }
 }
 
-/// Loser tree over `k` sorted input cursors.
-struct LoserTree<'a, T: SortOrd> {
-    lists: &'a [&'a [T]],
-    /// Current position in each list.
-    pos: Vec<usize>,
-    /// Padded player count (power of two ≥ lists.len(), ≥ 2).
-    k: usize,
-    /// `tree[1..k]`: loser player index at each internal node;
-    /// `tree\[0\]`: the overall winner.
-    tree: Vec<usize>,
-}
-
-impl<'a, T: SortOrd> LoserTree<'a, T> {
-    fn new(lists: &'a [&'a [T]]) -> Self {
-        let k = lists.len().next_power_of_two().max(2);
-        let mut lt = LoserTree {
-            lists,
-            pos: vec![0; lists.len()],
-            k,
-            tree: vec![usize::MAX; k],
-        };
-        lt.build();
-        lt
-    }
-
-    /// Head element of player `p`, `None` when exhausted or virtual.
-    #[inline]
-    fn head(&self, p: usize) -> Option<&T> {
-        self.lists.get(p).and_then(|l| l.get(self.pos[p]))
-    }
-
-    /// Does player `a` beat player `b`? Exhausted players always lose;
-    /// ties go to the lower index (stability).
-    #[inline]
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (self.head(a), self.head(b)) {
-            (Some(x), Some(y)) => match x.total_order(y) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => a < b,
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
-        }
-    }
-
-    /// Initial tournament: play all matches bottom-up.
-    fn build(&mut self) {
-        // winners[i] for internal node i; leaves are players.
-        let mut winners = vec![usize::MAX; 2 * self.k];
-        for (i, w) in winners.iter_mut().enumerate().skip(self.k) {
-            *w = i - self.k; // leaf: player index (may be virtual)
-        }
-        for i in (1..self.k).rev() {
-            let (a, b) = (winners[2 * i], winners[2 * i + 1]);
-            if self.beats(a, b) {
-                winners[i] = a;
-                self.tree[i] = b;
-            } else {
-                winners[i] = b;
-                self.tree[i] = a;
-            }
-        }
-        self.tree[0] = winners[1];
-    }
-
-    /// Pop the smallest head; returns its player index, or `None` when
-    /// all lists are exhausted. Advances the winning cursor and replays
-    /// its path to the root.
-    fn pop(&mut self) -> Option<usize> {
-        let w = self.tree[0];
-        self.head(w)?;
-        self.pos[w] += 1;
-        // The winner's list is the only one whose cursor moved; hint its
-        // upcoming line into cache while the replay comparisons run.
-        prefetch_read(self.lists[w], self.pos[w] + PREFETCH_DIST);
-        // Replay from the winner's leaf up.
-        let mut cur = w;
-        let mut node = (self.k + w) / 2;
-        while node >= 1 {
-            let other = self.tree[node];
-            if self.beats(other, cur) {
-                self.tree[node] = cur;
-                cur = other;
-            }
-            node /= 2;
-        }
-        self.tree[0] = cur;
-        Some(w)
-    }
-}
-
-/// Merge `k` sorted lists into `out` sequentially with a loser tree.
+/// Merge `k` sorted lists into `out` on the calling thread: the
+/// one-worker case of [`par_multiway_merge_into_cfg`], a single part
+/// (no cuts) when the output fits in [`MERGE_SCRATCH_ELEMS`].
 ///
 /// # Panics
 ///
 /// Panics if `out.len()` differs from the total input length.
 pub fn multiway_merge_into<T: SortOrd>(lists: &[&[T]], out: &mut [T]) {
-    let total: usize = lists.iter().map(|l| l.len()).sum();
-    assert_eq!(out.len(), total, "output must hold all inputs");
-    match lists.len() {
-        0 => return,
-        1 => {
-            out.copy_from_slice(lists[0]);
-            return;
-        }
-        2 => {
-            crate::merge::merge_into(lists[0], lists[1], out);
-            return;
-        }
-        _ => {}
-    }
-    let mut lt = LoserTree::new(lists);
-    for slot in out.iter_mut() {
-        let w = lt.pop().expect("tree exhausted early");
-        *slot = lists[w][lt.pos[w] - 1];
-    }
+    par_multiway_merge_into_cfg(&SchedCfg::default(), 1, lists, out);
 }
 
 /// Number of elements of `list` strictly before `v` in the total order.
@@ -250,11 +180,13 @@ pub fn multiway_cuts<T: SortOrd>(lists: &[&[T]], k: usize) -> Vec<usize> {
 ///
 /// Each boundary costs one multisequence selection: for every list a
 /// binary search whose probes each rank against all other lists —
-/// ~(Σₜ log₂ lenₜ)² comparisons. The merge itself costs `total·log₂ k`.
-/// At high fan-in (many short lists) unbounded over-decomposition would
+/// ~(Σₜ log₂ lenₜ)² comparisons. The merge itself costs `total·log₂ k`
+/// (each element passes through at most ⌈log₂ k⌉ two-way merges). At
+/// high fan-in (many short lists) unbounded over-decomposition would
 /// spend more time cutting than merging, so parts are capped at
 /// `merge_cost / 2·cut_cost`, and never more than one part per four
-/// output elements.
+/// output elements. The scratch bound of [`par_multiway_merge_into_cfg`]
+/// may ask for more parts than this cap; memory wins.
 ///
 /// The result is always ≥ 1: both clamp bounds saturate at 1, so the
 /// cap is safe to evaluate for any `total` (for `total < 4` the old
@@ -281,15 +213,22 @@ pub fn par_multiway_merge_into<T: SortOrd>(threads: usize, lists: &[&[T]], out: 
 }
 
 /// [`par_multiway_merge_into`] with an explicit scheduling policy;
-/// returns per-worker stats for observability.
+/// returns per-worker stats for observability (empty when the merge ran
+/// as one part).
+///
+/// Parts: the policy's over-decomposition, capped by
+/// [`selection_part_cap`], but at fan-in 3 or more never so few that a
+/// part outgrows its worker's share of [`MERGE_SCRATCH_ELEMS`]. Such a
+/// part holds one part-sized scratch while its tree runs; the buffers
+/// return to a free list in this call, so at most `min(w, parts)` are
+/// ever allocated.
 ///
 /// Skew-aware partitioning: output ranges are cut at the *actual*
 /// co-rank boundaries from [`multiway_cuts`], then each part drops the
 /// sublists its range does not touch before merging. Under pathological
 /// list lengths (one list 10⁴× longer than the rest) most parts see a
-/// fan-in of 1 or 2, dispatching to a straight copy or a pairwise merge
-/// instead of paying ⌈log₂ k⌉ loser-tree comparisons per element
-/// against exhausted lists. Dropping empty sublists preserves stability
+/// fan-in of 1 or 2, dispatching to a straight copy or one pairwise
+/// merge with no scratch. Dropping empty sublists preserves stability
 /// because ties resolve by list index and the relative order of the
 /// surviving lists is unchanged.
 pub fn par_multiway_merge_into_cfg<T: SortOrd>(
@@ -300,15 +239,28 @@ pub fn par_multiway_merge_into_cfg<T: SortOrd>(
 ) -> SchedStats {
     let total: usize = lists.iter().map(|l| l.len()).sum();
     assert_eq!(out.len(), total, "output must hold all inputs");
-    let threads = threads.min(total / par::MIN_PART);
-    if threads <= 1 || lists.len() <= 1 {
-        multiway_merge_into(lists, out);
+    let k = lists.len();
+    let threads = threads.min(total / par::MIN_PART).max(1);
+    let nparts = match k {
+        0 | 1 => 1,
+        _ => {
+            let cap = selection_part_cap(total, k, lists.iter().map(|l| l.len()));
+            let parts = cfg.over_parts(threads, cap);
+            if k == 2 {
+                parts
+            } else {
+                parts.max(total.div_ceil((MERGE_SCRATCH_ELEMS / threads).max(1)))
+            }
+        }
+    };
+    let out_ranges = split_evenly(total, nparts);
+    // `split_evenly` puts the longer parts first.
+    let longest = out_ranges[0].len();
+    let spare = Mutex::new(Vec::new());
+    if nparts == 1 {
+        merge_part(lists, out, &spare, longest);
         return SchedStats::default();
     }
-    let k = lists.len();
-    let max_parts = selection_part_cap(total, k, lists.iter().map(|l| l.len()));
-    let nparts = cfg.over_parts(threads, max_parts);
-    let out_ranges = split_evenly(total, nparts);
     let mut boundaries: Vec<Vec<usize>> = vec![Vec::new(); nparts + 1];
     boundaries[0] = vec![0; k];
     boundaries[nparts] = lists.iter().map(|l| l.len()).collect();
@@ -323,15 +275,12 @@ pub fn par_multiway_merge_into_cfg<T: SortOrd>(
     let out_chunks = split_ranges_mut(out, &out_ranges);
     let parts: Vec<(usize, &mut [T])> = out_chunks.into_iter().enumerate().collect();
     par_parts_stats(threads, parts, |_, (p, chunk)| {
-        // Fan-in reduction: keep only the sublists this output range
-        // actually draws from (order preserved → stability preserved).
         let subs: Vec<&[T]> = lists
             .iter()
             .enumerate()
             .map(|(t, l)| &l[boundaries[p][t]..boundaries[p + 1][t]])
-            .filter(|s| !s.is_empty())
             .collect();
-        multiway_merge_into(&subs, chunk);
+        merge_part(&subs, chunk, &spare, longest);
     })
 }
 
@@ -432,6 +381,8 @@ mod tests {
         let mut out = vec![0u64; 4];
         multiway_merge_into(&[&a, &b, &c], &mut out);
         assert_eq!(out, vec![1, 2, 3, 4]);
+        // Every list empty: no scratch to size, nothing to merge.
+        multiway_merge_into(&[&b, &b, &b], &mut []);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Adversarial differential tests for the optimized host kernels.
 //!
-//! The branchless `merge_into`, the software-prefetched loser tree, the
-//! parallel wrappers and the slices-then-merge device sort must
+//! The branchless `merge_into`, the multiway merge's tree of two-way
+//! merges, the parallel wrappers and the slices-then-merge device sort must
 //! reproduce the straightforward reference kernels **bit for bit** —
 //! including on inputs chosen to break float-comparison shortcuts: NaNs
 //! with distinct payloads, signed zeros, infinities, and constant keys
@@ -10,7 +10,9 @@
 
 use hetsort_algos::keys::{KeyValue, SortOrd};
 use hetsort_algos::merge::{merge_into, merge_into_reference, par_merge_into_cfg};
-use hetsort_algos::multiway::{multiway_merge_into, par_multiway_merge_into_cfg};
+use hetsort_algos::multiway::{
+    multiway_merge_into, par_multiway_merge_into_cfg, MERGE_SCRATCH_ELEMS,
+};
 use hetsort_algos::radix::radix_sort;
 use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_algos::SchedCfg;
@@ -54,10 +56,10 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 /// Left fold of the two-way *reference* merge: the stability oracle for
 /// every k-way variant (earlier lists win ties).
-fn fold_reference(lists: &[&[f64]]) -> Vec<f64> {
-    let mut acc: Vec<f64> = Vec::new();
+fn fold_reference<T: SortOrd + Default>(lists: &[&[T]]) -> Vec<T> {
+    let mut acc: Vec<T> = Vec::new();
     for l in lists {
-        let mut merged = vec![0.0f64; acc.len() + l.len()];
+        let mut merged = vec![T::default(); acc.len() + l.len()];
         merge_into_reference(&acc, l, &mut merged);
         acc = merged;
     }
@@ -118,7 +120,7 @@ fn constant_keys_merge_stably_and_bit_identically() {
         assert_eq!(bits(&par), bits(&expect), "threads={threads}");
         assert_eq!(stats.workers.len() > 1, threads > 1, "threads={threads}");
     }
-    // Same discipline through the loser tree: list index breaks ties.
+    // Same discipline through the multiway tree: list index breaks ties.
     let lists: Vec<&[f64]> = vec![&a, &b, &a];
     let expect = fold_reference(&lists);
     let mut got = vec![1.0f64; expect.len()];
@@ -132,10 +134,15 @@ fn constant_keys_merge_stably_and_bit_identically() {
     }
 }
 
+/// `(key bits, payload)` of each record: equal only if bit-identical.
+fn kv_bits(v: &[KeyValue]) -> Vec<(u64, u64)> {
+    v.iter().map(|r| (r.key.to_bits(), r.value)).collect()
+}
+
 #[test]
-fn prefetched_loser_tree_matches_fold_oracle() {
+fn multiway_tree_matches_fold_oracle() {
     let mut parallel = 0;
-    run_cases("prefetched_loser_tree_matches_fold_oracle", 120, |rng| {
+    run_cases("multiway_tree_matches_fold_oracle", 120, |rng| {
         let k = rng.usize_in(3, 9);
         let lists: Vec<Vec<f64>> = (0..k).map(|_| adversarial_sorted(rng, 4_000)).collect();
         let refs: Vec<&[f64]> = lists.iter().map(|l| l.as_slice()).collect();
@@ -151,7 +158,55 @@ fn prefetched_loser_tree_matches_fold_oracle() {
         }
         Ok(())
     });
-    assert_crossed("prefetched_loser_tree", parallel);
+    assert_crossed("multiway_tree", parallel);
+
+    // Block crossing and stability: four distinct keys, payload =
+    // (list, index), and totals past MERGE_SCRATCH_ELEMS / w at every
+    // width, one worker included, so each merge is cut into several
+    // parts, and part boundaries and tree levels sit inside runs of
+    // ties. A tree merge that takes its right half first on ties
+    // reorders payloads.
+    const KEYS: [f64; 4] = [-0.0, 0.0, 1.5, f64::NAN];
+    let mut rng = Rng::new(0x7EE5);
+    for k in [3usize, 5, 16, 17] {
+        let total = MERGE_SCRATCH_ELEMS + 4_099 * k;
+        // Uneven lengths: list t holds a (t + 1)-weighted share.
+        let weight = k * (k + 1) / 2;
+        let mut lens: Vec<usize> = (1..=k).map(|w| total * w / weight).collect();
+        lens[k - 1] += total - lens.iter().sum::<usize>();
+        let lists: Vec<Vec<KeyValue>> = lens
+            .iter()
+            .enumerate()
+            .map(|(t, &len)| {
+                let mut keys: Vec<f64> = (0..len).map(|_| *rng.pick(&KEYS)).collect();
+                keys.sort_by(|a, b| a.total_order(b));
+                let payload = |i: usize| ((t as u64) << 32) | i as u64;
+                let records = keys.into_iter().enumerate();
+                records
+                    .map(|(i, key)| KeyValue {
+                        key,
+                        value: payload(i),
+                    })
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[KeyValue]> = lists.iter().map(Vec::as_slice).collect();
+        let expect = kv_bits(&fold_reference(&refs));
+        let mut got = vec![KeyValue::default(); total];
+        multiway_merge_into(&refs, &mut got);
+        assert_eq!(kv_bits(&got), expect, "k={k} sequential");
+        for threads in [1usize, 2, 8] {
+            let mut par = vec![KeyValue::default(); total];
+            let stats = par_multiway_merge_into_cfg(&SchedCfg::default(), threads, &refs, &mut par);
+            assert_eq!(kv_bits(&par), expect, "k={k} threads={threads}");
+            let min_parts = (total * threads).div_ceil(MERGE_SCRATCH_ELEMS);
+            assert!(
+                stats.parts >= min_parts,
+                "k={k} threads={threads}: {} parts, the scratch bound needs {min_parts}",
+                stats.parts
+            );
+        }
+    }
 }
 
 #[test]

@@ -11,14 +11,21 @@
 //! * per stream, the device-buffer stand-in (the stream's largest batch)
 //!   and its pinned staging, from the stream's first node until its
 //!   last;
-//! * one radix scratch of the batch's length during each `Sort`.
+//! * one radix scratch of the batch's length during each `Sort`;
+//! * the final merge's tree scratch while it runs, at fan-in 3 or more:
+//!   `min(n, MERGE_SCRATCH_ELEMS)` elements. The kernel cuts parts no
+//!   longer than `MERGE_SCRATCH_ELEMS / w` at width `w` and holds at
+//!   most `w` part-sized buffers; one worker merging at most
+//!   `MERGE_SCRATCH_ELEMS` elements holds one buffer of `n`. The term
+//!   reads [`hetsort_algos::multiway::MERGE_SCRATCH_ELEMS`], so kernel
+//!   and model cannot drift apart.
 //!
 //! [`host_peak_bytes`] replays that rule over the inline engine's order
 //! (`workers = 0` under the `MinId` tie-break, which is node-id order).
 //! [`host_bound_bytes`] is the bound for *any* order the pooled engine
 //! may take:
 //!
-//! `2·n·elem + streams·(b_s·elem + pinned) + b_s·elem`
+//! `2·n·elem + streams·(b_s·elem + pinned) + b_s·elem + scratch`
 //!
 //! It holds because only the calling thread merges, one merge at a
 //! time. Every input element sits in at most one live run or pair
@@ -27,8 +34,9 @@
 //! long as its batch, which is not a run yet. So runs, pair outputs,
 //! `B` and sort scratch together never exceed `2·n·elem`, and each
 //! stream adds at most its device buffer and staging. The last
-//! `b_s·elem` is margin. Bookkeeping (spans, merge cut tables) is not
-//! modelled.
+//! `b_s·elem` is margin; `scratch` is the final merge's tree scratch
+//! above (pair merges need none). Bookkeeping (spans, merge cut tables)
+//! is not modelled.
 //!
 //! Recovery detours (OOM splits, CPU fallback) stage a whole batch
 //! host-side per stream on top of this; the model covers fault-free
@@ -38,6 +46,7 @@
 //! admission; this model is kept apart from it so its cost stays out of
 //! that hot path.
 
+use hetsort_algos::multiway::MERGE_SCRATCH_ELEMS;
 use hetsort_core::dag::DagOp;
 use hetsort_core::plan::{MergeSrc, Plan};
 
@@ -46,6 +55,16 @@ use hetsort_core::plan::{MergeSrc, Plan};
 fn staging_elems(plan: &Plan) -> usize {
     let buffers = plan.staging_halves() + usize::from(!plan.stage_out_elided());
     buffers * plan.config.pinned_elems
+}
+
+/// Tree scratch of a final merge over `inputs` while it runs: none at
+/// fan-in 2 or less, else at most `min(n, MERGE_SCRATCH_ELEMS)`.
+fn merge_scratch_elems(plan: &Plan, inputs: &[MergeSrc]) -> usize {
+    if inputs.len() >= 3 {
+        plan.n.min(MERGE_SCRATCH_ELEMS)
+    } else {
+        0
+    }
 }
 
 /// Peak engine-owned host bytes of `plan` run inline (node-id order):
@@ -83,8 +102,8 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
         if let Some(s) = stream.filter(|&s| span[s].0 == i) {
             live += held[s];
         }
-        // A radix scratch lives only while its `Sort` runs; a merge's
-        // inputs are freed when it returns.
+        // A radix or merge scratch lives only while its node runs; a
+        // merge's inputs are freed when it returns.
         let (mut scratch, mut freed) = (0, 0);
         match &node.op {
             DagOp::Sort { batch } => scratch = bytes(src_len(MergeSrc::Batch(*batch))),
@@ -102,6 +121,7 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
             }
             DagOp::MultiwayMerge { inputs } => {
                 live += bytes(plan.n);
+                scratch = bytes(merge_scratch_elems(plan, inputs));
                 freed = bytes(inputs.iter().map(|&s| src_len(s)).sum());
             }
             _ => {}
@@ -116,13 +136,23 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
 }
 
 /// The host bound every order of `plan` stays under:
-/// `2·n·elem + streams·(b_s·elem + pinned) + b_s·elem`, where `b_s` is
-/// the longest batch and `pinned` one stream's staging.
+/// `2·n·elem + streams·(b_s·elem + pinned) + b_s·elem + scratch`, where
+/// `b_s` is the longest batch, `pinned` one stream's staging and
+/// `scratch` the final merge's tree scratch.
 pub fn host_bound_bytes(plan: &Plan) -> u64 {
     let elem = plan.config.elem_bytes.bytes();
     let bs = plan.batches.iter().map(|b| b.len).max().unwrap_or(0) as u64;
     let per_stream = (bs + staging_elems(plan) as u64) * elem;
-    2 * plan.n as u64 * elem + plan.total_streams as u64 * per_stream + bs * elem
+    let scratch = plan
+        .steps
+        .iter()
+        .map(|node| match &node.op {
+            DagOp::MultiwayMerge { inputs } => merge_scratch_elems(plan, inputs),
+            _ => 0,
+        })
+        .max()
+        .unwrap_or(0) as u64;
+    2 * plan.n as u64 * elem + plan.total_streams as u64 * per_stream + (bs + scratch) * elem
 }
 
 #[cfg(test)]
@@ -135,14 +165,20 @@ mod tests {
     fn sort_uniform_geometry_peaks_at_two_n() {
         // p1 PIPEMERGE, n = 8e6, b_s = 1e6, p_s = 1e5: 8 batches and 3
         // pair merges. The final merge reads n and writes B = n, with
-        // every stream already released.
+        // every stream already released, and its 5-way tree holds the
+        // 4 MiB scratch bound.
         let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
             .with_batch_elems(1_000_000)
             .with_pinned_elems(100_000);
         let plan = Plan::build(cfg, 8_000_000).unwrap();
         assert_eq!((plan.nb(), plan.pairs.len()), (8, 3));
         let n_bytes = 8_000_000 * 8;
-        assert_eq!(host_peak_bytes(&plan), 2 * n_bytes, "2.00 × n·elem");
+        let scratch = 4 << 20;
+        assert_eq!(
+            host_peak_bytes(&plan),
+            2 * n_bytes + scratch,
+            "2.07 × n·elem"
+        );
         assert!(host_peak_bytes(&plan) <= host_bound_bytes(&plan));
     }
 

@@ -876,7 +876,8 @@ mod tests {
                     k.parse().expect("a numeric worker index")
                 })
                 .collect();
-            // One CPU runs every merge inline: no CpuPart spans at all.
+            // One CPU runs every merge inline, and a merge this small in
+            // one part: no CpuPart spans at all.
             assert_eq!(parts.is_empty(), host == 1, "workers={workers}: {parts:?}");
             assert!(
                 parts.iter().all(|&k| k < host),
