@@ -24,35 +24,75 @@ const BUCKETS: usize = 256;
 pub type HistCount = u64;
 
 /// Elements per cache block of the counting pass. 1024 keys (8 KiB of
-/// extracted `u64`s) fits in L1 alongside one digit's 2 KiB counter row,
-/// so the digit-major inner loop below never thrashes.
+/// extracted `u64`s) fits in L1 alongside one digit's 8 KiB of lane
+/// rows, so the digit-major inner loop below never thrashes.
 const COUNT_BLOCK: usize = 1024;
 
-/// Histogram every digit of `data` into `hist` (layout
-/// `hist[d * BUCKETS + byte]`), cache-blocked: keys are extracted once
-/// per block, then each digit's counter row is filled from the resident
-/// block. The element-major alternative touches all `KEY_BYTES` counter
-/// rows per element, which for 8-byte keys strides across 8 KiB of
-/// counters on every iteration; blocking keeps one row hot at a time.
-/// Counts are exactly the element-major counts, just accumulated in a
-/// different order.
-fn count_all_digits<T: RadixKey>(data: &[T], hist: &mut [HistCount]) {
-    let digits = T::KEY_BYTES;
-    debug_assert_eq!(hist.len(), BUCKETS * digits);
+/// Counter rows per digit. A single row serialises on repeated bytes:
+/// each `row[b] += 1` loads the counter the previous increment of the
+/// same byte just stored, so a run of equal bytes is a chain of
+/// store-to-load forwards. Key `i` of a block counts into row `i % LANES`,
+/// which gives four independent chains.
+const LANES: usize = 4;
+
+/// One digit's counter rows (layout `rows[lane][byte]`); the digit's
+/// histogram is their sum ([`fold`]).
+type LaneRows = [[HistCount; BUCKETS]; LANES];
+
+/// Count every digit of `data` into `lanes` (one [`LaneRows`] per key
+/// byte), cache-blocked: keys are extracted once per block, then each
+/// digit is counted from the resident block. The element-major
+/// alternative touches all `KEY_BYTES` digits' counters per element,
+/// which for 8-byte keys strides across 64 KiB on every iteration.
+///
+/// Extraction also folds the block's AND and OR. A digit whose byte is
+/// the same in every key of the block (its bits agree in both) adds the
+/// block length to that one bucket; only a digit that varies is counted
+/// key by key, over the lanes. Either way the folded counts are exactly
+/// the element-major counts, accumulated in a different order.
+fn count_all_digits<T: RadixKey>(data: &[T], lanes: &mut [LaneRows]) {
+    debug_assert_eq!(lanes.len(), T::KEY_BYTES);
+    let byte = |k: u64, shift: usize| ((k >> shift) & 0xFF) as usize;
     let mut keys = [0u64; COUNT_BLOCK];
     for block in data.chunks(COUNT_BLOCK) {
         let keys = &mut keys[..block.len()];
+        let (mut and, mut or) = (u64::MAX, 0u64);
         for (k, x) in keys.iter_mut().zip(block.iter()) {
             *k = x.radix_key();
+            and &= *k;
+            or |= *k;
         }
-        for d in 0..digits {
-            let row = &mut hist[d * BUCKETS..(d + 1) * BUCKETS];
+        let varying = and ^ or;
+        for (d, rows) in lanes.iter_mut().enumerate() {
             let shift = 8 * d;
-            for &k in keys.iter() {
-                row[((k >> shift) & 0xFF) as usize] += 1;
+            if byte(varying, shift) == 0 {
+                rows[0][byte(and, shift)] += block.len() as HistCount;
+                continue;
+            }
+            let mut quads = keys.chunks_exact(LANES);
+            let [r0, r1, r2, r3] = &mut *rows;
+            for q in &mut quads {
+                r0[byte(q[0], shift)] += 1;
+                r1[byte(q[1], shift)] += 1;
+                r2[byte(q[2], shift)] += 1;
+                r3[byte(q[3], shift)] += 1;
+            }
+            for (row, &k) in rows.iter_mut().zip(quads.remainder()) {
+                row[byte(k, shift)] += 1;
             }
         }
     }
+}
+
+/// One digit's histogram: the sum of its lane rows.
+fn fold(rows: &LaneRows) -> [HistCount; BUCKETS] {
+    let mut h = rows[0];
+    for row in &rows[1..] {
+        for (c, &x) in h.iter_mut().zip(row.iter()) {
+            *c += x;
+        }
+    }
+    h
 }
 
 /// Sort `data` in place (internally out-of-place with one scratch
@@ -79,15 +119,14 @@ pub fn radix_sort_with_scratch<T: RadixKey>(data: &mut [T], scratch: &mut [T]) -
         return 0;
     }
 
-    // Histogram all digits in one cache-blocked pass.
-    let digits = T::KEY_BYTES;
-    let mut hist: Vec<HistCount> = vec![0; BUCKETS * digits];
-    count_all_digits(data, &mut hist);
+    // Count all digits in one cache-blocked pass.
+    let mut lanes: Vec<LaneRows> = vec![[[0; BUCKETS]; LANES]; T::KEY_BYTES];
+    count_all_digits(data, &mut lanes);
 
     let mut passes = 0usize;
     let mut src_is_data = true;
-    for d in 0..digits {
-        let h = &hist[d * BUCKETS..(d + 1) * BUCKETS];
+    for (d, rows) in lanes.iter().enumerate() {
+        let h = fold(rows);
         // Skip digits where every key shares one byte value.
         if h.iter().any(|&c| c as usize == n) {
             continue;
@@ -228,16 +267,50 @@ mod tests {
     fn histogram_counts_cannot_wrap_at_paper_scale() {
         // Mock a batch that has already counted u32::MAX elements whose
         // low digit is 0x00 (paper scale: n = 4.9e9 > 2³²) without
-        // allocating them: seed the histogram, then run the real
-        // counting kernel over 10 more such elements.
-        let mut hist: Vec<HistCount> = vec![0; BUCKETS * <u64 as RadixKey>::KEY_BYTES];
-        hist[0] = u32::MAX as HistCount; // digit 0, bucket 0x00
-        count_all_digits(&[0u64; 10], &mut hist);
+        // allocating them: seed one lane row, then run the real counting
+        // kernel over 10 more keys, 5 of them with low digit 0x00 (keys
+        // 0 and 2 of each quad, so lanes 0 and 2 count them) and the
+        // folded histogram must hold the exact sum.
+        let data: Vec<u64> = (0..10).map(|i| i % 2).collect();
+        let mut lanes = vec![[[0; BUCKETS]; LANES]; <u64 as RadixKey>::KEY_BYTES];
+        lanes[0][1][0] = u32::MAX as HistCount; // digit 0, lane 1, bucket 0x00
+        count_all_digits(&data, &mut lanes);
         assert_eq!(
-            hist[0],
-            u32::MAX as u64 + 10,
-            "a u32 histogram wraps to 9 here and scatters through garbage offsets"
+            fold(&lanes[0])[0],
+            u32::MAX as u64 + 5,
+            "a u32 count wraps to 4 here and scatters through garbage offsets"
         );
+        // A constant digit adds the block length in one step.
+        assert_eq!(fold(&lanes[1])[0], 10);
+    }
+
+    #[test]
+    fn digits_constant_per_block_count_like_element_major() {
+        // Digit 1 is constant inside every 1024-key block but differs
+        // between blocks (it is the block index); digit 0 varies inside
+        // each block; the last block is short (1 003 keys, three past a
+        // quad). Each folded row must equal the naive count.
+        let n = 5 * COUNT_BLOCK + 1003;
+        let noise = lcg(5, n);
+        let data: Vec<u64> = (0..n)
+            .map(|i| ((i / COUNT_BLOCK) as u64) << 8 | (noise[i] & 0xFF) | (0xAB << 24))
+            .collect();
+        let mut lanes = vec![[[0; BUCKETS]; LANES]; <u64 as RadixKey>::KEY_BYTES];
+        count_all_digits(&data, &mut lanes);
+        for (d, rows) in lanes.iter().enumerate() {
+            let mut naive = [0 as HistCount; BUCKETS];
+            for &k in &data {
+                naive[((k >> (8 * d)) & 0xFF) as usize] += 1;
+            }
+            assert_eq!(fold(rows), naive, "digit {d}");
+        }
+        // Digits 1 (block-constant but varying overall) and 0 are live.
+        let mut v = data.clone();
+        let mut scratch = data.clone();
+        assert_eq!(radix_sort_with_scratch(&mut v, &mut scratch), 2);
+        let mut expect = data;
+        expect.sort_unstable();
+        assert_eq!(v, expect);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! all sorts agree bit-for-bit with the introsort oracle.
 
 use hetsort_algos::introsort::{heapsort, introsort};
+use hetsort_algos::keys::{KeyValue, RadixKey, SortOrd};
 use hetsort_algos::mergesort::par_mergesort;
 use hetsort_algos::qsort::{cmp_f64, qsort};
-use hetsort_algos::radix::radix_sort;
+use hetsort_algos::radix::{radix_sort, radix_sort_with_scratch};
 use hetsort_algos::radix_par::par_radix_sort;
 use hetsort_algos::samplesort::par_samplesort;
 use hetsort_algos::verify::{fingerprint, is_sorted};
@@ -83,6 +84,89 @@ fn radix_i64_matches_std() {
         prop_assert_eq!(a, b);
         Ok(())
     });
+}
+
+/// Lengths around the radix counter's four-key lane quads and its
+/// 1 024-key count block.
+const LANE_LENS: [usize; 9] = [0, 1, 3, 4, 5, 1023, 1024, 1025, 4099];
+
+/// A mask of whole key bytes: none, one, several or all of `bytes`.
+fn byte_mask(rng: &mut Rng, bytes: usize) -> u64 {
+    let full = |b: usize| 0xFFu64 << (8 * b);
+    match rng.usize_in(0, 4) {
+        0 => 0,
+        1 => full(rng.usize_in(0, bytes)),
+        2 => (0..bytes).filter(|_| rng.bool()).map(full).sum(),
+        _ => (0..bytes).map(full).sum(),
+    }
+}
+
+/// Keys that differ only in a random byte mask: `radix_sort` must equal a
+/// stable comparison sort bit for bit (`bits` exposes payloads, so
+/// `KeyValue` pins stability), and `radix_sort_with_scratch` must run
+/// exactly one pass per key byte that varies.
+fn radix_counts_varying_bytes<T: RadixKey + SortOrd + Default>(
+    name: &str,
+    make: impl Fn(u64, usize) -> T,
+    bits: impl Fn(&T) -> (u64, u64),
+) {
+    run_cases(name, 40, |rng| {
+        for len in LANE_LENS {
+            let mask = byte_mask(rng, T::KEY_BYTES);
+            let base = rng.u64();
+            let v: Vec<T> = (0..len)
+                .map(|i| make(base ^ (rng.u64() & mask), i))
+                .collect();
+
+            let mut expect = v.clone();
+            expect.sort_by(|a, b| a.total_order(b));
+            let mut got = v.clone();
+            radix_sort(&mut got);
+            let as_bits = |xs: &[T]| xs.iter().map(&bits).collect::<Vec<_>>();
+            prop_assert_eq!(as_bits(&got), as_bits(&expect));
+
+            let byte = |x: &T, d: usize| (x.radix_key() >> (8 * d)) & 0xFF;
+            let varying = match v.first() {
+                None => 0,
+                Some(x0) => (0..T::KEY_BYTES)
+                    .filter(|&d| v.iter().any(|x| byte(x, d) != byte(x0, d)))
+                    .count(),
+            };
+            let (mut data, mut scratch) = (v.clone(), v);
+            let passes = radix_sort_with_scratch(&mut data, &mut scratch);
+            prop_assert!(
+                passes == varying,
+                "len {len}, mask {mask:#x}: {passes} passes, {varying} varying bytes"
+            );
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn radix_counts_varying_bytes_of_every_key_type() {
+    radix_counts_varying_bytes("radix_lanes_u32", |b, _| b as u32, |&x| (x as u64, 0));
+    radix_counts_varying_bytes("radix_lanes_i32", |b, _| b as i32, |&x| (x as u64, 0));
+    radix_counts_varying_bytes(
+        "radix_lanes_f32",
+        |b, _| f32::from_bits(b as u32),
+        |x| (x.to_bits() as u64, 0),
+    );
+    radix_counts_varying_bytes("radix_lanes_u64", |b, _| b, |&x| (x, 0));
+    radix_counts_varying_bytes("radix_lanes_i64", |b, _| b as i64, |&x| (x as u64, 0));
+    radix_counts_varying_bytes(
+        "radix_lanes_f64",
+        |b, _| f64::from_bits(b),
+        |x| (x.to_bits(), 0),
+    );
+    radix_counts_varying_bytes(
+        "radix_lanes_key_value",
+        |b, i| KeyValue {
+            key: f64::from_bits(b),
+            value: i as u64,
+        },
+        |x| (x.key.to_bits(), x.value),
+    );
 }
 
 #[test]
