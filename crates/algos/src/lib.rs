@@ -29,8 +29,9 @@
 //! * [`par`] — the minimal scoped-thread parallel runtime everything
 //!   above uses (`std::thread::scope`; no work-stealing dependency).
 //! * [`keys`] — radix-key transforms and total-order helpers for floats.
-//! * [`verify`] — sortedness checks and multiset fingerprints used by
-//!   tests and the functional executor.
+//! * [`verify`] — sortedness checks and multiset fingerprints: the
+//!   functional engine's own output check, sequential or in parallel
+//!   parts, and the tests' oracle.
 //!
 //! All parallel entry points take an explicit `threads` argument so the
 //! scalability experiments (Figures 4 and 6) can sweep thread counts

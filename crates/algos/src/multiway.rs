@@ -444,12 +444,7 @@ mod tests {
     fn parallel_preserves_multiset() {
         let lists_owned: Vec<Vec<u64>> = (0..5).map(|i| lcg_sorted(i + 31, 4_000)).collect();
         let lists: Vec<&[u64]> = lists_owned.iter().map(|v| v.as_slice()).collect();
-        let mut expect = Fingerprint {
-            sum: 0,
-            xor: 0,
-            sq: 0,
-            count: 0,
-        };
+        let mut expect = Fingerprint::EMPTY;
         for l in &lists {
             expect = crate::verify::combine(expect, fingerprint(l));
         }
@@ -477,12 +472,7 @@ mod tests {
         let c = lcg_sorted(3, 1);
         let lists: Vec<&[u64]> = vec![&a, &b, &c];
         let expect = reference_merge(&lists);
-        let mut fp = Fingerprint {
-            sum: 0,
-            xor: 0,
-            sq: 0,
-            count: 0,
-        };
+        let mut fp = Fingerprint::EMPTY;
         for l in &lists {
             fp = crate::verify::combine(fp, fingerprint(l));
         }

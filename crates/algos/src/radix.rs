@@ -158,7 +158,7 @@ pub fn radix_sort_with_scratch<T: RadixKey>(data: &mut [T], scratch: &mut [T]) -
 mod tests {
     use super::*;
     use crate::introsort::introsort;
-    use crate::verify::{fingerprint_f64, is_sorted};
+    use crate::verify::{fingerprint, is_sorted};
 
     fn lcg(seed: u64, n: usize) -> Vec<u64> {
         let mut x = seed | 1;
@@ -185,7 +185,7 @@ mod tests {
             .into_iter()
             .map(|b| f64::from_bits(b & !(0x7FF << 52)) - 0.5) // finite
             .collect();
-        let fp = fingerprint_f64(&v);
+        let fp = fingerprint(&v);
         let mut expect = v.clone();
         introsort(&mut expect);
         radix_sort(&mut v);
@@ -193,7 +193,7 @@ mod tests {
             v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
-        assert_eq!(fp, fingerprint_f64(&v), "radix must be a permutation");
+        assert_eq!(fp, fingerprint(&v), "radix must be a permutation");
     }
 
     #[test]

@@ -80,12 +80,7 @@ fn multiway_is_sorted_permutation() {
         let mut out = vec![0u32; total];
         multiway_merge_into(&refs, &mut out);
         prop_assert!(is_sorted(&out));
-        let mut fp = Fingerprint {
-            sum: 0,
-            xor: 0,
-            sq: 0,
-            count: 0,
-        };
+        let mut fp = Fingerprint::EMPTY;
         for l in &refs {
             fp = combine(fp, fingerprint(l));
         }

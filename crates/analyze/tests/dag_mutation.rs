@@ -9,6 +9,8 @@
 
 use std::sync::Arc;
 
+use hetsort_algos::par::default_threads;
+use hetsort_algos::verify::check_parts;
 use hetsort_analyze::analyze_plan_with_trace;
 use hetsort_core::dag::mutate::{execute_dag_hooked, DagMutant, EngineHooks};
 use hetsort_core::dag::DagOp;
@@ -185,6 +187,58 @@ fn kill_free_before_consumer() {
     }
 }
 
+/// Kill an output defect: the engine corrupts its final sorted run
+/// after the last merge, and its own output check must answer with an
+/// `Ok` run whose `verified` is `false`, at the inline engine and with
+/// pooled stream workers. A panic or an `Err` is not a kill. The input
+/// spans many check grains, so unpinned the check runs in parallel parts
+/// and under `taskset -c 0` inline.
+fn kill_unverified(m: DagMutant) {
+    let n = 40_000;
+    let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
+        .with_batch_elems(5_000)
+        .with_pinned_elems(1_000);
+    let dag = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
+    let data = lcg_data(n, 0xC4EC);
+    let threads = default_threads();
+    assert_eq!(check_parts(threads, n).len() > 1, threads > 1);
+    let hooks = EngineHooks {
+        swap_across_check_boundary: m == DagMutant::SwapAcrossCheckBoundary,
+        drop_and_duplicate: m == DagMutant::DropAndDuplicate,
+        ..EngineHooks::default()
+    };
+    for workers in [0usize, 2] {
+        let healthy = execute_dag_hooked(&dag, &data, workers, EngineHooks::default()).unwrap();
+        assert!(
+            healthy.verified,
+            "workers={workers}: the base run must sort"
+        );
+        match execute_dag_hooked(&dag, &data, workers, hooks) {
+            Ok(out) => {
+                assert_ne!(
+                    out.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    healthy
+                        .sorted
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>(),
+                    "{} at workers={workers}: the defect was a no-op",
+                    m.name()
+                );
+                assert!(
+                    !out.verified,
+                    "{} at workers={workers} threads={threads}: survived the output check",
+                    m.name()
+                );
+            }
+            Err(e) => panic!(
+                "{} at workers={workers}: killed by an error, not the check: {e}",
+                m.name()
+            ),
+        }
+    }
+}
+
 #[test]
 fn every_mutant_is_killed_by_its_named_check() {
     let mut kills = 0usize;
@@ -198,6 +252,8 @@ fn every_mutant_is_killed_by_its_named_check() {
             kill_skip_checkpoint();
         } else if contract == "engine:consumed-input" {
             kill_free_before_consumer();
+        } else if contract == "engine:unverified" {
+            kill_unverified(m);
         } else {
             panic!("{}: unknown kill contract '{contract}'", m.name());
         }

@@ -38,7 +38,7 @@ use hetsort_algos::merge::par_merge_into_cfg;
 use hetsort_algos::multiway::par_multiway_merge_into_cfg;
 use hetsort_algos::par::SchedCfg;
 use hetsort_algos::radix_par::par_radix_sort_cfg;
-use hetsort_algos::verify::{fingerprint, is_sorted};
+use hetsort_algos::verify::{par_check_sorted, par_fingerprint};
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
 use hetsort_sim::Access;
 
@@ -579,15 +579,16 @@ where
     check_inputs(plan, nodes, data)?;
     let cfg = &plan.config;
     let nb = plan.nb();
-    let input_fp = fingerprint(data);
+    // Thread sizing, one place, from the host alone: merges and the
+    // entry and exit checks run at the host's parallelism, PARMEMCPY
+    // staging copies too (plain copies at one), and every batch sort,
+    // device stand-in or degraded host path, gets the host shared among
+    // the stream workers that sort at once.
+    let host = hetsort_algos::par::default_threads();
+    let input_fp = par_fingerprint(host, data);
     let injected_before = cfg.faults.as_ref().map_or(0, |i| i.injected());
     let t0 = Instant::now();
     let now = || t0.elapsed().as_secs_f64();
-    // Thread sizing, one place, from the host alone: merges run at the
-    // host's parallelism, PARMEMCPY staging copies too (plain copies at
-    // one), and every batch sort, device stand-in or degraded host path,
-    // gets the host shared among the stream workers that sort at once.
-    let host = hetsort_algos::par::default_threads();
     let sort_threads = sort_width(host, workers);
     let copy_threads = if cfg.par_memcpy { host } else { 1 };
     let sched = SchedCfg::default();
@@ -762,7 +763,7 @@ where
         rest.complete(id);
     }
     // A one-batch plan has nothing to merge: its sorted run is B.
-    let sorted = if nb == 1 {
+    let mut sorted = if nb == 1 {
         batches
             .pop()
             .map_or(Err("was never produced"), |c| {
@@ -793,7 +794,8 @@ where
     recovery.fold_into(&mut metrics);
     pool_stats.fold_into(&mut metrics);
     let wall_s = now();
-    let verified = is_sorted(&sorted) && fingerprint(&sorted) == input_fp;
+    hooks.corrupt_output(host, &mut sorted);
+    let verified = par_check_sorted(host, &sorted, input_fp);
     Ok(RealOutcome {
         sorted,
         wall_s,

@@ -11,18 +11,22 @@
 //! Structural mutants rewrite a [`PlanDag`] via [`DagMutant::apply`];
 //! trace-level mutants (sync/lifetime defects the structural validator
 //! cannot see by design — they live in the lowered event semantics)
-//! rewrite an [`OpTrace`] via [`DagMutant::apply_trace`]; and two are
+//! rewrite an [`OpTrace`] via [`DagMutant::apply_trace`]; and four are
 //! *engine* defects enabled through [`EngineHooks`]:
 //! [`DagMutant::SkipCheckpoint`], killed differentially by comparing
-//! [`crate::report::RecoveryStats`], and
+//! [`crate::report::RecoveryStats`];
 //! [`DagMutant::FreeBeforeConsumer`], killed by the typed error a merge
-//! returns when its input was already freed.
+//! returns when its input was already freed; and the two output defects
+//! [`DagMutant::SwapAcrossCheckBoundary`] and
+//! [`DagMutant::DropAndDuplicate`], killed by the engine's own output
+//! check (`verified == false`).
 //!
 //! [`execute_dag_hooked`] is the battery's way into the engine: the
 //! hooks it sets are deliberately not fields of the public
 //! [`crate::dag::exec::DagExecOptions`].
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
+use hetsort_algos::verify::check_parts;
 use hetsort_sim::optrace::{OpTrace, TraceKind};
 
 use crate::dag::{DagOp, PlanDag, TieBreak};
@@ -45,6 +49,40 @@ pub struct EngineHooks {
     /// merge has read it. The merge must refuse with a typed
     /// [`HetSortError::Plan`] naming itself and the consumed input.
     pub free_before_consumer: bool,
+    /// The [`DagMutant::SwapAcrossCheckBoundary`] defect: after the
+    /// final merge, swap the two neighbours that straddle the middle
+    /// interior boundary of the output check's parts (the middle element
+    /// when the check is one part).
+    pub swap_across_check_boundary: bool,
+    /// The [`DagMutant::DropAndDuplicate`] defect: after the final
+    /// merge, overwrite the first element from the middle on that differs
+    /// from its right neighbour with that neighbour. The output stays
+    /// sorted; only the fingerprint sees it.
+    pub drop_and_duplicate: bool,
+}
+
+impl EngineHooks {
+    /// Apply the output defects that are set to the engine's final
+    /// `sorted` run, just before its check at `threads`.
+    pub(crate) fn corrupt_output<T: RadixKey>(&self, threads: usize, sorted: &mut [T]) {
+        let len = sorted.len();
+        if self.swap_across_check_boundary && len >= 2 {
+            let parts = check_parts(threads, len);
+            let b = if parts.len() > 1 {
+                parts[parts.len() / 2].start
+            } else {
+                len / 2
+            };
+            sorted.swap(b - 1, b);
+        }
+        if self.drop_and_duplicate {
+            let differs = (len / 2..len.saturating_sub(1))
+                .find(|&i| sorted[i].radix_key() != sorted[i + 1].radix_key());
+            if let Some(i) = differs {
+                sorted[i] = sorted[i + 1];
+            }
+        }
+    }
 }
 
 /// [`crate::dag::exec::execute_dag_opts`] at `workers` with the test
@@ -105,12 +143,21 @@ pub enum DagMutant {
     /// Engine defect: free a batch run as soon as its stage-out
     /// completes, before its one consumer merge has read it.
     FreeBeforeConsumer,
+    /// Engine defect: swap two unequal neighbours of the final output
+    /// across an interior boundary of the output check's parts. The
+    /// multiset is unchanged; only a check that scans each boundary pair
+    /// sees it.
+    SwapAcrossCheckBoundary,
+    /// Engine defect: overwrite one element of the final output with its
+    /// unequal neighbour (one key dropped, one duplicated). The output
+    /// stays sorted; only a fingerprint of the written memory sees it.
+    DropAndDuplicate,
 }
 
 impl DagMutant {
     /// Every mutant, in display order (the kill suite's acceptance
-    /// floor is 8; this battery seeds 13).
-    pub const ALL: [DagMutant; 13] = [
+    /// floor is 8; this battery seeds 15).
+    pub const ALL: [DagMutant; 15] = [
         DagMutant::DropFifoEdge,
         DagMutant::SwapDepDirection,
         DagMutant::DuplicateProducer,
@@ -124,6 +171,8 @@ impl DagMutant {
         DagMutant::FreeBeforeLastReader,
         DagMutant::RebindStream,
         DagMutant::FreeBeforeConsumer,
+        DagMutant::SwapAcrossCheckBoundary,
+        DagMutant::DropAndDuplicate,
     ];
 
     /// Stable display name.
@@ -142,6 +191,8 @@ impl DagMutant {
             DagMutant::FreeBeforeLastReader => "free-before-last-reader",
             DagMutant::RebindStream => "rebind-stream",
             DagMutant::FreeBeforeConsumer => "free-before-consumer",
+            DagMutant::SwapAcrossCheckBoundary => "swap-across-check-boundary",
+            DagMutant::DropAndDuplicate => "drop-and-duplicate",
         }
     }
 
@@ -164,6 +215,7 @@ impl DagMutant {
             DagMutant::FreeBeforeLastReader => "analyzer:use-after-free",
             DagMutant::RebindStream => "validator:stream-bind",
             DagMutant::FreeBeforeConsumer => "engine:consumed-input",
+            DagMutant::SwapAcrossCheckBoundary | DagMutant::DropAndDuplicate => "engine:unverified",
         }
     }
 
@@ -173,6 +225,18 @@ impl DagMutant {
         matches!(
             self,
             DagMutant::WrongStreamEvent | DagMutant::FreeBeforeLastReader
+        )
+    }
+
+    /// Whether this mutant is an [`EngineHooks`] defect (vs a rewrite of
+    /// the dag or the trace).
+    pub fn is_engine_level(&self) -> bool {
+        matches!(
+            self,
+            DagMutant::SkipCheckpoint
+                | DagMutant::FreeBeforeConsumer
+                | DagMutant::SwapAcrossCheckBoundary
+                | DagMutant::DropAndDuplicate
         )
     }
 
@@ -296,6 +360,8 @@ impl DagMutant {
             }
             DagMutant::SkipCheckpoint
             | DagMutant::FreeBeforeConsumer
+            | DagMutant::SwapAcrossCheckBoundary
+            | DagMutant::DropAndDuplicate
             | DagMutant::WrongStreamEvent
             | DagMutant::FreeBeforeLastReader => false,
         }
@@ -360,9 +426,7 @@ mod tests {
     #[test]
     fn structural_mutants_apply_and_break_validation() {
         for m in DagMutant::ALL {
-            if m.is_trace_level()
-                || matches!(m, DagMutant::SkipCheckpoint | DagMutant::FreeBeforeConsumer)
-            {
+            if m.is_trace_level() || m.is_engine_level() {
                 continue;
             }
             let mut d = dag();
