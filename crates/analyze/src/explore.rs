@@ -31,10 +31,11 @@
 //!   reserve/release/lose/join overcommits a device or pinned cap
 //!   ([`FindingClass::Budget`], checked by `hetsort-serve`'s admission
 //!   model, which drives the shipped controller);
-//! * **replan cover** — every device-loss interleaving yields
-//!   recovery plans whose batches exactly partition the unfinished
-//!   work ([`FindingClass::ReplanCover`], checked by
-//!   [`crate::replan_model`]).
+//! * **replan cover** — in every node order and loss alignment of the
+//!   shipped dag engine, each batch's run is published exactly once
+//!   and every survivor plan keeps the base tiling
+//!   ([`FindingClass::ReplanCover`], checked by
+//!   [`crate::engine_model`], which drives the engine itself).
 //!
 //! The search is bounded by [`ExploreConfig::max_ops`] (total `step`
 //! calls, replays included). Hitting the bound sets
@@ -44,7 +45,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hetsort_sim::Buffer;
+use hetsort_sim::{Access, Buffer};
 
 use crate::finding::{Finding, FindingClass};
 
@@ -60,6 +61,9 @@ pub enum Res {
     Gpu(usize),
     /// The shared pinned-staging budget pool.
     Pinned,
+    /// The epoch every pending action belongs to (the dag engine's
+    /// pass); see [`Footprint::ends_epoch`].
+    Epoch,
     /// Conflicts with everything (barriers, whole-state scans).
     Global,
 }
@@ -67,7 +71,7 @@ pub enum Res {
 impl Res {
     fn overlaps(&self, other: &Res) -> bool {
         match (self, other) {
-            (Res::Global, _) | (_, Res::Global) => true,
+            (Res::Global | Res::Epoch, _) | (_, Res::Global | Res::Epoch) => true,
             (Res::Buf(a), Res::Buf(b)) => a.overlaps(b),
             (Res::Event(a), Res::Event(b)) => a == b,
             (Res::Gpu(a), Res::Gpu(b)) => a == b,
@@ -103,6 +107,15 @@ impl Footprint {
         Footprint(vec![ResAccess { res, write: true }])
     }
 
+    /// The footprint of buffer accesses.
+    pub fn of(accesses: impl IntoIterator<Item = Access>) -> Footprint {
+        let access = |a: Access| ResAccess {
+            res: Res::Buf(a.buf),
+            write: a.write,
+        };
+        Footprint(accesses.into_iter().map(access).collect())
+    }
+
     /// A footprint conflicting with everything.
     pub fn global() -> Footprint {
         Footprint::write(Res::Global)
@@ -111,6 +124,12 @@ impl Footprint {
     /// Add a write access.
     pub fn and_write(mut self, res: Res) -> Footprint {
         self.0.push(ResAccess { res, write: true });
+        self
+    }
+
+    /// Add a read access.
+    pub fn and_read(mut self, res: Res) -> Footprint {
+        self.0.push(ResAccess { res, write: false });
         self
     }
 
@@ -127,17 +146,29 @@ impl Footprint {
     /// Dependence restricted to *reversible* pairs. Record/wait pairs
     /// on the same event are dependent but can never be co-enabled
     /// (the wait blocks until the record executed), so reversing them
-    /// is impossible and they need no backtrack point. Everything
-    /// else falls through to [`Footprint::conflicts`].
+    /// is impossible and they need no backtrack point. An [`Res::Epoch`]
+    /// access seeds none either: only an epoch-ending action's other
+    /// accesses do. Everything else falls through to
+    /// [`Footprint::conflicts`].
     pub fn conflicts_reversible(&self, other: &Footprint) -> bool {
         self.0.iter().any(|a| {
             other.0.iter().any(|b| {
-                if matches!((&a.res, &b.res), (Res::Event(_), Res::Event(_))) {
-                    return false;
-                }
-                (a.write || b.write) && a.res.overlaps(&b.res)
+                let ordered = matches!(
+                    (&a.res, &b.res),
+                    (Res::Event(_), Res::Event(_)) | (Res::Epoch, _) | (_, Res::Epoch)
+                );
+                !ordered && (a.write || b.write) && a.res.overlaps(&b.res)
             })
         })
+    }
+
+    /// Whether this action ends the epoch ([`Res::Epoch`] write): it
+    /// replaces every other thread's pending action, so it wakes every
+    /// sleeper, and is reversed against the pending actions its other
+    /// accesses conflict with where they are pending, since they never
+    /// execute after it.
+    pub fn ends_epoch(&self) -> bool {
+        self.0.iter().any(|a| a.write && a.res == Res::Epoch)
     }
 }
 
@@ -313,12 +344,23 @@ fn deadlock_finding(model: &dyn SchedModel, depth: usize) -> Finding {
 
 /// Flanagan–Godefroid race detection: when node `j`'s chosen action
 /// is dependent with an earlier different-thread action, register a
-/// backtrack point at the latest such node.
+/// backtrack point at the latest such node. An epoch-ending action
+/// also races the actions pending beside it at `j`.
 fn add_backtracks(path: &mut [Node], j: usize) {
     let p = path[j].chosen;
     let Some(pf) = path[j].fps.get(&p).cloned() else {
         return;
     };
+    if pf.ends_epoch() {
+        let node = &mut path[j];
+        let racing: Vec<usize> = node
+            .fps
+            .iter()
+            .filter(|&(&q, qf)| q != p && qf.conflicts_reversible(&pf))
+            .map(|(&q, _)| q)
+            .collect();
+        node.backtrack.extend(racing);
+    }
     for i in (0..j).rev() {
         if path[i].chosen == p {
             continue;

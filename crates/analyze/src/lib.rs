@@ -21,12 +21,12 @@
 //! 3. **Schedule-space explorer** ([`mod@explore`]): stateless model
 //!    checking with persistent-set DPOR + sleep sets over
 //!    `enabled()`/`step()` scheduler models — every reachable
-//!    interleaving of a lowered trace ([`trace_model`]), of the MT
-//!    coordinator's checkpoint/re-plan recovery ([`replan_model`]),
-//!    and (via `hetsort-serve`) of the admission state machine. The
-//!    HB checker runs on every explored linearization, plus three
-//!    interleaving-only invariants: reachable deadlock, budget
-//!    safety, and replan cover.
+//!    interleaving of a lowered trace ([`trace_model`]), of the shipped
+//!    dag engine recovering from device losses ([`engine_model`]), and
+//!    (via `hetsort-serve`) of the admission state machine. The HB
+//!    checker runs on every explored linearization, plus three
+//!    interleaving-only invariants: reachable deadlock, budget safety,
+//!    and replan cover.
 //! 4. **Host-memory model** ([`host_memory`]): the engine's peak host
 //!    bytes over the inline order, and the bound over any order.
 //!
@@ -48,21 +48,21 @@
 // insist on checked conversions.
 #![warn(clippy::cast_possible_truncation)]
 
+pub mod engine_model;
 pub mod explore;
 pub mod finding;
 pub mod hb;
 pub mod host_memory;
 pub mod mutate;
-pub mod replan_model;
 pub mod residency;
 pub mod static_lint;
 pub mod trace_model;
 
+pub use engine_model::EngineModel;
 pub use explore::{explore, ExploreConfig, ExploreReport, SchedModel};
 pub use finding::{AnalysisReport, Finding, FindingClass};
 pub use host_memory::{host_bound_bytes, host_peak_bytes};
 pub use mutate::{ExploreMutant, Mutant};
-pub use replan_model::{ReplanDefect, ReplanModel};
 pub use residency::Residency;
 pub use trace_model::{explore_plan, explore_plan_trace, TraceModel};
 

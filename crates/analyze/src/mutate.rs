@@ -11,9 +11,11 @@
 //! edit the plan in place (the hand-mutated-plan shapes
 //! `Plan::check_invariants` and the static linter exist to catch).
 //!
-//! [`ExploreMutant`] seeds the recovery coordinator the schedule-space
-//! explorer drives. The admission controller's seeded defects are a
-//! serve concept and live in `hetsort_serve::admission_model`.
+//! [`ExploreMutant`] seeds the recovery path's trace for the
+//! schedule-space explorer. The engine's recovery defects are
+//! `hetsort_core::dag::mutate::DagMutant`s, and the admission
+//! controller's seeded defects are a serve concept and live in
+//! `hetsort_serve::admission_model`.
 
 use hetsort_core::config::PairStrategy;
 use hetsort_core::dag::DagOp;
@@ -335,23 +337,18 @@ impl Mutant {
     }
 }
 
-/// A seeded defect in the recovery coordinator the schedule-space
-/// explorer drives ([`crate::replan_model`]) rather than in a
-/// plan/trace pair: the explorer-targeted half of the kill-suite. Each
-/// variant names the [`FindingClass`] exploration must report, and
-/// `tests/explore_mutation.rs` kills every one.
+/// A seeded defect in the recovery path that only exploration exposes:
+/// the explorer-targeted half of the kill-suite, killed with its
+/// [`FindingClass`] by `tests/explore_mutation.rs`.
 ///
-/// The admission-side defects are seeded into the shipped
-/// `AdmissionController` itself and killed by `hetsort-serve`'s
-/// `tests/explore_admission.rs`; they are a serve concept and live
-/// there (`hetsort_serve::admission_model::AdmissionDefect`).
+/// The engine's own recovery defects are `DagMutant`s
+/// (`SkipCheckpoint`, `DropRecoveryBatch`), killed by exploring the
+/// shipped engine ([`crate::EngineModel`]). The admission-side defects
+/// are seeded into the shipped `AdmissionController` and killed by
+/// `hetsort-serve`'s `tests/explore_admission.rs`
+/// (`hetsort_serve::admission_model::AdmissionDefect`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExploreMutant {
-    /// The coordinator re-plans without reading the checkpoint:
-    /// completed batches are sorted again.
-    DropCheckpoint,
-    /// The first unfinished batch is dropped from the recovery set.
-    DropRecoveryBatch,
     /// The recovery path loses a `stream_wait_event`: the survivor
     /// plan's consumer runs unordered with its producer.
     DropRecoveryWait,
@@ -359,17 +356,11 @@ pub enum ExploreMutant {
 
 impl ExploreMutant {
     /// Every explorer-targeted mutant, in a stable order.
-    pub const ALL: [ExploreMutant; 3] = [
-        ExploreMutant::DropCheckpoint,
-        ExploreMutant::DropRecoveryBatch,
-        ExploreMutant::DropRecoveryWait,
-    ];
+    pub const ALL: [ExploreMutant; 1] = [ExploreMutant::DropRecoveryWait];
 
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
-            ExploreMutant::DropCheckpoint => "drop-checkpoint",
-            ExploreMutant::DropRecoveryBatch => "drop-recovery-batch",
             ExploreMutant::DropRecoveryWait => "drop-recovery-wait",
         }
     }
@@ -377,23 +368,7 @@ impl ExploreMutant {
     /// The finding class exploration must report for this defect.
     pub fn expected_class(&self) -> FindingClass {
         match self {
-            ExploreMutant::DropCheckpoint | ExploreMutant::DropRecoveryBatch => {
-                FindingClass::ReplanCover
-            }
             ExploreMutant::DropRecoveryWait => FindingClass::MissingSync,
-        }
-    }
-
-    /// The recovery-coordinator defect this mutant seeds, if any.
-    pub fn replan_defect(&self) -> Option<crate::replan_model::ReplanDefect> {
-        match self {
-            ExploreMutant::DropCheckpoint => {
-                Some(crate::replan_model::ReplanDefect::DropCheckpoint)
-            }
-            ExploreMutant::DropRecoveryBatch => {
-                Some(crate::replan_model::ReplanDefect::DropRecoveryBatch)
-            }
-            ExploreMutant::DropRecoveryWait => None,
         }
     }
 }
@@ -420,13 +395,14 @@ mod tests {
                 "no mutant seeds {class:?}"
             );
         }
-        // The interleaving-only classes: the explorer mutants seed
-        // ReplanCover and MissingSync; the other two are asserted where
-        // their defects live.
+        // The interleaving-only classes: the explorer mutant seeds
+        // MissingSync; the others are asserted where their defects live.
         let asserted_elsewhere = [
             // hetsort-serve tests/explore_admission.rs: both admission
             // defects, seeded into the shipped AdmissionController.
             Budget,
+            // tests/explore_mutation.rs: the engine's recovery defects.
+            ReplanCover,
             // tests/explore_sweep.rs
             // seeded_wait_cycle_is_a_reachable_deadlock_in_every_interleaving_engine.
             Deadlock,

@@ -119,15 +119,7 @@ impl SchedModel for TraceModel {
             return Footprint::default();
         };
         match &self.trace.records[i].kind {
-            TraceKind::Op { accesses } => Footprint(
-                accesses
-                    .iter()
-                    .map(|a| crate::explore::ResAccess {
-                        res: Res::Buf(a.buf),
-                        write: a.write,
-                    })
-                    .collect(),
-            ),
+            TraceKind::Op { accesses } => Footprint::of(accesses.iter().copied()),
             TraceKind::Alloc { buf, .. } | TraceKind::Free { buf } => {
                 Footprint::write(Res::Buf(*buf))
             }
@@ -192,11 +184,12 @@ pub fn explore_plan_trace(plan: &Plan, trace: OpTrace, cfg: &ExploreConfig) -> E
         .map(|g| g.global_mem_bytes)
         .collect();
     let label = format!(
-        "{} n={} gpus={} streams={}",
+        "{} n={} gpus={} streams={} staging={}",
         plan.config.approach.name(),
         plan.n,
         plan.config.platform.n_gpus(),
         plan.total_streams,
+        plan.config.staging.name(),
     );
     let mut model = TraceModel::new(trace, Some(caps), label);
     explore(&mut model, cfg)

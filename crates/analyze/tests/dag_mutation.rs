@@ -2,8 +2,9 @@
 //! by exactly the check its contract names — a structural validator
 //! rule (`validator:<rule>`), an analyzer finding class over the
 //! dag-lowered trace (`analyzer:<class>`), a differential comparison
-//! (`differential:<check>`), or a typed engine error
-//! (`engine:<error>`). A mutant that no check
+//! (`differential:<check>`), a typed engine error
+//! (`engine:<error>`), or a finding class from exploring the shipped
+//! engine's loss schedules (`explorer:<class>`). A mutant that no check
 //! catches, or that a *different* check catches than the one named,
 //! fails the build: the battery has a hole or the contract is stale.
 
@@ -11,7 +12,8 @@ use std::sync::Arc;
 
 use hetsort_algos::par::default_threads;
 use hetsort_algos::verify::check_parts;
-use hetsort_analyze::analyze_plan_with_trace;
+use hetsort_analyze::explore::{explore, ExploreConfig};
+use hetsort_analyze::{analyze_plan_with_trace, EngineModel};
 use hetsort_core::dag::mutate::{execute_dag_hooked, DagMutant, EngineHooks};
 use hetsort_core::dag::DagOp;
 use hetsort_core::optrace::lower_dag;
@@ -239,6 +241,36 @@ fn kill_unverified(m: DagMutant) {
     }
 }
 
+/// Kill an engine recovery defect by exploration: every node order and
+/// loss alignment of the shipped engine losing GPU 1 explores clean,
+/// and with the defect set some interleaving yields a finding of the
+/// named class.
+fn kill_explored(m: DagMutant, class: &str) {
+    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
+        .with_batch_elems(1_000)
+        .with_pinned_elems(500);
+    let plan = Plan::build(cfg, 4_500).unwrap();
+    let hooks = EngineHooks {
+        drop_recovery_batch: m == DagMutant::DropRecoveryBatch,
+        ..EngineHooks::default()
+    };
+    let run = |hooks| {
+        let mut model = EngineModel::new(&plan, &[1], hooks);
+        let report = explore(&mut model, &ExploreConfig::default());
+        assert!(!report.truncated, "{}: {}", m.name(), report.summary());
+        report
+    };
+    let healthy = run(EngineHooks::default());
+    assert!(healthy.is_clean(), "{}: {}", m.name(), healthy.summary());
+    let mutated = run(hooks);
+    assert!(
+        mutated.findings.iter().any(|f| f.class.name() == class),
+        "{}: expected a '{class}' finding, got: {:?}",
+        m.name(),
+        mutated.findings
+    );
+}
+
 #[test]
 fn every_mutant_is_killed_by_its_named_check() {
     let mut kills = 0usize;
@@ -254,6 +286,8 @@ fn every_mutant_is_killed_by_its_named_check() {
             kill_free_before_consumer();
         } else if contract == "engine:unverified" {
             kill_unverified(m);
+        } else if let Some(class) = contract.strip_prefix("explorer:") {
+            kill_explored(m, class);
         } else {
             panic!("{}: unknown kill contract '{contract}'", m.name());
         }

@@ -1,27 +1,39 @@
 //! Exhaustive schedule-space sweep: every shipped approach, on both
-//! paper platforms, with an uneven final batch, must explore **every**
-//! reachable interleaving of its lowered trace with zero findings and
-//! no budget truncation. The recovery coordinator gets the same
-//! treatment over single- and double-loss fault schedules.
+//! paper platforms, under both staging protocols, with an uneven final
+//! batch, must explore **every** reachable interleaving of its lowered
+//! trace with zero findings and no budget truncation. The shipped
+//! engine gets the same treatment over single- and double-loss fault
+//! schedules: every node order and loss alignment recovers with every
+//! batch published exactly once.
 //!
 //! Also pinned here: the DPOR-reduction guarantee (persistent sets +
-//! sleep sets must explore strictly fewer traces than naive
-//! enumeration on a real plan) and bound-truncation reporting.
+//! sleep sets must finish schedule spaces naive enumeration cannot, on
+//! a lowered trace and on the engine), bound-truncation reporting, the
+//! lost set of a schedule naming one GPU twice, and replayability.
 
 use hetsort_analyze::explore::{explore, ExploreConfig};
-use hetsort_analyze::{explore_plan, explore_plan_trace, Mutant, ReplanModel, TraceModel};
+use hetsort_analyze::{explore_plan, explore_plan_trace, EngineModel, Mutant, TraceModel};
+use hetsort_core::dag::mutate::EngineHooks;
 use hetsort_core::optrace::lower_plan;
 use hetsort_core::plan::Plan;
-use hetsort_core::{Approach, HetSortConfig};
-use hetsort_vgpu::{platform1, platform2};
+use hetsort_core::{execute_dag, Approach, HetSortConfig, PlanDag, StagingMode};
+use hetsort_vgpu::{platform1, platform2, FaultInjector};
+
+/// Both staging protocols: the default double-buffered one and the
+/// paper's.
+const STAGINGS: [StagingMode; 2] = [StagingMode::DoubleBuffered, StagingMode::Paper];
 
 /// The five shipped schedule shapes (PIPEMERGE ships with and without
-/// parallel-memcpy splitting).
-fn shipped_configs(platform: hetsort_vgpu::PlatformSpec) -> Vec<(String, HetSortConfig)> {
+/// parallel-memcpy splitting) under one staging protocol.
+fn shipped_configs(
+    platform: hetsort_vgpu::PlatformSpec,
+    staging: StagingMode,
+) -> Vec<(String, HetSortConfig)> {
     let base = |a: Approach| {
         HetSortConfig::paper_defaults(platform.clone(), a)
             .with_batch_elems(1000)
             .with_pinned_elems(500)
+            .with_staging(staging)
     };
     vec![
         ("bline".into(), base(Approach::BLine)),
@@ -35,77 +47,138 @@ fn shipped_configs(platform: hetsort_vgpu::PlatformSpec) -> Vec<(String, HetSort
     ]
 }
 
+/// PIPEMERGE on PLATFORM2: 5 batches over 4 streams, 51 nodes.
+fn pinned_plan(n: usize, staging: StagingMode) -> Plan {
+    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
+        .with_batch_elems(1000)
+        .with_pinned_elems(500)
+        .with_staging(staging);
+    Plan::build(cfg, n).unwrap()
+}
+
 #[test]
 fn every_approach_explores_clean_on_both_platforms() {
     // n is deliberately NOT a multiple of batch_elems: the last batch
     // is a 500-element runt, exercising the uneven tail the paper's
     // batch math must handle.
     for platform in [platform1(), platform2()] {
-        for (name, cfg) in shipped_configs(platform) {
-            // BLINE is defined on a single batch; everyone else gets a
-            // 3-batch split with a runt tail.
-            let n = if cfg.approach == Approach::BLine {
-                700
-            } else {
-                2500
-            };
-            let plan = Plan::build(cfg, n).unwrap();
-            let report = explore_plan(&plan, &ExploreConfig::default());
-            assert!(
-                report.is_clean(),
-                "{name}: schedule-space findings on a shipped plan:\n{}",
-                report.summary()
-            );
-            assert!(!report.truncated, "{name}: {}", report.summary());
-            assert!(report.traces >= 1, "{name}");
+        for staging in STAGINGS {
+            for (name, cfg) in shipped_configs(platform.clone(), staging) {
+                // BLINE is defined on a single batch; everyone else gets
+                // a 3-batch split with a runt tail.
+                let n = if cfg.approach == Approach::BLine {
+                    700
+                } else {
+                    2500
+                };
+                let name = format!("{name}/{}", staging.name());
+                let plan = Plan::build(cfg, n).unwrap();
+                let report = explore_plan(&plan, &ExploreConfig::default());
+                assert!(
+                    report.is_clean(),
+                    "{name}: schedule-space findings on a shipped plan:\n{}",
+                    report.summary()
+                );
+                assert!(!report.truncated, "{name}: {}", report.summary());
+                assert!(report.traces >= 1, "{name}");
+            }
         }
     }
 }
 
 #[test]
-fn recovery_coordinator_explores_clean_under_loss_schedules() {
-    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
-        .with_batch_elems(1000)
-        .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 4500).unwrap();
-    // Single loss of either GPU, and the lose-everything schedule
-    // (ends in the CPU std-sort fallback).
-    for faults in [vec![0], vec![1], vec![1, 0]] {
-        let mut model = ReplanModel::new(plan.clone(), faults.clone(), None);
-        let report = explore(&mut model, &ExploreConfig::default());
-        assert!(report.is_clean(), "faults {faults:?}: {}", report.summary());
-        assert!(!report.truncated, "faults {faults:?}");
-        assert!(
-            report.traces > 1,
-            "faults {faults:?} must race the workers: {}",
-            report.summary()
-        );
+fn shipped_engine_explores_clean_under_loss_schedules() {
+    // The shipped engine under a single loss of either GPU and the
+    // lose-everything schedule (ends in the host-sort fallback), in
+    // both staging protocols.
+    for staging in STAGINGS {
+        let plan = pinned_plan(4500, staging);
+        for faults in [vec![0], vec![1], vec![1, 0]] {
+            let mut model = EngineModel::new(&plan, &faults, EngineHooks::default());
+            let report = explore(&mut model, &ExploreConfig::default());
+            let what = format!("{} faults {faults:?}", staging.name());
+            assert!(report.is_clean(), "{what}: {:?}", report.findings);
+            assert!(!report.truncated, "{what}: {}", report.summary());
+            assert!(
+                report.traces > 1,
+                "{what} must race the streams: {}",
+                report.summary()
+            );
+        }
     }
 }
 
 #[test]
 fn dpor_explores_fewer_traces_than_naive_enumeration() {
-    // Pinned config: PIPEMERGE on PLATFORM2 losing GPU 1 mid-run —
-    // small enough that naive enumeration terminates, so both counts
-    // are exact and exhaustive. DPOR's persistent sets must prune the
-    // commuting worker interleavings naive visits one by one.
-    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
-        .with_batch_elems(1000)
-        .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 2500).unwrap();
-
-    let mut m = ReplanModel::new(plan.clone(), vec![1], None);
+    // The shipped engine losing GPU 1 mid-run: DPOR finishes the whole
+    // space, while naive enumeration of every node order cannot within
+    // a 100k-op budget — and has already visited more traces than DPOR
+    // needed in total.
+    let plan = pinned_plan(4500, StagingMode::DoubleBuffered);
+    let mut m = EngineModel::new(&plan, &[1], EngineHooks::default());
     let dpor = explore(&mut m, &ExploreConfig::default());
-    let mut m = ReplanModel::new(plan, vec![1], None);
-    let naive = explore(&mut m, &ExploreConfig::default().naive());
-    assert!(dpor.is_clean(), "{}", dpor.summary());
+    assert!(dpor.is_clean() && !dpor.truncated, "{}", dpor.summary());
+    let naive = explore(&mut m, &ExploreConfig::with_max_ops(100_000).naive());
     assert!(naive.is_clean(), "{}", naive.summary());
-    assert!(!dpor.truncated && !naive.truncated);
     assert!(
-        dpor.traces < naive.traces,
-        "DPOR must prune: {} DPOR traces vs {} naive",
-        dpor.traces,
-        naive.traces
+        naive.truncated,
+        "naive should not finish: {}",
+        naive.summary()
+    );
+    assert!(
+        naive.traces > dpor.traces,
+        "naive visited {} traces before truncation, DPOR needed {} total",
+        naive.traces,
+        dpor.traces
+    );
+}
+
+#[test]
+fn a_gpu_named_twice_is_explored_as_the_one_loss_the_engine_performs() {
+    // `lose:1@3,lose:1@5` kills GPU 1 once: the second loss names a
+    // device the survivor plan never touches again.
+    let spec = "lose:1@3,lose:1@5";
+    let plan = pinned_plan(4500, StagingMode::DoubleBuffered);
+    let mut dag = PlanDag::from_plan(plan.clone());
+    dag.plan.config.faults = Some(std::sync::Arc::new(FaultInjector::parse(spec).unwrap()));
+    let data: Vec<f64> = (0..plan.n).map(|i| ((i * 7919) % 4500) as f64).collect();
+    let run = execute_dag(&dag, &data).unwrap();
+    assert!(run.verified);
+    assert_eq!(
+        run.recovery.faults_injected,
+        1,
+        "{}",
+        run.recovery.summary()
+    );
+
+    let scheduled = FaultInjector::parse(spec).unwrap().scheduled_losses();
+    assert_eq!(scheduled, vec![1, 1]);
+    let mut model = EngineModel::new(&plan, &scheduled, EngineHooks::default());
+    assert_eq!(model.losses(), run.recovery.lost_gpus().as_slice());
+    let report = explore(&mut model, &ExploreConfig::default());
+    assert!(report.model.ends_with("faults=[1]"), "{}", report.model);
+    assert!(
+        report.is_clean() && !report.truncated,
+        "{}",
+        report.summary()
+    );
+}
+
+#[test]
+fn exploring_the_engine_twice_replays_identically() {
+    // A model must not consult ambient nondeterminism (wall-clock
+    // spans, thread ids): the same loss schedule explores to the same
+    // counts and findings every time.
+    let plan = pinned_plan(4500, StagingMode::Paper);
+    let run = || {
+        let mut model = EngineModel::new(&plan, &[1, 0], EngineHooks::default());
+        explore(&mut model, &ExploreConfig::default())
+    };
+    let (a, b) = (run(), run());
+    assert!(a.is_clean() && !a.truncated, "{}", a.summary());
+    assert_eq!(
+        (a.traces, a.steps, a.pruned, a.findings),
+        (b.traces, b.steps, b.pruned, b.findings)
     );
 }
 

@@ -42,7 +42,7 @@ use hetsort_algos::verify::{par_check_sorted, par_fingerprint};
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
 use hetsort_sim::Access;
 
-use crate::dag::mutate::EngineHooks;
+use crate::dag::mutate::{EngineHooks, Pick};
 use crate::dag::{DagNode, DagOp, PlanDag, ReadySet};
 use crate::error::HetSortError;
 use crate::exec_real::{cpu_part_spans, RealOutcome};
@@ -52,8 +52,9 @@ use crate::plan::{MergeSrc, Plan};
 use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
 
-/// The engine's one knob. The test battery's hooks (tie-break,
-/// seeded engine defect) are not options: they enter through
+/// The engine's one knob. The test battery's hooks (tie-break, the
+/// schedule a model checker drives the inline engine with, seeded
+/// engine defects) are not options: they enter through
 /// [`crate::dag::mutate::execute_dag_hooked`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DagExecOptions {
@@ -269,8 +270,8 @@ struct Pass<'p, T> {
     cond: Condvar,
     /// Other threads share this pass (someone may be waiting on `cond`).
     pooled: bool,
-    /// The [`EngineHooks::free_before_consumer`] defect.
-    free_before_consumer: bool,
+    /// The test battery's hooks (the default in production).
+    hooks: EngineHooks<'p>,
 }
 
 impl<T> Pass<'_, T>
@@ -350,14 +351,42 @@ where
                 // checkpointed batch from being staged out again.
                 let mut cell = lock_any(&self.batches[batch]);
                 if !cell.is_done() {
-                    *cell = if self.free_before_consumer {
+                    *cell = if self.hooks.free_before_consumer {
                         Run::Consumed
                     } else {
                         Run::Sorted(run)
                     };
+                    if let Some(hook) = self.hooks.schedule {
+                        hook.published(batch);
+                    }
                 }
             }
         })
+    }
+
+    /// Pop the next ready node that satisfies `mine`: the schedule
+    /// hook's pick on the inline engine when one is set, the tie-break's
+    /// otherwise. Losses the hook fires land here, between two nodes.
+    fn pop(&self, g: &mut Sched, mine: &impl Fn(&DagNode) -> bool) -> Option<usize> {
+        let Some(hook) = self.hooks.schedule.filter(|_| !self.pooled) else {
+            return g.ready.pop_where(|i| mine(&self.nodes[i]));
+        };
+        let ready: Vec<usize> = g.ready.ready().collect();
+        if ready.is_empty() {
+            return None;
+        }
+        let checkpointed: Vec<bool> = self.batches.iter().map(|c| lock_any(c).is_done()).collect();
+        loop {
+            match hook.pick(self.plan, self.nodes, &ready, &checkpointed) {
+                Pick::Node(id) if ready.contains(&id) => return g.ready.pop_where(|i| i == id),
+                Pick::Node(_) => return g.ready.pop_where(|i| mine(&self.nodes[i])),
+                Pick::Lose(gpu) => {
+                    if let Some(inj) = self.plan.config.faults.as_deref() {
+                        inj.fire_loss(gpu);
+                    }
+                }
+            }
+        }
     }
 
     /// Pop and run ready nodes that satisfy `mine` until the pass is
@@ -382,7 +411,7 @@ where
                     if g.stop {
                         break None;
                     }
-                    match g.ready.pop_where(|i| mine(&self.nodes[i])) {
+                    match self.pop(&mut g, &mine) {
                         Some(id) => {
                             let dead = |s| g.dead.get(s).is_some_and(Option::is_some);
                             if !self.nodes[id].stream.is_some_and(dead) {
@@ -454,6 +483,7 @@ fn host_sort_missing<T>(
     sched: &SchedCfg,
     threads: usize,
     batches: &[Mutex<Run<T>>],
+    hooks: &EngineHooks<'_>,
 ) -> usize
 where
     T: RadixKey + SortOrd + Default,
@@ -465,6 +495,9 @@ where
             let mut run = data[bi.start..bi.start + bi.len].to_vec();
             par_radix_sort_cfg(sched, threads, &mut run);
             *cell = Run::Sorted(run);
+            if let Some(hook) = hooks.schedule {
+                hook.published(bi.index);
+            }
             sorted += 1;
         }
     }
@@ -571,7 +604,7 @@ pub(crate) fn execute_nodes<T>(
     nodes: &[DagNode],
     data: &[T],
     workers: usize,
-    hooks: EngineHooks,
+    hooks: EngineHooks<'_>,
 ) -> Result<RealOutcome<T>, HetSortError>
 where
     T: RadixKey + SortOrd + Default,
@@ -655,7 +688,7 @@ where
             }),
             cond: Condvar::new(),
             pooled: workers > 0,
-            free_before_consumer: hooks.free_before_consumer,
+            hooks,
         };
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -711,6 +744,7 @@ where
             recovery.record_lost_gpu(g);
         }
         lost_gpus.extend(&end.lost);
+        let mut drop_one = hooks.drop_recovery_batch;
         for (b, cell) in batches.iter_mut().enumerate() {
             let cell = cell.get_mut().unwrap_or_else(PoisonError::into_inner);
             if hooks.skip_checkpoint {
@@ -719,6 +753,9 @@ where
             let gpu = cur.physical_gpu(cur.batches[b].gpu);
             if !cell.is_done() && end.lost.contains(&gpu) {
                 recovery.batches_recomputed += 1;
+            }
+            if !cell.is_done() && std::mem::take(&mut drop_one) {
+                *cell = Run::Consumed;
             }
         }
         let t_fail = now();
@@ -737,7 +774,7 @@ where
                     return Err(HetSortError::DeviceLost { gpu });
                 }
                 recovery.degraded_batches +=
-                    host_sort_missing(plan, data, &sched, sort_threads, &batches);
+                    host_sort_missing(plan, data, &sched, sort_threads, &batches, &hooks);
                 let action = ", no survivors → host sort";
                 metrics.record(failover_span(&lost_gpus, action, t_fail, now()));
                 break;
@@ -750,7 +787,8 @@ where
         }
         // Graceful degradation: host-sort whatever the dead stream(s)
         // never delivered.
-        recovery.degraded_batches += host_sort_missing(plan, data, &sched, sort_threads, &batches);
+        recovery.degraded_batches +=
+            host_sort_missing(plan, data, &sched, sort_threads, &batches, &hooks);
     }
 
     // --- The base dag's merges that the first pass did not reach

@@ -757,6 +757,11 @@ impl ReadySet {
     pub fn ready_len(&self) -> usize {
         self.ready.len()
     }
+
+    /// The ready nodes, ascending.
+    pub fn ready(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ready.iter().copied()
+    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,12 @@
 //! Structural mutants rewrite a [`PlanDag`] via [`DagMutant::apply`];
 //! trace-level mutants (sync/lifetime defects the structural validator
 //! cannot see by design — they live in the lowered event semantics)
-//! rewrite an [`OpTrace`] via [`DagMutant::apply_trace`]; and four are
+//! rewrite an [`OpTrace`] via [`DagMutant::apply_trace`]; and five are
 //! *engine* defects enabled through [`EngineHooks`]:
 //! [`DagMutant::SkipCheckpoint`], killed differentially by comparing
 //! [`crate::report::RecoveryStats`];
+//! [`DagMutant::DropRecoveryBatch`], killed by exploring the engine's
+//! loss alignments (`hetsort-analyze`'s `EngineModel`);
 //! [`DagMutant::FreeBeforeConsumer`], killed by the typed error a merge
 //! returns when its input was already freed; and the two output defects
 //! [`DagMutant::SwapAcrossCheckBoundary`] and
@@ -22,28 +24,64 @@
 //! check (`verified == false`).
 //!
 //! [`execute_dag_hooked`] is the battery's way into the engine: the
-//! hooks it sets are deliberately not fields of the public
-//! [`crate::dag::exec::DagExecOptions`].
+//! hooks it sets, a [`Schedule`] included, are deliberately not fields
+//! of the public [`crate::dag::exec::DagExecOptions`].
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::verify::check_parts;
 use hetsort_sim::optrace::{OpTrace, TraceKind};
 
-use crate::dag::{DagOp, PlanDag, TieBreak};
+use crate::dag::{DagNode, DagOp, PlanDag, TieBreak};
 use crate::error::HetSortError;
 use crate::exec_real::RealOutcome;
+use crate::plan::Plan;
+
+/// What a [`Schedule`] does at one scheduling point of the inline
+/// engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pick {
+    /// Pop and run this ready node.
+    Node(usize),
+    /// Fire the scheduled loss of this physical GPU now
+    /// ([`hetsort_vgpu::FaultInjector::fire_loss`]); the engine then
+    /// asks again. The next device op on the GPU observes the loss.
+    Lose(usize),
+}
+
+/// A scheduler for the inline engine (`workers = 0`), for model
+/// checkers that drive the shipped engine through every node order and
+/// loss alignment. Without one the engine pops in [`TieBreak`] order and
+/// losses fire at their op counts.
+pub trait Schedule: Sync {
+    /// The next action of the pass over `plan`'s `nodes`, whose ready
+    /// nodes are `ready` (ascending ids, never empty); the nodes of a
+    /// batch the checkpoint holds (`checkpointed[b]`) run as no-ops. A
+    /// node that is not in `ready` falls back to the tie-break.
+    fn pick(&self, plan: &Plan, nodes: &[DagNode], ready: &[usize], checkpointed: &[bool]) -> Pick;
+
+    /// Batch `batch`'s sorted run was published: staged out by its
+    /// stream, or sorted on the host.
+    fn published(&self, batch: usize);
+}
 
 /// What only the test battery may vary about an engine run. The
 /// default is what every production entry point runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineHooks {
+#[derive(Clone, Copy, Default)]
+pub struct EngineHooks<'h> {
     /// Ready-node tie-break (see [`TieBreak`]).
     pub tie: TieBreak,
+    /// Who picks each ready node and places each scheduled loss at
+    /// `workers = 0` (ignored by pooled runs).
+    pub schedule: Option<&'h dyn Schedule>,
     /// The [`DagMutant::SkipCheckpoint`] defect: ignore the per-batch
     /// checkpoint when a device loss triggers a re-plan, recomputing
     /// *every* batch. Output stays correct; the differential check on
     /// [`crate::report::RecoveryStats`] kills it.
     pub skip_checkpoint: bool,
+    /// The [`DagMutant::DropRecoveryBatch`] defect: each re-plan's
+    /// checkpoint records the first unfinished batch as consumed, so no
+    /// later pass produces it and the final merge fails.
+    pub drop_recovery_batch: bool,
     /// The [`DagMutant::FreeBeforeConsumer`] defect: drop every batch
     /// run the moment its stage-out completes, before its consumer
     /// merge has read it. The merge must refuse with a typed
@@ -61,7 +99,7 @@ pub struct EngineHooks {
     pub drop_and_duplicate: bool,
 }
 
-impl EngineHooks {
+impl EngineHooks<'_> {
     /// Apply the output defects that are set to the engine's final
     /// `sorted` run, just before its check at `threads`.
     pub(crate) fn corrupt_output<T: RadixKey>(&self, threads: usize, sorted: &mut [T]) {
@@ -95,7 +133,7 @@ pub fn execute_dag_hooked<T>(
     dag: &PlanDag,
     data: &[T],
     workers: usize,
-    hooks: EngineHooks,
+    hooks: EngineHooks<'_>,
 ) -> Result<RealOutcome<T>, HetSortError>
 where
     T: RadixKey + SortOrd + Default,
@@ -143,6 +181,9 @@ pub enum DagMutant {
     /// Engine defect: free a batch run as soon as its stage-out
     /// completes, before its one consumer merge has read it.
     FreeBeforeConsumer,
+    /// Engine defect: a survivor pass leaves out the first batch the
+    /// checkpoint says is unfinished, so no pass ever produces it.
+    DropRecoveryBatch,
     /// Engine defect: swap two unequal neighbours of the final output
     /// across an interior boundary of the output check's parts. The
     /// multiset is unchanged; only a check that scans each boundary pair
@@ -156,8 +197,8 @@ pub enum DagMutant {
 
 impl DagMutant {
     /// Every mutant, in display order (the kill suite's acceptance
-    /// floor is 8; this battery seeds 15).
-    pub const ALL: [DagMutant; 15] = [
+    /// floor is 8; this battery seeds 16).
+    pub const ALL: [DagMutant; 16] = [
         DagMutant::DropFifoEdge,
         DagMutant::SwapDepDirection,
         DagMutant::DuplicateProducer,
@@ -171,6 +212,7 @@ impl DagMutant {
         DagMutant::FreeBeforeLastReader,
         DagMutant::RebindStream,
         DagMutant::FreeBeforeConsumer,
+        DagMutant::DropRecoveryBatch,
         DagMutant::SwapAcrossCheckBoundary,
         DagMutant::DropAndDuplicate,
     ];
@@ -191,6 +233,7 @@ impl DagMutant {
             DagMutant::FreeBeforeLastReader => "free-before-last-reader",
             DagMutant::RebindStream => "rebind-stream",
             DagMutant::FreeBeforeConsumer => "free-before-consumer",
+            DagMutant::DropRecoveryBatch => "drop-recovery-batch",
             DagMutant::SwapAcrossCheckBoundary => "swap-across-check-boundary",
             DagMutant::DropAndDuplicate => "drop-and-duplicate",
         }
@@ -199,8 +242,10 @@ impl DagMutant {
     /// The named check contracted to kill this mutant:
     /// `validator:<rule>` ([`PlanDag::validate`]),
     /// `analyzer:<finding-class>` (`hetsort-analyze` over the lowered
-    /// trace), `differential:<check>` (the equivalence suite), or
-    /// `engine:<error>` (a typed error the engine itself returns).
+    /// trace), `differential:<check>` (the equivalence suite),
+    /// `engine:<error>` (a typed error the engine itself returns), or
+    /// `explorer:<finding-class>` (exploring the engine's loss
+    /// schedules).
     pub fn expected_kill(&self) -> &'static str {
         match self {
             DagMutant::DropFifoEdge => "validator:fifo",
@@ -215,6 +260,7 @@ impl DagMutant {
             DagMutant::FreeBeforeLastReader => "analyzer:use-after-free",
             DagMutant::RebindStream => "validator:stream-bind",
             DagMutant::FreeBeforeConsumer => "engine:consumed-input",
+            DagMutant::DropRecoveryBatch => "explorer:replan-cover",
             DagMutant::SwapAcrossCheckBoundary | DagMutant::DropAndDuplicate => "engine:unverified",
         }
     }
@@ -234,6 +280,7 @@ impl DagMutant {
         matches!(
             self,
             DagMutant::SkipCheckpoint
+                | DagMutant::DropRecoveryBatch
                 | DagMutant::FreeBeforeConsumer
                 | DagMutant::SwapAcrossCheckBoundary
                 | DagMutant::DropAndDuplicate
@@ -359,6 +406,7 @@ impl DagMutant {
                 true
             }
             DagMutant::SkipCheckpoint
+            | DagMutant::DropRecoveryBatch
             | DagMutant::FreeBeforeConsumer
             | DagMutant::SwapAcrossCheckBoundary
             | DagMutant::DropAndDuplicate
@@ -454,7 +502,8 @@ mod tests {
                 kill.starts_with("validator:")
                     || kill.starts_with("analyzer:")
                     || kill.starts_with("differential:")
-                    || kill.starts_with("engine:"),
+                    || kill.starts_with("engine:")
+                    || kill.starts_with("explorer:"),
                 "{kill}"
             );
         }

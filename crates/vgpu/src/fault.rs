@@ -300,6 +300,20 @@ impl FaultInjector {
         }
     }
 
+    /// Fire `gpu`'s first scheduled loss that has not fired yet, now,
+    /// whatever its op count — how a schedule hook on the inline engine
+    /// places a loss between two nodes. Counts as injected.
+    pub fn fire_loss(&self, gpu: usize) {
+        let mut st = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        let pending = (0..self.lose_sched.len())
+            .find(|&i| self.lose_sched[i].0 == gpu && !st.applied_lose.contains(&i));
+        if let Some(i) = pending {
+            st.applied_lose.insert(i);
+            st.lost.insert(gpu);
+            self.injected.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Is `gpu` currently marked dead?
     pub fn is_lost(&self, gpu: usize) -> bool {
         self.pool
@@ -435,6 +449,21 @@ mod tests {
         assert_eq!(inj.device_op(1), Err(CudaError::DeviceLost { gpu: 1 }));
         assert!(inj.device_op(0).is_ok());
         assert_eq!(inj.injected(), 1);
+    }
+
+    #[test]
+    fn fired_loss_ignores_its_op_count_and_fires_once() {
+        let inj = FaultInjector::new().lose_device(1, usize::MAX);
+        assert!(inj.device_op(1).is_ok());
+        for gpu in [0, 1, 1] {
+            inj.fire_loss(gpu);
+        }
+        assert!(inj.device_op(1).is_err() && inj.device_op(0).is_ok());
+        assert_eq!(
+            inj.injected(),
+            1,
+            "GPU 1's one loss fires once, GPU 0 has none"
+        );
     }
 
     #[test]

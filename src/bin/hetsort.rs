@@ -6,10 +6,11 @@ use std::process::ExitCode;
 
 use hetsort::analyze::{
     analyze_plan, analyze_plan_with_trace, explore_plan, host_bound_bytes, host_peak_bytes,
-    AnalysisReport, ExploreConfig, ReplanModel,
+    AnalysisReport, EngineModel, ExploreConfig,
 };
 use hetsort::cli::{parse, CliError, Command, RunArgs, ServeArgs, USAGE};
-use hetsort::core::{Approach, HetSortConfig, HetSortError, PairStrategy, Plan};
+use hetsort::core::dag::mutate::EngineHooks;
+use hetsort::core::{Approach, HetSortConfig, HetSortError, PairStrategy, Plan, StagingMode};
 use hetsort::obs::{chrome_trace, stdout_exit_code, Json, MetricsRegistry};
 use hetsort::serve::{
     clean_scenarios, synthetic_jobs, AdmissionModel, ServeBudget, ServeConfig, SortService,
@@ -586,72 +587,72 @@ impl ExploreTally {
 }
 
 /// Model-check one configured plan: exhaustively explore its lowered
-/// trace, and — when a fault spec schedules device losses — the
-/// checkpoint/re-plan coordinator racing those losses.
+/// trace, and — when a fault spec schedules device losses — the shipped
+/// engine recovering from those losses in every node order and loss
+/// alignment.
 fn explore_one(plan: &Plan, ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliError> {
-    let mut tally = ExploreTally::default();
-    tally.record(&explore_plan(plan, ecfg), w)?;
-
     let losses: Vec<usize> = plan
         .config
         .faults
         .as_ref()
         .map(|f| f.scheduled_losses())
         .unwrap_or_default();
+    // The engine model sorts n elements per explored interleaving.
+    if !losses.is_empty() && plan.n > 1_000_000 {
+        return Err(CliError::Usage(format!(
+            "--explore with a loss schedule runs the engine per interleaving: use -n ≤ 1e6 (got {})",
+            plan.n
+        )));
+    }
+    let mut tally = ExploreTally::default();
+    tally.record(&explore_plan(plan, ecfg), w)?;
     if !losses.is_empty() {
-        let mut model = ReplanModel::new(plan.clone(), losses, None);
+        let mut model = EngineModel::new(plan, &losses, EngineHooks::default());
         tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
     }
     tally.verdict().map(|_| ())
 }
 
-/// Model-check the shipped matrix at small exhaustive geometry: every
-/// approach (PIPEMERGE with and without --par-memcpy) on both
-/// platforms, the recovery coordinator under single- and double-loss
-/// schedules, and the admission state machine's scenarios.
+/// Model-check the shipped matrix at small exhaustive geometry, under
+/// both staging protocols: every approach (PIPEMERGE with and without
+/// --par-memcpy) on both platforms, the shipped engine under single-
+/// and double-loss schedules, and the admission state machine's
+/// scenarios.
 fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliError> {
     let mut tally = ExploreTally::default();
     writeln!(
         w,
         "model-checking the schedule space (small exhaustive geometry):"
     )?;
-    for platform in [platform1(), platform2()] {
-        let variants: Vec<(HetSortConfig, usize)> = [
-            Approach::BLine,
-            Approach::BLineMulti,
-            Approach::PipeData,
-            Approach::PipeMerge,
-        ]
-        .iter()
-        .map(|&a| {
-            let cfg = HetSortConfig::paper_defaults(platform.clone(), a)
-                .with_batch_elems(1000)
-                .with_pinned_elems(500);
-            let n = if a == Approach::BLine { 700 } else { 2500 };
-            (cfg, n)
-        })
-        .chain(std::iter::once((
-            HetSortConfig::paper_defaults(platform.clone(), Approach::PipeMerge)
-                .with_batch_elems(1000)
-                .with_pinned_elems(500)
-                .with_par_memcpy(),
-            2500,
-        )))
-        .collect();
-        for (cfg, n) in variants {
-            let plan = Plan::build(cfg, n)?;
-            tally.record(&explore_plan(&plan, ecfg), w)?;
+    for staging in [StagingMode::DoubleBuffered, StagingMode::Paper] {
+        for platform in [platform1(), platform2()] {
+            let base = |a| {
+                HetSortConfig::paper_defaults(platform.clone(), a)
+                    .with_batch_elems(1000)
+                    .with_pinned_elems(500)
+                    .with_staging(staging)
+            };
+            let shapes = [
+                (base(Approach::BLine), 700),
+                (base(Approach::BLineMulti), 2500),
+                (base(Approach::PipeData), 2500),
+                (base(Approach::PipeMerge), 2500),
+                (base(Approach::PipeMerge).with_par_memcpy(), 2500),
+            ];
+            for (cfg, n) in shapes {
+                tally.record(&explore_plan(&Plan::build(cfg, n)?, ecfg), w)?;
+            }
+            if platform.n_gpus() < 2 {
+                continue;
+            }
+            // The shipped engine: PIPEMERGE on PLATFORM2 racing a single
+            // loss of either GPU and the lose-everything schedule.
+            let plan = Plan::build(base(Approach::PipeMerge), 4500)?;
+            for faults in [vec![0], vec![1], vec![1, 0]] {
+                let mut model = EngineModel::new(&plan, &faults, EngineHooks::default());
+                tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
+            }
         }
-    }
-    // Recovery coordinator: PIPEMERGE on PLATFORM2 racing a single
-    // loss of either GPU and the lose-everything schedule.
-    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
-        .with_batch_elems(1000)
-        .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 4500)?;
-    for faults in [vec![0], vec![1], vec![1, 0]] {
-        let mut model = ReplanModel::new(plan.clone(), faults, None);
-        tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
     }
     // The shipped admission controller under its scenarios (equal-job
     // churn, lose→join displacement).

@@ -513,9 +513,10 @@ ANALYSIS:
                      re-running the happens-before checker per trace
                      and checking reachable-deadlock, budget-safety,
                      and replan-cover invariants; with --faults, also
-                     explores the checkpoint/re-plan coordinator, and
-                     with --matrix sweeps approaches × platforms ×
-                     loss schedules × admission scenarios
+                     explores the engine recovering from the losses
+                     (n ≤ 1e6), and with --matrix sweeps approaches ×
+                     platforms × staging × loss schedules × admission
+                     scenarios
   --max-ops N        exploration op budget (default 1e6 per model);
                      hitting it is reported as TRUNCATED, never silent
   --analyze          (on simulate/sort) run the same verification

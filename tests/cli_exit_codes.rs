@@ -33,15 +33,15 @@ fn truncated_exploration_is_exit_one_and_names_the_models() {
         "{stderr}"
     );
 
-    // Matrix: some of the 15 models finish inside 50 ops, most do not.
+    // Matrix: some of the 28 models finish inside 50 ops, most do not.
     let out = hetsort("analyze --matrix --explore --max-ops 50");
     let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
     assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
     assert!(!stdout.contains("explored models are clean"), "{stdout}");
     let truncated = stdout.matches("TRUNCATED at op budget").count();
-    assert!((1..15).contains(&truncated), "{stdout}");
+    assert!((1..28).contains(&truncated), "{stdout}");
     assert!(
-        stderr.contains(&format!("{truncated} of 15 truncated at the op budget")),
+        stderr.contains(&format!("{truncated} of 28 truncated at the op budget")),
         "{stderr}"
     );
     assert!(stderr.contains("admission equal-jobs"), "{stderr}");
@@ -49,6 +49,15 @@ fn truncated_exploration_is_exit_one_and_names_the_models() {
     // The same plan under a budget that completes is still exit 0.
     let out = hetsort("analyze -n 2500 -b 1000 --pinned 500 --explore");
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+}
+
+#[test]
+fn exploring_the_engine_at_paper_scale_is_a_usage_error() {
+    // The engine model sorts n elements per explored interleaving.
+    let out = hetsort("analyze -n 2e9 -p p2 --faults lose:1@3 --explore");
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("use -n ≤ 1e6"), "{stderr}");
 }
 
 #[test]

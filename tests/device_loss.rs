@@ -186,7 +186,8 @@ fn dag_engine_replans_only_the_unfinished_subgraph() {
     // engine must re-plan only the *unfinished* subgraph — recomputing
     // strictly fewer batches than the lost GPU owned, never zero, and
     // scheduling the recovery exclusively on survivors.
-    use hetsort::analyze::{explore, ExploreConfig, ReplanModel};
+    use hetsort::analyze::{explore, EngineModel, ExploreConfig};
+    use hetsort::core::dag::mutate::EngineHooks;
     use hetsort::core::{execute_dag, PlanDag};
 
     let data = lcg_data(40_000, 61);
@@ -220,8 +221,8 @@ fn dag_engine_replans_only_the_unfinished_subgraph() {
     }
 
     // And the replan-cover invariant holds not just for this op-count
-    // alignment but for *every* loss/worker interleaving: explore the
-    // recovery coordinator model at small exhaustive geometry.
+    // alignment but for *every* node order and loss alignment: explore
+    // the engine itself at small exhaustive geometry.
     let small = Plan::build(
         HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
             .with_batch_elems(1_000)
@@ -229,10 +230,10 @@ fn dag_engine_replans_only_the_unfinished_subgraph() {
         4_500,
     )
     .unwrap();
-    let mut model = ReplanModel::new(small, vec![1], None);
+    let mut model = EngineModel::new(&small, &[1], EngineHooks::default());
     let report = explore(&mut model, &ExploreConfig::default());
     assert!(
-        report.is_clean(),
+        report.is_clean() && !report.truncated,
         "replan-cover violated: {}",
         report.summary()
     );
