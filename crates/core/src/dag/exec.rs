@@ -36,16 +36,16 @@ use std::time::Instant;
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::merge::par_merge_into_cfg;
 use hetsort_algos::multiway::par_multiway_merge_into_cfg;
-use hetsort_algos::par::SchedCfg;
+use hetsort_algos::par::{SchedCfg, SchedStats};
 use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_algos::verify::{par_check_sorted, par_fingerprint};
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
 use hetsort_sim::Access;
 
 use crate::dag::mutate::{EngineHooks, Pick};
-use crate::dag::{DagNode, DagOp, PlanDag, ReadySet};
+use crate::dag::{node_span, DagNode, DagOp, PlanDag, ReadySet};
 use crate::error::HetSortError;
-use crate::exec_real::{cpu_part_spans, RealOutcome};
+use crate::exec_real::RealOutcome;
 use crate::exec_stream::StreamExec;
 use crate::optrace::trace_nodes;
 use crate::plan::{MergeSrc, Plan};
@@ -95,6 +95,28 @@ fn lock_any<G>(m: &Mutex<G>) -> MutexGuard<'_, G> {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// Expand a merge's [`SchedStats`] into per-worker [`OpClass::CpuPart`]
+/// spans nested under the merge's span: its node and placement, the
+/// worker's index, the worker's interval on the same clock. Idle
+/// workers (zero parts) are skipped — they never executed.
+fn cpu_part_spans<'a>(
+    merge: &'a ObsSpan,
+    stats: &'a SchedStats,
+) -> impl Iterator<Item = ObsSpan> + 'a {
+    stats
+        .workers
+        .iter()
+        .filter(|w| w.parts > 0)
+        .map(|w| ObsSpan {
+            class: OpClass::CpuPart,
+            worker: Some(w.worker as u32),
+            bytes: 0.0,
+            t_start: merge.t_start + w.start_s,
+            t_end: merge.t_start + w.end_s,
+            ..merge.clone()
+        })
 }
 
 /// One sorted run through its life: a batch its stream stages out, or
@@ -155,9 +177,10 @@ where
     fn run(
         &mut self,
         id: usize,
-        op: &DagOp,
+        node: &DagNode,
         batches: &[Mutex<Run<T>>],
     ) -> Result<(), HetSortError> {
+        let op = &node.op;
         let t0 = self.t0;
         let now = move || t0.elapsed().as_secs_f64();
         // `slot` is the pair slot a two-way merge writes; `None` is B.
@@ -195,22 +218,9 @@ where
         let lists: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
         let mut out = vec![T::default(); out_elems];
         let m_start = now();
-        let (class, label, stats) = match slot {
-            Some(slot) => {
-                let (class, name) = match op {
-                    DagOp::CpuMerge { .. } => (OpClass::CpuMerge, "CpuMerge"),
-                    _ => (OpClass::PairMerge, "PairMerge"),
-                };
-                let (left, right) = (lists[0], lists[1]);
-                let stats = par_merge_into_cfg(&self.sched, self.threads, left, right, &mut out);
-                (class, format!("{name} p{slot}"), stats)
-            }
-            None => {
-                let stats =
-                    par_multiway_merge_into_cfg(&self.sched, self.threads, &lists, &mut out);
-                let label = format!("MultiwayMerge k{}", lists.len());
-                (OpClass::MultiwayMerge, label, stats)
-            }
+        let stats = match slot {
+            Some(_) => par_merge_into_cfg(&self.sched, self.threads, lists[0], lists[1], &mut out),
+            None => par_multiway_merge_into_cfg(&self.sched, self.threads, &lists, &mut out),
         };
         let m_end = now();
         // The inputs die here, before the next merge allocates.
@@ -220,10 +230,14 @@ where
             Some(slot) => self.pair_out[slot] = Run::Sorted(out),
             None => self.sorted = out,
         }
-        let bytes = (out_elems as u64 * self.plan.config.elem_bytes.bytes()) as f64;
-        self.spans
-            .push(ObsSpan::new(class, label.clone(), m_start, m_end).with_bytes(bytes));
-        self.spans.extend(cpu_part_spans(&label, m_start, &stats));
+        let span = ObsSpan {
+            bytes: (out_elems as u64 * self.plan.config.elem_bytes.bytes()) as f64,
+            t_start: m_start,
+            t_end: m_end,
+            ..node_span(self.plan, id, node)
+        };
+        self.spans.extend(cpu_part_spans(&span, &stats));
+        self.spans.push(span);
         self.done[id] = true;
         Ok(())
     }
@@ -339,7 +353,7 @@ where
                 panic!("injected panic in stream worker {s} at batch {batch}");
             }
         }
-        sx.step(id, &node.op, &mut |batch, _start, chunk| {
+        sx.step(id, node, &mut |batch, _start, chunk| {
             let len = plan.batches[batch].len;
             if assembling.capacity() == 0 {
                 *assembling = Vec::with_capacity(len);
@@ -508,8 +522,7 @@ where
 /// engine did about it.
 fn failover_span(lost: &BTreeSet<usize>, action: &str, start: f64, end: f64) -> ObsSpan {
     let gpus: Vec<String> = lost.iter().map(|g| g.to_string()).collect();
-    ObsSpan::new(
-        OpClass::Other,
+    ObsSpan::other(
         format!("failover: GPU(s) {} lost{action}", gpus.join(", ")),
         start,
         end,
@@ -696,8 +709,8 @@ where
             }
             pass.drive(
                 |n| workers == 0 || n.op.is_merge(),
-                |id| match &cur_nodes[id].op {
-                    op if op.is_merge() => merges.run(id, op, &batches),
+                |id| match &cur_nodes[id] {
+                    node if node.op.is_merge() => merges.run(id, node, &batches),
                     _ => pass.step(id),
                 },
             );
@@ -796,7 +809,7 @@ where
     let mut rest = ReadySet::new(nodes, |i| nodes[i].op.is_merge(), hooks.tie);
     while let Some(id) = rest.pop() {
         if !merges.done[id] {
-            merges.run(id, &nodes[id].op, &batches)?;
+            merges.run(id, &nodes[id], &batches)?;
         }
         rest.complete(id);
     }
@@ -910,11 +923,7 @@ mod tests {
                 .spans()
                 .iter()
                 .filter(|s| s.class == OpClass::CpuPart)
-                .map(|s| {
-                    let (_, tail) = s.label.rsplit_once(" w").expect("a worker index");
-                    let (k, _) = tail.split_once(' ').expect("a part count");
-                    k.parse().expect("a numeric worker index")
-                })
+                .map(|s| s.worker.expect("a worker index") as usize)
                 .collect();
             // One CPU runs every merge inline, and a merge this small in
             // one part: no CpuPart spans at all.
@@ -1005,13 +1014,44 @@ mod tests {
                 .metrics
                 .spans()
                 .iter()
-                .find(|s| s.label.ends_with(&format!("Merge p{slot}")))
+                .find(|s| s.node == Some(i as u32) && s.class != OpClass::CpuPart)
                 .expect("every pair slot ran");
             let label = format!("{} slot {slot} (step {i})", span.class.name());
             assert!(
                 trace.records.iter().any(|r| r.label == label),
                 "no trace record `{label}`"
             );
+        }
+    }
+
+    #[test]
+    fn pinned_alloc_spans_record_the_node_bytes() {
+        // Double-buffered staging carves both inbound halves out of one
+        // allocation: that span is 2·p_s elements, the paper's is one.
+        use crate::config::StagingMode;
+        for (staging, halves) in [(StagingMode::Paper, 1), (StagingMode::DoubleBuffered, 2)] {
+            let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
+                .with_batch_elems(2_000)
+                .with_pinned_elems(400)
+                .with_staging(staging);
+            let g = PlanDag::from_plan(Plan::build(cfg, 6_000).unwrap());
+            let out = execute_dag(&g, &data(6_000, 4)).unwrap();
+            let mut inbound = 0;
+            for s in out.metrics.spans() {
+                if s.class != OpClass::PinnedAlloc {
+                    continue;
+                }
+                let node = s.node.expect("a pinned alloc is a dag node") as usize;
+                let DagOp::PinnedAlloc { bytes, dir_in, .. } = g.nodes[node].op else {
+                    panic!("{}: {s} is not a pinned alloc node", staging.name())
+                };
+                assert_eq!(s.bytes, bytes as f64, "{}: {s}", staging.name());
+                if dir_in {
+                    inbound += 1;
+                    assert_eq!(s.bytes, (halves * 400 * 8) as f64, "{}", staging.name());
+                }
+            }
+            assert_eq!(inbound, g.plan.total_streams, "{}", staging.name());
         }
     }
 
@@ -1041,18 +1081,16 @@ mod tests {
             out.recovery.summary()
         );
         // The no-survivor failover span names every lost device.
+        let failovers: Vec<&str> = out
+            .metrics
+            .spans()
+            .iter()
+            .filter_map(|s| s.text.as_deref())
+            .filter(|t| t.starts_with("failover"))
+            .collect();
         assert!(
-            out.metrics
-                .spans()
-                .iter()
-                .any(|s| s.label.contains("GPU(s) 0, 1 lost")),
-            "failover span must list both GPUs: {:?}",
-            out.metrics
-                .spans()
-                .iter()
-                .filter(|s| s.label.contains("failover"))
-                .map(|s| &s.label)
-                .collect::<Vec<_>>()
+            failovers.iter().any(|t| t.contains("GPU(s) 0, 1 lost")),
+            "failover span must list both GPUs: {failovers:?}"
         );
         // The sequential engine attributes identically.
         let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)

@@ -29,6 +29,8 @@ pub mod mutate;
 
 use std::collections::BTreeMap;
 
+use hetsort_obs::{ObsSpan, OpClass};
+
 use crate::error::HetSortError;
 use crate::plan::{MergeSrc, Plan};
 
@@ -181,6 +183,36 @@ pub struct DagNode {
     /// Stream the op is submitted to (`None` for merges; blocking
     /// approaches use stream 0 as "the default stream").
     pub stream: Option<usize>,
+}
+
+/// The span skeleton of node `id`: the one placement rule the
+/// simulator, the stream interpreter and the merge path share. The
+/// class comes from the op, the stream from the node, the batch from a
+/// stream-bound op, and the batch's physical GPU only for the device
+/// ops (HtoD, Sort, DtoH). Executors add only times and bytes.
+pub fn node_span(plan: &Plan, id: usize, node: &DagNode) -> ObsSpan {
+    let class = match node.op {
+        DagOp::PinnedAlloc { .. } => OpClass::PinnedAlloc,
+        DagOp::StagingCopy { .. } => OpClass::StagingCopy,
+        DagOp::HtoD { .. } => OpClass::HtoD,
+        DagOp::Sort { .. } => OpClass::GpuSort,
+        DagOp::DtoH { .. } => OpClass::DtoH,
+        DagOp::PairMerge { .. } => OpClass::PairMerge,
+        DagOp::CpuMerge { .. } => OpClass::CpuMerge,
+        DagOp::MultiwayMerge { .. } => OpClass::MultiwayMerge,
+    };
+    let batch = node.op.batch();
+    ObsSpan {
+        // `config::MAX_PLAN_NODES` keeps every node id within u32.
+        node: Some(id as u32),
+        stream: node.stream,
+        batch: batch.map(|b| b as u64),
+        gpu: batch
+            .filter(|_| node.op.is_device_lane())
+            .and_then(|b| plan.batches.get(b))
+            .map(|b| plan.physical_gpu(b.gpu)),
+        ..ObsSpan::new(class, 0.0, 0.0)
+    }
 }
 
 /// A plan's geometry plus the executable copy of its op-dag. Engines

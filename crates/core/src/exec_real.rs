@@ -21,8 +21,7 @@
 //! identical orchestration.
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
-use hetsort_algos::par::SchedStats;
-use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
+use hetsort_obs::MetricsRegistry;
 use hetsort_sim::OpTrace;
 
 use crate::config::HetSortConfig;
@@ -63,25 +62,6 @@ pub struct RealOutcome<T = f64> {
     /// `hetsort-analyze` re-run the residency check on them — the
     /// dependency points that way, so the executor cannot.
     pub replans: Vec<Plan>,
-}
-
-/// Expand a merge's [`SchedStats`] into per-worker [`OpClass::CpuPart`]
-/// spans nested under the parent merge span (same wall-clock origin).
-/// Idle workers (zero parts) are skipped — they never executed.
-pub(crate) fn cpu_part_spans(parent_label: &str, m_start: f64, stats: &SchedStats) -> Vec<ObsSpan> {
-    stats
-        .workers
-        .iter()
-        .filter(|w| w.parts > 0)
-        .map(|w| {
-            ObsSpan::new(
-                OpClass::CpuPart,
-                format!("{parent_label} w{} ({} parts)", w.worker, w.parts),
-                m_start + w.start_s,
-                m_start + w.end_s,
-            )
-        })
-        .collect()
 }
 
 /// Sort `data` with the configured heterogeneous pipeline, functionally.

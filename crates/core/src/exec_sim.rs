@@ -8,10 +8,11 @@
 //! op-start constraints, so the simulated timeline is exactly the
 //! plan's dependency structure under the platform's calibrated costs.
 
+use hetsort_obs::{ObsSpan, OpClass};
 use hetsort_sim::OpId;
 use hetsort_vgpu::{Machine, TransferDir};
 
-use crate::dag::{DagNode, DagOp, PlanDag};
+use crate::dag::{node_span, DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
 use crate::plan::Plan;
 use crate::report::TimingReport;
@@ -270,7 +271,7 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
     let tl = m.run().map_err(|e| HetSortError::Sim {
         reason: e.to_string(),
     })?;
-    Ok(TimingReport::from_timeline(
+    let mut report = TimingReport::from_timeline(
         cfg.approach.name(),
         &cfg.platform.name,
         plan.n,
@@ -278,7 +279,19 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
         sync_s,
         launch_s,
         tl,
-    ))
+    );
+    // The start-skew barriers are the only ops outside the dag: they
+    // report as node-less Sync spans.
+    let skews = skews
+        .into_iter()
+        .map(|op| (op, ObsSpan::new(OpClass::Sync, 0.0, 0.0)));
+    let nodes = op_ids
+        .into_iter()
+        .zip(nodes)
+        .enumerate()
+        .map(|(i, (op, node))| (op, node_span(plan, i, node)));
+    report.op_spans = skews.chain(nodes).collect();
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -484,6 +497,22 @@ mod tests {
             hy.component(tags::CPU_MERGE).expect("cpu merges ran") > 0.0,
             "hybrid run accounts CPU-routed merges separately"
         );
+    }
+
+    #[test]
+    fn metrics_report_every_simulated_op() {
+        // Each op the simulator timed is one registry span — the dag's
+        // nodes plus the start-skew barriers — so the registry's window
+        // is the makespan.
+        use crate::config::StagingMode;
+        for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
+            let cfg = p1(Approach::BLineMulti).with_staging(staging);
+            let plan = Plan::build(cfg, 1_000_000_000).unwrap();
+            let r = simulate_plan(&plan).unwrap();
+            let reg = r.metrics();
+            assert_eq!(reg.spans().len(), r.timeline.spans().len());
+            assert_eq!(reg.end_to_end_s(), r.total_s, "{}", staging.name());
+        }
     }
 
     #[test]

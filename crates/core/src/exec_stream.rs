@@ -3,10 +3,11 @@
 //! [`crate::dag::exec`] keeps one [`StreamExec`] per stream behind that
 //! stream's lock; whichever thread pops one of the stream's ready nodes
 //! — the caller at `workers = 0`, a pool worker otherwise — runs it
-//! here, handing it the [`DagOp`] to execute. The stream-bound ops
+//! here, handing it the [`DagNode`] to execute. The stream-bound ops
 //! (staging copies, transfers, device sorts) run through this
-//! interpreter — which reads nothing but the op it is handed and the
-//! plan's geometry — and it owns the stream's pinned
+//! interpreter — which reads nothing but the node it is handed and the
+//! plan's geometry, and records its span where
+//! [`crate::dag::node_span`] places it — and it owns the stream's pinned
 //! and device buffers (freed by [`StreamExec::release`] once the stream
 //! has run its last node) and implements the per-batch failure model:
 //!
@@ -37,12 +38,12 @@ use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::multiway::par_multiway_merge_into_cfg;
 use hetsort_algos::par::{par_copy, SchedCfg};
 use hetsort_algos::radix_par::par_radix_sort_cfg;
-use hetsort_obs::{ObsSpan, OpClass};
+use hetsort_obs::ObsSpan;
 use hetsort_sim::{Access, Buffer};
 use hetsort_vgpu::{FaultInjector, FaultSite, TransferDir};
 
 use crate::config::RecoveryPolicy;
-use crate::dag::DagOp;
+use crate::dag::{node_span, DagNode, DagOp};
 use crate::error::HetSortError;
 use crate::optrace::{
     pinned_in_id, pinned_out_id, region_host_batch, REGION_A, REGION_B, REGION_W,
@@ -289,7 +290,7 @@ where
         }
     }
 
-    /// Execute stream-bound node `si`, whose op is `op`. `emit` receives
+    /// Execute stream-bound node `si`, which is `node`. `emit` receives
     /// every completed `StageOut` chunk as
     /// `(batch, global_start, chunk_data)`. Chunk extents are trusted:
     /// the validator's `chunk-cover` rule bounds them before any run.
@@ -300,9 +301,10 @@ where
     pub(crate) fn step(
         &mut self,
         si: usize,
-        op: &DagOp,
+        node: &DagNode,
         emit: &mut impl FnMut(usize, usize, &[T]),
     ) -> Result<(), HetSortError> {
+        let op = &node.op;
         let ps = self.plan.config.pinned_elems;
         let span_start = self.t0.elapsed().as_secs_f64();
         // Accesses this step actually performs — which differ from the
@@ -582,31 +584,22 @@ where
         if self.plan.config.record_trace {
             self.access_log.push((si, acc));
         }
-        let batch = op.batch();
-        let (class, elems) = match *op {
-            DagOp::StagingCopy { len, .. } => (OpClass::StagingCopy, len),
-            DagOp::HtoD { len, .. } => (OpClass::HtoD, len),
-            DagOp::Sort { batch } => (OpClass::GpuSort, self.plan.batches[batch].len),
-            DagOp::DtoH { len, .. } => (OpClass::DtoH, len),
-            // Merges errored out above.
-            _ => (OpClass::PinnedAlloc, ps),
+        let elem = self.plan.config.elem_bytes.bytes();
+        let bytes = match *op {
+            DagOp::PinnedAlloc { bytes, .. } => bytes,
+            DagOp::StagingCopy { len, .. } | DagOp::HtoD { len, .. } | DagOp::DtoH { len, .. } => {
+                len as u64 * elem
+            }
+            DagOp::Sort { batch } => self.plan.batches[batch].len as u64 * elem,
+            // Not stream-bound: errored out above.
+            DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge { .. } => 0,
         };
-        let bytes = (elems as u64 * self.plan.config.elem_bytes.bytes()) as f64;
-        let mut span = ObsSpan::new(
-            class,
-            match batch {
-                Some(b) => format!("{} b{b}.s{}", class.name(), self.stream),
-                None => format!("{} s{}", class.name(), self.stream),
-            },
-            span_start,
-            self.t0.elapsed().as_secs_f64(),
-        )
-        .on_stream(self.stream)
-        .with_bytes(bytes);
-        if let Some(b) = batch {
-            span = span.for_batch(b as u64);
-            span.gpu = Some(self.plan.physical_gpu(self.plan.batches[b].gpu));
-        }
+        let span = ObsSpan {
+            bytes: bytes as f64,
+            t_start: span_start,
+            t_end: self.t0.elapsed().as_secs_f64(),
+            ..node_span(self.plan, si, node)
+        };
         self.span_log.push(span);
         Ok(())
     }

@@ -12,8 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use hetsort_obs::MetricsRegistry;
-use hetsort_sim::Timeline;
+use hetsort_obs::{MetricsRegistry, ObsSpan};
+use hetsort_sim::{OpId, Timeline};
 use hetsort_vgpu::tags;
 
 /// What the executor had to do to survive faults during a functional
@@ -120,6 +120,12 @@ pub struct TimingReport {
     pub launch_s: f64,
     /// The timeline, for Gantt rendering and further analysis.
     pub timeline: Timeline,
+    /// The span skeleton of every op the run reports, keyed by the op
+    /// whose timeline span supplies its times and work: one per dag
+    /// node ([`crate::dag::node_span`]) plus the node-less per-stream
+    /// start-skew barriers. Empty for a report assembled from a bare
+    /// timeline.
+    pub op_spans: Vec<(OpId, ObsSpan)>,
 }
 
 impl TimingReport {
@@ -162,6 +168,7 @@ impl TimingReport {
             sync_s,
             launch_s,
             timeline,
+            op_spans: Vec::new(),
         }
     }
 
@@ -175,11 +182,20 @@ impl TimingReport {
         self.components.get(name).copied()
     }
 
-    /// The run as a structured metrics registry: every simulator span
-    /// folded into the observability vocabulary, with the embedded
-    /// sync/launch latencies surfaced as counters.
+    /// The run as a structured metrics registry: each of
+    /// [`TimingReport::op_spans`] with its op's simulated times and
+    /// work, and the embedded sync/launch latencies as counters.
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = hetsort_obs::registry_from_timeline(&self.timeline);
+        let spans = self.op_spans.iter().map(|(op, skeleton)| {
+            let s = self.timeline.span(*op);
+            ObsSpan {
+                bytes: s.work,
+                t_start: s.t_start,
+                t_end: s.t_end,
+                ..skeleton.clone()
+            }
+        });
+        let mut reg = MetricsRegistry::from_spans(spans.collect());
         reg.add_counter("sim.sync_s", self.sync_s);
         reg.add_counter("sim.launch_s", self.launch_s);
         reg

@@ -90,7 +90,7 @@ pub fn chrome_trace(reg: &MetricsRegistry, process_label: &str) -> String {
         }
         events.push(Json::obj(vec![
             ("ph", Json::s("X")),
-            ("name", Json::s(s.label.clone())),
+            ("name", Json::s(s.to_string())),
             ("cat", Json::s(s.class.name())),
             ("pid", Json::n(span_pid(s.gpu) as f64)),
             ("tid", Json::n(span_tid(s.stream) as f64)),
@@ -212,19 +212,20 @@ mod tests {
 
     fn sample_registry() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
-        r.record(
-            ObsSpan::new(OpClass::HtoD, "HtoD b0", 0.0, 1.0)
-                .on_gpu(0)
-                .on_stream(0)
-                .with_bytes(1024.0),
-        );
-        r.record(
-            ObsSpan::new(OpClass::GpuSort, "GPUSort b0", 1.0, 2.0)
-                .on_gpu(0)
-                .on_stream(0)
-                .for_batch(0),
-        );
-        r.record(ObsSpan::new(OpClass::PairMerge, "PairMerge 0+1", 2.0, 3.0));
+        let on_gpu0 = |class, t0, t1| ObsSpan {
+            gpu: Some(0),
+            stream: Some(0),
+            ..ObsSpan::new(class, t0, t1)
+        };
+        r.record(ObsSpan {
+            bytes: 1024.0,
+            ..on_gpu0(OpClass::HtoD, 0.0, 1.0)
+        });
+        r.record(ObsSpan {
+            batch: Some(0),
+            ..on_gpu0(OpClass::GpuSort, 1.0, 2.0)
+        });
+        r.record(ObsSpan::new(OpClass::PairMerge, 2.0, 3.0));
         r
     }
 
@@ -248,7 +249,7 @@ mod tests {
     #[test]
     fn timestamps_are_relative_microseconds() {
         let mut r = MetricsRegistry::new();
-        r.record(ObsSpan::new(OpClass::Sync, "late", 10.0, 10.5));
+        r.record(ObsSpan::new(OpClass::Sync, 10.0, 10.5));
         let text = chrome_trace(&r, "x");
         let doc = Json::parse(&text).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
@@ -263,8 +264,8 @@ mod tests {
     #[test]
     fn nesting_depth_is_observed() {
         let mut r = MetricsRegistry::new();
-        r.record(ObsSpan::new(OpClass::Other, "outer", 0.0, 4.0));
-        r.record(ObsSpan::new(OpClass::Sync, "inner", 1.0, 2.0));
+        r.record(ObsSpan::other("outer", 0.0, 4.0));
+        r.record(ObsSpan::new(OpClass::Sync, 1.0, 2.0));
         let sum = validate_chrome(&chrome_trace(&r, "nest")).unwrap();
         assert_eq!(sum.max_depth, 2);
     }

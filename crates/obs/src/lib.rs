@@ -8,9 +8,10 @@
 //! * [`span`] — the span vocabulary: every operation the pipeline
 //!   performs is one [`ObsSpan`] tagged with an [`OpClass`]
 //!   (`HtoD`/`DtoH`/`GpuSort`/`StagingCopy`/`PairMerge`/
-//!   `MultiwayMerge`/`PinnedAlloc`/`Sync`), stream/GPU id, and bytes.
-//!   Both the DES engine ([`spans_from_timeline`]) and the functional
-//!   executors (`hetsort-core`) emit into it.
+//!   `MultiwayMerge`/`PinnedAlloc`/`Sync`), the dag node it ran,
+//!   stream/GPU id, and bytes. The simulator and the functional
+//!   executors (`hetsort-core`) both place a node's span by one rule
+//!   and add only times and bytes.
 //! * [`registry`] — [`MetricsRegistry`]: per-class totals (busy,
 //!   union, bytes, count), named counters (recovery stats), overlap
 //!   ratio, bus utilization, and the literature-vs-full accounting
@@ -33,13 +34,11 @@ pub mod chrome;
 pub mod json;
 pub mod registry;
 pub mod span;
-pub mod timeline;
 
 pub use chrome::{chrome_trace, validate_chrome, ChromeSummary};
 pub use json::Json;
 pub use registry::{ClassStats, MetricsRegistry};
 pub use span::{ObsSpan, OpClass};
-pub use timeline::{registry_from_timeline, spans_from_timeline};
 
 /// Exit code of a binary whose report went to stdout, shared by
 /// `hetsort` and `experiments`: a closed pipe (`… | head -1`) means the

@@ -40,7 +40,8 @@ pub struct MetricsRegistry {
     counters: BTreeMap<String, f64>,
 }
 
-/// Canonical total order on spans: time, class, placement, size, label.
+/// Canonical total order on spans: time, class, placement, size, then
+/// node, worker and free text.
 fn span_cmp(a: &ObsSpan, b: &ObsSpan) -> Ordering {
     a.t_start
         .total_cmp(&b.t_start)
@@ -51,7 +52,9 @@ fn span_cmp(a: &ObsSpan, b: &ObsSpan) -> Ordering {
         .then(a.batch.cmp(&b.batch))
         .then(a.job.cmp(&b.job))
         .then(a.bytes.total_cmp(&b.bytes))
-        .then(a.label.cmp(&b.label))
+        .then(a.node.cmp(&b.node))
+        .then(a.worker.cmp(&b.worker))
+        .then(a.text.cmp(&b.text))
 }
 
 /// Length of the union of intervals; sorts in place.
@@ -307,14 +310,18 @@ mod tests {
     use super::*;
 
     fn span(class: OpClass, t0: f64, t1: f64) -> ObsSpan {
-        ObsSpan::new(class, format!("{}@{t0}", class.name()), t0, t1)
+        ObsSpan::new(class, t0, t1)
     }
 
     #[test]
     fn class_stats_and_totals() {
         let mut r = MetricsRegistry::new();
-        r.record(span(OpClass::HtoD, 0.0, 1.0).with_bytes(8.0));
-        r.record(span(OpClass::HtoD, 0.5, 1.5).with_bytes(8.0));
+        for (t0, t1) in [(0.0, 1.0), (0.5, 1.5)] {
+            r.record(ObsSpan {
+                bytes: 8.0,
+                ..span(OpClass::HtoD, t0, t1)
+            });
+        }
         r.record(span(OpClass::GpuSort, 1.5, 2.5));
         let h = r.class_stats(OpClass::HtoD);
         assert_eq!(h.count, 2);

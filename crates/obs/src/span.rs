@@ -5,8 +5,10 @@
 //! accounting counts `HtoD + DtoH + GpuSort (+ merges)`, the full
 //! accounting adds `StagingCopy`, `PinnedAlloc`, and `Sync`.
 
-/// Operation class of a span. The closed vocabulary every producer
-/// (simulator timeline, functional executors) maps into.
+use std::fmt;
+
+/// Operation class of a span: the closed vocabulary of every producer
+/// (the simulator, the functional executors, the service).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpClass {
     /// Host→device transfer over PCIe.
@@ -86,26 +88,6 @@ impl OpClass {
         }
     }
 
-    /// Map a simulator/component tag name into the closed vocabulary.
-    /// The staging tags `MCpyIn`/`MCpyOut` both fold into
-    /// [`OpClass::StagingCopy`]; unknown tags fold into
-    /// [`OpClass::Other`] rather than being dropped.
-    pub fn from_tag(tag: &str) -> OpClass {
-        match tag {
-            "HtoD" => OpClass::HtoD,
-            "DtoH" => OpClass::DtoH,
-            "GPUSort" | "GpuSort" => OpClass::GpuSort,
-            "MCpyIn" | "MCpyOut" | "StagingCopy" => OpClass::StagingCopy,
-            "PairMerge" => OpClass::PairMerge,
-            "MultiwayMerge" => OpClass::MultiwayMerge,
-            "CpuMerge" => OpClass::CpuMerge,
-            "PinnedAlloc" => OpClass::PinnedAlloc,
-            "Sync" => OpClass::Sync,
-            "CpuPart" => OpClass::CpuPart,
-            _ => OpClass::Other,
-        }
-    }
-
     /// Parse a display name back into a class (exact match only).
     pub fn parse(name: &str) -> Option<OpClass> {
         OpClass::ALL.iter().copied().find(|c| c.name() == name)
@@ -125,13 +107,22 @@ impl OpClass {
 /// and when (seconds relative to the run's origin — simulated time for
 /// the DES engine, wall clock since run start for the functional
 /// executors).
+///
+/// Spans carry fields, not names: a span of a dag node has its `node`
+/// and the placement `core::dag::node_span` derives from it, and the
+/// display name is rendered from those fields at export
+/// ([`fmt::Display`]). Only node-less [`OpClass::Other`] spans
+/// (failover, pool events, queue waits) carry free `text`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsSpan {
     /// Operation class.
     pub class: OpClass,
-    /// Human-readable detail (`"HtoD b2.c1"`).
-    pub label: String,
-    /// GPU the op touched, if any.
+    /// Dag node the span executed, if any. A [`OpClass::CpuPart`] span
+    /// carries its parent merge's node.
+    pub node: Option<u32>,
+    /// CPU worker of a [`OpClass::CpuPart`] span.
+    pub worker: Option<u32>,
+    /// Physical GPU the op touched, if any.
     pub gpu: Option<usize>,
     /// Stream the op ran in, if any (host-side merges have none).
     pub stream: Option<usize>,
@@ -148,14 +139,18 @@ pub struct ObsSpan {
     pub t_start: f64,
     /// End time, seconds.
     pub t_end: f64,
+    /// What a node-less [`OpClass::Other`] span records
+    /// (`"failover: GPU(s) 0 lost …"`); `None` everywhere else.
+    pub text: Option<String>,
 }
 
 impl ObsSpan {
-    /// Build a span covering `[t_start, t_end]`.
-    pub fn new(class: OpClass, label: impl Into<String>, t_start: f64, t_end: f64) -> ObsSpan {
+    /// Build a span of `class` covering `[t_start, t_end]`.
+    pub fn new(class: OpClass, t_start: f64, t_end: f64) -> ObsSpan {
         ObsSpan {
             class,
-            label: label.into(),
+            node: None,
+            worker: None,
             gpu: None,
             stream: None,
             batch: None,
@@ -163,36 +158,21 @@ impl ObsSpan {
             bytes: 0.0,
             t_start,
             t_end,
+            text: None,
         }
     }
 
-    /// Set the GPU id.
-    pub fn on_gpu(mut self, gpu: usize) -> Self {
-        self.gpu = Some(gpu);
-        self
-    }
-
-    /// Set the stream id.
-    pub fn on_stream(mut self, stream: usize) -> Self {
-        self.stream = Some(stream);
-        self
-    }
-
-    /// Set the batch correlation key.
-    pub fn for_batch(mut self, batch: u64) -> Self {
-        self.batch = Some(batch);
-        self
+    /// An [`OpClass::Other`] span outside any dag, described by `text`.
+    pub fn other(text: impl Into<String>, t_start: f64, t_end: f64) -> ObsSpan {
+        ObsSpan {
+            text: Some(text.into()),
+            ..ObsSpan::new(OpClass::Other, t_start, t_end)
+        }
     }
 
     /// Set the serve-layer job correlation key.
     pub fn for_job(mut self, job: u64) -> Self {
         self.job = Some(job);
-        self
-    }
-
-    /// Set the byte/work volume.
-    pub fn with_bytes(mut self, bytes: f64) -> Self {
-        self.bytes = bytes;
         self
     }
 
@@ -202,30 +182,39 @@ impl ObsSpan {
     }
 }
 
+/// The span's display name: its `text` when it has one, else the class
+/// followed by whichever of node, batch, stream, worker and job it
+/// carries (`"HtoD n17 b2 s1"`, `"CpuPart n40 w3"`).
+impl fmt::Display for ObsSpan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(text) = &self.text {
+            return f.write_str(text);
+        }
+        f.write_str(self.class.name())?;
+        let fields = [
+            ('n', self.node.map(u64::from)),
+            ('b', self.batch),
+            ('s', self.stream.map(|s| s as u64)),
+            ('w', self.worker.map(u64::from)),
+            ('j', self.job),
+        ];
+        for (key, value) in fields {
+            if let Some(v) = value {
+                write!(f, " {key}{v}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn tag_mapping_covers_component_taxonomy() {
-        assert_eq!(OpClass::from_tag("HtoD"), OpClass::HtoD);
-        assert_eq!(OpClass::from_tag("DtoH"), OpClass::DtoH);
-        assert_eq!(OpClass::from_tag("GPUSort"), OpClass::GpuSort);
-        assert_eq!(OpClass::from_tag("MCpyIn"), OpClass::StagingCopy);
-        assert_eq!(OpClass::from_tag("MCpyOut"), OpClass::StagingCopy);
-        assert_eq!(OpClass::from_tag("PinnedAlloc"), OpClass::PinnedAlloc);
-        assert_eq!(OpClass::from_tag("PairMerge"), OpClass::PairMerge);
-        assert_eq!(OpClass::from_tag("MultiwayMerge"), OpClass::MultiwayMerge);
-        assert_eq!(OpClass::from_tag("Sync"), OpClass::Sync);
-        assert_eq!(OpClass::from_tag("RefSort"), OpClass::Other);
-        assert_eq!(OpClass::from_tag("GpuMerge"), OpClass::Other);
-    }
-
-    #[test]
     fn names_round_trip() {
         for c in OpClass::ALL {
             assert_eq!(OpClass::parse(c.name()), Some(c), "{c:?}");
-            assert_eq!(OpClass::from_tag(c.name()), c, "{c:?}");
         }
         assert_eq!(OpClass::parse("nope"), None);
     }
@@ -240,18 +229,30 @@ mod tests {
 
     #[test]
     fn builder_and_duration() {
-        let s = ObsSpan::new(OpClass::HtoD, "HtoD b0.c0", 1.0, 2.5)
-            .on_gpu(1)
-            .on_stream(3)
-            .for_batch(7)
-            .for_job(9)
-            .with_bytes(4096.0);
-        assert_eq!(s.gpu, Some(1));
-        assert_eq!(s.stream, Some(3));
-        assert_eq!(s.batch, Some(7));
+        let s = ObsSpan::new(OpClass::HtoD, 1.0, 2.5).for_job(9);
+        assert_eq!((s.gpu, s.stream, s.batch, s.node), (None, None, None, None));
         assert_eq!(s.job, Some(9));
         assert!((s.duration() - 1.5).abs() < 1e-12);
-        let degenerate = ObsSpan::new(OpClass::Sync, "s", 2.0, 1.0);
+        let degenerate = ObsSpan::new(OpClass::Sync, 2.0, 1.0);
         assert_eq!(degenerate.duration(), 0.0);
+    }
+
+    #[test]
+    fn display_renders_the_fields() {
+        let s = ObsSpan {
+            node: Some(17),
+            batch: Some(2),
+            stream: Some(1),
+            gpu: Some(0),
+            ..ObsSpan::new(OpClass::HtoD, 0.0, 1.0)
+        };
+        assert_eq!(s.to_string(), "HtoD n17 b2 s1");
+        let mut part = ObsSpan::new(OpClass::CpuPart, 0.0, 1.0).for_job(4);
+        (part.node, part.worker) = (Some(40), Some(3));
+        assert_eq!(part.to_string(), "CpuPart n40 w3 j4");
+        assert_eq!(ObsSpan::new(OpClass::Sync, 0.0, 0.0).to_string(), "Sync");
+        let failover = ObsSpan::other("failover: GPU(s) 0 lost", 0.0, 1.0).for_job(1);
+        assert_eq!(failover.class, OpClass::Other);
+        assert_eq!(failover.to_string(), "failover: GPU(s) 0 lost");
     }
 }

@@ -14,21 +14,39 @@ fn random_span(rng: &mut Rng) -> ObsSpan {
     let class = *rng.pick(&OpClass::ALL);
     let t0 = rng.f64_in(0.0, 100.0);
     let dur = rng.f64_in(0.0, 10.0);
-    let mut s = ObsSpan::new(class, format!("{} x", class.name()), t0, t0 + dur)
-        .with_bytes(rng.f64_in(0.0, 1e9));
-    if rng.bool() {
-        s = s.on_gpu(rng.usize_in(0, 3));
-    }
-    if rng.bool() {
-        s = s.on_stream(rng.usize_in(0, 7));
-    }
-    if rng.bool() {
-        s = s.for_batch(rng.u64_in(0, 99));
-    }
-    if rng.bool() {
-        s = s.for_job(rng.u64_in(0, 9));
-    }
+    let mut s = ObsSpan {
+        bytes: rng.f64_in(0.0, 1e9),
+        ..ObsSpan::new(class, t0, t0 + dur)
+    };
+    draw_tie_breaks(rng, &mut s);
+    s.gpu = rng.bool().then(|| rng.usize_in(0, 3));
+    s.stream = rng.bool().then(|| rng.usize_in(0, 7));
+    s.batch = rng.bool().then(|| rng.u64_in(0, 99));
+    s.job = rng.bool().then(|| rng.u64_in(0, 9));
     s
+}
+
+/// Draw the keys the canonical order compares last — node, worker and
+/// text — from a few values each, so twins collide on some of them.
+fn draw_tie_breaks(rng: &mut Rng, s: &mut ObsSpan) {
+    s.node = rng.bool().then(|| rng.u32_in(0, 3));
+    s.worker = (s.class == OpClass::CpuPart && rng.bool()).then(|| rng.u32_in(0, 3));
+    s.text =
+        (s.class == OpClass::Other && rng.bool()).then(|| format!("event {}", rng.u64_in(0, 2)));
+}
+
+/// A copy of `s` that may differ only in node, worker and text: it
+/// ties with `s` on every key before them, so only those keys order
+/// the two.
+fn twin(rng: &mut Rng, s: &ObsSpan) -> ObsSpan {
+    let mut t = s.clone();
+    draw_tie_breaks(rng, &mut t);
+    t
+}
+
+/// The registry's spans in canonical order.
+fn canonical(reg: &MetricsRegistry) -> Vec<ObsSpan> {
+    reg.sorted_spans().into_iter().cloned().collect()
 }
 
 fn shuffle<T>(rng: &mut Rng, xs: &mut [T]) {
@@ -62,9 +80,15 @@ fn fingerprint(reg: &MetricsRegistry) -> Vec<u64> {
 fn prop_totals_are_permutation_invariant() {
     run_cases("permutation invariance", 60, |rng| {
         let n = rng.usize_in(1, 120);
-        let spans: Vec<ObsSpan> = (0..n).map(|_| random_span(rng)).collect();
+        let mut spans: Vec<ObsSpan> = (0..n).map(|_| random_span(rng)).collect();
+        for _ in 0..rng.usize_in(0, n) {
+            let of = rng.usize_in(0, n);
+            let t = twin(rng, &spans[of]);
+            spans.push(t);
+        }
         let reference = MetricsRegistry::from_spans(spans.clone());
         let want = fingerprint(&reference);
+        let order = canonical(&reference);
 
         // Any shuffle, recorded one by one.
         let mut shuffled = spans.clone();
@@ -75,6 +99,11 @@ fn prop_totals_are_permutation_invariant() {
         }
         if fingerprint(&one_by_one) != want {
             return Err("shuffled one-by-one differs from reference".into());
+        }
+        // The canonical order is total over the span's fields, twins
+        // included: no insertion order survives into it.
+        if canonical(&one_by_one) != order {
+            return Err("shuffled one-by-one sorts differently from reference".into());
         }
 
         // Any partitioning into sub-registries, merged in random order.
@@ -92,7 +121,7 @@ fn prop_totals_are_permutation_invariant() {
         for p in parts {
             merged.merge(p);
         }
-        if fingerprint(&merged) != want {
+        if fingerprint(&merged) != want || canonical(&merged) != order {
             return Err("partitioned merge differs from reference".into());
         }
         Ok(())
@@ -165,11 +194,11 @@ fn prop_nesting_depth_is_preserved() {
         let mut spans = Vec::new();
         for d in 0..depth {
             let pad = d as f64;
-            spans.push(
-                ObsSpan::new(OpClass::GpuSort, format!("nest {d}"), pad, 100.0 - pad)
-                    .on_gpu(0)
-                    .on_stream(0),
-            );
+            spans.push(ObsSpan {
+                gpu: Some(0),
+                stream: Some(0),
+                ..ObsSpan::new(OpClass::GpuSort, pad, 100.0 - pad)
+            });
         }
         shuffle(rng, &mut spans);
         let reg = MetricsRegistry::from_spans(spans);

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use hetsort_analyze::Residency;
 use hetsort_core::{execute_dag, simulate_dag, HetSortError, Plan, PlanDag};
-use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
+use hetsort_obs::{MetricsRegistry, ObsSpan};
 
 use crate::admission::{footprint_max, AdmissionController, ServeBudget};
 use crate::job::{JobReport, SortJob};
@@ -464,8 +464,7 @@ impl SortService {
         match ev.kind {
             PoolEventKind::Lose => {
                 metrics.add_counter("pool_losses", 1.0);
-                outcome.metrics.record(ObsSpan::new(
-                    OpClass::Other,
+                outcome.metrics.record(ObsSpan::other(
                     format!("pool: GPU {} lost", ev.gpu),
                     now,
                     now,
@@ -498,8 +497,7 @@ impl SortService {
             }
             PoolEventKind::Join => {
                 metrics.add_counter("pool_joins", 1.0);
-                outcome.metrics.record(ObsSpan::new(
-                    OpClass::Other,
+                outcome.metrics.record(ObsSpan::other(
                     format!("pool: GPU {} joined", ev.gpu),
                     now,
                     now,
@@ -806,13 +804,11 @@ impl SortService {
             // Queue wait + the job's simulated op spans, shifted onto
             // the service clock and tagged with the job id. Recorded
             // into the registry only if the job survives to completion.
-            let mut spans = vec![ObsSpan::new(
-                OpClass::Other,
-                format!("queue-wait j{}", q.id),
-                q.job.arrival_s,
-                start,
-            )
-            .for_job(q.id)];
+            let mut spans =
+                vec![
+                    ObsSpan::other(format!("queue-wait j{}", q.id), q.job.arrival_s, start)
+                        .for_job(q.id),
+                ];
             spans.extend(sim.metrics().spans().iter().map(|s| {
                 let mut s = s.clone().for_job(q.id);
                 s.t_start += start;

@@ -12,10 +12,11 @@
 //!   the reference CPU sort — hybrid routing, the staging protocol and
 //!   the worker count change *where and when* work runs, never what it
 //!   computes.
-//! * **Worker counts** additionally agree on the failover span labels,
-//!   and on fault-free runs on recovery stats and the span multiset
-//!   (class × label): the worker count is a resource parameter of one
-//!   engine, so the observable schedule is the inline run's.
+//! * **Worker counts** additionally agree on the failover span texts,
+//!   and on fault-free runs on recovery stats and every span's
+//!   placement (node × class × stream × batch × GPU): the worker count
+//!   is a resource parameter of one engine, so the observable schedule
+//!   is the inline run's.
 //! * Hybrid dags — including the all-CPU `Fraction(1.0)` extreme —
 //!   pass [`analyze_dag`] with zero findings: the re-typed nodes keep
 //!   the validator's producer keys and the lowered trace's sync edges.
@@ -77,17 +78,28 @@ fn all_bits<T: Bits>(xs: &[T]) -> Vec<(u64, u64)> {
     xs.iter().map(Bits::bits).collect()
 }
 
-/// Span multiset keyed on (class, label). `CpuPart` spans are the
+/// Where each span sits: `(node, class, stream, batch, gpu)`, the
+/// fields [`hetsort::core::dag::node_span`] places. Counted as a
+/// multiset so a node run twice shows. `CpuPart` spans are the
 /// per-worker breakdown of a parallel merge region — their count
 /// depends on how the self-scheduler happened to split the region, so
 /// they are structure, not schedule, and are excluded.
-fn span_multiset(reg: &MetricsRegistry) -> BTreeMap<(OpClass, String), usize> {
+type Placement = (
+    Option<u32>,
+    OpClass,
+    Option<usize>,
+    Option<u64>,
+    Option<usize>,
+);
+
+fn span_placements(reg: &MetricsRegistry) -> BTreeMap<Placement, usize> {
     let mut m = BTreeMap::new();
     for s in reg.spans() {
         if s.class == OpClass::CpuPart {
             continue;
         }
-        *m.entry((s.class, s.label.clone())).or_insert(0) += 1;
+        *m.entry((s.node, s.class, s.stream, s.batch, s.gpu))
+            .or_insert(0) += 1;
     }
     m
 }
@@ -108,16 +120,16 @@ fn lowering_grid() -> Vec<(String, HybridMode, StagingMode)> {
     grid
 }
 
-/// The failover span labels of a run, sorted.
-fn failover_labels(reg: &MetricsRegistry) -> Vec<String> {
-    let mut labels: Vec<String> = reg
+/// The failover span texts of a run, sorted.
+fn failover_texts(reg: &MetricsRegistry) -> Vec<&str> {
+    let mut texts: Vec<&str> = reg
         .spans()
         .iter()
-        .filter(|s| s.label.starts_with("failover"))
-        .map(|s| s.label.clone())
+        .filter_map(|s| s.text.as_deref())
+        .filter(|t| t.starts_with("failover"))
         .collect();
-    labels.sort();
-    labels
+    texts.sort_unstable();
+    texts
 }
 
 /// Run one config at both worker counts — inline (`workers = 0`) and
@@ -155,14 +167,14 @@ where
         "{label}: pair-merge counts differ"
     );
     assert_eq!(
-        failover_labels(&inline.metrics),
-        failover_labels(&pooled.metrics),
+        failover_texts(&inline.metrics),
+        failover_texts(&pooled.metrics),
         "{label}: worker counts disagree on the failover spans"
     );
     // Which stream meets an injected fault depends on the pooled
     // interleaving; without faults the worker count must be
     // observationally invisible: identical recovery stats and span
-    // multiset, not just identical bytes.
+    // placements, not just identical bytes.
     if mk().faults.is_none() {
         assert_eq!(
             inline.recovery,
@@ -172,9 +184,9 @@ where
             pooled.recovery.summary()
         );
         assert_eq!(
-            span_multiset(&inline.metrics),
-            span_multiset(&pooled.metrics),
-            "{label}: worker count changes the span multiset"
+            span_placements(&inline.metrics),
+            span_placements(&pooled.metrics),
+            "{label}: worker count changes the span placements"
         );
     }
     inline

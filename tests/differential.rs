@@ -1,53 +1,107 @@
 //! Differential tests: the simulated executor and both functional
 //! executors replay the *same plan*, so for every shipped configuration
 //! they must agree — bit-identical sorted output between the
-//! single-threaded and multi-threaded real executors, and the same
-//! metric *structure* (span classes, ratio ranges, interval sanity)
-//! across all three observability exports.
+//! single-threaded and multi-threaded real executors, the same metric
+//! *structure* (ratio ranges, interval sanity) across all three
+//! observability exports, and the same placement of every dag node's
+//! span: class, stream, batch and GPU, node by node.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hetsort::algos::introsort::introsort;
 use hetsort::core::exec_real::sort_real_plan;
 use hetsort::core::exec_real_mt::sort_real_parallel;
 use hetsort::core::exec_sim::simulate_plan;
-use hetsort::core::{Approach, HetSortConfig, Plan};
+use hetsort::core::{Approach, HetSortConfig, Plan, StagingMode};
 use hetsort::obs::{MetricsRegistry, OpClass};
 use hetsort::vgpu::{platform1, platform2};
 use hetsort::workloads::{generate, Distribution};
 
 /// The seeded config matrix: all five shipped configurations on both
-/// platforms, with a batch size that does NOT divide n so the last
-/// batch is short (uneven-batch coverage).
+/// platforms under both staging protocols, with a batch size that does
+/// NOT divide n so the last batch is short (uneven-batch coverage).
 fn matrix() -> Vec<(String, HetSortConfig, usize)> {
     let mut out = Vec::new();
     for plat in [platform1(), platform2()] {
-        let base = |a| {
-            HetSortConfig::paper_defaults(plat.clone(), a)
-                .with_batch_elems(7_000)
-                .with_pinned_elems(1_500)
-        };
-        // BLine is single-batch: n = b_s exactly.
-        out.push((format!("{}/BLine", plat.name), base(Approach::BLine), 7_000));
-        for a in [
-            Approach::BLineMulti,
-            Approach::PipeData,
-            Approach::PipeMerge,
-        ] {
-            // 30_000 / 7_000 → 5 batches, last one 2_000 elements.
-            out.push((format!("{}/{}", plat.name, a.name()), base(a), 30_000));
+        for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
+            let name = |a: &str| format!("{}/{}/{a}", plat.name, staging.name());
+            let base = |a| {
+                HetSortConfig::paper_defaults(plat.clone(), a)
+                    .with_batch_elems(7_000)
+                    .with_pinned_elems(1_500)
+                    .with_staging(staging)
+            };
+            // BLine is single-batch: n = b_s exactly.
+            out.push((name("BLine"), base(Approach::BLine), 7_000));
+            for a in [
+                Approach::BLineMulti,
+                Approach::PipeData,
+                Approach::PipeMerge,
+            ] {
+                // 30_000 / 7_000 → 5 batches, last one 2_000 elements.
+                out.push((name(a.name()), base(a), 30_000));
+            }
+            out.push((
+                name("ParMemCpy"),
+                base(Approach::PipeMerge).with_par_memcpy(),
+                30_000,
+            ));
         }
-        out.push((
-            format!("{}/ParMemCpy", plat.name),
-            base(Approach::PipeMerge).with_par_memcpy(),
-            30_000,
-        ));
     }
     out
 }
 
 fn classes(reg: &MetricsRegistry) -> BTreeSet<&'static str> {
     reg.classes().into_iter().map(|c| c.name()).collect()
+}
+
+/// Where a node's span sits: class, stream, batch, GPU.
+type Placement = (OpClass, Option<usize>, Option<u64>, Option<usize>);
+
+/// `node → placement` over a fault-free run's spans, checking on the
+/// way that each node recorded exactly one span, that each `CpuPart`
+/// breakdown names a merge node, that merges, pinned allocs and
+/// barriers carry no batch, and that the only node-less spans are the
+/// simulator's start-skew barriers.
+fn node_placements(label: &str, reg: &MetricsRegistry) -> BTreeMap<u32, Placement> {
+    let mut placed = BTreeMap::new();
+    let mut parts = Vec::new();
+    for s in reg.spans() {
+        let batchless = matches!(
+            s.class,
+            OpClass::PairMerge
+                | OpClass::CpuMerge
+                | OpClass::MultiwayMerge
+                | OpClass::PinnedAlloc
+                | OpClass::Sync
+                | OpClass::CpuPart
+        );
+        assert!(
+            !batchless || s.batch.is_none(),
+            "{label}: {s} carries a batch"
+        );
+        let Some(node) = s.node else {
+            assert_eq!(s.class, OpClass::Sync, "{label}: {s} has no node");
+            continue;
+        };
+        if s.class == OpClass::CpuPart {
+            parts.push(node);
+            continue;
+        }
+        let prev = placed.insert(node, (s.class, s.stream, s.batch, s.gpu));
+        assert!(prev.is_none(), "{label}: node {node} recorded twice");
+    }
+    for node in parts {
+        let class = placed.get(&node).map(|p| p.0);
+        assert!(
+            matches!(
+                class,
+                Some(OpClass::PairMerge | OpClass::CpuMerge | OpClass::MultiwayMerge)
+            ),
+            "{label}: CpuPart span of node {node}, a {class:?}"
+        );
+    }
+    placed
 }
 
 /// Structural invariants every registry must satisfy, whatever produced it.
@@ -108,23 +162,31 @@ fn executors_agree_on_output_and_metric_structure() {
         check_structure(&format!("{label}/real_mt"), &mt.metrics);
 
         // Both functional executors executed the same plan, so they must
-        // emit exactly the same span classes; the simulator sees at
-        // least those classes (it may add e.g. Sync as a separate span).
-        let st_classes = classes(&st.metrics);
-        let mt_classes = classes(&mt.metrics);
-        assert_eq!(st_classes, mt_classes, "{label}: class sets differ");
-        let sim_classes = classes(&sim_reg);
-        for c in &st_classes {
-            // CpuPart is the per-worker breakdown of the real merges —
-            // the simulator models merges as single calibrated spans and
-            // never emits it.
-            if *c == "CpuPart" {
-                continue;
+        // emit exactly the same span classes, CpuPart breakdowns
+        // included.
+        assert_eq!(
+            classes(&st.metrics),
+            classes(&mt.metrics),
+            "{label}: class sets differ"
+        );
+        // All three place every dag node's span alike: one placement
+        // rule, whichever executor ran the node.
+        let sim_nodes = node_placements(&format!("{label}/sim"), &sim_reg);
+        assert_eq!(
+            sim_nodes.keys().copied().collect::<Vec<_>>(),
+            (0..plan.steps.len() as u32).collect::<Vec<_>>(),
+            "{label}: the simulation skipped a node"
+        );
+        for (name, reg) in [("real", &st.metrics), ("real_mt", &mt.metrics)] {
+            let nodes = node_placements(&format!("{label}/{name}"), reg);
+            for (node, want) in &sim_nodes {
+                assert_eq!(
+                    nodes.get(node),
+                    Some(want),
+                    "{label}/{name}: node {node} placed unlike the simulation"
+                );
             }
-            assert!(
-                sim_classes.contains(c),
-                "{label}: class {c} in real run but not simulated ({sim_classes:?})"
-            );
+            assert_eq!(nodes.len(), sim_nodes.len(), "{label}/{name}");
         }
 
         // Literature accounting covers a strict subset of the classes.
