@@ -212,20 +212,11 @@ pub enum StagingMode {
 }
 
 impl StagingMode {
-    /// Stable CLI/display name.
+    /// Stable display name (model labels).
     pub fn name(&self) -> &'static str {
         match self {
             StagingMode::Paper => "paper",
             StagingMode::DoubleBuffered => "double",
-        }
-    }
-
-    /// Parse a CLI name (`"paper"` / `"double"`).
-    pub fn parse(s: &str) -> Option<StagingMode> {
-        match s {
-            "paper" | "single" => Some(StagingMode::Paper),
-            "double" | "db" | "double-buffered" => Some(StagingMode::DoubleBuffered),
-            _ => None,
         }
     }
 }
@@ -703,10 +694,6 @@ mod tests {
         assert!(c.double_buffered());
         let p = c.with_staging(StagingMode::Paper);
         assert!(!p.double_buffered());
-        for m in [StagingMode::Paper, StagingMode::DoubleBuffered] {
-            assert_eq!(StagingMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(StagingMode::parse("nope"), None);
     }
 
     #[test]

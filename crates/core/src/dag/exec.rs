@@ -1,10 +1,13 @@
 //! The one DAG engine behind every functional execution.
 //!
-//! [`execute_dag_opts`] schedules a [`PlanDag`]'s nodes (the `&Plan`
-//! entry points hand it `plan.steps` in place) through one
-//! [`ReadySet`] over *all* of them — merges included, released by
-//! their dag edges — and its only resource parameter is
-//! [`DagExecOptions::workers`]:
+//! [`execute_dag`] and [`execute_dag_pooled`] schedule a [`PlanDag`]'s
+//! nodes (the `&Plan` entry points hand them `plan.steps` in place)
+//! through one [`ReadySet`] over *all* of them — merges included,
+//! released by their dag edges — and the engine's only resource
+//! parameter is the number of stream `workers`. The test battery's
+//! hooks (tie-break, the schedule a model checker drives the inline
+//! engine with, seeded engine defects) are not parameters: they enter
+//! through [`crate::dag::mutate::execute_dag_hooked`].
 //!
 //! * `workers = 0` ([`execute_dag`]) runs every node inline on the
 //!   calling thread. Under [`crate::dag::TieBreak::MinId`] the ready
@@ -51,19 +54,6 @@ use crate::optrace::trace_nodes;
 use crate::plan::{MergeSrc, Plan};
 use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
-
-/// The engine's one knob. The test battery's hooks (tie-break, the
-/// schedule a model checker drives the inline engine with, seeded
-/// engine defects) are not options: they enter through
-/// [`crate::dag::mutate::execute_dag_hooked`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DagExecOptions {
-    /// Threads spawned to run the first pass's stream nodes while the
-    /// calling thread runs the merges. `0` (the default) runs every
-    /// node inline on the caller and spawns nothing. Output bits are
-    /// the same at every count; only wall-clock interleaving differs.
-    pub workers: usize,
-}
 
 /// Shared entry checks: data/plan agreement, element width, plan
 /// invariants, dag validity.
@@ -529,45 +519,8 @@ fn failover_span(lost: &BTreeSet<usize>, action: &str, start: f64, end: f64) -> 
     )
 }
 
-/// Execute the dag inline on the calling thread with default options
-/// (the pinned [`crate::dag::TieBreak::MinId`] determinism contract).
-///
-/// # Errors
-///
-/// As [`execute_dag_opts`].
-pub fn execute_dag<T>(dag: &PlanDag, data: &[T]) -> Result<RealOutcome<T>, HetSortError>
-where
-    T: RadixKey + SortOrd + Default,
-{
-    execute_dag_opts(dag, data, DagExecOptions::default())
-}
-
-/// Execute the dag with `workers` threads running the stream nodes and
-/// the calling thread running the merges — the engine behind
-/// [`crate::exec_real_mt::sort_real_parallel`].
-///
-/// Produces bit-identical output to [`execute_dag`]. With a fault
-/// injector armed, global occurrence counters are still exact, but
-/// *which* stream observes an occurrence depends on interleaving —
-/// concurrent fault tests should use single-stream configs or
-/// worker-addressed panics.
-///
-/// # Errors
-///
-/// As [`execute_dag_opts`].
-pub fn execute_dag_pooled<T>(
-    dag: &PlanDag,
-    data: &[T],
-    workers: usize,
-) -> Result<RealOutcome<T>, HetSortError>
-where
-    T: RadixKey + SortOrd + Default,
-{
-    execute_dag_opts(dag, data, DagExecOptions { workers })
-}
-
-/// The engine: execute `dag` over `data` under explicit
-/// [`DagExecOptions`].
+/// Execute the dag inline on the calling thread, spawning nothing (the
+/// pinned [`crate::dag::TieBreak::MinId`] determinism contract).
 ///
 /// # Errors
 ///
@@ -578,21 +531,35 @@ where
 /// when the recovery policy does not absorb an injected fault;
 /// [`HetSortError::WorkerPanic`] when a stream dies and CPU fallback is
 /// disabled.
-pub fn execute_dag_opts<T>(
+pub fn execute_dag<T>(dag: &PlanDag, data: &[T]) -> Result<RealOutcome<T>, HetSortError>
+where
+    T: RadixKey + SortOrd + Default,
+{
+    execute_nodes(&dag.plan, &dag.nodes, data, 0, EngineHooks::default())
+}
+
+/// Execute the dag with `workers` threads running the stream nodes and
+/// the calling thread running the merges — the engine behind
+/// [`crate::exec_real_mt::sort_real_parallel`].
+///
+/// Produces bit-identical output to [`execute_dag`]; `workers = 0` is
+/// that inline run. With a fault injector armed, global occurrence
+/// counters are still exact, but *which* stream observes an occurrence
+/// depends on interleaving — concurrent fault tests should use
+/// single-stream configs or worker-addressed panics.
+///
+/// # Errors
+///
+/// As [`execute_dag`].
+pub fn execute_dag_pooled<T>(
     dag: &PlanDag,
     data: &[T],
-    opts: DagExecOptions,
+    workers: usize,
 ) -> Result<RealOutcome<T>, HetSortError>
 where
     T: RadixKey + SortOrd + Default,
 {
-    execute_nodes(
-        &dag.plan,
-        &dag.nodes,
-        data,
-        opts.workers,
-        EngineHooks::default(),
-    )
+    execute_nodes(&dag.plan, &dag.nodes, data, workers, EngineHooks::default())
 }
 
 /// Threads one batch sort runs on: the host's parallelism divided among
@@ -608,7 +575,7 @@ fn latest<'a>(replans: &'a [Plan], base: (&'a Plan, &'a [DagNode])) -> (&'a Plan
     replans.last().map_or(base, |rp| (rp, rp.steps.as_slice()))
 }
 
-/// [`execute_dag_opts`] over borrowed parts: `nodes` is the dag to run,
+/// The engine, over borrowed parts: `nodes` is the dag to run,
 /// `plan` the geometry it indexes into. The `&Plan` entry points pass
 /// `&plan.steps` and so run the plan in place. `hooks` is the default
 /// everywhere but under the test battery.

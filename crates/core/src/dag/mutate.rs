@@ -24,8 +24,9 @@
 //! check (`verified == false`).
 //!
 //! [`execute_dag_hooked`] is the battery's way into the engine: the
-//! hooks it sets, a [`Schedule`] included, are deliberately not fields
-//! of the public [`crate::dag::exec::DagExecOptions`].
+//! hooks it sets, a [`Schedule`] included, are deliberately not
+//! parameters of the public [`crate::dag::exec::execute_dag`] and
+//! [`crate::dag::exec::execute_dag_pooled`].
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::verify::check_parts;
@@ -123,12 +124,12 @@ impl EngineHooks<'_> {
     }
 }
 
-/// [`crate::dag::exec::execute_dag_opts`] at `workers` with the test
+/// [`crate::dag::exec::execute_dag_pooled`] at `workers` with the test
 /// battery's `hooks` set.
 ///
 /// # Errors
 ///
-/// As [`crate::dag::exec::execute_dag_opts`].
+/// As [`crate::dag::exec::execute_dag`].
 pub fn execute_dag_hooked<T>(
     dag: &PlanDag,
     data: &[T],

@@ -60,7 +60,7 @@ pub mod report;
 pub use config::{
     Approach, ElemWidth, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy, StagingMode,
 };
-pub use dag::exec::{execute_dag, execute_dag_opts, execute_dag_pooled, DagExecOptions};
+pub use dag::exec::{execute_dag, execute_dag_pooled};
 pub use dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};
 pub use error::HetSortError;
 pub use exec_real::{sort_real, RealOutcome};

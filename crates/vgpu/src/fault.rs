@@ -336,6 +336,19 @@ impl FaultInjector {
         self.join_sched.iter().map(|&(gpu, _)| gpu).collect()
     }
 
+    /// The workers this injector is scheduled to panic, in schedule
+    /// order.
+    pub fn scheduled_panics(&self) -> Vec<usize> {
+        self.panics.iter().map(|&(worker, _)| worker).collect()
+    }
+
+    /// Whether the schedule holds device losses and nothing else.
+    pub fn schedules_only_losses(&self) -> bool {
+        self.schedule.iter().all(Vec::is_empty)
+            && self.panics.is_empty()
+            && self.join_sched.is_empty()
+    }
+
     /// Record one occurrence of `site`; `Some(occurrence)` if the
     /// schedule fails this one.
     pub fn trip(&self, site: FaultSite) -> Option<usize> {
@@ -408,6 +421,11 @@ mod tests {
         assert_eq!(inj.trip(FaultSite::DeviceAlloc), Some(2));
         assert!(!inj.should_panic(1));
         assert!(inj.should_panic(1));
+        assert_eq!(inj.scheduled_panics(), vec![1]);
+        assert!(!inj.schedules_only_losses());
+        assert!(FaultInjector::parse("lose:1@3,lose:0@2")
+            .unwrap()
+            .schedules_only_losses());
         assert!(!FaultInjector::parse("").unwrap().is_armed());
         assert!(matches!(
             FaultInjector::parse("gpu:1"),

@@ -1,6 +1,8 @@
 //! The `hetsort` command-line tool: simulate, sort, and visualize
 //! heterogeneous sorting pipelines. See `hetsort help`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::io::{self, Write};
 use std::process::ExitCode;
 
@@ -8,9 +10,11 @@ use hetsort::analyze::{
     analyze_plan, analyze_plan_with_trace, explore_plan, host_bound_bytes, host_peak_bytes,
     AnalysisReport, EngineModel, ExploreConfig,
 };
-use hetsort::cli::{parse, CliError, Command, RunArgs, ServeArgs, USAGE};
+use hetsort::cli::{parse, usage, Args, CliError, Command};
 use hetsort::core::dag::mutate::EngineHooks;
-use hetsort::core::{Approach, HetSortConfig, HetSortError, PairStrategy, Plan, StagingMode};
+use hetsort::core::{
+    Approach, HetSortConfig, HetSortError, PairStrategy, Plan, PlanDag, StagingMode,
+};
 use hetsort::obs::{chrome_trace, stdout_exit_code, Json, MetricsRegistry};
 use hetsort::serve::{
     clean_scenarios, synthetic_jobs, AdmissionModel, ServeBudget, ServeConfig, SortService,
@@ -21,34 +25,30 @@ use hetsort::workloads::{generate, Distribution};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = match parse(&args) {
-        Ok(c) => c,
+    let (command, args) = match parse(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::from(2);
         }
     };
     // Everything the CLI prints goes through this one locked writer, so
     // a reader that closes the pipe (`hetsort dag … | head -1`) surfaces
     // as an `io::Error` here instead of a `println!` panic.
-    let written = match run(cmd, &mut io::stdout().lock()) {
+    let written = match run(command, args, &mut io::stdout().lock()) {
         Ok(()) => Ok(()),
         Err(CliError::Io(e)) => Err(e),
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::from(if matches!(e, CliError::Usage(_)) {
-                2
-            } else {
-                1
-            });
+            return ExitCode::from(if let CliError::Usage(_) = e { 2 } else { 1 });
         }
     };
     stdout_exit_code("hetsort", written)
 }
 
-fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
-    match cmd {
-        Command::Help => writeln!(w, "{USAGE}")?,
+fn run(command: Command, r: Args, w: &mut impl Write) -> Result<(), CliError> {
+    match command {
+        Command::Help => writeln!(w, "{}", usage())?,
         Command::Platforms => {
             for p in [platform1(), platform2()] {
                 writeln!(
@@ -65,8 +65,8 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
                 )?;
             }
         }
-        Command::Simulate(r) => {
-            let plan = Plan::build(r.config()?, r.n)?;
+        Command::Simulate => {
+            let plan = r.plan()?;
             let analysis = r.analyze.then(|| analyze_plan(&plan));
             let report = hetsort::core::exec_sim::simulate_plan(&plan)?;
             writeln!(w, "{}", report.summary())?;
@@ -75,7 +75,7 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
                 "PCIe/bus utilization: {}",
                 utilization_line(&report.timeline)
             )?;
-            let ref_t = hetsort::core::reference::reference_time_full(&r.platform_spec()?, r.n);
+            let ref_t = hetsort::core::reference::reference_time_full(&r.platform, r.n);
             writeln!(
                 w,
                 "reference CPU sort: {ref_t:.3} s → speedup {:.2}x",
@@ -89,13 +89,9 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
                 require_clean(&plan, a, "static schedule")?;
             }
         }
-        Command::Sort(r) => {
+        Command::Sort => {
+            let plan = r.plan()?;
             let data = gen_input(r.n, r.seed)?;
-            let mut cfg = r.config()?;
-            if r.analyze {
-                cfg = cfg.with_trace_recording();
-            }
-            let plan = Plan::build(cfg, data.len())?;
             let static_analysis = r.analyze.then(|| analyze_plan(&plan));
             // Even a dirty schedule gets executed when --json asked for
             // observability output (the findings ship in the JSON); the
@@ -124,13 +120,10 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
             }
             if let Some(path) = &r.json {
                 // Merge both analyses into one findings list for export.
-                let merged = match (&static_analysis, &trace_analysis) {
-                    (Some(a), Some(b)) => Some(AnalysisReport {
-                        findings: a.findings.iter().chain(&b.findings).cloned().collect(),
-                    }),
-                    (Some(a), None) => Some(a.clone()),
-                    (None, b) => b.clone(),
-                };
+                let both = static_analysis.iter().chain(&trace_analysis);
+                let merged = r.analyze.then(|| AnalysisReport {
+                    findings: both.flat_map(|a| a.findings.clone()).collect(),
+                });
                 let doc = metrics_doc(&plan, "sort", &out.metrics, merged.as_ref());
                 write_output(path, &doc.pretty(), w)?;
             }
@@ -146,34 +139,26 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
                 }));
             }
         }
-        Command::Trace { run, chrome, real } => {
-            let plan = Plan::build(run.config()?, run.n)?;
-            let reg = if real {
+        Command::Trace => {
+            let plan = r.plan()?;
+            let reg = if r.real {
                 // Functional runs allocate ~3n×8 bytes on this host;
                 // refuse paper-scale n instead of thrashing swap.
-                if run.n > 200_000_000 {
+                if r.n > 200_000_000 {
                     return Err(CliError::Usage(format!(
                         "trace --real executes on this machine: use -n ≤ 2e8 (got {})",
-                        run.n
+                        r.n
                     )));
                 }
-                let data = gen_input(run.n, run.seed)?;
+                let data = gen_input(r.n, r.seed)?;
                 hetsort::core::exec_real::sort_real_plan(&plan, &data)?.metrics
             } else {
                 hetsort::core::exec_sim::simulate_plan(&plan)?.metrics()
             };
-            let label = format!(
-                "{}/{} n={}{}",
-                plan.config.platform.name,
-                plan.config.approach.name(),
-                plan.n,
-                if real {
-                    " (functional)"
-                } else {
-                    " (simulated)"
-                },
-            );
-            write_output(&chrome, &chrome_trace(&reg, &label), w)?;
+            let mode = if r.real { "functional" } else { "simulated" };
+            let (platform, approach) = (&plan.config.platform.name, plan.config.approach.name());
+            let label = format!("{platform}/{approach} n={} ({mode})", plan.n);
+            write_output(&r.chrome, &chrome_trace(&reg, &label), w)?;
             eprintln!(
                 "trace: {} spans over {:.6} s, overlap {:.3}, bus util {:.3}",
                 reg.spans().len(),
@@ -182,16 +167,16 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
                 reg.bus_util(),
             );
         }
-        Command::Gantt(r) => {
-            let gantt = gantt(&r)?;
-            writeln!(w, "{gantt}")?;
+        Command::Gantt => {
+            let report = hetsort::core::exec_sim::simulate_plan(&r.plan()?)?;
+            writeln!(w, "{}", report.timeline.gantt(100))?;
             writeln!(
                 w,
                 "legend: first letter of component (M=MCpy/MultiwayMerge, H=HtoD, D=DtoH, G=GPUSort, P=PinnedAlloc/PairMerge)"
             )?;
         }
-        Command::Dag(r) => {
-            let dag = hetsort::core::build_dag(r.config()?, r.n)?;
+        Command::Dag => {
+            let dag = PlanDag::from_plan(r.plan()?);
             writeln!(
                 w,
                 "{} on {}: n={} → {} nodes, {} dependency edges, {} streams, ready-front width ≤ {}",
@@ -223,24 +208,19 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
             }
             require_clean(&dag.plan, report, "op dag")?;
         }
-        Command::ServeSim(s) => serve_sim(&s, w)?,
-        Command::Analyze {
-            run,
-            matrix,
-            explore,
-            max_ops,
-        } => {
-            let ecfg = match max_ops {
+        Command::ServeSim => serve_sim(r, w)?,
+        Command::Analyze => {
+            let ecfg = match r.max_ops {
                 Some(m) => ExploreConfig::with_max_ops(m),
                 None => ExploreConfig::default(),
             };
-            if matrix {
+            if r.matrix {
                 analyze_matrix(w)?;
-                if explore {
+                if r.explore {
                     explore_matrix(&ecfg, w)?;
                 }
             } else {
-                let plan = Plan::build(run.config()?, run.n)?;
+                let plan = r.plan()?;
                 writeln!(
                     w,
                     "analyzing {} on {}: n={} → {} batches, {} streams, {} steps",
@@ -260,7 +240,7 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
                 let report = analyze_plan(&plan);
                 write!(w, "{report}")?;
                 require_clean(&plan, report, "static schedule")?;
-                if explore {
+                if r.explore {
                     explore_one(&plan, &ecfg, w)?;
                 }
             }
@@ -271,8 +251,8 @@ fn run(cmd: Command, w: &mut impl Write) -> Result<(), CliError> {
 
 /// `serve-sim`: run the multi-tenant service on the deterministic
 /// synthetic mix and report what happened.
-fn serve_sim(s: &ServeArgs, w: &mut impl Write) -> Result<(), CliError> {
-    let platform = s.platform_spec()?;
+fn serve_sim(s: Args, w: &mut impl Write) -> Result<(), CliError> {
+    let platform = &s.platform;
     let budget = ServeBudget {
         device_bytes: s.device_budget,
         pinned_bytes: s.pinned_budget,
@@ -281,12 +261,11 @@ fn serve_sim(s: &ServeArgs, w: &mut impl Write) -> Result<(), CliError> {
     if !s.no_coalesce {
         cfg = cfg.with_coalescing(MIX_COALESCE_ELEMS);
     }
-    let pool_events = s.pool_events()?;
-    if !pool_events.is_empty() {
-        writeln!(w, "chaos: {} pool event(s) scheduled", pool_events.len())?;
-        cfg = cfg.with_pool_events(pool_events);
+    if !s.chaos.is_empty() {
+        writeln!(w, "chaos: {} pool event(s) scheduled", s.chaos.len())?;
+        cfg = cfg.with_pool_events(s.chaos);
     }
-    let jobs = synthetic_jobs(&platform, s.jobs, s.seed);
+    let jobs = synthetic_jobs(platform, s.jobs, s.seed);
     let out = SortService::new(cfg).run(jobs);
 
     let verified = out.completed.iter().filter(|r| r.verified).count();
@@ -663,12 +642,6 @@ fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliErr
     let total = tally.verdict()?;
     writeln!(w, "all {total} explored models are clean")?;
     Ok(())
-}
-
-fn gantt(r: &RunArgs) -> Result<String, CliError> {
-    let plan = Plan::build(r.config()?, r.n)?;
-    let report = hetsort::core::exec_sim::simulate_plan(&plan)?;
-    Ok(report.timeline.gantt(100))
 }
 
 fn utilization_line(tl: &hetsort::sim::Timeline) -> String {

@@ -26,6 +26,9 @@
 
 // No unsafe anywhere in this crate — enforced, not assumed.
 #![forbid(unsafe_code)]
+// The CLI surfaces failures as typed errors, never panic paths; tests
+// are free to unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cli;
 

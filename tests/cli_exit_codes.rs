@@ -2,7 +2,7 @@
 //! input: a truncated exploration is exit 1, an oversized plan is a
 //! typed exit 1 (not an allocation abort), an explicit zero reaches
 //! validation instead of meaning "default", and a fractional count or
-//! a schedule naming a GPU the platform lacks is a usage error.
+//! a schedule naming a GPU or stream the run lacks is a usage error.
 
 use std::process::{Command, Output};
 
@@ -103,18 +103,20 @@ fn explicit_zero_overrides_are_config_errors() {
 
 #[test]
 fn schedules_naming_a_missing_gpu_are_usage_errors() {
-    for args in [
-        "sort -n 1000 --faults lose:5@1",
-        "sort -n 1000 --faults join:1@3",
-        "serve-sim --jobs 10 -p p1 --chaos lose:3@0.001",
+    for (args, names) in [
+        ("sort -n 1000 --faults lose:5@1", "PLATFORM1 has 1 GPU(s)"),
+        ("sort -n 1000 --faults join:1@3", "PLATFORM1 has 1 GPU(s)"),
+        (
+            "serve-sim --jobs 10 -p p1 --chaos lose:3@0.001",
+            "PLATFORM1 has 1 GPU(s)",
+        ),
+        // One batch, so one stream: there is no stream 9 to panic.
+        ("sort -n 1000 --faults panic:9@1", "has 1 stream(s)"),
     ] {
         let out = hetsort(args);
         let stderr = text(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
-        assert!(
-            stderr.contains("PLATFORM1 has 1 GPU(s)"),
-            "{args}: {stderr}"
-        );
+        assert!(stderr.contains(names), "{args}: {stderr}");
     }
     // GPU 1 exists on PLATFORM2.
     let out = hetsort("serve-sim --jobs 10 -p p2 --chaos lose:1@0.001");
