@@ -24,10 +24,9 @@
 //! The engine lives in [`exec`]; defect constructors for the kill suite
 //! live in [`mutate`].
 
+mod check;
 pub mod exec;
 pub mod mutate;
-
-use std::collections::BTreeMap;
 
 use hetsort_obs::{ObsSpan, OpClass};
 
@@ -280,390 +279,7 @@ impl PlanDag {
     /// [`PlanDag::validate`] over borrowed parts, so the `&Plan` entry
     /// points check `plan.steps` in place.
     pub(crate) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> {
-        let err = |reason: String| Err(HetSortError::Plan { reason });
-        let n = nodes.len();
-
-        // missing-ref: every dep must name an existing node.
-        for (i, node) in nodes.iter().enumerate() {
-            for &d in &node.deps {
-                if d >= n {
-                    return err(format!("missing-ref: node {i} references missing node {d}"));
-                }
-            }
-        }
-
-        // cycle: Kahn's algorithm must consume every node.
-        {
-            let mut indeg = vec![0usize; n];
-            let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (i, node) in nodes.iter().enumerate() {
-                indeg[i] = node.deps.len();
-                for &d in &node.deps {
-                    dependents[d].push(i);
-                }
-            }
-            let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-            let mut seen = 0usize;
-            while let Some(i) = queue.pop() {
-                seen += 1;
-                for &j in &dependents[i] {
-                    indeg[j] -= 1;
-                    if indeg[j] == 0 {
-                        queue.push(j);
-                    }
-                }
-            }
-            if seen != n {
-                return err(format!(
-                    "cycle: {} node(s) locked in a dependency cycle",
-                    n - seen
-                ));
-            }
-        }
-
-        // duplicate-producer: every artifact has exactly one producer.
-        {
-            let mut producers: BTreeMap<String, usize> = BTreeMap::new();
-            for (i, node) in nodes.iter().enumerate() {
-                let key = match &node.op {
-                    DagOp::PinnedAlloc { stream, dir_in, .. } => {
-                        format!("pinned s{stream} in={dir_in}")
-                    }
-                    DagOp::StagingCopy {
-                        batch,
-                        chunk,
-                        dir_in,
-                        ..
-                    } => format!("staging b{batch}.c{chunk} in={dir_in}"),
-                    DagOp::HtoD { batch, chunk, .. } => format!("htod b{batch}.c{chunk}"),
-                    DagOp::Sort { batch } => format!("sort b{batch}"),
-                    DagOp::DtoH { batch, chunk, .. } => format!("dtoh b{batch}.c{chunk}"),
-                    DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-                        format!("pair slot {slot}")
-                    }
-                    DagOp::MultiwayMerge { .. } => "multiway merge".to_string(),
-                };
-                if let Some(&j) = producers.get(&key) {
-                    return err(format!(
-                        "duplicate-producer: node {i} duplicates node {j} ({key})"
-                    ));
-                }
-                producers.insert(key, i);
-            }
-        }
-
-        // stream-bind: stream ops name a stream of the plan, merges none
-        // (the engine indexes per-stream interpreter state by it).
-        for (i, node) in nodes.iter().enumerate() {
-            let bound = match node.stream {
-                None => node.op.is_merge(),
-                Some(s) => !node.op.is_merge() && s < plan.total_streams,
-            };
-            if !bound {
-                return err(format!(
-                    "stream-bind: node {i} ({}) is bound to stream {:?} of {}",
-                    node.op.class_name(),
-                    node.stream,
-                    plan.total_streams
-                ));
-            }
-        }
-
-        // fifo: each stream's nodes (in id order) must chain via deps.
-        //
-        // Paper staging chains every node of a stream on one tail.
-        // Double-buffered staging splits each stream into a host lane
-        // (allocs + staging copies) and a device lane (HtoD/sort/DtoH)
-        // and demands, besides the per-lane chains, the explicit cross
-        // and buffer-reuse edges the relaxed discipline relies on.
-        // Every intra-stream edge the lowering emits is demanded here:
-        // the trace gives same-stream ops program order on one thread,
-        // so the happens-before analyzer can never see an intra-stream
-        // edge deletion — the structural validator must.
-        if !plan.config.double_buffered() {
-            let mut tail: BTreeMap<usize, usize> = BTreeMap::new();
-            for (i, node) in nodes.iter().enumerate() {
-                if let Some(s) = node.stream {
-                    if let Some(&prev) = tail.get(&s) {
-                        if !node.deps.contains(&prev) {
-                            return err(format!(
-                                "fifo: node {i} (stream {s}) missing dependency on stream predecessor {prev}"
-                            ));
-                        }
-                    }
-                    tail.insert(s, i);
-                }
-            }
-        } else {
-            let elided = plan.stage_out_elided();
-            #[derive(Default)]
-            struct LaneState {
-                host_tail: Option<usize>,
-                dev_tail: Option<usize>,
-                cur_batch: Option<usize>,
-                stagein: BTreeMap<usize, usize>,
-                htod: BTreeMap<usize, usize>,
-                dtoh: BTreeMap<usize, usize>,
-                sout: BTreeMap<usize, usize>,
-                prev_htod: Option<usize>,
-                prev_sout: Option<usize>,
-            }
-            let mut lanes: BTreeMap<usize, LaneState> = BTreeMap::new();
-            let demand = |i: usize, deps: &[usize], need: usize, what: &str| {
-                if deps.contains(&need) {
-                    Ok(())
-                } else {
-                    Err(HetSortError::Plan {
-                        reason: format!("fifo: node {i} missing {what} dependency on node {need}"),
-                    })
-                }
-            };
-            for (i, node) in nodes.iter().enumerate() {
-                let Some(s) = node.stream else { continue };
-                let st = lanes.entry(s).or_default();
-                // Batch boundary: the previous batch's last HtoD and
-                // StageOut become the cross-batch reuse targets.
-                if let Some(b) = node.op.batch() {
-                    if st.cur_batch != Some(b) {
-                        st.prev_htod = st.htod.values().next_back().copied();
-                        st.prev_sout = st.sout.values().next_back().copied();
-                        st.stagein.clear();
-                        st.htod.clear();
-                        st.dtoh.clear();
-                        st.sout.clear();
-                        st.cur_batch = Some(b);
-                    }
-                }
-                let (tail, lane) = if node.op.is_device_lane() {
-                    (&mut st.dev_tail, "device-lane")
-                } else {
-                    (&mut st.host_tail, "host-lane")
-                };
-                if let Some(prev) = *tail {
-                    demand(i, &node.deps, prev, lane)?;
-                }
-                *tail = Some(i);
-                match node.op {
-                    DagOp::StagingCopy {
-                        chunk,
-                        dir_in: true,
-                        ..
-                    } => {
-                        // The half chunk c overwrites was read by
-                        // HtoD(c−2); the first chunk of a later batch
-                        // waits on the previous batch's last HtoD.
-                        if chunk >= 2 {
-                            if let Some(&h) = st.htod.get(&(chunk - 2)) {
-                                demand(i, &node.deps, h, "half-reuse")?;
-                            }
-                        } else if chunk == 0 {
-                            if let Some(h) = st.prev_htod {
-                                demand(i, &node.deps, h, "cross-batch half-reuse")?;
-                            }
-                        }
-                        st.stagein.insert(chunk, i);
-                    }
-                    DagOp::HtoD { chunk, .. } => {
-                        if let Some(&si) = st.stagein.get(&chunk) {
-                            demand(i, &node.deps, si, "staging-copy")?;
-                        }
-                        // Elided stage-out reads the device buffer at
-                        // the emission marker; the next batch's first
-                        // DMA must not overwrite it earlier.
-                        if elided && chunk == 0 {
-                            if let Some(m) = st.prev_sout {
-                                demand(i, &node.deps, m, "elided-marker")?;
-                            }
-                        }
-                        st.htod.insert(chunk, i);
-                    }
-                    DagOp::DtoH { chunk, .. } => {
-                        // Bounced stage-out shares one outbound buffer:
-                        // the DMA of chunk c overwrites what the
-                        // previous StageOut read.
-                        if !elided {
-                            if chunk >= 1 {
-                                if let Some(&o) = st.sout.get(&(chunk - 1)) {
-                                    demand(i, &node.deps, o, "out-buffer reuse")?;
-                                }
-                            } else if let Some(o) = st.prev_sout {
-                                demand(i, &node.deps, o, "cross-batch out-buffer reuse")?;
-                            }
-                        }
-                        st.dtoh.insert(chunk, i);
-                    }
-                    DagOp::StagingCopy {
-                        chunk,
-                        dir_in: false,
-                        ..
-                    } => {
-                        if let Some(&d) = st.dtoh.get(&chunk) {
-                            demand(i, &node.deps, d, "dtoh")?;
-                        }
-                        st.sout.insert(chunk, i);
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        // Producer maps for sort-input / merge-inputs.
-        let mut last_htod: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut last_stage_out: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut slot_node: BTreeMap<usize, usize> = BTreeMap::new();
-        for (i, node) in nodes.iter().enumerate() {
-            match &node.op {
-                DagOp::HtoD { batch, .. } => {
-                    last_htod.insert(*batch, i);
-                }
-                DagOp::StagingCopy {
-                    batch,
-                    dir_in: false,
-                    ..
-                } => {
-                    last_stage_out.insert(*batch, i);
-                }
-                DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-                    slot_node.insert(*slot, i);
-                }
-                _ => {}
-            }
-        }
-
-        // sort-input: a sort depends on its batch's last HtoD.
-        for (i, node) in nodes.iter().enumerate() {
-            if let DagOp::Sort { batch } = node.op {
-                match last_htod.get(&batch) {
-                    Some(&h) if node.deps.contains(&h) => {}
-                    Some(&h) => {
-                        return err(format!(
-                            "sort-input: node {i} sorts batch {batch} without depending on its last HtoD (node {h})"
-                        ))
-                    }
-                    None => {
-                        return err(format!(
-                            "sort-input: node {i} sorts batch {batch} which has no HtoD"
-                        ))
-                    }
-                }
-            }
-        }
-
-        // merge-inputs: every merge depends on each input's producer.
-        {
-            let producer = |src: MergeSrc| -> Option<usize> {
-                match src {
-                    MergeSrc::Batch(b) => last_stage_out.get(&b).copied(),
-                    MergeSrc::Merged(p) => slot_node.get(&p).copied(),
-                }
-            };
-            let check = |i: usize, deps: &[usize], src: MergeSrc| -> Result<(), HetSortError> {
-                match producer(src) {
-                    Some(p) if deps.contains(&p) => Ok(()),
-                    Some(p) => err(format!(
-                        "merge-inputs: node {i} missing dependency on producer {p} of {src:?}"
-                    )),
-                    None => err(format!(
-                        "merge-inputs: node {i} input {src:?} has no producer"
-                    )),
-                }
-            };
-            for (i, node) in nodes.iter().enumerate() {
-                match &node.op {
-                    DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-                        let spec = plan.pairs.get(*slot).ok_or_else(|| HetSortError::Plan {
-                            reason: format!(
-                                "merge-inputs: node {i} references missing pair slot {slot}"
-                            ),
-                        })?;
-                        check(i, &node.deps, spec.left)?;
-                        check(i, &node.deps, spec.right)?;
-                    }
-                    DagOp::MultiwayMerge { inputs } => {
-                        for &src in inputs {
-                            check(i, &node.deps, src)?;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        // chunk-cover: the interpreters index buffers by each chunk op's
-        // own `(start, len)`, so all four ops of a chunk must agree on
-        // it, the chunks must tile the batch in order, and none may
-        // exceed the pinned buffer it is staged through.
-        {
-            let nb = plan.nb();
-            // Per batch, per op kind: the `(start, len)` of chunk `c` at
-            // index `c` (duplicate-producer already made chunks unique).
-            const KINDS: [&str; 4] = ["StageIn", "HtoD", "DtoH", "StageOut"];
-            let mut extents: Vec<[BTreeMap<usize, (usize, usize)>; 4]> =
-                (0..nb).map(|_| Default::default()).collect();
-            for node in nodes {
-                let (kind, batch, chunk, start, len) = match node.op {
-                    DagOp::StagingCopy {
-                        batch,
-                        chunk,
-                        start,
-                        len,
-                        dir_in,
-                    } => (if dir_in { 0 } else { 3 }, batch, chunk, start, len),
-                    DagOp::HtoD {
-                        batch,
-                        chunk,
-                        start,
-                        len,
-                    } => (1, batch, chunk, start, len),
-                    DagOp::DtoH {
-                        batch,
-                        chunk,
-                        start,
-                        len,
-                    } => (2, batch, chunk, start, len),
-                    _ => continue,
-                };
-                let Some(of_batch) = extents.get_mut(batch) else {
-                    return err(format!(
-                        "chunk-cover: {} names batch {batch} of {nb}",
-                        KINDS[kind]
-                    ));
-                };
-                of_batch[kind].insert(chunk, (start, len));
-            }
-            let ps = plan.config.pinned_elems;
-            for b in &plan.batches {
-                let [stage_in, rest @ ..] = &extents[b.index];
-                let mut at = b.start;
-                for (want, (&chunk, &(start, len))) in stage_in.iter().enumerate() {
-                    if chunk != want || start != at || len > ps {
-                        return err(format!(
-                            "chunk-cover: batch {} StageIn chunk {chunk} covers [{start}, +{len}); \
-                             chunk {want} is due at {at} with ≤ {ps} elements",
-                            b.index
-                        ));
-                    }
-                    at += len;
-                }
-                if at != b.start + b.len {
-                    return err(format!(
-                        "chunk-cover: batch {} stages in {} of {} elements",
-                        b.index,
-                        at - b.start,
-                        b.len
-                    ));
-                }
-                if let Some(k) = rest.iter().position(|chunks| chunks != stage_in) {
-                    return err(format!(
-                        "chunk-cover: batch {} {} chunks differ from its StageIn chunks",
-                        b.index,
-                        KINDS[k + 1]
-                    ));
-                }
-            }
-        }
-
-        Ok(())
+        check::check(plan, nodes)
     }
 
     /// The full deterministic execution order under `tie` — what the
@@ -964,6 +580,84 @@ mod tests {
                 assert!(reason.starts_with("missing-ref:"), "{reason}")
             }
             other => panic!("expected Plan error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn indices_past_the_geometry_are_rejected_by_their_rule() {
+        // One case per index kind the validator's tables are sized by,
+        // each a batch of 3 chunks: batch = n_b, a chunk past the
+        // batch's tiling, stream = total_streams, pair slot =
+        // pairs.len(). Each is rejected by the rule and with the message
+        // a validator over maps gave, under both staging protocols.
+        use crate::config::StagingMode;
+        let expect = |staging| {
+            let chunk = if staging == StagingMode::Paper {
+                "chunk-cover: batch 0 StageIn chunk 3 covers [600, +300); \
+                 chunk 2 is due at 600 with ≤ 300 elements"
+            } else {
+                "fifo: node 8 missing half-reuse dependency on node 7"
+            };
+            [
+                "sort-input: node 127 sorts batch 10 which has no HtoD",
+                chunk,
+                "stream-bind: node 0 (PinnedAlloc) is bound to stream Some(2) of 2",
+                "merge-inputs: node 134 references missing pair slot 4",
+            ]
+        };
+        for staging in [StagingMode::DoubleBuffered, StagingMode::Paper] {
+            let c = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
+                .with_batch_elems(900)
+                .with_pinned_elems(300)
+                .with_staging(staging);
+            let base = PlanDag::from_plan(Plan::build(c, 9_000).unwrap());
+            base.validate().unwrap();
+            let last = |d: &PlanDag, pick: fn(&DagOp) -> bool| {
+                d.nodes.iter().rposition(|n| pick(&n.op)).unwrap()
+            };
+
+            let mut batch = base.clone();
+            let i = last(&batch, |op| matches!(op, DagOp::Sort { .. }));
+            batch.nodes[i].op = DagOp::Sort {
+                batch: batch.plan.nb(),
+            };
+
+            let mut chunk = base.clone();
+            let i = last(&chunk, |op| {
+                matches!(
+                    op,
+                    DagOp::StagingCopy {
+                        batch: 0,
+                        dir_in: true,
+                        ..
+                    }
+                )
+            });
+            if let DagOp::StagingCopy { chunk: c, .. } = &mut chunk.nodes[i].op {
+                *c = 3;
+            }
+
+            let mut stream = base.clone();
+            stream.nodes[0].stream = Some(stream.plan.total_streams);
+
+            let mut slot = base.clone();
+            let i = slot
+                .nodes
+                .iter()
+                .position(|n| matches!(n.op, DagOp::PairMerge { .. }))
+                .unwrap();
+            slot.nodes[i].op = DagOp::PairMerge {
+                slot: slot.plan.pairs.len(),
+            };
+
+            for (d, want) in [batch, chunk, stream, slot].iter().zip(expect(staging)) {
+                match d.validate() {
+                    Err(HetSortError::Plan { reason }) => {
+                        assert_eq!(reason, want, "{staging:?}")
+                    }
+                    other => panic!("{staging:?}: expected {want:?}, got {other:?}"),
+                }
+            }
         }
     }
 

@@ -59,6 +59,8 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
     PlanDag::check(plan, nodes)?;
     let cfg = &plan.config;
     let mut m = Machine::new(cfg.platform.clone());
+    // One op per node plus one start-skew barrier per stream.
+    m.reserve(nodes.len() + plan.total_streams);
 
     // Device memory bookkeeping: each stream keeps one batch buffer of
     // 2·b_s elements resident (data + Thrust's out-of-place scratch,
@@ -121,9 +123,11 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
         .map(|s| m.barrier(skew * s as f64, &[]))
         .collect();
     let mut stream_started = vec![false; plan.total_streams];
+    let mut deps: Vec<OpId> = Vec::new();
 
     for node in nodes {
-        let mut deps: Vec<OpId> = node.deps.iter().map(|&d| op_ids[d]).collect();
+        deps.clear();
+        deps.extend(node.deps.iter().map(|&d| op_ids[d]));
         if let Some(s) = node.stream {
             if !stream_started[s] {
                 stream_started[s] = true;

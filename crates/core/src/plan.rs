@@ -208,9 +208,11 @@ impl Plan {
                 }
             }
         }
-        // Chunk tiling.
-        let mut covered = vec![0usize; self.nb()];
-        for s in &self.steps {
+        // Chunk tiling. A step or batch naming a batch the plan lacks
+        // is an error, like every index below.
+        let nb = self.nb();
+        let mut covered = vec![0usize; nb];
+        for (i, s) in self.steps.iter().enumerate() {
             if let DagOp::StagingCopy {
                 batch,
                 len,
@@ -218,22 +220,28 @@ impl Plan {
                 ..
             } = s.op
             {
-                covered[batch] += len;
+                let Some(c) = covered.get_mut(batch) else {
+                    return Err(plan_err(format!("step {i} stages batch {batch} of {nb}")));
+                };
+                *c += len;
             }
         }
         for b in &self.batches {
-            if covered[b.index] != b.len {
+            let Some(&c) = covered.get(b.index) else {
+                return Err(plan_err(format!("batch index {} of {nb}", b.index)));
+            };
+            if c != b.len {
                 return Err(plan_err(format!(
                     "batch {} stages {} of {} elements",
-                    b.index, covered[b.index], b.len
+                    b.index, c, b.len
                 )));
             }
         }
         // Merge coverage: resolving pair slots recursively, every batch
         // must reach the final merge exactly once, every slot must be
         // consumed exactly once, and slot output sizes must add up.
-        if self.nb() > 1 {
-            let mut batch_seen = vec![false; self.nb()];
+        if nb > 1 {
+            let mut batch_seen = vec![false; nb];
             let mut slot_seen = vec![false; self.pairs.len()];
             let visit_src = |src: MergeSrc,
                              batch_seen: &mut Vec<bool>,
@@ -243,18 +251,31 @@ impl Plan {
                 while let Some(s) = stack.pop() {
                     match s {
                         MergeSrc::Batch(b) => {
-                            if batch_seen[b] {
+                            let Some(seen) = batch_seen.get_mut(b) else {
+                                return Err(plan_err(format!(
+                                    "merge input names batch {b} of {nb}"
+                                )));
+                            };
+                            if *seen {
                                 return Err(plan_err(format!("batch {b} merged twice")));
                             }
-                            batch_seen[b] = true;
+                            *seen = true;
                         }
                         MergeSrc::Merged(p) => {
-                            if slot_seen[p] {
+                            let (Some(seen), Some(pair)) =
+                                (slot_seen.get_mut(p), self.pairs.get(p))
+                            else {
+                                return Err(plan_err(format!(
+                                    "merge input names pair slot {p} of {}",
+                                    self.pairs.len()
+                                )));
+                            };
+                            if *seen {
                                 return Err(plan_err(format!("slot {p} consumed twice")));
                             }
-                            slot_seen[p] = true;
-                            stack.push(self.pairs[p].left);
-                            stack.push(self.pairs[p].right);
+                            *seen = true;
+                            stack.push(pair.left);
+                            stack.push(pair.right);
                         }
                     }
                 }
@@ -273,10 +294,11 @@ impl Plan {
             if !slot_seen.iter().all(|&x| x) {
                 return Err(plan_err("some pair-merge output never consumed".into()));
             }
-            // Output sizes add up.
+            // Output sizes add up (the walk above range-checked every
+            // slot's inputs).
             let src_len = |src: MergeSrc| match src {
-                MergeSrc::Batch(b) => self.batches[b].len,
-                MergeSrc::Merged(p) => self.pairs[p].out_elems,
+                MergeSrc::Batch(b) => self.batches.get(b).map_or(0, |b| b.len),
+                MergeSrc::Merged(p) => self.pairs.get(p).map_or(0, |p| p.out_elems),
             };
             for (i, p) in self.pairs.iter().enumerate() {
                 if src_len(p.left) + src_len(p.right) != p.out_elems {
@@ -563,5 +585,41 @@ mod tests {
         .unwrap();
         assert!(!paper.stage_out_elided());
         assert_eq!(paper.staging_halves(), 1);
+    }
+
+    #[test]
+    fn indices_past_the_plan_are_errors_not_panics() {
+        let plan = Plan::build(cfg(Approach::PipeMerge), 7000).unwrap();
+        plan.check_invariants().unwrap();
+        let rejects = |plan: &Plan, what: &str| match plan.check_invariants() {
+            Err(HetSortError::Plan { reason }) => {
+                assert!(reason.contains(what), "{reason}")
+            }
+            other => panic!("expected a Plan error naming {what}, got {other:?}"),
+        };
+
+        // A stage-in naming a batch the plan lacks.
+        let mut bad = plan.clone();
+        let step = bad
+            .steps
+            .iter_mut()
+            .find(|s| matches!(s.op, DagOp::StagingCopy { dir_in: true, .. }))
+            .unwrap();
+        if let DagOp::StagingCopy { batch, .. } = &mut step.op {
+            *batch = 99;
+        }
+        rejects(&bad, "stages batch 99 of 7");
+
+        // A final-merge input naming a pair slot the plan lacks.
+        let mut bad = plan.clone();
+        let step = bad
+            .steps
+            .iter_mut()
+            .find(|s| matches!(s.op, DagOp::MultiwayMerge { .. }))
+            .unwrap();
+        if let DagOp::MultiwayMerge { inputs } = &mut step.op {
+            inputs.push(MergeSrc::Merged(77));
+        }
+        rejects(&bad, "names pair slot 77 of");
     }
 }

@@ -259,8 +259,22 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
     // and the outbound `StagingCopy` becomes the zero-byte marker where
     // the chunk is emitted straight from device memory.
     let elided = db && !piped;
+    // The node count is known from the geometry: the pinned allocs,
+    // four chunk ops per chunk plus a sort per batch, the pair merges
+    // and the final merge. Reserving it exactly keeps the node vector
+    // from doubling past it (a paper-scale plan would hold 20 480 slots
+    // for 20 027 nodes, and leave the smaller vectors it outgrew behind
+    // as heap holes).
+    let ps = config.pinned_elems;
+    let node_count = total_streams * (1 + usize::from(piped))
+        + batches
+            .iter()
+            .map(|b| 4 * b.len.div_ceil(ps) + 1)
+            .sum::<usize>()
+        + pairs.len()
+        + usize::from(nb > 1);
     let mut e = Emit {
-        nodes: Vec::new(),
+        nodes: Vec::with_capacity(node_count),
         host_tail: vec![None; total_streams],
         dev_tail: vec![None; total_streams],
         db,
@@ -290,7 +304,6 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
 
     // 2. Per batch: chunked stage-in/HtoD, sort, chunked DtoH/
     //    stage-out, all FIFO within the batch's stream.
-    let ps = config.pinned_elems;
     let mut last_stage_out: Vec<usize> = vec![0; nb];
     // Per stream: the previous batch's last HtoD and StageOut, for the
     // explicit buffer-reuse edges of the double-buffered discipline.
@@ -421,6 +434,7 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
         };
         e.push(merge, deps, None);
     }
+    debug_assert_eq!(e.nodes.len(), node_count, "node count off the geometry");
 
     Plan {
         config,

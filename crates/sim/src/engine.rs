@@ -15,6 +15,11 @@
 //! [`SimStats`] counts the visits, so the bound is testable without a
 //! clock.
 //!
+//! Memory is allocated per run, not per event: the dependents are one
+//! CSR pair (offsets plus flat op ids), the solver's working vectors
+//! live in a `Waterfill` kept across events, and the live sets and
+//! the usage samples only grow.
+//!
 //! # Ordering invariant
 //!
 //! All three live sets are in ascending op-id order whenever they are
@@ -26,7 +31,7 @@
 //! fails the oracle property at the bottom of this file.
 
 use crate::error::SimError;
-use crate::fairshare::{max_min_rates, Flow};
+use crate::fairshare::{Flow, Waterfill};
 use crate::op::{Op, OpId, OpSpec};
 use crate::resource::{FluidId, FluidResource, LaneId, QueueId, TokenId, TokenResource};
 use crate::trace::{SimStats, Span, Timeline};
@@ -122,6 +127,12 @@ impl SimBuilder {
     /// Number of ops submitted so far.
     pub fn op_count(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Make room for `additional` more ops, exactly: a caller that knows
+    /// its op count up front keeps the op table from doubling past it.
+    pub fn reserve(&mut self, additional: usize) {
+        self.ops.reserve_exact(additional);
     }
 
     /// Validate the DAG and run it to completion, returning the timeline.
@@ -257,7 +268,10 @@ struct Engine {
     ops: Vec<OpSpec>,
     phase: Vec<Phase>,
     unmet: Vec<usize>,
-    dependents: Vec<Vec<usize>>,
+    /// The dependents of op `i` are `dependents[dependents_at[i]..
+    /// dependents_at[i + 1]]`, ascending.
+    dependents_at: Vec<usize>,
+    dependents: Vec<usize>,
     t_start: Vec<f64>,
     t_end: Vec<f64>,
     /// Ops whose dependencies are met but that hold no tokens yet.
@@ -270,6 +284,8 @@ struct Engine {
     /// Solver input for `running`, slot `k` describing `running[k]`;
     /// grows to the widest running set and is then reused.
     flows: Vec<Flow>,
+    /// The solver's working vectors, reused by every solve.
+    fill: Waterfill,
     /// Admission scratch: token resources reserved by an earlier ready op.
     blocked: Vec<bool>,
     stats: SimStats,
@@ -280,14 +296,27 @@ impl Engine {
         let mut ops = b.ops;
         let n = ops.len();
         let mut unmet = vec![0usize; n];
-        let mut dependents = vec![Vec::new(); n];
+        // Count each op's dependents, prefix-sum the counts into
+        // offsets, then place op ids in ascending order.
+        let mut dependents_at = vec![0usize; n + 1];
         for (i, spec) in ops.iter_mut().enumerate() {
             // Deduplicate deps so unmet counting is exact.
             spec.deps.sort_unstable();
             spec.deps.dedup();
             unmet[i] = spec.deps.len();
             for &OpId(d) in &spec.deps {
-                dependents[d].push(i);
+                dependents_at[d + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            dependents_at[i + 1] += dependents_at[i];
+        }
+        let mut dependents = vec![0usize; dependents_at[n]];
+        let mut next = dependents_at.clone();
+        for (i, spec) in ops.iter().enumerate() {
+            for &OpId(d) in &spec.deps {
+                dependents[next[d]] = i;
+                next[d] += 1;
             }
         }
         let token_totals: Vec<u32> = b.tokens.iter().map(|t| t.total).collect();
@@ -304,6 +333,7 @@ impl Engine {
             queues: b.queues.into_iter().map(|q| q.name).collect(),
             phase: vec![Phase::Waiting; n],
             unmet,
+            dependents_at,
             dependents,
             t_start: vec![0.0; n],
             t_end: vec![0.0; n],
@@ -312,6 +342,7 @@ impl Engine {
             in_latency: Vec::new(),
             running: Vec::new(),
             flows: Vec::new(),
+            fill: Waterfill::default(),
             stats: SimStats::default(),
         }
     }
@@ -356,7 +387,9 @@ impl Engine {
 
             // Rates for running ops via max-min fair sharing.
             self.load_flows();
-            let rates = max_min_rates(&self.flows[..self.running.len()], &self.caps)?;
+            let rates = self
+                .fill
+                .solve(&self.flows[..self.running.len()], &self.caps)?;
             self.stats.rate_solves += 1;
 
             // Record the piecewise-constant fluid usage of this segment.
@@ -433,8 +466,8 @@ impl Engine {
                 }
                 // Wake dependents. Dedup was applied to the unmet counts,
                 // so decrement once per unique edge.
-                let deps = std::mem::take(&mut self.dependents[i]);
-                for j in deps {
+                let wakes = self.dependents_at[i]..self.dependents_at[i + 1];
+                for &j in &self.dependents[wakes] {
                     self.unmet[j] -= 1;
                     if self.unmet[j] == 0 && self.phase[j] == Phase::Waiting {
                         self.phase[j] = Phase::Ready;
@@ -558,6 +591,7 @@ impl Engine {
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use crate::fairshare::max_min_rates;
 
     /// Validate and run `b` on the scanning loop.
     pub(super) fn run_reference(b: SimBuilder) -> Result<Timeline, SimError> {

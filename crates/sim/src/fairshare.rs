@@ -19,10 +19,17 @@
 //! Complexity: O(F·(F+R)) per solve in the worst case (each round freezes
 //! at least one flow); F and R are small at any instant in the sorting
 //! pipelines (about three running ops per event at the paper's largest
-//! plan, five fluids). The engine calls it once per event — every latency
+//! plan, five fluids). The engine solves once per event — every latency
 //! expiry and every completion, including those that change no rate —
 //! with the running ops in ascending op-id order; the rates depend on
 //! that order only in their last bits, which is why the engine fixes it.
+//!
+//! One routine does the filling: `Waterfill::solve`, over working
+//! vectors the caller keeps. The engine holds one `Waterfill` for the
+//! whole run, so a solve allocates nothing once the widest running set
+//! has been seen; [`max_min_rates`] is the allocating wrapper, a fresh
+//! `Waterfill` per call. Both run the same arithmetic in the same order,
+//! so their rates are bit-identical.
 
 use crate::error::SimError;
 
@@ -55,7 +62,9 @@ const REL_EPS: f64 = 1e-9;
 /// Compute weighted max-min fair rates.
 ///
 /// `capacities[r]` is the capacity of fluid resource `r` in
-/// resource-units/second. Returns one rate per flow.
+/// resource-units/second. Returns one rate per flow. The engine solves
+/// through a `Waterfill` it keeps across events; this wrapper builds
+/// a fresh one per call.
 ///
 /// # Errors
 ///
@@ -63,163 +72,203 @@ const REL_EPS: f64 = 1e-9;
 /// demand on any positive-capacity resource (its rate would be infinite).
 /// [`SimError::InvalidNumber`] for non-finite or negative inputs.
 pub fn max_min_rates(flows: &[Flow], capacities: &[f64]) -> Result<Vec<f64>, SimError> {
-    validate(flows, capacities)?;
-    let nf = flows.len();
-    let nr = capacities.len();
+    let mut fill = Waterfill::default();
+    fill.solve(flows, capacities)?;
+    Ok(fill.rate)
+}
 
-    // rate[i] is final once frozen[i].
-    let mut rate = vec![0.0_f64; nf];
-    let mut frozen = vec![false; nf];
-    // Remaining capacity after subtracting frozen flows' usage.
-    let mut remaining = capacities.to_vec();
-    let mut saturated = vec![false; nr];
+/// The waterfilling solver's working state, owned by the caller so
+/// that repeated solves reuse its vectors: after the widest solve, a
+/// solve allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Waterfill {
+    /// Per flow: the rate, final once `frozen`.
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Per resource: capacity left after the frozen flows' usage.
+    remaining: Vec<f64>,
+    saturated: Vec<bool>,
+    /// The flows not yet frozen in the current round.
+    rising: Vec<usize>,
+}
 
-    // Flows whose rate is structurally zero: weight 0 (they never rise).
-    for (i, f) in flows.iter().enumerate() {
-        if f.weight == 0.0 {
-            frozen[i] = true; // rate stays 0
+impl Waterfill {
+    /// [`max_min_rates`] into this scratch; returns one rate per flow.
+    ///
+    /// # Errors
+    ///
+    /// As [`max_min_rates`].
+    pub(crate) fn solve(&mut self, flows: &[Flow], capacities: &[f64]) -> Result<&[f64], SimError> {
+        validate(flows, capacities)?;
+        let nf = flows.len();
+        let nr = capacities.len();
+        let Waterfill {
+            rate,
+            frozen,
+            remaining,
+            saturated,
+            rising,
+        } = self;
+
+        rate.clear();
+        rate.resize(nf, 0.0);
+        frozen.clear();
+        frozen.resize(nf, false);
+        remaining.clear();
+        remaining.extend_from_slice(capacities);
+        saturated.clear();
+        saturated.resize(nr, false);
+
+        // Flows whose rate is structurally zero: weight 0 (they never rise).
+        for (i, f) in flows.iter().enumerate() {
+            if f.weight == 0.0 {
+                frozen[i] = true; // rate stays 0
+            }
         }
-    }
 
-    let mut theta;
-    loop {
-        let rising: Vec<usize> = (0..nf).filter(|&i| !frozen[i]).collect();
-        if rising.is_empty() {
-            break;
-        }
+        let mut theta;
+        loop {
+            rising.clear();
+            rising.extend((0..nf).filter(|&i| !frozen[i]));
+            if rising.is_empty() {
+                break;
+            }
 
-        // Candidate 1: a rising flow hits its cap at θ = cap/weight.
-        let mut next_theta = f64::INFINITY;
-        for &i in &rising {
-            if let Some(cap) = flows[i].cap {
-                let t = cap / flows[i].weight;
-                if t < next_theta {
-                    next_theta = t;
+            // Candidate 1: a rising flow hits its cap at θ = cap/weight.
+            let mut next_theta = f64::INFINITY;
+            for &i in rising.iter() {
+                if let Some(cap) = flows[i].cap {
+                    let t = cap / flows[i].weight;
+                    if t < next_theta {
+                        next_theta = t;
+                    }
                 }
             }
-        }
 
-        // Candidate 2: a resource saturates. Rising flows currently use
-        // θ·w_i·d_ir on r, linear in θ with slope Σ w_i·d_ir.
-        for r in 0..nr {
-            if saturated[r] {
-                continue;
-            }
-            let slope: f64 = rising
-                .iter()
-                .map(|&i| {
-                    flows[i]
-                        .demands
-                        .iter()
-                        .filter(|&&(res, d)| res == r && d > 0.0)
-                        .map(|&(_, d)| flows[i].weight * d)
-                        .sum::<f64>()
-                })
-                .sum();
-            if slope > 0.0 {
-                let t = remaining[r] / slope;
-                if t < next_theta {
-                    next_theta = t;
+            // Candidate 2: a resource saturates. Rising flows currently use
+            // θ·w_i·d_ir on r, linear in θ with slope Σ w_i·d_ir.
+            for r in 0..nr {
+                if saturated[r] {
+                    continue;
                 }
-            }
-        }
-
-        if !next_theta.is_finite() {
-            // Some rising flow is unbounded: no cap and no demand on a
-            // saturable resource.
-            let culprit = rising
-                .iter()
-                .copied()
-                .find(|&i| {
-                    flows[i].cap.is_none()
-                        && flows[i]
+                let slope: f64 = rising
+                    .iter()
+                    .map(|&i| {
+                        flows[i]
                             .demands
                             .iter()
-                            .all(|&(r, d)| d <= 0.0 || saturated[r] || capacities[r] <= 0.0)
-                })
-                .unwrap_or(rising[0]);
-            return Err(SimError::UnboundedFlow(culprit));
-        }
-
-        theta = next_theta;
-        let tol = REL_EPS * theta.max(1.0);
-
-        // Freeze every rising flow that hit its cap at this θ.
-        let mut froze_any = false;
-        for &i in &rising {
-            if let Some(cap) = flows[i].cap {
-                if cap / flows[i].weight <= theta + tol {
-                    rate[i] = cap;
-                    frozen[i] = true;
-                    froze_any = true;
-                }
-            }
-        }
-
-        // Saturate every resource that fills at this θ, freezing its
-        // remaining rising demanders at θ·w.
-        for r in 0..nr {
-            if saturated[r] {
-                continue;
-            }
-            let has_rising_demander = (0..nf).any(|i| {
-                !frozen[i] && flows[i].demands.iter().any(|&(res, d)| res == r && d > 0.0)
-            });
-            if !has_rising_demander {
-                continue;
-            }
-            let usage: f64 = (0..nf)
-                .filter(|&i| !frozen[i])
-                .map(|i| {
-                    theta
-                        * flows[i].weight
-                        * flows[i]
-                            .demands
-                            .iter()
-                            .filter(|&&(res, _)| res == r)
-                            .map(|&(_, d)| d)
+                            .filter(|&&(res, d)| res == r && d > 0.0)
+                            .map(|&(_, d)| flows[i].weight * d)
                             .sum::<f64>()
-                })
-                .sum();
-            let eps = REL_EPS * capacities[r].max(1.0);
-            if remaining[r] <= eps || usage >= remaining[r] - eps {
-                saturated[r] = true;
-                for i in 0..nf {
-                    if !frozen[i] && flows[i].demands.iter().any(|&(res, d)| res == r && d > 0.0) {
-                        rate[i] = theta * flows[i].weight;
+                    })
+                    .sum();
+                if slope > 0.0 {
+                    let t = remaining[r] / slope;
+                    if t < next_theta {
+                        next_theta = t;
+                    }
+                }
+            }
+
+            if !next_theta.is_finite() {
+                // Some rising flow is unbounded: no cap and no demand on a
+                // saturable resource.
+                let culprit = rising
+                    .iter()
+                    .copied()
+                    .find(|&i| {
+                        flows[i].cap.is_none()
+                            && flows[i]
+                                .demands
+                                .iter()
+                                .all(|&(r, d)| d <= 0.0 || saturated[r] || capacities[r] <= 0.0)
+                    })
+                    .unwrap_or(rising[0]);
+                return Err(SimError::UnboundedFlow(culprit));
+            }
+
+            theta = next_theta;
+            let tol = REL_EPS * theta.max(1.0);
+
+            // Freeze every rising flow that hit its cap at this θ.
+            let mut froze_any = false;
+            for &i in rising.iter() {
+                if let Some(cap) = flows[i].cap {
+                    if cap / flows[i].weight <= theta + tol {
+                        rate[i] = cap;
                         frozen[i] = true;
                         froze_any = true;
                     }
                 }
             }
-        }
 
-        debug_assert!(froze_any, "waterfilling made no progress at θ={theta}");
-        if !froze_any {
-            // Defensive: freeze everything at current θ to avoid a hang.
-            for &i in &rising {
-                rate[i] = theta * flows[i].weight;
-                frozen[i] = true;
+            // Saturate every resource that fills at this θ, freezing its
+            // remaining rising demanders at θ·w.
+            for r in 0..nr {
+                if saturated[r] {
+                    continue;
+                }
+                let has_rising_demander = (0..nf).any(|i| {
+                    !frozen[i] && flows[i].demands.iter().any(|&(res, d)| res == r && d > 0.0)
+                });
+                if !has_rising_demander {
+                    continue;
+                }
+                let usage: f64 = (0..nf)
+                    .filter(|&i| !frozen[i])
+                    .map(|i| {
+                        theta
+                            * flows[i].weight
+                            * flows[i]
+                                .demands
+                                .iter()
+                                .filter(|&&(res, _)| res == r)
+                                .map(|&(_, d)| d)
+                                .sum::<f64>()
+                    })
+                    .sum();
+                let eps = REL_EPS * capacities[r].max(1.0);
+                if remaining[r] <= eps || usage >= remaining[r] - eps {
+                    saturated[r] = true;
+                    for i in 0..nf {
+                        if !frozen[i]
+                            && flows[i].demands.iter().any(|&(res, d)| res == r && d > 0.0)
+                        {
+                            rate[i] = theta * flows[i].weight;
+                            frozen[i] = true;
+                            froze_any = true;
+                        }
+                    }
+                }
             }
-        }
 
-        // Subtract newly frozen usage from remaining capacities.
-        remaining.copy_from_slice(capacities);
-        for (i, f) in flows.iter().enumerate() {
-            if frozen[i] && rate[i] > 0.0 {
-                for &(r, d) in &f.demands {
-                    remaining[r] -= rate[i] * d;
+            debug_assert!(froze_any, "waterfilling made no progress at θ={theta}");
+            if !froze_any {
+                // Defensive: freeze everything at current θ to avoid a hang.
+                for &i in rising.iter() {
+                    rate[i] = theta * flows[i].weight;
+                    frozen[i] = true;
+                }
+            }
+
+            // Subtract newly frozen usage from remaining capacities.
+            remaining.copy_from_slice(capacities);
+            for (i, f) in flows.iter().enumerate() {
+                if frozen[i] && rate[i] > 0.0 {
+                    for &(r, d) in &f.demands {
+                        remaining[r] -= rate[i] * d;
+                    }
+                }
+            }
+            for r in remaining.iter_mut() {
+                if *r < 0.0 {
+                    *r = 0.0;
                 }
             }
         }
-        for r in &mut remaining {
-            if *r < 0.0 {
-                *r = 0.0;
-            }
-        }
-    }
 
-    Ok(rate)
+        Ok(rate)
+    }
 }
 
 fn validate(flows: &[Flow], capacities: &[f64]) -> Result<(), SimError> {

@@ -418,6 +418,11 @@ impl Machine {
         self.sim.op_count()
     }
 
+    /// Make room for exactly `ops` more ops (see [`SimBuilder::reserve`]).
+    pub fn reserve(&mut self, ops: usize) {
+        self.sim.reserve(ops);
+    }
+
     /// Run the simulation.
     pub fn run(self) -> Result<Timeline, SimError> {
         self.sim.run()
