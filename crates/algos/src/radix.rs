@@ -28,6 +28,20 @@ pub type HistCount = u64;
 /// rows, so the digit-major inner loop below never thrashes.
 const COUNT_BLOCK: usize = 1024;
 
+/// Batches shorter than this count into one row per digit, not into
+/// four lane rows per digit (see `LANES`). Zeroing and folding the lane
+/// rows is a fixed cost (64 KiB for 8-byte keys) that only a long batch
+/// repays.
+/// Measured on uniform `f64` (2 vCPU): one row sorts 1–2 k keys in
+/// 0.88–0.93 × the lanes' time, breaks even near 2.5 k and loses 5–12 %
+/// at 4 k, where the lanes' four store-forward chains pay for the
+/// zeroing (DESIGN § 21).
+pub const SMALL_COUNT: usize = 2 * COUNT_BLOCK;
+
+/// Widest key in bytes ([`RadixKey::radix_key`] is a `u64`): the small
+/// path's rows live on the stack, sized for it.
+const MAX_KEY_BYTES: usize = 8;
+
 /// Counter rows per digit. A single row serialises on repeated bytes:
 /// each `row[b] += 1` loads the counter the previous increment of the
 /// same byte just stored, so a run of equal bytes is a chain of
@@ -52,7 +66,6 @@ type LaneRows = [[HistCount; BUCKETS]; LANES];
 /// the element-major counts, accumulated in a different order.
 fn count_all_digits<T: RadixKey>(data: &[T], lanes: &mut [LaneRows]) {
     debug_assert_eq!(lanes.len(), T::KEY_BYTES);
-    let byte = |k: u64, shift: usize| ((k >> shift) & 0xFF) as usize;
     let mut keys = [0u64; COUNT_BLOCK];
     for block in data.chunks(COUNT_BLOCK) {
         let keys = &mut keys[..block.len()];
@@ -80,6 +93,37 @@ fn count_all_digits<T: RadixKey>(data: &[T], lanes: &mut [LaneRows]) {
             for (row, &k) in rows.iter_mut().zip(quads.remainder()) {
                 row[byte(k, shift)] += 1;
             }
+        }
+    }
+}
+
+/// Byte `shift / 8` of key `k`.
+fn byte(k: u64, shift: usize) -> usize {
+    ((k >> shift) & 0xFF) as usize
+}
+
+/// [`count_all_digits`] for a batch shorter than [`SMALL_COUNT`], into
+/// one row per digit (`rows[d]` is digit `d`'s histogram, no fold).
+/// One pass folds the batch's AND and OR; a digit constant over the
+/// batch adds its length in one step, and a varying one is counted key
+/// by key from the batch, which is still in L1.
+fn count_small<T: RadixKey>(data: &[T], rows: &mut [[HistCount; BUCKETS]]) {
+    debug_assert_eq!(rows.len(), T::KEY_BYTES);
+    let (mut and, mut or) = (u64::MAX, 0u64);
+    for x in data {
+        let k = x.radix_key();
+        and &= k;
+        or |= k;
+    }
+    let varying = and ^ or;
+    for (d, row) in rows.iter_mut().enumerate() {
+        let shift = 8 * d;
+        if byte(varying, shift) == 0 {
+            row[byte(and, shift)] += data.len() as HistCount;
+            continue;
+        }
+        for x in data {
+            row[byte(x.radix_key(), shift)] += 1;
         }
     }
 }
@@ -119,14 +163,32 @@ pub fn radix_sort_with_scratch<T: RadixKey>(data: &mut [T], scratch: &mut [T]) -
         return 0;
     }
 
-    // Count all digits in one cache-blocked pass.
-    let mut lanes: Vec<LaneRows> = vec![[[0; BUCKETS]; LANES]; T::KEY_BYTES];
-    count_all_digits(data, &mut lanes);
+    // Count all digits in one pass: a small batch into one row per
+    // digit, a long one cache-blocked over lane rows.
+    if n < SMALL_COUNT {
+        let mut rows = [[0; BUCKETS]; MAX_KEY_BYTES];
+        let rows = &mut rows[..T::KEY_BYTES];
+        count_small(data, rows);
+        scatter_passes(data, scratch, rows.iter().copied())
+    } else {
+        let mut lanes: Vec<LaneRows> = vec![[[0; BUCKETS]; LANES]; T::KEY_BYTES];
+        count_all_digits(data, &mut lanes);
+        scatter_passes(data, scratch, lanes.iter().map(fold))
+    }
+}
 
+/// One stable scatter pass per digit `d` of `hists` (digit `d`'s
+/// histogram is its `d`-th item) whose byte varies, ping-ponging
+/// between `data` and `scratch`. Returns the number of passes.
+fn scatter_passes<T: RadixKey>(
+    data: &mut [T],
+    scratch: &mut [T],
+    hists: impl Iterator<Item = [HistCount; BUCKETS]>,
+) -> usize {
+    let n = data.len();
     let mut passes = 0usize;
     let mut src_is_data = true;
-    for (d, rows) in lanes.iter().enumerate() {
-        let h = fold(rows);
+    for (d, h) in hists.enumerate() {
         // Skip digits where every key shares one byte value.
         if h.iter().any(|&c| c as usize == n) {
             continue;
@@ -144,9 +206,9 @@ pub fn radix_sort_with_scratch<T: RadixKey>(data: &mut [T], scratch: &mut [T]) -
             (&*scratch, &mut *data)
         };
         for &x in src.iter() {
-            let byte = ((x.radix_key() >> (8 * d)) & 0xFF) as usize;
-            dst[offsets[byte]] = x;
-            offsets[byte] += 1;
+            let b = byte(x.radix_key(), 8 * d);
+            dst[offsets[b]] = x;
+            offsets[b] += 1;
         }
         src_is_data = !src_is_data;
         passes += 1;
@@ -311,6 +373,26 @@ mod tests {
         let mut expect = data;
         expect.sort_unstable();
         assert_eq!(v, expect);
+    }
+
+    #[test]
+    fn small_rows_count_like_folded_lanes() {
+        // The one-row count of a short batch is the same integers as the
+        // lane rows' fold: constant digits (the top four), varying ones
+        // (the low four) and a length that is not a whole quad.
+        let n = SMALL_COUNT - 1;
+        let data: Vec<u64> = lcg(13, n)
+            .into_iter()
+            .map(|k| k >> 32 | 0x5A << 56)
+            .collect();
+        let mut rows = [[0; BUCKETS]; 8];
+        count_small(&data, &mut rows);
+        let mut lanes = vec![[[0; BUCKETS]; LANES]; 8];
+        count_all_digits(&data, &mut lanes);
+        for (d, (row, lane)) in rows.iter().zip(&lanes).enumerate() {
+            assert_eq!(*row, fold(lane), "digit {d}");
+        }
+        assert_eq!(rows[7][0x5A], n as HistCount);
     }
 
     #[test]

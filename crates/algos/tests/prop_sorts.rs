@@ -7,7 +7,7 @@ use hetsort_algos::introsort::{heapsort, introsort};
 use hetsort_algos::keys::{KeyValue, RadixKey, SortOrd};
 use hetsort_algos::mergesort::par_mergesort;
 use hetsort_algos::qsort::{cmp_f64, qsort};
-use hetsort_algos::radix::{radix_sort, radix_sort_with_scratch};
+use hetsort_algos::radix::{radix_sort, radix_sort_with_scratch, SMALL_COUNT};
 use hetsort_algos::radix_par::par_radix_sort;
 use hetsort_algos::samplesort::par_samplesort;
 use hetsort_algos::verify::{fingerprint, is_sorted};
@@ -87,8 +87,9 @@ fn radix_i64_matches_std() {
 }
 
 /// Lengths around the radix counter's four-key lane quads and its
-/// 1 024-key count block.
-const LANE_LENS: [usize; 9] = [0, 1, 3, 4, 5, 1023, 1024, 1025, 4099];
+/// 1 024-key count block, on both counting paths: one row per digit
+/// under `SMALL_COUNT` keys, lane rows from there.
+const LANE_LENS: [usize; 11] = [0, 1, 3, 4, 5, 1023, 1024, 1025, 2050, 3072, 4099];
 
 /// A mask of whole key bytes: none, one, several or all of `bytes`.
 fn byte_mask(rng: &mut Rng, bytes: usize) -> u64 {
@@ -101,10 +102,39 @@ fn byte_mask(rng: &mut Rng, bytes: usize) -> u64 {
     }
 }
 
-/// Keys that differ only in a random byte mask: `radix_sort` must equal a
-/// stable comparison sort bit for bit (`bits` exposes payloads, so
-/// `KeyValue` pins stability), and `radix_sort_with_scratch` must run
-/// exactly one pass per key byte that varies.
+/// `radix_sort` must equal a stable comparison sort bit for bit (`bits`
+/// exposes payloads, so `KeyValue` pins stability), and
+/// `radix_sort_with_scratch` must run exactly one pass per key byte that
+/// varies, which is the number of digits the lane path scatters.
+fn radix_agrees<T: RadixKey + SortOrd + Default>(
+    v: Vec<T>,
+    bits: impl Fn(&T) -> (u64, u64),
+    case: &str,
+) -> Result<(), String> {
+    let mut expect = v.clone();
+    expect.sort_by(|a, b| a.total_order(b));
+    let mut got = v.clone();
+    radix_sort(&mut got);
+    let as_bits = |xs: &[T]| xs.iter().map(&bits).collect::<Vec<_>>();
+    prop_assert!(as_bits(&got) == as_bits(&expect), "{case}: output differs");
+
+    let byte = |x: &T, d: usize| (x.radix_key() >> (8 * d)) & 0xFF;
+    let varying = match v.first() {
+        None => 0,
+        Some(x0) => (0..T::KEY_BYTES)
+            .filter(|&d| v.iter().any(|x| byte(x, d) != byte(x0, d)))
+            .count(),
+    };
+    let (mut data, mut scratch) = (v.clone(), v);
+    let passes = radix_sort_with_scratch(&mut data, &mut scratch);
+    prop_assert!(
+        passes == varying,
+        "{case}: {passes} passes, {varying} varying bytes"
+    );
+    Ok(())
+}
+
+/// Keys that differ only in a random byte mask, at [`LANE_LENS`].
 fn radix_counts_varying_bytes<T: RadixKey + SortOrd + Default>(
     name: &str,
     make: impl Fn(u64, usize) -> T,
@@ -117,56 +147,95 @@ fn radix_counts_varying_bytes<T: RadixKey + SortOrd + Default>(
             let v: Vec<T> = (0..len)
                 .map(|i| make(base ^ (rng.u64() & mask), i))
                 .collect();
-
-            let mut expect = v.clone();
-            expect.sort_by(|a, b| a.total_order(b));
-            let mut got = v.clone();
-            radix_sort(&mut got);
-            let as_bits = |xs: &[T]| xs.iter().map(&bits).collect::<Vec<_>>();
-            prop_assert_eq!(as_bits(&got), as_bits(&expect));
-
-            let byte = |x: &T, d: usize| (x.radix_key() >> (8 * d)) & 0xFF;
-            let varying = match v.first() {
-                None => 0,
-                Some(x0) => (0..T::KEY_BYTES)
-                    .filter(|&d| v.iter().any(|x| byte(x, d) != byte(x0, d)))
-                    .count(),
-            };
-            let (mut data, mut scratch) = (v.clone(), v);
-            let passes = radix_sort_with_scratch(&mut data, &mut scratch);
-            prop_assert!(
-                passes == varying,
-                "len {len}, mask {mask:#x}: {passes} passes, {varying} varying bytes"
-            );
+            radix_agrees(v, &bits, &format!("len {len}, mask {mask:#x}"))?;
         }
         Ok(())
     });
 }
 
+/// The last batch length that counts into one row per digit and the
+/// first two that count into lane rows, over all-equal, two-value (one
+/// random bit apart, so one digit varies in one bit), heavy-tailed (a
+/// random key shifted right by 0–63 bits, so every byte is the top
+/// varying one for some keys) and uniform keys.
+fn radix_small_count_boundary<T: RadixKey + SortOrd + Default>(
+    name: &str,
+    make: impl Fn(u64, usize) -> T,
+    bits: impl Fn(&T) -> (u64, u64),
+) {
+    run_cases(name, 6, |rng| {
+        for len in [SMALL_COUNT - 1, SMALL_COUNT, SMALL_COUNT + 1] {
+            for dist in ["all-equal", "two-value", "heavy-tailed", "uniform"] {
+                let a = rng.u64();
+                let b = a ^ 1 << rng.usize_in(0, 8 * T::KEY_BYTES);
+                let v: Vec<T> = (0..len)
+                    .map(|i| {
+                        let key = match dist {
+                            "all-equal" => a,
+                            "two-value" => *rng.pick(&[a, b]),
+                            "heavy-tailed" => rng.u64() >> rng.usize_in(0, 64),
+                            _ => rng.u64(),
+                        };
+                        make(key, i)
+                    })
+                    .collect();
+                radix_agrees(v, &bits, &format!("len {len}, {dist}"))?;
+            }
+        }
+        Ok(())
+    });
+}
+
+/// Run `$check(name, make, bits)` over the seven key types: `make(b, i)`
+/// builds key `i` from the bits `b`, and `bits` exposes a key's bits and
+/// payload.
+macro_rules! every_key_type {
+    ($check:ident, $prefix:literal) => {
+        $check(
+            concat!($prefix, "_u32"),
+            |b, _| b as u32,
+            |&x| (x as u64, 0),
+        );
+        $check(
+            concat!($prefix, "_i32"),
+            |b, _| b as i32,
+            |&x| (x as u64, 0),
+        );
+        $check(
+            concat!($prefix, "_f32"),
+            |b, _| f32::from_bits(b as u32),
+            |x| (x.to_bits() as u64, 0),
+        );
+        $check(concat!($prefix, "_u64"), |b, _| b, |&x| (x, 0));
+        $check(
+            concat!($prefix, "_i64"),
+            |b, _| b as i64,
+            |&x| (x as u64, 0),
+        );
+        $check(
+            concat!($prefix, "_f64"),
+            |b, _| f64::from_bits(b),
+            |x| (x.to_bits(), 0),
+        );
+        $check(
+            concat!($prefix, "_key_value"),
+            |b, i| KeyValue {
+                key: f64::from_bits(b),
+                value: i as u64,
+            },
+            |x| (x.key.to_bits(), x.value),
+        );
+    };
+}
+
 #[test]
 fn radix_counts_varying_bytes_of_every_key_type() {
-    radix_counts_varying_bytes("radix_lanes_u32", |b, _| b as u32, |&x| (x as u64, 0));
-    radix_counts_varying_bytes("radix_lanes_i32", |b, _| b as i32, |&x| (x as u64, 0));
-    radix_counts_varying_bytes(
-        "radix_lanes_f32",
-        |b, _| f32::from_bits(b as u32),
-        |x| (x.to_bits() as u64, 0),
-    );
-    radix_counts_varying_bytes("radix_lanes_u64", |b, _| b, |&x| (x, 0));
-    radix_counts_varying_bytes("radix_lanes_i64", |b, _| b as i64, |&x| (x as u64, 0));
-    radix_counts_varying_bytes(
-        "radix_lanes_f64",
-        |b, _| f64::from_bits(b),
-        |x| (x.to_bits(), 0),
-    );
-    radix_counts_varying_bytes(
-        "radix_lanes_key_value",
-        |b, i| KeyValue {
-            key: f64::from_bits(b),
-            value: i as u64,
-        },
-        |x| (x.key.to_bits(), x.value),
-    );
+    every_key_type!(radix_counts_varying_bytes, "radix_lanes");
+}
+
+#[test]
+fn radix_small_count_boundary_of_every_key_type() {
+    every_key_type!(radix_small_count_boundary, "radix_small");
 }
 
 #[test]

@@ -88,18 +88,17 @@ pub const MAX_PLAN_NODES: u128 = 1 << 23;
 /// How the executors react to GPU OOM, transfer faults, device-sort
 /// failures, and worker panics.
 ///
-/// The default policy retries transient transfer faults with a short
-/// backoff, splits batches that overflow device memory into sub-runs
-/// (halving the effective `b_s` for the affected remainder), and sorts
-/// unrecoverable batches host-side (graceful degradation). Use
-/// [`RecoveryPolicy::none`] to propagate every fault as a typed
-/// [`HetSortError`] instead.
+/// The default policy retries transient transfer faults at once (the
+/// injector's occurrence count decides whether a retry clears a fault,
+/// never elapsed time, so waiting would change nothing), splits batches
+/// that overflow device memory into sub-runs (halving the effective
+/// `b_s` for the affected remainder), and sorts unrecoverable batches
+/// host-side (graceful degradation). Use [`RecoveryPolicy::none`] to
+/// propagate every fault as a typed [`HetSortError`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Retries after a failed DMA transfer (0 = fail on first fault).
     pub max_retries: usize,
-    /// Milliseconds to back off before each retry.
-    pub backoff_ms: u64,
     /// On GPU OOM, halve the device buffer and sort the batch in
     /// sub-runs merged host-side (instead of failing).
     pub split_on_oom: bool,
@@ -112,7 +111,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_retries: 2,
-            backoff_ms: 1,
             split_on_oom: true,
             cpu_fallback: true,
         }
@@ -124,7 +122,6 @@ impl RecoveryPolicy {
     pub fn none() -> Self {
         RecoveryPolicy {
             max_retries: 0,
-            backoff_ms: 0,
             split_on_oom: false,
             cpu_fallback: false,
         }

@@ -14,9 +14,12 @@
 //! * every device-buffer growth, HtoD, DtoH, and device sort consults
 //!   the configured [`FaultInjector`] (if any);
 //! * transient transfer faults are retried up to
-//!   [`RecoveryPolicy::max_retries`] times with a backoff — each retry
+//!   [`RecoveryPolicy::max_retries`] times, at once — each retry
 //!   consults the injector again, so a schedule that faults occurrence
-//!   `k` but not `k+1` models a fault one retry clears;
+//!   `k` but not `k+1` models a fault one retry clears. Whether a retry
+//!   clears is decided by that occurrence count, never by elapsed time,
+//!   and simulated time comes from the plan, so a host sleep between
+//!   attempts would change no outcome and only idle the thread;
 //! * GPU OOM halves the effective device buffer (`b_s/2` for the
 //!   affected remainder) and sorts the batch in device-sized sub-runs
 //!   merged host-side ([`Mode::Split`] — the GPU still does the
@@ -62,6 +65,24 @@ enum Mode {
     Split,
     /// Graceful degradation: the batch is sorted host-side from `A`.
     CpuFallback,
+}
+
+/// The buffer accesses one node performs, listed only when the run
+/// records a trace: an untraced node allocates no list.
+struct Accesses(Option<Vec<Access>>);
+
+impl Accesses {
+    fn push(&mut self, access: Access) {
+        if let Some(list) = &mut self.0 {
+            list.push(access);
+        }
+    }
+
+    fn extend(&mut self, accesses: impl IntoIterator<Item = Access>) {
+        if let Some(list) = &mut self.0 {
+            list.extend(accesses);
+        }
+    }
 }
 
 /// One stream's executor state: buffers, fault handling, recovery.
@@ -221,9 +242,6 @@ where
             if attempts > self.policy.max_retries {
                 return Err(attempts);
             }
-            if self.policy.backoff_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(self.policy.backoff_ms));
-            }
             self.stats.retries += 1;
             attempts += 1;
         }
@@ -309,7 +327,7 @@ where
         let span_start = self.t0.elapsed().as_secs_f64();
         // Accesses this step actually performs — which differ from the
         // static lowering once recovery reroutes a batch host-side.
-        let mut acc: Vec<Access> = Vec::new();
+        let mut acc = Accesses(self.plan.config.record_trace.then(Vec::new));
         match op {
             DagOp::PinnedAlloc { dir_in, .. } => {
                 let elided = self.plan.stage_out_elided();
@@ -581,8 +599,8 @@ where
         }
         // Log even empty lists: a CpuFallback HtoD performs no accesses,
         // and that fact must override the static derivation.
-        if self.plan.config.record_trace {
-            self.access_log.push((si, acc));
+        if let Accesses(Some(list)) = acc {
+            self.access_log.push((si, list));
         }
         let elem = self.plan.config.elem_bytes.bytes();
         let bytes = match *op {

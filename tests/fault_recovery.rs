@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use hetsort::core::{
     sort_real, sort_real_parallel, Approach, HetSortConfig, HetSortError, Plan, RecoveryPolicy,
+    StagingMode,
 };
 use hetsort::vgpu::{platform1, FaultInjector, TransferDir};
 
@@ -27,6 +28,20 @@ fn base_cfg() -> HetSortConfig {
     HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
         .with_batch_elems(6_000)
         .with_pinned_elems(1_000)
+}
+
+/// Both staging protocols: their chunk loops reach the transfer sites in
+/// a different order.
+const STAGINGS: [StagingMode; 2] = [StagingMode::Paper, StagingMode::DoubleBuffered];
+
+/// A schedule that fails the listed occurrences of `dir`'s transfers.
+fn fail_transfers(dir: TransferDir, occurrences: &[usize]) -> FaultInjector {
+    occurrences
+        .iter()
+        .fold(FaultInjector::new(), |inj, &k| match dir {
+            TransferDir::HtoD => inj.fail_htod(k),
+            TransferDir::DtoH => inj.fail_dtoh(k),
+        })
 }
 
 /// OOM on the very first device allocation (batch 0) plus a transient
@@ -116,7 +131,6 @@ fn exhausted_transfer_retries_name_step_and_batch() {
     );
     let policy = RecoveryPolicy {
         max_retries: 2,
-        backoff_ms: 0,
         split_on_oom: true,
         cpu_fallback: false,
     };
@@ -180,4 +194,74 @@ fn fault_free_run_reports_clean_stats() {
     let out = sort_real(base_cfg().with_faults(inj), &data).unwrap();
     assert!(out.verified);
     assert!(!out.recovery.any());
+}
+
+#[test]
+fn transient_transfer_faults_clear_on_the_next_attempt() {
+    // Each scheduled occurrence is followed by one that does not fault,
+    // so its retry clears it: the GPU path is never abandoned, the
+    // output is the fault-free run's bit for bit, and every trip costs
+    // exactly one retry. The first, a middle and the last of the 30
+    // chunks' transfers, then three transients in one run.
+    let data = lcg_data(30_000, 11);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for staging in STAGINGS {
+        let cfg = base_cfg().with_staging(staging);
+        let clean = sort_real(cfg.clone(), &data).unwrap();
+        assert!(clean.verified && !clean.recovery.any());
+        for dir in [TransferDir::HtoD, TransferDir::DtoH] {
+            for schedule in [&[1][..], &[13], &[30], &[2, 4, 9]] {
+                let inj = Arc::new(fail_transfers(dir, schedule));
+                let out = sort_real(cfg.clone().with_faults(Arc::clone(&inj)), &data).unwrap();
+                let case = format!("{staging:?} {dir:?} at {schedule:?}");
+                assert!(out.verified, "{case}");
+                assert!(
+                    bits(&out.sorted) == bits(&clean.sorted),
+                    "{case}: output moved"
+                );
+                assert_eq!(inj.injected(), schedule.len(), "{case}: every fault fires");
+                assert_eq!(out.recovery.faults_injected, schedule.len(), "{case}");
+                assert_eq!(
+                    out.recovery.retries,
+                    schedule.len(),
+                    "{case}: one retry per trip"
+                );
+                assert_eq!(out.recovery.degraded_batches, 0, "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn exhausted_retry_budget_reports_every_attempt() {
+    // The first transfer of `dir` faults on every attempt the budget
+    // allows: with CPU fallback off the typed error counts the initial
+    // attempt plus `max_retries` retries.
+    let data = lcg_data(30_000, 11);
+    for staging in STAGINGS {
+        for dir in [TransferDir::HtoD, TransferDir::DtoH] {
+            for max_retries in 0..=3 {
+                let attempts: Vec<usize> = (1..=max_retries + 1).collect();
+                let policy = RecoveryPolicy {
+                    max_retries,
+                    cpu_fallback: false,
+                    ..RecoveryPolicy::default()
+                };
+                let cfg = base_cfg()
+                    .with_staging(staging)
+                    .with_recovery(policy)
+                    .with_faults(Arc::new(fail_transfers(dir, &attempts)));
+                let err = sort_real(cfg, &data).unwrap_err();
+                let case = format!("{staging:?} {dir:?} max_retries {max_retries}");
+                assert!(
+                    matches!(
+                        err,
+                        HetSortError::TransferFault { batch: 0, dir: d, attempts: a, .. }
+                            if d == dir && a == max_retries + 1
+                    ),
+                    "{case}: got {err:?}"
+                );
+            }
+        }
+    }
 }
