@@ -37,6 +37,11 @@
 //! scalability experiments (Figures 4 and 6) can sweep thread counts
 //! deterministically.
 
+// Library code never unwraps: a worker's panic resumes on the caller
+// with its own payload, and a poisoned lock is recovered. Tests are
+// free to unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod insertion;
 pub mod introsort;
 pub mod keys;

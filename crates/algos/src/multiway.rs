@@ -17,7 +17,7 @@
 //! Stability: ties are resolved by list index (earlier list first),
 //! matching a left-to-right stable merge of the batch array.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::keys::SortOrd;
 use crate::merge::merge_into;
@@ -76,10 +76,13 @@ fn merge_part<T: SortOrd>(
         [a] => out.copy_from_slice(a),
         [a, b] => merge_into(a, b, out),
         _ => {
-            let reused = spare.lock().expect("merge scratch list poisoned").pop();
+            // A poisoned list holds whole buffers: a part that panicked
+            // never returned its own.
+            let spare = || spare.lock().unwrap_or_else(PoisonError::into_inner);
+            let reused = spare().pop();
             let mut tmp = reused.unwrap_or_else(|| vec![lists[0][0]; longest]);
             tree_into(&lists, out, &mut tmp[..out.len()]);
-            spare.lock().expect("merge scratch list poisoned").push(tmp);
+            spare().push(tmp);
         }
     }
 }

@@ -16,8 +16,9 @@
 //! sequential baselines are exactly the same code path measured in
 //! Figure 4's single-thread columns.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Decomposition granularity of the self-scheduled work queue.
@@ -191,11 +192,13 @@ where
             if i >= slots_ref.len() {
                 break;
             }
-            let p = slots_ref[i]
+            // `next` hands each index out once, so the slot is full; a
+            // poisoned lock only means another part panicked.
+            let claimed = slots_ref[i]
                 .lock()
-                .expect("work-queue slot poisoned")
-                .take()
-                .expect("work-queue slot claimed twice");
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let Some(p) = claimed else { continue };
             let s = Instant::now();
             fref(i, p);
             busy += s.elapsed().as_secs_f64();
@@ -215,7 +218,8 @@ where
             .collect();
         let mut out = vec![run_queue(0)];
         for h in handles {
-            out.push(h.join().expect("parallel worker panicked"));
+            // A worker's panic resumes here with its own payload.
+            out.push(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
         }
         out
     });
@@ -313,7 +317,7 @@ where
         std::thread::scope(|s| {
             let hb = s.spawn(b);
             let ra = a();
-            let rb = hb.join().expect("parallel task panicked");
+            let rb = hb.join().unwrap_or_else(|payload| resume_unwind(payload));
             (ra, rb)
         })
     }
@@ -332,6 +336,20 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn a_panicking_task_keeps_its_payload() {
+        for threads in [1, 2] {
+            let payload =
+                std::panic::catch_unwind(|| join(threads, || 1, || -> i32 { panic!("boom") }))
+                    .unwrap_err();
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"boom"),
+                "threads={threads}"
+            );
+        }
+    }
 
     #[test]
     fn split_evenly_exact_division() {

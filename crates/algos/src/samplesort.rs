@@ -138,8 +138,11 @@ mod parking {
 
         /// Consume the value. Panics if never put.
         pub fn take(self) -> T {
-            assert!(self.full.load(Ordering::Acquire), "Slot::take before put");
-            self.val.into_inner().expect("slot value missing")
+            let put = self.full.load(Ordering::Acquire);
+            match self.val.into_inner() {
+                Some(v) if put => v,
+                _ => panic!("Slot::take before put"),
+            }
         }
     }
 }

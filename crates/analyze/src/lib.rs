@@ -6,10 +6,11 @@
 //! surface as silent data corruption or a hang at run time. This crate
 //! rejects such schedules *before* execution:
 //!
-//! 1. **Static linter** ([`static_lint`]): plan-level checks — peak
-//!    device residency per GPU vs capacity, staging chunks vs the
-//!    pinned buffer, merge-tree well-formedness, the PIPEMERGE
-//!    pair-count heuristic (`⌊(n_b−1)/2^n_GPU⌋`, §III-D3).
+//! 1. **Static linter** ([`static_lint`]): plan-level checks — the core
+//!    validator's named rules (merge-tree well-formedness among them),
+//!    peak device residency per GPU vs capacity, staging chunks vs the
+//!    pinned buffer, the PIPEMERGE pair-count heuristic
+//!    (`⌊(n_b−1)/2^n_GPU⌋`, §III-D3).
 //! 2. **Happens-before checker** ([`hb`]): vector-clock race detection
 //!    over a structured [`OpTrace`] — stream program order plus
 //!    `event_record`/`stream_wait_event`/`device_synchronize` edges —
@@ -77,34 +78,27 @@ pub fn analyze_plan(plan: &Plan) -> AnalysisReport {
     analyze_plan_with_trace(plan, &lower_plan(plan))
 }
 
-/// Analyze an op dag: structural validation (every named
-/// [`PlanDag::validate`] rule becomes a [`FindingClass::Malformed`]
-/// finding instead of an error), then the full plan analysis — static
-/// lint, residency re-check, and happens-before over the trace lowered
-/// from the *dag's* edges. A dag whose dependency edges were mutated
-/// loses exactly those sync edges in the lowered trace, so the HB
-/// checker reports the race even when the structural validator is
-/// blind to it.
+/// Analyze an op dag: the static lint over the *dag's* nodes (a
+/// failing [`PlanDag::validate`] rule becomes a
+/// [`FindingClass::Malformed`] finding instead of an error), then
+/// happens-before over the trace lowered from the dag's edges. A dag
+/// whose dependency edges were mutated loses exactly those sync edges
+/// in the lowered trace, so the HB checker reports the race even when
+/// the structural validator is blind to it.
 pub fn analyze_dag(dag: &PlanDag) -> AnalysisReport {
-    let mut findings = Vec::new();
-    if let Err(e) = dag.validate() {
-        findings.push(Finding {
-            class: FindingClass::Malformed,
-            code: "dag-validate",
-            message: e.to_string(),
-            ops: Vec::new(),
-        });
-    }
-    let mut report = analyze_plan_with_trace(&dag.plan, &lower_dag(dag));
-    findings.append(&mut report.findings);
-    AnalysisReport { findings }
+    with_races(static_lint::lint_dag(dag), &dag.plan, &lower_dag(dag))
 }
 
 /// Analyze a plan against a specific trace — the lowered static trace,
 /// a mutated one, or the executed trace an executor recorded (which
 /// re-checks recovery detours the static schedule never had).
 pub fn analyze_plan_with_trace(plan: &Plan, trace: &OpTrace) -> AnalysisReport {
-    let mut findings = static_lint::lint_plan(plan);
+    with_races(static_lint::lint_plan(plan), plan, trace)
+}
+
+/// `findings` plus the happens-before findings over `trace`, against
+/// the capacities of `plan`'s GPUs.
+fn with_races(mut findings: Vec<Finding>, plan: &Plan, trace: &OpTrace) -> AnalysisReport {
     let caps: Vec<u64> = plan
         .config
         .platform

@@ -8,8 +8,8 @@
 //!
 //! Sync mutants edit the lowered trace (dropping or misplacing the
 //! event edges an executor could plausibly forget); structural mutants
-//! edit the plan in place (the hand-mutated-plan shapes
-//! `Plan::check_invariants` and the static linter exist to catch).
+//! edit the plan in place (the hand-mutated-plan shapes the core
+//! validator and the static linter exist to catch).
 //!
 //! [`ExploreMutant`] seeds the recovery path's trace for the
 //! schedule-space explorer. The engine's recovery defects are

@@ -1,9 +1,9 @@
-//! The static plan linter: everything checkable from a [`Plan`] alone,
-//! before a single byte moves.
+//! The static plan linter: everything checkable from a [`Plan`] and the
+//! nodes it runs, before a single byte moves.
 //!
-//! * structural invariants (delegates to [`Plan::check_invariants`]):
-//!   backward deps, chunk tiling, merge-tree well-formedness — every
-//!   batch produced once and consumed exactly once;
+//! * structure: the core validator's eleven named rules
+//!   ([`PlanDag::validate`]), run once over the nodes being linted; a
+//!   failing rule becomes one `Malformed` finding with its message;
 //! * the PIPEMERGE pair-count heuristic: `⌊(n_b−1)/2^n_GPU⌋` pipelined
 //!   pair merges (§III-D3) when the paper strategy is selected;
 //! * peak device residency per GPU against its capacity — each stream
@@ -16,23 +16,34 @@
 use std::collections::BTreeMap;
 
 use hetsort_core::config::{Approach, PairStrategy};
-use hetsort_core::dag::DagOp;
+use hetsort_core::dag::{DagNode, DagOp, PlanDag};
 use hetsort_core::optrace::node_label;
 use hetsort_core::plan::Plan;
+use hetsort_core::HetSortError;
 
 use crate::finding::{Finding, FindingClass};
 use crate::residency::Residency;
 
-/// Lint a plan; returns all findings (empty = clean).
+/// Lint a plan's own nodes; returns all findings (empty = clean).
 pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
+    lint(plan, &plan.steps, plan.validate())
+}
+
+/// Lint a dag's nodes over its plan's geometry.
+pub fn lint_dag(dag: &PlanDag) -> Vec<Finding> {
+    lint(&dag.plan, &dag.nodes, dag.validate())
+}
+
+/// The lints over `nodes`, given the validator's verdict on them.
+fn lint(plan: &Plan, nodes: &[DagNode], valid: Result<(), HetSortError>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let cfg = &plan.config;
 
-    if let Err(e) = plan.check_invariants() {
+    if let Err(e) = valid {
         findings.push(Finding {
             class: FindingClass::Malformed,
             code: "invariant",
-            message: format!("plan invariant violated: {e}"),
+            message: e.to_string(),
             ops: Vec::new(),
         });
     }
@@ -60,39 +71,30 @@ pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
     // serve-layer admission controller budgets with).
     let residency = Residency::of_plan(plan);
     let dev_bytes = cfg.device_bytes(cfg.batch_elems);
+    // A GPU the platform lacks is the validator's `placement` finding.
     for (gpu, need) in &residency.device_bytes {
-        match cfg.platform.gpus.get(*gpu) {
-            None => findings.push(Finding {
-                class: FindingClass::Malformed,
-                code: "no-such-gpu",
+        let Some(g) = cfg.platform.gpus.get(*gpu) else {
+            continue;
+        };
+        if *need > g.global_mem_bytes {
+            findings.push(Finding {
+                class: FindingClass::Oom,
+                code: "device-over-capacity",
                 message: format!(
-                    "plan schedules batches on GPU {gpu} but the platform has only {}",
-                    cfg.platform.n_gpus()
+                    "GPU {gpu} holds {} resident stream buffer(s) of \
+                     {dev_bytes:.3e} B each ({need:.3e} B peak) but has only \
+                     {:.3e} B — statically guaranteed OOM",
+                    need / dev_bytes.max(1),
+                    g.global_mem_bytes
                 ),
                 ops: Vec::new(),
-            }),
-            Some(g) => {
-                if *need > g.global_mem_bytes {
-                    findings.push(Finding {
-                        class: FindingClass::Oom,
-                        code: "device-over-capacity",
-                        message: format!(
-                            "GPU {gpu} holds {} resident stream buffer(s) of \
-                             {dev_bytes:.3e} B each ({need:.3e} B peak) but has only \
-                             {:.3e} B — statically guaranteed OOM",
-                            need / dev_bytes.max(1),
-                            g.global_mem_bytes
-                        ),
-                        ops: Vec::new(),
-                    });
-                }
-            }
+            });
         }
     }
 
     // Staging chunks vs the pinned buffer, one finding per stream.
     let mut over: BTreeMap<usize, (usize, String, usize)> = BTreeMap::new();
-    for (si, step) in plan.steps.iter().enumerate() {
+    for (si, step) in nodes.iter().enumerate() {
         let len = match step.op {
             DagOp::StagingCopy { len, .. } | DagOp::HtoD { len, .. } | DagOp::DtoH { len, .. } => {
                 len

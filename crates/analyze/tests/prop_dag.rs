@@ -13,13 +13,20 @@
 //!    verbatim, both trace entry points lower them identically, no node
 //!    repeats a dep, and min-id ready order is submission order — over
 //!    every approach × staging mode × hybrid mode × pair strategy.
+//! 4. A dag that validates never panics a consumer: after any random
+//!    single-site defect the validator accepts, the engine sorts and
+//!    verifies at every worker count, and the simulator, the analyzer
+//!    and the host-memory model return.
 
-use hetsort_analyze::analyze_dag;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use hetsort_analyze::{analyze_dag, host_peak_bytes};
 use hetsort_core::dag::mutate::{execute_dag_hooked, EngineHooks};
 use hetsort_core::optrace::{lower_dag, lower_plan};
+use hetsort_core::plan::MergeSrc;
 use hetsort_core::{
-    execute_dag, Approach, HetSortConfig, HybridMode, PairStrategy, Plan, PlanDag, StagingMode,
-    TieBreak,
+    execute_dag, simulate_dag, Approach, DagOp, HetSortConfig, HybridMode, PairStrategy, Plan,
+    PlanDag, StagingMode, TieBreak,
 };
 use hetsort_prng::{prop_assert, run_cases, Rng};
 use hetsort_vgpu::{platform1, platform2};
@@ -194,6 +201,105 @@ fn plan_steps_are_the_dag() {
                 }
             }
         }
+        Ok(())
+    });
+}
+
+/// Apply one random single-site defect to `dag` and say what it was: an
+/// extra edge, one merge input rewritten (a final-merge input or a side
+/// of a pair slot), one batch moved to another GPU or stream, or one
+/// batch's start shifted. Every index drawn reaches one past its range.
+fn mutate_one_site(rng: &mut Rng, dag: &mut PlanDag) -> String {
+    let (nodes, nb, slots) = (dag.nodes.len(), dag.plan.nb(), dag.plan.pairs.len());
+    let b = rng.usize_in(0, nb);
+    let batch = &mut dag.plan.batches[b];
+    match rng.usize_in(0, 5) {
+        0 => {
+            let (i, d) = (rng.usize_in(0, nodes), rng.usize_in(0, nodes + 1));
+            dag.nodes[i].deps.push(d);
+            format!("edge {d} → {i}")
+        }
+        1 => {
+            let src = if rng.bool() {
+                MergeSrc::Batch(rng.usize_in(0, nb + 1))
+            } else {
+                MergeSrc::Merged(rng.usize_in(0, slots + 1))
+            };
+            let inputs = dag.nodes.iter_mut().find_map(|n| match &mut n.op {
+                DagOp::MultiwayMerge { inputs } => Some(inputs),
+                _ => None,
+            });
+            let k = inputs.as_ref().map_or(0, |i| i.len());
+            if k + slots == 0 {
+                return "no merge input to rewrite".into();
+            }
+            let site = rng.usize_in(0, k + 2 * slots);
+            match inputs {
+                Some(inputs) if site < k => inputs[site] = src,
+                _ if (site - k).is_multiple_of(2) => dag.plan.pairs[(site - k) / 2].left = src,
+                _ => dag.plan.pairs[(site - k) / 2].right = src,
+            }
+            format!("merge input site {site} := {src:?}")
+        }
+        2 => {
+            batch.gpu = rng.usize_in(0, dag.plan.config.platform.n_gpus() + 1);
+            format!("batch {b} on GPU {}", batch.gpu)
+        }
+        3 => {
+            batch.stream = rng.usize_in(0, dag.plan.total_streams + 1);
+            format!("batch {b} on stream {}", batch.stream)
+        }
+        _ => {
+            batch.start = if rng.bool() {
+                batch.start + rng.usize_in(1, 3)
+            } else {
+                batch.start.saturating_sub(rng.usize_in(1, 3))
+            };
+            format!("batch {b} starts at {}", batch.start)
+        }
+    }
+}
+
+/// Run `f`, turning a panic into an `Err` naming `what` and the panic.
+fn no_panic<R>(what: &str, f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let text = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        format!("{what} panicked: {text}")
+    })
+}
+
+#[test]
+fn a_dag_that_validates_never_panics_a_consumer() {
+    run_cases("a_dag_that_validates_never_panics_a_consumer", 80, |rng| {
+        let mut dag = arb_dag(rng);
+        let what = mutate_one_site(rng, &mut dag);
+        if dag.validate().is_err() {
+            return Ok(());
+        }
+        let what = format!(
+            "{} n={} after {what}",
+            dag.plan.config.approach.name(),
+            dag.plan.n
+        );
+        let data = lcg_data(dag.plan.n, rng.u64());
+        for workers in [0, dag.plan.total_streams] {
+            let out = no_panic("the engine", || {
+                execute_dag_hooked(&dag, &data, workers, EngineHooks::default())
+            })
+            .map_err(|e| format!("{what}, workers={workers}: {e}"))?
+            .map_err(|e| format!("{what}, workers={workers}: {e}"))?;
+            prop_assert!(out.verified, "{what}, workers={workers}: not verified");
+        }
+        // A report or a typed error: either is a return.
+        let _ =
+            no_panic("simulate_dag", || simulate_dag(&dag)).map_err(|e| format!("{what}: {e}"))?;
+        no_panic("analyze_dag", || analyze_dag(&dag)).map_err(|e| format!("{what}: {e}"))?;
+        no_panic("host_peak_bytes", || host_peak_bytes(&dag.plan))
+            .map_err(|e| format!("{what}: {e}"))?;
         Ok(())
     });
 }

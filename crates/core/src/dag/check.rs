@@ -1,5 +1,6 @@
-//! The structural validator behind [`PlanDag::validate`]: its eight
-//! named rules, each run over flat tables.
+//! The one structural validator, behind [`PlanDag::validate`] and
+//! [`Plan::validate`]: its eleven named rules, each run over flat
+//! tables.
 //!
 //! A rule keys its state on what the nodes name: a stream, a batch, a
 //! chunk of a batch, a pair slot. Every such table is a vector sized
@@ -12,6 +13,7 @@
 //! by a panic.
 //!
 //! [`PlanDag::validate`]: super::PlanDag::validate
+//! [`Plan::validate`]: crate::plan::Plan::validate
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -354,7 +356,7 @@ impl Lane {
 }
 
 /// Run the rules in order; the first violation is the error.
-pub(super) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> {
+pub(crate) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> {
     let err = |reason: String| Err(HetSortError::Plan { reason });
     let n = nodes.len();
     let geo = Geometry::of(plan, n);
@@ -566,6 +568,104 @@ pub(super) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> 
                 kind.name()
             ));
         }
+    }
+
+    // order: every dependency names an earlier node. The simulator and
+    // the trace lowering resolve a node's dependencies before the node.
+    if !backward {
+        for (i, node) in nodes.iter().enumerate() {
+            if let Some(d) = node.deps.iter().find(|&&d| d >= i) {
+                return err(format!("order: node {i} depends forward on node {d}"));
+            }
+        }
+    }
+
+    // merge-cover: walking each pair slot from the final merge's inputs,
+    // every batch reaches it once and every slot is consumed once (the
+    // engine frees a run at its one consumer), and slot sizes add up.
+    // Walking the nodes last to first meets each slot's consumer before
+    // its merge (`order`, `merge-inputs`). Batch b is key b, slot p nb + p.
+    let slots = plan.pairs.len();
+    let mut seen = Table::new(geo.batches + geo.pairs, false);
+    for (i, node) in nodes.iter().enumerate().rev() {
+        let pair;
+        let srcs = match &node.op {
+            DagOp::MultiwayMerge { inputs } => inputs.as_slice(),
+            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } if *seen.get(nb + slot) => {
+                pair = [plan.pairs[*slot].left, plan.pairs[*slot].right];
+                &pair
+            }
+            _ => continue,
+        };
+        for &src in srcs {
+            let key = match src {
+                MergeSrc::Batch(b) if b < nb => b,
+                MergeSrc::Merged(p) if p < slots => nb + p,
+                _ => return err(format!("merge-cover: node {i} reaches missing {src:?}")),
+            };
+            if std::mem::replace(seen.get_mut(key), true) {
+                return err(format!("merge-cover: node {i} reaches {src:?} twice"));
+            }
+        }
+    }
+    let first = if nb > 1 { 0 } else { nb }; // a lone batch is the output
+    if let Some(k) = (first..nb + slots).find(|&k| !seen.get(k)) {
+        let src = if k < nb {
+            MergeSrc::Batch(k)
+        } else {
+            MergeSrc::Merged(k - nb)
+        };
+        return err(format!(
+            "merge-cover: {src:?} never reaches the final merge"
+        ));
+    }
+    // Every slot was walked, so its inputs are in range.
+    let len = |src: MergeSrc| match src {
+        MergeSrc::Batch(b) => plan.batches[b].len,
+        MergeSrc::Merged(p) => plan.pairs[p].out_elems,
+    };
+    if let Some(p) = plan
+        .pairs
+        .iter()
+        .position(|pair| len(pair.left).checked_add(len(pair.right)) != Some(pair.out_elems))
+    {
+        return err(format!(
+            "merge-cover: pair slot {p}'s inputs do not add up to its {} elements",
+            plan.pairs[p].out_elems
+        ));
+    }
+
+    // placement: the device map names each GPU's device once; batches
+    // tile [0, n) in index order, each on a GPU and a stream of the plan
+    // (the simulator and the engine index per-GPU and per-stream state).
+    let ngpu = plan.config.platform.n_gpus();
+    let ids = &plan.device_ids;
+    if ids.len() != ngpu || ids.iter().enumerate().any(|(g, id)| ids[..g].contains(id)) {
+        return err(format!(
+            "placement: device map {ids:?} does not name {ngpu} distinct devices"
+        ));
+    }
+    let mut at = 0;
+    for (i, b) in plan.batches.iter().enumerate() {
+        if b.index != i || b.start != at {
+            return err(format!(
+                "placement: batch {} at position {i} starts at {}; batch {i} is due at {at}",
+                b.index, b.start
+            ));
+        }
+        if b.gpu >= ngpu || b.stream >= plan.total_streams {
+            return err(format!(
+                "placement: batch {i} names GPU {} of {ngpu}, stream {} of {}",
+                b.gpu, b.stream, plan.total_streams
+            ));
+        }
+        at = at.saturating_add(b.len);
+    }
+    if at != plan.n {
+        return err(format!(
+            "placement: batches cover {at} of {} elements",
+            plan.n
+        ));
     }
 
     Ok(())

@@ -55,8 +55,8 @@ use crate::plan::{MergeSrc, Plan};
 use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
 
-/// Shared entry checks: data/plan agreement, element width, plan
-/// invariants, dag validity.
+/// Shared entry checks: data/plan agreement, element width, dag
+/// validity.
 fn check_inputs<T>(plan: &Plan, nodes: &[DagNode], data: &[T]) -> Result<(), HetSortError> {
     if data.len() != plan.n {
         return Err(HetSortError::data(format!(
@@ -73,8 +73,7 @@ fn check_inputs<T>(plan: &Plan, nodes: &[DagNode], data: &[T]) -> Result<(), Het
             elem_bytes
         )));
     }
-    plan.check_invariants()?;
-    PlanDag::check(plan, nodes)
+    super::check::check(plan, nodes)
 }
 
 /// Lock a mutex, recovering the guard from a poisoned lock: a panic
@@ -110,9 +109,9 @@ fn cpu_part_spans<'a>(
 }
 
 /// One sorted run through its life: a batch its stream stages out, or
-/// a pair merge's output. [`Plan::check_invariants`] proves every run
-/// has exactly one consumer merge, so the run is dead once that merge
-/// has read it.
+/// a pair merge's output. The validator's `merge-cover` rule proves
+/// every run has exactly one consumer merge, so the run is dead once
+/// that merge has read it.
 enum Run<T> {
     /// Not produced yet (this pass may still produce it).
     Pending,
@@ -176,13 +175,8 @@ where
         // `slot` is the pair slot a two-way merge writes; `None` is B.
         let (srcs, out_elems, slot) = match op {
             DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-                let spec = self
-                    .plan
-                    .pairs
-                    .get(*slot)
-                    .ok_or_else(|| HetSortError::Plan {
-                        reason: format!("merge node {id} references missing pair slot {slot}"),
-                    })?;
+                // `merge-inputs` proved the slot exists.
+                let spec = self.plan.pairs[*slot];
                 (vec![spec.left, spec.right], spec.out_elems, Some(*slot))
             }
             DagOp::MultiwayMerge { inputs } => (inputs.clone(), self.plan.n, None),
@@ -195,11 +189,11 @@ where
         let runs = srcs
             .iter()
             .map(|&src| {
+                // `merge-cover` proved every input names a batch or slot.
                 match src {
-                    MergeSrc::Batch(b) => batches.get(b).map(|c| lock_any(c).take()),
-                    MergeSrc::Merged(p) => self.pair_out.get_mut(p).map(Run::take),
+                    MergeSrc::Batch(b) => lock_any(&batches[b]).take(),
+                    MergeSrc::Merged(p) => self.pair_out[p].take(),
                 }
-                .unwrap_or(Err("was never produced"))
                 .map_err(|what| HetSortError::Plan {
                     reason: format!("merge node {id}: input {src:?} {what}"),
                 })

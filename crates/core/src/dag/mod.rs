@@ -12,10 +12,10 @@
 //!   reads the node it is handed, nothing else;
 //! * [`PlanDag::validate`] rejects malformed graphs with *named* rules
 //!   (`missing-ref`, `cycle`, `duplicate-producer`, `stream-bind`,
-//!   `fifo`, `sort-input`, `merge-inputs`, `chunk-cover`) so the mutation kill
-//!   suite can assert which rule caught which defect — residency is
-//!   re-checked by `hetsort-analyze`, which owns the platform budget
-//!   model;
+//!   `fifo`, `sort-input`, `merge-inputs`, `chunk-cover`, `order`,
+//!   `merge-cover`, `placement`) so the mutation kill suite can assert
+//!   which rule caught which defect — residency is re-checked by
+//!   `hetsort-analyze`, which owns the platform budget model;
 //! * [`ReadySet`] is the one scheduling structure: pop any ready
 //!   node, deterministically ([`TieBreak::MinId`] is the documented
 //!   default — over a backward-dependency dag it reproduces the plan's
@@ -24,7 +24,7 @@
 //! The engine lives in [`exec`]; defect constructors for the kill suite
 //! live in [`mutate`].
 
-mod check;
+pub(crate) mod check;
 pub mod exec;
 pub mod mutate;
 
@@ -263,7 +263,17 @@ impl PlanDag {
     /// * `chunk-cover` — a batch's `StageIn`, `HtoD`, `DtoH` and
     ///   `StageOut` chunks do not carry identical `(start, len)` per
     ///   chunk index, do not tile `[start, start + len)` of the batch
-    ///   contiguously in chunk order, or exceed `pinned_elems`.
+    ///   contiguously in chunk order, or exceed `pinned_elems`;
+    /// * `order` — a dependency names a later node (the simulator and
+    ///   the trace lowering resolve dependencies first);
+    /// * `merge-cover` — walking the pair slots from the final merge's
+    ///   inputs, a batch does not reach it exactly once, a slot is not
+    ///   consumed exactly once, or a slot's output size is not the sum
+    ///   of its inputs;
+    /// * `placement` — the device map does not name each GPU's device
+    ///   exactly once, a batch names a GPU the platform lacks or a
+    ///   stream the plan lacks, or the batches do not tile `[0, n)` in
+    ///   index order.
     ///
     /// Residency (peak device bytes vs capacity) is deliberately *not*
     /// here: `hetsort-analyze` owns the platform budget model and
@@ -273,13 +283,7 @@ impl PlanDag {
     ///
     /// [`HetSortError::Plan`] naming the violated rule.
     pub fn validate(&self) -> Result<(), HetSortError> {
-        PlanDag::check(&self.plan, &self.nodes)
-    }
-
-    /// [`PlanDag::validate`] over borrowed parts, so the `&Plan` entry
-    /// points check `plan.steps` in place.
-    pub(crate) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> {
-        check::check(plan, nodes)
+        check::check(&self.plan, &self.nodes)
     }
 
     /// The full deterministic execution order under `tie` — what the
@@ -416,6 +420,7 @@ impl ReadySet {
 mod tests {
     use super::*;
     use crate::config::{Approach, HetSortConfig, PairStrategy};
+    use crate::plan::BatchInfo;
     use hetsort_vgpu::{platform1, platform2};
 
     fn cfg(approach: Approach) -> HetSortConfig {
@@ -589,7 +594,10 @@ mod tests {
         // each a batch of 3 chunks: batch = n_b, a chunk past the
         // batch's tiling, stream = total_streams, pair slot =
         // pairs.len(). Each is rejected by the rule and with the message
-        // a validator over maps gave, under both staging protocols.
+        // a validator over maps gave, under both staging protocols. Two
+        // plan-side cases follow: an empty batch n_b appended to the
+        // tiling, which no merge reads, and a batch bound to stream
+        // total_streams.
         use crate::config::StagingMode;
         let expect = |staging| {
             let chunk = if staging == StagingMode::Paper {
@@ -603,6 +611,8 @@ mod tests {
                 chunk,
                 "stream-bind: node 0 (PinnedAlloc) is bound to stream Some(2) of 2",
                 "merge-inputs: node 134 references missing pair slot 4",
+                "merge-cover: Batch(10) never reaches the final merge",
+                "placement: batch 9 names GPU 0 of 1, stream 2 of 2",
             ]
         };
         for staging in [StagingMode::DoubleBuffered, StagingMode::Paper] {
@@ -650,7 +660,22 @@ mod tests {
                 slot: slot.plan.pairs.len(),
             };
 
-            for (d, want) in [batch, chunk, stream, slot].iter().zip(expect(staging)) {
+            let mut merged = base.clone();
+            let n = merged.plan.n;
+            merged.plan.batches.push(BatchInfo {
+                index: merged.plan.nb(),
+                start: n,
+                len: 0,
+                stream: 0,
+                gpu: 0,
+            });
+
+            let mut placed = base.clone();
+            let last = placed.plan.batches.len() - 1;
+            placed.plan.batches[last].stream = placed.plan.total_streams;
+
+            let cases = [batch, chunk, stream, slot, merged, placed];
+            for (d, want) in cases.iter().zip(expect(staging)) {
                 match d.validate() {
                     Err(HetSortError::Plan { reason }) => {
                         assert_eq!(reason, want, "{staging:?}")

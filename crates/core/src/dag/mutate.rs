@@ -194,12 +194,20 @@ pub enum DagMutant {
     /// unequal neighbour (one key dropped, one duplicated). The output
     /// stays sorted; only a fingerprint of the written memory sees it.
     DropAndDuplicate,
+    /// Make node 0 wait on a later node that depends on nothing: no
+    /// cycle, but a consumer resolving deps in id order reads ahead.
+    ForwardEdge,
+    /// The final merge reads its first input again in place of its
+    /// second: one run gets two consumers, another none.
+    MergeInputTwice,
+    /// Move the last batch onto a GPU the platform lacks.
+    RetargetBatchGpu,
 }
 
 impl DagMutant {
     /// Every mutant, in display order (the kill suite's acceptance
-    /// floor is 8; this battery seeds 16).
-    pub const ALL: [DagMutant; 16] = [
+    /// floor is 8; this battery seeds 19).
+    pub const ALL: [DagMutant; 19] = [
         DagMutant::DropFifoEdge,
         DagMutant::SwapDepDirection,
         DagMutant::DuplicateProducer,
@@ -216,6 +224,9 @@ impl DagMutant {
         DagMutant::DropRecoveryBatch,
         DagMutant::SwapAcrossCheckBoundary,
         DagMutant::DropAndDuplicate,
+        DagMutant::ForwardEdge,
+        DagMutant::MergeInputTwice,
+        DagMutant::RetargetBatchGpu,
     ];
 
     /// Stable display name.
@@ -237,6 +248,9 @@ impl DagMutant {
             DagMutant::DropRecoveryBatch => "drop-recovery-batch",
             DagMutant::SwapAcrossCheckBoundary => "swap-across-check-boundary",
             DagMutant::DropAndDuplicate => "drop-and-duplicate",
+            DagMutant::ForwardEdge => "forward-edge",
+            DagMutant::MergeInputTwice => "merge-input-twice",
+            DagMutant::RetargetBatchGpu => "retarget-batch-gpu",
         }
     }
 
@@ -263,6 +277,9 @@ impl DagMutant {
             DagMutant::FreeBeforeConsumer => "engine:consumed-input",
             DagMutant::DropRecoveryBatch => "explorer:replan-cover",
             DagMutant::SwapAcrossCheckBoundary | DagMutant::DropAndDuplicate => "engine:unverified",
+            DagMutant::ForwardEdge => "validator:order",
+            DagMutant::MergeInputTwice => "validator:merge-cover",
+            DagMutant::RetargetBatchGpu => "validator:placement",
         }
     }
 
@@ -405,6 +422,27 @@ impl DagMutant {
                     }
                 }
                 true
+            }
+            DagMutant::ForwardEdge => {
+                // A node without dependencies cannot reach node 0, so
+                // the new edge closes no cycle.
+                let root = (1..dag.nodes.len()).find(|&i| dag.nodes[i].deps.is_empty());
+                root.map(|r| dag.nodes[0].deps.push(r)).is_some()
+            }
+            DagMutant::MergeInputTwice => dag.nodes.iter_mut().any(|node| match &mut node.op {
+                DagOp::MultiwayMerge { inputs } if inputs.len() >= 2 => {
+                    inputs[1] = inputs[0];
+                    true
+                }
+                _ => false,
+            }),
+            DagMutant::RetargetBatchGpu => {
+                let missing = dag.plan.config.platform.n_gpus();
+                dag.plan
+                    .batches
+                    .last_mut()
+                    .map(|b| b.gpu = missing)
+                    .is_some()
             }
             DagMutant::SkipCheckpoint
             | DagMutant::DropRecoveryBatch

@@ -57,9 +57,9 @@ pub struct RealOutcome<T = f64> {
     /// against host-scale steps).
     pub metrics: MetricsRegistry,
     /// Recovery re-plans built after device losses, in the order they
-    /// were adopted (empty on runs that lost no device). Each already
-    /// passed [`Plan::check_invariants`]; callers with access to
-    /// `hetsort-analyze` re-run the residency check on them — the
+    /// were adopted (empty on runs that lost no device). Each passed
+    /// [`Plan::validate`] in [`Plan::on_devices`]; callers with access
+    /// to `hetsort-analyze` re-run the residency check on them — the
     /// dependency points that way, so the executor cannot.
     pub replans: Vec<Plan>,
 }

@@ -55,8 +55,7 @@ pub fn simulate_dag(dag: &PlanDag) -> Result<TimingReport, HetSortError> {
 /// plan's own nodes, in place) and [`simulate_dag`] share.
 fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSortError> {
     // Re-validate on every execution path, not only at build time.
-    plan.check_invariants()?;
-    PlanDag::check(plan, nodes)?;
+    crate::dag::check::check(plan, nodes)?;
     let cfg = &plan.config;
     let mut m = Machine::new(cfg.platform.clone());
     // One op per node plus one start-skew barrier per stream.

@@ -100,32 +100,18 @@ impl Plan {
     }
 
     /// Relabel the plan's GPUs with physical device numbers `ids`
-    /// (plan-local GPU `g` ↦ physical device `ids[g]`), re-running
-    /// [`Plan::check_invariants`] on the result. Used when a re-plan
-    /// built on a survivor platform must keep addressing the original
-    /// devices.
+    /// (plan-local GPU `g` ↦ physical device `ids[g]`) and validate the
+    /// result. Used when a re-plan built on a survivor platform must
+    /// keep addressing the original devices.
     ///
     /// # Errors
     ///
-    /// [`HetSortError::Plan`] if `ids` has the wrong length or repeats
-    /// a device, or if the relabelled plan fails the invariant check.
+    /// [`HetSortError::Plan`] if the relabelled plan fails
+    /// [`Plan::validate`] — `placement` when `ids` has the wrong length
+    /// or repeats a device.
     pub fn on_devices(mut self, ids: Vec<usize>) -> Result<Plan, HetSortError> {
-        let ngpu = self.config.platform.n_gpus().max(1);
-        if ids.len() != ngpu {
-            return Err(HetSortError::Plan {
-                reason: format!("device map has {} entries for {} GPUs", ids.len(), ngpu),
-            });
-        }
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != ids.len() {
-            return Err(HetSortError::Plan {
-                reason: format!("device map {ids:?} repeats a device"),
-            });
-        }
         self.device_ids = ids;
-        self.check_invariants()?;
+        self.validate()?;
         Ok(self)
     }
 
@@ -177,136 +163,15 @@ impl Plan {
             .unwrap_or(0)
     }
 
-    /// Sanity-check internal invariants (used heavily by tests):
-    /// deps point backward, chunks tile batches exactly, pair merges
-    /// reference distinct batches, merge inputs cover all batches once.
-    pub fn check_invariants(&self) -> Result<(), HetSortError> {
-        let plan_err = |reason: String| HetSortError::Plan { reason };
-        // The device map must cover every plan-local GPU index exactly
-        // once (physical targets are unique).
-        let ngpu = self.config.platform.n_gpus().max(1);
-        if self.device_ids.len() != ngpu {
-            return Err(plan_err(format!(
-                "device map has {} entries for {} GPUs",
-                self.device_ids.len(),
-                ngpu
-            )));
-        }
-        let mut phys = self.device_ids.clone();
-        phys.sort_unstable();
-        phys.dedup();
-        if phys.len() != self.device_ids.len() {
-            return Err(plan_err(format!(
-                "device map {:?} repeats a device",
-                self.device_ids
-            )));
-        }
-        for (i, s) in self.steps.iter().enumerate() {
-            for &d in &s.deps {
-                if d >= i {
-                    return Err(plan_err(format!("step {i} depends forward on {d}")));
-                }
-            }
-        }
-        // Chunk tiling. A step or batch naming a batch the plan lacks
-        // is an error, like every index below.
-        let nb = self.nb();
-        let mut covered = vec![0usize; nb];
-        for (i, s) in self.steps.iter().enumerate() {
-            if let DagOp::StagingCopy {
-                batch,
-                len,
-                dir_in: true,
-                ..
-            } = s.op
-            {
-                let Some(c) = covered.get_mut(batch) else {
-                    return Err(plan_err(format!("step {i} stages batch {batch} of {nb}")));
-                };
-                *c += len;
-            }
-        }
-        for b in &self.batches {
-            let Some(&c) = covered.get(b.index) else {
-                return Err(plan_err(format!("batch index {} of {nb}", b.index)));
-            };
-            if c != b.len {
-                return Err(plan_err(format!(
-                    "batch {} stages {} of {} elements",
-                    b.index, c, b.len
-                )));
-            }
-        }
-        // Merge coverage: resolving pair slots recursively, every batch
-        // must reach the final merge exactly once, every slot must be
-        // consumed exactly once, and slot output sizes must add up.
-        if nb > 1 {
-            let mut batch_seen = vec![false; nb];
-            let mut slot_seen = vec![false; self.pairs.len()];
-            let visit_src = |src: MergeSrc,
-                             batch_seen: &mut Vec<bool>,
-                             slot_seen: &mut Vec<bool>|
-             -> Result<(), HetSortError> {
-                let mut stack = vec![src];
-                while let Some(s) = stack.pop() {
-                    match s {
-                        MergeSrc::Batch(b) => {
-                            let Some(seen) = batch_seen.get_mut(b) else {
-                                return Err(plan_err(format!(
-                                    "merge input names batch {b} of {nb}"
-                                )));
-                            };
-                            if *seen {
-                                return Err(plan_err(format!("batch {b} merged twice")));
-                            }
-                            *seen = true;
-                        }
-                        MergeSrc::Merged(p) => {
-                            let (Some(seen), Some(pair)) =
-                                (slot_seen.get_mut(p), self.pairs.get(p))
-                            else {
-                                return Err(plan_err(format!(
-                                    "merge input names pair slot {p} of {}",
-                                    self.pairs.len()
-                                )));
-                            };
-                            if *seen {
-                                return Err(plan_err(format!("slot {p} consumed twice")));
-                            }
-                            *seen = true;
-                            stack.push(pair.left);
-                            stack.push(pair.right);
-                        }
-                    }
-                }
-                Ok(())
-            };
-            for s in &self.steps {
-                if let DagOp::MultiwayMerge { inputs } = &s.op {
-                    for &src in inputs {
-                        visit_src(src, &mut batch_seen, &mut slot_seen)?;
-                    }
-                }
-            }
-            if !batch_seen.iter().all(|&x| x) {
-                return Err(plan_err("some batch missing from the final merge".into()));
-            }
-            if !slot_seen.iter().all(|&x| x) {
-                return Err(plan_err("some pair-merge output never consumed".into()));
-            }
-            // Output sizes add up (the walk above range-checked every
-            // slot's inputs).
-            let src_len = |src: MergeSrc| match src {
-                MergeSrc::Batch(b) => self.batches.get(b).map_or(0, |b| b.len),
-                MergeSrc::Merged(p) => self.pairs.get(p).map_or(0, |p| p.out_elems),
-            };
-            for (i, p) in self.pairs.iter().enumerate() {
-                if src_len(p.left) + src_len(p.right) != p.out_elems {
-                    return Err(plan_err(format!("pair slot {i} output size mismatch")));
-                }
-            }
-        }
-        Ok(())
+    /// Validate the plan's own nodes: the rules of
+    /// [`PlanDag::validate`](crate::dag::PlanDag::validate) over
+    /// [`Plan::steps`].
+    ///
+    /// # Errors
+    ///
+    /// [`HetSortError::Plan`] naming the violated rule.
+    pub fn validate(&self) -> Result<(), HetSortError> {
+        crate::dag::check::check(self, &self.steps)
     }
 }
 
@@ -325,7 +190,7 @@ mod tests {
     #[test]
     fn bline_single_batch_plan_shape() {
         let plan = Plan::build(cfg(Approach::BLine), 1000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(plan.nb(), 1);
         assert_eq!(plan.total_streams, 1);
         assert!(!plan.asynchronous);
@@ -338,7 +203,7 @@ mod tests {
     #[test]
     fn bline_multi_has_final_merge() {
         let plan = Plan::build(cfg(Approach::BLineMulti), 5000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(plan.nb(), 5);
         assert_eq!(plan.multiway_k(), 5); // no pair merges
         assert!(plan.pairs.is_empty());
@@ -348,7 +213,7 @@ mod tests {
     #[test]
     fn pipedata_uses_streams_and_async() {
         let plan = Plan::build(cfg(Approach::PipeData), 6000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(plan.total_streams, 2); // ns=2 × 1 GPU
         assert!(plan.asynchronous);
         // Round-robin batches across streams.
@@ -363,7 +228,7 @@ mod tests {
         // n_b = 6 on 1 GPU → 2 pair merges (b0,b1), (b2,b3); final
         // multiway merges 4 sublists: 2 pairs + b4 + b5 (§III-D3).
         let plan = Plan::build(cfg(Approach::PipeMerge), 6000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(
             plan.pairs,
             vec![
@@ -385,7 +250,7 @@ mod tests {
     #[test]
     fn pipemerge_odd_batches_leaves_last_unmerged() {
         let plan = Plan::build(cfg(Approach::PipeMerge), 7000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(plan.pairs.len(), 3); // ⌊6/2⌋
         assert_eq!(plan.multiway_k(), 3 + 1); // 3 pairs + b6
     }
@@ -396,7 +261,7 @@ mod tests {
             .with_batch_elems(1000)
             .with_pinned_elems(250);
         let plan = Plan::build(cfg, 8000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(plan.total_streams, 4); // 2 streams × 2 GPUs
         let gpus: Vec<usize> = plan.batches.iter().map(|b| b.gpu).collect();
         assert_eq!(gpus, vec![0, 1, 0, 1, 0, 1, 0, 1]);
@@ -409,7 +274,7 @@ mod tests {
             .with_batch_elems(1000)
             .with_pinned_elems(250);
         let plan = Plan::build(cfg, 10_000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(plan.pairs.len(), 2);
         assert_eq!(plan.multiway_k(), 2 + 6);
     }
@@ -417,7 +282,7 @@ mod tests {
     #[test]
     fn short_last_batch_is_tiled_exactly() {
         let plan = Plan::build(cfg(Approach::BLineMulti), 2345).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(plan.nb(), 3);
         assert_eq!(plan.batches[2].len, 345);
         // Last chunk of last batch is short too.
@@ -454,7 +319,7 @@ mod tests {
         use crate::config::PairStrategy;
         let cfg = cfg(Approach::PipeMerge).with_pair_strategy(PairStrategy::Online);
         let plan = Plan::build(cfg, 5000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         // n_b = 5 → 4 chained merges; the final multiway has 1 input.
         assert_eq!(plan.pairs.len(), 4);
         assert_eq!(plan.multiway_k(), 1);
@@ -468,7 +333,7 @@ mod tests {
         use crate::config::PairStrategy;
         let cfg = cfg(Approach::PipeMerge).with_pair_strategy(PairStrategy::MergeTree);
         let plan = Plan::build(cfg, 6000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         // n_b = 6 → 3 + 1 + 1 = 5 tree merges, root feeds the "merge".
         assert_eq!(plan.pairs.len(), 5);
         assert_eq!(plan.multiway_k(), 1);
@@ -476,7 +341,7 @@ mod tests {
         // Odd counts carry the straggler up a level.
         let cfg = cfg2_tree();
         let plan = Plan::build(cfg, 7000).unwrap();
-        plan.check_invariants().unwrap();
+        plan.validate().unwrap();
         assert_eq!(plan.pairs.last().unwrap().out_elems, 7000);
     }
 
@@ -590,8 +455,8 @@ mod tests {
     #[test]
     fn indices_past_the_plan_are_errors_not_panics() {
         let plan = Plan::build(cfg(Approach::PipeMerge), 7000).unwrap();
-        plan.check_invariants().unwrap();
-        let rejects = |plan: &Plan, what: &str| match plan.check_invariants() {
+        plan.validate().unwrap();
+        let rejects = |plan: &Plan, what: &str| match plan.validate() {
             Err(HetSortError::Plan { reason }) => {
                 assert!(reason.contains(what), "{reason}")
             }
@@ -608,7 +473,7 @@ mod tests {
         if let DagOp::StagingCopy { batch, .. } = &mut step.op {
             *batch = 99;
         }
-        rejects(&bad, "stages batch 99 of 7");
+        rejects(&bad, "chunk-cover: StageIn names batch 99 of 7");
 
         // A final-merge input naming a pair slot the plan lacks.
         let mut bad = plan.clone();
@@ -620,6 +485,9 @@ mod tests {
         if let DagOp::MultiwayMerge { inputs } = &mut step.op {
             inputs.push(MergeSrc::Merged(77));
         }
-        rejects(&bad, "names pair slot 77 of");
+        rejects(
+            &bad,
+            "merge-inputs: node 126 input Merged(77) has no producer",
+        );
     }
 }

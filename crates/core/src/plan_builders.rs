@@ -469,7 +469,6 @@ mod tests {
             (Approach::PipeMerge, 7000),
         ] {
             let dag = build_dag(cfg(approach), n).unwrap();
-            dag.plan.check_invariants().unwrap();
             dag.validate().unwrap();
             assert_eq!(dag.plan.config.approach, approach);
         }

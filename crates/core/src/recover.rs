@@ -13,8 +13,8 @@
 //! * [`Plan::on_devices`] relabels the survivor plan's compacted GPU
 //!   indices back to physical device numbers, so the shared fault
 //!   schedule, spans, and residency accounting keep addressing the same
-//!   hardware, and re-runs [`Plan::check_invariants`] before the
-//!   engine resumes.
+//!   hardware, and validates it ([`Plan::validate`]) once: the engine
+//!   resumes on its nodes without checking them again.
 
 use std::collections::BTreeSet;
 
@@ -23,7 +23,7 @@ use crate::plan::Plan;
 
 /// Build a recovery re-plan of `base` (the *original* plan) over the
 /// devices not in `lost`, relabelled to physical device numbers and
-/// invariant-checked. `Ok(None)` when no device survives — the caller
+/// validated. `Ok(None)` when no device survives — the caller
 /// decides between CPU fallback and a typed
 /// [`HetSortError::DeviceLost`].
 ///
@@ -64,7 +64,7 @@ mod tests {
         assert_eq!(base.device_ids, vec![0, 1]);
         let lost: BTreeSet<usize> = [0].into_iter().collect();
         let rp = survivor_plan(&base, &lost).unwrap().unwrap();
-        rp.check_invariants().unwrap();
+        rp.validate().unwrap();
         assert_eq!(rp.device_ids, vec![1]);
         assert_eq!(rp.nb(), base.nb());
         for (a, b) in base.batches.iter().zip(rp.batches.iter()) {

@@ -68,7 +68,7 @@ fn device_loss_replans_onto_survivor_bitwise_correct() {
     // footprint confined to the surviving devices.
     assert_eq!(out.replans.len(), 1);
     for rp in &out.replans {
-        rp.check_invariants().unwrap();
+        rp.validate().unwrap();
         let res = Residency::of_plan(rp);
         let gpus: BTreeSet<usize> = res.device_bytes.keys().copied().collect();
         assert!(
@@ -154,7 +154,7 @@ fn device_loss_recovered_in_parallel_executor() {
             "round {round}: output differs from reference"
         );
         for rp in &out.replans {
-            rp.check_invariants().unwrap();
+            rp.validate().unwrap();
             let res = Residency::of_plan(rp);
             assert!(!res.device_bytes.contains_key(&1), "round {round}");
         }
@@ -216,7 +216,7 @@ fn dag_engine_replans_only_the_unfinished_subgraph() {
         .zip(&out.sorted)
         .all(|(a, b)| a.to_bits() == b.to_bits()));
     for rp in &out.replans {
-        rp.check_invariants().unwrap();
+        rp.validate().unwrap();
         assert!(!Residency::of_plan(rp).device_bytes.contains_key(&1));
     }
 

@@ -91,7 +91,7 @@ fn simulation_and_functional_share_the_same_plan() {
         .with_pinned_elems(800);
     let n = 30_000;
     let plan = hetsort::core::Plan::build(cfg, n).expect("plan");
-    plan.check_invariants().expect("invariants");
+    plan.validate().expect("invariants");
     let data = generate(Distribution::Uniform, n, 5)
         .expect("valid workload")
         .data;

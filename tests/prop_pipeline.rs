@@ -179,7 +179,7 @@ fn plans_always_satisfy_invariants() {
             .with_streams(rng.usize_in(1, 4))
             .with_pair_strategy(strategy);
         if let Ok(plan) = Plan::build(cfg.clone(), n) {
-            plan.check_invariants().map_err(|e| e.to_string())?;
+            plan.validate().map_err(|e| e.to_string())?;
             if strategy == PairStrategy::PaperHeuristic {
                 // The heuristic bound: never pair-merge past the batch
                 // list, and the count matches §III-D3's formula.
