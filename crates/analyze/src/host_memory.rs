@@ -38,9 +38,9 @@
 //! above (pair merges need none). Bookkeeping (spans, merge cut tables)
 //! is not modelled.
 //!
-//! Recovery detours (OOM splits, CPU fallback) stage a whole batch
-//! host-side per stream on top of this; the model covers fault-free
-//! runs.
+//! Recovery detours (an OOM split's host staging, a given-up batch's
+//! host sort) add up to a batch per stream on top of this; the model
+//! covers fault-free runs.
 //!
 //! [`crate::Residency::of_plan`] accounts device and pinned bytes for
 //! admission; this model is kept apart from it so its cost stays out of

@@ -3,16 +3,21 @@
 //!
 //! * **zero findings** on every shipped configuration (all approaches ×
 //!   pair strategies × platforms × staging protocols, and the
-//!   executors' recorded traces);
+//!   executors' recorded traces — fault-free ones equal to the static
+//!   lowering record for record, and those of every recovery route);
 //! * **100% mutant kill rate**: every seeded defect in [`Mutant::ALL`]
 //!   is reported, with the finding class matching the defect class and
 //!   the message naming the offending ops.
 
+use std::sync::Arc;
+
 use hetsort_analyze::{analyze_plan, analyze_plan_with_trace, Mutant};
 use hetsort_core::optrace::lower_plan;
 use hetsort_core::plan::Plan;
-use hetsort_core::{exec_real, exec_real_mt, Approach, HetSortConfig, PairStrategy, StagingMode};
-use hetsort_vgpu::{platform1, platform2, PlatformSpec};
+use hetsort_core::{
+    exec_real, exec_real_mt, Approach, HetSortConfig, PairStrategy, RecoveryPolicy, StagingMode,
+};
+use hetsort_vgpu::{platform1, platform2, FaultInjector, PlatformSpec};
 
 /// Both staging protocols every test here sweeps.
 const STAGINGS: [StagingMode; 2] = [StagingMode::Paper, StagingMode::DoubleBuffered];
@@ -113,22 +118,38 @@ fn race_findings_name_both_ops_and_the_missing_edge() {
     assert!(race.message.contains("stream-wait"), "{race}");
 }
 
+/// `n` keys in reverse-hashed order.
+fn keys(n: u64) -> Vec<u64> {
+    (0..n).rev().map(|x| x.wrapping_mul(2654435761)).collect()
+}
+
 #[test]
 fn executor_recorded_traces_are_clean() {
-    let data: Vec<u64> = (0..6000u64)
-        .rev()
-        .map(|x| x.wrapping_mul(2654435761))
-        .collect();
-    for (approach, staging) in [
-        Approach::BLineMulti,
-        Approach::PipeData,
-        Approach::PipeMerge,
-    ]
-    .into_iter()
-    .flat_map(|a| STAGINGS.map(|st| (a, st)))
+    // Fault-free, every node takes its device route: the executed trace
+    // *is* the static lowering, record for record.
+    for (platform, approach, staging) in [platform1(), platform2()]
+        .into_iter()
+        .flat_map(|p| {
+            [
+                Approach::BLine,
+                Approach::BLineMulti,
+                Approach::PipeData,
+                Approach::PipeMerge,
+            ]
+            .map(|a| (p.clone(), a))
+        })
+        .flat_map(|(p, a)| STAGINGS.map(|st| (p.clone(), a, st)))
     {
-        let cfg = scaled(platform1(), approach, staging).with_trace_recording();
+        // BLine is single-batch by definition.
+        let n = if approach == Approach::BLine {
+            1000
+        } else {
+            6000
+        };
+        let data = keys(n);
+        let cfg = scaled(platform, approach, staging).with_trace_recording();
         let plan = Plan::build(cfg, data.len()).unwrap();
+        let lowered = lower_plan(&plan);
         for (name, outcome) in [
             (
                 "exec_real",
@@ -139,15 +160,111 @@ fn executor_recorded_traces_are_clean() {
                 exec_real_mt::sort_real_parallel(&plan, &data).unwrap(),
             ),
         ] {
-            assert!(outcome.verified);
+            let case = format!(
+                "{name} {} {} {}",
+                plan.config.platform.name,
+                plan.config.approach.name(),
+                staging.name()
+            );
+            assert!(outcome.verified, "{case}");
             let trace = outcome.trace.expect("record_trace was on");
             let report = analyze_plan_with_trace(&plan, &trace);
             assert!(
                 report.is_clean(),
-                "{name} {} {} executed trace flagged:\n{report}",
-                plan.config.approach.name(),
-                staging.name()
+                "{case} executed trace flagged:\n{report}"
             );
+            assert_eq!(trace.n_threads, lowered.n_threads, "{case}");
+            assert_eq!(trace.records.len(), lowered.records.len(), "{case}");
+            for (i, (ran, planned)) in trace.records.iter().zip(&lowered.records).enumerate() {
+                assert_eq!(ran, planned, "{case}: record {i}");
+            }
+        }
+    }
+}
+
+#[test]
+fn recovery_traces_are_clean() {
+    // Every recovery route re-checked on the trace that ran: an OOM
+    // split, each site a batch gives up at (HtoD and DtoH retries run
+    // out on the first, a middle and the last of a batch's four chunks;
+    // a tripped device sort; an OOM with splitting off), and device
+    // losses with and without a survivor.
+    let split_off = RecoveryPolicy {
+        split_on_oom: false,
+        ..RecoveryPolicy::default()
+    };
+    let cases = [
+        (platform1(), RecoveryPolicy::default(), "oom:1"),
+        (
+            platform1(),
+            RecoveryPolicy::default(),
+            "htod:1,htod:2,htod:3",
+        ),
+        (
+            platform1(),
+            RecoveryPolicy::default(),
+            "htod:3,htod:4,htod:5",
+        ),
+        (
+            platform1(),
+            RecoveryPolicy::default(),
+            "htod:4,htod:5,htod:6",
+        ),
+        (
+            platform1(),
+            RecoveryPolicy::default(),
+            "dtoh:1,dtoh:2,dtoh:3",
+        ),
+        (
+            platform1(),
+            RecoveryPolicy::default(),
+            "dtoh:3,dtoh:4,dtoh:5",
+        ),
+        (
+            platform1(),
+            RecoveryPolicy::default(),
+            "dtoh:4,dtoh:5,dtoh:6",
+        ),
+        (platform1(), RecoveryPolicy::default(), "sort:2"),
+        (platform1(), split_off, "oom:1"),
+        (platform2(), RecoveryPolicy::default(), "lose:1@3"),
+        (platform1(), RecoveryPolicy::default(), "lose:0@5"),
+    ];
+    let data = keys(6000);
+    for staging in STAGINGS {
+        for (platform, policy, spec) in &cases {
+            // A fresh schedule per run: an injector counts occurrences
+            // across every run it is armed in.
+            let plan = || {
+                let cfg = scaled(platform.clone(), Approach::PipeMerge, staging)
+                    .with_trace_recording()
+                    .with_recovery(*policy)
+                    .with_faults(Arc::new(FaultInjector::parse(spec).unwrap()));
+                Plan::build(cfg, data.len()).unwrap()
+            };
+            let (seq, par) = (plan(), plan());
+            for (name, plan, outcome) in [
+                (
+                    "exec_real",
+                    &seq,
+                    exec_real::sort_real_plan(&seq, &data).unwrap(),
+                ),
+                (
+                    "exec_real_mt",
+                    &par,
+                    exec_real_mt::sort_real_parallel(&par, &data).unwrap(),
+                ),
+            ] {
+                let case = format!("{name} {} {spec}", staging.name());
+                assert!(outcome.verified, "{case}");
+                assert!(outcome.recovery.any(), "{case}: nothing to recover from");
+                let trace = outcome.trace.expect("record_trace was on");
+                let report = analyze_plan_with_trace(plan, &trace);
+                assert!(
+                    report.is_clean(),
+                    "{case} executed trace flagged:\n{report}"
+                );
+            }
         }
     }
 }

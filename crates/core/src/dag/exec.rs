@@ -26,10 +26,11 @@
 //! each node runs in one sandbox (typed faults, injected and real
 //! panics), a device loss ends the pass and the unfinished batches are
 //! re-planned onto a survivor dag (per-batch checkpoints survive; every
-//! pass after the first is inline), a dead stream or a pool with no
-//! survivors degrades to host sorting when
-//! [`crate::config::RecoveryPolicy::cpu_fallback`] allows, and the base
-//! dag's merges that no pass reached run last.
+//! pass after the first is inline), and the base dag's merges that no
+//! pass reached run last. A batch that cannot finish on the GPU — its
+//! stream gave it up, its stream died, or no device survives — takes
+//! the one host-sort path, straight from `A`, when
+//! [`crate::config::RecoveryPolicy::cpu_fallback`] allows.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,15 +44,14 @@ use hetsort_algos::par::{SchedCfg, SchedStats};
 use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_algos::verify::{par_check_sorted, par_fingerprint};
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
-use hetsort_sim::Access;
 
 use crate::dag::mutate::{EngineHooks, Pick};
 use crate::dag::{node_span, DagNode, DagOp, PlanDag, ReadySet};
 use crate::error::HetSortError;
 use crate::exec_real::RealOutcome;
 use crate::exec_stream::StreamExec;
-use crate::optrace::trace_nodes;
-use crate::plan::{MergeSrc, Plan};
+use crate::optrace::{trace_nodes, Route};
+use crate::plan::{BatchInfo, MergeSrc, Plan};
 use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
 
@@ -263,6 +263,8 @@ struct Pass<'p, T> {
     plan: &'p Plan,
     nodes: &'p [DagNode],
     batches: &'p [Mutex<Run<T>>],
+    /// Where a batch its stream gives up goes.
+    host_sort: &'p HostSort<'p, T>,
     streams: Vec<Mutex<StreamSlot<'p, T>>>,
     sched: Mutex<Sched>,
     cond: Condvar,
@@ -310,16 +312,12 @@ where
         assembling: &mut Vec<T>,
     ) -> Result<(), HetSortError> {
         let plan = self.plan;
-        if let Some(b) = node.op.batch() {
-            if self.batches.get(b).is_some_and(|c| lock_any(c).is_done()) {
-                // Checkpointed in an earlier pass. "No accesses this
-                // pass" must override the static derivation in the
-                // assembled trace, hence the empty log entry.
-                if plan.config.record_trace {
-                    sx.access_log.push((id, Vec::new()));
-                }
-                return Ok(());
-            }
+        let batch = node.op.batch();
+        if batch.is_some_and(|b| self.batches.get(b).is_some_and(|c| lock_any(c).is_done())) {
+            // Checkpointed in an earlier pass, or given up at an
+            // earlier node of this one.
+            sx.log_route(id, Route::Skipped);
+            return Ok(());
         }
         if let DagOp::StagingCopy {
             batch,
@@ -334,10 +332,13 @@ where
                 .as_deref()
                 .is_some_and(|inj| inj.should_panic(s))
             {
-                panic!("injected panic in stream worker {s} at batch {batch}");
+                // Unwound without the panic hook: an injected panic the
+                // engine recovers from prints nothing.
+                let message = format!("injected panic in stream worker {s} at batch {batch}");
+                std::panic::resume_unwind(Box::new(message));
             }
         }
-        sx.step(id, node, &mut |batch, _start, chunk| {
+        let route = sx.step(id, node, &mut |batch, _start, chunk| {
             let len = plan.batches[batch].len;
             if assembling.capacity() == 0 {
                 *assembling = Vec::with_capacity(len);
@@ -359,7 +360,14 @@ where
                     }
                 }
             }
-        })
+        })?;
+        if let (Route::Degraded, Some(b)) = (route, batch) {
+            // The chunks already staged out are superseded by the host
+            // sort; the batch's remaining nodes then skip as done.
+            *assembling = Vec::new();
+            self.host_sort.batch(&plan.batches[b], &self.batches[b]);
+        }
+        Ok(())
     }
 
     /// Pop the next ready node that satisfies `mine`: the schedule
@@ -472,34 +480,44 @@ where
     }
 }
 
-/// Host-sort every batch not yet done in `batches` straight from
-/// `data` — the degradation path for dead streams and pools with no
-/// survivor. Returns how many batches it sorted.
-fn host_sort_missing<T>(
-    plan: &Plan,
-    data: &[T],
-    sched: &SchedCfg,
+/// The one host-sort path of a batch that cannot finish on the GPU:
+/// sorted straight from `A` at the batch-sort width.
+struct HostSort<'a, T> {
+    data: &'a [T],
+    sched: SchedCfg,
     threads: usize,
-    batches: &[Mutex<Run<T>>],
-    hooks: &EngineHooks<'_>,
-) -> usize
+    hooks: EngineHooks<'a>,
+}
+
+impl<T> HostSort<'_, T>
 where
     T: RadixKey + SortOrd + Default,
 {
-    let mut sorted = 0;
-    for (cell, bi) in batches.iter().zip(&plan.batches) {
+    /// Host-sort batch `bi` into `cell` and publish it, unless it is
+    /// done already. Whether it sorted.
+    fn batch(&self, bi: &BatchInfo, cell: &Mutex<Run<T>>) -> bool {
         let mut cell = lock_any(cell);
-        if !cell.is_done() {
-            let mut run = data[bi.start..bi.start + bi.len].to_vec();
-            par_radix_sort_cfg(sched, threads, &mut run);
-            *cell = Run::Sorted(run);
-            if let Some(hook) = hooks.schedule {
-                hook.published(bi.index);
-            }
-            sorted += 1;
+        if cell.is_done() {
+            return false;
         }
+        let mut run = self.data[bi.start..bi.start + bi.len].to_vec();
+        par_radix_sort_cfg(&self.sched, self.threads, &mut run);
+        *cell = Run::Sorted(run);
+        if let Some(hook) = self.hooks.schedule {
+            hook.published(bi.index);
+        }
+        true
     }
-    sorted
+
+    /// Host-sort every batch not yet done in `batches` — the path of
+    /// dead streams and pools with no survivor. How many it sorted.
+    fn missing(&self, plan: &Plan, batches: &[Mutex<Run<T>>]) -> usize {
+        batches
+            .iter()
+            .zip(&plan.batches)
+            .filter(|(cell, bi)| self.batch(bi, cell))
+            .count()
+    }
 }
 
 /// A failover span on the run clock: which GPUs are gone and what the
@@ -599,6 +617,12 @@ where
     let sort_threads = sort_width(host, workers);
     let copy_threads = if cfg.par_memcpy { host } else { 1 };
     let sched = SchedCfg::default();
+    let host_sort = HostSort {
+        data,
+        sched,
+        threads: sort_threads,
+        hooks,
+    };
 
     // Memory: A (`data`, borrowed) and B, plus what is alive: a batch's
     // run from its first stage-out chunk until its one consumer merge
@@ -622,7 +646,7 @@ where
     let mut metrics = MetricsRegistry::new();
     let mut replans: Vec<Plan> = Vec::new();
     let mut lost_gpus: BTreeSet<usize> = BTreeSet::new();
-    let mut final_logs: Vec<Vec<(usize, Vec<Access>)>>;
+    let mut final_logs: Vec<Vec<(usize, Route)>>;
     let mut first_panic: Option<HetSortError> = None;
 
     // --- Ready-order passes produce the sorted runs. The first pass
@@ -639,10 +663,11 @@ where
             plan: cur,
             nodes: cur_nodes,
             batches: &batches,
+            host_sort: &host_sort,
             streams: (0..cur.total_streams)
                 .map(|s| {
                     Mutex::new(StreamSlot {
-                        sx: StreamExec::new(cur, data, s, host, sort_threads, copy_threads, t0),
+                        sx: StreamExec::new(cur, data, host, sort_threads, copy_threads, t0),
                         assembling: Vec::new(),
                         left: cur_nodes.iter().filter(|n| n.stream == Some(s)).count(),
                     })
@@ -692,7 +717,7 @@ where
             recovery.oom_replans += sx.stats.oom_replans;
             pool_stats.absorb(sx.pool.stats);
             metrics.record_all(std::mem::take(&mut sx.span_log));
-            final_logs.push(std::mem::take(&mut sx.access_log));
+            final_logs.push(std::mem::take(&mut sx.routes));
         }
         if let Some(e) = end.error {
             return Err(e);
@@ -747,8 +772,7 @@ where
                     let gpu = end.lost.iter().min().copied().unwrap_or(0);
                     return Err(HetSortError::DeviceLost { gpu });
                 }
-                recovery.degraded_batches +=
-                    host_sort_missing(plan, data, &sched, sort_threads, &batches, &hooks);
+                recovery.degraded_batches += host_sort.missing(plan, &batches);
                 let action = ", no survivors → host sort";
                 metrics.record(failover_span(&lost_gpus, action, t_fail, now()));
                 break;
@@ -761,8 +785,7 @@ where
         }
         // Graceful degradation: host-sort whatever the dead stream(s)
         // never delivered.
-        recovery.degraded_batches +=
-            host_sort_missing(plan, data, &sched, sort_threads, &batches, &hooks);
+        recovery.degraded_batches += host_sort.missing(plan, &batches);
     }
 
     // --- The base dag's merges that the first pass did not reach
@@ -792,15 +815,15 @@ where
 
     recovery.faults_injected = cfg.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
     // The executed trace describes the nodes that ran — with re-plans,
-    // the final pass's (the dag that actually finished the run) — with
-    // the accesses each stream logged substituted in.
+    // the final pass's (the dag that actually finished the run) — each
+    // on the route its stream logged.
     let trace = cfg.record_trace.then(|| {
         let (ran, ran_nodes) = latest(&replans, (plan, nodes));
-        let mut overrides: Vec<Option<Vec<Access>>> = vec![None; ran_nodes.len()];
-        for (id, acc) in final_logs.into_iter().flatten() {
-            overrides[id] = Some(acc);
+        let mut routes = vec![Route::Device; ran_nodes.len()];
+        for (id, route) in final_logs.into_iter().flatten() {
+            routes[id] = route;
         }
-        trace_nodes(ran, ran_nodes, &overrides)
+        trace_nodes(ran, ran_nodes, &routes)
     });
     metrics.record_all(merges.spans);
     recovery.fold_into(&mut metrics);

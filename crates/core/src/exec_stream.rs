@@ -24,13 +24,16 @@
 //!   affected remainder) and sorts the batch in device-sized sub-runs
 //!   merged host-side ([`Mode::Split`] — the GPU still does the
 //!   sorting);
-//! * unrecoverable batches (exhausted retries, failed device sort,
-//!   OOM with splitting disabled) degrade to a host-side sort of the
-//!   batch straight from `A` ([`Mode::CpuFallback`]) when the policy
-//!   allows, and otherwise propagate as typed [`HetSortError`]s naming
-//!   the exact step and batch.
+//! * an unrecoverable batch (exhausted retries, failed device sort,
+//!   OOM with splitting disabled) gives up: when the policy allows CPU
+//!   fallback, [`StreamExec::step`] returns [`Route::Degraded`] and the
+//!   engine host-sorts the batch straight from `A`, skipping its
+//!   remaining nodes; otherwise the fault propagates as a typed
+//!   [`HetSortError`] naming the exact step and batch.
 //!
-//! Batches handled host-side bypass the DMA path, so later transfer
+//! When the run records a trace, the interpreter logs the [`Route`]
+//! each node took; the executed trace derives the node's accesses from
+//! it. Batches handled host-side bypass the DMA path, so later transfer
 //! occurrences shift relative to a fault-free run; schedules are
 //! defined over *attempted* operations, which keeps replay
 //! deterministic for a given schedule and policy.
@@ -42,15 +45,12 @@ use hetsort_algos::multiway::par_multiway_merge_into_cfg;
 use hetsort_algos::par::{par_copy, SchedCfg};
 use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_obs::ObsSpan;
-use hetsort_sim::{Access, Buffer};
 use hetsort_vgpu::{FaultInjector, FaultSite, TransferDir};
 
 use crate::config::RecoveryPolicy;
 use crate::dag::{node_span, DagNode, DagOp};
 use crate::error::HetSortError;
-use crate::optrace::{
-    pinned_in_id, pinned_out_id, region_host_batch, REGION_A, REGION_B, REGION_W,
-};
+use crate::optrace::Route;
 use crate::plan::{BatchInfo, Plan};
 use crate::pool::BufferPool;
 use crate::report::RecoveryStats;
@@ -63,26 +63,6 @@ enum Mode {
     /// OOM recovery: the batch is staged host-side and sorted in
     /// device-sized sub-runs the CPU merges.
     Split,
-    /// Graceful degradation: the batch is sorted host-side from `A`.
-    CpuFallback,
-}
-
-/// The buffer accesses one node performs, listed only when the run
-/// records a trace: an untraced node allocates no list.
-struct Accesses(Option<Vec<Access>>);
-
-impl Accesses {
-    fn push(&mut self, access: Access) {
-        if let Some(list) = &mut self.0 {
-            list.push(access);
-        }
-    }
-
-    fn extend(&mut self, accesses: impl IntoIterator<Item = Access>) {
-        if let Some(list) = &mut self.0 {
-            list.extend(accesses);
-        }
-    }
 }
 
 /// One stream's executor state: buffers, fault handling, recovery.
@@ -93,16 +73,13 @@ pub(crate) struct StreamExec<'a, T> {
     policy: RecoveryPolicy,
     /// Split-mode merge workers (the engine's merge width).
     host_threads: usize,
-    /// Workers of every batch sort: device stand-in, Split sub-runs and
-    /// the CpuFallback host sort alike.
+    /// Workers of every device batch sort and Split sub-run.
     sort_threads: usize,
     /// Host↔pinned staging copy workers: the host's under PARMEMCPY,
     /// else one.
     memcpy_threads: usize,
     /// CPU scheduling policy for merges, sorts, and staging copies.
     sched: SchedCfg,
-    /// This interpreter's stream index (buffer identity in traces).
-    stream: usize,
     pinned_in: Vec<T>,
     pinned_out: Vec<T>,
     device: Vec<T>,
@@ -110,17 +87,17 @@ pub(crate) struct StreamExec<'a, T> {
     /// (`usize::MAX` until the first OOM).
     device_cap: usize,
     mode: Mode,
-    /// Staging for Split/CpuFallback batches (holds the whole batch).
+    /// Staging for Split batches (holds the whole batch).
     host_batch: Vec<T>,
     /// Recycled scratch buffers (Split-mode merge outputs), so repeated
     /// recoveries stop zero-initializing a fresh batch-sized vector.
     pub(crate) pool: BufferPool<T>,
     /// Per-stream recovery counters (merged by the caller).
     pub(crate) stats: RecoveryStats,
-    /// When `config.record_trace` is set: the buffer accesses each node
-    /// actually performed, `(node id, accesses)` — the overrides of
-    /// [`crate::optrace::trace_nodes`].
-    pub(crate) access_log: Vec<(usize, Vec<Access>)>,
+    /// When `config.record_trace` is set: the route each node took,
+    /// `(node id, route)`, from which the executed trace derives the
+    /// node's accesses.
+    pub(crate) routes: Vec<(usize, Route)>,
     /// Run origin shared by every stream of the run, so span timestamps
     /// from different worker threads are directly comparable.
     t0: Instant,
@@ -133,13 +110,12 @@ impl<'a, T> StreamExec<'a, T>
 where
     T: RadixKey + SortOrd + Default,
 {
-    /// Fresh state for stream `stream` of `plan` over `data`, with the
+    /// Fresh state for a stream of `plan` over `data`, with the
     /// engine's merge, sort and copy widths. `t0` is the run origin
     /// every stream of the run shares.
     pub(crate) fn new(
         plan: &'a Plan,
         data: &'a [T],
-        stream: usize,
         host_threads: usize,
         sort_threads: usize,
         memcpy_threads: usize,
@@ -154,7 +130,6 @@ where
             sort_threads,
             memcpy_threads,
             sched: SchedCfg::default(),
-            stream,
             pinned_in: Vec::new(),
             pinned_out: Vec::new(),
             device: Vec::new(),
@@ -163,7 +138,7 @@ where
             host_batch: Vec::new(),
             pool: BufferPool::new(),
             stats: RecoveryStats::default(),
-            access_log: Vec::new(),
+            routes: Vec::new(),
             t0,
             span_log: Vec::new(),
         }
@@ -188,33 +163,6 @@ where
             chunk % 2
         } else {
             0
-        }
-    }
-
-    fn pin_in_buf(&self, half: usize) -> Buffer {
-        Buffer::Pinned {
-            id: pinned_in_id(self.stream, half),
-        }
-    }
-
-    fn pin_out_buf(&self) -> Buffer {
-        Buffer::Pinned {
-            id: pinned_out_id(self.plan.asynchronous, self.stream),
-        }
-    }
-
-    fn dev_buf(&self, b: &BatchInfo) -> Buffer {
-        Buffer::Dev {
-            gpu: b.gpu,
-            id: self.stream,
-        }
-    }
-
-    fn host_batch_buf(&self, start: usize, len: usize) -> Buffer {
-        Buffer::Host {
-            region: region_host_batch(self.stream),
-            start,
-            len,
         }
     }
 
@@ -248,10 +196,21 @@ where
         Ok(())
     }
 
-    /// Switch the current batch to host-side sorting.
-    fn degrade(&mut self) {
-        self.mode = Mode::CpuFallback;
+    /// Give the current batch up to the engine's host sort, or name
+    /// `fault` when the policy forbids that.
+    fn give_up(&mut self, fault: HetSortError) -> Result<Route, HetSortError> {
+        if !self.policy.cpu_fallback {
+            return Err(fault);
+        }
         self.stats.degraded_batches += 1;
+        Ok(Route::Degraded)
+    }
+
+    /// Log `route` as node `si`'s when the run records a trace.
+    pub(crate) fn log_route(&mut self, si: usize, route: Route) {
+        if self.plan.config.record_trace {
+            self.routes.push((si, route));
+        }
     }
 
     /// Switch the current batch to sub-run splitting (`want` elements).
@@ -266,7 +225,8 @@ where
     }
 
     /// Start a new batch: decide its mode and (maybe) grow the device
-    /// buffer — the `cudaMalloc` stand-in, and the OOM fault site.
+    /// buffer — the `cudaMalloc` stand-in, and the OOM fault site. `Err`
+    /// is the OOM splitting did not absorb.
     fn begin_batch(&mut self, b: &BatchInfo) -> Result<(), HetSortError> {
         self.mode = Mode::Device;
         self.host_batch.clear();
@@ -291,9 +251,6 @@ where
             self.device_cap = (want / 2).max(1);
             self.enter_split(want);
             Ok(())
-        } else if self.policy.cpu_fallback {
-            self.degrade();
-            Ok(())
         } else {
             let cfg = &self.plan.config;
             let used = cfg.device_bytes(self.device.len());
@@ -308,10 +265,12 @@ where
         }
     }
 
-    /// Execute stream-bound node `si`, which is `node`. `emit` receives
-    /// every completed `StageOut` chunk as
-    /// `(batch, global_start, chunk_data)`. Chunk extents are trusted:
-    /// the validator's `chunk-cover` rule bounds them before any run.
+    /// Execute stream-bound node `si`, which is `node`, and return the
+    /// route it took: [`Route::Degraded`] says the batch gave up here
+    /// and the engine must host-sort it. `emit` receives every
+    /// completed `StageOut` chunk as `(batch, global_start, chunk_data)`.
+    /// Chunk extents are trusted: the validator's `chunk-cover` rule
+    /// bounds them before any run.
     ///
     /// # Errors
     ///
@@ -321,13 +280,38 @@ where
         si: usize,
         node: &DagNode,
         emit: &mut impl FnMut(usize, usize, &[T]),
-    ) -> Result<(), HetSortError> {
-        let op = &node.op;
-        let ps = self.plan.config.pinned_elems;
+    ) -> Result<Route, HetSortError> {
         let span_start = self.t0.elapsed().as_secs_f64();
-        // Accesses this step actually performs — which differ from the
-        // static lowering once recovery reroutes a batch host-side.
-        let mut acc = Accesses(self.plan.config.record_trace.then(Vec::new));
+        let route = self.run(si, &node.op, emit)?;
+        self.log_route(si, route);
+        let elem = self.plan.config.elem_bytes.bytes();
+        let bytes = match node.op {
+            DagOp::PinnedAlloc { bytes, .. } => bytes,
+            DagOp::StagingCopy { len, .. } | DagOp::HtoD { len, .. } | DagOp::DtoH { len, .. } => {
+                len as u64 * elem
+            }
+            DagOp::Sort { batch } => self.plan.batches[batch].len as u64 * elem,
+            // Not stream-bound: `run` errored out.
+            DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge { .. } => 0,
+        };
+        let span = ObsSpan {
+            bytes: bytes as f64,
+            t_start: span_start,
+            t_end: self.t0.elapsed().as_secs_f64(),
+            ..node_span(self.plan, si, node)
+        };
+        self.span_log.push(span);
+        Ok(route)
+    }
+
+    /// [`StreamExec::step`]'s data movement for `op`.
+    fn run(
+        &mut self,
+        si: usize,
+        op: &DagOp,
+        emit: &mut impl FnMut(usize, usize, &[T]),
+    ) -> Result<Route, HetSortError> {
+        let ps = self.plan.config.pinned_elems;
         match op {
             DagOp::PinnedAlloc { dir_in, .. } => {
                 let elided = self.plan.stage_out_elided();
@@ -355,19 +339,12 @@ where
             } => {
                 // Host→pinned staging memcpy: the PARMEMCPY knob makes
                 // this copy parallel (self-scheduled chunks).
-                let half = self.in_half(*chunk);
-                let o = half * ps;
+                let o = self.in_half(*chunk) * ps;
                 par_copy(
                     self.memcpy_threads,
                     &self.data[*start..*start + *len],
                     &mut self.pinned_in[o..o + *len],
                 );
-                acc.push(Access::read(Buffer::Host {
-                    region: REGION_A,
-                    start: *start,
-                    len: *len,
-                }));
-                acc.push(Access::write(self.pin_in_buf(half)));
             }
             DagOp::HtoD {
                 batch,
@@ -379,61 +356,39 @@ where
                 if *chunk == 0 {
                     // The cudaMalloc stand-in is a device operation.
                     self.device_check(&b)?;
-                    self.begin_batch(&b)?;
-                }
-                if self.mode != Mode::CpuFallback {
-                    self.device_check(&b)?;
-                    match self.dma(FaultSite::HtoD) {
-                        Ok(()) => {
-                            let off = *start - b.start;
-                            let half = self.in_half(*chunk);
-                            let o = half * ps;
-                            acc.push(Access::read(self.pin_in_buf(half)));
-                            if self.mode == Mode::Device {
-                                acc.push(Access::write(self.dev_buf(&b)));
-                            } else {
-                                acc.push(Access::write(self.host_batch_buf(off, *len)));
-                            }
-                            let dst = if self.mode == Mode::Device {
-                                &mut self.device
-                            } else {
-                                &mut self.host_batch
-                            };
-                            dst[off..off + *len].copy_from_slice(&self.pinned_in[o..o + *len]);
-                        }
-                        Err(attempts) => {
-                            if self.policy.cpu_fallback {
-                                self.degrade();
-                            } else {
-                                return Err(HetSortError::TransferFault {
-                                    step: si,
-                                    batch: b.index,
-                                    dir: TransferDir::HtoD,
-                                    attempts,
-                                });
-                            }
-                        }
+                    if let Err(oom) = self.begin_batch(&b) {
+                        return self.give_up(oom);
                     }
                 }
+                self.device_check(&b)?;
+                if let Err(attempts) = self.dma(FaultSite::HtoD) {
+                    return self.give_up(HetSortError::TransferFault {
+                        step: si,
+                        batch: b.index,
+                        dir: TransferDir::HtoD,
+                        attempts,
+                    });
+                }
+                let off = *start - b.start;
+                let o = self.in_half(*chunk) * ps;
+                let dst = match self.mode {
+                    Mode::Device => &mut self.device,
+                    Mode::Split => &mut self.host_batch,
+                };
+                dst[off..off + *len].copy_from_slice(&self.pinned_in[o..o + *len]);
             }
             DagOp::Sort { batch } => {
                 let b = self.plan.batches[*batch];
-                if self.mode != Mode::CpuFallback {
-                    self.device_check(&b)?;
-                    let tripped = self
-                        .injector
-                        .is_some_and(|i| i.trip(FaultSite::DeviceSort).is_some());
-                    if tripped {
-                        if self.policy.cpu_fallback {
-                            self.degrade();
-                        } else {
-                            return Err(HetSortError::DeviceSortFault {
-                                step: si,
-                                batch: b.index,
-                                gpu: self.plan.physical_gpu(b.gpu),
-                            });
-                        }
-                    }
+                self.device_check(&b)?;
+                if self
+                    .injector
+                    .is_some_and(|i| i.trip(FaultSite::DeviceSort).is_some())
+                {
+                    return self.give_up(HetSortError::DeviceSortFault {
+                        step: si,
+                        batch: b.index,
+                        gpu: self.plan.physical_gpu(b.gpu),
+                    });
                 }
                 match self.mode {
                     Mode::Device => {
@@ -442,9 +397,6 @@ where
                             self.sort_threads,
                             &mut self.device[..b.len],
                         );
-                        let d = self.dev_buf(&b);
-                        acc.push(Access::read(d));
-                        acc.push(Access::write(d));
                     }
                     Mode::Split => {
                         // GPU sorts device-sized sub-runs; the CPU
@@ -477,28 +429,6 @@ where
                             let old = std::mem::replace(&mut self.host_batch, merged);
                             self.pool.checkin(old);
                         }
-                        let d = self.dev_buf(&b);
-                        let hb = self.host_batch_buf(0, b.len);
-                        acc.extend([
-                            Access::read(hb),
-                            Access::write(hb),
-                            Access::read(d),
-                            Access::write(d),
-                        ]);
-                    }
-                    Mode::CpuFallback => {
-                        // Host-side sort straight from A: correct even
-                        // when earlier chunks never reached the device.
-                        self.host_batch.clear();
-                        self.host_batch
-                            .extend_from_slice(&self.data[b.start..b.start + b.len]);
-                        par_radix_sort_cfg(&self.sched, self.sort_threads, &mut self.host_batch);
-                        acc.push(Access::read(Buffer::Host {
-                            region: REGION_A,
-                            start: b.start,
-                            len: b.len,
-                        }));
-                        acc.push(Access::write(self.host_batch_buf(0, b.len)));
                     }
                 }
             }
@@ -507,54 +437,26 @@ where
             } => {
                 let b = self.plan.batches[*batch];
                 let off = *start - b.start;
+                // Elided stage-out: the chunk stays where the batch
+                // lives; the StageOut marker pages it straight into W/B.
                 let elided = self.plan.stage_out_elided();
-                if self.mode == Mode::Device {
-                    self.device_check(&b)?;
-                    match self.dma(FaultSite::DtoH) {
-                        Ok(()) => {
-                            if elided {
-                                // Elided stage-out: the chunk stays
-                                // device-resident; the StageOut marker
-                                // pages it straight into W/B.
-                                acc.push(Access::read(self.dev_buf(&b)));
-                            } else {
-                                self.pinned_out[..*len]
-                                    .copy_from_slice(&self.device[off..off + *len]);
-                                acc.push(Access::read(self.dev_buf(&b)));
-                                acc.push(Access::write(self.pin_out_buf()));
-                            }
+                let src = match self.mode {
+                    Mode::Device => {
+                        self.device_check(&b)?;
+                        if let Err(attempts) = self.dma(FaultSite::DtoH) {
+                            return self.give_up(HetSortError::TransferFault {
+                                step: si,
+                                batch: b.index,
+                                dir: TransferDir::DtoH,
+                                attempts,
+                            });
                         }
-                        Err(attempts) => {
-                            if self.policy.cpu_fallback {
-                                // The sorted batch is still device-
-                                // resident: fall back to a pageable-
-                                // style host copy of the whole batch,
-                                // reusing the staging buffer's capacity
-                                // instead of cloning a fresh vector.
-                                self.host_batch.clear();
-                                self.host_batch.extend_from_slice(&self.device[..b.len]);
-                                self.degrade();
-                                acc.push(Access::read(self.dev_buf(&b)));
-                                acc.push(Access::write(self.host_batch_buf(0, b.len)));
-                                if !elided {
-                                    self.pinned_out[..*len]
-                                        .copy_from_slice(&self.host_batch[off..off + *len]);
-                                    acc.push(Access::write(self.pin_out_buf()));
-                                }
-                            } else {
-                                return Err(HetSortError::TransferFault {
-                                    step: si,
-                                    batch: b.index,
-                                    dir: TransferDir::DtoH,
-                                    attempts,
-                                });
-                            }
-                        }
+                        &self.device
                     }
-                } else if !elided {
-                    self.pinned_out[..*len].copy_from_slice(&self.host_batch[off..off + *len]);
-                    acc.push(Access::read(self.host_batch_buf(off, *len)));
-                    acc.push(Access::write(self.pin_out_buf()));
+                    Mode::Split => &self.host_batch,
+                };
+                if !elided {
+                    self.pinned_out[..*len].copy_from_slice(&src[off..off + *len]);
                 }
             }
             DagOp::StagingCopy {
@@ -564,32 +466,18 @@ where
                 dir_in: false,
                 ..
             } => {
-                let region = if self.plan.nb() > 1 {
-                    REGION_W
-                } else {
-                    REGION_B
-                };
                 if self.plan.stage_out_elided() {
                     // The outbound bounce was elided: emit straight from
                     // the source the batch actually lives in.
-                    let b = self.plan.batches[*batch];
-                    let off = *start - b.start;
-                    if self.mode == Mode::Device {
-                        emit(*batch, *start, &self.device[off..off + *len]);
-                        acc.push(Access::read(self.dev_buf(&b)));
-                    } else {
-                        emit(*batch, *start, &self.host_batch[off..off + *len]);
-                        acc.push(Access::read(self.host_batch_buf(off, *len)));
-                    }
+                    let off = *start - self.plan.batches[*batch].start;
+                    let src = match self.mode {
+                        Mode::Device => &self.device,
+                        Mode::Split => &self.host_batch,
+                    };
+                    emit(*batch, *start, &src[off..off + *len]);
                 } else {
                     emit(*batch, *start, &self.pinned_out[..*len]);
-                    acc.push(Access::read(self.pin_out_buf()));
                 }
-                acc.push(Access::write(Buffer::Host {
-                    region,
-                    start: *start,
-                    len: *len,
-                }));
             }
             DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge { .. } => {
                 return Err(HetSortError::Plan {
@@ -597,28 +485,9 @@ where
                 });
             }
         }
-        // Log even empty lists: a CpuFallback HtoD performs no accesses,
-        // and that fact must override the static derivation.
-        if let Accesses(Some(list)) = acc {
-            self.access_log.push((si, list));
-        }
-        let elem = self.plan.config.elem_bytes.bytes();
-        let bytes = match *op {
-            DagOp::PinnedAlloc { bytes, .. } => bytes,
-            DagOp::StagingCopy { len, .. } | DagOp::HtoD { len, .. } | DagOp::DtoH { len, .. } => {
-                len as u64 * elem
-            }
-            DagOp::Sort { batch } => self.plan.batches[batch].len as u64 * elem,
-            // Not stream-bound: errored out above.
-            DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge { .. } => 0,
-        };
-        let span = ObsSpan {
-            bytes: bytes as f64,
-            t_start: span_start,
-            t_end: self.t0.elapsed().as_secs_f64(),
-            ..node_span(self.plan, si, node)
-        };
-        self.span_log.push(span);
-        Ok(())
+        Ok(match self.mode {
+            Mode::Device => Route::Device,
+            Mode::Split => Route::Split,
+        })
     }
 }

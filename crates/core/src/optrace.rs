@@ -1,23 +1,25 @@
 //! Lowering an op-dag to a structured [`OpTrace`].
 //!
-//! There is one trace builder, [`trace_nodes`], over a plan's geometry
-//! and the nodes to describe. It synthesizes the event edges from the
-//! *nodes'* dependency lists — so a mutated dag (a dropped or rewired
-//! edge) lowers to a trace missing exactly that sync edge, which is
-//! what lets the happens-before checker kill trace-level mutants
-//! instead of silently re-deriving the edge from a pristine plan:
+//! There is one trace builder, `trace_nodes`, over a plan's geometry,
+//! the nodes to describe and the route each node took. It synthesizes
+//! the event edges from the *nodes'* dependency lists — so a mutated
+//! dag (a dropped or rewired edge) lowers to a trace missing exactly
+//! that sync edge, which is what lets the happens-before checker kill
+//! trace-level mutants instead of silently re-deriving the edge from a
+//! pristine plan — and derives every op's buffer accesses from one
+//! table over (node, route):
 //!
 //! * [`lower_plan`] / [`lower_dag`] emit the *static* trace of
 //!   `plan.steps` / `dag.nodes` — what the schedule claims it will do,
-//!   with every op's buffer accesses derived from the node alone
-//!   ([`node_accesses`]). `hetsort analyze` checks this before anything
-//!   runs.
-//! * The engine passes `overrides` to emit the *executed* trace — the
-//!   same thread/event structure over the nodes that ran, but with the
-//!   accesses each stream interpreter actually performed substituted
-//!   in. Recovery re-plans (OOM splits, CPU fallbacks) touch different
-//!   buffers than the static schedule, and this is how those paths get
-//!   re-checked.
+//!   every node on its device route ([`node_accesses`]). `hetsort
+//!   analyze` checks this before anything runs.
+//! * The engine emits the *executed* trace — the same thread/event
+//!   structure over the nodes that ran, each with the route its stream
+//!   interpreter logged: the device path, an OOM split (the batch staged
+//!   host-side), the node where a batch gave up to the host sort (reads
+//!   its `A` range, writes its `W`/`B` range), or skipped (the batch was
+//!   done: no accesses). Recovery touches different buffers than the
+//!   static schedule, and this is how those paths get re-checked.
 //!
 //! Thread model: one trace thread per stream (`0..total_streams`), plus
 //! a host thread (`total_streams`) for the pair/multiway merges. The
@@ -30,11 +32,10 @@
 //!
 //! Buffer identity:
 //!
-//! * `Host` regions: [`REGION_A`] (input), [`REGION_W`] (sorted-sublist
-//!   working memory), [`REGION_B`] (output), [`region_host_batch`] (a
-//!   stream's Split/CpuFallback staging), [`region_pair`] (a pair-merge
-//!   output). Host accesses carry element ranges, so only true overlaps
-//!   conflict.
+//! * `Host` regions: `A` (input), `W` (sorted-sublist working memory),
+//!   `B` (output), one per stream for its Split staging, and one per
+//!   pair-merge output. Host accesses carry element ranges, so only true
+//!   overlaps conflict.
 //! * `Dev { gpu, id }`: `id` is the owning stream — each stream keeps
 //!   one resident batch buffer, as the executors do.
 //! * `Pinned { id }`: stream `s` owns the id triple `3·s .. 3·s + 2`.
@@ -55,20 +56,20 @@ use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::plan::{MergeSrc, Plan};
 
 /// Host region id of the input list `A`.
-pub const REGION_A: usize = 0;
+const REGION_A: usize = 0;
 /// Host region id of the working memory `W` (sorted sublists).
-pub const REGION_W: usize = 1;
+const REGION_W: usize = 1;
 /// Host region id of the output list `B`.
-pub const REGION_B: usize = 2;
+const REGION_B: usize = 2;
 
-/// Host region id of stream `s`'s batch staging buffer (used by the
-/// Split and CpuFallback recovery modes).
-pub fn region_host_batch(stream: usize) -> usize {
+/// Host region id of stream `s`'s batch staging buffer (the Split
+/// recovery route).
+fn region_host_batch(stream: usize) -> usize {
     3 + stream
 }
 
 /// Host region id of pair-merge slot `slot`'s output buffer.
-pub fn region_pair(total_streams: usize, slot: usize) -> usize {
+fn region_pair(total_streams: usize, slot: usize) -> usize {
     3 + total_streams + slot
 }
 
@@ -76,13 +77,13 @@ pub fn region_pair(total_streams: usize, slot: usize) -> usize {
 /// `chunk % 2` for double-buffered plans and 0 otherwise — the two
 /// halves of a double-buffered allocation get distinct identities so
 /// the stage-in of one chunk may overlap the DMA of the previous.
-pub fn pinned_in_id(stream: usize, half: usize) -> usize {
+fn pinned_in_id(stream: usize, half: usize) -> usize {
     3 * stream + half
 }
 
 /// Pinned-buffer id of stream `s`'s outbound staging buffer. Blocking
 /// plans allocate one buffer and reuse it both ways (inbound half 0).
-pub fn pinned_out_id(asynchronous: bool, stream: usize) -> usize {
+fn pinned_out_id(asynchronous: bool, stream: usize) -> usize {
     if asynchronous {
         3 * stream + 2
     } else {
@@ -91,8 +92,27 @@ pub fn pinned_out_id(asynchronous: bool, stream: usize) -> usize {
 }
 
 /// The trace thread merges run on.
-pub fn host_thread(plan: &Plan) -> usize {
+fn host_thread(plan: &Plan) -> usize {
     plan.total_streams
+}
+
+/// How the functional engine ran one node — which row of the access
+/// table the executed trace gives it. A node with no logged route took
+/// the device route, as every node of the static trace does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// The fault-free path: the batch lives in its stream's device
+    /// buffer.
+    Device,
+    /// OOM recovery: the batch is staged in its stream's host buffer
+    /// and sorted there in device-sized sub-runs.
+    Split,
+    /// The batch gave up at this node: the engine host-sorts it from
+    /// its `A` range into its `W`/`B` range.
+    Degraded,
+    /// The batch was already done (checkpointed by an earlier pass, or
+    /// given up at an earlier node): the node touches nothing.
+    Skipped,
 }
 
 /// The device buffer a stream's batches live in.
@@ -150,10 +170,31 @@ pub fn node_label(op: &DagOp, i: usize) -> String {
     }
 }
 
-/// The buffer accesses `node` performs on the fault-free path.
-/// [`DagOp::CpuMerge`] touches exactly what the equivalent
-/// [`DagOp::PairMerge`] would — only the executing resource differs.
+/// The buffer accesses `node` performs on the fault-free path: the
+/// device row of the access table. [`DagOp::CpuMerge`]
+/// touches exactly what the equivalent [`DagOp::PairMerge`] would —
+/// only the executing resource differs.
 pub fn node_accesses(plan: &Plan, node: &DagNode) -> Vec<Access> {
+    accesses(plan, node, Route::Device)
+}
+
+/// The access table: the buffers `node` touches on `route`.
+fn accesses(plan: &Plan, node: &DagNode, route: Route) -> Vec<Access> {
+    // Single-batch plans stage straight into B; multi-batch into W.
+    let out_region = if plan.nb() > 1 { REGION_W } else { REGION_B };
+    let host = |region, start, len| Buffer::Host { region, start, len };
+    let split = match (route, node.op.batch()) {
+        (Route::Device, _) => false,
+        (Route::Split, _) => true,
+        (Route::Degraded, Some(b)) => {
+            let bi = &plan.batches[b];
+            return vec![
+                Access::read(host(REGION_A, bi.start, bi.len)),
+                Access::write(host(out_region, bi.start, bi.len)),
+            ];
+        }
+        (Route::Degraded, None) | (Route::Skipped, _) => return Vec::new(),
+    };
     // Stream-less data ops get the sentinel lane `total_streams` so
     // their pinned ids (`3·S ..`) can never alias stream 0's real
     // staging buffers and fabricate conflicts in the checker.
@@ -166,19 +207,11 @@ pub fn node_accesses(plan: &Plan, node: &DagNode) -> Vec<Access> {
     let pin_out = Buffer::Pinned {
         id: pinned_out_id(plan.asynchronous, stream),
     };
-    // Single-batch plans stage straight into B; multi-batch into W.
-    let out_region = if plan.nb() > 1 { REGION_W } else { REGION_B };
-    let pair_accesses = |slot: usize| {
-        let spec = plan.pairs[slot];
-        vec![
-            src_read(plan, spec.left),
-            src_read(plan, spec.right),
-            Access::write(Buffer::Host {
-                region: region_pair(plan.total_streams, slot),
-                start: 0,
-                len: spec.out_elems,
-            }),
-        ]
+    // Elements `start .. start + len` of the input, as they sit in the
+    // stream's Split staging of batch `batch`.
+    let staged = |batch: usize, start: usize, len| {
+        let region = region_host_batch(stream);
+        host(region, start - plan.batches[batch].start, len)
     };
     match &node.op {
         DagOp::PinnedAlloc { .. } => Vec::new(),
@@ -189,11 +222,7 @@ pub fn node_accesses(plan: &Plan, node: &DagNode) -> Vec<Access> {
             dir_in: true,
             ..
         } => vec![
-            Access::read(Buffer::Host {
-                region: REGION_A,
-                start: *start,
-                len: *len,
-            }),
+            Access::read(host(REGION_A, *start, *len)),
             Access::write(pin_in(*chunk)),
         ],
         DagOp::StagingCopy {
@@ -203,42 +232,62 @@ pub fn node_accesses(plan: &Plan, node: &DagNode) -> Vec<Access> {
             dir_in: false,
             ..
         } => vec![
-            if elided {
-                Access::read(dev_buf(plan, *batch))
+            Access::read(match (elided, split) {
+                (false, _) => pin_out,
+                (true, false) => dev_buf(plan, *batch),
+                (true, true) => staged(*batch, *start, *len),
+            }),
+            Access::write(host(out_region, *start, *len)),
+        ],
+        DagOp::HtoD {
+            batch,
+            chunk,
+            start,
+            len,
+        } => vec![
+            Access::read(pin_in(*chunk)),
+            Access::write(if split {
+                staged(*batch, *start, *len)
             } else {
-                Access::read(pin_out)
-            },
-            Access::write(Buffer::Host {
-                region: out_region,
-                start: *start,
-                len: *len,
+                dev_buf(plan, *batch)
             }),
         ],
-        DagOp::HtoD { batch, chunk, .. } => {
-            vec![
-                Access::read(pin_in(*chunk)),
-                Access::write(dev_buf(plan, *batch)),
-            ]
-        }
         DagOp::Sort { batch } => {
             let d = dev_buf(plan, *batch);
-            vec![Access::read(d), Access::write(d)]
-        }
-        DagOp::DtoH { batch, .. } => {
-            if elided {
-                vec![Access::read(dev_buf(plan, *batch))]
-            } else {
-                vec![Access::read(dev_buf(plan, *batch)), Access::write(pin_out)]
+            let mut acc = Vec::with_capacity(4);
+            if split {
+                let bi = &plan.batches[*batch];
+                let hb = staged(*batch, bi.start, bi.len);
+                acc.extend([Access::read(hb), Access::write(hb)]);
             }
+            acc.extend([Access::read(d), Access::write(d)]);
+            acc
         }
-        DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => pair_accesses(*slot),
+        DagOp::DtoH {
+            batch, start, len, ..
+        } => match (elided, split) {
+            (true, false) => vec![Access::read(dev_buf(plan, *batch))],
+            // An elided Split batch is read from its host staging by
+            // the StageOut marker; its DtoH moves nothing.
+            (true, true) => Vec::new(),
+            (false, false) => vec![Access::read(dev_buf(plan, *batch)), Access::write(pin_out)],
+            (false, true) => vec![
+                Access::read(staged(*batch, *start, *len)),
+                Access::write(pin_out),
+            ],
+        },
+        DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+            let spec = plan.pairs[*slot];
+            let out = host(region_pair(plan.total_streams, *slot), 0, spec.out_elems);
+            vec![
+                src_read(plan, spec.left),
+                src_read(plan, spec.right),
+                Access::write(out),
+            ]
+        }
         DagOp::MultiwayMerge { inputs } => {
             let mut acc: Vec<Access> = inputs.iter().map(|&src| src_read(plan, src)).collect();
-            acc.push(Access::write(Buffer::Host {
-                region: REGION_B,
-                start: 0,
-                len: plan.n,
-            }));
+            acc.push(Access::write(host(REGION_B, 0, plan.n)));
             acc
         }
     }
@@ -255,14 +304,12 @@ pub fn lower_dag(dag: &PlanDag) -> OpTrace {
     trace_nodes(&dag.plan, &dag.nodes, &[])
 }
 
-/// Lower `nodes` over `plan`'s geometry, substituting executed accesses
-/// where provided: `overrides[i] = Some(accesses)` replaces the static
-/// access list of node `i` (data-touching nodes only); `None` or a
-/// short vector keeps the static derivation. The event edges come from
+/// Lower `nodes` over `plan`'s geometry, node `i` on `routes[i]` (the
+/// device route where `routes` is short). The event edges come from
 /// the nodes' dependency lists: nodes whose edges were mutated lower to
 /// a trace missing exactly those sync edges, which the happens-before
 /// checker then reports as a race.
-pub fn trace_nodes(plan: &Plan, nodes: &[DagNode], overrides: &[Option<Vec<Access>>]) -> OpTrace {
+pub(crate) fn trace_nodes(plan: &Plan, nodes: &[DagNode], routes: &[Route]) -> OpTrace {
     let host = host_thread(plan);
     let thread_of = |i: usize| nodes[i].stream.unwrap_or(host);
     // Nodes with a cross-thread consumer record an event right after
@@ -352,10 +399,8 @@ pub fn trace_nodes(plan: &Plan, nodes: &[DagNode], overrides: &[Option<Vec<Acces
                         );
                     }
                 }
-                let accesses = overrides
-                    .get(si)
-                    .and_then(|o| o.clone())
-                    .unwrap_or_else(|| node_accesses(plan, node));
+                let route = routes.get(si).copied().unwrap_or(Route::Device);
+                let accesses = accesses(plan, node, route);
                 trace.push(th, node_label(&node.op, si), TraceKind::Op { accesses });
             }
         }

@@ -5,14 +5,14 @@
 //! every admitted set re-verified against the analyzer's residency
 //! math, every output bit-identical to a reference sort, every shed a
 //! typed `Overloaded`, and the whole schedule reproducible to the bit
-//! on a second run. No wall clock enters the service, so this is
-//! stable on any machine.
+//! on a second run. The audited run goes under both staging protocols.
+//! No wall clock enters the service, so this is stable on any machine.
 
 use std::sync::Arc;
 
 use hetsort_analyze::Residency;
 use hetsort_core::reference::reference_sort_real;
-use hetsort_core::{Approach, HetSortConfig, HetSortError, Plan};
+use hetsort_core::{Approach, HetSortConfig, HetSortError, Plan, StagingMode};
 use hetsort_prng::Rng;
 use hetsort_serve::{footprint_max, Priority, ServeBudget, ServeConfig, SortJob, SortService};
 use hetsort_vgpu::{platform1, FaultInjector};
@@ -22,23 +22,26 @@ const BURST: usize = 48;
 const QUEUE_CAP: usize = 24;
 const SEED: u64 = 0x5e21;
 
-fn shape_a() -> HetSortConfig {
+fn shape_a(staging: StagingMode) -> HetSortConfig {
     // Small, coalescible shape.
     HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
         .with_batch_elems(1_000)
         .with_pinned_elems(250)
+        .with_staging(staging)
 }
 
-fn shape_b() -> HetSortConfig {
+fn shape_b(staging: StagingMode) -> HetSortConfig {
     HetSortConfig::paper_defaults(platform1(), Approach::PipeData)
         .with_batch_elems(2_000)
         .with_pinned_elems(500)
+        .with_staging(staging)
 }
 
-fn shape_c() -> HetSortConfig {
+fn shape_c(staging: StagingMode) -> HetSortConfig {
     HetSortConfig::paper_defaults(platform1(), Approach::BLineMulti)
         .with_batch_elems(1_500)
         .with_pinned_elems(500)
+        .with_staging(staging)
 }
 
 fn serve_config() -> ServeConfig {
@@ -57,8 +60,8 @@ fn data(rng: &mut Rng, n: usize) -> Vec<f64> {
 /// jobs (guaranteed queue-full sheds + coalescing), a spread tail of
 /// mixed shapes and priorities, every 10th job fault-injected under
 /// the default recovery policy, and one job too big for the budget at
-/// any load.
-fn make_jobs(seed: u64) -> Vec<SortJob> {
+/// any load. Every job stages under `staging`.
+fn make_jobs(seed: u64, staging: StagingMode) -> Vec<SortJob> {
     let mut rng = Rng::new(seed);
     let mut jobs = Vec::with_capacity(N_JOBS);
     let mut arrival = 0.0_f64;
@@ -66,19 +69,22 @@ fn make_jobs(seed: u64) -> Vec<SortJob> {
         let job = if i < BURST {
             // Burst: all arrive at t = 0 with the coalescible shape.
             let n = rng.usize_in(800, 2_000);
-            SortJob::new(data(&mut rng, n), shape_a())
+            SortJob::new(data(&mut rng, n), shape_a(staging))
         } else if i == BURST {
             // Unadmittable at any load: device footprint far past the
             // budget. Arrives long after the rest drains, so the queue
             // is empty — it must still shed (typed), not queue forever.
-            SortJob::new(data(&mut rng, 1_000), shape_a().with_batch_elems(1 << 24))
-                .arriving_at(1.0e9)
+            SortJob::new(
+                data(&mut rng, 1_000),
+                shape_a(staging).with_batch_elems(1 << 24),
+            )
+            .arriving_at(1.0e9)
         } else {
             arrival += rng.f64_in(0.0, 2.0e-3);
             let (cfg, n) = match i % 3 {
-                0 => (shape_a(), rng.usize_in(800, 2_000)),
-                1 => (shape_b(), rng.usize_in(4_000, 12_000)),
-                _ => (shape_c(), rng.usize_in(3_000, 8_000)),
+                0 => (shape_a(staging), rng.usize_in(800, 2_000)),
+                1 => (shape_b(staging), rng.usize_in(4_000, 12_000)),
+                _ => (shape_c(staging), rng.usize_in(3_000, 8_000)),
             };
             SortJob::new(data(&mut rng, n), cfg).arriving_at(arrival)
         };
@@ -126,7 +132,14 @@ fn digest(out: &hetsort_serve::ServeOutcome) -> RunDigest {
 
 #[test]
 fn stress_220_jobs_audited_end_to_end() {
-    let jobs = make_jobs(SEED);
+    for staging in [StagingMode::default(), StagingMode::Paper] {
+        audited_run(staging);
+    }
+}
+
+/// The 220-job run under `staging`, audited end to end.
+fn audited_run(staging: StagingMode) {
+    let jobs = make_jobs(SEED, staging);
     let audit: Vec<SortJob> = jobs.clone();
     let svc = SortService::new(serve_config());
     let out = svc.run(jobs);
@@ -282,7 +295,7 @@ fn stress_220_jobs_audited_end_to_end() {
 fn stress_rerun_is_bitwise_identical() {
     let run = || {
         let svc = SortService::new(serve_config());
-        digest(&svc.run(make_jobs(SEED)))
+        digest(&svc.run(make_jobs(SEED, StagingMode::default())))
     };
     let a = run();
     let b = run();
@@ -302,7 +315,7 @@ fn stress_across_seeds_conserves_jobs_and_budget() {
     // A lighter sweep: whatever the mix, nothing is lost, nothing
     // panics, sheds stay typed.
     for seed in [1u64, 7, 42, 1234] {
-        let jobs = make_jobs(seed);
+        let jobs = make_jobs(seed, StagingMode::default());
         let svc = SortService::new(serve_config());
         let out = svc.run(jobs);
         assert_eq!(

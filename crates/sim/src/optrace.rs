@@ -3,9 +3,11 @@
 //! A [`Timeline`](crate::Timeline) records *when* ops ran; an
 //! [`OpTrace`] records *what they touched and how they were ordered* —
 //! the input of the `hetsort-analyze` happens-before race detector.
-//! The one producer is `hetsort-core`'s `optrace::trace_nodes`: every
-//! dag node tagged with the staging / device / host buffers it reads
-//! and writes, statically or as the functional engine executed it.
+//! The one producer is `hetsort-core`'s `optrace` lowering: every dag
+//! node tagged with the staging / device / host buffers it reads and
+//! writes, from one access table over (node, route) — the device route
+//! for every node of a static trace, the route the functional engine
+//! logged for each node of an executed one.
 //!
 //! The trace model is deliberately CUDA-shaped:
 //!
@@ -39,7 +41,7 @@ pub enum Buffer {
     /// staging, pair-merge outputs). Two host accesses conflict only
     /// when their element ranges overlap.
     Host {
-        /// Region id (see `hetsort-core`'s region constants).
+        /// Region id (`hetsort-core`'s `optrace` assigns them).
         region: usize,
         /// First element touched.
         start: usize,

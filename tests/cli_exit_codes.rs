@@ -1,8 +1,9 @@
 //! The CLI never reports partial work as a pass and never dies on its
 //! input: a truncated exploration is exit 1, an oversized plan is a
 //! typed exit 1 (not an allocation abort), an explicit zero reaches
-//! validation instead of meaning "default", and a fractional count or
-//! a schedule naming a GPU or stream the run lacks is a usage error.
+//! validation instead of meaning "default", a fractional count or a
+//! schedule naming a GPU or stream the run lacks is a usage error, and
+//! a fault the run recovers from writes nothing to stderr.
 
 use std::process::{Command, Output};
 
@@ -121,4 +122,32 @@ fn schedules_naming_a_missing_gpu_are_usage_errors() {
     // GPU 1 exists on PLATFORM2.
     let out = hetsort("serve-sim --jobs 10 -p p2 --chaos lose:1@0.001");
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+}
+
+#[test]
+fn a_recovered_injected_panic_writes_nothing_to_stderr() {
+    // The panic unwinds without the panic hook, so not even a
+    // backtrace reaches stderr; the engine still catches its message.
+    let run = |args: &str| {
+        Command::new(env!("CARGO_BIN_EXE_hetsort"))
+            .args(args.split_whitespace())
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("spawn hetsort")
+    };
+    let args = "sort -n 6e4 -b 8000 --pinned 2000 --faults panic:0@1";
+    let out = run(args);
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("verified: true"), "{stdout}");
+    assert_eq!(stderr, "", "{args}");
+
+    // Without the fallback the caught message is the run's error.
+    let out = run(&format!("{args} --no-cpu-fallback"));
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("stream worker 0 panicked: injected panic in stream worker 0 at batch 0"),
+        "{stderr}"
+    );
 }

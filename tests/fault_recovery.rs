@@ -5,9 +5,10 @@
 
 use std::sync::Arc;
 
+use hetsort::core::reference::reference_sort_real;
 use hetsort::core::{
-    sort_real, sort_real_parallel, Approach, HetSortConfig, HetSortError, Plan, RecoveryPolicy,
-    StagingMode,
+    execute_dag_pooled, sort_real, sort_real_parallel, Approach, HetSortConfig, HetSortError, Plan,
+    PlanDag, RecoveryPolicy, RecoveryStats, StagingMode,
 };
 use hetsort::vgpu::{platform1, FaultInjector, TransferDir};
 
@@ -261,6 +262,93 @@ fn exhausted_retry_budget_reports_every_attempt() {
                     ),
                     "{case}: got {err:?}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_give_up_site_host_sorts_the_batch() {
+    // One stream of three 4-chunk batches (b_s = 8 000, p_s = 2 000):
+    // every occurrence lands on the same batch at any worker count.
+    // Each transfer schedule exhausts both retries on the first, the
+    // third or the last chunk of batch 1 (occurrences 5..=8); a DtoH
+    // past the first chunk gives up after stage-outs already ran. The
+    // device sort trips on the first, the middle or the last batch, and
+    // with splitting off an OOM fails the first one, two or three
+    // allocations (a stream allocates until a batch gets its buffer).
+    // Stats and errors are pinned literals: where a batch gives up
+    // moves none of them, and the output stays the reference sort.
+    let stats = |faults_injected, retries, degraded_batches| RecoveryStats {
+        faults_injected,
+        retries,
+        degraded_batches,
+        ..RecoveryStats::default()
+    };
+    let transfer = |step, dir| HetSortError::TransferFault {
+        step,
+        batch: 1,
+        dir,
+        attempts: 1,
+    };
+    let sort = |step, batch| HetSortError::DeviceSortFault {
+        step,
+        batch,
+        gpu: 0,
+    };
+    let oom = HetSortError::GpuOom {
+        gpu: 0,
+        batch: Some(0),
+        requested_bytes: 128_000,
+        free_bytes: 17_179_869_184,
+    };
+    let (htod, dtoh) = (TransferDir::HtoD, TransferDir::DtoH);
+    let cases = [
+        ("htod:5,htod:6,htod:7", stats(3, 2, 1), transfer(20, htod)),
+        ("htod:7,htod:8,htod:9", stats(3, 2, 1), transfer(24, htod)),
+        ("htod:8,htod:9,htod:10", stats(3, 2, 1), transfer(26, htod)),
+        ("dtoh:5,dtoh:6,dtoh:7", stats(3, 2, 1), transfer(28, dtoh)),
+        ("dtoh:7,dtoh:8,dtoh:9", stats(3, 2, 1), transfer(32, dtoh)),
+        ("dtoh:8,dtoh:9,dtoh:10", stats(3, 2, 1), transfer(34, dtoh)),
+        ("sort:1", stats(1, 0, 1), sort(10, 0)),
+        ("sort:2", stats(1, 0, 1), sort(27, 1)),
+        ("sort:3", stats(1, 0, 1), sort(44, 2)),
+        ("oom:1", stats(1, 0, 1), oom.clone()),
+        ("oom:1,oom:2", stats(2, 0, 2), oom.clone()),
+        ("oom:1,oom:2,oom:3", stats(3, 0, 3), oom),
+    ];
+    let data = lcg_data(24_000, 11);
+    let mut expect = data.clone();
+    reference_sort_real(1, &mut expect);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for staging in STAGINGS {
+        for (spec, want_stats, want_err) in &cases {
+            let fallback = RecoveryPolicy {
+                split_on_oom: !spec.starts_with("oom"),
+                ..RecoveryPolicy::default()
+            };
+            let dag = |policy| {
+                let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
+                    .with_batch_elems(8_000)
+                    .with_pinned_elems(2_000)
+                    .with_streams(1)
+                    .with_staging(staging)
+                    .with_recovery(policy)
+                    .with_faults(Arc::new(FaultInjector::parse(spec).unwrap()));
+                PlanDag::from_plan(Plan::build(cfg, data.len()).unwrap())
+            };
+            // Inline, and one worker per stream.
+            for workers in [0, 1] {
+                let case = format!("{staging:?} {spec} workers={workers}");
+                let out = execute_dag_pooled(&dag(fallback), &data, workers)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert!(out.verified, "{case}");
+                assert!(bits(&out.sorted) == bits(&expect), "{case}: output moved");
+                assert_eq!(out.recovery, *want_stats, "{case}");
+                let err = execute_dag_pooled(&dag(RecoveryPolicy::none()), &data, workers)
+                    .map(drop)
+                    .unwrap_err();
+                assert_eq!(err, *want_err, "{case} without recovery");
             }
         }
     }
