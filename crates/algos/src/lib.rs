@@ -29,6 +29,8 @@
 //! * [`par`] — the minimal scoped-thread parallel runtime everything
 //!   above uses (`std::thread::scope`; no work-stealing dependency).
 //! * [`keys`] — radix-key transforms and total-order helpers for floats.
+//! * [`mem`] — huge-page host buffers: the engine's batch-, pair- and
+//!   n-sized `Vec`s ask the kernel for 2 MiB pages.
 //! * [`verify`] — sortedness checks and multiset fingerprints: the
 //!   functional engine's own output check, sequential or in parallel
 //!   parts, and the tests' oracle.
@@ -36,15 +38,28 @@
 //! All parallel entry points take an explicit `threads` argument so the
 //! scalability experiments (Figures 4 and 6) can sweep thread counts
 //! deterministically.
+//!
+//! ## Unsafe code
+//!
+//! The workspace's other crates forbid `unsafe`; this one holds all of
+//! it, each block with a `SAFETY:` comment (the lint below enforces it):
+//!
+//! * [`merge::merge_into`] — unchecked indexing in the branch-free merge
+//!   loop, bounded by its loop condition and the length assert;
+//! * `samplesort`'s write-once `Slot` — `Send`/`Sync` impls and its one
+//!   write through an `UnsafeCell`;
+//! * [`mem`] — the `madvise(MADV_HUGEPAGE)` call (Linux only).
 
 // Library code never unwraps: a worker's panic resumes on the caller
 // with its own payload, and a poisoned lock is recovered. Tests are
 // free to unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod insertion;
 pub mod introsort;
 pub mod keys;
+pub mod mem;
 pub mod merge;
 pub mod mergesort;
 pub mod multiway;

@@ -14,6 +14,7 @@
 //! bytes cost one scan, not one permute.
 
 use crate::keys::RadixKey;
+use crate::mem::huge_vec;
 
 /// Number of buckets per digit (8-bit digits).
 const BUCKETS: usize = 256;
@@ -140,10 +141,11 @@ fn fold(rows: &LaneRows) -> [HistCount; BUCKETS] {
 }
 
 /// Sort `data` in place (internally out-of-place with one scratch
-/// allocation of equal length). The scratch is never read before a
-/// scatter pass has written all of it, so it is not a copy of `data`.
+/// allocation of equal length, on huge pages when it is big enough).
+/// The scratch is never read before a scatter pass has written all of
+/// it, so it is not a copy of `data`.
 pub fn radix_sort<T: RadixKey + Default>(data: &mut [T]) {
-    let mut scratch: Vec<T> = vec![T::default(); data.len()];
+    let mut scratch: Vec<T> = huge_vec(data.len(), T::default());
     let ping_pongs = radix_sort_with_scratch(data, &mut scratch);
     // If an odd number of permute passes ran, the sorted result is in
     // `scratch`; copy back.

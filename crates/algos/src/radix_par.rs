@@ -17,6 +17,7 @@
 //! an MSD partition followed by per-bucket LSD).
 
 use crate::keys::{RadixKey, SortOrd};
+use crate::mem::huge_vec;
 use crate::merge::par_merge_into_cfg;
 use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, MIN_PART};
 use crate::radix::{radix_sort, radix_sort_with_scratch};
@@ -25,7 +26,8 @@ use crate::radix::{radix_sort, radix_sort_with_scratch};
 ///
 /// A batch is cut into `threads.min(n / MIN_PART)` slices; at one slice
 /// (one thread, or under two [`MIN_PART`]s) it is the sequential radix
-/// sort. Allocates one scratch buffer of equal length.
+/// sort. Allocates one scratch buffer of equal length
+/// ([`huge_vec`]).
 pub fn par_radix_sort<T: RadixKey + SortOrd + Default>(threads: usize, data: &mut [T]) {
     par_radix_sort_cfg(&SchedCfg::default(), threads, data);
 }
@@ -44,7 +46,7 @@ pub fn par_radix_sort_cfg<T: RadixKey + SortOrd + Default>(
         return;
     }
     let mut runs = split_evenly(n, slices);
-    let mut scratch: Vec<T> = vec![T::default(); n];
+    let mut scratch: Vec<T> = huge_vec(n, T::default());
 
     // Each tree level flips sides and the last must land in `data`, so
     // the sorted slices start in `scratch` iff the level count is odd.

@@ -116,6 +116,8 @@ mod parking {
     // SAFETY: at most one writer puts (enforced by the swap), and take
     // happens after all writers joined.
     unsafe impl<T: Send> Sync for Slot<T> {}
+    // SAFETY: a `Slot` owns its `T` (`AtomicBool` and `UnsafeCell` are
+    // `Send` when `T` is); moving it moves that value.
     unsafe impl<T: Send> Send for Slot<T> {}
 
     impl<T> Slot<T> {

@@ -38,6 +38,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
+use hetsort_algos::mem::{huge_vec, huge_with_capacity};
 use hetsort_algos::merge::par_merge_into_cfg;
 use hetsort_algos::multiway::par_multiway_merge_into_cfg;
 use hetsort_algos::par::{SchedCfg, SchedStats};
@@ -200,7 +201,7 @@ where
             })
             .collect::<Result<Vec<Vec<T>>, _>>()?;
         let lists: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
-        let mut out = vec![T::default(); out_elems];
+        let mut out = huge_vec(out_elems, T::default());
         let m_start = now();
         let stats = match slot {
             Some(_) => par_merge_into_cfg(&self.sched, self.threads, lists[0], lists[1], &mut out),
@@ -341,7 +342,7 @@ where
         let route = sx.step(id, node, &mut |batch, _start, chunk| {
             let len = plan.batches[batch].len;
             if assembling.capacity() == 0 {
-                *assembling = Vec::with_capacity(len);
+                *assembling = huge_with_capacity(len);
             }
             assembling.extend_from_slice(chunk);
             if assembling.len() == len {
@@ -500,7 +501,8 @@ where
         if cell.is_done() {
             return false;
         }
-        let mut run = self.data[bi.start..bi.start + bi.len].to_vec();
+        let mut run = huge_with_capacity(bi.len);
+        run.extend_from_slice(&self.data[bi.start..bi.start + bi.len]);
         par_radix_sort_cfg(&self.sched, self.threads, &mut run);
         *cell = Run::Sorted(run);
         if let Some(hook) = self.hooks.schedule {

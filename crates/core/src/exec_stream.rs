@@ -41,6 +41,7 @@
 use std::time::Instant;
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
+use hetsort_algos::mem::huge_resize;
 use hetsort_algos::multiway::par_multiway_merge_into_cfg;
 use hetsort_algos::par::{par_copy, SchedCfg};
 use hetsort_algos::radix_par::par_radix_sort_cfg;
@@ -219,9 +220,9 @@ where
         self.stats.oom_replans += 1;
         let cap = self.device_cap.min(want).max(1);
         if self.device.len() < cap {
-            self.device.resize(cap, T::default());
+            huge_resize(&mut self.device, cap, T::default());
         }
-        self.host_batch.resize(want, T::default());
+        huge_resize(&mut self.host_batch, want, T::default());
     }
 
     /// Start a new batch: decide its mode and (maybe) grow the device
@@ -244,7 +245,7 @@ where
             .injector
             .is_some_and(|i| i.trip(FaultSite::DeviceAlloc).is_some());
         if !tripped {
-            self.device.resize(want, T::default());
+            huge_resize(&mut self.device, want, T::default());
             return Ok(());
         }
         if self.policy.split_on_oom {
