@@ -16,10 +16,9 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use hetsort_core::dag::mutate::{execute_dag_hooked, EngineHooks, Pick, Schedule};
-use hetsort_core::optrace::node_accesses;
+use hetsort_core::optrace::{node_accesses, Buffer};
 use hetsort_core::plan::Plan;
 use hetsort_core::{DagNode, DagOp, HetSortError, PlanDag, RealOutcome};
-use hetsort_sim::Buffer;
 use hetsort_vgpu::FaultInjector;
 
 use crate::explore::{Footprint, Res, SchedModel};

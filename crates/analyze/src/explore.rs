@@ -29,8 +29,9 @@
 //!   schedule completes (engine-level, every model gets it for free);
 //! * **budget safety** — no interleaving of
 //!   reserve/release/lose/join overcommits a device or pinned cap
-//!   ([`FindingClass::Budget`], checked by `hetsort-serve`'s admission
-//!   model, which drives the shipped controller);
+//!   ([`FindingClass::Budget`], checked by
+//!   [`crate::admission_model`], which drives serve's shipped
+//!   controller);
 //! * **replan cover** — in every node order and loss alignment of the
 //!   shipped dag engine, each batch's run is published exactly once
 //!   and every survivor plan keeps the base tiling
@@ -45,7 +46,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hetsort_sim::{Access, Buffer};
+use hetsort_core::optrace::{Access, Buffer};
 
 use crate::finding::{Finding, FindingClass};
 

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use hetsort_sim::{Access, Buffer, OpTrace, TraceKind};
+use hetsort_core::optrace::{Access, Buffer, OpTrace, TraceKind};
 
 use crate::finding::{Finding, FindingClass};
 
@@ -369,7 +369,7 @@ pub fn check_trace(trace: &OpTrace, gpu_capacity: Option<&[u64]>) -> Vec<Finding
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsort_sim::Access;
+    use hetsort_core::optrace::Access;
 
     fn dev(id: usize) -> Buffer {
         Buffer::Dev { gpu: 0, id }

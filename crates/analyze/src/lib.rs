@@ -24,12 +24,14 @@
 //!    `enabled()`/`step()` scheduler models — every reachable
 //!    interleaving of a lowered trace ([`trace_model`]), of the shipped
 //!    dag engine recovering from device losses ([`engine_model`]), and
-//!    (via `hetsort-serve`) of the admission state machine. The HB
-//!    checker runs on every explored linearization, plus three
-//!    interleaving-only invariants: reachable deadlock, budget safety,
-//!    and replan cover.
-//! 4. **Host-memory model** ([`host_memory`]): the engine's peak host
-//!    bytes over the inline order, and the bound over any order.
+//!    of `hetsort-serve`'s admission controller under pool churn
+//!    ([`admission_model`]). The HB checker runs on every explored
+//!    linearization, plus three interleaving-only invariants:
+//!    reachable deadlock, budget safety, and replan cover.
+//!
+//! The plan memory math the linter budgets with — [`Residency`] and the
+//! host-memory model — lives beside `Plan` in `hetsort_core::residency`;
+//! [`Residency`] is re-exported here.
 //!
 //! Every trace comes from one producer, `hetsort_core::optrace`:
 //! [`lower_plan`] derives the static trace from a plan's nodes, and the
@@ -49,28 +51,26 @@
 // insist on checked conversions.
 #![warn(clippy::cast_possible_truncation)]
 
+pub mod admission_model;
 pub mod engine_model;
 pub mod explore;
 pub mod finding;
 pub mod hb;
-pub mod host_memory;
 pub mod mutate;
-pub mod residency;
 pub mod static_lint;
 pub mod trace_model;
 
+pub use admission_model::AdmissionModel;
 pub use engine_model::EngineModel;
 pub use explore::{explore, ExploreConfig, ExploreReport, SchedModel};
 pub use finding::{AnalysisReport, Finding, FindingClass};
-pub use host_memory::{host_bound_bytes, host_peak_bytes};
+pub use hetsort_core::Residency;
 pub use mutate::{ExploreMutant, Mutant};
-pub use residency::Residency;
 pub use trace_model::{explore_plan, explore_plan_trace, TraceModel};
 
-use hetsort_core::optrace::{lower_dag, lower_plan};
+use hetsort_core::optrace::{lower_dag, lower_plan, OpTrace};
 use hetsort_core::plan::Plan;
 use hetsort_core::PlanDag;
-use hetsort_sim::OpTrace;
 
 /// Analyze a plan: static lint plus happens-before over its lowered
 /// static trace.

@@ -14,13 +14,12 @@
 //! [`ExploreMutant`] seeds the recovery path's trace for the
 //! schedule-space explorer. The engine's recovery defects are
 //! `hetsort_core::dag::mutate::DagMutant`s, and the admission
-//! controller's seeded defects are a serve concept and live in
-//! `hetsort_serve::admission_model`.
+//! controller's are [`crate::admission_model::AdmissionDefect`]s.
 
 use hetsort_core::config::PairStrategy;
 use hetsort_core::dag::DagOp;
+use hetsort_core::optrace::{Buffer, OpTrace, TraceKind, TraceRecord};
 use hetsort_core::plan::Plan;
-use hetsort_sim::{Buffer, OpTrace, TraceKind};
 use hetsort_vgpu::{platform1, platform2};
 
 use crate::finding::FindingClass;
@@ -212,7 +211,7 @@ impl Mutant {
                 // only later: a cycle in the wait graph.
                 trace.records.insert(
                     i1,
-                    hetsort_sim::TraceRecord {
+                    TraceRecord {
                         thread: t1,
                         label: format!("seeded wait on ev{e2}"),
                         kind: TraceKind::StreamWaitEvent { event: e2 },
@@ -220,7 +219,7 @@ impl Mutant {
                 );
                 trace.records.insert(
                     i2 + 1,
-                    hetsort_sim::TraceRecord {
+                    TraceRecord {
                         thread: t2,
                         label: format!("seeded wait on ev{e1}"),
                         kind: TraceKind::StreamWaitEvent { event: e1 },
@@ -344,9 +343,9 @@ impl Mutant {
 /// The engine's own recovery defects are `DagMutant`s
 /// (`SkipCheckpoint`, `DropRecoveryBatch`), killed by exploring the
 /// shipped engine ([`crate::EngineModel`]). The admission-side defects
-/// are seeded into the shipped `AdmissionController` and killed by
-/// `hetsort-serve`'s `tests/explore_admission.rs`
-/// (`hetsort_serve::admission_model::AdmissionDefect`).
+/// ([`crate::admission_model::AdmissionDefect`]) are seeded into the
+/// shipped `AdmissionController` and killed by
+/// `tests/explore_admission.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExploreMutant {
     /// The recovery path loses a `stream_wait_event`: the survivor
@@ -398,8 +397,8 @@ mod tests {
         // The interleaving-only classes: the explorer mutant seeds
         // MissingSync; the others are asserted where their defects live.
         let asserted_elsewhere = [
-            // hetsort-serve tests/explore_admission.rs: both admission
-            // defects, seeded into the shipped AdmissionController.
+            // tests/explore_admission.rs: both admission defects,
+            // seeded into the shipped AdmissionController.
             Budget,
             // tests/explore_mutation.rs: the engine's recovery defects.
             ReplanCover,

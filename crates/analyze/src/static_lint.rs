@@ -19,10 +19,9 @@ use hetsort_core::config::{Approach, PairStrategy};
 use hetsort_core::dag::{DagNode, DagOp, PlanDag};
 use hetsort_core::optrace::node_label;
 use hetsort_core::plan::Plan;
-use hetsort_core::HetSortError;
+use hetsort_core::{HetSortError, Residency};
 
 use crate::finding::{Finding, FindingClass};
-use crate::residency::Residency;
 
 /// Lint a plan's own nodes; returns all findings (empty = clean).
 pub fn lint_plan(plan: &Plan) -> Vec<Finding> {

@@ -25,9 +25,8 @@
 
 use std::collections::BTreeSet;
 
-use hetsort_core::optrace::lower_plan;
+use hetsort_core::optrace::{lower_plan, OpTrace, TraceKind};
 use hetsort_core::plan::Plan;
-use hetsort_sim::{OpTrace, TraceKind};
 
 use crate::explore::{explore, ExploreConfig, ExploreReport, Footprint, Res, SchedModel};
 use crate::finding::Finding;

@@ -11,11 +11,10 @@ use std::collections::BTreeSet;
 use hetsort_analyze::explore::{explore, ExploreConfig};
 use hetsort_analyze::{explore_plan_trace, EngineModel, ExploreMutant, FindingClass};
 use hetsort_core::dag::mutate::{DagMutant, EngineHooks};
-use hetsort_core::optrace::lower_plan;
+use hetsort_core::optrace::{lower_plan, TraceKind};
 use hetsort_core::plan::Plan;
 use hetsort_core::recover::survivor_plan;
 use hetsort_core::{Approach, HetSortConfig, StagingMode};
-use hetsort_sim::TraceKind;
 use hetsort_vgpu::platform2;
 
 fn pinned_plan(staging: StagingMode) -> Plan {

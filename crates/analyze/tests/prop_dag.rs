@@ -20,13 +20,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hetsort_analyze::{analyze_dag, host_peak_bytes};
+use hetsort_analyze::analyze_dag;
 use hetsort_core::dag::mutate::{execute_dag_hooked, EngineHooks};
 use hetsort_core::optrace::{lower_dag, lower_plan};
 use hetsort_core::plan::MergeSrc;
 use hetsort_core::{
-    execute_dag, simulate_dag, Approach, DagOp, HetSortConfig, HybridMode, PairStrategy, Plan,
-    PlanDag, StagingMode, TieBreak,
+    execute_dag, host_peak_bytes, simulate_dag, Approach, DagOp, HetSortConfig, HybridMode,
+    PairStrategy, Plan, PlanDag, StagingMode, TieBreak,
 };
 use hetsort_prng::{prop_assert, run_cases, Rng};
 use hetsort_vgpu::{platform1, platform2};

@@ -276,8 +276,8 @@ impl PlanDag {
     ///   index order.
     ///
     /// Residency (peak device bytes vs capacity) is deliberately *not*
-    /// here: `hetsort-analyze` owns the platform budget model and
-    /// re-checks it via `Residency::of_plan` on `dag.plan`.
+    /// here: [`crate::Residency::of_plan`] computes the footprint and
+    /// `hetsort-analyze`'s static lint holds it against capacity.
     ///
     /// # Errors
     ///

@@ -30,11 +30,11 @@
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::verify::check_parts;
-use hetsort_sim::optrace::{OpTrace, TraceKind};
 
 use crate::dag::{DagNode, DagOp, PlanDag, TieBreak};
 use crate::error::HetSortError;
 use crate::exec_real::RealOutcome;
+use crate::optrace::{OpTrace, TraceKind};
 use crate::plan::Plan;
 
 /// What a [`Schedule`] does at one scheduling point of the inline

@@ -22,10 +22,10 @@
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_obs::MetricsRegistry;
-use hetsort_sim::OpTrace;
 
 use crate::config::HetSortConfig;
 use crate::error::HetSortError;
+use crate::optrace::OpTrace;
 use crate::plan::Plan;
 use crate::report::RecoveryStats;
 

@@ -29,6 +29,9 @@
 //! *semantics* are executed for real, pipeline *durations* come from the
 //! calibrated simulator. See `DESIGN.md`.
 //!
+//! Beside the plan sit its memory math ([`residency`]) and its trace
+//! vocabulary with the lowering the analyzer checks ([`optrace`]).
+//!
 //! Every fallible API returns a typed [`error::HetSortError`]; the
 //! functional engine additionally implements the failure model of
 //! `DESIGN.md` ("Failure model & recovery") — deterministic fault
@@ -56,6 +59,7 @@ pub mod pool;
 pub mod recover;
 pub mod reference;
 pub mod report;
+pub mod residency;
 
 pub use config::{
     Approach, ElemWidth, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy, StagingMode,
@@ -69,3 +73,4 @@ pub use exec_sim::{simulate, simulate_dag};
 pub use plan::Plan;
 pub use plan_builders::build_dag;
 pub use report::{RecoveryStats, TimingReport};
+pub use residency::{host_bound_bytes, host_peak_bytes, Residency};

@@ -1,6 +1,6 @@
 //! Memory-budget admission control.
 //!
-//! The controller reuses the analyzer's peak-residency math
+//! The controller budgets with the plan's peak-residency math
 //! ([`Residency`]): a job's footprint is what its built plan keeps
 //! resident for its whole run — per-GPU device buffers plus pinned
 //! host staging. Every count is an integer number of bytes, so with
@@ -25,7 +25,7 @@
 
 use std::collections::BTreeSet;
 
-use hetsort_analyze::Residency;
+use hetsort_core::Residency;
 
 /// The service's aggregate memory budget, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,10 +77,11 @@ impl AdmissionController {
         }
     }
 
-    /// Seed the `double-release` defect for the admission model's
-    /// mutation kill-suite (crate-private, like the engine's
-    /// `EngineHooks`: no production path can set it).
-    pub(crate) fn seed_double_release(&mut self) {
+    /// Seed the `double-release` defect: the kill suite's seeding hook
+    /// for `hetsort-analyze`'s admission model, as
+    /// `hetsort_core::dag::mutate::EngineHooks` is for the engine's. No
+    /// service path calls it.
+    pub fn seed_double_release(&mut self) {
         self.double_release = true;
     }
 
@@ -178,34 +179,14 @@ impl AdmissionController {
     }
 }
 
-/// Element-wise maximum of two footprints — the shared reservation of
-/// a coalesced group whose members reuse the same buffers
-/// sequentially.
-pub fn footprint_max(a: &Residency, b: &Residency) -> Residency {
-    let mut out = a.clone();
-    for (gpu, bytes) in &b.device_bytes {
-        let cur = out.device_bytes.entry(*gpu).or_insert(0);
-        *cur = (*cur).max(*bytes);
-    }
-    out.pinned_bytes = out.pinned_bytes.max(b.pinned_bytes);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn footprint(gpu: usize, dev: u64, pinned: u64) -> Residency {
-        let mut r = Residency::default();
-        r.device_bytes.insert(gpu, dev);
-        r.pinned_bytes = pinned;
-        r
-    }
-
     #[test]
     fn admits_until_either_budget_is_hit() {
         let mut ac = AdmissionController::new(ServeBudget::new(100.0, 50.0));
-        let r = footprint(0, 40, 10);
+        let r = Residency::on_gpu(0, 40, 10);
         assert!(ac.fits(&r));
         ac.reserve(1, r.clone());
         assert!(ac.fits(&r));
@@ -214,8 +195,8 @@ mod tests {
         assert!(!ac.fits(&r));
         // But a job on a *different* GPU still fits (per-GPU budget),
         // as long as the pinned pool holds.
-        assert!(ac.fits(&footprint(1, 90, 30)));
-        assert!(!ac.fits(&footprint(1, 90, 31)), "pinned pool full");
+        assert!(ac.fits(&Residency::on_gpu(1, 90, 30)));
+        assert!(!ac.fits(&Residency::on_gpu(1, 90, 31)), "pinned pool full");
         assert!(ac.release(1));
         assert!(ac.fits(&r), "released budget is reusable");
         assert!(!ac.release(1), "double release is a no-op");
@@ -224,39 +205,39 @@ mod tests {
     #[test]
     fn ever_fits_is_budget_against_empty_controller() {
         let mut ac = AdmissionController::new(ServeBudget::new(100.0, 50.0));
-        ac.reserve(1, footprint(0, 90, 40));
-        let r = footprint(0, 95, 5);
+        ac.reserve(1, Residency::on_gpu(0, 90, 40));
+        let r = Residency::on_gpu(0, 95, 5);
         assert!(!ac.fits(&r), "not now");
         assert!(ac.ever_fits(&r), "but possible once drained");
-        assert!(!ac.ever_fits(&footprint(0, 101, 0)));
-        assert!(!ac.ever_fits(&footprint(0, 1, 51)));
+        assert!(!ac.ever_fits(&Residency::on_gpu(0, 101, 0)));
+        assert!(!ac.ever_fits(&Residency::on_gpu(0, 1, 51)));
     }
 
     #[test]
     fn losing_a_gpu_reports_displaced_reservations_and_blocks_admission() {
         let mut ac = AdmissionController::new(ServeBudget::new(100.0, 50.0));
-        ac.reserve(1, footprint(0, 40, 10));
-        ac.reserve(2, footprint(1, 40, 10));
+        ac.reserve(1, Residency::on_gpu(0, 40, 10));
+        ac.reserve(2, Residency::on_gpu(1, 40, 10));
         let displaced = ac.lose_gpu(1);
         assert_eq!(displaced, vec![2]);
         // Footprints touching the dead GPU no longer fit — not now,
         // not ever — while GPU-0 jobs are untouched.
-        assert!(!ac.fits(&footprint(1, 1, 0)));
-        assert!(!ac.ever_fits(&footprint(1, 1, 0)));
-        assert!(ac.fits(&footprint(0, 1, 0)));
+        assert!(!ac.fits(&Residency::on_gpu(1, 1, 0)));
+        assert!(!ac.ever_fits(&Residency::on_gpu(1, 1, 0)));
+        assert!(ac.fits(&Residency::on_gpu(0, 1, 0)));
         assert_eq!(ac.dead().iter().copied().collect::<Vec<_>>(), vec![1]);
         // Idempotent loss; join restores admissibility.
         assert!(ac.lose_gpu(1).contains(&2));
         ac.join_gpu(1);
-        assert!(ac.ever_fits(&footprint(1, 1, 0)));
+        assert!(ac.ever_fits(&Residency::on_gpu(1, 1, 0)));
         assert!(ac.dead().is_empty());
     }
 
     #[test]
     fn coalesced_groups_share_the_max_footprint() {
-        let a = footprint(0, 40, 10);
-        let b = footprint(0, 30, 20);
-        let m = footprint_max(&a, &b);
+        let a = Residency::on_gpu(0, 40, 10);
+        let b = Residency::on_gpu(0, 30, 20);
+        let m = a.max(&b);
         assert_eq!(m.device_bytes.get(&0), Some(&40));
         assert_eq!(m.pinned_bytes, 20);
         // Sharing beats summing: the group fits where two solo
@@ -278,10 +259,10 @@ mod tests {
         };
         let mut ac = AdmissionController::new(budget);
         let shapes = [
-            footprint(0, big, 3),
-            footprint(0, big / 7, 1),
-            footprint(1, big - 1, 11),
-            footprint(0, 13, big / 3),
+            Residency::on_gpu(0, big, 3),
+            Residency::on_gpu(0, big / 7, 1),
+            Residency::on_gpu(1, big - 1, 11),
+            Residency::on_gpu(0, 13, big / 3),
         ];
         let mut held = std::collections::VecDeque::new();
         for id in 0..10_000 {
@@ -301,12 +282,12 @@ mod tests {
         assert_eq!(ac.in_flight().device_total(), 0);
         assert_eq!(ac.in_flight().pinned_bytes, 0);
         // Exactly at budget fits; one byte more on either cap does not.
-        assert!(ac.fits(&footprint(0, 3 * big, big)));
-        assert!(!ac.fits(&footprint(0, 3 * big + 1, 0)));
-        assert!(!ac.fits(&footprint(1, 0, big + 1)));
-        ac.reserve(0, footprint(0, big, 0));
-        assert!(ac.fits(&footprint(0, 2 * big, big)));
-        assert!(!ac.fits(&footprint(0, 2 * big + 1, 0)));
+        assert!(ac.fits(&Residency::on_gpu(0, 3 * big, big)));
+        assert!(!ac.fits(&Residency::on_gpu(0, 3 * big + 1, 0)));
+        assert!(!ac.fits(&Residency::on_gpu(1, 0, big + 1)));
+        ac.reserve(0, Residency::on_gpu(0, big, 0));
+        assert!(ac.fits(&Residency::on_gpu(0, 2 * big, big)));
+        assert!(!ac.fits(&Residency::on_gpu(0, 2 * big + 1, 0)));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Tenants submit [`SortJob`]s (data + [`HetSortConfig`] + priority +
 //! optional deadline) into a bounded queue. An [`AdmissionController`]
-//! reuses the analyzer's peak-residency math to admit jobs only while
+//! budgets with the plan's peak-residency math
+//! ([`Residency`](hetsort_core::Residency)) to admit jobs only while
 //! the aggregate device-memory and pinned-staging footprint stays
 //! under a configurable [`ServeBudget`]; small same-shape jobs
 //! coalesce into shared reservations; overload sheds jobs with a typed
@@ -23,6 +24,9 @@
 //! taken from the simulator. Rerunning the same job list reproduces
 //! the same schedule and metrics to the bit, which is what makes the
 //! concurrent stress harness auditable.
+//!
+//! `hetsort-analyze` explores the shipped [`AdmissionController`] under
+//! pool churn; this crate does not depend on the analyzer.
 //!
 //! ```
 //! use hetsort_serve::{ServeBudget, ServeConfig, SortJob, SortService};
@@ -44,16 +48,12 @@
 #![deny(missing_docs)]
 
 pub mod admission;
-pub mod admission_model;
 pub mod job;
 pub mod mix;
 pub mod pool;
 pub mod service;
 
-pub use admission::{footprint_max, AdmissionController, ServeBudget};
-pub use admission_model::{
-    clean_scenarios, gpu_footprint, AdmissionModel, AdmissionScenario, ModelJob,
-};
+pub use admission::{AdmissionController, ServeBudget};
 pub use job::{JobReport, Priority, SortJob};
 pub use mix::{synthetic_jobs, MIX_COALESCE_ELEMS};
 pub use pool::{chaos_schedule, parse_schedule, PoolEvent, PoolEventKind};

@@ -3,7 +3,7 @@
 //!
 //! Jobs enter a bounded queue; the [`AdmissionController`] lets them
 //! start only while the aggregate device + pinned footprint (computed
-//! with the analyzer's [`Residency`] math from each job's built
+//! with the plan's [`Residency`] math from each job's built
 //! [`Plan`]) stays under budget. Small same-shape jobs coalesce into
 //! one shared reservation. Overload sheds jobs with a typed
 //! [`HetSortError::Overloaded`] — never a panic.
@@ -21,11 +21,10 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use hetsort_analyze::Residency;
-use hetsort_core::{execute_dag, simulate_dag, HetSortError, Plan, PlanDag};
+use hetsort_core::{execute_dag, simulate_dag, HetSortError, Plan, PlanDag, Residency};
 use hetsort_obs::{MetricsRegistry, ObsSpan};
 
-use crate::admission::{footprint_max, AdmissionController, ServeBudget};
+use crate::admission::{AdmissionController, ServeBudget};
 use crate::job::{JobReport, SortJob};
 use crate::pool::{PoolEvent, PoolEventKind};
 
@@ -695,7 +694,7 @@ impl SortService {
             let group_res = member_idx
                 .iter()
                 .map(|&j| &queue[j].residency)
-                .fold(Residency::default(), |acc, r| footprint_max(&acc, r));
+                .fold(Residency::default(), |acc, r| acc.max(r));
             if !admission.fits(&group_res) {
                 // Backfill: a blocked job does not block smaller ones
                 // behind it.

@@ -5,7 +5,8 @@
 //! explorer seeds (double-releasing, skipping displacement releases),
 //! the corresponding replay fails directly — no model in the loop.
 
-use hetsort_serve::{gpu_footprint, AdmissionController, ServeBudget};
+use hetsort_core::Residency;
+use hetsort_serve::{AdmissionController, ServeBudget};
 
 fn budget(device_bytes: u64, pinned_bytes: u64) -> ServeBudget {
     ServeBudget {
@@ -19,11 +20,11 @@ fn budget(device_bytes: u64, pinned_bytes: u64) -> ServeBudget {
 /// budget-sized job fits again.
 #[test]
 fn either_release_order_drains_to_an_exact_budget() {
-    let boundary = gpu_footprint(0, 4, 0);
+    let boundary = Residency::on_gpu(0, 4, 0);
     for order in [[1, 2], [2, 1]] {
         let mut ac = AdmissionController::new(budget(4, 1));
-        ac.reserve(1, gpu_footprint(0, 1, 0));
-        ac.reserve(2, gpu_footprint(0, 3, 0));
+        ac.reserve(1, Residency::on_gpu(0, 1, 0));
+        ac.reserve(2, Residency::on_gpu(0, 3, 0));
         assert!(!ac.fits(&boundary), "pool is exactly full");
         for id in order {
             assert!(ac.release(id));
@@ -41,12 +42,12 @@ fn either_release_order_drains_to_an_exact_budget() {
 #[test]
 fn lose_then_join_revalidates_displaced_reservations() {
     let mut ac = AdmissionController::new(budget(4, 4));
-    ac.reserve(1, gpu_footprint(0, 2, 1));
-    ac.reserve(2, gpu_footprint(1, 2, 1));
+    ac.reserve(1, Residency::on_gpu(0, 2, 1));
+    ac.reserve(2, Residency::on_gpu(1, 2, 1));
 
     let displaced = ac.lose_gpu(1);
     assert_eq!(displaced, vec![2], "only the GPU-1 reservation is hit");
-    let on_lost = gpu_footprint(1, 1, 0);
+    let on_lost = Residency::on_gpu(1, 1, 0);
     assert!(!ac.fits(&on_lost), "dead device admits nothing");
     assert!(!ac.ever_fits(&on_lost), "… and never will while dead");
 
@@ -75,7 +76,7 @@ fn lose_then_join_revalidates_displaced_reservations() {
 /// second subtraction.
 #[test]
 fn release_is_idempotent_and_budget_holds_under_reuse() {
-    let fp = gpu_footprint(0, 4, 1);
+    let fp = Residency::on_gpu(0, 4, 1);
     let mut ac = AdmissionController::new(budget(8, 16));
 
     ac.reserve(1, fp.clone());
@@ -97,5 +98,5 @@ fn release_is_idempotent_and_budget_holds_under_reuse() {
     assert!(ac.release(2));
     assert!(ac.release(3));
     assert!(ac.held().is_empty());
-    assert!(ac.fits(&gpu_footprint(0, 8, 0)), "fully drained");
+    assert!(ac.fits(&Residency::on_gpu(0, 8, 0)), "fully drained");
 }

@@ -15,11 +15,13 @@
 //!   re-admissions;
 //! * **replay** — a same-seed rerun reproduces completions, outputs,
 //!   *and the admission audit log* to the bit.
+//!
+//! The multi-seed audit runs under both staging protocols.
 
 use std::sync::Arc;
 
 use hetsort_core::reference::reference_sort_real;
-use hetsort_core::{Approach, HetSortConfig, HetSortError};
+use hetsort_core::{Approach, HetSortConfig, HetSortError, StagingMode};
 use hetsort_prng::Rng;
 use hetsort_serve::{
     chaos_schedule, parse_schedule, Priority, ServeBudget, ServeConfig, ServeOutcome, SortJob,
@@ -29,10 +31,11 @@ use hetsort_vgpu::{platform2, FaultInjector};
 
 const N_JOBS: usize = 36;
 
-fn shape() -> HetSortConfig {
+fn shape(staging: StagingMode) -> HetSortConfig {
     HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
         .with_batch_elems(1_000)
         .with_pinned_elems(250)
+        .with_staging(staging)
 }
 
 fn serve_config() -> ServeConfig {
@@ -46,15 +49,16 @@ fn data(rng: &mut Rng, n: usize) -> Vec<f64> {
 
 /// The chaos mix: multi-GPU jobs spread over the clock, every third
 /// one carrying an executor-level fault schedule (transfer faults and
-/// in-run device losses) under the default recovery policy.
-fn make_jobs(seed: u64) -> Vec<SortJob> {
+/// in-run device losses) under the default recovery policy. Every job
+/// stages under `staging`.
+fn make_jobs(seed: u64, staging: StagingMode) -> Vec<SortJob> {
     let mut rng = Rng::new(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
     let mut jobs = Vec::with_capacity(N_JOBS);
     let mut arrival = 0.0_f64;
     for i in 0..N_JOBS {
         arrival += rng.f64_in(0.0, 4.0e-4);
         let n = rng.usize_in(3_000, 9_000);
-        let mut cfg = shape();
+        let mut cfg = shape(staging);
         match i % 3 {
             1 => {
                 // In-run device loss on GPU 1 (never GPU 0): the
@@ -78,21 +82,21 @@ fn make_jobs(seed: u64) -> Vec<SortJob> {
 
 /// Fault-free makespan for a seed — used to aim pool events at the
 /// middle of the run instead of guessing absolute times.
-fn baseline_makespan(seed: u64) -> f64 {
-    let out = SortService::new(serve_config()).run(make_jobs(seed));
+fn baseline_makespan(seed: u64, staging: StagingMode) -> f64 {
+    let out = SortService::new(serve_config()).run(make_jobs(seed, staging));
     assert!(out.makespan_s > 0.0);
     out.makespan_s
 }
 
-fn run_chaos(seed: u64) -> ServeOutcome {
-    let horizon = baseline_makespan(seed);
+fn run_chaos(seed: u64, staging: StagingMode) -> ServeOutcome {
+    let horizon = baseline_makespan(seed, staging);
     let events = chaos_schedule(seed, platform2().gpus.len(), horizon);
     let cfg = serve_config().with_pool_events(events);
-    SortService::new(cfg).run(make_jobs(seed))
+    SortService::new(cfg).run(make_jobs(seed, staging))
 }
 
-fn audit(seed: u64, out: &ServeOutcome) {
-    let inputs = make_jobs(seed);
+fn audit(seed: u64, staging: StagingMode, out: &ServeOutcome) {
+    let inputs = make_jobs(seed, staging);
     // Conservation: nothing dropped, nothing failed, sheds typed.
     assert_eq!(
         out.completed.len() + out.shed.len() + out.failed.len(),
@@ -146,19 +150,24 @@ fn audit(seed: u64, out: &ServeOutcome) {
 
 #[test]
 fn chaos_multi_seed_conserves_jobs_and_bitwise_outputs() {
-    let mut any_loss = false;
-    let mut any_recovered = false;
-    for seed in [3u64, 11, 29, 77, 123] {
-        let out = run_chaos(seed);
-        audit(seed, &out);
-        any_loss |= out.metrics.counter("pool_losses") > 0.0;
-        any_recovered |= out.completed.iter().any(|r| r.recovered);
+    for staging in [StagingMode::default(), StagingMode::Paper] {
+        let mut any_loss = false;
+        let mut any_recovered = false;
+        for seed in [3u64, 11, 29, 77, 123] {
+            let out = run_chaos(seed, staging);
+            audit(seed, staging, &out);
+            any_loss |= out.metrics.counter("pool_losses") > 0.0;
+            any_recovered |= out.completed.iter().any(|r| r.recovered);
+        }
+        assert!(
+            any_loss,
+            "{staging:?}: no seed produced pool churn — harness is inert"
+        );
+        assert!(
+            any_recovered,
+            "{staging:?}: no job recovered from an injected fault — injectors are inert"
+        );
     }
-    assert!(any_loss, "no seed produced pool churn — harness is inert");
-    assert!(
-        any_recovered,
-        "no job recovered from an injected fault — injectors are inert"
-    );
 }
 
 /// Bit-for-bit replay: same seed, same schedule, same everything —
@@ -167,8 +176,8 @@ fn chaos_multi_seed_conserves_jobs_and_bitwise_outputs() {
 #[test]
 fn chaos_same_seed_rerun_replays_admission_log_exactly() {
     let seed = 29u64;
-    let a = run_chaos(seed);
-    let b = run_chaos(seed);
+    let a = run_chaos(seed, StagingMode::default());
+    let b = run_chaos(seed, StagingMode::default());
     assert_eq!(a.completed.len(), b.completed.len());
     for (x, y) in a.completed.iter().zip(&b.completed) {
         assert_eq!(x.id, y.id, "completion order diverged");
@@ -199,9 +208,10 @@ fn chaos_same_seed_rerun_replays_admission_log_exactly() {
 #[test]
 fn pinned_loss_displaces_then_join_readmits() {
     let seed = 7u64;
-    let horizon = baseline_makespan(seed);
+    let staging = StagingMode::default();
+    let horizon = baseline_makespan(seed, staging);
     let first_done = {
-        let out = SortService::new(serve_config()).run(make_jobs(seed));
+        let out = SortService::new(serve_config()).run(make_jobs(seed, staging));
         out.completed
             .iter()
             .map(|r| r.completed_s)
@@ -211,8 +221,9 @@ fn pinned_loss_displaces_then_join_readmits() {
     // bring it back well after everything would have drained.
     let spec = format!("lose:1@{},join:1@{}", first_done * 0.5, horizon * 4.0);
     let events = parse_schedule(&spec).unwrap();
-    let out = SortService::new(serve_config().with_pool_events(events)).run(make_jobs(seed));
-    audit(seed, &out);
+    let out =
+        SortService::new(serve_config().with_pool_events(events)).run(make_jobs(seed, staging));
+    audit(seed, staging, &out);
     assert_eq!(out.metrics.counter("pool_losses"), 1.0);
     assert_eq!(out.metrics.counter("pool_joins"), 1.0);
     assert!(

@@ -2,7 +2,7 @@
 //!
 //! Drives 220 jobs across all three priorities through a budget that
 //! forces queuing, coalescing, and shedding, then audits the run:
-//! every admitted set re-verified against the analyzer's residency
+//! every admitted set re-verified against the plan's residency
 //! math, every output bit-identical to a reference sort, every shed a
 //! typed `Overloaded`, and the whole schedule reproducible to the bit
 //! on a second run. The audited run goes under both staging protocols.
@@ -10,11 +10,10 @@
 
 use std::sync::Arc;
 
-use hetsort_analyze::Residency;
 use hetsort_core::reference::reference_sort_real;
-use hetsort_core::{Approach, HetSortConfig, HetSortError, Plan, StagingMode};
+use hetsort_core::{Approach, HetSortConfig, HetSortError, Plan, Residency, StagingMode};
 use hetsort_prng::Rng;
-use hetsort_serve::{footprint_max, Priority, ServeBudget, ServeConfig, SortJob, SortService};
+use hetsort_serve::{Priority, ServeBudget, ServeConfig, SortJob, SortService};
 use hetsort_vgpu::{platform1, FaultInjector};
 
 const N_JOBS: usize = 220;
@@ -237,7 +236,7 @@ fn audited_run(staging: StagingMode) {
     assert!(out.metrics.spans().iter().all(|s| s.job.is_some()));
 
     // Admission audit: recompute every reservation's footprint from
-    // scratch with the analyzer API (element-wise max over coalesced
+    // scratch with `Residency::of_plan` (element-wise max over coalesced
     // members, sum across reservations) and hold it against the
     // budget.
     let budget = serve_config().budget;
@@ -253,7 +252,7 @@ fn audited_run(staging: StagingMode) {
                         .unwrap_or_else(|e| panic!("job {id} plan must rebuild: {e}"));
                     Residency::of_plan(&plan)
                 })
-                .fold(Residency::default(), |acc, r| footprint_max(&acc, &r));
+                .fold(Residency::default(), |acc, r| acc.max(&r));
             agg.add(&group);
         }
         for (gpu, bytes) in &agg.device_bytes {

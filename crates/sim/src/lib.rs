@@ -27,7 +27,9 @@
 //!
 //! The kernel knows nothing about GPUs or sorting; those semantics live
 //! in `hetsort-vgpu` and `hetsort-core`, which compile their pipelines
-//! down to [`OpSpec`] DAGs.
+//! down to [`OpSpec`] DAGs. It records *when* ops ran ([`Timeline`]);
+//! what they touched, the trace the analyzer checks, is
+//! `hetsort_core::optrace`'s vocabulary.
 
 // Library code must surface failures as typed errors, never panic
 // paths; tests are free to unwrap. No unsafe anywhere in this crate.
@@ -38,7 +40,6 @@ pub mod engine;
 pub mod error;
 pub mod fairshare;
 pub mod op;
-pub mod optrace;
 pub mod resource;
 pub mod trace;
 
@@ -46,7 +47,6 @@ pub use engine::SimBuilder;
 pub use error::SimError;
 pub use fairshare::{max_min_rates, Flow};
 pub use op::{Op, OpId, OpSpec, OpTag};
-pub use optrace::{Access, Buffer, OpTrace, TraceKind, TraceRecord};
 pub use resource::{FluidId, LaneId, QueueId, TokenId};
 pub use trace::{SimStats, Span, Timeline};
 

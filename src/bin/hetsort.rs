@@ -6,20 +6,19 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
+use hetsort::analyze::admission_model::clean_scenarios;
 use hetsort::analyze::{
-    analyze_plan, analyze_plan_with_trace, explore_plan, host_bound_bytes, host_peak_bytes,
-    AnalysisReport, EngineModel, ExploreConfig,
+    analyze_plan, analyze_plan_with_trace, explore_plan, AdmissionModel, AnalysisReport,
+    EngineModel, ExploreConfig,
 };
 use hetsort::cli::{parse, usage, Args, CliError, Command};
 use hetsort::core::dag::mutate::EngineHooks;
 use hetsort::core::{
-    Approach, HetSortConfig, HetSortError, PairStrategy, Plan, PlanDag, StagingMode,
+    host_bound_bytes, host_peak_bytes, Approach, HetSortConfig, HetSortError, PairStrategy, Plan,
+    PlanDag, StagingMode,
 };
 use hetsort::obs::{chrome_trace, stdout_exit_code, Json, MetricsRegistry};
-use hetsort::serve::{
-    clean_scenarios, synthetic_jobs, AdmissionModel, ServeBudget, ServeConfig, SortService,
-    MIX_COALESCE_ELEMS,
-};
+use hetsort::serve::{synthetic_jobs, ServeBudget, ServeConfig, SortService, MIX_COALESCE_ELEMS};
 use hetsort::vgpu::{platform1, platform2};
 use hetsort::workloads::{generate, Distribution};
 

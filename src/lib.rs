@@ -20,7 +20,7 @@
 //!   Chrome-trace and metrics-document export (`hetsort trace`,
 //!   `--json`).
 //! * [`serve`] — multi-tenant sort service: bounded queue,
-//!   memory-budget admission control over the analyzer's residency
+//!   memory-budget admission control over the plan's residency
 //!   math, small-job coalescing, priorities/deadlines, and typed
 //!   `Overloaded` load shedding (`hetsort serve-sim`).
 

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use hetsort::analyze::Residency;
+use hetsort::core::Residency;
 use hetsort::core::{
     sort_real, sort_real_parallel, Approach, HetSortConfig, HetSortError, Plan, RecoveryPolicy,
 };

@@ -1,4 +1,4 @@
-//! The engine's host memory stays within the analyzer's model.
+//! The engine's host memory stays within the plan's host-memory model.
 //!
 //! A counting `GlobalAlloc` over `System` tracks live and peak heap
 //! bytes. Each run's peak above the bytes live before it (the input,
@@ -15,9 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hetsort::analyze::{host_bound_bytes, host_peak_bytes};
 use hetsort::core::{
-    execute_dag_pooled, Approach, HetSortConfig, PairStrategy, Plan, PlanDag, StagingMode,
+    execute_dag_pooled, host_bound_bytes, host_peak_bytes, Approach, HetSortConfig, PairStrategy,
+    Plan, PlanDag, StagingMode,
 };
 use hetsort::vgpu::platform1;
 
