@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use hetsort_core::dag::mutate::{execute_dag_hooked, EngineHooks, Pick, Schedule};
+use hetsort_core::dag::hooks::{execute_dag_hooked, EngineHooks, Pick, Schedule};
 use hetsort_core::optrace::{node_accesses, Buffer};
 use hetsort_core::plan::Plan;
 use hetsort_core::{DagNode, DagOp, HetSortError, PlanDag, RealOutcome};

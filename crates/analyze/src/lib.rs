@@ -38,10 +38,10 @@
 //! executors (with `record_trace` set) hand the nodes they actually
 //! ran — recovery detours included — to the same lowering.
 //!
-//! The analyzer's recall is mutation-tested: [`Mutant`] seeds the
-//! trace/plan defect classes, [`ExploreMutant`] the model-level ones,
-//! and the suites in `tests/` fail if any goes unreported with the
-//! right [`FindingClass`].
+//! The analyzer's recall is mutation-tested: [`Mutant`] is the one
+//! catalogue of seeded dag, trace and engine defects, each with the
+//! [`Kill`] contracted to catch it, and `tests/mutation.rs` fails if
+//! any survives its named check.
 
 // Library code must surface failures as typed errors, never panic
 // paths; tests are free to unwrap. No unsafe anywhere in this crate.
@@ -65,7 +65,7 @@ pub use engine_model::EngineModel;
 pub use explore::{explore, ExploreConfig, ExploreReport, SchedModel};
 pub use finding::{AnalysisReport, Finding, FindingClass};
 pub use hetsort_core::Residency;
-pub use mutate::{ExploreMutant, Mutant};
+pub use mutate::{EngineKill, Kill, Mutant, Site};
 pub use trace_model::{explore_plan, explore_plan_trace, TraceModel};
 
 use hetsort_core::optrace::{lower_dag, lower_plan, OpTrace};

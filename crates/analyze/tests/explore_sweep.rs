@@ -13,7 +13,7 @@
 
 use hetsort_analyze::explore::{explore, ExploreConfig};
 use hetsort_analyze::{explore_plan, explore_plan_trace, EngineModel, Mutant, TraceModel};
-use hetsort_core::dag::mutate::EngineHooks;
+use hetsort_core::dag::hooks::EngineHooks;
 use hetsort_core::optrace::lower_plan;
 use hetsort_core::plan::Plan;
 use hetsort_core::{execute_dag, Approach, HetSortConfig, PlanDag, StagingMode};
@@ -234,9 +234,9 @@ fn seeded_wait_cycle_is_a_reachable_deadlock_in_every_interleaving_engine() {
     let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
         .with_batch_elems(1000)
         .with_pinned_elems(500);
-    let mut plan = Plan::build(cfg, 2500).unwrap();
+    let plan = Plan::build(cfg, 2500).unwrap();
     let mut trace = lower_plan(&plan);
-    assert!(Mutant::WaitCycle.apply(&mut plan, &mut trace));
+    assert!(Mutant::WaitCycle.apply_trace(&plan, &mut trace));
     let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
     assert!(
         report
@@ -256,9 +256,9 @@ fn explored_interleavings_rerun_the_hb_checker_per_trace() {
     let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeData)
         .with_batch_elems(1000)
         .with_pinned_elems(500);
-    let mut plan = Plan::build(cfg, 2500).unwrap();
+    let plan = Plan::build(cfg, 2500).unwrap();
     let mut trace = lower_plan(&plan);
-    assert!(Mutant::DropWait.apply(&mut plan, &mut trace));
+    assert!(Mutant::DropWait.apply_trace(&plan, &mut trace));
     let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
     assert!(
         report

@@ -1,21 +1,36 @@
-//! The analyzer's acceptance contract, both directions, under both
-//! staging protocols:
+//! The one defect kill suite, and the zero-false-positive contract it
+//! rests on, both under both staging protocols:
 //!
 //! * **zero findings** on every shipped configuration (all approaches ×
 //!   pair strategies × platforms × staging protocols, and the
 //!   executors' recorded traces — fault-free ones equal to the static
 //!   lowering record for record, and those of every recovery route);
-//! * **100% mutant kill rate**: every seeded defect in [`Mutant::ALL`]
-//!   is reported, with the finding class matching the defect class and
-//!   the message naming the offending ops.
+//! * **every seeded defect dies by its named check**: each [`Mutant`] of
+//!   the catalogue is applied to one base dag per protocol and
+//!   dispatched on its [`Kill`] — a validator rule, an analyzer class,
+//!   an explorer class, the `RecoveryStats` differential, or the
+//!   engine's own answer. A mutant that survives, dies by another check,
+//!   or finds no site under a protocol the catalogue calls applicable
+//!   fails the build.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use hetsort_analyze::{analyze_plan, analyze_plan_with_trace, Mutant};
-use hetsort_core::optrace::lower_plan;
-use hetsort_core::plan::Plan;
+use hetsort_algos::par::default_threads;
+use hetsort_algos::verify::check_parts;
+use hetsort_analyze::explore::{explore, ExploreConfig};
+use hetsort_analyze::{
+    analyze_dag, analyze_plan, analyze_plan_with_trace, explore_plan_trace, EngineKill,
+    EngineModel, FindingClass, Kill, Mutant, Site,
+};
+use hetsort_core::dag::hooks::{execute_dag_hooked, EngineHooks};
+use hetsort_core::dag::DagOp;
+use hetsort_core::optrace::{lower_dag, lower_plan, OpTrace};
+use hetsort_core::plan::{MergeSrc, Plan};
+use hetsort_core::recover::survivor_plan;
 use hetsort_core::{
-    exec_real, exec_real_mt, Approach, HetSortConfig, PairStrategy, RecoveryPolicy, StagingMode,
+    exec_real, exec_real_mt, execute_dag, Approach, HetSortConfig, HetSortError, PairStrategy,
+    PlanDag, RecoveryPolicy, StagingMode,
 };
 use hetsort_vgpu::{platform1, platform2, FaultInjector, PlatformSpec};
 
@@ -72,40 +87,283 @@ fn every_shipped_config_is_clean() {
     }
 }
 
-#[test]
-fn every_mutant_is_killed_with_the_right_class() {
-    assert!(Mutant::ALL.len() >= 8, "acceptance floor: 8 mutants");
-    for staging in STAGINGS {
-        let base = Plan::build(scaled(platform1(), Approach::PipeMerge, staging), 6000).unwrap();
-        for mutant in Mutant::ALL {
-            let mut plan = base.clone();
-            let mut trace = lower_plan(&plan);
-            // Every mutant has something to mutate under both
-            // protocols; none is skipped.
-            assert!(
-                mutant.apply(&mut plan, &mut trace),
-                "{} must apply to the base plan under {} staging",
-                mutant.name(),
-                staging.name()
-            );
-            let report = analyze_plan_with_trace(&plan, &trace);
-            assert!(
-                report.has_class(mutant.expected_class()),
-                "{} under {} staging expected a {:?} finding, got:\n{report}",
-                mutant.name(),
-                staging.name(),
-                mutant.expected_class()
-            );
+/// The one base geometry every dag and trace mutant is applied to:
+/// PIPEMERGE on PLATFORM1, seven batches of four chunks over two
+/// streams with pair merges, so every mutant has a site.
+fn base(staging: StagingMode) -> PlanDag {
+    let cfg = scaled(platform1(), Approach::PipeMerge, staging).with_pinned_elems(300);
+    PlanDag::from_plan(Plan::build(cfg, 7_000).unwrap())
+}
+
+/// The base geometry on PLATFORM2 at a size the explorer exhausts: a
+/// device loss there leaves a survivor to re-plan onto.
+fn loss_plan(staging: StagingMode) -> Plan {
+    let cfg = scaled(platform2(), Approach::PipeMerge, staging).with_pinned_elems(500);
+    Plan::build(cfg, 4_500).unwrap()
+}
+
+/// The classes found exploring every node order and loss alignment of
+/// the shipped engine losing GPU 1 of [`loss_plan`] with `hooks` set.
+fn explore_engine(hooks: EngineHooks<'static>, staging: StagingMode) -> Vec<FindingClass> {
+    let mut model = EngineModel::new(&loss_plan(staging), &[1], hooks);
+    let report = explore(&mut model, &ExploreConfig::default());
+    assert!(!report.truncated, "{}", report.summary());
+    report.findings.iter().map(|f| f.class).collect()
+}
+
+/// The survivor plan of [`loss_plan`] losing GPU 0, and its lowered
+/// trace.
+fn survivor(staging: StagingMode) -> (Plan, OpTrace) {
+    let base = loss_plan(staging);
+    let dead: BTreeSet<usize> = [0].into_iter().collect();
+    let plan = survivor_plan(&base.config, base.n, &dead)
+        .unwrap()
+        .expect("one GPU survives");
+    let trace = lower_plan(&plan);
+    (plan, trace)
+}
+
+/// `PlanDag::validate` rejects the mutated dag by `rule`, and the
+/// linter reports that rule as a `Malformed` finding.
+fn kill_validator(m: Mutant, rule: &str, base: &PlanDag, case: &str) {
+    let mut dag = base.clone();
+    assert!(m.apply_dag(&mut dag), "{case}: no site in the base dag");
+    let err = dag
+        .validate()
+        .expect_err(&format!("{case}: survived the validator"));
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("{rule}:")),
+        "{case}: killed by the wrong rule — expected '{rule}:', got: {msg}"
+    );
+    let report = m.analyze(base).expect("applied above");
+    assert!(
+        report
+            .of_class(FindingClass::Malformed)
+            .any(|f| f.message.contains(&format!("{rule}:"))),
+        "{case}: the linter missed '{rule}:': {report}"
+    );
+}
+
+/// Exploring reports `class`: the shipped engine with the defect's
+/// hooks, or the survivor plan's mutated trace.
+fn kill_explorer(m: Mutant, class: FindingClass, staging: StagingMode, case: &str) {
+    let classes = match m.site() {
+        Site::Hooks => explore_engine(m.hooks(), staging),
+        Site::Survivor => {
+            let (plan, mut trace) = survivor(staging);
+            assert!(m.apply_trace(&plan, &mut trace), "{case}: no site");
+            let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
+            assert!(!report.truncated, "{case}: {}", report.summary());
+            report.findings.iter().map(|f| f.class).collect()
         }
+        site => panic!("{case}: the explorer runs no {site:?} mutant"),
+    };
+    assert!(
+        classes.contains(&class),
+        "{case}: exploring missed the seeded defect — expected {}, got {classes:?}",
+        class.name()
+    );
+}
+
+/// Under a device loss, skipping the per-batch checkpoint recomputes
+/// every batch instead of only the unfinished ones — the output stays
+/// bitwise correct, so only the `RecoveryStats` comparison sees it.
+fn kill_recovery_stats(m: Mutant, staging: StagingMode, case: &str) {
+    let data = keys(40_000);
+    let mk = || {
+        let cfg = scaled(platform2(), Approach::PipeMerge, staging)
+            .with_batch_elems(5_000)
+            .with_pinned_elems(1_000)
+            // The loss lands after GPU 1 has fully emitted two batches,
+            // so the honest checkpoint recomputes strictly fewer than
+            // the mutant's "everything" re-plan.
+            .with_faults(Arc::new(FaultInjector::new().lose_device(1, 25)));
+        PlanDag::from_plan(Plan::build(cfg, data.len()).unwrap())
+    };
+    let healthy = execute_dag(&mk(), &data).unwrap();
+    let mutated = execute_dag_hooked(&mk(), &data, 0, m.hooks()).unwrap();
+    // The defect is invisible to output verification...
+    assert!(healthy.verified && mutated.verified, "{case}");
+    assert_eq!(
+        healthy.sorted, mutated.sorted,
+        "{case}: must not corrupt data (that would be a different bug)"
+    );
+    // ...and killed by the recovery-stats differential.
+    assert!(
+        mutated.recovery.batches_recomputed > healthy.recovery.batches_recomputed,
+        "{case}: must recompute strictly more batches (healthy {:?}, mutated {:?})",
+        healthy.recovery,
+        mutated.recovery
+    );
+}
+
+/// With every batch run dropped the moment its stage-out completes, the
+/// first merge to run refuses with a typed [`HetSortError::Plan`] naming
+/// itself and the consumed batch — inline and with pooled stream
+/// workers. A panic, or an `Ok` with wrong data, is not a kill.
+fn kill_consumed_input(m: Mutant, dag: &PlanDag, case: &str) {
+    let data = keys(dag.plan.n as u64);
+    for workers in [0usize, 2] {
+        let healthy = execute_dag_hooked(dag, &data, workers, EngineHooks::default()).unwrap();
+        assert!(
+            healthy.verified,
+            "{case} workers={workers}: the base run must sort"
+        );
+        let reason = match execute_dag_hooked(dag, &data, workers, m.hooks()) {
+            Err(HetSortError::Plan { reason }) => reason,
+            other => panic!(
+                "{case} workers={workers}: survived: {:?}",
+                other.map(|o| o.verified)
+            ),
+        };
+        // "merge node <id>: input Batch(<b>) was already consumed", where
+        // node <id> is a merge and batch <b> one of its inputs.
+        let named = dag.nodes.iter().enumerate().any(|(id, node)| {
+            let inputs = match &node.op {
+                DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+                    let p = dag.plan.pairs[*slot];
+                    vec![p.left, p.right]
+                }
+                DagOp::MultiwayMerge { inputs } => inputs.clone(),
+                _ => return false,
+            };
+            inputs.iter().any(|src| {
+                matches!(src, MergeSrc::Batch(_))
+                    && reason == format!("merge node {id}: input {src:?} was already consumed")
+            })
+        });
+        assert!(
+            named,
+            "{case} workers={workers}: the error must name the merge node and its batch: {reason}"
+        );
+    }
+}
+
+/// The engine corrupts its final sorted run after the last merge, and
+/// its own output check answers with an `Ok` run whose `verified` is
+/// `false`, inline and with pooled stream workers. A panic or an `Err`
+/// is not a kill. The input spans many check grains, so unpinned the
+/// check runs in parallel parts and under `taskset -c 0` inline.
+fn kill_unverified(m: Mutant, staging: StagingMode, case: &str) {
+    let data = keys(40_000);
+    let cfg = scaled(platform1(), Approach::PipeMerge, staging)
+        .with_batch_elems(5_000)
+        .with_pinned_elems(1_000);
+    let dag = PlanDag::from_plan(Plan::build(cfg, data.len()).unwrap());
+    let threads = default_threads();
+    assert_eq!(check_parts(threads, data.len()).len() > 1, threads > 1);
+    for workers in [0usize, 2] {
+        let healthy = execute_dag_hooked(&dag, &data, workers, EngineHooks::default()).unwrap();
+        assert!(
+            healthy.verified,
+            "{case} workers={workers}: the base run must sort"
+        );
+        match execute_dag_hooked(&dag, &data, workers, m.hooks()) {
+            Ok(out) => {
+                assert_ne!(
+                    out.sorted, healthy.sorted,
+                    "{case} workers={workers}: a no-op"
+                );
+                assert!(
+                    !out.verified,
+                    "{case} workers={workers} threads={threads}: survived the output check"
+                );
+            }
+            Err(e) => panic!("{case} workers={workers}: killed by an error, not the check: {e}"),
+        }
+    }
+}
+
+#[test]
+fn every_mutant_is_killed_by_its_named_check() {
+    assert_eq!(Mutant::ALL.len(), 32);
+    for staging in STAGINGS {
+        // Each kill is attributable: every base runs clean.
+        let base = base(staging);
+        base.validate().unwrap();
+        assert!(analyze_dag(&base).is_clean(), "{}", staging.name());
+        assert!(explore_engine(EngineHooks::default(), staging).is_empty());
+        let (plan, trace) = survivor(staging);
+        let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
+        assert!(report.is_clean(), "{}", report.summary());
+
+        for m in Mutant::ALL {
+            let case = format!("{m:?} under {} staging", staging.name());
+            if m.inapplicable_under() == Some(staging) {
+                // The catalogue says the protocol has no site: so say
+                // the appliers.
+                let mut dag = base.clone();
+                let mut trace = lower_dag(&base);
+                assert!(
+                    !m.apply_dag(&mut dag) && !m.apply_trace(&base.plan, &mut trace),
+                    "{case}: applies where the catalogue says it cannot"
+                );
+                continue;
+            }
+            match m.kill() {
+                Kill::Validator(rule) => kill_validator(m, rule, &base, &case),
+                Kill::Analyzer(class) => {
+                    let report = m
+                        .analyze(&base)
+                        .unwrap_or_else(|| panic!("{case}: no site"));
+                    assert!(
+                        report.has_class(class),
+                        "{case}: expected a {} finding, got:\n{report}",
+                        class.name()
+                    );
+                }
+                Kill::Explorer(class) => kill_explorer(m, class, staging, &case),
+                Kill::RecoveryStats => kill_recovery_stats(m, staging, &case),
+                Kill::Engine(EngineKill::ConsumedInput) => kill_consumed_input(m, &base, &case),
+                Kill::Engine(EngineKill::Unverified) => kill_unverified(m, staging, &case),
+            }
+        }
+    }
+}
+
+#[test]
+fn structural_mutants_leave_no_other_rule_masked() {
+    // Each validator mutant is a minimal defect: the first (and only)
+    // rule the validator reports is the named one.
+    for staging in STAGINGS {
+        for m in Mutant::ALL {
+            let Kill::Validator(rule) = m.kill() else {
+                continue;
+            };
+            let mut dag = base(staging);
+            if m.apply_dag(&mut dag) {
+                let msg = dag.validate().unwrap_err().to_string();
+                assert!(
+                    msg.starts_with(&format!("invalid plan: {rule}:")),
+                    "{m:?} under {}: reason '{msg}' does not name '{rule}:' first",
+                    staging.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn skip_checkpoint_is_also_found_by_exploring_the_engine() {
+    // Beside its RecoveryStats kill: some loss alignment publishes a
+    // batch twice.
+    for staging in STAGINGS {
+        let classes = explore_engine(Mutant::SkipCheckpoint.hooks(), staging);
+        assert!(
+            classes.contains(&FindingClass::ReplanCover),
+            "{}: {classes:?}",
+            staging.name()
+        );
     }
 }
 
 #[test]
 fn race_findings_name_both_ops_and_the_missing_edge() {
     let cfg = scaled(platform1(), Approach::PipeMerge, StagingMode::default());
-    let mut plan = Plan::build(cfg, 6000).unwrap();
+    let plan = Plan::build(cfg, 6000).unwrap();
     let mut trace = lower_plan(&plan);
-    assert!(Mutant::DropWait.apply(&mut plan, &mut trace));
+    assert!(Mutant::DropWait.apply_trace(&plan, &mut trace));
     let report = analyze_plan_with_trace(&plan, &trace);
     let race = report
         .findings

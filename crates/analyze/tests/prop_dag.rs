@@ -21,7 +21,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hetsort_analyze::analyze_dag;
-use hetsort_core::dag::mutate::{execute_dag_hooked, EngineHooks};
+use hetsort_core::dag::hooks::{execute_dag_hooked, EngineHooks};
 use hetsort_core::optrace::{lower_dag, lower_plan};
 use hetsort_core::plan::MergeSrc;
 use hetsort_core::{

@@ -5,9 +5,9 @@
 //! [`crate::registry`] turns each into its `results/` file. The
 //! functional counterparts run in the test suite at host scale.
 
+use hetsort_core::accounting::LowerBoundModel;
 use hetsort_core::reference::reference_time;
 use hetsort_core::{simulate, Approach, HetSortConfig, Plan, TimingReport};
-use hetsort_model::{Efficiency, LowerBoundModel};
 use hetsort_vgpu::calib::amdahl_speedup;
 use hetsort_vgpu::{platform1, platform2, PlatformSpec};
 
@@ -382,7 +382,7 @@ impl Fig11Data {
         self.points
             .iter()
             .find(|&&(pn, _, _)| pn == n)
-            .map(|&(pn, t, _)| Efficiency::new(&self.model1, pn, t).slowdown())
+            .map(|&(pn, t, _)| self.model1.slowdown(pn, t))
     }
 
     /// Efficiency of the 2-GPU run at `n`.
@@ -390,7 +390,7 @@ impl Fig11Data {
         self.points
             .iter()
             .find(|&&(pn, _, _)| pn == n)
-            .map(|&(pn, _, t)| Efficiency::new(&self.model2, pn, t).slowdown())
+            .map(|&(pn, _, t)| self.model2.slowdown(pn, t))
     }
 
     /// First sweep size at which the 1-GPU PIPEDATA stops beating the
@@ -408,8 +408,8 @@ pub fn fig11() -> Fig11Data {
     let p2 = platform2();
     let mut p2_single = p2.clone();
     p2_single.gpus.truncate(1);
-    let model1 = LowerBoundModel::one_gpu(&p2);
-    let model2 = LowerBoundModel::two_gpu(&p2);
+    let model1 = LowerBoundModel::one_gpu(&p2).expect("fig11 1-GPU model");
+    let model2 = LowerBoundModel::two_gpu(&p2).expect("fig11 2-GPU model");
     let sizes: Vec<usize> = (2..=7).map(|i| i * 700_000_000).collect();
     let points = sizes
         .iter()

@@ -4,9 +4,9 @@
 //! *magnitudes* (a refreeze of the byte-pinned file, said in the PR).
 
 use hetsort_bench::gate::{run_scenario, scenario_matrix, Scenario, ScenarioResult, PAPER_N};
+use hetsort_core::accounting::LowerBoundModel;
 use hetsort_core::exec_sim::simulate_plan;
 use hetsort_core::{Approach, HetSortConfig, Plan};
-use hetsort_model::LowerBoundModel;
 use hetsort_obs::OpClass;
 use hetsort_vgpu::{platform2, Machine, TransferDir};
 
@@ -26,7 +26,7 @@ fn pipedata_stays_within_085x_of_the_lower_bound() {
     // the shape we freeze is efficiency ≥ 0.85 at the gate's geometry.
     let mut p2s = platform2();
     p2s.gpus.truncate(1);
-    let model = LowerBoundModel::one_gpu(&p2s);
+    let model = LowerBoundModel::one_gpu(&p2s).expect("model");
     // Same single-buffer staging protocol the model was fitted under
     // (DESIGN.md § 19) — efficiency compares like with like.
     let cfg = HetSortConfig::paper_protocol(p2s, Approach::PipeData).with_batch_elems(350_000_000);

@@ -1,11 +1,13 @@
-//! The missing-overhead analysis (§IV-E).
-//!
-//! Tools to compare the literature's end-to-end accounting (\[5\] Stehle &
-//! Jacobsen's method: `HtoD + GPUSort + DtoH` only) with the full
-//! response time, reproducing Figures 7 and 8.
+//! The missing-overhead analysis (§IV-E) and the lower-bound models
+//! (§IV-G): the literature's end-to-end accounting (\[5\] Stehle &
+//! Jacobsen's method: `HtoD + GPUSort + DtoH` only) against the full
+//! response time (Figures 7 and 8), and [`LowerBoundModel`], Figure 11's
+//! bounds rebuilt from the simulator the way the paper fits them.
 
-use hetsort_vgpu::tags;
+use hetsort_vgpu::{tags, PlatformSpec};
 
+use crate::config::{Approach, HetSortConfig};
+use crate::error::HetSortError;
 use crate::report::TimingReport;
 
 /// One row of the Figure 8 sweep: the component decomposition of a
@@ -64,12 +66,93 @@ pub const RELATED_WORK_HTOD_S: f64 = 0.542;
 /// See [`RELATED_WORK_HTOD_S`].
 pub const RELATED_WORK_DTOH_S: f64 = 0.477;
 
+/// The paper's measured 1-GPU model slope on PLATFORM2 (s/element).
+pub const PAPER_SLOPE_1GPU: f64 = 6.278e-9;
+/// The paper's measured 2-GPU model slope on PLATFORM2 (s/element).
+pub const PAPER_SLOPE_2GPU: f64 = 3.706e-9;
+
+/// A linear lower-bound model `t(n) = slope · n` (§IV-G): BLINE's
+/// per-element cost at the largest batch one GPU holds.
+#[derive(Debug, Clone, Copy)]
+pub struct LowerBoundModel {
+    /// Seconds per element.
+    pub slope: f64,
+    /// GPUs the model assumes.
+    pub n_gpus: usize,
+}
+
+impl LowerBoundModel {
+    /// Predicted time for `n` elements.
+    pub fn predict(&self, n: usize) -> f64 {
+        self.slope * n as f64
+    }
+
+    /// The paper's "slowdown" of a run of `n` elements that took
+    /// `measured_s`: model/measured (1.0 = at the bound; > 1.0 =
+    /// *faster* than the bound, possible because pipelining overlaps
+    /// transfers the serial BLINE probe cannot). Infinite when nothing
+    /// was measured.
+    pub fn slowdown(&self, n: usize, measured_s: f64) -> f64 {
+        if measured_s <= 0.0 {
+            f64::INFINITY
+        } else {
+            self.predict(n) / measured_s
+        }
+    }
+
+    /// The 1-GPU model: BLINE at the largest `n` that fits in one GPU's
+    /// global memory (§IV-G uses n = 7·10⁸ on a K40m).
+    ///
+    /// # Errors
+    ///
+    /// The probe simulation's error.
+    pub fn one_gpu(plat: &PlatformSpec) -> Result<LowerBoundModel, HetSortError> {
+        let mut single = plat.clone();
+        single.gpus.truncate(1);
+        let n = (single.max_batch_elems(1) / 1_000_000) * 1_000_000;
+        // The paper's probe stages through a single pinned buffer, so
+        // the fitted slope stays the published one.
+        Self::probe(HetSortConfig::paper_protocol(single, Approach::BLine), n, 1)
+    }
+
+    /// The 2-GPU model: BLINE on both GPUs with `b_s = n/2` (each GPU
+    /// sorts one half) plus the unavoidable CPU merge of the two
+    /// batches (§IV-G uses n = 1.4·10⁹, b_s = 7·10⁸, n_s = 1).
+    ///
+    /// # Errors
+    ///
+    /// [`HetSortError::Config`] on a platform with fewer than 2 GPUs;
+    /// the probe simulation's error.
+    pub fn two_gpu(plat: &PlatformSpec) -> Result<LowerBoundModel, HetSortError> {
+        if plat.n_gpus() < 2 {
+            return Err(HetSortError::Config {
+                reason: format!(
+                    "the 2-GPU model needs 2 GPUs, {} has {}",
+                    plat.name,
+                    plat.n_gpus()
+                ),
+            });
+        }
+        let bs = (plat.max_batch_elems(1) / 1_000_000) * 1_000_000;
+        let cfg =
+            HetSortConfig::paper_protocol(plat.clone(), Approach::BLineMulti).with_batch_elems(bs);
+        Self::probe(cfg, 2 * bs, 2)
+    }
+
+    fn probe(cfg: HetSortConfig, n: usize, n_gpus: usize) -> Result<LowerBoundModel, HetSortError> {
+        let r = crate::exec_sim::simulate(cfg, n)?;
+        Ok(LowerBoundModel {
+            slope: r.total_s / n as f64,
+            n_gpus,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Approach, HetSortConfig};
     use crate::exec_sim::simulate;
-    use hetsort_vgpu::platform1;
+    use hetsort_vgpu::{platform1, platform2};
 
     // These tests reproduce the paper's §IV-E numbers, which measure
     // the *paper's* single-buffer pinned protocol.
@@ -127,5 +210,68 @@ mod tests {
             .expect("pinned alloc ran");
         assert!((alloc - 2.2).abs() < 0.05, "alloc={alloc}");
         assert!(alloc > r.literature_total_s);
+    }
+
+    #[test]
+    fn one_gpu_slope_matches_paper() {
+        let m = LowerBoundModel::one_gpu(&platform2()).unwrap();
+        assert_eq!(m.n_gpus, 1);
+        let err = (m.slope - PAPER_SLOPE_1GPU).abs() / PAPER_SLOPE_1GPU;
+        assert!(
+            err < 0.03,
+            "slope {} vs paper {}",
+            m.slope,
+            PAPER_SLOPE_1GPU
+        );
+    }
+
+    #[test]
+    fn two_gpu_slope_in_paper_ballpark() {
+        let m = LowerBoundModel::two_gpu(&platform2()).unwrap();
+        assert_eq!(m.n_gpus, 2);
+        let err = (m.slope - PAPER_SLOPE_2GPU).abs() / PAPER_SLOPE_2GPU;
+        assert!(
+            err < 0.20,
+            "slope {} vs paper {}",
+            m.slope,
+            PAPER_SLOPE_2GPU
+        );
+        // Two GPUs must beat one, but by less than 2× (shared PCIe +
+        // the extra merge — the paper's sub-linearity finding).
+        let one = LowerBoundModel::one_gpu(&platform2()).unwrap();
+        assert!(m.slope < one.slope);
+        assert!(m.slope > one.slope / 2.0);
+        // One GPU has no 2-GPU model.
+        assert!(matches!(
+            LowerBoundModel::two_gpu(&platform1()),
+            Err(HetSortError::Config { .. })
+        ));
+    }
+
+    #[test]
+    fn predictions_are_linear() {
+        let m = LowerBoundModel {
+            slope: 6.278e-9,
+            n_gpus: 1,
+        };
+        assert!((m.predict(1_000_000_000) - 6.278).abs() < 1e-9);
+        assert_eq!(m.predict(0), 0.0);
+    }
+
+    #[test]
+    fn slowdown_semantics_match_paper() {
+        let m = LowerBoundModel {
+            slope: 6.278e-9,
+            n_gpus: 1,
+        };
+        // Paper: at n = 4.9e9 PIPEDATA is 0.93× the model.
+        let n = 4_900_000_000usize;
+        let measured = m.predict(n) / 0.93;
+        assert!((m.slowdown(n, measured) - 0.93).abs() < 1e-12);
+        // At small n the paper observes PIPEDATA *beating* the bound.
+        let n = 1_400_000_000usize;
+        assert!(m.slowdown(n, m.predict(n) * 0.9) > 1.0);
+        // A degenerate measurement.
+        assert!(m.slowdown(100, 0.0).is_infinite());
     }
 }

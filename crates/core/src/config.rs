@@ -255,8 +255,6 @@ pub struct HetSortConfig {
     pub streams_per_gpu: usize,
     /// Pinned staging buffer size `p_s` in elements.
     pub pinned_elems: usize,
-    /// Threads for the final multiway merge; 0 = all cores.
-    pub merge_threads: u32,
     /// Threads for *pipelined* pair-wise merges; 0 = half the cores.
     /// Pair merges run concurrently with the staging pipeline, so
     /// giving them every core would starve the staging copies and delay
@@ -306,7 +304,6 @@ impl HetSortConfig {
             batch_elems,
             streams_per_gpu,
             pinned_elems: 1_000_000,
-            merge_threads: 0,
             pair_merge_threads: 0,
             pair_strategy: PairStrategy::default(),
             hybrid: HybridMode::default(),
@@ -400,13 +397,10 @@ impl HetSortConfig {
         self
     }
 
-    /// Simulated multiway-merge thread count (simulator only; the engine's come from the host).
+    /// Simulated multiway-merge thread count: every core (simulator
+    /// only; the engine's come from the host).
     pub fn merge_threads_eff(&self) -> u32 {
-        if self.merge_threads == 0 {
-            self.platform.cpu.cores
-        } else {
-            self.merge_threads
-        }
+        self.platform.cpu.cores
     }
 
     /// Simulated pipelined pair-merge thread count (simulator only).

@@ -7,7 +7,7 @@
 //! parameter is the number of stream `workers`. The test battery's
 //! hooks (tie-break, the schedule a model checker drives the inline
 //! engine with, seeded engine defects) are not parameters: they enter
-//! through [`crate::dag::mutate::execute_dag_hooked`].
+//! through [`crate::dag::hooks::execute_dag_hooked`].
 //!
 //! * `workers = 0` ([`execute_dag`]) runs every node inline on the
 //!   calling thread. Under [`crate::dag::TieBreak::MinId`] the ready
@@ -46,7 +46,7 @@ use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_algos::verify::{par_check_sorted, par_fingerprint};
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
 
-use crate::dag::mutate::{EngineHooks, Pick};
+use crate::dag::hooks::{EngineHooks, Pick};
 use crate::dag::{node_span, DagNode, DagOp, PlanDag, ReadySet};
 use crate::error::HetSortError;
 use crate::exec_real::RealOutcome;
@@ -760,8 +760,11 @@ where
             }
         }
         let t_fail = now();
-        match crate::recover::survivor_plan(plan, &lost_gpus)? {
+        match crate::recover::survivor_plan(&plan.config, plan.n, &lost_gpus)? {
             Some(rp) => {
+                // Same batch_elems + same n ⇒ same tiling: the original
+                // plan's merge schedule keeps referencing valid batches.
+                debug_assert_eq!(rp.nb(), plan.nb());
                 recovery.replans += 1;
                 let action = format!(" → re-plan on {} device(s)", rp.device_ids.len());
                 metrics.record(failover_span(&lost_gpus, &action, t_fail, now()));
@@ -850,7 +853,7 @@ where
 mod tests {
     use super::*;
     use crate::config::{Approach, HetSortConfig};
-    use crate::dag::mutate::execute_dag_hooked;
+    use crate::dag::hooks::execute_dag_hooked;
     use crate::dag::TieBreak;
     use crate::plan::Plan;
     use hetsort_algos::introsort::introsort;

@@ -21,12 +21,12 @@
 //!   default — over a backward-dependency dag it reproduces the plan's
 //!   submission order exactly).
 //!
-//! The engine lives in [`exec`]; defect constructors for the kill suite
-//! live in [`mutate`].
+//! The engine lives in [`exec`]; the test battery's way into it is
+//! [`hooks`].
 
 pub(crate) mod check;
 pub mod exec;
-pub mod mutate;
+pub mod hooks;
 
 use hetsort_obs::{ObsSpan, OpClass};
 

@@ -18,41 +18,43 @@
 
 use std::collections::BTreeSet;
 
+use crate::config::HetSortConfig;
 use crate::error::HetSortError;
 use crate::plan::Plan;
 
-/// Build a recovery re-plan of `base` (the *original* plan) over the
-/// devices not in `lost`, relabelled to physical device numbers and
-/// validated. `Ok(None)` when no device survives — the caller
-/// decides between CPU fallback and a typed
-/// [`HetSortError::DeviceLost`].
+/// `cfg`'s plan of `n` elements on the devices not in `dead`: a plain
+/// [`Plan::build`] when none is dead, else the survivors' plan
+/// relabelled to physical devices and validated ([`Plan::on_devices`]).
+/// The engine re-plans a device loss with it (`cfg`, `n` of the original
+/// plan); the service plans a job on a shrunken pool. `Ok(None)` when
+/// no device survives.
 ///
 /// # Errors
 ///
 /// Propagates [`Plan::build`] / [`Plan::on_devices`] failures.
-pub fn survivor_plan(base: &Plan, lost: &BTreeSet<usize>) -> Result<Option<Plan>, HetSortError> {
-    let surv: Vec<usize> = (0..base.config.platform.n_gpus())
-        .filter(|g| !lost.contains(g))
+pub fn survivor_plan(
+    cfg: &HetSortConfig,
+    n: usize,
+    dead: &BTreeSet<usize>,
+) -> Result<Option<Plan>, HetSortError> {
+    if dead.is_empty() {
+        return Plan::build(cfg.clone(), n).map(Some);
+    }
+    let surv: Vec<usize> = (0..cfg.platform.n_gpus())
+        .filter(|g| !dead.contains(g))
         .collect();
     if surv.is_empty() {
         return Ok(None);
     }
-    let mut cfg = base.config.clone();
-    cfg.platform.gpus = surv
-        .iter()
-        .map(|&g| base.config.platform.gpus[g].clone())
-        .collect();
-    let rp = Plan::build(cfg, base.n)?.on_devices(surv)?;
-    // Same batch_elems + same n ⇒ same tiling; the original plan's
-    // merge schedule keeps referencing valid batch indices.
-    debug_assert_eq!(rp.nb(), base.nb());
-    Ok(Some(rp))
+    let mut cfg = cfg.clone();
+    cfg.platform.gpus = surv.iter().map(|&g| cfg.platform.gpus[g].clone()).collect();
+    Plan::build(cfg, n)?.on_devices(surv).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Approach, HetSortConfig};
+    use crate::config::Approach;
     use hetsort_vgpu::platform2;
 
     #[test]
@@ -63,7 +65,7 @@ mod tests {
         let base = Plan::build(cfg, 40_000).unwrap();
         assert_eq!(base.device_ids, vec![0, 1]);
         let lost: BTreeSet<usize> = [0].into_iter().collect();
-        let rp = survivor_plan(&base, &lost).unwrap().unwrap();
+        let rp = survivor_plan(&base.config, base.n, &lost).unwrap().unwrap();
         rp.validate().unwrap();
         assert_eq!(rp.device_ids, vec![1]);
         assert_eq!(rp.nb(), base.nb());
@@ -76,6 +78,6 @@ mod tests {
         }
         // Losing everything yields None.
         let all: BTreeSet<usize> = [0, 1].into_iter().collect();
-        assert!(survivor_plan(&base, &all).unwrap().is_none());
+        assert!(survivor_plan(&base.config, base.n, &all).unwrap().is_none());
     }
 }

@@ -79,7 +79,7 @@ impl AdmissionController {
 
     /// Seed the `double-release` defect: the kill suite's seeding hook
     /// for `hetsort-analyze`'s admission model, as
-    /// `hetsort_core::dag::mutate::EngineHooks` is for the engine's. No
+    /// `hetsort_core::dag::hooks::EngineHooks` is for the engine's. No
     /// service path calls it.
     pub fn seed_double_release(&mut self) {
         self.double_release = true;

@@ -21,6 +21,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use hetsort_core::recover::survivor_plan;
 use hetsort_core::{execute_dag, simulate_dag, HetSortError, Plan, PlanDag, Residency};
 use hetsort_obs::{MetricsRegistry, ObsSpan};
 
@@ -171,36 +172,20 @@ fn file_completed(d: Done, outcome: &mut ServeOutcome, metrics: &mut MetricsRegi
     outcome.completed.push(d.report);
 }
 
-/// Build a job's plan against the pool as it stands: on a full pool
-/// this is a plain [`Plan::build`]; with devices missing, the platform
-/// is filtered to the survivors and the plan relabelled
-/// ([`Plan::on_devices`]) so its batches account against physical GPU
-/// indices. An empty pool is reported as a typed `Overloaded`.
+/// Build a job's plan against the pool as it stands
+/// ([`survivor_plan`]: a plain [`Plan::build`] on a full pool, the
+/// survivors' plan on physical GPU indices otherwise). An empty pool is
+/// reported as a typed `Overloaded`.
 fn build_plan_for(
     job: &SortJob,
     dead: &BTreeSet<usize>,
 ) -> Result<(Plan, Residency), HetSortError> {
-    let n = job.data.len();
-    if dead.is_empty() {
-        let plan = Plan::build(job.config.clone(), n)?;
-        let residency = Residency::of_plan(&plan);
-        return Ok((plan, residency));
-    }
-    let alive: Vec<usize> = (0..job.config.platform.gpus.len())
-        .filter(|g| !dead.contains(g))
-        .collect();
-    if alive.is_empty() {
-        return Err(HetSortError::Overloaded {
+    let plan = survivor_plan(&job.config, job.data.len(), dead)?.ok_or_else(|| {
+        HetSortError::Overloaded {
             job: None,
             reason: "device pool is empty: every GPU has left the service".to_string(),
-        });
-    }
-    let mut cfg = job.config.clone();
-    cfg.platform.gpus = alive
-        .iter()
-        .map(|&g| cfg.platform.gpus[g].clone())
-        .collect();
-    let plan = Plan::build(cfg, n)?.on_devices(alive)?;
+        }
+    })?;
     let residency = Residency::of_plan(&plan);
     Ok((plan, residency))
 }

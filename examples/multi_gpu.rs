@@ -7,7 +7,7 @@
 //! ```
 
 use hetsort::core::{simulate, sort_real, Approach, HetSortConfig};
-use hetsort::model::{Efficiency, LowerBoundModel};
+use hetsort::model::LowerBoundModel;
 use hetsort::vgpu::platform2;
 use hetsort::workloads::{generate, Distribution};
 
@@ -46,8 +46,8 @@ fn main() {
     println!(" the paper's motivation for GPU-side merging in the NVLink era)\n");
 
     // Lower-bound efficiency, as in Figure 11.
-    let m1 = LowerBoundModel::one_gpu(&p2);
-    let m2 = LowerBoundModel::two_gpu(&p2);
+    let m1 = LowerBoundModel::one_gpu(&p2).expect("1-GPU model");
+    let m2 = LowerBoundModel::two_gpu(&p2).expect("2-GPU model");
     println!(
         "lower-bound models: 1 GPU y={:.3}ns·n, 2 GPUs y={:.3}ns·n (paper: 6.278 / 3.706)",
         m1.slope * 1e9,
@@ -60,11 +60,10 @@ fn main() {
     )
     .expect("sim")
     .total_s;
-    let e = Efficiency::new(&m1, n, t1);
     println!(
         "PipeData (1 GPU) at n=4.9e9: {:.2} s → {:.2}x of the bound (paper: 0.93x)",
         t1,
-        e.slowdown()
+        m1.slowdown(n, t1)
     );
 
     // Functional proof at demo scale: dual-GPU plan sorts correctly.

@@ -12,7 +12,7 @@ use hetsort::analyze::{
     EngineModel, ExploreConfig,
 };
 use hetsort::cli::{parse, usage, Args, CliError, Command};
-use hetsort::core::dag::mutate::EngineHooks;
+use hetsort::core::dag::hooks::EngineHooks;
 use hetsort::core::{
     host_bound_bytes, host_peak_bytes, Approach, HetSortConfig, HetSortError, PairStrategy, Plan,
     PlanDag, StagingMode,

@@ -12,7 +12,8 @@
 //! * [`core`] — the paper's contribution: the heterogeneous sorting
 //!   approaches (`BLine`, `BLineMulti`, `PipeData`, `PipeMerge`,
 //!   `ParMemCpy`), planner, executors, and overhead accounting.
-//! * [`model`] — lower-bound performance models and calibration.
+//! * [`model`] — the §IV-G lower-bound models (`LowerBoundModel`), beside
+//!   the §IV-E overhead accounting in `core::accounting`.
 //! * [`workloads`] — input dataset generators and validators.
 //! * [`analyze`] — static plan verifier + happens-before race detector
 //!   for stream/event schedules (`hetsort analyze`).
@@ -35,7 +36,7 @@ pub mod cli;
 pub use hetsort_algos as algos;
 pub use hetsort_analyze as analyze;
 pub use hetsort_core as core;
-pub use hetsort_model as model;
+pub use hetsort_core::accounting as model;
 pub use hetsort_obs as obs;
 pub use hetsort_serve as serve;
 pub use hetsort_sim as sim;

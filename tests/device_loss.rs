@@ -187,7 +187,7 @@ fn dag_engine_replans_only_the_unfinished_subgraph() {
     // strictly fewer batches than the lost GPU owned, never zero, and
     // scheduling the recovery exclusively on survivors.
     use hetsort::analyze::{explore, EngineModel, ExploreConfig};
-    use hetsort::core::dag::mutate::EngineHooks;
+    use hetsort::core::dag::hooks::EngineHooks;
     use hetsort::core::{execute_dag, PlanDag};
 
     let data = lcg_data(40_000, 61);

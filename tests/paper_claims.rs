@@ -209,8 +209,8 @@ fn fig10_two_gpus_help_but_sublinearly() {
 fn fig11_models_and_efficiency() {
     // §IV-G.
     let p2 = platform2();
-    let m1 = LowerBoundModel::one_gpu(&p2);
-    let m2 = LowerBoundModel::two_gpu(&p2);
+    let m1 = LowerBoundModel::one_gpu(&p2).unwrap();
+    let m2 = LowerBoundModel::two_gpu(&p2).unwrap();
     // "y = 6.278e-9 n" (±3%) and "y = 3.706e-9 n" (±20%).
     assert!(
         (m1.slope - 6.278e-9).abs() / 6.278e-9 < 0.03,
