@@ -135,8 +135,9 @@ pub enum Mutant {
     /// Insert a cross-stream wait cycle (each stream waits on an event
     /// the other records only later).
     WaitCycle,
-    /// Record a cross-stream synchronization event on the wrong stream,
-    /// so the consumer's wait no longer orders it after the producer.
+    /// Record the last cross-stream synchronization event on the wrong
+    /// stream, so the consumer's wait no longer orders it after the
+    /// producer.
     WrongStreamEvent,
     /// Remove one buffer's epilogue free — the allocation leaks.
     DropFree,
@@ -476,8 +477,9 @@ impl Mutant {
                 true
             }
             Mutant::UndersizeStaging => {
-                dag.plan.config.pinned_elems = 1;
-                true
+                // At p_s = 1 there is nothing smaller to shrink to.
+                let was = std::mem::replace(&mut dag.plan.config.pinned_elems, 1);
+                was > 1
             }
             Mutant::BreakPairCount => {
                 // The pair-count heuristic only governs the paper
@@ -619,7 +621,9 @@ impl Mutant {
                 if trace.n_threads < 2 {
                     return false;
                 }
-                for rec in &mut trace.records {
+                // The last record: no later record of its stream can
+                // cover the wait that relied on it.
+                for rec in trace.records.iter_mut().rev() {
                     if matches!(rec.kind, TraceKind::EventRecord { .. }) {
                         rec.thread = (rec.thread + 1) % trace.n_threads;
                         return true;

@@ -55,14 +55,7 @@ fn analyzer_accepts_every_built_plan() {
 fn analyzer_rejects_every_applicable_mutant() {
     run_cases("analyzer_rejects_every_applicable_mutant", 30, |rng| {
         let base = PlanDag::from_plan(arb_plan(rng));
-        // WrongStreamEvent moves the *first* event record, which a
-        // later wait on the same stream still covers in many shapes (a
-        // true negative, not a miss): its kill is pinned on the base
-        // geometry of tests/mutation.rs only.
-        for mutant in Mutant::ALL
-            .into_iter()
-            .filter(|&m| m != Mutant::WrongStreamEvent)
-        {
+        for mutant in Mutant::ALL {
             // The linter reports a validator rule as a Malformed finding
             // that names the rule.
             let (class, named) = match mutant.kill() {
@@ -87,4 +80,17 @@ fn analyzer_rejects_every_applicable_mutant() {
         }
         Ok(())
     });
+}
+
+#[test]
+fn undersize_staging_has_no_site_at_one_element_staging() {
+    // p_s = 1 already is the mutant's value: there is no defect to seed,
+    // and the mutant says so rather than surviving as a no-op.
+    let cfg = HetSortConfig::paper_defaults(platform1(), Approach::BLineMulti)
+        .with_batch_elems(9)
+        .with_pinned_elems(1)
+        .with_streams(1)
+        .with_pair_strategy(PairStrategy::Online);
+    let base = PlanDag::from_plan(Plan::build(cfg, 24).expect("valid geometry must plan"));
+    assert!(Mutant::UndersizeStaging.analyze(&base).is_none());
 }

@@ -140,8 +140,8 @@ fn single_edge_deletion_never_silent() {
                 !report.is_clean(),
                 "silent pass: deleting edge {dropped}→{node} ({} dep of {}) \
                  satisfied the validator AND the analyzer",
-                dag.nodes[dropped].op.class_name(),
-                dag.nodes[node].op.class_name()
+                dag.nodes[dropped].op.class().name(),
+                dag.nodes[node].op.class().name()
             );
         }
         Ok(())

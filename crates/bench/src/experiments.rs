@@ -8,6 +8,7 @@
 use hetsort_core::accounting::LowerBoundModel;
 use hetsort_core::reference::reference_time;
 use hetsort_core::{simulate, Approach, HetSortConfig, Plan, TimingReport};
+use hetsort_obs::OpClass;
 use hetsort_vgpu::calib::amdahl_speedup;
 use hetsort_vgpu::{platform1, platform2, PlatformSpec};
 
@@ -217,13 +218,14 @@ pub struct Fig7Data {
 pub fn fig07() -> Fig7Data {
     let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
     let r = simulate(cfg, 800_000_000).expect("fig7 sim");
+    let t = r.metrics().totals();
     Fig7Data {
-        // BLINE always transfers and sorts; a missing line here means
-        // the sim lowering broke, so zero is the honest render.
+        // BLINE always transfers and sorts; a class without spans here
+        // means the sim lowering broke, so zero is the honest render.
         ours: (
-            r.component("HtoD").unwrap_or(0.0),
-            r.component("DtoH").unwrap_or(0.0),
-            r.component("GPUSort").unwrap_or(0.0),
+            t.class(OpClass::HtoD).busy_s,
+            t.class(OpClass::DtoH).busy_s,
+            t.class(OpClass::GpuSort).busy_s,
         ),
         related: (
             hetsort_core::accounting::RELATED_WORK_HTOD_S,

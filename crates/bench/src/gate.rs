@@ -40,13 +40,13 @@ use std::collections::BTreeMap;
 
 use hetsort_core::exec_sim::simulate_plan;
 use hetsort_core::{Approach, HetSortConfig, HetSortError, HybridMode, Plan};
-use hetsort_obs::Json;
+use hetsort_obs::{Json, Totals};
 use hetsort_serve::{synthetic_jobs, ServeBudget, ServeConfig, SortService, MIX_COALESCE_ELEMS};
 use hetsort_vgpu::{platform1, platform2, PlatformSpec};
 
 /// `generated` of the document: the date `BENCH.json` was last
 /// refrozen, bumped by hand in the PR that moves a number on purpose.
-pub const GENERATED: &str = "2026-08-09";
+pub const GENERATED: &str = "2026-10-18";
 
 /// Paper-scale input for the multi-batch scenarios (§IV: 2×10⁹ keys).
 pub const PAPER_N: usize = 2_000_000_000;
@@ -297,6 +297,7 @@ pub fn run_scenario(s: &Scenario) -> Result<ScenarioResult, HetSortError> {
     let plan = Plan::build(s.config.clone(), s.n)?;
     let report = simulate_plan(&plan)?;
     let reg = report.metrics();
+    let t = reg.totals();
     Ok(ScenarioResult {
         id: s.id.clone(),
         platform: s.platform_key.to_string(),
@@ -304,16 +305,19 @@ pub fn run_scenario(s: &Scenario) -> Result<ScenarioResult, HetSortError> {
         n: s.n as u64,
         nb: plan.nb() as u64,
         total_s: report.total_s,
-        literature_total_s: report.literature_total_s,
-        overlap_ratio: reg.overlap_ratio(),
-        bus_util: reg.bus_util(),
-        components: reg
-            .per_class()
-            .into_iter()
-            .map(|(name, stats)| (name.to_string(), stats.busy_s))
-            .collect(),
+        literature_total_s: t.literature_total_s(),
+        overlap_ratio: t.overlap_ratio(),
+        bus_util: t.bus_util(),
+        components: busy_by_class(&t),
         counters: reg.counters().clone(),
     })
+}
+
+/// The document's `components`: busy seconds of every present class.
+fn busy_by_class(t: &Totals) -> BTreeMap<String, f64> {
+    t.present()
+        .map(|(c, st)| (c.name().to_string(), st.busy_s))
+        .collect()
 }
 
 /// Run the serve scenario: virtual makespan as `total_s`, completed
@@ -337,6 +341,7 @@ fn run_serve_scenario(
         });
     }
     let reg = &out.metrics;
+    let t = reg.totals();
     let mut counters = reg.counters().clone();
     counters.insert("makespan_jobs_completed".into(), out.completed.len() as f64);
     counters.insert("jobs_shed".into(), out.shed.len() as f64);
@@ -349,13 +354,9 @@ fn run_serve_scenario(
         nb: out.completed.len() as u64,
         total_s: out.makespan_s,
         literature_total_s: out.makespan_s,
-        overlap_ratio: reg.overlap_ratio(),
-        bus_util: reg.bus_util(),
-        components: reg
-            .per_class()
-            .into_iter()
-            .map(|(name, stats)| (name.to_string(), stats.busy_s))
-            .collect(),
+        overlap_ratio: t.overlap_ratio(),
+        bus_util: t.bus_util(),
+        components: busy_by_class(&t),
         counters,
     })
 }

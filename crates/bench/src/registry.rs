@@ -16,6 +16,7 @@ use std::time::Instant;
 
 use hetsort_core::reference::{reference_time, reference_time_full};
 use hetsort_core::{simulate, Approach, ElemWidth, HetSortConfig, PairStrategy};
+use hetsort_obs::OpClass;
 use hetsort_vgpu::{platform1, platform2, Machine, PlatformSpec, TransferDir};
 
 use crate::experiments as ex;
@@ -263,10 +264,10 @@ impl Experiment {
     }
 }
 
-/// `component(tag)` of a report; an op class the run never issued
-/// renders as zero.
-fn comp(r: &hetsort_core::TimingReport, tag: &str) -> f64 {
-    r.component(tag).unwrap_or(0.0)
+/// Busy seconds of one class of a report; a class the run never
+/// issued renders as zero.
+fn comp(r: &hetsort_core::TimingReport, class: OpClass) -> f64 {
+    r.metrics().class_stats(class).busy_s
 }
 
 // ---------------------------------------------------------------- paper
@@ -370,26 +371,25 @@ fn fig06() -> Output {
 fn fig07() -> Output {
     let d = ex::fig07();
     let r = &d.report;
-    let omitted: Vec<String> = hetsort_vgpu::tags::OMITTED_COMPONENTS
-        .iter()
-        .filter_map(|tag| {
-            let t = r.component(tag).filter(|t| *t > 0.0)?;
-            Some(format!("{tag} {t:.3} s"))
-        })
+    let t = r.metrics().totals();
+    let omitted: Vec<String> = t
+        .present()
+        .filter(|(c, st)| !OpClass::LITERATURE.contains(c) && st.busy_s > 0.0)
+        .map(|(c, st)| format!("{} {:.3} s", c.name(), st.busy_s))
         .collect();
     Output {
         rows: vec![
             format!("HtoD,{:.4},{:.4}", d.ours.0, d.related.0),
             format!("DtoH,{:.4},{:.4}", d.ours.1, d.related.1),
             format!("GPUSort,{:.4},{:.4}", d.ours.2, d.related.2),
-            format!("literature_total,{:.4},", r.literature_total_s),
+            format!("literature_total,{:.4},", t.literature_total_s()),
             format!("full_total,{:.4},", r.total_s),
         ],
         note: format!(
             "the related work's accounting omits {} = {:.3} s, {:.0}% of the truth",
             omitted.join(", "),
-            r.missing_overhead_s(),
-            100.0 * r.missing_overhead_s() / r.total_s
+            t.missing_overhead_s(),
+            100.0 * t.missing_overhead_s() / r.total_s
         ),
     }
 }
@@ -549,13 +549,13 @@ fn calibrate() -> Output {
 
     // --- Figures 7/8 (PLATFORM1, n=8e8 components) -------------------
     let r7 = ex::fig07().report;
-    c.row("Fig7 HtoD (s)", 0.536, comp(&r7, "HtoD"));
-    c.row("Fig7 DtoH (s)", 0.484, comp(&r7, "DtoH"));
-    c.row("Fig7 GPUSort ~ (s)", 0.42, comp(&r7, "GPUSort"));
+    c.row("Fig7 HtoD (s)", 0.536, comp(&r7, OpClass::HtoD));
+    c.row("Fig7 DtoH (s)", 0.484, comp(&r7, OpClass::DtoH));
+    c.row("Fig7 GPUSort ~ (s)", 0.42, comp(&r7, OpClass::GpuSort));
     c.row(
         "Fig8 literature total @8e8 (s)",
         1.44,
-        r7.literature_total_s,
+        r7.metrics().literature_total_s(),
     );
     c.rows.push(format!(
         "{:<58} {:>9} {:>9.3}",
@@ -644,13 +644,17 @@ fn calibrate_components() -> Output {
         .expect("components sim");
         rows.push(format!("par_memcpy={}", series.2));
         rows.extend(r.summary().lines().map(str::to_string));
-        // When did the multiway merge start and end?
-        let window = r
-            .timeline
-            .find_tag("MultiwayMerge")
-            .and_then(|tag| r.timeline.window(tag));
-        if let Some((s, e)) = window {
-            rows.push(format!("  multiway window: {s:.2} .. {e:.2}"));
+        // When did the (one, final) multiway merge start and end?
+        let reg = r.metrics();
+        if let Some(s) = reg
+            .spans()
+            .iter()
+            .find(|s| s.class == OpClass::MultiwayMerge)
+        {
+            rows.push(format!(
+                "  multiway window: {:.2} .. {:.2}",
+                s.t_start, s.t_end
+            ));
         }
         rows.push(String::new());
     }
@@ -680,7 +684,7 @@ fn ablation_batch_streams() -> Output {
                 "{ns},{bs},{},{:.4},{:.4}",
                 r.nb,
                 r.total_s,
-                comp(&r, "MultiwayMerge")
+                comp(&r, OpClass::MultiwayMerge)
             )
         })
         .collect();
@@ -716,7 +720,7 @@ fn ablation_pinned_size() -> Output {
         format!(
             "{ps},{:.4},{:.4},{}",
             r.total_s,
-            comp(&r, "PinnedAlloc"),
+            comp(&r, OpClass::PinnedAlloc),
             (r.sync_s / plat.pcie.chunk_sync_s).round()
         )
     })
@@ -746,7 +750,7 @@ fn ablation_nvlink() -> Output {
             .expect("ablation sim");
             // The final multiway merge never overlaps anything, so its
             // busy time is an honest share of the makespan.
-            let merge = comp(&r, "MultiwayMerge");
+            let merge = comp(&r, OpClass::MultiwayMerge);
             shares.push(100.0 * merge / r.total_s);
             format!("{link_gbs},{:.4},{merge:.4}", r.total_s)
         })
@@ -863,13 +867,14 @@ fn kv_records() -> Output {
         .with_elem_bytes(ElemWidth::KeyValue)
         .with_batch_elems(500_000_000);
     let kv = simulate(kv_cfg, 375_000_000).expect("kv sim");
+    let htod = |r: &hetsort_core::TimingReport| comp(r, OpClass::HtoD);
     let row = |name: &str, n: usize, bytes: u32, r: &hetsort_core::TimingReport| {
         format!(
             "{name},{n},{bytes},{:.4},{:.4},{:.4},{:.4},{:.4}",
-            comp(r, "HtoD"),
-            comp(r, "DtoH"),
-            comp(r, "GPUSort"),
-            r.literature_total_s,
+            htod(r),
+            comp(r, OpClass::DtoH),
+            comp(r, OpClass::GpuSort),
+            r.metrics().literature_total_s(),
             r.total_s
         )
     };
@@ -880,7 +885,7 @@ fn kv_records() -> Output {
         ],
         note: format!(
             "transfer times agree within {:.0}% (same byte volume — the paper's §IV-E check)",
-            100.0 * ((comp(&keys, "HtoD") - comp(&kv, "HtoD")) / comp(&keys, "HtoD")).abs()
+            100.0 * ((htod(&keys) - htod(&kv)) / htod(&keys)).abs()
         ),
     }
 }
@@ -978,7 +983,7 @@ fn nvlink_future() -> Output {
 
     // Baseline: the paper's architecture on the same platform.
     let cpu_arch = simulate(ex::series_cfg(&plat, ex::PAR_MEMCPY, bs), n).expect("baseline sim");
-    let cpu_merge = comp(&cpu_arch, "MultiwayMerge") + comp(&cpu_arch, "PairMerge");
+    let cpu_merge = comp(&cpu_arch, OpClass::MultiwayMerge) + comp(&cpu_arch, OpClass::PairMerge);
     let (assist_total, assist_mw) = gpu_merge_assist(&plat, n, bs, 1_000_000);
     Output {
         rows: vec![

@@ -3,7 +3,9 @@
 //! produce — independent of cost-model retuning, which only moves the
 //! *magnitudes* (a refreeze of the byte-pinned file, said in the PR).
 
-use hetsort_bench::gate::{run_scenario, scenario_matrix, Scenario, ScenarioResult, PAPER_N};
+use hetsort_bench::gate::{
+    run_scenario, scenario_matrix, Scenario, ScenarioKind, ScenarioResult, PAPER_N,
+};
 use hetsort_core::accounting::LowerBoundModel;
 use hetsort_core::exec_sim::simulate_plan;
 use hetsort_core::{Approach, HetSortConfig, Plan};
@@ -113,4 +115,30 @@ fn gate_scenarios_expose_the_missing_overhead() {
         r.literature_total_s,
         r.total_s
     );
+}
+
+#[test]
+fn literature_total_is_the_literature_components_less_embedded_latency() {
+    // One accounting: every simulated scenario's `literature_total_s`
+    // is, bit for bit, the busy seconds of the literature's classes
+    // minus the sync and launch latency the simulator folds into those
+    // spans — the same document's `components` and `counters`.
+    let simulated = scenario_matrix()
+        .into_iter()
+        .filter(|s| s.kind == ScenarioKind::Simulated);
+    for s in simulated {
+        let r = run_scenario(&s).expect(&s.id);
+        let mut lit = 0.0;
+        for c in OpClass::LITERATURE {
+            lit += r.components.get(c.name()).copied().unwrap_or(0.0);
+        }
+        let embedded = r.counters["sim.sync_s"] + r.counters["sim.launch_s"];
+        assert_eq!(
+            r.literature_total_s.to_bits(),
+            (lit - embedded).max(0.0).to_bits(),
+            "{}: literature {} vs components {lit} less {embedded}",
+            s.id,
+            r.literature_total_s
+        );
+    }
 }

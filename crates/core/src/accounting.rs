@@ -4,7 +4,8 @@
 //! response time (Figures 7 and 8), and [`LowerBoundModel`], Figure 11's
 //! bounds rebuilt from the simulator the way the paper fits them.
 
-use hetsort_vgpu::{tags, PlatformSpec};
+use hetsort_obs::OpClass;
+use hetsort_vgpu::PlatformSpec;
 
 use crate::config::{Approach, HetSortConfig};
 use crate::error::HetSortError;
@@ -30,16 +31,16 @@ pub struct OverheadRow {
 }
 
 impl OverheadRow {
-    /// Decompose a BLINE report.
+    /// Decompose a BLINE report: the registry's component busy
+    /// seconds less the latency the simulator embeds in them.
     pub fn from_report(r: &TimingReport) -> OverheadRow {
+        let t = r.metrics().totals();
         OverheadRow {
             n: r.n,
-            // Absent components decompose as zero seconds: a BLINE run
-            // that never transferred has no HtoD line to adjust.
-            htod_s: r.component(tags::HTOD).unwrap_or(0.0) - r.sync_s / 2.0,
-            dtoh_s: r.component(tags::DTOH).unwrap_or(0.0) - r.sync_s / 2.0,
-            sort_s: r.component(tags::GPU_SORT).unwrap_or(0.0) - r.launch_s,
-            literature_total_s: r.literature_total_s,
+            htod_s: t.class(OpClass::HtoD).busy_s - r.sync_s / 2.0,
+            dtoh_s: t.class(OpClass::DtoH).busy_s - r.sync_s / 2.0,
+            sort_s: t.class(OpClass::GpuSort).busy_s - r.launch_s,
+            literature_total_s: t.literature_total_s(),
             full_total_s: r.total_s,
         }
     }
@@ -204,12 +205,11 @@ mod tests {
         let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine)
             .with_pinned_elems(800_000_000)
             .with_batch_elems(800_000_000);
-        let r = simulate(cfg, 800_000_000).unwrap();
-        let alloc = r
-            .component(hetsort_vgpu::tags::PINNED_ALLOC)
-            .expect("pinned alloc ran");
-        assert!((alloc - 2.2).abs() < 0.05, "alloc={alloc}");
-        assert!(alloc > r.literature_total_s);
+        let reg = simulate(cfg, 800_000_000).unwrap().metrics();
+        let alloc = reg.class_stats(OpClass::PinnedAlloc);
+        assert_eq!(alloc.count, 1, "pinned alloc ran once");
+        assert!((alloc.busy_s - 2.2).abs() < 0.05, "alloc={}", alloc.busy_s);
+        assert!(alloc.busy_s > reg.literature_total_s());
     }
 
     #[test]

@@ -405,7 +405,7 @@ pub(crate) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> 
         if !bound {
             return err(format!(
                 "stream-bind: node {i} ({}) is bound to stream {:?} of {}",
-                node.op.class_name(),
+                node.op.class().name(),
                 node.stream,
                 plan.total_streams
             ));

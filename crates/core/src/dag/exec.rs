@@ -183,7 +183,7 @@ where
             DagOp::MultiwayMerge { inputs } => (inputs.clone(), self.plan.n, None),
             other => {
                 return Err(HetSortError::Plan {
-                    reason: format!("node {id}: {} is not a merge", other.class_name()),
+                    reason: format!("node {id}: {} is not a merge", other.class().name()),
                 })
             }
         };

@@ -155,17 +155,19 @@ impl DagOp {
         )
     }
 
-    /// Short op-class name for summaries and the CLI.
-    pub fn class_name(&self) -> &'static str {
+    /// The span class the op is recorded under: the one mapping from
+    /// ops to classes that spans, validator messages and the CLI's
+    /// census all read.
+    pub fn class(&self) -> OpClass {
         match self {
-            DagOp::PinnedAlloc { .. } => "PinnedAlloc",
-            DagOp::StagingCopy { .. } => "StagingCopy",
-            DagOp::HtoD { .. } => "HtoD",
-            DagOp::Sort { .. } => "Sort",
-            DagOp::DtoH { .. } => "DtoH",
-            DagOp::PairMerge { .. } => "PairMerge",
-            DagOp::MultiwayMerge { .. } => "MultiwayMerge",
-            DagOp::CpuMerge { .. } => "CpuMerge",
+            DagOp::PinnedAlloc { .. } => OpClass::PinnedAlloc,
+            DagOp::StagingCopy { .. } => OpClass::StagingCopy,
+            DagOp::HtoD { .. } => OpClass::HtoD,
+            DagOp::Sort { .. } => OpClass::GpuSort,
+            DagOp::DtoH { .. } => OpClass::DtoH,
+            DagOp::PairMerge { .. } => OpClass::PairMerge,
+            DagOp::CpuMerge { .. } => OpClass::CpuMerge,
+            DagOp::MultiwayMerge { .. } => OpClass::MultiwayMerge,
         }
     }
 }
@@ -186,20 +188,11 @@ pub struct DagNode {
 
 /// The span skeleton of node `id`: the one placement rule the
 /// simulator, the stream interpreter and the merge path share. The
-/// class comes from the op, the stream from the node, the batch from a
-/// stream-bound op, and the batch's physical GPU only for the device
-/// ops (HtoD, Sort, DtoH). Executors add only times and bytes.
+/// class comes from the op ([`DagOp::class`]), the stream from the
+/// node, the batch from a stream-bound op, and the batch's physical GPU
+/// only for the device ops (HtoD, Sort, DtoH). Executors add only times
+/// and bytes.
 pub fn node_span(plan: &Plan, id: usize, node: &DagNode) -> ObsSpan {
-    let class = match node.op {
-        DagOp::PinnedAlloc { .. } => OpClass::PinnedAlloc,
-        DagOp::StagingCopy { .. } => OpClass::StagingCopy,
-        DagOp::HtoD { .. } => OpClass::HtoD,
-        DagOp::Sort { .. } => OpClass::GpuSort,
-        DagOp::DtoH { .. } => OpClass::DtoH,
-        DagOp::PairMerge { .. } => OpClass::PairMerge,
-        DagOp::CpuMerge { .. } => OpClass::CpuMerge,
-        DagOp::MultiwayMerge { .. } => OpClass::MultiwayMerge,
-    };
     let batch = node.op.batch();
     ObsSpan {
         // `config::MAX_PLAN_NODES` keeps every node id within u32.
@@ -210,7 +203,7 @@ pub fn node_span(plan: &Plan, id: usize, node: &DagNode) -> ObsSpan {
             .filter(|_| node.op.is_device_lane())
             .and_then(|b| plan.batches.get(b))
             .map(|b| plan.physical_gpu(b.gpu)),
-        ..ObsSpan::new(class, 0.0, 0.0)
+        ..ObsSpan::new(node.op.class(), 0.0, 0.0)
     }
 }
 
@@ -563,15 +556,8 @@ mod tests {
         // Deterministic: same config, same routing.
         let again = build(HybridMode::Auto);
         assert_eq!(
-            auto.nodes
-                .iter()
-                .map(|n| n.op.class_name())
-                .collect::<Vec<_>>(),
-            again
-                .nodes
-                .iter()
-                .map(|n| n.op.class_name())
-                .collect::<Vec<_>>()
+            auto.nodes.iter().map(|n| n.op.class()).collect::<Vec<_>>(),
+            again.nodes.iter().map(|n| n.op.class()).collect::<Vec<_>>()
         );
     }
 

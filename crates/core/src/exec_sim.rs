@@ -271,18 +271,9 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
             .map(|g| g.kernel_launch_s)
             .unwrap_or(0.0);
 
-    let tl = m.run().map_err(|e| HetSortError::Sim {
+    let timeline = m.run().map_err(|e| HetSortError::Sim {
         reason: e.to_string(),
     })?;
-    let mut report = TimingReport::from_timeline(
-        cfg.approach.name(),
-        &cfg.platform.name,
-        plan.n,
-        plan.nb(),
-        sync_s,
-        launch_s,
-        tl,
-    );
     // The start-skew barriers are the only ops outside the dag: they
     // report as node-less Sync spans.
     let skews = skews
@@ -293,15 +284,24 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
         .zip(nodes)
         .enumerate()
         .map(|(i, (op, node))| (op, node_span(plan, i, node)));
-    report.op_spans = skews.chain(nodes).collect();
-    Ok(report)
+    Ok(TimingReport {
+        approach: cfg.approach.name().to_string(),
+        platform: cfg.platform.name.clone(),
+        n: plan.n,
+        nb: plan.nb(),
+        total_s: timeline.makespan(),
+        sync_s,
+        launch_s,
+        timeline,
+        op_spans: skews.chain(nodes).collect(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Approach, HetSortConfig};
-    use hetsort_vgpu::{platform1, platform2, tags};
+    use hetsort_vgpu::{platform1, platform2};
 
     fn p1(approach: Approach) -> HetSortConfig {
         HetSortConfig::paper_defaults(platform1(), approach)
@@ -316,6 +316,7 @@ mod tests {
         let cfg = p1(Approach::BLine).with_staging(StagingMode::Paper);
         let n = 800_000_000usize;
         let r = simulate(cfg, n).unwrap();
+        let reg = r.metrics();
         let gib = 8.0 * n as f64;
         let expect = 0.01                    // pinned alloc (ps = 1e6)
             + gib / 6.5e9                    // stage in @ 6.5 GB/s/core
@@ -330,16 +331,23 @@ mod tests {
         );
         // Figure 7 cross-check: HtoD ≈ 0.536 s, DtoH ≈ 0.484 s in the
         // paper; our symmetric model gives 0.533 s each.
-        assert!((r.component(tags::HTOD).expect("HtoD ran") - 0.533).abs() < 0.01);
-        assert!((r.component(tags::DTOH).expect("DtoH ran") - 0.533).abs() < 0.01);
+        for class in [OpClass::HtoD, OpClass::DtoH] {
+            let st = reg.class_stats(class);
+            assert!(st.count > 0, "{class:?} ran");
+            assert!((st.busy_s - 0.533).abs() < 0.01, "{class:?}: {}", st.busy_s);
+        }
         // Literature total = HtoD + Sort + DtoH ≈ 0.533+0.421+0.533.
         assert!(
-            (r.literature_total_s - 1.487).abs() < 0.02,
+            (reg.literature_total_s() - 1.487).abs() < 0.02,
             "{}",
-            r.literature_total_s
+            reg.literature_total_s()
         );
         // Missing overhead ≈ 2 staging copies + alloc ≈ 1.61 s.
-        assert!(r.missing_overhead_s() > 1.5, "{}", r.missing_overhead_s());
+        assert!(
+            reg.missing_overhead_s() > 1.5,
+            "{}",
+            reg.missing_overhead_s()
+        );
     }
 
     #[test]
@@ -367,8 +375,9 @@ mod tests {
         );
         // StagingCopy is inbound-only now: the outbound markers cost
         // nothing and the component halves vs the paper protocol.
-        let staging = r.component(tags::MCPY_IN).expect("stage in ran")
-            + r.component(tags::MCPY_OUT).unwrap_or(0.0);
+        let staging = r.metrics().class_stats(OpClass::StagingCopy);
+        assert!(staging.count > 0, "stage in ran");
+        let staging = staging.busy_s;
         assert!(
             (staging - gib / 6.5e9).abs() < 0.02,
             "staging={staging} expect inbound-only {}",
@@ -490,14 +499,15 @@ mod tests {
         use crate::config::HybridMode;
         let n = 5_000_000_000usize;
         let base = simulate(p1(Approach::PipeMerge), n).unwrap();
-        assert_eq!(base.component(tags::CPU_MERGE), None, "no hybrid, no line");
+        let cpu_merge = |r: &TimingReport| r.metrics().class_stats(OpClass::CpuMerge);
+        assert_eq!(cpu_merge(&base).count, 0, "no hybrid, no line");
         let hy = simulate(
             p1(Approach::PipeMerge).with_hybrid(HybridMode::Fraction(0.5)),
             n,
         )
         .unwrap();
         assert!(
-            hy.component(tags::CPU_MERGE).expect("cpu merges ran") > 0.0,
+            cpu_merge(&hy).busy_s > 0.0,
             "hybrid run accounts CPU-routed merges separately"
         );
     }

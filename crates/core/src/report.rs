@@ -1,20 +1,16 @@
-//! Timing reports: the paper's end-to-end accounting, both ways.
+//! Timing reports: what a simulated run did, and recovery statistics.
 //!
 //! §IV-E's central finding is that the literature (\[5\]) computes
 //! "end-to-end" time from only `HtoD + GPUSort + DtoH (+ merge)`,
 //! omitting pinned allocation, host staging copies, and per-copy
-//! synchronization. A [`TimingReport`] therefore carries both totals:
-//!
-//! * [`TimingReport::total_s`] — the honest wall clock (simulation
-//!   makespan, every overhead included);
-//! * [`TimingReport::literature_total_s`] — the literature's method:
-//!   the sum of the included components' *pure service* time.
-
-use std::collections::BTreeMap;
+//! synchronization. A [`TimingReport`] keeps the honest wall clock
+//! ([`TimingReport::total_s`], the simulation makespan) and the spans
+//! of the run; [`TimingReport::metrics`] hands them to the one
+//! accounting, [`MetricsRegistry`], which computes the per-class
+//! components, the literature's total and the overhead it misses.
 
 use hetsort_obs::{MetricsRegistry, ObsSpan};
 use hetsort_sim::{OpId, Timeline};
-use hetsort_vgpu::tags;
 
 /// What the executor had to do to survive faults during a functional
 /// run (all zeros on a fault-free run).
@@ -109,11 +105,6 @@ pub struct TimingReport {
     pub nb: usize,
     /// Full end-to-end response time (simulation makespan), seconds.
     pub total_s: f64,
-    /// The literature's end-to-end method: included components only.
-    pub literature_total_s: f64,
-    /// Busy seconds per component tag (sum of span durations; overlap
-    /// counts multiply — this is "component time" as papers report it).
-    pub components: BTreeMap<String, f64>,
     /// Total async-copy synchronization latency (inside HtoD/DtoH spans).
     pub sync_s: f64,
     /// Total kernel-launch latency (inside GPUSort spans).
@@ -123,65 +114,11 @@ pub struct TimingReport {
     /// The span skeleton of every op the run reports, keyed by the op
     /// whose timeline span supplies its times and work: one per dag
     /// node ([`crate::dag::node_span`]) plus the node-less per-stream
-    /// start-skew barriers. Empty for a report assembled from a bare
-    /// timeline.
+    /// start-skew barriers.
     pub op_spans: Vec<(OpId, ObsSpan)>,
 }
 
 impl TimingReport {
-    /// Assemble a report from a finished timeline.
-    pub fn from_timeline(
-        approach: &str,
-        platform: &str,
-        n: usize,
-        nb: usize,
-        sync_s: f64,
-        launch_s: f64,
-        timeline: Timeline,
-    ) -> Self {
-        let mut components = BTreeMap::new();
-        for (tag, name) in timeline.tags() {
-            let t = timeline.busy_time(tag);
-            if t > 0.0 {
-                components.insert(name.to_string(), t);
-            }
-        }
-        // Literature accounting: pure transfer + sort + merge service
-        // time (their embedded sync/launch latencies removed — the
-        // literature's numbers are DMA/kernel time proper).
-        let mut lit = 0.0;
-        for &name in tags::LITERATURE_COMPONENTS {
-            if let Some(&t) = components.get(name) {
-                lit += t;
-            }
-        }
-        lit -= sync_s + launch_s;
-        let total_s = timeline.makespan();
-        TimingReport {
-            approach: approach.to_string(),
-            platform: platform.to_string(),
-            n,
-            nb,
-            total_s,
-            literature_total_s: lit.max(0.0),
-            components,
-            sync_s,
-            launch_s,
-            timeline,
-            op_spans: Vec::new(),
-        }
-    }
-
-    /// Busy time of one component, or `None` when the tag never
-    /// appeared in the run. Absence is surfaced rather than folded to
-    /// `0.0` so a typo'd span name in a gate scenario or golden-shape
-    /// test cannot pass vacuously — callers that genuinely treat a
-    /// missing component as zero (CSV columns) opt in with
-    /// `unwrap_or(0.0)`.
-    pub fn component(&self, name: &str) -> Option<f64> {
-        self.components.get(name).copied()
-    }
-
     /// The run as a structured metrics registry: each of
     /// [`TimingReport::op_spans`] with its op's simulated times and
     /// work, and the embedded sync/launch latencies as counters.
@@ -201,21 +138,25 @@ impl TimingReport {
         reg
     }
 
-    /// The overhead the literature omits: full total minus what their
-    /// accounting would report (≥ 0 for serial pipelines; may be
-    /// negative under overlap, where busy-sums over-count).
-    pub fn missing_overhead_s(&self) -> f64 {
-        self.total_s - self.literature_total_s
-    }
-
-    /// Render a human-readable component table.
+    /// Render a human-readable component table: the registry's
+    /// per-class busy seconds, its literature total and missing
+    /// overhead, and the latency the simulator embeds in transfer and
+    /// sort spans.
     pub fn summary(&self) -> String {
+        let t = self.metrics().totals();
         let mut s = format!(
-            "{} on {} (n={}, n_b={}): total {:.3} s  (literature method: {:.3} s)\n",
-            self.approach, self.platform, self.n, self.nb, self.total_s, self.literature_total_s
+            "{} on {} (n={}, n_b={}): total {:.3} s  (literature method: {:.3} s, \
+             missing overhead: {:.3} s)\n",
+            self.approach,
+            self.platform,
+            self.n,
+            self.nb,
+            self.total_s,
+            t.literature_total_s(),
+            t.missing_overhead_s()
         );
-        for (name, t) in &self.components {
-            s.push_str(&format!("  {name:<14} {t:>10.4} s\n"));
+        for (class, st) in t.present() {
+            s.push_str(&format!("  {:<14} {:>10.4} s\n", class.name(), st.busy_s));
         }
         s.push_str(&format!(
             "  {:<14} {:>10.4} s\n  {:<14} {:>10.4} s\n",
@@ -228,30 +169,51 @@ impl TimingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsort_obs::OpClass;
     use hetsort_sim::{Op, SimBuilder};
+    use hetsort_vgpu::tags;
 
-    fn sample_report() -> TimingReport {
+    /// Stage in, transfer (with `latency` folded in), sort: one op each.
+    fn sample_report(latency: f64) -> TimingReport {
         let mut sim = SimBuilder::new();
         let htod = sim.tag(tags::HTOD);
         let sort = sim.tag(tags::GPU_SORT);
         let mcpy = sim.tag(tags::MCPY_IN);
         let a = sim.op(Op::new(mcpy, 10.0).cap(10.0));
-        let b = sim.op(Op::new(htod, 10.0).cap(5.0).dep(a));
-        let _c = sim.op(Op::new(sort, 10.0).cap(10.0).dep(b));
-        let tl = sim.run().unwrap();
-        TimingReport::from_timeline("BLine", "PLATFORM1", 10, 1, 0.0, 0.0, tl)
+        let b = sim.op(Op::new(htod, 10.0).cap(5.0).latency(latency).dep(a));
+        let c = sim.op(Op::new(sort, 10.0).cap(10.0).dep(b));
+        let timeline = sim.run().unwrap();
+        TimingReport {
+            approach: "BLine".into(),
+            platform: "PLATFORM1".into(),
+            n: 10,
+            nb: 1,
+            total_s: timeline.makespan(),
+            sync_s: latency,
+            launch_s: 0.0,
+            timeline,
+            op_spans: [a, b, c]
+                .into_iter()
+                .zip([OpClass::StagingCopy, OpClass::HtoD, OpClass::GpuSort])
+                .map(|(op, class)| (op, ObsSpan::new(class, 0.0, 0.0)))
+                .collect(),
+        }
     }
 
     #[test]
     fn totals_and_components() {
-        let r = sample_report();
+        let r = sample_report(0.0);
         assert!((r.total_s - 4.0).abs() < 1e-9);
-        // Literature counts HtoD (2 s) + GPUSort (1 s) but not MCpyIn.
-        assert!((r.literature_total_s - 3.0).abs() < 1e-9);
-        assert!((r.missing_overhead_s() - 1.0).abs() < 1e-9);
-        assert!((r.component(tags::MCPY_IN).expect("MCpyIn ran") - 1.0).abs() < 1e-9);
-        // Unknown components are a None, not a vacuous 0.0.
-        assert_eq!(r.component("Nope"), None);
+        let reg = r.metrics();
+        // Literature counts HtoD (2 s) + GPUSort (1 s) but not the
+        // staging copy.
+        assert!((reg.literature_total_s() - 3.0).abs() < 1e-9);
+        assert!((reg.missing_overhead_s() - 1.0).abs() < 1e-9);
+        let staging = reg.class_stats(OpClass::StagingCopy);
+        assert_eq!(staging.count, 1);
+        assert!((staging.busy_s - 1.0).abs() < 1e-9);
+        // A class the run never issued has no spans, not a vacuous 0.0.
+        assert_eq!(reg.class_stats(OpClass::PairMerge).count, 0);
     }
 
     #[test]
@@ -271,21 +233,23 @@ mod tests {
 
     #[test]
     fn summary_mentions_components() {
-        let r = sample_report();
-        let s = r.summary();
-        assert!(s.contains("HtoD"));
-        assert!(s.contains("total 4.000 s"));
+        let s = sample_report(0.0).summary();
+        assert!(s.contains("HtoD"), "{s}");
+        assert!(s.contains("StagingCopy"), "{s}");
+        assert!(
+            s.contains("total 4.000 s  (literature method: 3.000 s, missing overhead: 1.000 s)"),
+            "{s}"
+        );
     }
 
     #[test]
     fn sync_subtracted_from_literature() {
-        let mut sim = SimBuilder::new();
-        let htod = sim.tag(tags::HTOD);
-        sim.op(Op::new(htod, 10.0).cap(10.0).latency(0.5));
-        let tl = sim.run().unwrap();
-        let r = TimingReport::from_timeline("X", "P", 1, 1, 0.5, 0.0, tl);
-        // Span is 1.5 s but the pure transfer is 1.0 s.
-        assert!((r.literature_total_s - 1.0).abs() < 1e-9);
-        assert!((r.total_s - 1.5).abs() < 1e-9);
+        let r = sample_report(0.5);
+        let reg = r.metrics();
+        // The HtoD span is 2.5 s but the pure transfer is 2.0 s.
+        assert!((reg.class_stats(OpClass::HtoD).busy_s - 2.5).abs() < 1e-9);
+        assert!((reg.literature_total_s() - 3.0).abs() < 1e-9);
+        assert!((r.total_s - 4.5).abs() < 1e-9);
+        assert!((reg.missing_overhead_s() - 1.5).abs() < 1e-9);
     }
 }

@@ -71,7 +71,7 @@ pub fn chrome_trace(reg: &MetricsRegistry, process_label: &str) -> String {
     // Complete events, sorted so nesting renders correctly: within a
     // (pid, tid) lane, outer spans (earlier start, longer duration)
     // must precede the spans they contain.
-    let t0 = reg.window().map(|(a, _)| a).unwrap_or(0.0);
+    let t0 = reg.totals().window.map_or(0.0, |(a, _)| a);
     let mut spans = reg.sorted_spans();
     spans.sort_by(|a, b| {
         span_pid(a.gpu)

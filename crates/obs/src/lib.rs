@@ -37,7 +37,7 @@ pub mod span;
 
 pub use chrome::{chrome_trace, validate_chrome, ChromeSummary};
 pub use json::Json;
-pub use registry::{ClassStats, MetricsRegistry};
+pub use registry::{ClassStats, MetricsRegistry, Totals};
 pub use span::{ObsSpan, OpClass};
 
 /// Exit code of a binary whose report went to stdout, shared by

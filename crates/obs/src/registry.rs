@@ -1,8 +1,11 @@
 //! The metrics registry: aggregate spans and counters into the
 //! paper's accounting.
 //!
-//! Aggregation is *permutation-invariant*: before any statistic is
-//! computed, spans are put into a canonical total order, so merging
+//! The registry is the run's one accounting: per-class components, the
+//! literature's total and the overhead it misses are computed here and
+//! nowhere else. Aggregation is *permutation-invariant*: spans are put
+//! into a canonical total order once, and every statistic is folded
+//! from that one sequence ([`MetricsRegistry::totals`]), so merging
 //! per-stream span logs in any order yields bit-identical totals
 //! (floating-point addition happens in one fixed sequence). The
 //! property tests in `tests/prop_metrics.rs` pin this down.
@@ -57,25 +60,111 @@ fn span_cmp(a: &ObsSpan, b: &ObsSpan) -> Ordering {
         .then(a.text.cmp(&b.text))
 }
 
-/// Length of the union of intervals; sorts in place.
-fn union_length(iv: &mut Vec<(f64, f64)>) -> f64 {
-    iv.retain(|(s, e)| e > s);
-    if iv.is_empty() {
-        return 0.0;
-    }
-    iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut total = 0.0;
-    let (mut cur_s, mut cur_e) = iv[0];
-    for &(s, e) in iv.iter().skip(1) {
-        if s > cur_e {
-            total += cur_e - cur_s;
-            cur_s = s;
-            cur_e = e;
-        } else if e > cur_e {
-            cur_e = e;
+/// Length of a union of intervals, fed in ascending start order.
+/// Empty and inverted intervals (`end <= start`) add nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct Union {
+    total: f64,
+    cur: Option<(f64, f64)>,
+}
+
+impl Union {
+    fn push(&mut self, s: f64, e: f64) {
+        if e > s {
+            self.cur = Some(match self.cur {
+                None => (s, e),
+                Some((cs, ce)) if s > ce => {
+                    self.total += ce - cs;
+                    (s, e)
+                }
+                Some((cs, ce)) => (cs, if e > ce { e } else { ce }),
+            });
         }
     }
-    total + (cur_e - cur_s)
+
+    fn length(&self) -> f64 {
+        self.cur.map_or(0.0, |(cs, ce)| self.total + (ce - cs))
+    }
+}
+
+/// Every aggregate of a registry, folded in one pass over its spans in
+/// canonical order ([`MetricsRegistry::totals`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Totals {
+    /// `(first start, last end)` over all spans; `None` when empty.
+    pub window: Option<(f64, f64)>,
+    /// Per-class statistics, in [`OpClass::ALL`] order
+    /// ([`Totals::class`], [`Totals::present`]).
+    classes: [ClassStats; OpClass::ALL.len()],
+    /// Sum of all span durations (counts overlap multiply).
+    pub busy_s: f64,
+    /// Union of all spans (wall clock with at least one op in flight).
+    pub union_s: f64,
+    /// Union of the transfer (HtoD, DtoH) spans.
+    pub bus_s: f64,
+    /// Latency the simulator folds into transfer and sort spans: the
+    /// `sim.sync_s` + `sim.launch_s` counters (0 for functional and
+    /// service runs, which record neither).
+    pub embedded_latency_s: f64,
+}
+
+impl Totals {
+    /// Statistics of one class.
+    pub fn class(&self, class: OpClass) -> ClassStats {
+        self.classes[class.ord_key() as usize]
+    }
+
+    /// Classes with at least one span, in canonical class order.
+    pub fn present(&self) -> impl Iterator<Item = (OpClass, ClassStats)> + '_ {
+        OpClass::ALL
+            .iter()
+            .zip(self.classes)
+            .filter(|(_, st)| st.count > 0)
+            .map(|(&c, st)| (c, st))
+    }
+
+    /// End-to-end seconds: the full window covered by the run.
+    pub fn end_to_end_s(&self) -> f64 {
+        self.window.map_or(0.0, |(a, b)| (b - a).max(0.0))
+    }
+
+    /// How much of the busy time ran concurrently with other work:
+    /// `1 − union/busy`, clamped to `[0, 1]`. 0 for a fully serial
+    /// pipeline, approaching 1 as more ops overlap.
+    pub fn overlap_ratio(&self) -> f64 {
+        if self.busy_s <= 0.0 {
+            return 0.0;
+        }
+        (1.0 - self.union_s / self.busy_s).clamp(0.0, 1.0)
+    }
+
+    /// PCIe/host-bus utilization: the fraction of the end-to-end window
+    /// with at least one transfer (HtoD or DtoH) in flight.
+    pub fn bus_util(&self) -> f64 {
+        let e2e = self.end_to_end_s();
+        if e2e <= 0.0 {
+            return 0.0;
+        }
+        (self.bus_s / e2e).clamp(0.0, 1.0)
+    }
+
+    /// The literature's end-to-end method (§IV-E): the busy sum of the
+    /// [`OpClass::LITERATURE`] classes as pure DMA and kernel time, so
+    /// without the latency the simulator embeds in those spans.
+    pub fn literature_total_s(&self) -> f64 {
+        let mut lit = 0.0;
+        for c in OpClass::LITERATURE {
+            lit += self.class(c).busy_s;
+        }
+        (lit - self.embedded_latency_s).max(0.0)
+    }
+
+    /// The accounting delta the paper is about: full end-to-end minus
+    /// what the literature's method would report. May be negative under
+    /// heavy overlap, where busy-sums over-count.
+    pub fn missing_overhead_s(&self) -> f64 {
+        self.end_to_end_s() - self.literature_total_s()
+    }
 }
 
 impl MetricsRegistry {
@@ -137,124 +226,96 @@ impl MetricsRegistry {
         v
     }
 
+    /// Every aggregate, from one sort of the spans: each sum runs in
+    /// canonical order, so any permutation of the spans folds to the
+    /// same bits. The accessors below each fold once; a caller that
+    /// reads several aggregates folds once and reads this.
+    pub fn totals(&self) -> Totals {
+        let mut t = Totals {
+            embedded_latency_s: self.counter("sim.sync_s") + self.counter("sim.launch_s"),
+            ..Totals::default()
+        };
+        let mut unions = [Union::default(); OpClass::ALL.len()];
+        let (mut all, mut bus) = (Union::default(), Union::default());
+        for s in self.sorted_spans() {
+            t.window = Some(match t.window {
+                None => (s.t_start, s.t_end),
+                Some((a, b)) => (a.min(s.t_start), b.max(s.t_end)),
+            });
+            let k = s.class.ord_key() as usize;
+            let st = &mut t.classes[k];
+            st.count += 1;
+            st.busy_s += s.duration();
+            st.bytes += s.bytes;
+            unions[k].push(s.t_start, s.t_end);
+            t.busy_s += s.duration();
+            all.push(s.t_start, s.t_end);
+            if matches!(s.class, OpClass::HtoD | OpClass::DtoH) {
+                bus.push(s.t_start, s.t_end);
+            }
+        }
+        for (st, u) in t.classes.iter_mut().zip(unions) {
+            st.union_s = u.length();
+        }
+        t.union_s = all.length();
+        t.bus_s = bus.length();
+        t
+    }
+
     /// Classes with at least one span, in canonical class order.
     pub fn classes(&self) -> Vec<OpClass> {
-        OpClass::ALL
-            .iter()
-            .copied()
-            .filter(|c| self.spans.iter().any(|s| s.class == *c))
-            .collect()
+        self.totals().present().map(|(c, _)| c).collect()
     }
 
     /// Aggregate statistics of one class.
     pub fn class_stats(&self, class: OpClass) -> ClassStats {
-        let mut stats = ClassStats::default();
-        let mut iv: Vec<(f64, f64)> = Vec::new();
-        for s in self.sorted_spans() {
-            if s.class != class {
-                continue;
-            }
-            stats.count += 1;
-            stats.busy_s += s.duration();
-            stats.bytes += s.bytes;
-            iv.push((s.t_start, s.t_end));
-        }
-        stats.union_s = union_length(&mut iv);
-        stats
+        self.totals().class(class)
     }
 
-    /// Per-class statistics for every present class.
-    pub fn per_class(&self) -> BTreeMap<&'static str, ClassStats> {
-        self.classes()
-            .into_iter()
-            .map(|c| (c.name(), self.class_stats(c)))
-            .collect()
-    }
-
-    /// `(first start, last end)` over all spans; `None` when empty.
-    pub fn window(&self) -> Option<(f64, f64)> {
-        let mut out: Option<(f64, f64)> = None;
-        for s in self.sorted_spans() {
-            out = Some(match out {
-                None => (s.t_start, s.t_end),
-                Some((a, b)) => (a.min(s.t_start), b.max(s.t_end)),
-            });
-        }
-        out
-    }
-
-    /// End-to-end seconds: the full window covered by the run.
+    /// [`Totals::end_to_end_s`].
     pub fn end_to_end_s(&self) -> f64 {
-        self.window().map(|(a, b)| (b - a).max(0.0)).unwrap_or(0.0)
+        self.totals().end_to_end_s()
     }
 
-    /// Sum of all span durations (counts overlap multiply).
+    /// [`Totals::busy_s`].
     pub fn busy_total_s(&self) -> f64 {
-        self.sorted_spans().iter().map(|s| s.duration()).sum()
+        self.totals().busy_s
     }
 
-    /// Union of all spans (wall clock with at least one op in flight).
+    /// [`Totals::union_s`].
     pub fn union_total_s(&self) -> f64 {
-        let mut iv: Vec<(f64, f64)> = self
-            .sorted_spans()
-            .iter()
-            .map(|s| (s.t_start, s.t_end))
-            .collect();
-        union_length(&mut iv)
+        self.totals().union_s
     }
 
-    /// How much of the busy time ran concurrently with other work:
-    /// `1 − union/busy`, clamped to `[0, 1]`. 0 for a fully serial
-    /// pipeline, approaching 1 as more ops overlap.
+    /// [`Totals::overlap_ratio`].
     pub fn overlap_ratio(&self) -> f64 {
-        let busy = self.busy_total_s();
-        if busy <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.union_total_s() / busy).clamp(0.0, 1.0)
+        self.totals().overlap_ratio()
     }
 
-    /// PCIe/host-bus utilization: the fraction of the end-to-end window
-    /// with at least one transfer (HtoD or DtoH) in flight.
+    /// [`Totals::bus_util`].
     pub fn bus_util(&self) -> f64 {
-        let e2e = self.end_to_end_s();
-        if e2e <= 0.0 {
-            return 0.0;
-        }
-        let mut iv: Vec<(f64, f64)> = self
-            .sorted_spans()
-            .iter()
-            .filter(|s| matches!(s.class, OpClass::HtoD | OpClass::DtoH))
-            .map(|s| (s.t_start, s.t_end))
-            .collect();
-        (union_length(&mut iv) / e2e).clamp(0.0, 1.0)
+        self.totals().bus_util()
     }
 
-    /// The literature's end-to-end method (§IV-E): the busy sum of only
-    /// the included component classes.
+    /// [`Totals::literature_total_s`].
     pub fn literature_total_s(&self) -> f64 {
-        OpClass::LITERATURE
-            .iter()
-            .map(|&c| self.class_stats(c).busy_s)
-            .sum()
+        self.totals().literature_total_s()
     }
 
-    /// The accounting delta the paper is about: full end-to-end minus
-    /// what the literature's method would report. May be negative under
-    /// heavy overlap, where busy-sums over-count.
+    /// [`Totals::missing_overhead_s`].
     pub fn missing_overhead_s(&self) -> f64 {
-        self.end_to_end_s() - self.literature_total_s()
+        self.totals().missing_overhead_s()
     }
 
     /// The registry as a JSON value: totals, ratios, per-class stats,
     /// and counters — the machine-readable form of [`summary`](Self::summary).
     pub fn to_json(&self) -> Json {
+        let t = self.totals();
         let per_class = Json::Obj(
-            self.per_class()
-                .into_iter()
-                .map(|(name, st)| {
+            t.present()
+                .map(|(c, st)| {
                     (
-                        name.to_string(),
+                        c.name().to_string(),
                         Json::obj(vec![
                             ("count", Json::n(st.count as f64)),
                             ("busy_s", Json::n(st.busy_s)),
@@ -272,11 +333,11 @@ impl MetricsRegistry {
                 .collect(),
         );
         Json::obj(vec![
-            ("end_to_end_s", Json::n(self.end_to_end_s())),
-            ("literature_total_s", Json::n(self.literature_total_s())),
-            ("missing_overhead_s", Json::n(self.missing_overhead_s())),
-            ("overlap_ratio", Json::n(self.overlap_ratio())),
-            ("bus_util", Json::n(self.bus_util())),
+            ("end_to_end_s", Json::n(t.end_to_end_s())),
+            ("literature_total_s", Json::n(t.literature_total_s())),
+            ("missing_overhead_s", Json::n(t.missing_overhead_s())),
+            ("overlap_ratio", Json::n(t.overlap_ratio())),
+            ("bus_util", Json::n(t.bus_util())),
             ("span_count", Json::n(self.spans.len() as f64)),
             ("components", per_class),
             ("counters", counters),
@@ -285,17 +346,22 @@ impl MetricsRegistry {
 
     /// Human-readable multi-line summary.
     pub fn summary(&self) -> String {
+        let t = self.totals();
         let mut s = format!(
             "end-to-end {:.6} s, literature method {:.6} s, overlap {:.3}, bus util {:.3}\n",
-            self.end_to_end_s(),
-            self.literature_total_s(),
-            self.overlap_ratio(),
-            self.bus_util(),
+            t.end_to_end_s(),
+            t.literature_total_s(),
+            t.overlap_ratio(),
+            t.bus_util(),
         );
-        for (name, st) in self.per_class() {
+        for (c, st) in t.present() {
             s.push_str(&format!(
-                "  {name:<14} n={:<5} busy {:>10.6} s  union {:>10.6} s  bytes {:.3e}\n",
-                st.count, st.busy_s, st.union_s, st.bytes
+                "  {:<14} n={:<5} busy {:>10.6} s  union {:>10.6} s  bytes {:.3e}\n",
+                c.name(),
+                st.count,
+                st.busy_s,
+                st.union_s,
+                st.bytes
             ));
         }
         for (name, v) in &self.counters {
@@ -353,6 +419,45 @@ mod tests {
     }
 
     #[test]
+    fn literature_total_excludes_embedded_latency() {
+        // The simulator folds sync latency into transfer spans and
+        // launch latency into sort spans; the literature counts pure
+        // DMA and kernel time, clamped at zero.
+        let mut r = MetricsRegistry::new();
+        r.record(span(OpClass::HtoD, 0.0, 1.5));
+        r.record(span(OpClass::GpuSort, 1.5, 2.5));
+        r.add_counter("sim.sync_s", 0.5);
+        r.add_counter("sim.launch_s", 0.25);
+        assert!((r.literature_total_s() - 1.75).abs() < 1e-12);
+        assert!((r.missing_overhead_s() - 0.75).abs() < 1e-12);
+        r.add_counter("sim.sync_s", 10.0);
+        assert_eq!(r.literature_total_s(), 0.0);
+    }
+
+    #[test]
+    fn one_fold_matches_every_accessor() {
+        let mut r = MetricsRegistry::new();
+        r.record(span(OpClass::DtoH, 3.0, 4.0));
+        r.record(span(OpClass::HtoD, 1.0, 2.0));
+        r.record(span(OpClass::GpuSort, 2.0, 3.0));
+        r.record(span(OpClass::HtoD, 0.0, 1.5));
+        let t = r.totals();
+        assert_eq!(t.window, Some((0.0, 4.0)));
+        assert_eq!(t.class(OpClass::HtoD).count, 2);
+        assert!((t.class(OpClass::HtoD).union_s - 2.0).abs() < 1e-12);
+        assert_eq!(t.class(OpClass::PairMerge), ClassStats::default());
+        assert!((t.bus_s - 3.0).abs() < 1e-12);
+        assert_eq!(r.class_stats(OpClass::HtoD), t.class(OpClass::HtoD));
+        assert_eq!(r.busy_total_s(), t.busy_s);
+        assert_eq!(r.union_total_s(), t.union_s);
+        assert_eq!(r.bus_util(), t.bus_util());
+        assert_eq!(
+            t.present().map(|(c, _)| c).collect::<Vec<_>>(),
+            vec![OpClass::HtoD, OpClass::DtoH, OpClass::GpuSort]
+        );
+    }
+
+    #[test]
     fn merge_sums_counters_and_concatenates_spans() {
         let mut a = MetricsRegistry::new();
         a.record(span(OpClass::HtoD, 0.0, 1.0));
@@ -373,15 +478,20 @@ mod tests {
         assert_eq!(r.overlap_ratio(), 0.0);
         assert_eq!(r.bus_util(), 0.0);
         assert!(r.classes().is_empty());
-        assert!(r.window().is_none());
+        assert!(r.totals().window.is_none());
     }
 
     #[test]
     fn union_drops_degenerate_intervals() {
-        let mut iv = vec![(1.0, 1.0), (2.0, 1.0)];
-        assert_eq!(union_length(&mut iv), 0.0);
-        let mut iv = vec![(0.0, 1.0), (1.0, 1.0), (3.0, 4.0)];
-        assert!((union_length(&mut iv) - 2.0).abs() < 1e-12);
+        let union = |iv: &[(f64, f64)]| {
+            let mut u = Union::default();
+            for &(s, e) in iv {
+                u.push(s, e);
+            }
+            u.length()
+        };
+        assert_eq!(union(&[(1.0, 1.0), (2.0, 1.0)]), 0.0);
+        assert!((union(&[(0.0, 1.0), (1.0, 1.0), (3.0, 4.0)]) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -46,16 +46,11 @@ use crate::TIME_EPS;
 pub struct SimBuilder {
     fluids: Vec<FluidResource>,
     tokens: Vec<TokenResource>,
-    queues: Vec<QueueState>,
+    /// The last op submitted to each queue.
+    queues: Vec<Option<OpId>>,
     tags: Vec<String>,
     lanes: Vec<String>,
     ops: Vec<OpSpec>,
-}
-
-#[derive(Debug, Clone)]
-struct QueueState {
-    name: String,
-    last: Option<OpId>,
 }
 
 impl SimBuilder {
@@ -83,12 +78,10 @@ impl SimBuilder {
     }
 
     /// Register a FIFO queue (CUDA-stream semantics): ops submitted to
-    /// the same queue are chained with implicit dependencies.
-    pub fn queue(&mut self, name: impl Into<String>) -> QueueId {
-        self.queues.push(QueueState {
-            name: name.into(),
-            last: None,
-        });
+    /// the same queue are chained with implicit dependencies. The name
+    /// labels the queue for the caller; spans record the [`QueueId`].
+    pub fn queue(&mut self, _name: impl Into<String>) -> QueueId {
+        self.queues.push(None);
         QueueId(self.queues.len() - 1)
     }
 
@@ -113,11 +106,8 @@ impl SimBuilder {
         let mut spec = op.into_spec();
         let id = OpId(self.ops.len());
         if let Some(q) = spec.queue {
-            if let Some(qs) = self.queues.get_mut(q.0) {
-                if let Some(prev) = qs.last {
-                    spec.deps.push(prev);
-                }
-                qs.last = Some(id);
+            if let Some(last) = self.queues.get_mut(q.0) {
+                spec.deps.extend(last.replace(id));
             }
         }
         self.ops.push(spec);
@@ -264,7 +254,6 @@ struct Engine {
     token_free: Vec<u32>,
     tags: Vec<String>,
     lanes: Vec<String>,
-    queues: Vec<String>,
     ops: Vec<OpSpec>,
     phase: Vec<Phase>,
     unmet: Vec<usize>,
@@ -330,7 +319,6 @@ impl Engine {
             token_totals,
             tags: b.tags,
             lanes: b.lanes,
-            queues: b.queues.into_iter().map(|q| q.name).collect(),
             phase: vec![Phase::Waiting; n],
             unmet,
             dependents_at,
@@ -507,7 +495,6 @@ impl Engine {
             spans,
             self.tags,
             self.lanes,
-            self.queues,
             t,
             self.fluid_info,
             self.usage_starts,
@@ -623,7 +610,6 @@ mod oracle {
         token_free: Vec<u32>,
         tags: Vec<String>,
         lanes: Vec<String>,
-        queues: Vec<String>,
         ops: Vec<OpSpec>,
         phase: Vec<Phase>,
         unmet: Vec<usize>,
@@ -657,7 +643,6 @@ mod oracle {
                 token_totals,
                 tags: b.tags,
                 lanes: b.lanes,
-                queues: b.queues.into_iter().map(|q| q.name).collect(),
                 phase: vec![Phase::Waiting; n],
                 unmet,
                 dependents,
@@ -845,7 +830,6 @@ mod oracle {
                 spans,
                 self.tags,
                 self.lanes,
-                self.queues,
                 t,
                 fluid_info,
                 self.usage_starts,

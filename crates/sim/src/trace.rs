@@ -1,10 +1,9 @@
 //! Timeline: the complete record of a finished simulation.
 //!
-//! Provides the aggregations the experiment harness needs: per-tag busy
-//! time (sum of span durations — the paper's "component time"), per-tag
-//! *union* time (wall-clock occupied by at least one span of the tag —
-//! the right measure for overlapped pipelines), windows, and an ASCII
-//! Gantt renderer used for the Figure 1–3 illustrations.
+//! One span per op, fluid-resource utilization, and an ASCII Gantt
+//! renderer used for the Figure 1–3 illustrations. Aggregating spans
+//! into the paper's component accounting is not done here: callers map
+//! ops to typed spans and hand them to `hetsort-obs`'s registry.
 
 use crate::op::{OpId, OpTag};
 use crate::resource::{LaneId, QueueId};
@@ -58,7 +57,6 @@ pub struct Timeline {
     spans: Vec<Span>,
     tag_names: Vec<String>,
     lane_names: Vec<String>,
-    queue_names: Vec<String>,
     makespan: f64,
     /// `(name, capacity)` of every fluid resource.
     fluid_info: Vec<(String, f64)>,
@@ -76,7 +74,6 @@ impl Timeline {
         spans: Vec<Span>,
         tag_names: Vec<String>,
         lane_names: Vec<String>,
-        queue_names: Vec<String>,
         makespan: f64,
         fluid_info: Vec<(String, f64)>,
         usage_starts: Vec<f64>,
@@ -87,7 +84,6 @@ impl Timeline {
             spans,
             tag_names,
             lane_names,
-            queue_names,
             makespan,
             fluid_info,
             usage_starts,
@@ -168,50 +164,6 @@ impl Timeline {
         &self.tag_names[tag.0 as usize]
     }
 
-    /// Look up a tag id by name, if any op used it.
-    pub fn find_tag(&self, name: &str) -> Option<OpTag> {
-        self.tag_names
-            .iter()
-            .position(|t| t == name)
-            .map(|i| OpTag(i as u32))
-    }
-
-    /// All registered tags in id order.
-    pub fn tags(&self) -> impl Iterator<Item = (OpTag, &str)> {
-        self.tag_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (OpTag(i as u32), n.as_str()))
-    }
-
-    /// Sum of durations of all spans with this tag (the paper's additive
-    /// "component time"; counts overlap multiply).
-    pub fn busy_time(&self, tag: OpTag) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.tag == tag)
-            .map(Span::duration)
-            .sum()
-    }
-
-    /// `(first start, last end)` over spans with this tag; `None` if the
-    /// tag was never used.
-    pub fn window(&self, tag: OpTag) -> Option<(f64, f64)> {
-        let mut out: Option<(f64, f64)> = None;
-        for s in self.spans.iter().filter(|s| s.tag == tag) {
-            out = Some(match out {
-                None => (s.t_start, s.t_end),
-                Some((a, b)) => (a.min(s.t_start), b.max(s.t_end)),
-            });
-        }
-        out
-    }
-
-    /// Number of spans under a tag.
-    pub fn count(&self, tag: OpTag) -> usize {
-        self.spans.iter().filter(|s| s.tag == tag).count()
-    }
-
     /// Render an ASCII Gantt chart, one row per lane, `width` columns.
     ///
     /// Each op is drawn with the first letter of its tag; overlapping ops
@@ -263,21 +215,6 @@ impl Timeline {
         ));
         out
     }
-
-    /// Queue (stream) names registered at build time.
-    pub fn queue_names(&self) -> &[String] {
-        &self.queue_names
-    }
-
-    /// Display-lane names registered at build time.
-    pub fn lane_names(&self) -> &[String] {
-        &self.lane_names
-    }
-
-    /// Name of a display lane.
-    pub fn lane_name(&self, lane: LaneId) -> &str {
-        &self.lane_names[lane.0]
-    }
 }
 
 #[cfg(test)]
@@ -294,32 +231,6 @@ mod tests {
         let a = sim.op(Op::new(tag_a, 10.0).cap(10.0).lane(lane));
         let b = sim.op(Op::new(tag_b, 10.0).cap(5.0).lane(lane).dep(a));
         (sim.run().unwrap(), a, b)
-    }
-
-    #[test]
-    fn busy_time_sums_durations() {
-        let (tl, _, _) = two_op_timeline();
-        let alpha = tl.find_tag("alpha").unwrap();
-        let beta = tl.find_tag("beta").unwrap();
-        assert!((tl.busy_time(alpha) - 1.0).abs() < 1e-9);
-        assert!((tl.busy_time(beta) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn window_covers_tag() {
-        let (tl, _, _) = two_op_timeline();
-        let beta = tl.find_tag("beta").unwrap();
-        let (s, e) = tl.window(beta).unwrap();
-        assert!((s - 1.0).abs() < 1e-9);
-        assert!((e - 3.0).abs() < 1e-9);
-        assert!(tl.find_tag("gamma").is_none());
-    }
-
-    #[test]
-    fn count_per_tag() {
-        let (tl, _, _) = two_op_timeline();
-        let alpha = tl.find_tag("alpha").unwrap();
-        assert_eq!(tl.count(alpha), 1);
     }
 
     #[test]
@@ -390,7 +301,7 @@ mod tests {
         assert_eq!(tl.span(a).op, a);
         assert!((tl.span(b).duration() - 2.0).abs() < 1e-9);
         assert_eq!(tl.spans().len(), 2);
-        let names: Vec<&str> = tl.tags().map(|(_, n)| n).collect();
-        assert_eq!(names, vec!["alpha", "beta"]);
+        assert_eq!(tl.tag_name(tl.span(a).tag), "alpha");
+        assert_eq!(tl.tag_name(tl.span(b).tag), "beta");
     }
 }

@@ -1,5 +1,7 @@
-//! Canonical op-tag names: the component taxonomy of the paper's
-//! end-to-end accounting (Table I + §IV-E).
+//! Canonical op-tag names of the simulated machine (Table I's
+//! components). The Gantt renderer draws each span with its tag's
+//! first letter; the accounting reads typed `OpClass` spans, never
+//! these strings (`OpClass::LITERATURE` is the literature's subset).
 
 /// Host→device transfer over PCIe.
 pub const HTOD: &str = "HtoD";
@@ -30,36 +32,3 @@ pub const MULTIWAY_MERGE: &str = "MultiwayMerge";
 pub const REF_SORT: &str = "RefSort";
 /// Synchronization / barrier / fork-join latency.
 pub const SYNC: &str = "Sync";
-
-/// The component tags that the *literature's* end-to-end accounting
-/// includes (§IV-E: "(i) transfer unsorted sublists CPU→GPU, (ii) sorted
-/// sublists GPU→CPU, (iii) sort on the GPU, (iv) merge on the host").
-pub const LITERATURE_COMPONENTS: &[&str] = &[HTOD, DTOH, GPU_SORT, PAIR_MERGE, MULTIWAY_MERGE];
-
-/// The components the literature *omits* (§IV-E bullet list).
-pub const OMITTED_COMPONENTS: &[&str] = &[MCPY_IN, MCPY_OUT, PINNED_ALLOC, SYNC];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn taxonomies_are_disjoint() {
-        for a in LITERATURE_COMPONENTS {
-            assert!(!OMITTED_COMPONENTS.contains(a), "{a} in both lists");
-        }
-    }
-
-    #[test]
-    fn names_are_unique() {
-        let mut all: Vec<&str> = LITERATURE_COMPONENTS
-            .iter()
-            .chain(OMITTED_COMPONENTS)
-            .copied()
-            .collect();
-        let n = all.len();
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), n);
-    }
-}

@@ -5,6 +5,11 @@
 //! summing only HtoD + GPUSort + DtoH hides the pinned-memory
 //! allocation, the host staging copies, and the per-chunk
 //! synchronization — which together are a large fraction of the truth.
+//! Every number comes from the run's metrics registry
+//! (`TimingReport::metrics`): the literature's total is the busy time
+//! of `OpClass::LITERATURE` less the sync and launch latency the
+//! simulator embeds in those spans, and the omitted components are the
+//! other classes.
 //!
 //! ```bash
 //! cargo run --release --example overhead_audit
@@ -12,7 +17,8 @@
 
 use hetsort::core::accounting::OverheadRow;
 use hetsort::core::{simulate, Approach, HetSortConfig};
-use hetsort::vgpu::{platform1, tags};
+use hetsort::obs::OpClass;
+use hetsort::vgpu::platform1;
 
 fn main() {
     println!("BLINE on PLATFORM1 — both accountings, sweeping n:\n");
@@ -38,15 +44,16 @@ fn main() {
     // Where does the missing time go? Break down the largest run.
     let cfg = HetSortConfig::paper_defaults(platform1(), Approach::BLine);
     let r = simulate(cfg, 1_000_000_000).expect("sim");
+    let t = r.metrics().totals();
     println!("\nomitted components at n = 1e9:");
-    for tag in tags::OMITTED_COMPONENTS {
-        if let Some(t) = r.component(tag).filter(|t| *t > 0.0) {
-            println!("  {tag:<12} {t:>8.3} s");
+    for (class, st) in t.present() {
+        if !OpClass::LITERATURE.contains(&class) && st.busy_s > 0.0 {
+            println!("  {:<12} {:>8.3} s", class.name(), st.busy_s);
         }
     }
     println!(
         "  {:<12} {:>8.3} s  (async-copy sync, inside transfer spans)",
-        "Sync", r.sync_s
+        "(sync)", r.sync_s
     );
 
     // The tempting "fix" the paper shoots down: one giant pinned buffer.
@@ -57,8 +64,8 @@ fn main() {
     let r2 = simulate(cfg, 1_000_000_000).expect("sim");
     println!(
         "  allocation alone: {:.2} s — more than the literature's whole end-to-end ({:.2} s); total {:.2} s vs {:.2} s",
-        r2.component(tags::PINNED_ALLOC).unwrap_or(0.0),
-        r.literature_total_s,
+        r2.metrics().class_stats(OpClass::PinnedAlloc).busy_s,
+        t.literature_total_s(),
         r2.total_s,
         r.total_s,
     );

@@ -187,13 +187,12 @@ fn run(command: Command, r: Args, w: &mut impl Write) -> Result<(), CliError> {
                 dag.plan.total_streams,
                 dag.max_ready_width(),
             )?;
-            let mut census: std::collections::BTreeMap<&'static str, usize> =
-                std::collections::BTreeMap::new();
+            let mut census = std::collections::BTreeMap::new();
             for node in &dag.nodes {
-                *census.entry(node.op.class_name()).or_insert(0) += 1;
+                *census.entry(node.op.class()).or_insert(0) += 1;
             }
             for (class, count) in &census {
-                writeln!(w, "  {class:<14} × {count}")?;
+                writeln!(w, "  {:<14} × {count}", class.name())?;
             }
             match dag.validate() {
                 Ok(()) => writeln!(w, "validator: structurally sound")?,

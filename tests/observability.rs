@@ -83,6 +83,38 @@ fn metrics_json_round_trips_through_parser() {
 }
 
 #[test]
+fn simulate_text_and_json_report_one_literature_total() {
+    // The summary line and the --json document of one `simulate` run
+    // read the same registry: the literature's total and the overhead
+    // it misses agree at the printed precision.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hetsort"))
+        .args([
+            "simulate", "-n", "2e9", "-p", "p2", "-a", "pipedata", "--json", "-",
+        ])
+        .output()
+        .expect("spawn hetsort");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let (text, json) = stdout.split_at(stdout.find("\n{").expect("a JSON document") + 1);
+    let printed = |label: &str| {
+        let at = text
+            .find(label)
+            .unwrap_or_else(|| panic!("no {label:?} in {text}"));
+        let rest = &text[at + label.len()..];
+        rest[..rest.find(" s").expect("seconds")].to_string()
+    };
+    let metrics = Json::parse(json).expect("parses");
+    let metrics = metrics.get("metrics").expect("metrics");
+    for (label, key) in [
+        ("literature method: ", "literature_total_s"),
+        ("missing overhead: ", "missing_overhead_s"),
+    ] {
+        let v = metrics.get(key).and_then(Json::as_f64).expect(key);
+        assert_eq!(printed(label), format!("{v:.3}"), "{key}");
+    }
+}
+
+#[test]
 fn split_merges_recycle_pooled_buffers() {
     use hetsort::vgpu::FaultInjector;
     use std::sync::Arc;

@@ -8,6 +8,7 @@
 use hetsort::core::reference::{reference_time, reference_time_full};
 use hetsort::core::{simulate, Approach, HetSortConfig};
 use hetsort::model::LowerBoundModel;
+use hetsort::obs::OpClass;
 use hetsort::vgpu::{platform1, platform2};
 
 // Every claim is checked under the paper's single-buffer measurement
@@ -62,9 +63,14 @@ fn fig7_transfer_times_match_related_work() {
     // §IV-E1: "Our HtoD and DtoH times are 0.536 s and 0.484 s ...
     // theirs are 0.542 s and 0.477 s" at ~6 GB.
     let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
-    let r = simulate(cfg, 800_000_000).unwrap();
-    let htod = r.component("HtoD").expect("HtoD ran");
-    let dtoh = r.component("DtoH").expect("DtoH ran");
+    let reg = simulate(cfg, 800_000_000).unwrap().metrics();
+    let busy = |class| {
+        let st = reg.class_stats(class);
+        assert!(st.count > 0, "{class:?} ran");
+        st.busy_s
+    };
+    let htod = busy(OpClass::HtoD);
+    let dtoh = busy(OpClass::DtoH);
     assert!((htod - 0.536).abs() < 0.03, "HtoD {htod}");
     assert!((dtoh - 0.484).abs() < 0.06, "DtoH {dtoh}");
 }
@@ -77,7 +83,7 @@ fn fig8_missing_overheads_are_substantial_and_growing() {
     for n in [200_000_000usize, 600_000_000, 1_000_000_000] {
         let cfg = HetSortConfig::paper_protocol(platform1(), Approach::BLine);
         let r = simulate(cfg, n).unwrap();
-        let missing = r.missing_overhead_s();
+        let missing = r.metrics().missing_overhead_s();
         assert!(
             missing > 0.4 * r.total_s,
             "n={n}: missing {missing} of {}",
@@ -97,7 +103,7 @@ fn fig8_pinned_everything_is_unacceptable() {
     assert!((plat.pinned_alloc.seconds(6_400_000_000) - 2.2).abs() < 1e-9);
     let cfg = HetSortConfig::paper_protocol(plat, Approach::BLine);
     let r = simulate(cfg, 800_000_000).unwrap();
-    assert!(2.2 > r.literature_total_s);
+    assert!(2.2 > r.metrics().literature_total_s());
 }
 
 #[test]
