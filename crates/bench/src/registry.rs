@@ -643,9 +643,9 @@ fn calibrate_components() -> Output {
         )
         .expect("components sim");
         rows.push(format!("par_memcpy={}", series.2));
-        rows.extend(r.summary().lines().map(str::to_string));
-        // When did the (one, final) multiway merge start and end?
         let reg = r.metrics();
+        rows.extend(r.summary(&reg.totals()).lines().map(str::to_string));
+        // When did the (one, final) multiway merge start and end?
         if let Some(s) = reg
             .spans()
             .iter()

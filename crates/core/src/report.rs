@@ -9,7 +9,7 @@
 //! accounting, [`MetricsRegistry`], which computes the per-class
 //! components, the literature's total and the overhead it misses.
 
-use hetsort_obs::{MetricsRegistry, ObsSpan};
+use hetsort_obs::{MetricsRegistry, ObsSpan, Totals};
 use hetsort_sim::{OpId, Timeline};
 
 /// What the executor had to do to survive faults during a functional
@@ -119,11 +119,10 @@ pub struct TimingReport {
 }
 
 impl TimingReport {
-    /// The run as a structured metrics registry: each of
-    /// [`TimingReport::op_spans`] with its op's simulated times and
-    /// work, and the embedded sync/launch latencies as counters.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let spans = self.op_spans.iter().map(|(op, skeleton)| {
+    /// Each of [`TimingReport::op_spans`] with its op's simulated times
+    /// and work, by value: the one place a skeleton is cloned.
+    pub fn spans(&self) -> impl Iterator<Item = ObsSpan> + '_ {
+        self.op_spans.iter().map(|(op, skeleton)| {
             let s = self.timeline.span(*op);
             ObsSpan {
                 bytes: s.work,
@@ -131,19 +130,24 @@ impl TimingReport {
                 t_end: s.t_end,
                 ..skeleton.clone()
             }
-        });
-        let mut reg = MetricsRegistry::from_spans(spans.collect());
+        })
+    }
+
+    /// The run as a structured metrics registry: its
+    /// [`spans`](TimingReport::spans), and the embedded sync/launch
+    /// latencies as counters.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::from_spans(self.spans().collect());
         reg.add_counter("sim.sync_s", self.sync_s);
         reg.add_counter("sim.launch_s", self.launch_s);
         reg
     }
 
-    /// Render a human-readable component table: the registry's
-    /// per-class busy seconds, its literature total and missing
-    /// overhead, and the latency the simulator embeds in transfer and
-    /// sort spans.
-    pub fn summary(&self) -> String {
-        let t = self.metrics().totals();
+    /// Render a human-readable component table from the totals `t` of
+    /// this run's [`metrics`](TimingReport::metrics): per-class busy
+    /// seconds, the literature total and missing overhead, and the
+    /// latency the simulator embeds in transfer and sort spans.
+    pub fn summary(&self, t: &Totals) -> String {
         let mut s = format!(
             "{} on {} (n={}, n_b={}): total {:.3} s  (literature method: {:.3} s, \
              missing overhead: {:.3} s)\n",
@@ -233,7 +237,8 @@ mod tests {
 
     #[test]
     fn summary_mentions_components() {
-        let s = sample_report(0.0).summary();
+        let r = sample_report(0.0);
+        let s = r.summary(&r.metrics().totals());
         assert!(s.contains("HtoD"), "{s}");
         assert!(s.contains("StagingCopy"), "{s}");
         assert!(

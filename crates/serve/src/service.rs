@@ -17,8 +17,15 @@
 //!   waits, admissions, and completions advance a virtual clock that
 //!   is reproducible to the bit across runs — no wall-clock anywhere
 //!   in service state.
+//!
+//! One run's state — pending arrivals and pool events, the controller,
+//! the queue, the running groups and the outcome — lives in one private
+//! `Run`, advanced one event time per `step`. Every job that meets the
+//! pool (an arrival, a displaced member, a queued job after a pool
+//! change) goes through one placement verdict, `Run::place`: queue it
+//! on a plan, shed it, or fail it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use hetsort_core::recover::survivor_plan;
@@ -28,6 +35,10 @@ use hetsort_obs::{MetricsRegistry, ObsSpan};
 use crate::admission::{AdmissionController, ServeBudget};
 use crate::job::{JobReport, SortJob};
 use crate::pool::{PoolEvent, PoolEventKind};
+
+/// Most members a coalesced group may hold (bounds the latency a
+/// member adds to the ones behind it).
+const COALESCE_MAX_JOBS: usize = 8;
 
 /// Service knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +51,6 @@ pub struct ServeConfig {
     /// small jobs admit together under one shared reservation.
     /// `0` disables coalescing.
     pub coalesce_max_elems: usize,
-    /// Most members a coalesced group may hold (bounds the latency a
-    /// member adds to the ones behind it).
-    pub coalesce_max_jobs: usize,
     /// Scheduled changes to the device pool (losses and joins on the
     /// virtual clock). Empty means the pool is static.
     pub pool_events: Vec<PoolEvent>,
@@ -55,7 +63,6 @@ impl ServeConfig {
             queue_cap: 64,
             budget,
             coalesce_max_elems: 0,
-            coalesce_max_jobs: 8,
             pool_events: Vec::new(),
         }
     }
@@ -106,7 +113,8 @@ pub struct ServeOutcome {
     /// Every admission decision, for budget auditing.
     pub admission_log: Vec<AdmissionEvent>,
     /// Job-scoped spans (simulated op spans shifted to admission time,
-    /// plus one queue-wait span per admitted job) and service counters.
+    /// plus one queue-wait span per admitted job), one zero-length span
+    /// per pool event, and service counters.
     pub metrics: MetricsRegistry,
 }
 
@@ -137,6 +145,53 @@ struct Running {
     done: Vec<Done>,
 }
 
+/// Why a job meets the pool. The verdict is the same for all three;
+/// this names what differs: the counter and wording of an unfit shed,
+/// and what the job waits on through a total outage.
+enum Placing {
+    /// A new arrival: an unfit footprint counts as
+    /// `jobs_shed_oversized`.
+    Arrival,
+    /// A member displaced by a device loss.
+    Displaced,
+    /// A queued job re-planned after a pool change. Through a total
+    /// outage it keeps this plan: `fits` blocks it either way, and the
+    /// join's re-plan replaces it, so it never rebuilds (or fails on)
+    /// a full-pool plan it cannot use.
+    Queued(Box<Plan>, Residency),
+}
+
+impl Placing {
+    /// The counter and reason of shedding a job whose footprint `r`
+    /// can never fit `budget` on the pool as it stands.
+    fn unfit(&self, r: &Residency, budget: ServeBudget) -> (&'static str, String) {
+        let pool = |prefix: &str| {
+            let reason = format!(
+                "{prefix}unadmittable on the shrunk pool (device peak {:.3e} B vs budget \
+                 {:.3e} B/GPU)",
+                r.device_peak(),
+                budget.device_bytes,
+            );
+            ("jobs_shed_pool", reason)
+        };
+        match self {
+            Placing::Arrival => {
+                let reason = format!(
+                    "footprint (device peak {:.3e} B, pinned {:.3e} B) exceeds the service \
+                     budget (device {:.3e} B/GPU, pinned {:.3e} B) — unadmittable at any load",
+                    r.device_peak(),
+                    r.pinned_bytes,
+                    budget.device_bytes,
+                    budget.pinned_bytes,
+                );
+                ("jobs_shed_oversized", reason)
+            }
+            Placing::Displaced => pool("displaced by device loss and "),
+            Placing::Queued(..) => pool(""),
+        }
+    }
+}
+
 /// The service. Create with a [`ServeConfig`], then [`Self::run`] a
 /// job list; the run is self-contained and deterministic.
 #[derive(Debug, Clone)]
@@ -158,18 +213,6 @@ fn shape_key(job: &SortJob) -> String {
         c.elem_bytes.bytes(),
         c.par_memcpy,
     )
-}
-
-/// File a finished member: counters, spans, report.
-fn file_completed(d: Done, outcome: &mut ServeOutcome, metrics: &mut MetricsRegistry) {
-    metrics.add_counter("jobs_completed", 1.0);
-    if d.recovered {
-        metrics.add_counter("jobs_recovered", 1.0);
-    }
-    metrics.add_counter("bytes_sorted", d.bytes);
-    metrics.record_all(d.spans);
-    outcome.makespan_s = outcome.makespan_s.max(d.report.completed_s);
-    outcome.completed.push(d.report);
 }
 
 /// Build a job's plan against the pool as it stands
@@ -202,473 +245,300 @@ impl SortService {
     /// `(arrival_s, id)` order. The returned outcome contains every
     /// job exactly once across `completed` / `shed` / `failed`.
     pub fn run(&self, jobs: Vec<SortJob>) -> ServeOutcome {
+        let mut run = Run::new(&self.cfg, jobs);
+        while run.step() {}
+        run.out
+    }
+}
+
+/// One run's state, advanced by [`Run::step`].
+struct Run<'a> {
+    cfg: &'a ServeConfig,
+    /// Jobs not yet arrived, in `(arrival_s, id)` order.
+    arrivals: VecDeque<(u64, SortJob)>,
+    /// Pool events not yet applied, in time order.
+    pool: VecDeque<PoolEvent>,
+    admission: AdmissionController,
+    queue: Vec<Queued>,
+    running: Vec<Running>,
+    out: ServeOutcome,
+}
+
+impl<'a> Run<'a> {
+    fn new(cfg: &'a ServeConfig, jobs: Vec<SortJob>) -> Run<'a> {
         let mut metrics = MetricsRegistry::new();
         metrics.add_counter("jobs_submitted", jobs.len() as f64);
-
-        let mut pending: Vec<(u64, SortJob)> = jobs
+        let mut arrivals: Vec<(u64, SortJob)> = jobs
             .into_iter()
             .enumerate()
             .map(|(i, j)| (i as u64, j))
             .collect();
-        pending.sort_by(|a, b| a.1.arrival_s.total_cmp(&b.1.arrival_s).then(a.0.cmp(&b.0)));
-        let mut pending = std::collections::VecDeque::from(pending);
-
-        let mut admission = AdmissionController::new(self.cfg.budget);
-        let mut queue: Vec<Queued> = Vec::new();
-        let mut running: Vec<Running> = Vec::new();
-        let mut pool: std::collections::VecDeque<PoolEvent> = {
-            let mut evs = self.cfg.pool_events.clone();
-            evs.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
-            evs.into()
-        };
-        let mut outcome = ServeOutcome {
-            completed: Vec::new(),
-            shed: Vec::new(),
-            failed: Vec::new(),
-            makespan_s: 0.0,
-            admission_log: Vec::new(),
-            metrics: MetricsRegistry::new(),
-        };
-        let mut now: f64;
-
-        loop {
-            // Drain completions due strictly before the next arrival —
-            // released budget must be re-offered to the queue first.
-            // Pool events are a third time source: a queued job may be
-            // waiting on nothing but a scheduled device join.
-            let next_arrival = pending.front().map(|(_, j)| j.arrival_s);
-            let next_finish = running.iter().map(|r| r.finish_s).min_by(f64::total_cmp);
-            let next_pool = pool.front().map(|e| e.t_s);
-            now = match [next_arrival, next_finish, next_pool]
-                .into_iter()
-                .flatten()
-                .min_by(f64::total_cmp)
-            {
-                Some(t) => t,
-                None => {
-                    debug_assert!(queue.is_empty(), "queue cannot outlive the event stream");
-                    break;
-                }
-            };
-
-            // 1. Completions at `now`: release reservations, file reports.
-            // Ties with a pool event resolve in the job's favour — a
-            // group whose finish time equals the loss instant completed.
-            let mut i = 0;
-            while i < running.len() {
-                if running[i].finish_s <= now {
-                    let r = running.remove(i);
-                    admission.release(r.leader);
-                    for d in r.done {
-                        file_completed(d, &mut outcome, &mut metrics);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-
-            // 2. Pool events at `now`: shrink or grow the device pool,
-            // displace and re-queue, re-plan what still waits.
-            while pool.front().is_some_and(|e| e.t_s <= now) {
-                if let Some(ev) = pool.pop_front() {
-                    // A job unadmittable on the pool *right now* is
-                    // only shed once no scheduled join can still
-                    // change that verdict.
-                    let joins_pending = pool.iter().any(|e| e.kind == PoolEventKind::Join);
-                    self.apply_pool_event(
-                        now,
-                        ev,
-                        joins_pending,
-                        &mut queue,
-                        &mut running,
-                        &mut admission,
-                        &mut outcome,
-                        &mut metrics,
-                    );
-                }
-            }
-
-            // 3. Arrivals at `now`: bounded queue or immediate shed.
-            let joins_pending = pool.iter().any(|e| e.kind == PoolEventKind::Join);
-            while pending.front().is_some_and(|(_, j)| j.arrival_s <= now) {
-                if let Some((id, job)) = pending.pop_front() {
-                    self.submit(
-                        id,
-                        job,
-                        joins_pending,
-                        &mut queue,
-                        &admission,
-                        &mut outcome,
-                        &mut metrics,
-                    );
-                }
-            }
-
-            // 4. Shed queued jobs whose admission deadline has passed.
-            let mut i = 0;
-            while i < queue.len() {
-                let expired = queue[i].job.deadline_s.filter(|&d| d < now);
-                if let Some(d) = expired {
-                    let q = queue.remove(i);
-                    metrics.add_counter("jobs_shed_deadline", 1.0);
-                    outcome.shed.push((
-                        q.id,
-                        HetSortError::Overloaded {
-                            job: Some(q.id),
-                            reason: format!("deadline {d:.3}s passed while queued (now {now:.3}s)"),
-                        },
-                    ));
-                } else {
-                    i += 1;
-                }
-            }
-
-            // 5. Admission scan: priority order with backfill.
-            self.admit(
-                now,
-                &mut queue,
-                &mut running,
-                &mut admission,
-                &mut outcome,
-                &mut metrics,
-            );
+        arrivals.sort_by(|a, b| a.1.arrival_s.total_cmp(&b.1.arrival_s).then(a.0.cmp(&b.0)));
+        let mut pool = cfg.pool_events.clone();
+        pool.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
+        Run {
+            cfg,
+            arrivals: arrivals.into(),
+            pool: pool.into(),
+            admission: AdmissionController::new(cfg.budget),
+            queue: Vec::new(),
+            running: Vec::new(),
+            out: ServeOutcome {
+                completed: Vec::new(),
+                shed: Vec::new(),
+                failed: Vec::new(),
+                makespan_s: 0.0,
+                admission_log: Vec::new(),
+                metrics,
+            },
         }
-
-        outcome.metrics.merge(metrics);
-        outcome
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit(
-        &self,
-        id: u64,
-        job: SortJob,
-        joins_pending: bool,
-        queue: &mut Vec<Queued>,
-        admission: &AdmissionController,
-        outcome: &mut ServeOutcome,
-        metrics: &mut MetricsRegistry,
-    ) {
-        if queue.len() >= self.cfg.queue_cap {
-            metrics.add_counter("jobs_shed_queue_full", 1.0);
-            outcome.shed.push((
-                id,
-                HetSortError::Overloaded {
-                    job: Some(id),
-                    reason: format!("queue full (depth {})", self.cfg.queue_cap),
-                },
-            ));
-            return;
-        }
-        let (plan, residency) = match build_plan_for(&job, admission.dead()) {
-            Ok(pr) => pr,
-            Err(HetSortError::Overloaded { reason, .. }) if !joins_pending => {
-                metrics.add_counter("jobs_shed_pool", 1.0);
-                outcome.shed.push((
-                    id,
-                    HetSortError::Overloaded {
-                        job: Some(id),
-                        reason,
-                    },
-                ));
-                return;
-            }
-            Err(HetSortError::Overloaded { .. }) => {
-                // Total outage with a join still scheduled: park the
-                // job on its full-pool plan. The dead-device check in
-                // `fits` keeps it from admitting; the join's queue
-                // re-plan revisits it.
-                match Plan::build(job.config.clone(), job.data.len()) {
-                    Ok(p) => {
-                        let r = Residency::of_plan(&p);
-                        (p, r)
-                    }
-                    Err(e) => {
-                        metrics.add_counter("jobs_failed", 1.0);
-                        outcome.failed.push((id, e));
-                        return;
-                    }
-                }
-            }
-            Err(e) => {
-                metrics.add_counter("jobs_failed", 1.0);
-                outcome.failed.push((id, e));
-                return;
-            }
+    /// Process everything due at the next event time; `false` once no
+    /// event is left.
+    fn step(&mut self) -> bool {
+        // Drain completions due strictly before the next arrival —
+        // released budget must be re-offered to the queue first.
+        // Pool events are a third time source: a queued job may be
+        // waiting on nothing but a scheduled device join.
+        let next_arrival = self.arrivals.front().map(|(_, j)| j.arrival_s);
+        let next_finish = self
+            .running
+            .iter()
+            .map(|r| r.finish_s)
+            .min_by(f64::total_cmp);
+        let next_pool = self.pool.front().map(|e| e.t_s);
+        let Some(now) = [next_arrival, next_finish, next_pool]
+            .into_iter()
+            .flatten()
+            .min_by(f64::total_cmp)
+        else {
+            debug_assert!(
+                self.queue.is_empty(),
+                "queue cannot outlive the event stream"
+            );
+            return false;
         };
-        if !admission.ever_fits(&residency) && !joins_pending {
-            metrics.add_counter("jobs_shed_oversized", 1.0);
-            outcome.shed.push((
-                id,
-                HetSortError::Overloaded {
-                    job: Some(id),
-                    reason: format!(
-                        "footprint (device peak {:.3e} B, pinned {:.3e} B) exceeds the \
-                         service budget (device {:.3e} B/GPU, pinned {:.3e} B) — \
-                         unadmittable at any load",
-                        residency.device_peak(),
-                        residency.pinned_bytes,
-                        self.cfg.budget.device_bytes,
-                        self.cfg.budget.pinned_bytes,
-                    ),
-                },
-            ));
-            return;
+
+        // 1. Completions at `now`: release reservations, file reports.
+        // Ties with a pool event resolve in the job's favour — a
+        // group whose finish time equals the loss instant completed.
+        let mut i = 0;
+        while i < self.running.len() {
+            if self.running[i].finish_s <= now {
+                let r = self.running.remove(i);
+                self.admission.release(r.leader);
+                for d in r.done {
+                    self.complete(d);
+                }
+            } else {
+                i += 1;
+            }
         }
-        queue.push(Queued {
-            id,
-            job,
-            plan,
-            residency,
+
+        // 2. Pool events at `now`: shrink or grow the device pool,
+        // displace and re-queue, re-plan what still waits.
+        while let Some(ev) = self.pool.front().copied().filter(|e| e.t_s <= now) {
+            self.pool.pop_front();
+            self.apply_pool_event(now, ev);
+        }
+
+        // 3. Arrivals at `now`: bounded queue or immediate shed.
+        while self
+            .arrivals
+            .front()
+            .is_some_and(|(_, j)| j.arrival_s <= now)
+        {
+            if let Some((id, job)) = self.arrivals.pop_front() {
+                self.submit(id, job);
+            }
+        }
+
+        // 4. Shed queued jobs whose admission deadline has passed.
+        let mut i = 0;
+        while i < self.queue.len() {
+            match self.queue[i].job.deadline_s.filter(|&d| d < now) {
+                Some(d) => {
+                    let id = self.queue.remove(i).id;
+                    let reason = format!("deadline {d:.3}s passed while queued (now {now:.3}s)");
+                    self.shed(id, "jobs_shed_deadline", reason);
+                }
+                None => i += 1,
+            }
+        }
+
+        // 5. Admission scan: priority order with backfill.
+        self.admit(now);
+        true
+    }
+
+    /// A job unadmittable on the pool *right now* is only shed once no
+    /// scheduled join can still change that verdict.
+    fn joins_pending(&self) -> bool {
+        self.pool.iter().any(|e| e.kind == PoolEventKind::Join)
+    }
+
+    fn shed(&mut self, id: u64, counter: &str, reason: String) {
+        self.out.metrics.add_counter(counter, 1.0);
+        let e = HetSortError::Overloaded {
+            job: Some(id),
+            reason,
+        };
+        self.out.shed.push((id, e));
+    }
+
+    fn fail(&mut self, id: u64, e: HetSortError) {
+        self.out.metrics.add_counter("jobs_failed", 1.0);
+        self.out.failed.push((id, e));
+    }
+
+    /// File a finished member: counters, spans, report.
+    fn complete(&mut self, d: Done) {
+        let m = &mut self.out.metrics;
+        m.add_counter("jobs_completed", 1.0);
+        if d.recovered {
+            m.add_counter("jobs_recovered", 1.0);
+        }
+        m.add_counter("bytes_sorted", d.bytes);
+        m.record_all(d.spans);
+        self.out.makespan_s = self.out.makespan_s.max(d.report.completed_s);
+        self.out.completed.push(d.report);
+    }
+
+    /// Record who is in flight after a decision at `now`, for the
+    /// budget audit.
+    fn log_admission(&mut self, now: f64) {
+        let reservations = self
+            .running
+            .iter()
+            .map(|r| {
+                let mut ids: Vec<u64> = r.done.iter().map(|d| d.report.id).collect();
+                ids.sort_unstable();
+                ids
+            })
+            .collect();
+        self.out.admission_log.push(AdmissionEvent {
+            t_s: now,
+            reservations,
+            in_flight: self.admission.in_flight().clone(),
         });
+    }
+
+    fn submit(&mut self, id: u64, job: SortJob) {
+        if self.queue.len() >= self.cfg.queue_cap {
+            let reason = format!("queue full (depth {})", self.cfg.queue_cap);
+            return self.shed(id, "jobs_shed_queue_full", reason);
+        }
+        self.place(id, job, Placing::Arrival);
+    }
+
+    /// The one placement verdict: build the job's plan on the pool as
+    /// it stands and queue it, or shed it (only what can never fit, and
+    /// only once no scheduled join can change that), or fail it, typed.
+    fn place(&mut self, id: u64, job: SortJob, why: Placing) {
+        let joins_pending = self.joins_pending();
+        let placed = match build_plan_for(&job, self.admission.dead()) {
+            Ok((plan, r)) if joins_pending || self.admission.ever_fits(&r) => Ok((plan, r)),
+            Ok((_, r)) => {
+                let (counter, reason) = why.unfit(&r, self.cfg.budget);
+                return self.shed(id, counter, reason);
+            }
+            // Total outage with a join still scheduled: wait for it, a
+            // queued job on the plan it holds, any other on its
+            // full-pool plan. The dead-device check in `fits` keeps the
+            // job from admitting; the join's re-plan revisits it.
+            Err(HetSortError::Overloaded { .. }) if joins_pending => match why {
+                Placing::Queued(plan, r) => Ok((*plan, r)),
+                _ => Plan::build(job.config.clone(), job.data.len()).map(|p| {
+                    let r = Residency::of_plan(&p);
+                    (p, r)
+                }),
+            },
+            Err(HetSortError::Overloaded { reason, .. }) => {
+                return self.shed(id, "jobs_shed_pool", reason);
+            }
+            Err(e) => Err(e),
+        };
+        match placed {
+            Ok((plan, residency)) => self.queue.push(Queued {
+                id,
+                job,
+                plan,
+                residency,
+            }),
+            Err(e) => self.fail(id, e),
+        }
     }
 
     /// Apply one elastic-pool event.
     ///
-    /// A **loss** shrinks the admission pool, displaces every in-flight
-    /// reservation whose footprint touches the dead device (members
-    /// that finished before `now` still complete; the rest re-queue —
-    /// exempt from the queue cap, never silently dropped), and re-plans
-    /// the whole queue on the survivors. A **join** restores capacity
-    /// and re-plans the queue so waiting jobs can spread back out.
-    /// Either way an [`AdmissionEvent`] is logged so the audit trail
-    /// records the pool change.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_pool_event(
-        &self,
-        now: f64,
-        ev: PoolEvent,
-        joins_pending: bool,
-        queue: &mut Vec<Queued>,
-        running: &mut Vec<Running>,
-        admission: &mut AdmissionController,
-        outcome: &mut ServeOutcome,
-        metrics: &mut MetricsRegistry,
-    ) {
+    /// A **loss** shrinks the admission pool and displaces every
+    /// in-flight reservation whose footprint touches the dead device
+    /// (members that finished before `now` still complete; the rest
+    /// re-queue — exempt from the queue cap, since the service already
+    /// accepted them, never silently dropped). A **join** restores
+    /// capacity. Either way the whole queue is re-planned on the pool
+    /// as it now stands and an [`AdmissionEvent`] is logged so the
+    /// audit trail records the pool change.
+    fn apply_pool_event(&mut self, now: f64, ev: PoolEvent) {
+        let (counter, verb) = match ev.kind {
+            PoolEventKind::Lose => ("pool_losses", "lost"),
+            PoolEventKind::Join => ("pool_joins", "joined"),
+        };
+        self.out.metrics.add_counter(counter, 1.0);
+        let span = ObsSpan::other(format!("pool: GPU {} {verb}", ev.gpu), now, now);
+        self.out.metrics.record(span);
         match ev.kind {
             PoolEventKind::Lose => {
-                metrics.add_counter("pool_losses", 1.0);
-                outcome.metrics.record(ObsSpan::other(
-                    format!("pool: GPU {} lost", ev.gpu),
-                    now,
-                    now,
-                ));
-                for leader in admission.lose_gpu(ev.gpu) {
-                    let Some(idx) = running.iter().position(|r| r.leader == leader) else {
+                for leader in self.admission.lose_gpu(ev.gpu) {
+                    let Some(idx) = self.running.iter().position(|r| r.leader == leader) else {
                         continue;
                     };
-                    let r = running.remove(idx);
-                    admission.release(r.leader);
+                    let r = self.running.remove(idx);
+                    self.admission.release(r.leader);
                     for d in r.done {
                         if d.report.completed_s <= now {
                             // This member drained before the device
                             // vanished; its output stands.
-                            file_completed(d, outcome, metrics);
+                            self.complete(d);
                         } else {
-                            metrics.add_counter("jobs_displaced", 1.0);
-                            self.requeue_displaced(
-                                d,
-                                joins_pending,
-                                queue,
-                                admission,
-                                outcome,
-                                metrics,
-                            );
+                            self.out.metrics.add_counter("jobs_displaced", 1.0);
+                            self.place(d.report.id, d.job, Placing::Displaced);
                         }
                     }
                 }
-                self.replan_queue(joins_pending, queue, admission, outcome, metrics);
             }
-            PoolEventKind::Join => {
-                metrics.add_counter("pool_joins", 1.0);
-                outcome.metrics.record(ObsSpan::other(
-                    format!("pool: GPU {} joined", ev.gpu),
-                    now,
-                    now,
-                ));
-                admission.join_gpu(ev.gpu);
-                self.replan_queue(joins_pending, queue, admission, outcome, metrics);
-            }
+            PoolEventKind::Join => self.admission.join_gpu(ev.gpu),
         }
-        let mut reservations: Vec<Vec<u64>> = Vec::new();
-        for r in running.iter() {
-            let mut ids: Vec<u64> = r.done.iter().map(|d| d.report.id).collect();
-            ids.sort_unstable();
-            reservations.push(ids);
+        for q in std::mem::take(&mut self.queue) {
+            let held = Placing::Queued(Box::new(q.plan), q.residency);
+            self.place(q.id, q.job, held);
         }
-        outcome.admission_log.push(AdmissionEvent {
-            t_s: now,
-            reservations,
-            in_flight: admission.in_flight().clone(),
-        });
+        self.log_admission(now);
     }
 
-    /// Put a displaced member back on the queue with a plan rebuilt on
-    /// the surviving devices. Deliberately exempt from the queue cap:
-    /// the service already accepted this job, so a pool loss must not
-    /// turn into a silent drop. Only a job that can *never* fit on the
-    /// shrunk pool is shed, typed.
-    fn requeue_displaced(
-        &self,
-        d: Done,
-        joins_pending: bool,
-        queue: &mut Vec<Queued>,
-        admission: &AdmissionController,
-        outcome: &mut ServeOutcome,
-        metrics: &mut MetricsRegistry,
-    ) {
-        let id = d.report.id;
-        match build_plan_for(&d.job, admission.dead()) {
-            Ok((plan, residency)) if admission.ever_fits(&residency) || joins_pending => {
-                queue.push(Queued {
-                    id,
-                    job: d.job,
-                    plan,
-                    residency,
-                });
-            }
-            Ok((_, residency)) => {
-                metrics.add_counter("jobs_shed_pool", 1.0);
-                outcome.shed.push((
-                    id,
-                    HetSortError::Overloaded {
-                        job: Some(id),
-                        reason: format!(
-                            "displaced by device loss and unadmittable on the shrunk pool \
-                             (device peak {:.3e} B vs budget {:.3e} B/GPU)",
-                            residency.device_peak(),
-                            self.cfg.budget.device_bytes,
-                        ),
-                    },
-                ));
-            }
-            Err(HetSortError::Overloaded { .. }) if joins_pending => {
-                // Total outage with a join still scheduled: park the
-                // displaced job on its full-pool plan until then.
-                match Plan::build(d.job.config.clone(), d.job.data.len()) {
-                    Ok(p) => {
-                        let residency = Residency::of_plan(&p);
-                        queue.push(Queued {
-                            id,
-                            job: d.job,
-                            plan: p,
-                            residency,
-                        });
-                    }
-                    Err(e) => {
-                        metrics.add_counter("jobs_failed", 1.0);
-                        outcome.failed.push((id, e));
-                    }
-                }
-            }
-            Err(HetSortError::Overloaded { reason, .. }) => {
-                metrics.add_counter("jobs_shed_pool", 1.0);
-                outcome.shed.push((
-                    id,
-                    HetSortError::Overloaded {
-                        job: Some(id),
-                        reason,
-                    },
-                ));
-            }
-            Err(e) => {
-                metrics.add_counter("jobs_failed", 1.0);
-                outcome.failed.push((id, e));
-            }
-        }
-    }
-
-    /// Rebuild every queued job's plan against the current pool. Jobs
-    /// whose footprint can no longer ever fit are shed, typed.
-    fn replan_queue(
-        &self,
-        joins_pending: bool,
-        queue: &mut Vec<Queued>,
-        admission: &AdmissionController,
-        outcome: &mut ServeOutcome,
-        metrics: &mut MetricsRegistry,
-    ) {
-        let mut i = 0;
-        while i < queue.len() {
-            match build_plan_for(&queue[i].job, admission.dead()) {
-                Ok((plan, residency)) if admission.ever_fits(&residency) || joins_pending => {
-                    queue[i].plan = plan;
-                    queue[i].residency = residency;
-                    i += 1;
-                }
-                Ok((_, residency)) => {
-                    let q = queue.remove(i);
-                    metrics.add_counter("jobs_shed_pool", 1.0);
-                    outcome.shed.push((
-                        q.id,
-                        HetSortError::Overloaded {
-                            job: Some(q.id),
-                            reason: format!(
-                                "unadmittable on the shrunk pool (device peak {:.3e} B \
-                                 vs budget {:.3e} B/GPU)",
-                                residency.device_peak(),
-                                self.cfg.budget.device_bytes,
-                            ),
-                        },
-                    ));
-                }
-                Err(HetSortError::Overloaded { .. }) if joins_pending => {
-                    // Total outage, join scheduled: leave the entry on
-                    // its current plan — `fits` blocks it until then.
-                    i += 1;
-                }
-                Err(HetSortError::Overloaded { reason, .. }) => {
-                    let q = queue.remove(i);
-                    metrics.add_counter("jobs_shed_pool", 1.0);
-                    outcome.shed.push((
-                        q.id,
-                        HetSortError::Overloaded {
-                            job: Some(q.id),
-                            reason,
-                        },
-                    ));
-                }
-                Err(e) => {
-                    let q = queue.remove(i);
-                    metrics.add_counter("jobs_failed", 1.0);
-                    outcome.failed.push((q.id, e));
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &self,
-        now: f64,
-        queue: &mut Vec<Queued>,
-        running: &mut Vec<Running>,
-        admission: &mut AdmissionController,
-        outcome: &mut ServeOutcome,
-        metrics: &mut MetricsRegistry,
-    ) {
+    fn admit(&mut self, now: f64) {
         // Priority first, then arrival, then id — stable and total.
-        queue.sort_by(|a, b| {
+        self.queue.sort_by(|a, b| {
             b.job
                 .priority
                 .cmp(&a.job.priority)
                 .then(a.job.arrival_s.total_cmp(&b.job.arrival_s))
                 .then(a.id.cmp(&b.id))
         });
+        let max_elems = self.cfg.coalesce_max_elems;
+        let small = |q: &Queued| max_elems > 0 && q.job.data.len() <= max_elems;
         let mut admitted_any = false;
         let mut i = 0;
-        while i < queue.len() {
+        while i < self.queue.len() {
             // Gather the candidate group: the job itself plus, when it
             // is small, every later same-shape small job (backfill
             // order preserves priority fairness).
-            let small = |q: &Queued| {
-                self.cfg.coalesce_max_elems > 0 && q.job.data.len() <= self.cfg.coalesce_max_elems
-            };
             let mut member_idx = vec![i];
-            if small(&queue[i]) {
-                let key = shape_key(&queue[i].job);
-                for (j, q) in queue.iter().enumerate().skip(i + 1) {
-                    if member_idx.len() >= self.cfg.coalesce_max_jobs {
+            if small(&self.queue[i]) {
+                let key = shape_key(&self.queue[i].job);
+                for (j, q) in self.queue.iter().enumerate().skip(i + 1) {
+                    if member_idx.len() >= COALESCE_MAX_JOBS {
                         break;
                     }
                     if small(q) && shape_key(&q.job) == key {
@@ -678,9 +548,9 @@ impl SortService {
             }
             let group_res = member_idx
                 .iter()
-                .map(|&j| &queue[j].residency)
+                .map(|&j| &self.queue[j].residency)
                 .fold(Residency::default(), |acc, r| acc.max(r));
-            if !admission.fits(&group_res) {
+            if !self.admission.fits(&group_res) {
                 // Backfill: a blocked job does not block smaller ones
                 // behind it.
                 i += 1;
@@ -691,33 +561,24 @@ impl SortService {
             member_idx.sort_unstable();
             let mut members: Vec<Queued> = Vec::with_capacity(member_idx.len());
             for &j in member_idx.iter().rev() {
-                members.push(queue.remove(j));
+                members.push(self.queue.remove(j));
             }
             members.reverse();
             let leader = members[0].id;
             let coalesced = members.len() > 1;
             if coalesced {
-                metrics.add_counter("jobs_coalesced", (members.len() - 1) as f64);
+                let extra = (members.len() - 1) as f64;
+                self.out.metrics.add_counter("jobs_coalesced", extra);
             }
-            admission.reserve(leader, group_res);
-            let run = self.execute_group(now, leader, coalesced, members, outcome, metrics);
-            running.push(run);
+            self.admission.reserve(leader, group_res);
+            let run = self.execute_group(now, leader, coalesced, members);
+            self.running.push(run);
             admitted_any = true;
             // Restart the scan: the queue shrank and indices moved.
             i = 0;
         }
         if admitted_any {
-            let mut reservations: Vec<Vec<u64>> = Vec::new();
-            for r in running.iter() {
-                let mut ids: Vec<u64> = r.done.iter().map(|d| d.report.id).collect();
-                ids.sort_unstable();
-                reservations.push(ids);
-            }
-            outcome.admission_log.push(AdmissionEvent {
-                t_s: now,
-                reservations,
-                in_flight: admission.in_flight().clone(),
-            });
+            self.log_admission(now);
         }
     }
 
@@ -725,13 +586,11 @@ impl SortService {
     /// functional truth for outputs, simulated durations for the
     /// clock, job-tagged spans for observability.
     fn execute_group(
-        &self,
+        &mut self,
         now: f64,
         leader: u64,
         coalesced: bool,
         members: Vec<Queued>,
-        outcome: &mut ServeOutcome,
-        metrics: &mut MetricsRegistry,
     ) -> Running {
         let mut cursor = now;
         let mut done = Vec::new();
@@ -740,21 +599,11 @@ impl SortService {
             // queued: a coalesced member waiting behind slow siblings
             // (or a job admitted exactly at its deadline) must not
             // start after its deadline passed.
-            if let Some(d) = q.job.deadline_s {
-                if d < cursor {
-                    metrics.add_counter("jobs_shed_deadline_dispatch", 1.0);
-                    outcome.shed.push((
-                        q.id,
-                        HetSortError::Overloaded {
-                            job: Some(q.id),
-                            reason: format!(
-                                "deadline {d:.3}s passed before dispatch \
-                                 (dispatch at {cursor:.3}s)"
-                            ),
-                        },
-                    ));
-                    continue;
-                }
+            if let Some(d) = q.job.deadline_s.filter(|&d| d < cursor) {
+                let reason =
+                    format!("deadline {d:.3}s passed before dispatch (dispatch at {cursor:.3}s)");
+                self.shed(q.id, "jobs_shed_deadline_dispatch", reason);
+                continue;
             }
             // Scope the fault schedule to this job: members sharing an
             // injector would make "fail the 2nd HtoD" depend on queue
@@ -767,19 +616,12 @@ impl SortService {
             // job's output and its billed duration can never come from
             // structurally different schedules.
             let dag = PlanDag::from_plan(q.plan.clone());
-            let real = match execute_dag(&dag, &q.job.data) {
-                Ok(r) => r,
+            let (real, sim) = match execute_dag(&dag, &q.job.data)
+                .and_then(|real| Ok((real, simulate_dag(&dag)?)))
+            {
+                Ok(rs) => rs,
                 Err(e) => {
-                    metrics.add_counter("jobs_failed", 1.0);
-                    outcome.failed.push((q.id, e));
-                    continue;
-                }
-            };
-            let sim = match simulate_dag(&dag) {
-                Ok(r) => r,
-                Err(e) => {
-                    metrics.add_counter("jobs_failed", 1.0);
-                    outcome.failed.push((q.id, e));
+                    self.fail(q.id, e);
                     continue;
                 }
             };
@@ -788,13 +630,10 @@ impl SortService {
             // Queue wait + the job's simulated op spans, shifted onto
             // the service clock and tagged with the job id. Recorded
             // into the registry only if the job survives to completion.
-            let mut spans =
-                vec![
-                    ObsSpan::other(format!("queue-wait j{}", q.id), q.job.arrival_s, start)
-                        .for_job(q.id),
-                ];
-            spans.extend(sim.metrics().spans().iter().map(|s| {
-                let mut s = s.clone().for_job(q.id);
+            let wait = ObsSpan::other(format!("queue-wait j{}", q.id), q.job.arrival_s, start);
+            let mut spans = vec![wait.for_job(q.id)];
+            spans.extend(sim.spans().map(|s| {
+                let mut s = s.for_job(q.id);
                 s.t_start += start;
                 s.t_end += start;
                 s
@@ -1155,6 +994,47 @@ mod tests {
             r.admitted_s
         );
         assert_eq!(out.metrics.counter("pool_joins"), 1.0);
+    }
+
+    #[test]
+    fn total_outage_parks_running_and_queued_jobs_until_the_join() {
+        use crate::pool::{PoolEvent, PoolEventKind};
+        // A one-job budget on PLATFORM1's single GPU: job 0 admits at
+        // t = 0, job 1 queues behind it. Losing GPU 0 mid-run empties
+        // the pool while a join is still scheduled, so the displaced
+        // job parks on its full-pool plan and the queued one keeps its
+        // plan; neither may admit, or be shed, before the join.
+        let join_s = 0.5;
+        let cfg = ServeConfig::new(budget_for(1)).with_pool_events(vec![
+            PoolEvent {
+                t_s: 1e-6,
+                gpu: 0,
+                kind: PoolEventKind::Lose,
+            },
+            PoolEvent {
+                t_s: join_s,
+                gpu: 0,
+                kind: PoolEventKind::Join,
+            },
+        ]);
+        let svc = SortService::new(cfg);
+        let out = svc.run(vec![
+            SortJob::new(data(3_000, 92), small_cfg()),
+            SortJob::new(data(3_000, 93), small_cfg()),
+        ]);
+        assert!(out.shed.is_empty(), "shed: {:?}", out.shed);
+        assert!(out.failed.is_empty(), "failed: {:?}", out.failed);
+        assert_eq!(out.completed.len(), 2);
+        for r in &out.completed {
+            assert!(r.verified, "job {} unverified", r.id);
+            assert!(
+                r.admitted_s >= join_s,
+                "job {} admitted at {} during the outage",
+                r.id,
+                r.admitted_s
+            );
+        }
+        assert_eq!(out.metrics.counter("jobs_displaced"), 1.0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn main() {
         "\nsimulated on {}: n = {:.0e} (37 GiB) in {:.2} s",
         report.platform, n_big as f64, report.total_s
     );
-    println!("{}", report.summary());
+    println!("{}", report.summary(&report.metrics().totals()));
 
     let ref_t = hetsort::core::reference::reference_time_full(&platform1(), n_big);
     println!(

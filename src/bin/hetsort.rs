@@ -68,7 +68,8 @@ fn run(command: Command, r: Args, w: &mut impl Write) -> Result<(), CliError> {
             let plan = r.plan()?;
             let analysis = r.analyze.then(|| analyze_plan(&plan));
             let report = hetsort::core::exec_sim::simulate_plan(&plan)?;
-            writeln!(w, "{}", report.summary())?;
+            let reg = report.metrics();
+            writeln!(w, "{}", report.summary(&reg.totals()))?;
             writeln!(
                 w,
                 "PCIe/bus utilization: {}",
@@ -81,7 +82,7 @@ fn run(command: Command, r: Args, w: &mut impl Write) -> Result<(), CliError> {
                 ref_t / report.total_s
             )?;
             if let Some(path) = &r.json {
-                let doc = metrics_doc(&plan, "simulate", &report.metrics(), analysis.as_ref());
+                let doc = metrics_doc(&plan, "simulate", &reg, analysis.as_ref());
                 write_output(path, &doc.pretty(), w)?;
             }
             if let Some(a) = analysis {
