@@ -54,6 +54,11 @@ const LANES: usize = 4;
 /// histogram is their sum ([`fold`]).
 type LaneRows = [[HistCount; BUCKETS]; LANES];
 
+/// Heap bytes one sort of at least [`SMALL_COUNT`] keys holds besides
+/// its scratch: the lane rows of every digit of the widest key (64 KiB).
+/// A shorter batch counts into rows on the stack and holds none.
+pub const COUNT_ROWS_BYTES: usize = MAX_KEY_BYTES * std::mem::size_of::<LaneRows>();
+
 /// Count every digit of `data` into `lanes` (one [`LaneRows`] per key
 /// byte), cache-blocked: keys are extracted once per block, then each
 /// digit is counted from the resident block. The element-major

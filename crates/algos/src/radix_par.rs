@@ -20,7 +20,7 @@ use crate::keys::{RadixKey, SortOrd};
 use crate::mem::huge_vec;
 use crate::merge::par_merge_into_cfg;
 use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, MIN_PART};
-use crate::radix::{radix_sort, radix_sort_with_scratch};
+use crate::radix::{radix_sort, radix_sort_with_scratch, COUNT_ROWS_BYTES, SMALL_COUNT};
 
 /// Sort `data` with the parallel radix sort on `threads` workers.
 ///
@@ -30,6 +30,16 @@ use crate::radix::{radix_sort, radix_sort_with_scratch};
 /// ([`huge_vec`]).
 pub fn par_radix_sort<T: RadixKey + SortOrd + Default>(threads: usize, data: &mut [T]) {
     par_radix_sort_cfg(&SchedCfg::default(), threads, data);
+}
+
+/// Bytes [`par_radix_sort_cfg`] holds over `n` keys on `threads`
+/// workers besides its scratch: one [`COUNT_ROWS_BYTES`] per slice,
+/// none below [`SMALL_COUNT`].
+pub fn count_rows_bytes(threads: usize, n: usize) -> usize {
+    if n < SMALL_COUNT {
+        return 0;
+    }
+    threads.min(n / MIN_PART).max(1) * COUNT_ROWS_BYTES
 }
 
 /// [`par_radix_sort`] with an explicit scheduling policy (the merge
@@ -108,6 +118,17 @@ mod tests {
                 x
             })
             .collect()
+    }
+
+    #[test]
+    fn working_set_is_one_lane_table_per_slice() {
+        // 8 digits × 4 lanes × 256 × 8 B.
+        assert_eq!(COUNT_ROWS_BYTES, 64 << 10);
+        assert_eq!(count_rows_bytes(8, SMALL_COUNT - 1), 0, "rows on the stack");
+        assert_eq!(count_rows_bytes(8, SMALL_COUNT), COUNT_ROWS_BYTES);
+        assert_eq!(count_rows_bytes(1, 1 << 20), COUNT_ROWS_BYTES);
+        assert_eq!(count_rows_bytes(2, 50_000), 2 * COUNT_ROWS_BYTES);
+        assert_eq!(count_rows_bytes(64, 3 * MIN_PART), 3 * COUNT_ROWS_BYTES);
     }
 
     #[test]

@@ -22,8 +22,7 @@ use hetsort_core::config::PairStrategy;
 use hetsort_core::dag::hooks::EngineHooks;
 use hetsort_core::dag::{DagOp, PlanDag};
 use hetsort_core::optrace::{lower_dag, Buffer, OpTrace, TraceKind, TraceRecord};
-use hetsort_core::plan::Plan;
-use hetsort_core::StagingMode;
+use hetsort_core::plan::{Plan, StagingLayout};
 use hetsort_vgpu::{platform1, platform2};
 
 use crate::finding::{AnalysisReport, FindingClass};
@@ -264,13 +263,11 @@ impl Mutant {
         }
     }
 
-    /// The staging protocol whose plans have no site for this mutant,
-    /// if any: the appliers return `false` under it.
-    pub fn inapplicable_under(&self) -> Option<StagingMode> {
-        match self {
-            Mutant::DropHalfReuse => Some(StagingMode::Paper),
-            _ => None,
-        }
+    /// Do plans staged under `layout` have a site for this mutant? The
+    /// appliers return `false` where they do not: the half-reuse edge
+    /// exists only on a layout with a host lane.
+    pub fn applies_to(&self, layout: &StagingLayout) -> bool {
+        !matches!(self, Mutant::DropHalfReuse) || layout.host_lane()
     }
 
     /// The engine hooks that seed a [`Site::Hooks`] defect (the default
@@ -530,13 +527,13 @@ impl Mutant {
                 true
             }
             Mutant::AliasPinned => {
-                if !plan.asynchronous || plan.total_streams < 2 {
+                if plan.total_streams < 2 {
                     return false;
                 }
                 for r in trace.records.iter_mut() {
                     let remap = |buf: &mut Buffer| {
                         if let Buffer::Pinned { id } = buf {
-                            *id %= 2;
+                            *id %= StagingLayout::IDS_PER_STREAM;
                         }
                     };
                     match &mut r.kind {

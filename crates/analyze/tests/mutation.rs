@@ -290,7 +290,7 @@ fn every_mutant_is_killed_by_its_named_check() {
 
         for m in Mutant::ALL {
             let case = format!("{m:?} under {} staging", staging.name());
-            if m.inapplicable_under() == Some(staging) {
+            if !m.applies_to(&base.plan.staging) {
                 // The catalogue says the protocol has no site: so say
                 // the appliers.
                 let mut dag = base.clone();

@@ -373,11 +373,6 @@ impl HetSortConfig {
         self
     }
 
-    /// Is the double-buffered staging path selected?
-    pub fn double_buffered(&self) -> bool {
-        self.staging == StagingMode::DoubleBuffered
-    }
-
     /// Set the element width (keys or key/value records).
     pub fn with_elem_bytes(mut self, w: ElemWidth) -> Self {
         self.elem_bytes = w;
@@ -682,9 +677,8 @@ mod tests {
     fn staging_mode_knob() {
         let c = HetSortConfig::paper_defaults(platform1(), Approach::PipeData);
         assert_eq!(c.staging, StagingMode::DoubleBuffered);
-        assert!(c.double_buffered());
         let p = c.with_staging(StagingMode::Paper);
-        assert!(!p.double_buffered());
+        assert_eq!(p.staging, StagingMode::Paper);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::fmt;
 
 use super::{DagNode, DagOp};
 use crate::error::HetSortError;
-use crate::plan::{MergeSrc, Plan};
+use crate::plan::{MergeSrc, Outbound, Plan};
 
 /// The empty slot of a node-id table (no node has this id).
 const NONE: usize = usize::MAX;
@@ -325,7 +325,7 @@ impl Producers {
     }
 }
 
-/// One stream's `fifo` state under double-buffered staging.
+/// One stream's `fifo` state: its lane tails and current chunk nodes.
 #[derive(Debug, Clone)]
 struct Lane {
     host_tail: Option<usize>,
@@ -412,34 +412,7 @@ pub(crate) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> 
         }
     }
 
-    // fifo: each stream's nodes (in id order) must chain via deps.
-    //
-    // Paper staging chains every node of a stream on one tail.
-    // Double-buffered staging splits each stream into a host lane
-    // (allocs + staging copies) and a device lane (HtoD/sort/DtoH)
-    // and demands, besides the per-lane chains, the explicit cross
-    // and buffer-reuse edges the relaxed discipline relies on.
-    // Every intra-stream edge the lowering emits is demanded here:
-    // the trace gives same-stream ops program order on one thread,
-    // so the happens-before analyzer can never see an intra-stream
-    // edge deletion — the structural validator must.
-    if !plan.config.double_buffered() {
-        let mut tail = Table::new(geo.streams, NONE);
-        for (i, node) in nodes.iter().enumerate() {
-            if let Some(s) = node.stream {
-                if let Some(prev) = tail.node(s) {
-                    if !node.deps.contains(&prev) {
-                        return err(format!(
-                            "fifo: node {i} (stream {s}) missing dependency on stream predecessor {prev}"
-                        ));
-                    }
-                }
-                *tail.get_mut(s) = i;
-            }
-        }
-    } else {
-        fifo_double_buffered(plan, nodes, geo)?;
-    }
+    fifo(plan, nodes, geo)?;
 
     // Producer maps for sort-input / merge-inputs.
     let mut last_htod = Table::new(geo.batches, NONE);
@@ -707,11 +680,20 @@ fn stuck_in_cycles(nodes: &[DagNode]) -> usize {
     n - seen
 }
 
-/// The `fifo` rule under double-buffered staging: per stream, the host
-/// and device lane chains plus the staging-copy, half-reuse, dtoh and
-/// out-buffer edges, chunk by chunk within each batch the stream runs.
-fn fifo_double_buffered(plan: &Plan, nodes: &[DagNode], geo: Geometry) -> Result<(), HetSortError> {
-    let elided = plan.stage_out_elided();
+/// The `fifo` rule: each stream's nodes (in id order) must chain via
+/// deps. Without a host lane every node of a stream chains on one tail.
+/// A layout with one ([`crate::plan::StagingLayout::host_lane`]) splits
+/// each stream into a host lane (allocs + staging copies) and a device
+/// lane (HtoD/sort/DtoH) and demands, besides the per-lane chains, the
+/// explicit staging-copy, half-reuse, dtoh and out-buffer edges the
+/// relaxed discipline relies on, chunk by chunk within each batch the
+/// stream runs. Every intra-stream edge the lowering emits is demanded
+/// here: the trace gives same-stream ops program order on one thread,
+/// so the happens-before analyzer can never see an intra-stream edge
+/// deletion — the structural validator must.
+fn fifo(plan: &Plan, nodes: &[DagNode], geo: Geometry) -> Result<(), HetSortError> {
+    let split = plan.staging.host_lane();
+    let elided = plan.staging.outbound == Outbound::Elided;
     let demand = |i: usize, deps: &[usize], need: usize, what: &str| {
         if deps.contains(&need) {
             Ok(())
@@ -721,10 +703,23 @@ fn fifo_double_buffered(plan: &Plan, nodes: &[DagNode], geo: Geometry) -> Result
             })
         }
     };
-    let mut lanes = Table::new(geo.streams, Lane::new(geo.chunks));
+    let chunks = if split { geo.chunks } else { 0 }; // per-chunk edges
+    let mut lanes = Table::new(geo.streams, Lane::new(chunks));
     for (i, node) in nodes.iter().enumerate() {
         let Some(s) = node.stream else { continue };
         let st = lanes.get_mut(s);
+        let (tail, lane) = match (split, node.op.is_device_lane()) {
+            (false, _) => (&mut st.host_tail, "stream"),
+            (true, true) => (&mut st.dev_tail, "device-lane"),
+            (true, false) => (&mut st.host_tail, "host-lane"),
+        };
+        if let Some(prev) = *tail {
+            demand(i, &node.deps, prev, lane)?;
+        }
+        *tail = Some(i);
+        if !split {
+            continue;
+        }
         // Batch boundary: the previous batch's last HtoD and
         // StageOut become the cross-batch reuse targets.
         if let Some(b) = node.op.batch() {
@@ -738,15 +733,6 @@ fn fifo_double_buffered(plan: &Plan, nodes: &[DagNode], geo: Geometry) -> Result
                 st.cur_batch = Some(b);
             }
         }
-        let (tail, lane) = if node.op.is_device_lane() {
-            (&mut st.dev_tail, "device-lane")
-        } else {
-            (&mut st.host_tail, "host-lane")
-        };
-        if let Some(prev) = *tail {
-            demand(i, &node.deps, prev, lane)?;
-        }
-        *tail = Some(i);
         match node.op {
             DagOp::StagingCopy {
                 chunk,

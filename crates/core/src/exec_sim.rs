@@ -14,7 +14,7 @@ use hetsort_vgpu::{Machine, TransferDir};
 
 use crate::dag::{node_span, DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
-use crate::plan::Plan;
+use crate::plan::{Outbound, Plan};
 use crate::report::TimingReport;
 
 /// Build the plan for `(config, n)` and simulate it.
@@ -74,8 +74,8 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
         m.device_alloc(gpu, cfg.device_bytes(cfg.batch_elems))?;
     }
 
-    let db = cfg.double_buffered();
-    let elided = plan.stage_out_elided();
+    let staging = plan.staging;
+    let elided = staging.outbound == Outbound::Elided;
     // Work amount of a transfer or staging copy: the simulator divides
     // it by a bandwidth, so the exact byte count becomes an f64 here.
     let volume = |elems: usize| (cfg.elem_bytes.bytes() * elems as u64) as f64;
@@ -84,12 +84,12 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
     let queues: Vec<_> = (0..plan.total_streams)
         .map(|s| m.stream(format!("s{s}")))
         .collect();
-    // Double-buffered staging gives each stream a second, host-side
-    // queue: staging copies still serialize among themselves, but they
-    // overlap the device queue's DMA — the point of the two pinned
-    // halves. The dependency edges (StageIn c needs HtoD c−2's half
-    // back) bound the overlap to one chunk.
-    let host_queues: Vec<_> = if db {
+    // A host lane gives each stream a second, host-side queue: staging
+    // copies still serialize among themselves, but they overlap the
+    // device queue's DMA — the point of the two pinned halves. The
+    // dependency edges (StageIn c needs HtoD c−2's half back) bound the
+    // overlap to one chunk.
+    let host_queues: Vec<_> = if staging.host_lane() {
         (0..plan.total_streams)
             .map(|s| m.stream(format!("s{s}.host")))
             .collect()
@@ -161,10 +161,8 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                 // Double-buffered blocking plans issue chunked
                 // cudaMemcpyAsync + event sync like the piped ones do,
                 // so they pay the same per-chunk sync latency.
-                let asynchronous = plan.asynchronous || db;
-                if asynchronous {
-                    n_async_transfers += 1;
-                }
+                let asynchronous = staging.async_htod();
+                n_async_transfers += usize::from(asynchronous);
                 let gpu = plan.batches[*batch].gpu;
                 m.transfer(
                     TransferDir::HtoD,
@@ -195,39 +193,24 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                 )
             }
             DagOp::DtoH { batch, len, .. } => {
+                // Elided stage-out: a blocking pageable cudaMemcpy
+                // straight into W/B — slower per byte than pinned DMA,
+                // but it replaces pinned DtoH *plus* the outbound
+                // staging memcpy.
+                let asynchronous = staging.async_dtoh();
+                n_async_transfers += usize::from(asynchronous);
                 let gpu = plan.batches[*batch].gpu;
-                if elided {
-                    // Elided stage-out: a blocking pageable cudaMemcpy
-                    // straight into W/B — slower per byte than pinned
-                    // DMA, but it replaces pinned DtoH *plus* the
-                    // outbound staging memcpy.
-                    m.transfer(
-                        TransferDir::DtoH,
-                        gpu,
-                        volume(*len),
-                        false,
-                        false,
-                        queue,
-                        &deps,
-                        lane,
-                        *batch as u64,
-                    )
-                } else {
-                    if plan.asynchronous {
-                        n_async_transfers += 1;
-                    }
-                    m.transfer(
-                        TransferDir::DtoH,
-                        gpu,
-                        volume(*len),
-                        true,
-                        plan.asynchronous,
-                        queue,
-                        &deps,
-                        lane,
-                        *batch as u64,
-                    )
-                }
+                m.transfer(
+                    TransferDir::DtoH,
+                    gpu,
+                    volume(*len),
+                    !elided,
+                    asynchronous,
+                    queue,
+                    &deps,
+                    lane,
+                    *batch as u64,
+                )
             }
             DagOp::PairMerge { slot } => {
                 let spec = &plan.pairs[*slot];

@@ -52,7 +52,7 @@ use crate::config::RecoveryPolicy;
 use crate::dag::{node_span, DagNode, DagOp};
 use crate::error::HetSortError;
 use crate::optrace::Route;
-use crate::plan::{BatchInfo, Plan};
+use crate::plan::{BatchInfo, Outbound, Plan};
 use crate::pool::BufferPool;
 use crate::report::RecoveryStats;
 
@@ -154,17 +154,6 @@ where
         self.pinned_out = Vec::new();
         self.host_batch = Vec::new();
         self.pool.clear();
-    }
-
-    /// Which half of the inbound staging buffer chunk `chunk` lands in:
-    /// double-buffered plans alternate halves per chunk so the stage-in
-    /// of chunk `c+1` can overlap the HtoD DMA of chunk `c`.
-    fn in_half(&self, chunk: usize) -> usize {
-        if self.plan.config.double_buffered() {
-            chunk % 2
-        } else {
-            0
-        }
     }
 
     /// Record one device operation against the batch's physical GPU.
@@ -314,22 +303,14 @@ where
     ) -> Result<Route, HetSortError> {
         let ps = self.plan.config.pinned_elems;
         match op {
-            DagOp::PinnedAlloc { dir_in, .. } => {
-                let elided = self.plan.stage_out_elided();
-                if *dir_in {
-                    // Double-buffered plans carve both halves out of
-                    // one allocation (`staging_halves() == 2`).
-                    self.pinned_in
-                        .resize(self.plan.staging_halves() * ps, T::default());
-                } else if !elided {
-                    self.pinned_out.resize(ps, T::default());
-                }
-                // Blocking plans reuse one buffer both ways — unless
-                // the stage-out is elided, in which case there is no
-                // outbound staging buffer at all.
-                if self.pinned_out.is_empty() && !self.plan.asynchronous && !elided {
-                    self.pinned_out.resize(ps, T::default());
-                }
+            // The inbound halves share one allocation; the outbound
+            // buffer exists only when the layout gives it its own.
+            DagOp::PinnedAlloc { dir_in: true, .. } => {
+                let elems = self.plan.staging.halves * ps;
+                self.pinned_in.resize(elems, T::default());
+            }
+            DagOp::PinnedAlloc { dir_in: false, .. } => {
+                self.pinned_out.resize(ps, T::default());
             }
             DagOp::StagingCopy {
                 start,
@@ -340,7 +321,7 @@ where
             } => {
                 // Host→pinned staging memcpy: the PARMEMCPY knob makes
                 // this copy parallel (self-scheduled chunks).
-                let o = self.in_half(*chunk) * ps;
+                let o = self.plan.staging.half(*chunk) * ps;
                 par_copy(
                     self.memcpy_threads,
                     &self.data[*start..*start + *len],
@@ -371,7 +352,7 @@ where
                     });
                 }
                 let off = *start - b.start;
-                let o = self.in_half(*chunk) * ps;
+                let o = self.plan.staging.half(*chunk) * ps;
                 let dst = match self.mode {
                     Mode::Device => &mut self.device,
                     Mode::Split => &mut self.host_batch,
@@ -438,9 +419,6 @@ where
             } => {
                 let b = self.plan.batches[*batch];
                 let off = *start - b.start;
-                // Elided stage-out: the chunk stays where the batch
-                // lives; the StageOut marker pages it straight into W/B.
-                let elided = self.plan.stage_out_elided();
                 let src = match self.mode {
                     Mode::Device => {
                         self.device_check(&b)?;
@@ -456,8 +434,13 @@ where
                     }
                     Mode::Split => &self.host_batch,
                 };
-                if !elided {
-                    self.pinned_out[..*len].copy_from_slice(&src[off..off + *len]);
+                let chunk = &src[off..off + *len];
+                match self.plan.staging.outbound {
+                    Outbound::Own => self.pinned_out[..*len].copy_from_slice(chunk),
+                    Outbound::Inbound => self.pinned_in[..*len].copy_from_slice(chunk),
+                    // Elided stage-out: the chunk stays where the batch
+                    // lives; the StageOut marker pages it into W/B.
+                    Outbound::Elided => {}
                 }
             }
             DagOp::StagingCopy {
@@ -467,18 +450,21 @@ where
                 dir_in: false,
                 ..
             } => {
-                if self.plan.stage_out_elided() {
+                let chunk = match self.plan.staging.outbound {
+                    Outbound::Own => &self.pinned_out[..*len],
+                    Outbound::Inbound => &self.pinned_in[..*len],
                     // The outbound bounce was elided: emit straight from
                     // the source the batch actually lives in.
-                    let off = *start - self.plan.batches[*batch].start;
-                    let src = match self.mode {
-                        Mode::Device => &self.device,
-                        Mode::Split => &self.host_batch,
-                    };
-                    emit(*batch, *start, &src[off..off + *len]);
-                } else {
-                    emit(*batch, *start, &self.pinned_out[..*len]);
-                }
+                    Outbound::Elided => {
+                        let off = *start - self.plan.batches[*batch].start;
+                        let src = match self.mode {
+                            Mode::Device => &self.device,
+                            Mode::Split => &self.host_batch,
+                        };
+                        &src[off..off + *len]
+                    }
+                };
+                emit(*batch, *start, chunk);
             }
             DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge { .. } => {
                 return Err(HetSortError::Plan {
@@ -490,5 +476,78 @@ where
             Mode::Device => Route::Device,
             Mode::Split => Route::Split,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Approach, HetSortConfig, StagingMode};
+    use crate::optrace::{lower_plan, TraceKind};
+    use crate::residency::Residency;
+    use hetsort_vgpu::{platform1, platform2};
+
+    #[test]
+    fn every_reader_holds_the_layouts_pinned_bytes() {
+        // One number four ways: the layout, the admission footprint,
+        // the static trace's pinned allocs, and what the interpreters
+        // hold once their PinnedAlloc nodes ran.
+        for platform in [platform1(), platform2()] {
+            for approach in [
+                Approach::BLine,
+                Approach::BLineMulti,
+                Approach::PipeData,
+                Approach::PipeMerge,
+            ] {
+                for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
+                    let (bs, n) = match approach {
+                        Approach::BLine => (4_000, 4_000),
+                        _ => (1_000, 8_000),
+                    };
+                    let cfg = HetSortConfig::paper_defaults(platform.clone(), approach)
+                        .with_batch_elems(bs)
+                        .with_pinned_elems(250)
+                        .with_staging(staging);
+                    let plan = Plan::build(cfg, n).unwrap();
+                    let elem = plan.config.elem_bytes.bytes();
+                    let layout = (plan.staging.pinned_elems() * plan.total_streams) as u64 * elem;
+                    let admitted = Residency::of_plan(&plan).pinned_bytes;
+                    let traced: u64 = lower_plan(&plan)
+                        .records
+                        .iter()
+                        .filter_map(|r| match r.kind {
+                            TraceKind::Alloc {
+                                buf: crate::optrace::Buffer::Pinned { .. },
+                                bytes,
+                            } => Some(bytes),
+                            _ => None,
+                        })
+                        .sum();
+                    let data: Vec<f64> = Vec::new();
+                    let mut held = 0;
+                    for s in 0..plan.total_streams {
+                        let mut sx = StreamExec::new(&plan, &data, 1, 1, 1, Instant::now());
+                        for (i, node) in plan.steps.iter().enumerate() {
+                            if node.stream == Some(s)
+                                && matches!(node.op, DagOp::PinnedAlloc { .. })
+                            {
+                                sx.step(i, node, &mut |_, _, _| {}).unwrap();
+                            }
+                        }
+                        held += (sx.pinned_in.len() + sx.pinned_out.len()) as u64 * elem;
+                    }
+                    let what = format!(
+                        "{} {approach:?}/{}",
+                        plan.config.platform.name,
+                        staging.name()
+                    );
+                    assert_eq!(
+                        (admitted, traced, held),
+                        (layout, layout, layout),
+                        "{what}: admitted, traced, held vs the layout"
+                    );
+                }
+            }
+        }
     }
 }

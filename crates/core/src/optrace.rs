@@ -53,17 +53,19 @@
 //!   overlaps conflict.
 //! * `Dev { gpu, id }`: `id` is the owning stream — each stream keeps
 //!   one resident batch buffer, as the executors do.
-//! * `Pinned { id }`: stream `s` owns the id triple `3·s .. 3·s + 2`.
-//!   Inbound staging is `3·s + half` — double-buffered plans split the
-//!   one inbound allocation into two halves keyed by `chunk % 2`, so
-//!   the checker sees StageIn of chunk `c+1` and HtoD of chunk `c`
-//!   touching *different* identities (that overlap is the whole point
-//!   of double buffering). Outbound is `3·s + 2` for piped plans;
-//!   blocking plans reuse inbound half 0 (`3·s`) both ways, as the
+//! * `Pinned { id }`: the plan's
+//!   [`StagingLayout`](crate::plan::StagingLayout) names them. Stream
+//!   `s` owns the id triple `3·s .. 3·s + 2`. Inbound staging is
+//!   `3·s + half` — double-buffered plans split the one inbound
+//!   allocation into two halves keyed by `chunk % 2`, so the checker
+//!   sees StageIn of chunk `c+1` and HtoD of chunk `c` touching
+//!   *different* identities (that overlap is the whole point of double
+//!   buffering). Outbound is `3·s + 2` for piped plans; blocking plans
+//!   under paper staging reuse inbound half 0 (`3·s`) both ways, as the
 //!   executors reuse the buffer. Elided-stage-out plans
-//!   ([`Plan::stage_out_elided`]) have no outbound pinned buffer at
-//!   all: DtoH pages straight out of device memory and the StageOut
-//!   marker reads the device buffer.
+//!   ([`Outbound::Elided`](crate::plan::Outbound::Elided)) have no
+//!   outbound pinned buffer at all: DtoH pages straight out of device
+//!   memory and the StageOut marker reads the device buffer.
 
 use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::plan::{MergeSrc, Plan};
@@ -263,24 +265,6 @@ fn region_pair(total_streams: usize, slot: usize) -> usize {
     3 + total_streams + slot
 }
 
-/// Pinned-buffer id of stream `s`'s inbound staging buffer. `half` is
-/// `chunk % 2` for double-buffered plans and 0 otherwise — the two
-/// halves of a double-buffered allocation get distinct identities so
-/// the stage-in of one chunk may overlap the DMA of the previous.
-fn pinned_in_id(stream: usize, half: usize) -> usize {
-    3 * stream + half
-}
-
-/// Pinned-buffer id of stream `s`'s outbound staging buffer. Blocking
-/// plans allocate one buffer and reuse it both ways (inbound half 0).
-fn pinned_out_id(asynchronous: bool, stream: usize) -> usize {
-    if asynchronous {
-        3 * stream + 2
-    } else {
-        3 * stream
-    }
-}
-
 /// The trace thread merges run on.
 fn host_thread(plan: &Plan) -> usize {
     plan.total_streams
@@ -389,14 +373,12 @@ fn accesses(plan: &Plan, node: &DagNode, route: Route) -> Vec<Access> {
     // their pinned ids (`3·S ..`) can never alias stream 0's real
     // staging buffers and fabricate conflicts in the checker.
     let stream = node.stream.unwrap_or(plan.total_streams);
-    let db = plan.config.double_buffered();
-    let elided = plan.stage_out_elided();
     let pin_in = |chunk: usize| Buffer::Pinned {
-        id: pinned_in_id(stream, if db { chunk % 2 } else { 0 }),
+        id: plan.staging.in_id(stream, chunk),
     };
-    let pin_out = Buffer::Pinned {
-        id: pinned_out_id(plan.asynchronous, stream),
-    };
+    // The pinned buffer outbound chunks pass through; `None` when the
+    // stage-out is elided.
+    let pin_out = plan.staging.out_id(stream).map(|id| Buffer::Pinned { id });
     // Elements `start .. start + len` of the input, as they sit in the
     // stream's Split staging of batch `batch`.
     let staged = |batch: usize, start: usize, len| {
@@ -422,10 +404,10 @@ fn accesses(plan: &Plan, node: &DagNode, route: Route) -> Vec<Access> {
             dir_in: false,
             ..
         } => vec![
-            Access::read(match (elided, split) {
-                (false, _) => pin_out,
-                (true, false) => dev_buf(plan, *batch),
-                (true, true) => staged(*batch, *start, *len),
+            Access::read(match (pin_out, split) {
+                (Some(pin), _) => pin,
+                (None, false) => dev_buf(plan, *batch),
+                (None, true) => staged(*batch, *start, *len),
             }),
             Access::write(host(out_region, *start, *len)),
         ],
@@ -455,17 +437,20 @@ fn accesses(plan: &Plan, node: &DagNode, route: Route) -> Vec<Access> {
         }
         DagOp::DtoH {
             batch, start, len, ..
-        } => match (elided, split) {
-            (true, false) => vec![Access::read(dev_buf(plan, *batch))],
-            // An elided Split batch is read from its host staging by
-            // the StageOut marker; its DtoH moves nothing.
-            (true, true) => Vec::new(),
-            (false, false) => vec![Access::read(dev_buf(plan, *batch)), Access::write(pin_out)],
-            (false, true) => vec![
-                Access::read(staged(*batch, *start, *len)),
-                Access::write(pin_out),
-            ],
-        },
+        } => {
+            let src = if split {
+                staged(*batch, *start, *len)
+            } else {
+                dev_buf(plan, *batch)
+            };
+            match pin_out {
+                Some(pin) => vec![Access::read(src), Access::write(pin)],
+                // An elided Split batch is read from its host staging
+                // by the StageOut marker; its DtoH moves nothing.
+                None if split => Vec::new(),
+                None => vec![Access::read(src)],
+            }
+        }
         DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
             let spec = plan.pairs[*slot];
             let out = host(region_pair(plan.total_streams, *slot), 0, spec.out_elems);
@@ -536,39 +521,23 @@ pub(crate) fn trace_nodes(plan: &Plan, nodes: &[DagNode], routes: &[Route]) -> O
                 bytes,
                 dir_in,
             } => {
-                if *dir_in && plan.config.double_buffered() {
-                    // One double-sized allocation, but the two halves
-                    // get distinct identities: record an Alloc per
-                    // half so accesses, frees, and leak lints line up.
-                    for half in 0..2 {
-                        let buf = Buffer::Pinned {
-                            id: pinned_in_id(*stream, half),
-                        };
-                        alloced.push((th, buf));
-                        trace.push(
-                            th,
-                            format!("{} half {half}", node_label(&node.op, si)),
-                            TraceKind::Alloc {
-                                buf,
-                                bytes: *bytes / 2,
-                            },
-                        );
-                    }
+                // One identity per inbound half, so accesses, frees
+                // and leak lints line up with the halves the copies use.
+                let ids: Vec<usize> = if *dir_in {
+                    let halves = 0..plan.staging.halves;
+                    halves.map(|h| plan.staging.in_id(*stream, h)).collect()
                 } else {
-                    let id = if *dir_in {
-                        pinned_in_id(*stream, 0)
-                    } else {
-                        pinned_out_id(plan.asynchronous, *stream)
-                    };
-                    alloced.push((th, Buffer::Pinned { id }));
-                    trace.push(
-                        th,
-                        node_label(&node.op, si),
-                        TraceKind::Alloc {
-                            buf: Buffer::Pinned { id },
-                            bytes: *bytes,
-                        },
-                    );
+                    plan.staging.out_id(*stream).into_iter().collect()
+                };
+                for (half, &id) in ids.iter().enumerate() {
+                    let buf = Buffer::Pinned { id };
+                    alloced.push((th, buf));
+                    let mut label = node_label(&node.op, si);
+                    if ids.len() > 1 {
+                        label = format!("{label} half {half}");
+                    }
+                    let bytes = *bytes / ids.len() as u64;
+                    trace.push(th, label, TraceKind::Alloc { buf, bytes });
                 }
             }
             op => {
@@ -690,10 +659,10 @@ mod tests {
             .position(|n| matches!(n.op, DagOp::HtoD { .. }))
             .unwrap();
         dag.nodes[i].stream = None;
-        let half = match dag.nodes[i].op {
-            DagOp::HtoD { chunk, .. } if dag.plan.config.double_buffered() => chunk % 2,
-            _ => 0,
+        let DagOp::HtoD { chunk, .. } = dag.nodes[i].op else {
+            unreachable!("node {i} is an HtoD")
         };
+        let layout = dag.plan.staging;
         let acc = node_accesses(&dag.plan, &dag.nodes[i]);
         let pinned_ids: Vec<usize> = acc
             .iter()
@@ -704,8 +673,12 @@ mod tests {
             .collect();
         assert!(!pinned_ids.is_empty(), "HtoD reads a pinned buffer");
         for id in pinned_ids {
-            assert_eq!(id, pinned_in_id(total, half), "sentinel lane, not stream 0");
-            assert_ne!(id, pinned_in_id(0, half), "must not alias stream 0");
+            assert_eq!(
+                id,
+                layout.in_id(total, chunk),
+                "sentinel lane, not stream 0"
+            );
+            assert_ne!(id, layout.in_id(0, chunk), "must not alias stream 0");
         }
     }
 
@@ -719,8 +692,12 @@ mod tests {
             }),
             _ => false,
         }));
-        // Blocking plans reuse one pinned buffer both ways (half 0).
-        assert_eq!(pinned_out_id(p.asynchronous, 0), pinned_in_id(0, 0));
+        // Under paper staging, blocking plans reuse one pinned buffer
+        // both ways (half 0).
+        let mut cfg = p.config.clone();
+        cfg.staging = crate::config::StagingMode::Paper;
+        let paper = Plan::build(cfg, 1000).unwrap();
+        assert_eq!(paper.staging.out_id(0), Some(paper.staging.in_id(0, 0)));
     }
 
     #[test]
@@ -730,7 +707,7 @@ mod tests {
         // memory, DtoH writes no pinned buffer, and the two inbound
         // halves carry distinct identities.
         let p = plan(Approach::BLineMulti, 4000);
-        assert!(p.stage_out_elided());
+        assert_eq!(p.staging.outbound, crate::plan::Outbound::Elided);
         let dag = PlanDag::from_plan(p.clone());
         for node in &dag.nodes {
             let acc = node_accesses(&dag.plan, node);
@@ -753,7 +730,7 @@ mod tests {
                     dir_in: true,
                     ..
                 } => {
-                    let want = pinned_in_id(node.stream.unwrap(), chunk % 2);
+                    let want = p.staging.in_id(node.stream.unwrap(), *chunk);
                     assert!(
                         acc.iter()
                             .any(|a| a.write && a.buf == (Buffer::Pinned { id: want })),

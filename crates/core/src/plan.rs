@@ -59,6 +59,81 @@ pub struct PairSpec {
     pub out_elems: usize,
 }
 
+/// Where a stream's sorted chunks go between `DtoH` and `W`/`B`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outbound {
+    /// A pinned buffer of `p_s` of their own (piped plans).
+    Own,
+    /// Inbound half 0, reused both ways: §IV-E's one staging buffer per
+    /// host thread (blocking plans, paper staging).
+    Inbound,
+    /// None: `DtoH` pages the still device-resident batch straight into
+    /// `W`/`B` and `StageOut` is a zero-byte emission marker (blocking
+    /// plans, double-buffered staging).
+    Elided,
+}
+
+/// A plan's pinned staging protocol, decided once by
+/// [`crate::plan_builders`] from approach × staging mode (the table is
+/// in DESIGN § 19). Every interpreter, model and check reads it here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StagingLayout {
+    /// Elements of one staging buffer (`p_s`).
+    pub chunk_elems: usize,
+    /// Inbound halves per stream, in one allocation: 2 when
+    /// double-buffered (chunk parity selects the half), else 1.
+    pub halves: usize,
+    /// Where outbound chunks go.
+    pub outbound: Outbound,
+}
+
+impl StagingLayout {
+    /// Trace identities per stream: stream `s` owns `3·s .. 3·s + 2`,
+    /// its inbound halves and then its own outbound buffer.
+    pub const IDS_PER_STREAM: usize = 3;
+
+    /// The inbound half chunk `chunk` is staged in.
+    pub fn half(&self, chunk: usize) -> usize {
+        chunk % self.halves
+    }
+
+    /// Does each stream run a host lane (allocs, staging copies) beside
+    /// its device lane, overlapping one chunk's copy with the last DMA?
+    pub fn host_lane(&self) -> bool {
+        self.halves == 2
+    }
+
+    /// Is every HtoD a chunked async copy? All but blocking-paper.
+    pub fn async_htod(&self) -> bool {
+        self.host_lane() || self.outbound == Outbound::Own
+    }
+
+    /// Is every DtoH a chunked async copy? Only into its own buffer.
+    pub fn async_dtoh(&self) -> bool {
+        self.outbound == Outbound::Own
+    }
+
+    /// Pinned staging elements one stream holds.
+    pub fn pinned_elems(&self) -> usize {
+        (self.halves + usize::from(self.outbound == Outbound::Own)) * self.chunk_elems
+    }
+
+    /// Trace identity of stream `stream`'s inbound half for `chunk`.
+    pub fn in_id(&self, stream: usize, chunk: usize) -> usize {
+        Self::IDS_PER_STREAM * stream + self.half(chunk)
+    }
+
+    /// Trace identity of the pinned buffer `stream`'s outbound chunks
+    /// pass through (`None` when elided).
+    pub fn out_id(&self, stream: usize) -> Option<usize> {
+        match self.outbound {
+            Outbound::Own => Some(Self::IDS_PER_STREAM * stream + 2),
+            Outbound::Inbound => Some(self.in_id(stream, 0)),
+            Outbound::Elided => None,
+        }
+    }
+}
+
 /// The full static DAG.
 #[derive(Debug, Clone)]
 pub struct Plan {
@@ -76,8 +151,8 @@ pub struct Plan {
     pub steps: Vec<DagNode>,
     /// Total streams (`n_s · n_GPU` for piped approaches, 1 otherwise).
     pub total_streams: usize,
-    /// Whether transfers are asynchronous chunked copies (piped).
-    pub asynchronous: bool,
+    /// The pinned staging protocol every stream follows.
+    pub staging: StagingLayout,
     /// Physical device identity of each plan-local GPU index: batch `b`
     /// runs on physical device `device_ids[batches[b].gpu]`. Identity
     /// (`0..n_gpus`) for a freshly built plan; a recovery re-plan built
@@ -125,32 +200,6 @@ impl Plan {
         self.batches.len()
     }
 
-    /// Does this plan skip the outbound pinned bounce entirely?
-    ///
-    /// Under [`StagingMode::DoubleBuffered`] the blocking approaches
-    /// keep the sorted batch device-resident while it is written out,
-    /// so the `DtoH → pinned_out → W/B` two-copy path collapses into a
-    /// single device→host copy: the `DtoH` step carries the (pageable)
-    /// transfer cost and the `StageOut` step becomes the zero-byte
-    /// marker at which the chunk is emitted. Piped plans keep the
-    /// bounce — their DMA engines need the pinned landing zone to
-    /// overlap transfers across streams.
-    ///
-    /// [`StagingMode::DoubleBuffered`]: crate::config::StagingMode::DoubleBuffered
-    pub fn stage_out_elided(&self) -> bool {
-        !self.asynchronous && self.config.double_buffered()
-    }
-
-    /// Inbound staging halves per stream: 2 when double-buffered
-    /// (chunk parity selects the half), 1 in the paper shape.
-    pub fn staging_halves(&self) -> usize {
-        if self.config.double_buffered() {
-            2
-        } else {
-            1
-        }
-    }
-
     /// The final multiway merge's input count `k` (0 when n_b = 1).
     pub fn multiway_k(&self) -> usize {
         self.steps
@@ -193,7 +242,7 @@ mod tests {
         plan.validate().unwrap();
         assert_eq!(plan.nb(), 1);
         assert_eq!(plan.total_streams, 1);
-        assert!(!plan.asynchronous);
+        assert!(!plan.staging.async_dtoh());
         // 1 alloc + 4 chunks × (StageIn + HtoD) + sort + 4 × (DtoH + StageOut).
         assert_eq!(plan.steps.len(), 1 + 4 * 2 + 1 + 4 * 2);
         assert_eq!(plan.multiway_k(), 0);
@@ -215,7 +264,7 @@ mod tests {
         let plan = Plan::build(cfg(Approach::PipeData), 6000).unwrap();
         plan.validate().unwrap();
         assert_eq!(plan.total_streams, 2); // ns=2 × 1 GPU
-        assert!(plan.asynchronous);
+        assert!(plan.staging.async_htod() && plan.staging.async_dtoh());
         // Round-robin batches across streams.
         assert_eq!(plan.batches[0].stream, 0);
         assert_eq!(plan.batches[1].stream, 1);
@@ -381,8 +430,12 @@ mod tests {
         // chaining holds per lane, and the cross edges HtoD←StageIn and
         // StageOut←DtoH are explicit.
         let plan = Plan::build(cfg(Approach::PipeData), 2000).unwrap();
-        assert!(plan.config.double_buffered());
-        assert!(!plan.stage_out_elided(), "piped plans keep the bounce");
+        assert!(plan.staging.host_lane());
+        assert_eq!(
+            plan.staging.outbound,
+            Outbound::Own,
+            "piped plans keep the bounce"
+        );
         let mut host: Vec<Option<usize>> = vec![None; plan.total_streams];
         let mut dev: Vec<Option<usize>> = vec![None; plan.total_streams];
         for (i, s) in plan.steps.iter().enumerate() {
@@ -436,20 +489,32 @@ mod tests {
     }
 
     #[test]
-    fn elided_stage_out_is_blocking_double_buffered_only() {
-        use crate::config::StagingMode;
-        let blocking = Plan::build(cfg(Approach::BLineMulti), 5000).unwrap();
-        assert!(blocking.stage_out_elided());
-        assert_eq!(blocking.staging_halves(), 2);
-        let piped = Plan::build(cfg(Approach::PipeData), 5000).unwrap();
-        assert!(!piped.stage_out_elided());
-        let paper = Plan::build(
-            cfg(Approach::BLineMulti).with_staging(StagingMode::Paper),
-            5000,
-        )
-        .unwrap();
-        assert!(!paper.stage_out_elided());
-        assert_eq!(paper.staging_halves(), 1);
+    fn staging_layout_follows_approach_and_mode() {
+        // The four layouts: halves, outbound, host lane, async HtoD and
+        // DtoH, pinned elements per stream (p_s = 300).
+        use crate::config::StagingMode::{DoubleBuffered as Double, Paper};
+        use Approach::{BLineMulti as Blocking, PipeData as Piped};
+        use Outbound::{Elided, Inbound, Own};
+        for (approach, mode, halves, outbound, lane, htod, dtoh, pinned) in [
+            (Piped, Paper, 1, Own, false, true, true, 600),
+            (Piped, Double, 2, Own, true, true, true, 900),
+            (Blocking, Paper, 1, Inbound, false, false, false, 300),
+            (Blocking, Double, 2, Elided, true, true, false, 600),
+        ] {
+            let plan = Plan::build(cfg(approach).with_staging(mode), 5000).unwrap();
+            let layout = plan.staging;
+            let what = format!("{approach:?}/{}", mode.name());
+            assert_eq!(
+                (layout.halves, layout.outbound),
+                (halves, outbound),
+                "{what}"
+            );
+            assert_eq!(layout.host_lane(), lane, "{what}");
+            let asynchronous = (layout.async_htod(), layout.async_dtoh());
+            assert_eq!(asynchronous, (htod, dtoh), "{what}");
+            assert_eq!(layout.pinned_elems(), pinned, "{what}");
+            assert_eq!(layout.half(3), 3 % halves, "{what}");
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@
 
 use hetsort_vgpu::calib::amdahl_speedup;
 
-use crate::config::{HetSortConfig, HybridMode, PairStrategy};
+use crate::config::{HetSortConfig, HybridMode, PairStrategy, StagingMode};
 use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
-use crate::plan::{BatchInfo, MergeSrc, PairSpec, Plan};
+use crate::plan::{BatchInfo, MergeSrc, Outbound, PairSpec, Plan, StagingLayout};
 
 /// Build the plan for sorting `n` elements under `config`.
 ///
@@ -74,6 +74,22 @@ fn geometry(config: &HetSortConfig, n: usize) -> (usize, usize, usize, Vec<Batch
         });
     }
     (nb, ngpu, total_streams, batches)
+}
+
+/// The staging layout of approach × [`StagingMode`]: the one place it
+/// is decided.
+fn staging_layout(config: &HetSortConfig) -> StagingLayout {
+    let double = config.staging == StagingMode::DoubleBuffered;
+    let outbound = match (config.approach.is_piped(), double) {
+        (true, _) => Outbound::Own,
+        (false, false) => Outbound::Inbound,
+        (false, true) => Outbound::Elided,
+    };
+    StagingLayout {
+        chunk_elems: config.pinned_elems,
+        halves: if double { 2 } else { 1 },
+        outbound,
+    }
 }
 
 /// The pipelined merge schedule under the configured strategy: pair
@@ -208,18 +224,18 @@ fn hybrid_cpu_slots(cfg: &HetSortConfig, pairs: &[PairSpec]) -> Vec<bool> {
 }
 
 /// Node emission state: the dag so far plus each stream's FIFO tails.
-/// The paper shape serializes every node of a stream on one tail;
-/// double-buffered staging splits each stream into a host lane (pinned
-/// allocs + staging copies) and a device lane (HtoD, sort, DtoH) so the
-/// host→pinned bounce of chunk c overlaps the DMA of chunk c−1.
-/// Buffer-reuse hazards that the single tail made implicit become
-/// explicit edges in [`lower`] (and the validator's `fifo` rule demands
-/// exactly this discipline).
+/// The paper shape serializes every node of a stream on one tail; a
+/// layout with a host lane ([`StagingLayout::host_lane`]) splits each
+/// stream into a host lane (pinned allocs + staging copies) and a
+/// device lane (HtoD, sort, DtoH) so the host→pinned bounce of chunk c
+/// overlaps the DMA of chunk c−1. Buffer-reuse hazards that the single
+/// tail made implicit become explicit edges in [`lower`] (and the
+/// validator's `fifo` rule demands exactly this discipline).
 struct Emit {
     nodes: Vec<DagNode>,
     host_tail: Vec<Option<usize>>,
     dev_tail: Vec<Option<usize>>,
-    db: bool,
+    host_lane: bool,
 }
 
 impl Emit {
@@ -228,7 +244,7 @@ impl Emit {
     fn push(&mut self, op: DagOp, mut deps: Vec<usize>, stream: Option<usize>) -> usize {
         let idx = self.nodes.len();
         if let Some(s) = stream {
-            let tail = if self.db && op.is_device_lane() {
+            let tail = if self.host_lane && op.is_device_lane() {
                 &mut self.dev_tail[s]
             } else {
                 &mut self.host_tail[s]
@@ -244,21 +260,17 @@ impl Emit {
     }
 }
 
-/// The lowering: geometry + merge schedule + FIFO node emission. The
-/// approach selects the staging discipline: piped approaches use
-/// separate in/out pinned buffers and asynchronous chunked transfers,
-/// blocking ones a single buffer.
+/// The lowering: geometry + staging layout + merge schedule + FIFO
+/// node emission.
 fn lower(config: HetSortConfig, n: usize) -> Plan {
-    let piped = config.approach.is_piped();
     let (nb, ngpu, total_streams, batches) = geometry(&config, n);
     let (pairs, final_inputs) = pair_schedule(&config, n, nb);
-    let db = config.double_buffered();
-    // Blocking + double-buffered: the sorted batch is still
-    // device-resident when it is written out, so the outbound pinned
-    // bounce is elided — `DtoH` carries the (pageable) device→host cost
-    // and the outbound `StagingCopy` becomes the zero-byte marker where
-    // the chunk is emitted straight from device memory.
-    let elided = db && !piped;
+    let staging = staging_layout(&config);
+    let lanes = staging.host_lane();
+    let own_out = staging.outbound == Outbound::Own;
+    // An outbound pinned buffer shared by a batch's chunks: with a host
+    // lane, each DtoH must wait for the StageOut that last read it.
+    let out_reuse = lanes && staging.outbound != Outbound::Elided;
     // The node count is known from the geometry: the pinned allocs,
     // four chunk ops per chunk plus a sort per batch, the pair merges
     // and the final merge. Reserving it exactly keeps the node vector
@@ -266,7 +278,7 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
     // for 20 027 nodes, and leave the smaller vectors it outgrew behind
     // as heap holes).
     let ps = config.pinned_elems;
-    let node_count = total_streams * (1 + usize::from(piped))
+    let node_count = total_streams * (1 + usize::from(own_out))
         + batches
             .iter()
             .map(|b| 4 * b.len.div_ceil(ps) + 1)
@@ -277,27 +289,26 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
         nodes: Vec::with_capacity(node_count),
         host_tail: vec![None; total_streams],
         dev_tail: vec![None; total_streams],
-        db,
+        host_lane: lanes,
     };
 
-    // 1. Pinned allocations: two per stream (in + out) for piped
-    //    approaches; blocking approaches reuse one staging buffer per
-    //    host thread for both directions (as in the §IV-E
-    //    reproduction) — and elided stage-out never bounces outbound
-    //    at all, so the inbound halves are the whole pinned footprint.
-    let ps_bytes = config.elem_bytes.bytes() * config.pinned_elems as u64;
-    // Double-buffered staging doubles the *inbound* buffer: two
-    // parity-selected halves share one allocation (one producer key, so
-    // the alloc count per stream is unchanged either way).
-    let in_bytes = if db { 2 * ps_bytes } else { ps_bytes };
+    // 1. Pinned allocations per stream: the inbound halves in one
+    //    allocation (one producer key, so the alloc count per stream
+    //    does not depend on the halves), then the outbound buffer when
+    //    it is its own.
+    let ps_bytes = config.elem_bytes.bytes() * ps as u64;
     for s in 0..total_streams {
         let alloc = |bytes, dir_in| DagOp::PinnedAlloc {
             stream: s,
             bytes,
             dir_in,
         };
-        e.push(alloc(in_bytes, true), vec![], Some(s));
-        if piped {
+        e.push(
+            alloc(staging.halves as u64 * ps_bytes, true),
+            vec![],
+            Some(s),
+        );
+        if own_out {
             e.push(alloc(ps_bytes, false), vec![], Some(s));
         }
     }
@@ -324,11 +335,11 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
         let mut souts: Vec<usize> = Vec::with_capacity(nchunks);
         for chunk in 0..nchunks {
             let (start, len) = extent(chunk);
-            // Double-buffered: the half chunk c overwrites (parity
-            // c % 2) was last read by HtoD(c−2); the first chunk of a
-            // later batch waits for the previous batch's last HtoD.
+            // Two halves: the half chunk c overwrites (parity c % 2)
+            // was last read by HtoD(c−2); the first chunk of a later
+            // batch waits for the previous batch's last HtoD.
             let mut si_deps = Vec::new();
-            if db {
+            if lanes {
                 if chunk >= 2 {
                     si_deps.push(htods[chunk - 2]);
                 } else if chunk == 0 {
@@ -349,9 +360,9 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
             // a batch also waits for the previous batch's last emission
             // marker — the device buffer it overwrites was read there.
             let mut h_deps = Vec::new();
-            if db {
+            if lanes {
                 h_deps.push(si);
-                if elided && chunk == 0 {
+                if staging.outbound == Outbound::Elided && chunk == 0 {
                     h_deps.extend(prev_sout[s]);
                 }
             }
@@ -373,7 +384,7 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
             // a batch boundary, what the previous batch's last StageOut
             // read). Elided mode has no outbound buffer to protect.
             let mut d_deps = Vec::new();
-            if db && !elided {
+            if out_reuse {
                 if chunk >= 1 {
                     d_deps.push(souts[chunk - 1]);
                 } else {
@@ -394,7 +405,7 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
                 len,
                 dir_in: false,
             };
-            prev = e.push(stage_out, if db { vec![d] } else { vec![] }, stream);
+            prev = e.push(stage_out, if lanes { vec![d] } else { vec![] }, stream);
             souts.push(prev);
         }
         prev_htod[s] = Some(last_htod);
@@ -443,7 +454,7 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
         pairs,
         steps: e.nodes,
         total_streams,
-        asynchronous: piped,
+        staging,
         device_ids: (0..ngpu).collect(),
     }
 }
@@ -488,8 +499,8 @@ mod tests {
         };
         assert_eq!(allocs(&blocking), blocking.total_streams);
         assert_eq!(allocs(&piped), 2 * piped.total_streams);
-        assert!(!blocking.asynchronous);
-        assert!(piped.asynchronous);
+        assert!(!blocking.staging.async_dtoh());
+        assert!(piped.staging.async_dtoh());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Plan memory math: the device and pinned footprint ([`Residency`],
 //! §III-B) and the host arrays `A`, `W` and `B` ([`host_peak_bytes`],
-//! §III-A) of a built [`Plan`], computed from its nodes alone.
+//! §III-A) of a built [`Plan`], computed from its layout and nodes alone.
 //!
 //! ## Device and pinned residency
 //!
@@ -12,9 +12,9 @@
 //!   resident from its first `HtoD` until its last `DtoH` — with
 //!   round-robin batch rotation the buffers never free between batches,
 //!   so the peak per GPU is simply `streams_on_gpu × dev_bytes`;
-//! * **pinned host**: every `PinnedAlloc` step's staging buffer lives
-//!   until the run ends (piped approaches allocate an inbound and an
-//!   outbound buffer per stream).
+//! * **pinned host**: every stream's staging buffers
+//!   ([`StagingLayout::pinned_elems`](crate::plan::StagingLayout::pinned_elems))
+//!   live until the run ends.
 //!
 //! The analyzer's static linter uses this to flag statically-guaranteed
 //! OOM, and the `hetsort-serve` admission controller sums it across
@@ -32,7 +32,9 @@
 //! * per stream, the device-buffer stand-in (the stream's largest batch)
 //!   and its pinned staging, from the stream's first node until its
 //!   last;
-//! * one radix scratch of the batch's length during each `Sort`;
+//! * during each `Sort`, one radix scratch of the batch's length plus
+//!   its lane rows at the host's width (the inline engine sorts at full
+//!   width), read from [`hetsort_algos::radix_par::count_rows_bytes`];
 //! * the final merge's tree scratch while it runs, at fan-in 3 or more:
 //!   `min(n, MERGE_SCRATCH_ELEMS)` elements. The kernel cuts parts no
 //!   longer than `MERGE_SCRATCH_ELEMS / w` at width `w` and holds at
@@ -46,7 +48,7 @@
 //! [`host_bound_bytes`] is the bound for *any* order the pooled engine
 //! may take:
 //!
-//! `2·n·elem + streams·(b_s·elem + pinned) + b_s·elem + scratch`
+//! `2·n·elem + streams·(b_s·elem + pinned + rows) + b_s·elem + scratch`
 //!
 //! It holds because only the calling thread merges, one merge at a
 //! time. Every input element sits in at most one live run or pair
@@ -54,9 +56,10 @@
 //! an output no larger than the runs it reads. A sort's scratch is as
 //! long as its batch, which is not a run yet. So runs, pair outputs,
 //! `B` and sort scratch together never exceed `2·n·elem`, and each
-//! stream adds at most its device buffer and staging. The last
-//! `b_s·elem` is margin; `scratch` is the final merge's tree scratch
-//! above (pair merges need none). Bookkeeping (spans, merge cut tables)
+//! stream adds at most its device buffer, staging and the working set
+//! `rows` of one sort at the host's width. The last `b_s·elem` is
+//! margin; `scratch` is the final merge's tree scratch above (pair
+//! merges need none). Bookkeeping (spans, merge cut tables)
 //! is not modelled.
 //!
 //! Recovery detours (an OOM split's host staging, a given-up batch's
@@ -69,6 +72,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hetsort_algos::multiway::MERGE_SCRATCH_ELEMS;
+use hetsort_algos::par::default_threads;
+use hetsort_algos::radix_par::count_rows_bytes;
 
 use crate::dag::DagOp;
 use crate::plan::{MergeSrc, Plan};
@@ -81,7 +86,7 @@ pub struct Residency {
     /// devices accounts against the original platform's device numbers,
     /// so pool bookkeeping stays consistent across plan generations.
     pub device_bytes: BTreeMap<usize, u64>,
-    /// Total pinned host staging bytes (sum over `PinnedAlloc` steps).
+    /// Total pinned host staging bytes: every stream's staging layout.
     pub pinned_bytes: u64,
 }
 
@@ -101,17 +106,10 @@ impl Residency {
             .into_iter()
             .map(|(gpu, streams)| (gpu, dev_bytes.saturating_mul(streams.len() as u64)))
             .collect();
-        let pinned_bytes = plan
-            .steps
-            .iter()
-            .map(|s| match s.op {
-                DagOp::PinnedAlloc { bytes, .. } => bytes,
-                _ => 0,
-            })
-            .sum();
+        let pinned = plan.staging.pinned_elems() * plan.total_streams;
         Residency {
             device_bytes,
-            pinned_bytes,
+            pinned_bytes: cfg.elem_bytes.bytes() * pinned as u64,
         }
     }
 
@@ -168,13 +166,6 @@ impl Residency {
     }
 }
 
-/// Pinned staging elements one stream of `plan` holds: the inbound
-/// halves, plus the outbound buffer unless the stage-out is elided.
-fn staging_elems(plan: &Plan) -> usize {
-    let buffers = plan.staging_halves() + usize::from(!plan.stage_out_elided());
-    buffers * plan.config.pinned_elems
-}
-
 /// Tree scratch of a final merge over `inputs` while it runs: none at
 /// fan-in 2 or less, else at most `min(n, MERGE_SCRATCH_ELEMS)`.
 fn merge_scratch_elems(plan: &Plan, inputs: &[MergeSrc]) -> usize {
@@ -204,7 +195,7 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
     }
     let held: Vec<u64> = device
         .iter()
-        .map(|&d| bytes(d + staging_elems(plan)))
+        .map(|&d| bytes(d + plan.staging.pinned_elems()))
         .collect();
     let mut span = vec![(usize::MAX, 0usize); streams];
     for (i, node) in plan.steps.iter().enumerate() {
@@ -214,6 +205,7 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
         }
     }
 
+    let threads = default_threads();
     let (mut live, mut peak) = (0u64, 0u64);
     for (i, node) in plan.steps.iter().enumerate() {
         let stream = node.stream.filter(|&s| s < streams);
@@ -224,7 +216,10 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
         // merge's inputs are freed when it returns.
         let (mut scratch, mut freed) = (0, 0);
         match &node.op {
-            DagOp::Sort { batch } => scratch = bytes(src_len(MergeSrc::Batch(*batch))),
+            DagOp::Sort { batch } => {
+                let len = src_len(MergeSrc::Batch(*batch));
+                scratch = bytes(len) + count_rows_bytes(threads, len) as u64;
+            }
             DagOp::StagingCopy {
                 batch,
                 chunk: 0,
@@ -254,13 +249,15 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
 }
 
 /// The host bound every order of `plan` stays under:
-/// `2·n·elem + streams·(b_s·elem + pinned) + b_s·elem + scratch`, where
-/// `b_s` is the longest batch, `pinned` one stream's staging and
-/// `scratch` the final merge's tree scratch.
+/// `2·n·elem + streams·(b_s·elem + pinned + rows) + b_s·elem + scratch`,
+/// where `b_s` is the longest batch, `pinned` one stream's staging,
+/// `rows` the radix working set of sorting `b_s` at the host's width
+/// and `scratch` the final merge's tree scratch.
 pub fn host_bound_bytes(plan: &Plan) -> u64 {
     let elem = plan.config.elem_bytes.bytes();
-    let bs = plan.batches.iter().map(|b| b.len).max().unwrap_or(0) as u64;
-    let per_stream = (bs + staging_elems(plan) as u64) * elem;
+    let bs = plan.batches.iter().map(|b| b.len).max().unwrap_or(0);
+    let rows = count_rows_bytes(default_threads(), bs) as u64;
+    let per_stream = (bs + plan.staging.pinned_elems()) as u64 * elem + rows;
     let scratch = plan
         .steps
         .iter()
@@ -269,8 +266,8 @@ pub fn host_bound_bytes(plan: &Plan) -> u64 {
             _ => 0,
         })
         .max()
-        .unwrap_or(0) as u64;
-    2 * plan.n as u64 * elem + plan.total_streams as u64 * per_stream + (bs + scratch) * elem
+        .unwrap_or(0);
+    2 * plan.n as u64 * elem + plan.total_streams as u64 * per_stream + (bs + scratch) as u64 * elem
 }
 
 #[cfg(test)]
@@ -408,7 +405,7 @@ mod tests {
             .with_batch_elems(1_000)
             .with_pinned_elems(250);
         let plan = Plan::build(cfg, 1_000).unwrap();
-        let staging = staging_elems(&plan) as u64;
+        let staging = plan.staging.pinned_elems() as u64;
         assert_eq!(host_peak_bytes(&plan), (2 * 1_000 + staging) * 8);
     }
 }

@@ -220,9 +220,11 @@ impl MetricsRegistry {
     }
 
     /// Spans in the canonical order every statistic is computed in.
+    /// Unstable is exact: `span_cmp` compares every field (floats by
+    /// `total_cmp`), so spans it calls equal are bit-identical.
     pub fn sorted_spans(&self) -> Vec<&ObsSpan> {
         let mut v: Vec<&ObsSpan> = self.spans.iter().collect();
-        v.sort_by(|a, b| span_cmp(a, b));
+        v.sort_unstable_by(|a, b| span_cmp(a, b));
         v
     }
 

@@ -107,25 +107,42 @@ impl AdmissionController {
             .all(|(gpu, b)| held(gpu).saturating_add(*b) <= self.budget.device_bytes);
         let pinned_ok =
             self.agg.pinned_bytes.saturating_add(r.pinned_bytes) <= self.budget.pinned_bytes;
-        self.alive(r) && pinned_ok && device_ok
+        self.lost_gpu(r).is_none() && pinned_ok && device_ok
     }
 
     /// Could `r` *ever* be admitted, even with nothing else in flight,
     /// on the pool as it stands today? Jobs failing this are shed
     /// immediately instead of queuing forever.
     pub fn ever_fits(&self, r: &Residency) -> bool {
-        self.alive(r)
-            && r.pinned_bytes <= self.budget.pinned_bytes
-            && r.device_bytes
-                .values()
-                .all(|b| *b <= self.budget.device_bytes)
+        self.unfit(r).is_none()
     }
 
-    /// Does `r` hold no bytes on a GPU that has left the pool?
-    fn alive(&self, r: &Residency) -> bool {
+    /// Why `r` fails [`Self::ever_fits`], naming what is over which
+    /// budget: the lost GPU it touches, else its pinned bytes, else the
+    /// first GPU over the device budget. `None` when it could be
+    /// admitted.
+    pub fn unfit(&self, r: &Residency) -> Option<String> {
+        let (device, pinned) = (self.budget.device_bytes, self.budget.pinned_bytes);
+        if let Some(gpu) = self.lost_gpu(r) {
+            Some(format!("holds bytes on lost GPU {gpu}"))
+        } else if r.pinned_bytes > pinned {
+            let (have, cap) = (r.pinned_bytes as f64, pinned as f64);
+            Some(format!("pinned {have:.3e} B vs budget {cap:.3e} B"))
+        } else {
+            let (gpu, have) = r.device_bytes.iter().find(|(_, b)| **b > device)?;
+            let (have, cap) = (*have as f64, device as f64);
+            Some(format!(
+                "device {have:.3e} B on GPU {gpu} vs budget {cap:.3e} B/GPU"
+            ))
+        }
+    }
+
+    /// The first GPU that has left the pool on which `r` holds bytes.
+    fn lost_gpu(&self, r: &Residency) -> Option<usize> {
         r.device_bytes
             .iter()
-            .all(|(gpu, b)| *b == 0 || !self.dead.contains(gpu))
+            .find(|(gpu, b)| **b > 0 && self.dead.contains(gpu))
+            .map(|(&gpu, _)| gpu)
     }
 
     /// Reserve `r` under key `id` (a job id or a coalesced-group

@@ -162,30 +162,19 @@ enum Placing {
 }
 
 impl Placing {
-    /// The counter and reason of shedding a job whose footprint `r`
-    /// can never fit `budget` on the pool as it stands.
-    fn unfit(&self, r: &Residency, budget: ServeBudget) -> (&'static str, String) {
-        let pool = |prefix: &str| {
-            let reason = format!(
-                "{prefix}unadmittable on the shrunk pool (device peak {:.3e} B vs budget \
-                 {:.3e} B/GPU)",
-                r.device_peak(),
-                budget.device_bytes,
-            );
+    /// The counter and reason of shedding a job whose footprint can
+    /// never fit the pool as it stands, for `why`
+    /// ([`AdmissionController::unfit`]).
+    fn unfit(&self, why: String) -> (&'static str, String) {
+        let pool = |prefix| {
+            let reason = format!("{prefix}unadmittable on the current pool ({why})");
             ("jobs_shed_pool", reason)
         };
         match self {
-            Placing::Arrival => {
-                let reason = format!(
-                    "footprint (device peak {:.3e} B, pinned {:.3e} B) exceeds the service \
-                     budget (device {:.3e} B/GPU, pinned {:.3e} B) — unadmittable at any load",
-                    r.device_peak(),
-                    r.pinned_bytes,
-                    budget.device_bytes,
-                    budget.pinned_bytes,
-                );
-                ("jobs_shed_oversized", reason)
-            }
+            Placing::Arrival => (
+                "jobs_shed_oversized",
+                format!("footprint exceeds the service budget ({why}) — unadmittable at any load"),
+            ),
             Placing::Displaced => pool("displaced by device loss and "),
             Placing::Queued(..) => pool(""),
         }
@@ -438,11 +427,13 @@ impl<'a> Run<'a> {
     fn place(&mut self, id: u64, job: SortJob, why: Placing) {
         let joins_pending = self.joins_pending();
         let placed = match build_plan_for(&job, self.admission.dead()) {
-            Ok((plan, r)) if joins_pending || self.admission.ever_fits(&r) => Ok((plan, r)),
-            Ok((_, r)) => {
-                let (counter, reason) = why.unfit(&r, self.cfg.budget);
-                return self.shed(id, counter, reason);
-            }
+            Ok((plan, r)) => match self.admission.unfit(&r) {
+                Some(unfit) if !joins_pending => {
+                    let (counter, reason) = why.unfit(unfit);
+                    return self.shed(id, counter, reason);
+                }
+                _ => Ok((plan, r)),
+            },
             // Total outage with a join still scheduled: wait for it, a
             // queued job on the plan it holds, any other on its
             // full-pool plan. The dead-device check in `fits` keeps the

@@ -24,8 +24,8 @@ use hetsort_core::reference::reference_sort_real;
 use hetsort_core::{Approach, HetSortConfig, HetSortError, StagingMode};
 use hetsort_prng::Rng;
 use hetsort_serve::{
-    chaos_schedule, parse_schedule, Priority, ServeBudget, ServeConfig, ServeOutcome, SortJob,
-    SortService,
+    chaos_schedule, parse_schedule, synthetic_jobs, Priority, ServeBudget, ServeConfig,
+    ServeOutcome, SortJob, SortService, MIX_COALESCE_ELEMS,
 };
 use hetsort_vgpu::{platform2, FaultInjector};
 
@@ -236,4 +236,60 @@ fn pinned_loss_displaces_then_join_readmits() {
     // survivor pool could hold every shape in this mix).
     assert_eq!(out.shed.len(), 0, "{:?}", out.shed);
     assert_eq!(out.completed.len(), N_JOBS);
+}
+
+#[test]
+fn pool_shed_reasons_name_a_quantity_over_its_budget() {
+    // PLATFORM2 mixes under a 1e6 B/GPU device and 2e4 B pinned budget
+    // with a loss and then a join: the queue is re-planned on the
+    // restored pool (more streams, more pinned staging) and sheds on
+    // the pinned budget, though no device budget is exceeded. Every
+    // pool shed must name what is over which budget.
+    let (device, pinned) = (1.0e6, 2.0e4);
+    let events = parse_schedule("lose:1@0.001,join:1@0.01").unwrap();
+    let mut sheds = 0;
+    for seed in 1..=4 {
+        let cfg = ServeConfig::new(ServeBudget::new(device, pinned))
+            .with_queue_cap(24)
+            .with_coalescing(MIX_COALESCE_ELEMS)
+            .with_pool_events(events.clone());
+        let out = SortService::new(cfg).run(synthetic_jobs(&platform2(), 60, seed));
+        let reasons: Vec<String> = out
+            .shed
+            .iter()
+            .filter_map(|(_, e)| match e {
+                HetSortError::Overloaded { reason, .. }
+                    if reason.contains("unadmittable on the") =>
+                {
+                    Some(reason.clone())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            reasons.len() as f64,
+            out.metrics.counter("jobs_shed_pool"),
+            "seed {seed}: every pool shed says why: {reasons:?}"
+        );
+        for reason in &reasons {
+            // "(pinned X B vs budget Y B)" or "(device X B on GPU g vs
+            // budget Y B/GPU)": the named quantity is over the budget
+            // the service was given for it.
+            let why = &reason[reason.find('(').expect(reason) + 1..];
+            let (quantity, budget) = why.split_once(" vs budget ").expect(reason);
+            let number = |s: &str| {
+                let mut tokens = s.split(' ');
+                tokens.find_map(|t| t.parse::<f64>().ok()).expect(reason)
+            };
+            let limit = match quantity.split(' ').next() {
+                Some("pinned") => pinned,
+                Some("device") => device,
+                _ => panic!("seed {seed}: `{reason}` names no budget"),
+            };
+            assert_eq!(number(budget), limit, "seed {seed}: {reason}");
+            assert!(number(quantity) > limit, "seed {seed}: {reason}");
+        }
+        sheds += reasons.len();
+    }
+    assert!(sheds > 0, "the mix sheds on the pool");
 }

@@ -102,18 +102,28 @@ fn engine_host_memory_stays_within_the_model() {
     let data = lcg_data(N, 0x4057);
     let mut over = Vec::new();
     for approach in [
+        Approach::BLine,
         Approach::BLineMulti,
         Approach::PipeData,
         Approach::PipeMerge,
     ] {
-        for strategy in [
-            PairStrategy::PaperHeuristic,
-            PairStrategy::Online,
-            PairStrategy::MergeTree,
-        ] {
+        // BLINE sorts the input as one batch: no merge, so nothing but
+        // the one stream's buffers and its sort add to B.
+        let (batch, strategies): (usize, &[PairStrategy]) = match approach {
+            Approach::BLine => (N, &[PairStrategy::PaperHeuristic]),
+            _ => (
+                BATCH,
+                &[
+                    PairStrategy::PaperHeuristic,
+                    PairStrategy::Online,
+                    PairStrategy::MergeTree,
+                ],
+            ),
+        };
+        for &strategy in strategies {
             for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
                 let cfg = HetSortConfig::paper_defaults(platform1(), approach)
-                    .with_batch_elems(BATCH)
+                    .with_batch_elems(batch)
                     .with_pinned_elems(PINNED)
                     .with_pair_strategy(strategy)
                     .with_staging(staging);
