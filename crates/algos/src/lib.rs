@@ -16,8 +16,9 @@
 //!   floats (the Thrust/CUB device-sort stand-in used by the functional
 //!   executor).
 //! * [`radix_par`] — the parallel radix sort the functional engine
-//!   runs as its device sort: [`radix`] per thread-sized slice, then a
-//!   [`merge`] tree; bit-identical to [`radix`] on the whole batch.
+//!   runs as its device sort: one stable radix partition on the batch's
+//!   top varying bits, then [`radix`] per cache-resident bucket;
+//!   bit-identical to [`radix`] on the whole batch.
 //! * [`merge`] — sequential two-way merge plus the *merge path* parallel
 //!   pairwise merge (Green et al. \[18\]) used by the PIPEMERGE pipeline.
 //! * [`multiway`] — co-rank-partitioned k-way merge, each part merged by

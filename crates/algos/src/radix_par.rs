@@ -1,111 +1,284 @@
 //! Parallel radix sort — the device-sort stand-in of the functional
 //! engine (Thrust's out-of-place radix sort of one `b_s` batch, §III-B).
 //!
-//! Sort `t` contiguous slices with the sequential LSD kernel
-//! ([`crate::radix`]), one worker each, then merge them with a
-//! ⌈log₂ t⌉-level pairwise tree of merge-path merges ([`crate::merge`]),
-//! ping-ponging between the batch and one scratch buffer. Each worker's
-//! scatter passes stay inside its own slice; memory is crossed by the
-//! whole machine only in the merge levels. The slices are equal-sized
-//! whatever the keys are, so the work is balanced on any distribution.
+//! One radix partition, then bucket sorts: the hybrid shape of Stehle &
+//! Jacobsen, which partitions until the buckets fit in fast memory and
+//! finishes each one there.
 //!
-//! Every merge takes the left run first on ties, so the result is the
-//! stable LSD permutation of the whole batch — bit-identical to
-//! [`crate::radix::radix_sort`] at every thread count, payloads of
-//! equal-key records included. DESIGN.md § 21 records the two shapes
-//! this one beat (an eight-pass cross-thread count → scan → scatter, and
-//! an MSD partition followed by per-bucket LSD).
+//! 1. Fold the batch's AND and OR. The digit is the 10 bits from the top
+//!    varying bit down, or every varying bit when they span at most 14.
+//!    Classifying a key is one shift and one mask, whatever the
+//!    distribution: a constant top byte costs nothing.
+//! 2. Each worker counts its contiguous part of the batch, then scatters
+//!    it into one scratch of batch length. Bucket `b` holds part 0's keys
+//!    of `b`, then part 1's, each in input order: the partition is stable.
+//! 3. The buckets are self-scheduled over the workers. A bucket of at
+//!    most [`LSD_MAX_BYTES`] is finished in cache by the sequential LSD
+//!    kernel ([`crate::radix`]) and lands in the batch; a longer one is
+//!    partitioned again on its own varying bits, which is how skew is
+//!    handled. When the digit covered every varying bit, the keys of a
+//!    bucket are all equal and it is already final.
+//!
+//! Both steps are stable, so the result is the stable LSD permutation of
+//! the batch — bit-identical to [`crate::radix::radix_sort`] at every
+//! thread count, payloads of equal-key records included. A batch of at
+//! most [`LSD_MAX_BYTES`] is one LSD sort. DESIGN.md § 21 records the
+//! shapes this one replaced and the measurements behind its constants.
 
-use crate::keys::{RadixKey, SortOrd};
+use std::mem::{size_of, size_of_val};
+use std::ops::Range;
+use std::sync::Mutex;
+
+use crate::keys::RadixKey;
 use crate::mem::huge_vec;
-use crate::merge::par_merge_into_cfg;
-use crate::par::{par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, MIN_PART};
-use crate::radix::{radix_sort, radix_sort_with_scratch, COUNT_ROWS_BYTES, SMALL_COUNT};
+use crate::par::{par_copy, par_parts, split_evenly, split_ranges_mut, SchedCfg, MIN_PART};
+use crate::radix::{radix_sort_with_scratch, COUNT_ROWS_BYTES, SMALL_COUNT};
+
+/// The longest key range, in bytes, that is LSD-sorted whole rather than
+/// partitioned: a batch at or under it is one [`radix_sort_with_scratch`]
+/// call, and so is every bucket at or under it. One core's L2 on the
+/// reference box: at one worker the partition starts paying between 2
+/// and 3 MiB (DESIGN.md § 21).
+pub const LSD_MAX_BYTES: usize = 2 << 20;
+
+/// Digit width of a partition whose varying bits span more than
+/// [`MAX_DIGIT_BITS`].
+const DIGIT_BITS: u32 = 10;
+
+/// The widest span of varying bits one partition takes whole, leaving
+/// every bucket a run of equal keys.
+const MAX_DIGIT_BITS: u32 = 14;
 
 /// Sort `data` with the parallel radix sort on `threads` workers.
 ///
-/// A batch is cut into `threads.min(n / MIN_PART)` slices; at one slice
-/// (one thread, or under two [`MIN_PART`]s) it is the sequential radix
-/// sort. Allocates one scratch buffer of equal length
+/// A batch above [`LSD_MAX_BYTES`] is partitioned on
+/// `threads.min(n / MIN_PART)` workers; one at or under it is the
+/// sequential radix sort. Allocates one scratch buffer of equal length
 /// ([`huge_vec`]).
-pub fn par_radix_sort<T: RadixKey + SortOrd + Default>(threads: usize, data: &mut [T]) {
+pub fn par_radix_sort<T: RadixKey + Default>(threads: usize, data: &mut [T]) {
     par_radix_sort_cfg(&SchedCfg::default(), threads, data);
 }
 
-/// Bytes [`par_radix_sort_cfg`] holds over `n` keys on `threads`
-/// workers besides its scratch: one [`COUNT_ROWS_BYTES`] per slice,
-/// none below [`SMALL_COUNT`].
-pub fn count_rows_bytes(threads: usize, n: usize) -> usize {
-    if n < SMALL_COUNT {
-        return 0;
-    }
-    threads.min(n / MIN_PART).max(1) * COUNT_ROWS_BYTES
+/// [`par_radix_sort`] with an explicit scheduling policy (the bucket
+/// phase over-decomposes by it; the output is identical under all).
+pub fn par_radix_sort_cfg<T: RadixKey + Default>(cfg: &SchedCfg, threads: usize, data: &mut [T]) {
+    let mut scratch: Vec<T> = huge_vec(data.len(), T::default());
+    sort_range(cfg, threads, data, &mut scratch, true);
 }
 
-/// [`par_radix_sort`] with an explicit scheduling policy (the merge
-/// levels over-decompose by it; the output is identical under all).
-pub fn par_radix_sort_cfg<T: RadixKey + SortOrd + Default>(
+/// Bytes [`par_radix_sort_cfg`] holds over `n` keys of `elem` bytes on
+/// `threads` workers besides its scratch, over any key distribution.
+///
+/// An LSD-sorted batch holds the kernel's lane rows
+/// ([`COUNT_ROWS_BYTES`], none below [`SMALL_COUNT`]). A partition holds
+/// each worker's counter and segment per bucket, and the bucket bounds;
+/// after a covering digit that is all. After a 10-bit digit the bounds
+/// stay while the buckets are finished in parts, at most one per
+/// bucket, each with its group, span, job and queue slot; meanwhile
+/// every worker holds lane rows or partitions of its own, one worker
+/// wide: at most one per 10 bits of the key, the deepest a covering one.
+pub fn working_set_bytes(threads: usize, n: usize, elem: usize) -> usize {
+    if n * elem <= LSD_MAX_BYTES {
+        return if n < SMALL_COUNT { 0 } else { COUNT_ROWS_BYTES };
+    }
+    type Job<'a> = ((&'a mut [u8], &'a mut [u8]), Range<usize>);
+    let word = size_of::<usize>();
+    let per_bucket = |workers: usize| workers * (word + size_of::<&mut [u8]>()) + word;
+    let part = 2 * size_of::<Range<usize>>() + size_of::<Job>() + size_of::<Mutex<Option<Job>>>();
+    let (narrow, wide) = (1usize << DIGIT_BITS, 1usize << MAX_DIGIT_BITS);
+    let worker = (64 / DIGIT_BITS as usize) * (narrow * word + part)
+        + (per_bucket(1) * wide).max(COUNT_ROWS_BYTES);
+    let workers = threads.min(n / MIN_PART).max(1);
+    let finishing = narrow * (word + part) + workers * worker;
+    (per_bucket(workers) * wide).max(per_bucket(workers) * narrow + finishing)
+}
+
+/// Sort `keys` stably on up to `threads` workers, with `spare` (of equal
+/// length) as the other side; the result lands in `keys` when
+/// `into_keys`, else in `spare`.
+fn sort_range<T: RadixKey>(
     cfg: &SchedCfg,
     threads: usize,
-    data: &mut [T],
+    keys: &mut [T],
+    spare: &mut [T],
+    into_keys: bool,
 ) {
-    let n = data.len();
-    let slices = threads.min(n / MIN_PART);
-    if slices <= 1 {
-        radix_sort(data);
+    let n = keys.len();
+    if size_of_val(keys) <= LSD_MAX_BYTES {
+        // An odd pass count leaves the result in `spare`.
+        let in_spare = radix_sort_with_scratch(keys, spare) % 2 == 1;
+        match (in_spare, into_keys) {
+            (false, false) => spare.copy_from_slice(keys),
+            (true, true) => keys.copy_from_slice(spare),
+            _ => {}
+        }
         return;
     }
-    let mut runs = split_evenly(n, slices);
-    let mut scratch: Vec<T> = huge_vec(n, T::default());
+    let workers = threads.min(n / MIN_PART).max(1);
+    let parts = split_evenly(n, workers);
+    let Some(digit) = Digit::of(varying_bits(keys, &parts)) else {
+        // Every key is equal: the input order is the stable order.
+        if !into_keys {
+            par_copy(workers, keys, spare);
+        }
+        return;
+    };
+    let bounds = partition(digit, keys, spare, &parts);
+    if digit.covers {
+        // Each bucket is a run of equal keys: the partition is the result.
+        if into_keys {
+            par_copy(workers, spare, keys);
+        }
+        return;
+    }
 
-    // Each tree level flips sides and the last must land in `data`, so
-    // the sorted slices start in `scratch` iff the level count is odd.
-    let levels = runs.len().next_power_of_two().trailing_zeros();
-    let mut in_data = levels & 1 == 0;
-    let halves: Vec<(&mut [T], &mut [T])> = split_ranges_mut(data, &runs)
-        .into_iter()
-        .zip(split_ranges_mut(&mut scratch, &runs))
+    // The parts of the self-scheduled queue are runs of consecutive
+    // buckets, each cut once it holds n / parts keys or more.
+    let grain = n.div_ceil(cfg.over_parts(workers, n / MIN_PART));
+    let mut groups: Vec<Range<usize>> = Vec::new();
+    let mut first = 0;
+    for b in 1..bounds.len() {
+        if bounds[b] - bounds[first] >= grain || b == bounds.len() - 1 {
+            if bounds[b] > bounds[first] {
+                groups.push(first..b);
+            }
+            first = b;
+        }
+    }
+    let spans: Vec<Range<usize>> = groups
+        .iter()
+        .map(|g| bounds[g.start]..bounds[g.end])
         .collect();
-    par_parts_stats(threads, halves, |_, (d, s)| {
-        // An odd pass count leaves the sorted slice in its scratch half.
-        let in_scratch = radix_sort_with_scratch(d, s) % 2 == 1;
-        match (in_scratch, in_data) {
-            (true, true) => d.copy_from_slice(s),
-            (false, false) => s.copy_from_slice(d),
-            _ => {}
+    let jobs: Vec<_> = split_ranges_mut(spare, &spans)
+        .into_iter()
+        .zip(split_ranges_mut(keys, &spans))
+        .zip(groups)
+        .collect();
+    par_parts(workers, jobs, |_, ((mut sorted, mut other), group)| {
+        for b in group {
+            let len = bounds[b + 1] - bounds[b];
+            let (s, s_rest) = std::mem::take(&mut sorted).split_at_mut(len);
+            let (o, o_rest) = std::mem::take(&mut other).split_at_mut(len);
+            if len > 0 {
+                sort_range(cfg, 1, s, o, !into_keys);
+            }
+            (sorted, other) = (s_rest, o_rest);
+        }
+    });
+}
+
+/// The bits that differ between any two keys of `keys`, folded over
+/// `parts` in parallel.
+fn varying_bits<T: RadixKey>(keys: &[T], parts: &[Range<usize>]) -> u64 {
+    let mut folds = vec![(u64::MAX, 0u64); parts.len()];
+    let jobs: Vec<_> = parts.iter().zip(folds.iter_mut()).collect();
+    par_parts(parts.len(), jobs, |_, (r, fold)| {
+        *fold = keys[r.clone()].iter().fold(*fold, |(and, or), x| {
+            let k = x.radix_key();
+            (and & k, or | k)
+        });
+    });
+    let (and, or) = folds
+        .into_iter()
+        .fold((u64::MAX, 0), |(and, or), (a, o)| (and & a, or | o));
+    and ^ or
+}
+
+/// The key bits one partition classifies on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Digit {
+    shift: u32,
+    mask: u64,
+    /// The digit holds every varying bit: a bucket's keys are equal.
+    covers: bool,
+}
+
+impl Digit {
+    /// The digit for a range whose keys differ in `varying`, or `None`
+    /// when they are all equal.
+    fn of(varying: u64) -> Option<Self> {
+        if varying == 0 {
+            return None;
+        }
+        let top = 63 - varying.leading_zeros();
+        let low = varying.trailing_zeros();
+        let span = top - low + 1;
+        let covers = span <= MAX_DIGIT_BITS;
+        let (shift, bits) = if covers {
+            (low, span)
+        } else {
+            (top + 1 - DIGIT_BITS, DIGIT_BITS)
+        };
+        Some(Digit {
+            shift,
+            mask: (1 << bits) - 1,
+            covers,
+        })
+    }
+
+    fn buckets(self) -> usize {
+        self.mask as usize + 1
+    }
+
+    #[inline(always)]
+    fn bucket<T: RadixKey>(self, x: T) -> usize {
+        ((x.radix_key() >> self.shift) & self.mask) as usize
+    }
+}
+
+/// Scatter `src` into `dst` by `digit`, stably: bucket by bucket, and
+/// inside a bucket part by part in input order. Each part is counted and
+/// scattered by its own worker. Returns the bucket bounds: bucket `b` is
+/// `dst[bounds[b]..bounds[b + 1]]`.
+fn partition<T: RadixKey>(
+    digit: Digit,
+    src: &[T],
+    dst: &mut [T],
+    parts: &[Range<usize>],
+) -> Vec<usize> {
+    let buckets = digit.buckets();
+    let mut counts = vec![vec![0usize; buckets]; parts.len()];
+    let jobs: Vec<_> = parts.iter().zip(counts.iter_mut()).collect();
+    par_parts(parts.len(), jobs, |_, (r, count)| {
+        for &x in &src[r.clone()] {
+            count[digit.bucket(x)] += 1;
         }
     });
 
-    while runs.len() > 1 {
-        let (src, dst): (&[T], &mut [T]) = if in_data {
-            (&*data, &mut scratch)
-        } else {
-            (&scratch, &mut *data)
-        };
-        runs = runs
-            .chunks(2)
-            .map(|pair| match pair {
-                // Left run first: ties keep their input order.
-                [l, r] => {
-                    let out = &mut dst[l.start..r.end];
-                    par_merge_into_cfg(cfg, threads, &src[l.clone()], &src[r.clone()], out);
-                    l.start..r.end
-                }
-                [l] => {
-                    dst[l.clone()].copy_from_slice(&src[l.clone()]);
-                    l.clone()
-                }
-                _ => unreachable!("chunks(2) yields one or two runs"),
-            })
-            .collect();
-        in_data = !in_data;
+    // Part p's keys of bucket b go to segs[p][b], laid out bucket-major.
+    let mut bounds = Vec::with_capacity(buckets + 1);
+    let mut segs: Vec<Vec<&mut [T]>> = (0..parts.len())
+        .map(|_| Vec::with_capacity(buckets))
+        .collect();
+    let (mut rest, mut start) = (dst, 0);
+    for b in 0..buckets {
+        bounds.push(start);
+        for (seg, count) in segs.iter_mut().zip(&counts) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(count[b]);
+            seg.push(head);
+            rest = tail;
+            start += count[b];
+        }
     }
-    debug_assert!(in_data, "the last tree level writes the batch");
+    bounds.push(start);
+
+    // Each part's counters restart as its cursors into its segments.
+    let jobs: Vec<_> = parts.iter().zip(segs).zip(counts.iter_mut()).collect();
+    par_parts(parts.len(), jobs, |_, ((r, mut seg), cursor)| {
+        cursor.fill(0);
+        for &x in &src[r.clone()] {
+            let b = digit.bucket(x);
+            seg[b][cursor[b]] = x;
+            cursor[b] += 1;
+        }
+    });
+    bounds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix::radix_sort;
     use crate::verify::{fingerprint, is_sorted};
 
     fn lcg(seed: u64, n: usize) -> Vec<u64> {
@@ -120,20 +293,66 @@ mod tests {
             .collect()
     }
 
+    /// Keys past the LSD bound, so the partition runs.
+    const PARTITIONED: usize = LSD_MAX_BYTES / 8 + 1000;
+
     #[test]
-    fn working_set_is_one_lane_table_per_slice() {
-        // 8 digits × 4 lanes × 256 × 8 B.
+    fn working_set_follows_the_path() {
         assert_eq!(COUNT_ROWS_BYTES, 64 << 10);
-        assert_eq!(count_rows_bytes(8, SMALL_COUNT - 1), 0, "rows on the stack");
-        assert_eq!(count_rows_bytes(8, SMALL_COUNT), COUNT_ROWS_BYTES);
-        assert_eq!(count_rows_bytes(1, 1 << 20), COUNT_ROWS_BYTES);
-        assert_eq!(count_rows_bytes(2, 50_000), 2 * COUNT_ROWS_BYTES);
-        assert_eq!(count_rows_bytes(64, 3 * MIN_PART), 3 * COUNT_ROWS_BYTES);
+        assert_eq!(
+            working_set_bytes(8, SMALL_COUNT - 1, 8),
+            0,
+            "rows on the stack"
+        );
+        assert_eq!(working_set_bytes(8, SMALL_COUNT, 8), COUNT_ROWS_BYTES);
+        assert_eq!(working_set_bytes(8, LSD_MAX_BYTES / 8, 8), COUNT_ROWS_BYTES);
+        let one = working_set_bytes(1, PARTITIONED, 8);
+        let two = working_set_bytes(2, PARTITIONED, 8);
+        assert!(one > COUNT_ROWS_BYTES && two > one, "{one} {two}");
+        // Wider keys reach the partition at fewer keys.
+        assert_eq!(working_set_bytes(2, PARTITIONED / 2, 16), two);
+    }
+
+    #[test]
+    fn digit_takes_the_top_varying_bits() {
+        assert_eq!(Digit::of(0), None);
+        // A narrow span is taken whole.
+        let d = Digit::of(0b1011 << 20).unwrap();
+        assert_eq!((d.shift, d.mask, d.covers), (20, 0b1111, true));
+        let d = Digit::of(1 << 13 | 1).unwrap();
+        assert_eq!(
+            (d.shift, d.buckets(), d.covers),
+            (0, 1 << MAX_DIGIT_BITS, true)
+        );
+        // A wide one is cut to DIGIT_BITS just under its top bit.
+        let d = Digit::of(1 << 56 | 1).unwrap();
+        assert_eq!(
+            (d.shift, d.buckets(), d.covers),
+            (47, 1 << DIGIT_BITS, false)
+        );
+        let d = Digit::of(u64::MAX).unwrap();
+        assert_eq!(d.shift, 64 - DIGIT_BITS);
+    }
+
+    #[test]
+    fn partition_is_stable_and_bucket_major() {
+        let src: Vec<u64> = lcg(3, 10_000).into_iter().map(|k| k >> 60).collect();
+        let digit = Digit::of(0xF).unwrap();
+        let mut dst = vec![0u64; src.len()];
+        let parts = split_evenly(src.len(), 3);
+        let bounds = partition(digit, &src, &mut dst, &parts);
+        assert_eq!(bounds.len(), 17);
+        let mut expect = src.clone();
+        expect.sort_by_key(|&k| k);
+        assert_eq!(dst, expect);
+        for b in 0..16 {
+            assert!(dst[bounds[b]..bounds[b + 1]].iter().all(|&k| k == b as u64));
+        }
     }
 
     #[test]
     fn matches_sequential_radix_u64() {
-        for n in [0usize, 1, 100, 8 * 1024, 50_000] {
+        for n in [0usize, 1, 100, 8 * 1024, 50_000, PARTITIONED] {
             let base = lcg(3, n);
             let mut a = base.clone();
             let mut b = base;
@@ -145,7 +364,7 @@ mod tests {
 
     #[test]
     fn matches_sequential_radix_f64() {
-        let base: Vec<f64> = lcg(7, 60_000)
+        let base: Vec<f64> = lcg(7, PARTITIONED)
             .into_iter()
             .map(|b| f64::from_bits(b & !(0x7FF << 52)) - 0.5)
             .collect();
@@ -161,7 +380,7 @@ mod tests {
 
     #[test]
     fn preserves_multiset() {
-        let v0 = lcg(11, 40_000);
+        let v0 = lcg(11, PARTITIONED);
         let fp = fingerprint(&v0);
         let mut v = v0;
         par_radix_sort(5, &mut v);
@@ -171,13 +390,13 @@ mod tests {
 
     #[test]
     fn handles_signed_and_small_ranges() {
-        let mut v: Vec<i64> = lcg(13, 30_000).into_iter().map(|x| x as i64).collect();
+        let mut v: Vec<i64> = lcg(13, PARTITIONED).into_iter().map(|x| x as i64).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
         par_radix_sort(4, &mut v);
         assert_eq!(v, expect);
-        // Low-entropy: only 1 active digit → 1 permute pass.
-        let mut v: Vec<u64> = lcg(17, 20_000).into_iter().map(|x| x % 200).collect();
+        // Low-entropy: 8 varying bits, one covering digit.
+        let mut v: Vec<u64> = lcg(17, PARTITIONED).into_iter().map(|x| x % 200).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
         par_radix_sort(4, &mut v);
@@ -185,11 +404,18 @@ mod tests {
     }
 
     #[test]
-    fn various_thread_counts_agree() {
-        let base = lcg(19, 30_000);
+    fn skewed_buckets_are_partitioned_again() {
+        // One huge key puts the top digit above every other key's
+        // varying bits: nearly the whole batch lands in one bucket, which
+        // is out of cache and partitioned again.
+        let mut base: Vec<u64> = lcg(23, 4 * PARTITIONED)
+            .into_iter()
+            .map(|x| x >> 20)
+            .collect();
+        base[7] = u64::MAX;
         let mut expect = base.clone();
-        radix_sort(&mut expect);
-        for threads in [2usize, 3, 7, 16] {
+        expect.sort_unstable();
+        for threads in [1usize, 2, 3] {
             let mut v = base.clone();
             par_radix_sort(threads, &mut v);
             assert_eq!(v, expect, "threads={threads}");
@@ -198,11 +424,11 @@ mod tests {
 
     #[test]
     fn cfg_policies_agree() {
-        let base = lcg(29, 40_000);
+        let base = lcg(29, PARTITIONED);
         let mut expect = base.clone();
         radix_sort(&mut expect);
         for cfg in [1, 4, 0].map(|chunks_per_thread| SchedCfg { chunks_per_thread }) {
-            for threads in [2usize, 8, 16] {
+            for threads in [1usize, 2, 3, 7, 16] {
                 let mut v = base.clone();
                 par_radix_sort_cfg(&cfg, threads, &mut v);
                 assert_eq!(v, expect, "cfg={cfg:?} threads={threads}");

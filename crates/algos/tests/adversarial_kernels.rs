@@ -1,7 +1,7 @@
 //! Adversarial differential tests for the optimized host kernels.
 //!
 //! The branchless `merge_into`, the multiway merge's tree of two-way
-//! merges, the parallel wrappers and the slices-then-merge device sort must
+//! merges, the parallel wrappers and the partition-then-buckets device sort must
 //! reproduce the straightforward reference kernels **bit for bit** —
 //! including on inputs chosen to break float-comparison shortcuts: NaNs
 //! with distinct payloads, signed zeros, infinities, and constant keys
@@ -14,7 +14,7 @@ use hetsort_algos::multiway::{
     multiway_merge_into, par_multiway_merge_into_cfg, MERGE_SCRATCH_ELEMS,
 };
 use hetsort_algos::radix::radix_sort;
-use hetsort_algos::radix_par::par_radix_sort_cfg;
+use hetsort_algos::radix_par::{par_radix_sort_cfg, LSD_MAX_BYTES};
 use hetsort_algos::SchedCfg;
 use hetsort_prng::{prop_assert_eq, run_cases, Rng};
 
@@ -230,18 +230,19 @@ fn merge_tail_copy_handles_disjoint_ranges() {
 }
 
 /// Worker counts of the device-sort cases: inline, the two-core box,
-/// odd tree shapes (a run carried over a level), more workers than the
-/// smallest inputs have slices.
+/// odd part counts, more workers than the smallest partitioned inputs
+/// have grains.
 const SORT_THREADS: [usize; 6] = [1, 2, 3, 4, 7, 16];
 
 #[test]
 fn device_sort_matches_sequential_radix_on_specials() {
-    // Lengths straddle the 8 Ki sequential cutoff and the 4 Ki slice
-    // floor, and none is a multiple of every worker count.
-    const LENS: [usize; 6] = [8 * 1024 - 1, 8 * 1024, 8 * 1024 + 1, 12_289, 20_011, 40_961];
+    // Lengths straddle the LSD bound, where the partition starts, and
+    // none is a multiple of every worker count.
+    const B: usize = LSD_MAX_BYTES / 8;
+    const LENS: [usize; 5] = [B - 1, B, B + 1, B + 12_289, 2 * B + 11];
     run_cases(
         "device_sort_matches_sequential_radix_on_specials",
-        12,
+        6,
         |rng| {
             let n = LENS[rng.usize_in(0, LENS.len() - 1)];
             let base: Vec<f64> = (0..n).map(|_| adversarial_key(rng)).collect();
@@ -267,12 +268,14 @@ fn device_sort_matches_sequential_radix_on_specials() {
 }
 
 #[test]
-fn device_sort_is_stable_across_slices_and_tree_levels() {
-    // Four distinct keys, payload = input index: the only correct order
-    // of equal keys is ascending payload, and every slice boundary and
-    // every tree merge sits inside a run of ties.
-    const KEYS: [f64; 4] = [-0.0, 0.0, 1.5, f64::NAN];
-    let n = 40_961usize;
+fn device_sort_is_stable_across_buckets_and_worker_parts() {
+    // Five distinct keys, payload = input index: the only correct order
+    // of equal keys is ascending payload. Every worker part holds keys
+    // of every bucket, so each bucket is assembled from all the parts,
+    // and 1.5 and its successor share the first digit: their bucket,
+    // 2/5 of the batch and past the LSD bound, is partitioned again.
+    const KEYS: [f64; 5] = [-0.0, 0.0, 1.5, 1.5 + f64::EPSILON, f64::NAN];
+    let n = 3 * LSD_MAX_BYTES / std::mem::size_of::<KeyValue>() + 1;
     let base: Vec<KeyValue> = (0..n)
         .map(|i| KeyValue {
             key: KEYS[(i * 7 + i / 3) % KEYS.len()],

@@ -8,7 +8,7 @@ use hetsort_algos::keys::{KeyValue, RadixKey, SortOrd};
 use hetsort_algos::mergesort::par_mergesort;
 use hetsort_algos::qsort::{cmp_f64, qsort};
 use hetsort_algos::radix::{radix_sort, radix_sort_with_scratch, SMALL_COUNT};
-use hetsort_algos::radix_par::par_radix_sort;
+use hetsort_algos::radix_par::{par_radix_sort, LSD_MAX_BYTES};
 use hetsort_algos::samplesort::par_samplesort;
 use hetsort_algos::verify::{fingerprint, is_sorted};
 use hetsort_prng::{prop_assert, prop_assert_eq, run_cases, Rng};
@@ -186,6 +186,97 @@ fn radix_small_count_boundary<T: RadixKey + SortOrd + Default>(
     });
 }
 
+/// IEEE-754 specials as key bits, for the 4- and 8-byte types: a quiet
+/// NaN, a negative NaN with a payload, −0, +0, ±∞ and the smallest and
+/// largest-magnitude subnormals. The integer types read them as plain
+/// (extreme) values.
+const SPECIALS_32: [u64; 8] = [
+    0x7FC0_0000,
+    0xFFC0_0001,
+    0x8000_0000,
+    0,
+    0x7F80_0000,
+    0xFF80_0000,
+    1,
+    0x807F_FFFF,
+];
+const SPECIALS_64: [u64; 8] = [
+    0x7FF8_0000_0000_0000,
+    0xFFF8_0000_0000_0001,
+    0x8000_0000_0000_0000,
+    0,
+    0x7FF0_0000_0000_0000,
+    0xFFF0_0000_0000_0000,
+    1,
+    0x800F_FFFF_FFFF_FFFF,
+];
+
+/// Batches past the device sort's LSD bound, so it partitions, at
+/// thread counts {1, 2, 3, 5}: each must equal `radix_sort` bit for bit
+/// (`bits` exposes payloads, so `KeyValue` pins stability). Uniform
+/// keys take a partial digit and finish buckets in cache; 16 distinct
+/// keys (a 4-bit field at a random place) and two values take one
+/// covering digit; all-equal keys take none; specials mix NaN payloads,
+/// signed zeros, infinities and subnormals into uniform keys; one far
+/// outlier over keys with their top bits clear puts nearly the whole
+/// batch in one bucket, which is out of cache and partitioned again.
+fn par_radix_partitions<T: RadixKey + SortOrd + Default>(
+    name: &str,
+    make: impl Fn(u64, usize) -> T,
+    bits: impl Fn(&T) -> (u64, u64),
+) {
+    let width = 8 * T::KEY_BYTES;
+    let specials: &[u64] = if width == 32 {
+        &SPECIALS_32
+    } else {
+        &SPECIALS_64
+    };
+    let first = LSD_MAX_BYTES / std::mem::size_of::<T>() + 1;
+    run_cases(name, 2, |rng| {
+        for dist in [
+            "uniform",
+            "16-distinct",
+            "two-value",
+            "all-equal",
+            "specials",
+            "outlier",
+        ] {
+            let n = rng.usize_in(first, first + first / 4);
+            let a = rng.u64();
+            let b = a ^ 1 << rng.usize_in(0, width);
+            let field = rng.usize_in(0, width - 3);
+            let outlier = rng.usize_in(0, n);
+            let v: Vec<T> = (0..n)
+                .map(|i| {
+                    let key = match dist {
+                        "uniform" => rng.u64(),
+                        "16-distinct" => a ^ (rng.u64() & 0xF) << field,
+                        "two-value" => *rng.pick(&[a, b]),
+                        "all-equal" => a,
+                        "specials" if rng.bool() => *rng.pick(specials),
+                        "outlier" if i == outlier => u64::MAX,
+                        "outlier" => rng.u64() >> (64 - width + 12),
+                        _ => rng.u64(),
+                    };
+                    make(key, i)
+                })
+                .collect();
+            let as_bits = |xs: &[T]| xs.iter().map(&bits).collect::<Vec<_>>();
+            let mut expect = v.clone();
+            radix_sort(&mut expect);
+            for threads in [1usize, 2, 3, 5] {
+                let mut got = v.clone();
+                par_radix_sort(threads, &mut got);
+                prop_assert!(
+                    as_bits(&got) == as_bits(&expect),
+                    "{dist}, n {n}, threads {threads}: output differs"
+                );
+            }
+        }
+        Ok(())
+    });
+}
+
 /// Run `$check(name, make, bits)` over the seven key types: `make(b, i)`
 /// builds key `i` from the bits `b`, and `bits` exposes a key's bits and
 /// payload.
@@ -236,6 +327,11 @@ fn radix_counts_varying_bytes_of_every_key_type() {
 #[test]
 fn radix_small_count_boundary_of_every_key_type() {
     every_key_type!(radix_small_count_boundary, "radix_small");
+}
+
+#[test]
+fn par_radix_partitions_every_key_type_like_serial_radix() {
+    every_key_type!(par_radix_partitions, "par_radix_partitions");
 }
 
 #[test]

@@ -37,7 +37,11 @@ fn main() -> ExitCode {
             selected.extend(REGISTRY.iter().filter(|e| e.is_model()));
         } else if let Some(e) = find(&arg) {
             selected.push(e);
-        } else if let Ok(n) = arg.parse() {
+        } else if let Ok(n) = arg.parse::<usize>() {
+            if n == 0 {
+                eprintln!("experiments: a host-timed size must be at least 1\n{USAGE}");
+                return ExitCode::from(2);
+            }
             host_n = n;
         } else {
             eprintln!("experiments: unknown experiment {arg:?}\n{USAGE}");

@@ -33,8 +33,9 @@
 //!   and its pinned staging, from the stream's first node until its
 //!   last;
 //! * during each `Sort`, one radix scratch of the batch's length plus
-//!   its lane rows at the host's width (the inline engine sorts at full
-//!   width), read from [`hetsort_algos::radix_par::count_rows_bytes`];
+//!   the kernel's working set at the host's width (the inline engine
+//!   sorts at full width): its partition counters and bucket rows, read
+//!   from [`hetsort_algos::radix_par::working_set_bytes`];
 //! * the final merge's tree scratch while it runs, at fan-in 3 or more:
 //!   `min(n, MERGE_SCRATCH_ELEMS)` elements. The kernel cuts parts no
 //!   longer than `MERGE_SCRATCH_ELEMS / w` at width `w` and holds at
@@ -73,7 +74,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hetsort_algos::multiway::MERGE_SCRATCH_ELEMS;
 use hetsort_algos::par::default_threads;
-use hetsort_algos::radix_par::count_rows_bytes;
+use hetsort_algos::radix_par::working_set_bytes;
 
 use crate::dag::DagOp;
 use crate::plan::{MergeSrc, Plan};
@@ -218,7 +219,7 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
         match &node.op {
             DagOp::Sort { batch } => {
                 let len = src_len(MergeSrc::Batch(*batch));
-                scratch = bytes(len) + count_rows_bytes(threads, len) as u64;
+                scratch = bytes(len) + working_set_bytes(threads, len, elem as usize) as u64;
             }
             DagOp::StagingCopy {
                 batch,
@@ -256,7 +257,7 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
 pub fn host_bound_bytes(plan: &Plan) -> u64 {
     let elem = plan.config.elem_bytes.bytes();
     let bs = plan.batches.iter().map(|b| b.len).max().unwrap_or(0);
-    let rows = count_rows_bytes(default_threads(), bs) as u64;
+    let rows = working_set_bytes(default_threads(), bs, elem as usize) as u64;
     let per_stream = (bs + plan.staging.pinned_elems()) as u64 * elem + rows;
     let scratch = plan
         .steps

@@ -15,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hetsort::algos::radix_par::LSD_MAX_BYTES;
 use hetsort::core::{
     execute_dag_pooled, host_bound_bytes, host_peak_bytes, Approach, HetSortConfig, PairStrategy,
     Plan, PlanDag, StagingMode,
@@ -99,27 +100,35 @@ fn lcg_data(n: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn engine_host_memory_stays_within_the_model() {
-    let data = lcg_data(N, 0x4057);
-    let mut over = Vec::new();
+    // BLINE sorts the input as one batch: no merge, so nothing but the
+    // one stream's buffers and its sort add to B. Its second size puts
+    // that batch past the device sort's LSD bound, so the model must
+    // cover the partition's counters and bucket rows.
+    let partitioned = LSD_MAX_BYTES / 8 + BATCH;
+    let pairs = [
+        PairStrategy::PaperHeuristic,
+        PairStrategy::Online,
+        PairStrategy::MergeTree,
+    ];
+    let mut geometries = vec![
+        (Approach::BLine, N, N, &[PairStrategy::PaperHeuristic][..]),
+        (
+            Approach::BLine,
+            partitioned,
+            partitioned,
+            &[PairStrategy::PaperHeuristic][..],
+        ),
+    ];
     for approach in [
-        Approach::BLine,
         Approach::BLineMulti,
         Approach::PipeData,
         Approach::PipeMerge,
     ] {
-        // BLINE sorts the input as one batch: no merge, so nothing but
-        // the one stream's buffers and its sort add to B.
-        let (batch, strategies): (usize, &[PairStrategy]) = match approach {
-            Approach::BLine => (N, &[PairStrategy::PaperHeuristic]),
-            _ => (
-                BATCH,
-                &[
-                    PairStrategy::PaperHeuristic,
-                    PairStrategy::Online,
-                    PairStrategy::MergeTree,
-                ],
-            ),
-        };
+        geometries.push((approach, N, BATCH, &pairs[..]));
+    }
+    let mut over = Vec::new();
+    for (approach, n, batch, strategies) in geometries {
+        let data = lcg_data(n, 0x4057);
         for &strategy in strategies {
             for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
                 let cfg = HetSortConfig::paper_defaults(platform1(), approach)
@@ -127,7 +136,7 @@ fn engine_host_memory_stays_within_the_model() {
                     .with_pinned_elems(PINNED)
                     .with_pair_strategy(strategy)
                     .with_staging(staging);
-                let plan = Plan::build(cfg, N).unwrap();
+                let plan = Plan::build(cfg, n).unwrap();
                 let (model, bound) = (host_peak_bytes(&plan), host_bound_bytes(&plan));
                 let dag = PlanDag::from_plan(plan);
                 for workers in [0usize, 2] {
@@ -137,7 +146,7 @@ fn engine_host_memory_stays_within_the_model() {
                     let used = PEAK.load(Ordering::Relaxed) - base;
                     assert!(
                         out.verified,
-                        "{approach:?}/{strategy:?}/{staging:?}/w{workers}"
+                        "{approach:?}/n{n}/{strategy:?}/{staging:?}/w{workers}"
                     );
                     drop(out);
                     let (limit, what) = if workers == 0 {
@@ -147,7 +156,7 @@ fn engine_host_memory_stays_within_the_model() {
                     };
                     if used > limit + SLACK {
                         over.push(format!(
-                            "{approach:?}/{strategy:?}/{staging:?} workers={workers}: \
+                            "{approach:?}/n{n}/{strategy:?}/{staging:?} workers={workers}: \
                              {used} B live > {what} {limit} B + slack {SLACK} B"
                         ));
                     }
