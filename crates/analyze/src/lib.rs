@@ -99,15 +99,15 @@ pub fn analyze_plan_with_trace(plan: &Plan, trace: &OpTrace) -> AnalysisReport {
 /// `findings` plus the happens-before findings over `trace`, against
 /// the capacities of `plan`'s GPUs.
 fn with_races(mut findings: Vec<Finding>, plan: &Plan, trace: &OpTrace) -> AnalysisReport {
-    let caps: Vec<u64> = plan
-        .config
-        .platform
-        .gpus
-        .iter()
-        .map(|g| g.global_mem_bytes)
-        .collect();
-    findings.extend(hb::check_trace(trace, Some(&caps)));
+    findings.extend(hb::check_trace(trace, Some(&gpu_capacities(plan))));
     AnalysisReport { findings }
+}
+
+/// Global memory of each of `plan`'s GPUs, by plan-local index: what
+/// the happens-before checker holds a trace's device allocations to.
+pub(crate) fn gpu_capacities(plan: &Plan) -> Vec<u64> {
+    let gpus = &plan.config.platform.gpus;
+    gpus.iter().map(|g| g.global_mem_bytes).collect()
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! * the PIPEMERGE pair-count heuristic: `⌊(n_b−1)/2^n_GPU⌋` pipelined
 //!   pair merges (§III-D3) when the paper strategy is selected;
 //! * peak device residency per GPU against its capacity — each stream
-//!   keeps one `2·elem_bytes·b_s` buffer (`DEVICE_MEM_FACTOR`) resident
-//!   for the whole run, so over-subscription is a statically guaranteed
-//!   OOM;
+//!   keeps one `2·elem_bytes·b_s` buffer (`HetSortConfig::device_bytes`)
+//!   resident for the whole run, so over-subscription is a statically
+//!   guaranteed OOM;
 //! * staging-chunk sizes against the pinned buffer `p_s` — a chunk
 //!   larger than the buffer it is staged through cannot be copied.
 

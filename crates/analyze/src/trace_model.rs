@@ -175,13 +175,6 @@ pub fn explore_plan(plan: &Plan, cfg: &ExploreConfig) -> ExploreReport {
 /// Explore a specific trace under a plan's capacity model (the
 /// lowered trace, a mutated one, or a recorded execution).
 pub fn explore_plan_trace(plan: &Plan, trace: OpTrace, cfg: &ExploreConfig) -> ExploreReport {
-    let caps: Vec<u64> = plan
-        .config
-        .platform
-        .gpus
-        .iter()
-        .map(|g| g.global_mem_bytes)
-        .collect();
     let label = format!(
         "{} n={} gpus={} streams={} staging={}",
         plan.config.approach.name(),
@@ -190,7 +183,7 @@ pub fn explore_plan_trace(plan: &Plan, trace: OpTrace, cfg: &ExploreConfig) -> E
         plan.total_streams,
         plan.config.staging.name(),
     );
-    let mut model = TraceModel::new(trace, Some(caps), label);
+    let mut model = TraceModel::new(trace, Some(crate::gpu_capacities(plan)), label);
     explore(&mut model, cfg)
 }
 

@@ -224,6 +224,11 @@ pub const REGISTRY: &[Experiment] = &[
     },
 ];
 
+/// Largest size a host-timed entry takes: `host_fig04` holds the input,
+/// one copy being sorted and the sort's scratch, 3 · n · 8 B = 4.8 GB
+/// at the bound (the CLI's `trace --real` stops at the same n).
+pub const HOST_N_MAX: usize = 200_000_000;
+
 /// Look an entry up by its command-line name.
 pub fn find(name: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.name == name)
@@ -302,9 +307,10 @@ fn table2() -> Output {
             p.pinned_alloc.cost.base_s * 1e3,
             p.pinned_alloc.cost.per_unit_s * 1e9
         ));
+        let piped = HetSortConfig::paper_defaults(p, Approach::PipeMerge);
         rows.push(format!(
             "  Max b_s (n_s=2): {:.3e} elements",
-            p.max_batch_elems(2) as f64
+            piped.max_batch_elems() as f64
         ));
     }
     Output {
@@ -672,10 +678,10 @@ fn ablation_batch_streams() -> Output {
     let rows = [1usize, 2, 4, 8]
         .iter()
         .map(|&ns| {
-            let bs = (plat.max_batch_elems(ns) / 1_000_000) * 1_000_000;
-            let cfg = HetSortConfig::paper_protocol(plat.clone(), Approach::PipeMerge)
-                .with_streams(ns)
-                .with_batch_elems(bs);
+            let cfg =
+                HetSortConfig::paper_protocol(plat.clone(), Approach::PipeMerge).with_streams(ns);
+            let bs = (cfg.max_batch_elems() / 1_000_000) * 1_000_000;
+            let cfg = cfg.with_batch_elems(bs);
             let r = simulate(cfg, 4_000_000_000).expect("ablation sim");
             if r.total_s < best.1 {
                 best = (ns, r.total_s);

@@ -110,10 +110,11 @@ impl LowerBoundModel {
     pub fn one_gpu(plat: &PlatformSpec) -> Result<LowerBoundModel, HetSortError> {
         let mut single = plat.clone();
         single.gpus.truncate(1);
-        let n = (single.max_batch_elems(1) / 1_000_000) * 1_000_000;
         // The paper's probe stages through a single pinned buffer, so
         // the fitted slope stays the published one.
-        Self::probe(HetSortConfig::paper_protocol(single, Approach::BLine), n, 1)
+        let cfg = HetSortConfig::paper_protocol(single, Approach::BLine);
+        let n = (cfg.max_batch_elems() / 1_000_000) * 1_000_000;
+        Self::probe(cfg, n, 1)
     }
 
     /// The 2-GPU model: BLINE on both GPUs with `b_s = n/2` (each GPU
@@ -134,10 +135,9 @@ impl LowerBoundModel {
                 ),
             });
         }
-        let bs = (plat.max_batch_elems(1) / 1_000_000) * 1_000_000;
-        let cfg =
-            HetSortConfig::paper_protocol(plat.clone(), Approach::BLineMulti).with_batch_elems(bs);
-        Self::probe(cfg, 2 * bs, 2)
+        let cfg = HetSortConfig::paper_protocol(plat.clone(), Approach::BLineMulti);
+        let bs = (cfg.max_batch_elems() / 1_000_000) * 1_000_000;
+        Self::probe(cfg.with_batch_elems(bs), 2 * bs, 2)
     }
 
     fn probe(cfg: HetSortConfig, n: usize, n_gpus: usize) -> Result<LowerBoundModel, HetSortError> {

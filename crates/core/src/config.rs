@@ -288,21 +288,12 @@ impl HetSortConfig {
     /// (§IV-F Experiment 1), `p_s = 10⁶` elements (§IV-E), and the
     /// largest batch that fits the streams on the smallest GPU.
     pub fn paper_defaults(platform: PlatformSpec, approach: Approach) -> Self {
-        let streams_per_gpu = 2;
-        // Blocking approaches keep one batch in flight, so the whole
-        // device (minus the out-of-place scratch) is one batch.
-        let sizing_streams = if approach.is_piped() {
-            streams_per_gpu
-        } else {
-            1
-        };
-        let batch_elems = platform.max_batch_elems(sizing_streams);
-        HetSortConfig {
+        let mut cfg = HetSortConfig {
             platform,
             approach,
             par_memcpy: false,
-            batch_elems,
-            streams_per_gpu,
+            batch_elems: 0,
+            streams_per_gpu: 2,
             pinned_elems: 1_000_000,
             pair_merge_threads: 0,
             pair_strategy: PairStrategy::default(),
@@ -312,7 +303,9 @@ impl HetSortConfig {
             recovery: RecoveryPolicy::default(),
             faults: None,
             record_trace: false,
-        }
+        };
+        cfg.batch_elems = cfg.max_batch_elems();
+        cfg
     }
 
     /// [`Self::paper_defaults`] under the paper's measurement protocol:
@@ -445,6 +438,39 @@ impl HetSortConfig {
         (DEVICE_MEM_FACTOR * self.elem_bytes.bytes()).saturating_mul(elems as u64)
     }
 
+    /// The inverse of [`Self::device_bytes`]: the largest `b_s` whose
+    /// resident batches, one per [`Self::resident_streams`], fit the
+    /// smallest GPU — §IV-F's "≈ 2·b_s·n_s" solved for `b_s`. The
+    /// paper's defaults size `b_s` here, and [`Self::validate`] rejects
+    /// every larger one.
+    pub fn max_batch_elems(&self) -> usize {
+        let per_elem = self
+            .device_bytes(1)
+            .saturating_mul(self.resident_streams().max(1) as u64);
+        usize::try_from(self.min_gpu_bytes() / per_elem).unwrap_or(usize::MAX)
+    }
+
+    /// Streams that keep a batch resident on each GPU at once: `n_s`
+    /// for the piped approaches, one for the blocking ones (one batch in
+    /// flight, so the whole device minus the scratch is one batch).
+    pub fn resident_streams(&self) -> usize {
+        if self.approach.is_piped() {
+            self.streams_per_gpu
+        } else {
+            1
+        }
+    }
+
+    /// Global memory of the platform's smallest GPU.
+    fn min_gpu_bytes(&self) -> u64 {
+        self.platform
+            .gpus
+            .iter()
+            .map(|g| g.global_mem_bytes)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Validate against the hardware model and `n`.
     pub fn validate(&self, n: usize) -> Result<(), HetSortError> {
         if n == 0 {
@@ -475,21 +501,11 @@ impl HetSortConfig {
             ));
         }
         // Thrust's 2× footprint per in-flight batch, per stream (§III-B).
-        let streams = if self.approach.is_piped() {
-            self.streams_per_gpu
-        } else {
-            1
-        };
+        let streams = self.resident_streams();
         let need = self
             .device_bytes(self.batch_elems)
             .saturating_mul(streams as u64);
-        let min_mem = self
-            .platform
-            .gpus
-            .iter()
-            .map(|g| g.global_mem_bytes)
-            .min()
-            .unwrap_or(u64::MAX);
+        let min_mem = self.min_gpu_bytes();
         if need > min_mem {
             return Err(HetSortError::config(format!(
                 "b_s={} with {streams} stream(s) needs {need:.3e} B on the GPU but only {min_mem:.3e} B exist",
@@ -536,6 +552,99 @@ mod tests {
         assert_eq!(c.merge_threads_eff(), 16);
         assert_eq!(c.memcpy_threads_eff(), 1);
         assert_eq!(c.clone().with_par_memcpy().memcpy_threads_eff(), 16);
+    }
+
+    #[test]
+    fn paper_batch_sizes_fit() {
+        // Experiment 1 uses b_s = 5e8 with n_s = 2 on PLATFORM1:
+        // 2 streams × 2 × 5e8 × 8 B = 16 GB ≈ the GP100's 16 GiB.
+        let p1 = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge);
+        let max1 = p1.max_batch_elems();
+        assert!(max1 >= 5_000_000_000u64 as usize / 10, "max1={max1}");
+        assert!((5e8..6e8).contains(&(max1 as f64)), "max1={max1}");
+        // Experiment 2 uses b_s = 3.5e8 on the 12 GiB K40m.
+        let p2 = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge);
+        let max2 = p2.max_batch_elems();
+        assert!((3.5e8..4.1e8).contains(&(max2 as f64)), "max2={max2}");
+    }
+
+    /// The one device-memory rule holds at its edge: every plan
+    /// `Plan::build` returns at `b_s = max_batch_elems()` keeps its
+    /// resident buffers ([`Residency::of_plan`](crate::Residency::of_plan))
+    /// within every GPU, a survivor re-plan included, and one element
+    /// more is the `Config` error — so nothing downstream of a built
+    /// plan needs a device-memory check of its own.
+    #[test]
+    fn the_largest_accepted_batch_fits_every_gpu() {
+        use crate::plan::Plan;
+        use crate::recover::survivor_plan;
+        use crate::residency::Residency;
+        use std::collections::BTreeSet;
+
+        // Capacities by physical GPU: a survivor plan's residency
+        // names the original platform's devices.
+        let fits = |plan: &Plan, plat: &PlatformSpec, what: &str| {
+            let res = Residency::of_plan(plan);
+            let gpus = plan.config.platform.n_gpus();
+            assert_eq!(res.device_bytes.len(), gpus, "{what}: an idle GPU");
+            for (&gpu, &need) in &res.device_bytes {
+                let have = plat.gpus[gpu].global_mem_bytes;
+                assert!(need <= have, "{what}: GPU {gpu} holds {need} B of {have} B");
+            }
+        };
+        for elem in [ElemWidth::Key, ElemWidth::KeyValue] {
+            for approach in [Approach::BLineMulti, Approach::PipeData] {
+                for plat in [platform1(), platform2()] {
+                    for streams in 1..=3 {
+                        let cfg = HetSortConfig::paper_defaults(plat.clone(), approach)
+                            .with_elem_bytes(elem)
+                            .with_streams(streams);
+                        let bs = cfg.max_batch_elems();
+                        let what = format!(
+                            "{} {} {elem:?} n_s={streams} b_s={bs}",
+                            plat.name,
+                            approach.name()
+                        );
+                        // One batch per resident stream on every GPU.
+                        let n = bs * cfg.resident_streams() * plat.n_gpus();
+                        let cfg = cfg.with_batch_elems(bs);
+                        let plan = Plan::build(cfg.clone(), n).expect(&what);
+                        fits(&plan, &plat, &what);
+                        // Each single loss on a multi-GPU platform.
+                        let losses: Vec<BTreeSet<usize>> = (0..plat.n_gpus())
+                            .filter(|_| plat.n_gpus() > 1)
+                            .map(|g| BTreeSet::from([g]))
+                            .collect();
+                        for dead in &losses {
+                            let replan = survivor_plan(&cfg, n, dead)
+                                .expect(&what)
+                                .expect("a GPU survives");
+                            fits(&replan, &plat, &what);
+                        }
+
+                        let over = cfg.with_batch_elems(bs + 1);
+                        let resident = over.resident_streams();
+                        let reason = format!(
+                            "b_s={} with {resident} stream(s) needs {:.3e} B on the GPU but \
+                             only {:.3e} B exist",
+                            bs + 1,
+                            over.device_bytes(bs + 1) * resident as u64,
+                            plat.gpus
+                                .iter()
+                                .map(|g| g.global_mem_bytes)
+                                .min()
+                                .unwrap_or(0),
+                        );
+                        let expect = Err(HetSortError::Config { reason });
+                        assert_eq!(Plan::build(over.clone(), n).map(|_| ()), expect, "{what}");
+                        for dead in &losses {
+                            let replan = survivor_plan(&over, n, dead).map(|_| ());
+                            assert_eq!(replan, expect, "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use std::fmt;
 
-use hetsort_vgpu::CudaError;
 pub use hetsort_vgpu::TransferDir;
 
 /// A failure anywhere in the heterogeneous sorting pipeline.
@@ -31,7 +30,9 @@ pub enum HetSortError {
         /// The mismatch.
         reason: String,
     },
-    /// A device ran out of memory (real or injected).
+    /// A device allocation failed: an injected `oom:` fault the policy
+    /// did not split around. A batch size the device cannot hold is a
+    /// [`HetSortError::Config`] error before anything runs.
     GpuOom {
         /// The device that ran out.
         gpu: usize,
@@ -94,8 +95,6 @@ pub enum HetSortError {
         /// Why the service refused it.
         reason: String,
     },
-    /// A virtual-CUDA driver error that has no more specific mapping.
-    Cuda(CudaError),
 }
 
 impl HetSortError {
@@ -170,38 +169,11 @@ impl fmt::Display for HetSortError {
                 }
                 write!(f, ": {reason}")
             }
-            HetSortError::Cuda(e) => write!(f, "CUDA error: {e}"),
         }
     }
 }
 
-impl std::error::Error for HetSortError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            HetSortError::Cuda(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CudaError> for HetSortError {
-    fn from(e: CudaError) -> Self {
-        match e {
-            CudaError::DeviceOom {
-                gpu,
-                requested_bytes,
-                free_bytes,
-            } => HetSortError::GpuOom {
-                gpu,
-                batch: None,
-                requested_bytes,
-                free_bytes,
-            },
-            CudaError::DeviceLost { gpu } => HetSortError::DeviceLost { gpu },
-            other => HetSortError::Cuda(other),
-        }
-    }
-}
+impl std::error::Error for HetSortError {}
 
 #[cfg(test)]
 mod tests {
@@ -237,34 +209,5 @@ mod tests {
         }
         .to_string();
         assert!(!anon.contains("job"), "{anon}");
-    }
-
-    #[test]
-    fn cuda_oom_maps_to_gpu_oom() {
-        let e: HetSortError = CudaError::DeviceOom {
-            gpu: 1,
-            requested_bytes: 4_000_000_000,
-            free_bytes: 1_000_000_000,
-        }
-        .into();
-        assert!(matches!(
-            e,
-            HetSortError::GpuOom {
-                gpu: 1,
-                batch: None,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn source_chains_to_cuda() {
-        use std::error::Error;
-        let e = HetSortError::Cuda(CudaError::BadFaultSpec {
-            spec: "htod".into(),
-            reason: "missing occurrence".into(),
-        });
-        assert!(e.source().is_some());
-        assert!(HetSortError::config("x").source().is_none());
     }
 }

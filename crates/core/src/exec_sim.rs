@@ -21,9 +21,9 @@ use crate::report::TimingReport;
 ///
 /// # Errors
 ///
-/// [`HetSortError::Config`]/[`HetSortError::Plan`] for invalid inputs,
-/// [`HetSortError::GpuOom`] when the plan's resident buffers overflow
-/// device memory, [`HetSortError::Sim`] when the engine fails.
+/// [`HetSortError::Config`]/[`HetSortError::Plan`] for invalid inputs
+/// (a batch size whose resident buffers overflow device memory is a
+/// `Config` error), [`HetSortError::Sim`] when the engine fails.
 pub fn simulate(
     config: crate::config::HetSortConfig,
     n: usize,
@@ -36,7 +36,7 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// [`HetSortError::GpuOom`] and [`HetSortError::Sim`] as above.
+/// [`HetSortError::Plan`] and [`HetSortError::Sim`] as above.
 pub fn simulate_plan(plan: &Plan) -> Result<TimingReport, HetSortError> {
     simulate_nodes(plan, &plan.steps)
 }
@@ -46,7 +46,7 @@ pub fn simulate_plan(plan: &Plan) -> Result<TimingReport, HetSortError> {
 /// # Errors
 ///
 /// [`HetSortError::Plan`] when the dag fails validation,
-/// [`HetSortError::GpuOom`] and [`HetSortError::Sim`] as above.
+/// [`HetSortError::Sim`] when the engine fails.
 pub fn simulate_dag(dag: &PlanDag) -> Result<TimingReport, HetSortError> {
     simulate_nodes(&dag.plan, &dag.nodes)
 }
@@ -60,19 +60,6 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
     let mut m = Machine::new(cfg.platform.clone());
     // One op per node plus one start-skew barrier per stream.
     m.reserve(nodes.len() + plan.total_streams);
-
-    // Device memory bookkeeping: each stream keeps one batch buffer of
-    // 2·b_s elements resident (data + Thrust's out-of-place scratch,
-    // §III-B) on its GPU for the whole run.
-    for s in 0..plan.total_streams {
-        let gpu = plan
-            .batches
-            .iter()
-            .find(|b| b.stream == s)
-            .map(|b| b.gpu)
-            .unwrap_or(s % cfg.platform.n_gpus().max(1));
-        m.device_alloc(gpu, cfg.device_bytes(cfg.batch_elems))?;
-    }
 
     let staging = plan.staging;
     let elided = staging.outbound == Outbound::Elided;

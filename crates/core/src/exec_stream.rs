@@ -163,10 +163,11 @@ where
     /// scheduled on it, so the error must reach the executor, which
     /// re-plans the unfinished work on the survivors.
     fn device_check(&self, b: &BatchInfo) -> Result<(), HetSortError> {
-        if let Some(inj) = self.injector {
-            inj.device_op(self.plan.physical_gpu(b.gpu))?;
+        let gpu = self.plan.physical_gpu(b.gpu);
+        match self.injector {
+            Some(inj) if !inj.device_op(gpu) => Err(HetSortError::DeviceLost { gpu }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Attempt a DMA operation at `site`: consult the injector, retrying

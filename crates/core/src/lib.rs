@@ -22,7 +22,7 @@
 //!   (inline) and [`exec_real_mt`] (one worker per stream) — executes
 //!   it on actual data: staging copies, device-resident radix sorts
 //!   (the one device sort, Thrust's out-of-place radix stand-in —
-//!   [`config::DEVICE_MEM_FACTOR`] is its footprint), pair and
+//!   [`HetSortConfig::device_bytes`] is its footprint), pair and
 //!   multiway merges, verified output (laptop-scale functional truth).
 //!
 //! This split is the substitution strategy for the missing GPU: pipeline

@@ -47,15 +47,10 @@ pub fn build_dag(config: HetSortConfig, n: usize) -> Result<PlanDag, HetSortErro
 fn geometry(config: &HetSortConfig, n: usize) -> (usize, usize, usize, Vec<BatchInfo>) {
     let nb = config.n_batches(n);
     let ngpu = config.platform.n_gpus().max(1);
-    let piped = config.approach.is_piped();
     // Piped: n_s streams per GPU. Blocking: one host thread per GPU
     // (the paper's 2-GPU lower-bound run drives both K40m's with
     // blocking calls concurrently, §IV-G), never more than n_b.
-    let total_streams = if piped {
-        (config.streams_per_gpu * ngpu).min(nb.max(1))
-    } else {
-        ngpu.min(nb.max(1))
-    };
+    let total_streams = (config.resident_streams() * ngpu).min(nb.max(1));
     // Batch geometry and stream/GPU assignment (round-robin; each GPU
     // owns n_s stream slots → batches alternate across GPUs).
     let bs = config.batch_elems;

@@ -62,9 +62,6 @@ pub fn log2_at_least_1(x: f64) -> f64 {
 /// Gibibytes → bytes.
 pub const GIB: u64 = 1 << 30;
 
-/// Size of the paper's element type (64-bit floats).
-pub const ELEM_BYTES: u64 = 8;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,8 +22,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::error::CudaError;
-
 /// A fault site the injector can arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
@@ -50,22 +48,18 @@ impl FaultSite {
 
 const N_SITES: usize = 4;
 
-/// Mutable device-pool state: which GPUs are currently dead and how
-/// many device operations each has observed. Kept separate from the
-/// immutable loss/join schedule so [`FaultInjector::fork`] can reset
-/// state without touching the schedule.
+/// Mutable device-pool state: which GPUs are dead and how many device
+/// operations each has observed. Kept separate from the immutable loss
+/// schedule so [`FaultInjector::fork`] can reset state without touching
+/// the schedule.
 #[derive(Debug, Default)]
 struct PoolState {
     /// Device operations observed per GPU.
     per_gpu: BTreeMap<usize, usize>,
-    /// Device operations observed across all GPUs.
-    global: usize,
-    /// GPUs currently marked dead.
+    /// GPUs marked dead; a loss is permanent.
     lost: BTreeSet<usize>,
     /// Indices into `lose_sched` already applied.
     applied_lose: BTreeSet<usize>,
-    /// Indices into `join_sched` already applied.
-    applied_join: BTreeSet<usize>,
 }
 
 /// A deterministic, seedable schedule of injected faults.
@@ -88,9 +82,6 @@ pub struct FaultInjector {
     /// `(gpu, nth_op_on_that_gpu)` device-loss events (1-based count of
     /// device operations observed *on that GPU*).
     lose_sched: Vec<(usize, usize)>,
-    /// `(gpu, nth_global_op)` device-join events (1-based count of
-    /// device operations observed across *all* GPUs).
-    join_sched: Vec<(usize, usize)>,
     /// Mutable pool state (dead set + op counters).
     pool: Mutex<PoolState>,
 }
@@ -138,40 +129,30 @@ impl FaultInjector {
 
     /// Mark GPU `gpu` dead at its `nth_op`-th device operation
     /// (1-based, counted per GPU). From then on every allocation, copy,
-    /// or sort touching it returns [`CudaError::DeviceLost`] until a
-    /// matching [`FaultInjector::join_device`] event revives it.
+    /// or sort touching it is refused by [`FaultInjector::device_op`]:
+    /// the engine re-plans the unfinished work onto the survivors and
+    /// never schedules the device again.
     pub fn lose_device(mut self, gpu: usize, nth_op: usize) -> Self {
         self.lose_sched.push((gpu, nth_op.max(1)));
         self
     }
 
-    /// Revive GPU `gpu` at the `nth_op`-th device operation counted
-    /// across *all* GPUs (1-based). Global counting lets a join fire
-    /// even while no operation targets the dead device.
-    pub fn join_device(mut self, gpu: usize, nth_op: usize) -> Self {
-        self.join_sched.push((gpu, nth_op.max(1)));
-        self
-    }
-
     /// Parse a comma-separated schedule:
-    /// `oom:2,htod:3,dtoh:1,sort:2,panic:1@2,lose:1@4,join:1@20`.
+    /// `oom:2,htod:3,dtoh:1,sort:2,panic:1@2,lose:1@4`.
     ///
     /// `oom:K` fails the K-th device allocation, `htod:K`/`dtoh:K` the
     /// K-th transfer in that direction, `sort:K` the K-th device sort,
-    /// `panic:W@K` panics worker `W` at its K-th batch, `lose:G@K`
-    /// kills GPU `G` at its K-th device operation, and `join:G@K`
-    /// revives GPU `G` at the K-th device operation pool-wide.
+    /// `panic:W@K` panics worker `W` at its K-th batch, and `lose:G@K`
+    /// kills GPU `G` at its K-th device operation.
     ///
     /// # Errors
     ///
-    /// [`CudaError::BadFaultSpec`] on unknown sites or malformed counts.
-    pub fn parse(spec: &str) -> Result<Self, CudaError> {
+    /// `bad fault spec "<entry>": <reason>` on unknown sites or
+    /// malformed counts.
+    pub fn parse(spec: &str) -> Result<Self, String> {
         let mut inj = FaultInjector::new();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let bad = |reason: &str| CudaError::BadFaultSpec {
-                spec: part.to_string(),
-                reason: reason.to_string(),
-            };
+            let bad = |reason: &str| format!("bad fault spec {part:?}: {reason}");
             let (site, arg) = part
                 .split_once(':')
                 .ok_or_else(|| bad("expected site:count"))?;
@@ -196,13 +177,7 @@ impl FaultInjector {
                         .ok_or_else(|| bad("expected lose:gpu@op"))?;
                     inj.lose_device(nth(g)?, nth(n)?)
                 }
-                "join" => {
-                    let (g, n) = arg
-                        .split_once('@')
-                        .ok_or_else(|| bad("expected join:gpu@op"))?;
-                    inj.join_device(nth(g)?, nth(n)?)
-                }
-                _ => return Err(bad("unknown site (oom|htod|dtoh|sort|panic|lose|join)")),
+                _ => return Err(bad("unknown site (oom|htod|dtoh|sort|panic|lose)")),
             };
         }
         Ok(inj)
@@ -238,7 +213,6 @@ impl FaultInjector {
         self.schedule.iter().any(|s| !s.is_empty())
             || !self.panics.is_empty()
             || !self.lose_sched.is_empty()
-            || !self.join_sched.is_empty()
     }
 
     /// A fresh injector with the *same schedule* but zeroed occurrence
@@ -254,34 +228,18 @@ impl FaultInjector {
             worker_batches: Mutex::new(BTreeMap::new()),
             injected: AtomicUsize::new(0),
             lose_sched: self.lose_sched.clone(),
-            join_sched: self.join_sched.clone(),
             pool: Mutex::new(PoolState::default()),
         }
     }
 
     /// Record one device operation targeting `gpu`, applying any
-    /// scheduled loss/join transitions, and fail with
-    /// [`CudaError::DeviceLost`] if the device is (now) dead.
-    ///
-    /// Joins are keyed on the pool-wide operation count and are applied
-    /// *before* the liveness check, so a revived device serves the very
-    /// operation that observed the join.
-    ///
-    /// # Errors
-    ///
-    /// [`CudaError::DeviceLost`] while `gpu` is marked dead.
-    pub fn device_op(&self, gpu: usize) -> Result<(), CudaError> {
-        if self.lose_sched.is_empty() && self.join_sched.is_empty() {
-            return Ok(());
+    /// scheduled loss, and say whether the operation may proceed:
+    /// `false` once `gpu` is dead.
+    pub fn device_op(&self, gpu: usize) -> bool {
+        if self.lose_sched.is_empty() {
+            return true;
         }
         let mut st = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        st.global += 1;
-        let global = st.global;
-        for (i, &(g, nth)) in self.join_sched.iter().enumerate() {
-            if nth <= global && st.applied_join.insert(i) {
-                st.lost.remove(&g);
-            }
-        }
         let on_gpu = {
             let c = st.per_gpu.entry(gpu).or_insert(0);
             *c += 1;
@@ -293,11 +251,7 @@ impl FaultInjector {
                 self.injected.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if st.lost.contains(&gpu) {
-            Err(CudaError::DeviceLost { gpu })
-        } else {
-            Ok(())
-        }
+        !st.lost.contains(&gpu)
     }
 
     /// Fire `gpu`'s first scheduled loss that has not fired yet, now,
@@ -314,26 +268,12 @@ impl FaultInjector {
         }
     }
 
-    /// Is `gpu` currently marked dead?
-    pub fn is_lost(&self, gpu: usize) -> bool {
-        self.pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .lost
-            .contains(&gpu)
-    }
-
     /// The GPUs this injector is *scheduled* to lose, in schedule
     /// order (before any op has tripped them). Lets schedule-space
     /// tools lift a fault spec into an explicit loss sequence without
     /// running the executor.
     pub fn scheduled_losses(&self) -> Vec<usize> {
         self.lose_sched.iter().map(|&(gpu, _)| gpu).collect()
-    }
-
-    /// The GPUs this injector is scheduled to revive, in schedule order.
-    pub fn scheduled_joins(&self) -> Vec<usize> {
-        self.join_sched.iter().map(|&(gpu, _)| gpu).collect()
     }
 
     /// The workers this injector is scheduled to panic, in schedule
@@ -344,9 +284,7 @@ impl FaultInjector {
 
     /// Whether the schedule holds device losses and nothing else.
     pub fn schedules_only_losses(&self) -> bool {
-        self.schedule.iter().all(Vec::is_empty)
-            && self.panics.is_empty()
-            && self.join_sched.is_empty()
+        self.schedule.iter().all(Vec::is_empty) && self.panics.is_empty()
     }
 
     /// Record one occurrence of `site`; `Some(occurrence)` if the
@@ -427,18 +365,18 @@ mod tests {
             .unwrap()
             .schedules_only_losses());
         assert!(!FaultInjector::parse("").unwrap().is_armed());
-        assert!(matches!(
-            FaultInjector::parse("gpu:1"),
-            Err(CudaError::BadFaultSpec { .. })
-        ));
-        assert!(matches!(
-            FaultInjector::parse("htod:x"),
-            Err(CudaError::BadFaultSpec { .. })
-        ));
-        assert!(matches!(
-            FaultInjector::parse("panic:1"),
-            Err(CudaError::BadFaultSpec { .. })
-        ));
+        for (spec, reason) in [
+            ("gpu:1", "unknown site (oom|htod|dtoh|sort|panic|lose)"),
+            ("join:1@3", "unknown site (oom|htod|dtoh|sort|panic|lose)"),
+            ("htod:x", "count must be a positive integer"),
+            ("panic:1", "expected panic:worker@batch"),
+            ("lose:1", "expected lose:gpu@op"),
+        ] {
+            assert_eq!(
+                FaultInjector::parse(&format!("oom:1, {spec}")).err(),
+                Some(format!("bad fault spec {spec:?}: {reason}"))
+            );
+        }
     }
 
     #[test]
@@ -457,26 +395,26 @@ mod tests {
     fn device_loss_fires_at_nth_op_and_persists() {
         let inj = FaultInjector::new().lose_device(1, 3);
         // Ops on GPU 0 never count against GPU 1's schedule.
-        assert!(inj.device_op(0).is_ok());
-        assert!(inj.device_op(1).is_ok());
-        assert!(inj.device_op(1).is_ok());
-        assert_eq!(inj.device_op(1), Err(CudaError::DeviceLost { gpu: 1 }));
-        assert!(inj.is_lost(1));
-        assert!(!inj.is_lost(0));
-        // Dead stays dead without a join.
-        assert_eq!(inj.device_op(1), Err(CudaError::DeviceLost { gpu: 1 }));
-        assert!(inj.device_op(0).is_ok());
+        assert!(inj.device_op(0));
+        assert!(inj.device_op(1));
+        assert!(inj.device_op(1));
+        assert!(!inj.device_op(1));
+        // Dead stays dead.
+        for _ in 0..8 {
+            assert!(!inj.device_op(1));
+        }
+        assert!(inj.device_op(0));
         assert_eq!(inj.injected(), 1);
     }
 
     #[test]
     fn fired_loss_ignores_its_op_count_and_fires_once() {
         let inj = FaultInjector::new().lose_device(1, usize::MAX);
-        assert!(inj.device_op(1).is_ok());
+        assert!(inj.device_op(1));
         for gpu in [0, 1, 1] {
             inj.fire_loss(gpu);
         }
-        assert!(inj.device_op(1).is_err() && inj.device_op(0).is_ok());
+        assert!(!inj.device_op(1) && inj.device_op(0));
         assert_eq!(
             inj.injected(),
             1,
@@ -485,48 +423,22 @@ mod tests {
     }
 
     #[test]
-    fn join_revives_a_lost_device() {
-        // Lose GPU 1 at its 1st op; revive it at the 4th pool-wide op.
-        let inj = FaultInjector::new().lose_device(1, 1).join_device(1, 4);
-        assert_eq!(inj.device_op(1), Err(CudaError::DeviceLost { gpu: 1 })); // global 1
-        assert_eq!(inj.device_op(1), Err(CudaError::DeviceLost { gpu: 1 })); // global 2
-        assert!(inj.device_op(0).is_ok()); // global 3
-        assert!(inj.device_op(1).is_ok()); // global 4: join applies first
-        assert!(!inj.is_lost(1));
-    }
-
-    #[test]
     fn fork_resets_counters_but_keeps_the_schedule() {
         let inj = FaultInjector::new().fail_htod(2).lose_device(0, 2);
         assert_eq!(inj.trip(FaultSite::HtoD), None);
         assert_eq!(inj.trip(FaultSite::HtoD), Some(2));
-        assert!(inj.device_op(0).is_ok());
-        assert!(inj.device_op(0).is_err());
+        assert!(inj.device_op(0));
+        assert!(!inj.device_op(0));
         // The fork replays the same schedule from scratch.
         let f = inj.fork();
         assert!(f.is_armed());
         assert_eq!(f.injected(), 0);
-        assert!(!f.is_lost(0));
         assert_eq!(f.trip(FaultSite::HtoD), None);
         assert_eq!(f.trip(FaultSite::HtoD), Some(2));
-        assert!(f.device_op(0).is_ok());
-        assert!(f.device_op(0).is_err());
+        assert!(f.device_op(0));
+        assert!(!f.device_op(0));
         // The original's state was not disturbed by the fork.
-        assert!(inj.is_lost(0));
-    }
-
-    #[test]
-    fn parse_pool_events() {
-        let inj = FaultInjector::parse("lose:1@2,join:1@5").unwrap();
-        assert!(inj.device_op(1).is_ok()); // gpu1 op 1, global 1
-        assert!(inj.device_op(1).is_err()); // gpu1 op 2: lost
-        assert!(inj.device_op(0).is_ok()); // global 3
-        assert!(inj.device_op(0).is_ok()); // global 4
-        assert!(inj.device_op(1).is_ok()); // global 5: rejoined
-        assert!(matches!(
-            FaultInjector::parse("lose:1"),
-            Err(CudaError::BadFaultSpec { .. })
-        ));
+        assert!(!inj.device_op(0));
     }
 
     #[test]

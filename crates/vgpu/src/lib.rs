@@ -18,7 +18,7 @@
 //!   one caller is `hetsort-core`'s `exec_sim`, which lowers a plan's
 //!   op-dag node by node;
 //! * a [`FaultInjector`] is the deterministic fault schedule (OOM,
-//!   transfer and sort faults, worker panics, device loss/join) the
+//!   transfer and sort faults, worker panics, device loss) the
 //!   functional engine consults at every fault site.
 //!
 //! Every numeric constant is calibrated against a measurement the paper
@@ -31,13 +31,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod calib;
-pub mod error;
 pub mod fault;
 pub mod machine;
 pub mod platform;
 pub mod tags;
 
-pub use error::CudaError;
 pub use fault::{FaultInjector, FaultSite};
 pub use machine::{Machine, TransferDir};
 pub use platform::{

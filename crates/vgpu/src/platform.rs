@@ -165,20 +165,6 @@ pub struct PlatformSpec {
 }
 
 impl PlatformSpec {
-    /// Largest batch size (elements) that fits `streams_per_gpu` streams
-    /// on the smallest GPU, honoring Thrust's 2× out-of-place footprint
-    /// (§III-B / §IV-F: "total memory required on the GPU is ≈ 2·b_s·n_s").
-    pub fn max_batch_elems(&self, streams_per_gpu: usize) -> usize {
-        let min_mem = self
-            .gpus
-            .iter()
-            .map(|g| g.global_mem_bytes)
-            .min()
-            .unwrap_or(u64::MAX);
-        let per_elem = (2 * crate::calib::ELEM_BYTES).saturating_mul(streams_per_gpu.max(1) as u64);
-        usize::try_from(min_mem / per_elem).unwrap_or(usize::MAX)
-    }
-
     /// Number of GPUs.
     pub fn n_gpus(&self) -> usize {
         self.gpus.len()
@@ -301,20 +287,6 @@ mod tests {
         assert!((m.seconds(8_000_000) - 0.01).abs() < 1e-9);
         // ps = 8e8 elements (6.4 GB) → 2.2 s (§IV-E).
         assert!((m.seconds(6_400_000_000) - 2.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_batch_sizes_fit() {
-        // Experiment 1 uses b_s = 5e8 with n_s = 2 on PLATFORM1:
-        // 2 streams × 2 × 5e8 × 8 B = 16 GB ≈ the GP100's 16 GiB.
-        let p1 = platform1();
-        let max1 = p1.max_batch_elems(2);
-        assert!(max1 >= 5_000_000_000u64 as usize / 10, "max1={max1}");
-        assert!((5e8..6e8).contains(&(max1 as f64)), "max1={max1}");
-        // Experiment 2 uses b_s = 3.5e8 on the 12 GiB K40m.
-        let p2 = platform2();
-        let max2 = p2.max_batch_elems(2);
-        assert!((3.5e8..4.1e8).contains(&(max2 as f64)), "max2={max2}");
     }
 
     #[test]

@@ -57,11 +57,11 @@ fn main() {
     let ref_t = hetsort::core::reference::reference_time_full(&plat, n);
     let mut best: Option<(f64, usize, usize)> = None;
     for ns in [1usize, 2, 3, 4] {
-        let bs = (plat.max_batch_elems(ns) / 1_000_000) * 1_000_000;
         let cfg = HetSortConfig::paper_defaults(plat.clone(), Approach::PipeMerge)
             .with_streams(ns)
-            .with_batch_elems(bs)
             .with_par_memcpy();
+        let bs = (cfg.max_batch_elems() / 1_000_000) * 1_000_000;
+        let cfg = cfg.with_batch_elems(bs);
         match simulate(cfg, n) {
             Ok(r) => {
                 println!(

@@ -328,14 +328,14 @@ options! {
         Value("N", |a, v| v.parse().map(|s| a.seed = s).map_err(|e| e.to_string())),
         "seed of the generated input, or of serve-sim's job mix (default 42)";
     FAULTS = ["--faults"], &[Sort, Trace, Analyze], Value("SPEC", |a, v| {
-            a.faults = Some(Arc::new(FaultInjector::parse(v).map_err(|e| e.to_string())?));
+            a.faults = Some(Arc::new(FaultInjector::parse(v)?));
             Ok(())
         }),
         "deterministic fault schedule, e.g. oom:1,htod:3: oom:K fails the K-th device \
          allocation, htod:K / dtoh:K the K-th transfer, sort:K the K-th device sort, panic:W@K \
-         kills stream W at its K-th batch, lose:G@N loses GPU G at its N-th device op (the \
-         engine re-plans onto the survivors), join:G@N revives it at the N-th global op; \
-         analyze explores the engine recovering from lose: entries (n <= 1e6)";
+         kills stream W at its K-th batch, lose:G@N loses GPU G for good at its N-th device op \
+         (the engine re-plans onto the survivors); analyze explores the engine recovering from \
+         lose: entries (n <= 1e6)";
     RETRIES = ["--retries"], &[Sort, Trace],
         Value("K", |a, v| parse_count(v).map(|r| a.retries = Some(r))),
         "retry budget for transient transfer faults (default 2)";
@@ -516,8 +516,7 @@ fn parse_inner(argv: &[String]) -> Result<(Command, Args), String> {
     let chaos = args.chaos.iter().map(|e| e.gpu);
     check_ids(&CHAOS, "GPU", chaos, gpus, platform)?;
     if let Some(inj) = &args.faults {
-        let named = [inj.scheduled_losses(), inj.scheduled_joins()].concat();
-        check_ids(&FAULTS, "GPU", named, gpus, platform)?;
+        check_ids(&FAULTS, "GPU", inj.scheduled_losses(), gpus, platform)?;
         if command == Analyze && !inj.schedules_only_losses() {
             let faults = FAULTS.names[0];
             return Err(format!("{faults}: analyze reads lose: entries only"));

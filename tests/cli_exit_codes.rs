@@ -106,7 +106,11 @@ fn explicit_zero_overrides_are_config_errors() {
 fn schedules_naming_a_missing_gpu_are_usage_errors() {
     for (args, names) in [
         ("sort -n 1000 --faults lose:5@1", "PLATFORM1 has 1 GPU(s)"),
-        ("sort -n 1000 --faults join:1@3", "PLATFORM1 has 1 GPU(s)"),
+        // A loss is permanent: there is no fault that revives a GPU.
+        (
+            "sort -n 1000 -p p2 --faults join:1@3",
+            "--faults: bad fault spec \"join:1@3\": unknown site",
+        ),
         (
             "serve-sim --jobs 10 -p p1 --chaos lose:3@0.001",
             "PLATFORM1 has 1 GPU(s)",

@@ -80,24 +80,6 @@ fn device_loss_replans_onto_survivor_bitwise_correct() {
 }
 
 #[test]
-fn device_join_restores_capacity_for_a_later_run() {
-    // lose GPU 1 at its 2nd op, rejoin at the 40th global op: the
-    // injector models a device bouncing back mid-schedule. The run
-    // must stay verified whichever side of the join each batch lands.
-    let data = lcg_data(40_000, 23);
-    let cfg = cfg2().with_faults(Arc::new(
-        FaultInjector::new().lose_device(1, 2).join_device(1, 40),
-    ));
-    let out = sort_real(cfg, &data).unwrap();
-    assert!(out.verified);
-    let expect = sorted_reference(&data);
-    assert!(expect
-        .iter()
-        .zip(&out.sorted)
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
-}
-
-#[test]
 fn no_survivor_falls_back_to_cpu_when_allowed() {
     let data = lcg_data(20_000, 31);
     let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
