@@ -221,7 +221,7 @@ fn kill_consumed_input(m: Mutant, dag: &PlanDag, case: &str) {
         // node <id> is a merge and batch <b> one of its inputs.
         let named = dag.nodes.iter().enumerate().any(|(id, node)| {
             let inputs = match &node.op {
-                DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+                DagOp::PairMerge { slot } => {
                     let p = dag.plan.pairs[*slot];
                     vec![p.left, p.right]
                 }

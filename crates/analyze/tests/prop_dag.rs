@@ -12,7 +12,7 @@
 //! 3. One IR: a plan's `steps` *are* the dag — `from_plan` copies them
 //!    verbatim, both trace entry points lower them identically, no node
 //!    repeats a dep, and min-id ready order is submission order — over
-//!    every approach × staging mode × hybrid mode × pair strategy.
+//!    every approach × staging mode × pair strategy.
 //! 4. A dag that validates never panics a consumer: after any random
 //!    single-site defect the validator accepts, the engine sorts and
 //!    verifies at every worker count, and the simulator, the analyzer
@@ -25,8 +25,8 @@ use hetsort_core::dag::hooks::{execute_dag_hooked, EngineHooks};
 use hetsort_core::optrace::{lower_dag, lower_plan};
 use hetsort_core::plan::MergeSrc;
 use hetsort_core::{
-    execute_dag, host_peak_bytes, simulate_dag, Approach, DagOp, HetSortConfig, HybridMode,
-    PairStrategy, Plan, PlanDag, StagingMode, TieBreak,
+    execute_dag, host_peak_bytes, simulate_dag, Approach, DagOp, HetSortConfig, PairStrategy, Plan,
+    PlanDag, StagingMode, TieBreak,
 };
 use hetsort_prng::{prop_assert, run_cases, Rng};
 use hetsort_vgpu::{platform1, platform2};
@@ -159,45 +159,41 @@ fn plan_steps_are_the_dag() {
             Approach::PipeMerge,
         ] {
             for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
-                for hybrid in [HybridMode::Off, HybridMode::Fraction(0.5), HybridMode::Auto] {
-                    for strategy in STRATEGIES {
-                        let mut cfg = base
-                            .clone()
-                            .with_staging(staging)
-                            .with_hybrid(hybrid)
-                            .with_pair_strategy(strategy);
-                        cfg.approach = approach;
-                        if approach == Approach::BLine {
-                            // BLINE is the one-batch baseline.
-                            cfg = cfg.with_batch_elems(n);
-                        }
-                        let what =
-                            format!("{approach:?}/{staging:?}/{hybrid:?}/{strategy:?} n={n}");
-                        let plan = Plan::build(cfg, n).map_err(|e| format!("{what}: {e}"))?;
-                        let dag = PlanDag::from_plan(plan.clone());
-                        prop_assert!(dag.nodes == plan.steps, "{what}: from_plan altered nodes");
+                for strategy in STRATEGIES {
+                    let mut cfg = base
+                        .clone()
+                        .with_staging(staging)
+                        .with_pair_strategy(strategy);
+                    cfg.approach = approach;
+                    if approach == Approach::BLine {
+                        // BLINE is the one-batch baseline.
+                        cfg = cfg.with_batch_elems(n);
+                    }
+                    let what = format!("{approach:?}/{staging:?}/{strategy:?} n={n}");
+                    let plan = Plan::build(cfg, n).map_err(|e| format!("{what}: {e}"))?;
+                    let dag = PlanDag::from_plan(plan.clone());
+                    prop_assert!(dag.nodes == plan.steps, "{what}: from_plan altered nodes");
+                    prop_assert!(
+                        lower_plan(&plan) == lower_dag(&dag),
+                        "{what}: lower_plan and lower_dag disagree"
+                    );
+                    for (i, node) in plan.steps.iter().enumerate() {
+                        let mut deps = node.deps.clone();
+                        deps.sort_unstable();
+                        deps.dedup();
                         prop_assert!(
-                            lower_plan(&plan) == lower_dag(&dag),
-                            "{what}: lower_plan and lower_dag disagree"
-                        );
-                        for (i, node) in plan.steps.iter().enumerate() {
-                            let mut deps = node.deps.clone();
-                            deps.sort_unstable();
-                            deps.dedup();
-                            prop_assert!(
-                                deps.len() == node.deps.len(),
-                                "{what}: node {i} repeats a dep: {:?}",
-                                node.deps
-                            );
-                        }
-                        let order = dag
-                            .ready_order(TieBreak::MinId)
-                            .map_err(|e| e.to_string())?;
-                        prop_assert!(
-                            order.iter().copied().eq(0..dag.nodes.len()),
-                            "{what}: min-id ready order is not submission order"
+                            deps.len() == node.deps.len(),
+                            "{what}: node {i} repeats a dep: {:?}",
+                            node.deps
                         );
                     }
+                    let order = dag
+                        .ready_order(TieBreak::MinId)
+                        .map_err(|e| e.to_string())?;
+                    prop_assert!(
+                        order.iter().copied().eq(0..dag.nodes.len()),
+                        "{what}: min-id ready order is not submission order"
+                    );
                 }
             }
         }

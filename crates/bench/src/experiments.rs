@@ -493,7 +493,11 @@ mod tests {
             let rf = r.total("Reference").unwrap();
             assert!(pd < bl, "n={}", r.n);
             assert!(pmc <= pd * 1.01, "n={}", r.n);
-            assert!(pmc < rf, "hybrid must beat the CPU reference, n={}", r.n);
+            assert!(
+                pmc < rf,
+                "PIPEMERGE+PARMEMCPY must beat the CPU reference, n={}",
+                r.n
+            );
             // All approaches beat the reference (the paper's headline).
             assert!(bl < rf, "n={}", r.n);
         }

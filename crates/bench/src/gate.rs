@@ -39,24 +39,17 @@
 use std::collections::BTreeMap;
 
 use hetsort_core::exec_sim::simulate_plan;
-use hetsort_core::{Approach, HetSortConfig, HetSortError, HybridMode, Plan};
+use hetsort_core::{Approach, HetSortConfig, HetSortError, Plan};
 use hetsort_obs::{Json, Totals};
 use hetsort_serve::{synthetic_jobs, ServeBudget, ServeConfig, SortService, MIX_COALESCE_ELEMS};
 use hetsort_vgpu::{platform1, platform2, PlatformSpec};
 
 /// `generated` of the document: the date `BENCH.json` was last
 /// refrozen, bumped by hand in the PR that moves a number on purpose.
-pub const GENERATED: &str = "2026-10-18";
+pub const GENERATED: &str = "2026-10-19";
 
 /// Paper-scale input for the multi-batch scenarios (§IV: 2×10⁹ keys).
 pub const PAPER_N: usize = 2_000_000_000;
-
-/// Input size of the pinned hybrid scenarios (5×10⁹ keys — large
-/// enough that the pair-merge lane, not the GPUs, sets the pace).
-pub const HYBRID_N: usize = 5_000_000_000;
-
-/// Batch size of the pinned hybrid scenarios.
-pub const HYBRID_BATCH: usize = 350_000_000;
 
 /// Job count of the pinned serve-throughput scenario.
 pub const SERVE_JOBS: usize = 150;
@@ -176,32 +169,6 @@ fn scenario(
     }
 }
 
-/// The hybrid scenario for one platform: PIPEMERGE with half the pair
-/// merges routed to the full CPU merge pool ([`DagOp::CpuMerge`]
-/// lowering).
-///
-/// The pinned pair shows the paper's §V trade-off from both sides: on
-/// the two-GPU platform the devices outrun the reserved-core pair
-/// lane, so draining trailing merges with every core beats the
-/// GPU-only plan; on the single-GPU platform the heuristic's core
-/// split already keeps up and the full pool only steals bandwidth
-/// from staging. `BENCH.json` pins both outcomes.
-///
-/// [`DagOp::CpuMerge`]: hetsort_core::DagOp::CpuMerge
-fn hybrid_scenario(platform_key: &'static str, platform: &PlatformSpec) -> Scenario {
-    let config = HetSortConfig::paper_defaults(platform.clone(), Approach::PipeMerge)
-        .with_batch_elems(HYBRID_BATCH)
-        .with_hybrid(HybridMode::Fraction(0.5));
-    Scenario {
-        id: format!("{platform_key}/hybrid/n5e9"),
-        platform_key,
-        label: "HYBRID",
-        config,
-        n: HYBRID_N,
-        kind: ScenarioKind::Simulated,
-    }
-}
-
 /// The serve-throughput scenario: the whole synthetic mix through the
 /// admission-controlled service on platform 1.
 fn serve_scenario() -> Scenario {
@@ -282,8 +249,6 @@ pub fn scenario_matrix() -> Vec<Scenario> {
             false,
             Some((PAPER_N / batch) * batch + 1),
         ));
-        // HYBRID: PIPEMERGE with CpuMerge routing (see hybrid_scenario).
-        out.push(hybrid_scenario(key, &platform));
     }
     out.push(serve_scenario());
     out
@@ -386,14 +351,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_is_fifteen_pinned_scenarios() {
+    fn matrix_is_thirteen_pinned_scenarios() {
         let m = scenario_matrix();
-        assert_eq!(m.len(), 15);
+        assert_eq!(m.len(), 13);
         // Ids are unique and stable-keyed.
         let mut ids: Vec<&str> = m.iter().map(|s| s.id.as_str()).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 15);
+        assert_eq!(ids.len(), 13);
         assert!(m.iter().any(|s| s.id == "p1/pipedata/n2e9"));
         assert!(m.iter().any(|s| s.id == "p2/parmemcpy/n2e9"));
         assert_eq!(
@@ -415,13 +380,6 @@ mod tests {
         for s in m.iter().filter(|s| s.label == "SKEWMERGE") {
             assert!(s.config.n_batches(s.n) > 1, "{}", s.id);
             assert_eq!(s.n % s.config.batch_elems, 1, "{}: final batch len", s.id);
-        }
-        // One HYBRID scenario per platform, with CpuMerge routing on.
-        let hybrid: Vec<&Scenario> = m.iter().filter(|s| s.label == "HYBRID").collect();
-        assert_eq!(hybrid.len(), 2);
-        for s in &hybrid {
-            assert_eq!(s.config.hybrid, HybridMode::Fraction(0.5), "{}", s.id);
-            assert_eq!(s.n, HYBRID_N, "{}", s.id);
         }
         // Exactly one serve-throughput scenario, on platform 1.
         let serve: Vec<&Scenario> = m.iter().filter(|s| s.label == "SERVE").collect();
@@ -472,61 +430,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&r.bus_util));
         assert!(r.components.contains_key("GPUSort"), "{:?}", r.components);
         assert!(r.nb > 1);
-    }
-
-    #[test]
-    fn hybrid_trade_off_tracks_the_staging_protocol() {
-        // The §V trade-off the hybrid scenarios pin is a function of
-        // how expensive host staging is. Under the paper's
-        // single-buffer protocol, platform 2's two GPUs outrun the
-        // reserved-core pair lane, so routing the trailing half of the
-        // merges to the full CPU pool wins there (and loses on p1,
-        // where one GPU never gets ahead of the lane). Double-buffered
-        // staging removes the host-side bottleneck that made the CPU
-        // detour attractive: the GPU-only plan overlaps its inbound
-        // bounce and drains StageOut straight from the transfer
-        // buffer, while Fraction(0.5) CpuMerge routing now contends
-        // with those overlapped staging copies for cores — routing
-        // loses on both platforms. Both regimes are pinned so a cost-
-        // model change that silently flips either is caught.
-        use hetsort_core::StagingMode;
-        let m = scenario_matrix();
-        let totals = |key: &str, mode: StagingMode| {
-            let s = m
-                .iter()
-                .find(|s| s.id == format!("{key}/hybrid/n5e9"))
-                .unwrap();
-            let cfg = s.config.clone().with_staging(mode);
-            let hybrid = simulate_plan(&Plan::build(cfg.clone(), s.n).expect("plan"))
-                .expect("sim")
-                .total_s;
-            let mut off_cfg = cfg;
-            off_cfg.hybrid = HybridMode::Off;
-            let off = simulate_plan(&Plan::build(off_cfg, s.n).expect("plan"))
-                .expect("sim")
-                .total_s;
-            (hybrid, off)
-        };
-        // Paper staging: the published trade-off.
-        let (hybrid, off) = totals("p2", StagingMode::Paper);
-        assert!(
-            hybrid < off,
-            "paper staging: hybrid must beat GPU-only on p2: {hybrid} !< {off}"
-        );
-        let (hybrid, off) = totals("p1", StagingMode::Paper);
-        assert!(
-            hybrid > off,
-            "paper staging: hybrid must lose on p1: {hybrid} vs {off}"
-        );
-        // Double-buffered staging (the default the pinned scenarios now
-        // run): GPU-only wins everywhere.
-        for key in ["p1", "p2"] {
-            let (hybrid, off) = totals(key, StagingMode::DoubleBuffered);
-            assert!(
-                hybrid > off,
-                "double-buffered staging: GPU-only must win on {key}: {hybrid} vs {off}"
-            );
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | `fig04` … `fig11` | Figures 4–11 |
 //! | `calibrate`, `calibrate_components` | model vs paper headline numbers |
 //! | `ablation_*`, `rejected_strategies`, `kv_records`, `nvlink_future` | extensions beyond the paper's figures |
-//! | `bench` | `BENCH.json`: model seconds of the 15 pinned scenarios |
+//! | `bench` | `BENCH.json`: model seconds of the 13 pinned scenarios |
 //! | `host_fig04`, `host_fig06` | the real algorithms timed on this host (not part of `all`) |
 
 // No unsafe anywhere in this crate — enforced, not assumed.

@@ -203,7 +203,7 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "bench",
-        about: "BENCH.json: the 15 pinned scenarios (every approach on both platforms, the serve mix) under the shipped defaults",
+        about: "BENCH.json: the 13 pinned scenarios (every approach on both platforms, the serve mix) under the shipped defaults",
         file: Some("../BENCH.json"),
         header: "{",
         run: Run::Model(bench),

@@ -128,63 +128,6 @@ impl RecoveryPolicy {
     }
 }
 
-/// Hybrid CPU/GPU merge routing: which pipelined pair merges are
-/// emitted as [`DagOp::CpuMerge`] nodes instead of the default
-/// GPU-adjacent pair-merge lane.
-///
-/// Routing happens where the plan is built (`plan_builders`), so every
-/// consumer of a plan — the functional engine, the simulator, the
-/// bench gate, and the service — sees the same hybrid dag. The
-/// decision is a pure function of the config and the pair slots, never of
-/// runtime queue state, so hybrid runs stay deterministic and
-/// replayable.
-///
-/// [`DagOp::CpuMerge`]: crate::dag::DagOp::CpuMerge
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum HybridMode {
-    /// Every pair merge stays on the default pair-merge lane.
-    #[default]
-    Off,
-    /// Route the *last* `frac` of the pair-merge slots (rounded to
-    /// nearest, `0.0..=1.0`) to CPU merge nodes. Later slots depend on
-    /// later batches, so they are the ones most likely to contend with
-    /// the multiway-merge warm-up — exactly where the spare merge pool
-    /// helps.
-    Fraction(f64),
-    /// Per-slot greedy earliest-finish routing between the pair-merge
-    /// pool and the full CPU merge pool, using the platform's calibrated
-    /// merge throughput and each pool's accumulated predicted busy time
-    /// as the queue-depth proxy.
-    Auto,
-}
-
-impl HybridMode {
-    /// Stable CLI/display name (`off`, a fraction, or `auto`).
-    pub fn describe(&self) -> String {
-        match self {
-            HybridMode::Off => "off".into(),
-            HybridMode::Fraction(f) => format!("{f}"),
-            HybridMode::Auto => "auto".into(),
-        }
-    }
-
-    /// Parse a CLI value: `off`, `auto`, or a fraction in `[0, 1]`.
-    pub fn parse(s: &str) -> Result<HybridMode, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "none" => Ok(HybridMode::Off),
-            "auto" => Ok(HybridMode::Auto),
-            other => other
-                .parse::<f64>()
-                .ok()
-                .filter(|f| (0.0..=1.0).contains(f))
-                .map(HybridMode::Fraction)
-                .ok_or_else(|| {
-                    format!("bad --hybrid value '{s}' (use off, auto, or a fraction in [0,1])")
-                }),
-        }
-    }
-}
-
 /// How the host↔pinned staging path is organized.
 ///
 /// The paper's executors bounce every chunk through a single pinned
@@ -262,10 +205,6 @@ pub struct HetSortConfig {
     pub pair_merge_threads: u32,
     /// Scheduling strategy for pipelined merges (PIPEMERGE only).
     pub pair_strategy: PairStrategy,
-    /// Hybrid CPU/GPU merge routing: type some pair merges as
-    /// [`DagOp::CpuMerge`](crate::dag::DagOp::CpuMerge) nodes backed by
-    /// the full CPU merge pool.
-    pub hybrid: HybridMode,
     /// Host↔pinned staging organization (single-buffer paper shape or
     /// double-buffered halves with outbound elision).
     pub staging: StagingMode,
@@ -297,7 +236,6 @@ impl HetSortConfig {
             pinned_elems: 1_000_000,
             pair_merge_threads: 0,
             pair_strategy: PairStrategy::default(),
-            hybrid: HybridMode::default(),
             staging: StagingMode::default(),
             elem_bytes: ElemWidth::Key,
             recovery: RecoveryPolicy::default(),
@@ -351,12 +289,6 @@ impl HetSortConfig {
     /// Select a pipelined-merge scheduling strategy (§III-D3).
     pub fn with_pair_strategy(mut self, s: PairStrategy) -> Self {
         self.pair_strategy = s;
-        self
-    }
-
-    /// Select the hybrid CPU/GPU merge routing mode.
-    pub fn with_hybrid(mut self, h: HybridMode) -> Self {
-        self.hybrid = h;
         self
     }
 
@@ -487,13 +419,6 @@ impl HetSortConfig {
                 "pinned buffer p_s={} exceeds batch size b_s={}",
                 self.pinned_elems, self.batch_elems
             )));
-        }
-        if let HybridMode::Fraction(f) = self.hybrid {
-            if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-                return Err(HetSortError::config(format!(
-                    "hybrid fraction must lie in [0, 1], got {f}"
-                )));
-            }
         }
         if self.approach.is_piped() && self.streams_per_gpu == 0 {
             return Err(HetSortError::config(
@@ -751,35 +676,6 @@ mod tests {
             .with_recovery(RecoveryPolicy::none());
         assert_eq!(c.recovery, RecoveryPolicy::none());
         assert!(c.faults.is_none());
-    }
-
-    #[test]
-    fn hybrid_mode_parse_and_validate() {
-        assert_eq!(HybridMode::parse("off"), Ok(HybridMode::Off));
-        assert_eq!(HybridMode::parse("auto"), Ok(HybridMode::Auto));
-        assert_eq!(HybridMode::parse("0.5"), Ok(HybridMode::Fraction(0.5)));
-        assert_eq!(HybridMode::parse("1"), Ok(HybridMode::Fraction(1.0)));
-        assert!(HybridMode::parse("1.5").is_err());
-        assert!(HybridMode::parse("-0.1").is_err());
-        assert!(HybridMode::parse("frob").is_err());
-        assert_eq!(HybridMode::Fraction(0.5).describe(), "0.5");
-
-        let base = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge);
-        assert_eq!(base.hybrid, HybridMode::Off);
-        assert!(base
-            .clone()
-            .with_hybrid(HybridMode::Fraction(1.0))
-            .validate(1000)
-            .is_ok());
-        for bad in [1.5, -0.1, f64::NAN] {
-            assert!(
-                base.clone()
-                    .with_hybrid(HybridMode::Fraction(bad))
-                    .validate(1000)
-                    .is_err(),
-                "fraction {bad} must be rejected"
-            );
-        }
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl Artifact {
         match *op {
             DagOp::PinnedAlloc { stream, dir_in, .. } => Artifact::Pinned { stream, dir_in },
             DagOp::Sort { batch } => Artifact::Sort { batch },
-            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => Artifact::Pair { slot },
+            DagOp::PairMerge { slot } => Artifact::Pair { slot },
             // MultiwayMerge; the chunk ops returned above.
             _ => Artifact::Multiway,
         }
@@ -470,7 +470,7 @@ pub(crate) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> 
         };
         for (i, node) in nodes.iter().enumerate() {
             match &node.op {
-                DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+                DagOp::PairMerge { slot } => {
                     let spec = plan.pairs.get(*slot).ok_or_else(|| HetSortError::Plan {
                         reason: format!(
                             "merge-inputs: node {i} references missing pair slot {slot}"
@@ -564,7 +564,7 @@ pub(crate) fn check(plan: &Plan, nodes: &[DagNode]) -> Result<(), HetSortError> 
         let pair;
         let srcs = match &node.op {
             DagOp::MultiwayMerge { inputs } => inputs.as_slice(),
-            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } if *seen.get(nb + slot) => {
+            DagOp::PairMerge { slot } if *seen.get(nb + slot) => {
                 pair = [plan.pairs[*slot].left, plan.pairs[*slot].right];
                 &pair
             }

@@ -175,7 +175,7 @@ where
         let now = move || t0.elapsed().as_secs_f64();
         // `slot` is the pair slot a two-way merge writes; `None` is B.
         let (srcs, out_elems, slot) = match op {
-            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+            DagOp::PairMerge { slot } => {
                 // `merge-inputs` proved the slot exists.
                 let spec = self.plan.pairs[*slot];
                 (vec![spec.left, spec.right], spec.out_elems, Some(*slot))
@@ -957,58 +957,6 @@ mod tests {
                 out.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn cpu_merge_node_executes_with_its_own_span_class() {
-        let n = 12_000;
-        let d = data(n, 9);
-        let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
-            .with_batch_elems(2_000)
-            .with_pinned_elems(400)
-            .with_trace_recording();
-        let mut g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
-        // Re-type one pair merge onto the CPU merge resource.
-        let idx = g
-            .nodes
-            .iter()
-            .position(|node| matches!(node.op, DagOp::PairMerge { .. }))
-            .expect("PipeMerge has pair merges");
-        let DagOp::PairMerge { slot } = g.nodes[idx].op else {
-            unreachable!()
-        };
-        g.nodes[idx].op = DagOp::CpuMerge { slot };
-        g.validate().unwrap();
-        let out = execute_dag(&g, &d).unwrap();
-        assert!(out.verified);
-        let classes: Vec<&str> = out.metrics.spans().iter().map(|s| s.class.name()).collect();
-        assert!(classes.contains(&"CpuMerge"), "{classes:?}");
-        let mut expect = d.clone();
-        introsort(&mut expect);
-        assert_eq!(
-            out.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-        // The executed trace describes the dag that ran: every pair
-        // slot's trace label names the class its span was recorded
-        // under — `CpuMerge` for the hand-re-typed one.
-        let trace = out.trace.expect("trace recording is on");
-        for (i, node) in g.nodes.iter().enumerate() {
-            let (DagOp::PairMerge { slot } | DagOp::CpuMerge { slot }) = node.op else {
-                continue;
-            };
-            let span = out
-                .metrics
-                .spans()
-                .iter()
-                .find(|s| s.node == Some(i as u32) && s.class != OpClass::CpuPart)
-                .expect("every pair slot ran");
-            let label = format!("{} slot {slot} (step {i})", span.class.name());
-            assert!(
-                trace.records.iter().any(|r| r.label == label),
-                "no trace record `{label}`"
             );
         }
     }

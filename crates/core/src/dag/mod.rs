@@ -47,10 +47,8 @@ pub enum TieBreak {
     MaxId,
 }
 
-/// A typed DAG operation — the paper's workflow (§III-D) in eight op
-/// kinds. [`DagOp::CpuMerge`] is a pair merge pinned to the host merge
-/// resource: hybrid routing ([`crate::config::HybridMode`]) types a
-/// configured subset of pair-merge slots as it when the plan is built.
+/// A typed DAG operation — the paper's workflow (§III-D) in seven op
+/// kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DagOp {
     /// Allocate a stream's pinned staging buffer.
@@ -113,13 +111,6 @@ pub enum DagOp {
         /// Sublists merged.
         inputs: Vec<MergeSrc>,
     },
-    /// A two-way merge pinned to the CPU merge resource. Same data
-    /// semantics as [`DagOp::PairMerge`]; recorded under its own span
-    /// class so hybrid schedules are distinguishable.
-    CpuMerge {
-        /// Index into [`Plan::pairs`].
-        slot: usize,
-    },
 }
 
 impl DagOp {
@@ -130,19 +121,15 @@ impl DagOp {
             | DagOp::HtoD { batch, .. }
             | DagOp::Sort { batch }
             | DagOp::DtoH { batch, .. } => Some(*batch),
-            DagOp::PinnedAlloc { .. }
-            | DagOp::PairMerge { .. }
-            | DagOp::MultiwayMerge { .. }
-            | DagOp::CpuMerge { .. } => None,
+            DagOp::PinnedAlloc { .. } | DagOp::PairMerge { .. } | DagOp::MultiwayMerge { .. } => {
+                None
+            }
         }
     }
 
     /// Whether this op is a merge (host-resource op, never stream-bound).
     pub fn is_merge(&self) -> bool {
-        matches!(
-            self,
-            DagOp::PairMerge { .. } | DagOp::MultiwayMerge { .. } | DagOp::CpuMerge { .. }
-        )
+        matches!(self, DagOp::PairMerge { .. } | DagOp::MultiwayMerge { .. })
     }
 
     /// Whether this op runs on its stream's device lane (DMA + sort)
@@ -166,7 +153,6 @@ impl DagOp {
             DagOp::Sort { .. } => OpClass::GpuSort,
             DagOp::DtoH { .. } => OpClass::DtoH,
             DagOp::PairMerge { .. } => OpClass::PairMerge,
-            DagOp::CpuMerge { .. } => OpClass::CpuMerge,
             DagOp::MultiwayMerge { .. } => OpClass::MultiwayMerge,
         }
     }
@@ -222,7 +208,7 @@ pub struct PlanDag {
 impl PlanDag {
     /// Wrap a plan with the executable copy of its nodes. No
     /// conversion happens here: [`crate::plan_builders`] already
-    /// emitted the dag (duplicate-free deps, hybrid routing applied).
+    /// emitted the dag (duplicate-free deps).
     pub fn from_plan(plan: Plan) -> PlanDag {
         let nodes = plan.steps.clone();
         PlanDag { plan, nodes }
@@ -496,68 +482,6 @@ mod tests {
             order,
             (0..d.nodes.len()).collect::<Vec<_>>(),
             "MaxId must actually permute a multi-stream dag"
-        );
-    }
-
-    #[test]
-    fn hybrid_lowering_retypes_pair_merges() {
-        use crate::config::HybridMode;
-        let count = |d: &PlanDag, cpu: bool| {
-            d.nodes
-                .iter()
-                .filter(|n| match n.op {
-                    DagOp::CpuMerge { .. } => cpu,
-                    DagOp::PairMerge { .. } => !cpu,
-                    _ => false,
-                })
-                .count()
-        };
-        let build = |h: HybridMode| {
-            let c = cfg(Approach::PipeMerge).with_hybrid(h);
-            PlanDag::from_plan(Plan::build(c, 13_000).unwrap())
-        };
-
-        let off = build(HybridMode::Off);
-        let slots = off.plan.pairs.len();
-        assert!(slots >= 2, "need ≥ 2 pair slots, got {slots}");
-        assert_eq!(count(&off, true), 0);
-
-        // Fraction 1.0: every pair merge moves to the CPU lane.
-        let all = build(HybridMode::Fraction(1.0));
-        assert_eq!(count(&all, true), slots);
-        assert_eq!(count(&all, false), 0);
-        all.validate().expect("hybrid dag must stay valid");
-
-        // Fraction 0.5: the *last* half of the slots move.
-        let half = build(HybridMode::Fraction(0.5));
-        let moved = ((0.5 * slots as f64).round()) as usize;
-        assert_eq!(count(&half, true), moved);
-        let cpu_slots: Vec<usize> = half
-            .nodes
-            .iter()
-            .filter_map(|n| match n.op {
-                DagOp::CpuMerge { slot } => Some(slot),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            cpu_slots.iter().all(|&s| s >= slots - moved),
-            "fraction routes the trailing slots, got {cpu_slots:?}"
-        );
-        half.validate().unwrap();
-
-        // Auto balances the two pools: a nonempty proper subset under
-        // the paper heuristic (the CPU pool is strictly faster, the
-        // greedy finish times alternate).
-        let auto = build(HybridMode::Auto);
-        assert!(count(&auto, true) > 0, "auto routed nothing");
-        assert!(count(&auto, false) > 0, "auto routed everything");
-        auto.validate().unwrap();
-        // Deterministic: same config, same routing.
-        let again = build(HybridMode::Auto);
-        assert_eq!(
-            auto.nodes.iter().map(|n| n.op.class()).collect::<Vec<_>>(),
-            again.nodes.iter().map(|n| n.op.class()).collect::<Vec<_>>()
         );
     }
 

@@ -213,14 +213,6 @@ fn simulate_nodes(plan: &Plan, nodes: &[DagNode]) -> Result<TimingReport, HetSor
                     };
                 m.pair_merge(spec.out_elems as f64, threads, &deps, Some(cpu_lane))
             }
-            DagOp::CpuMerge { slot } => {
-                // Pinned to the host merge resource: always the full
-                // merge thread pool, never the paper heuristic's
-                // reserved-core split. Tagged CpuMerge so hybrid runs
-                // account CPU-routed merges on their own line.
-                let spec = &plan.pairs[*slot];
-                m.cpu_merge(spec.out_elems as f64, merge_threads, &deps, Some(cpu_lane))
-            }
             DagOp::MultiwayMerge { inputs } => m.multiway_merge(
                 plan.n as f64,
                 inputs.len(),
@@ -462,24 +454,6 @@ mod tests {
         let a = simulate(p1(Approach::PipeMerge), n).unwrap();
         let b = simulate(p1(Approach::PipeMerge), n).unwrap();
         assert_eq!(a.total_s, b.total_s);
-    }
-
-    #[test]
-    fn hybrid_plans_surface_cpu_merge_component() {
-        use crate::config::HybridMode;
-        let n = 5_000_000_000usize;
-        let base = simulate(p1(Approach::PipeMerge), n).unwrap();
-        let cpu_merge = |r: &TimingReport| r.metrics().class_stats(OpClass::CpuMerge);
-        assert_eq!(cpu_merge(&base).count, 0, "no hybrid, no line");
-        let hy = simulate(
-            p1(Approach::PipeMerge).with_hybrid(HybridMode::Fraction(0.5)),
-            n,
-        )
-        .unwrap();
-        assert!(
-            cpu_merge(&hy).busy_s > 0.0,
-            "hybrid run accounts CPU-routed merges separately"
-        );
     }
 
     #[test]

@@ -283,7 +283,7 @@ where
             }
             DagOp::Sort { batch } => self.plan.batches[batch].len as u64 * elem,
             // Not stream-bound: `run` errored out.
-            DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge { .. } => 0,
+            DagOp::PairMerge { .. } | DagOp::MultiwayMerge { .. } => 0,
         };
         let span = ObsSpan {
             bytes: bytes as f64,
@@ -467,7 +467,7 @@ where
                 };
                 emit(*batch, *start, chunk);
             }
-            DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge { .. } => {
+            DagOp::PairMerge { .. } | DagOp::MultiwayMerge { .. } => {
                 return Err(HetSortError::Plan {
                     reason: format!("step {si}: merge steps are not stream-bound"),
                 });

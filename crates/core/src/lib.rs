@@ -61,9 +61,7 @@ pub mod reference;
 pub mod report;
 pub mod residency;
 
-pub use config::{
-    Approach, ElemWidth, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy, StagingMode,
-};
+pub use config::{Approach, ElemWidth, HetSortConfig, PairStrategy, RecoveryPolicy, StagingMode};
 pub use dag::exec::{execute_dag, execute_dag_pooled};
 pub use dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};
 pub use error::HetSortError;

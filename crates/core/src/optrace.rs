@@ -337,7 +337,6 @@ pub fn node_label(op: &DagOp, i: usize) -> String {
         DagOp::Sort { batch } => format!("GpuSort b{batch} (step {i})"),
         DagOp::DtoH { batch, chunk, .. } => format!("DtoH b{batch}.c{chunk} (step {i})"),
         DagOp::PairMerge { slot } => format!("PairMerge slot {slot} (step {i})"),
-        DagOp::CpuMerge { slot } => format!("CpuMerge slot {slot} (step {i})"),
         DagOp::MultiwayMerge { inputs } => {
             format!("MultiwayMerge k={} (step {i})", inputs.len())
         }
@@ -345,9 +344,7 @@ pub fn node_label(op: &DagOp, i: usize) -> String {
 }
 
 /// The buffer accesses `node` performs on the fault-free path: the
-/// device row of the access table. [`DagOp::CpuMerge`]
-/// touches exactly what the equivalent [`DagOp::PairMerge`] would —
-/// only the executing resource differs.
+/// device row of the access table.
 pub fn node_accesses(plan: &Plan, node: &DagNode) -> Vec<Access> {
     accesses(plan, node, Route::Device)
 }
@@ -451,7 +448,7 @@ fn accesses(plan: &Plan, node: &DagNode, route: Route) -> Vec<Access> {
                 None => vec![Access::read(src)],
             }
         }
-        DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+        DagOp::PairMerge { slot } => {
             let spec = plan.pairs[*slot];
             let out = host(region_pair(plan.total_streams, *slot), 0, spec.out_elems);
             vec![

@@ -10,15 +10,11 @@
 //! [`DagNode`]s every interpreter reads — there is no second IR and no
 //! conversion pass: dependency lists are duplicate-free as emitted
 //! (every edge is load-bearing, which is what makes "any single edge
-//! deletion is rejected" a theorem the property suite can test) and
-//! hybrid routing ([`HybridMode`]) types the selected pair-merge slots
-//! [`DagOp::CpuMerge`] here, so every consumer of a plan sees the
-//! identical hybrid dag. [`build_dag`] wraps the result as the
-//! [`PlanDag`] the engines execute.
+//! deletion is rejected" a theorem the property suite can test).
+//! [`build_dag`] wraps the result as the [`PlanDag`] the engines
+//! execute.
 
-use hetsort_vgpu::calib::amdahl_speedup;
-
-use crate::config::{HetSortConfig, HybridMode, PairStrategy, StagingMode};
+use crate::config::{HetSortConfig, PairStrategy, StagingMode};
 use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
 use crate::plan::{BatchInfo, MergeSrc, Outbound, PairSpec, Plan, StagingLayout};
@@ -154,68 +150,6 @@ fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>,
             (pairs, vec![level[0].0])
         }
     }
-}
-
-/// Which pair-merge slots hybrid routing sends to the CPU merge
-/// resource, per [`HybridMode`]. The decision depends only on the
-/// config and the pair slots, never on runtime state.
-///
-/// * [`HybridMode::Fraction`] routes the *last* `round(frac · slots)`
-///   slots: later slots consume later batches and therefore contend
-///   with the multiway-merge warm-up, where the spare full merge pool
-///   helps most.
-/// * [`HybridMode::Auto`] is deterministic greedy earliest-finish
-///   scheduling between the pair-merge pool and the full CPU merge
-///   pool, using the platform's calibrated merge throughput under
-///   Amdahl scaling; each pool's accumulated predicted busy time is
-///   the queue-depth proxy.
-fn hybrid_cpu_slots(cfg: &HetSortConfig, pairs: &[PairSpec]) -> Vec<bool> {
-    let n_slots = pairs.len();
-    let mut cpu = vec![false; n_slots];
-    match cfg.hybrid {
-        HybridMode::Off => {}
-        HybridMode::Fraction(f) => {
-            let f = f.clamp(0.0, 1.0);
-            let k = ((f * n_slots as f64).round() as usize).min(n_slots);
-            for flag in cpu.iter_mut().skip(n_slots - k) {
-                *flag = true;
-            }
-        }
-        HybridMode::Auto => {
-            let cpu_model = &cfg.platform.cpu;
-            let per_core = 1e9 / cpu_model.merge_ns_per_elem_core;
-            // The pair lane runs at the thread count the simulator
-            // grants pipelined merges; the CPU lane gets the full
-            // multiway pool.
-            let pair_threads = if cfg.pair_strategy == PairStrategy::PaperHeuristic {
-                cfg.pair_merge_threads_eff()
-            } else {
-                cfg.merge_threads_eff()
-            };
-            let cap_pair = amdahl_speedup(
-                cpu_model.merge_parallel_fraction,
-                pair_threads.max(1) as usize,
-            ) * per_core;
-            let cap_cpu = amdahl_speedup(
-                cpu_model.merge_parallel_fraction,
-                cfg.merge_threads_eff().max(1) as usize,
-            ) * per_core;
-            let (mut busy_pair, mut busy_cpu) = (0.0f64, 0.0f64);
-            for (slot, spec) in pairs.iter().enumerate() {
-                let t_pair = busy_pair + spec.out_elems as f64 / cap_pair;
-                let t_cpu = busy_cpu + spec.out_elems as f64 / cap_cpu;
-                // Ties keep the default lane, so Auto degrades to Off
-                // when the pools are indistinguishable.
-                if t_cpu < t_pair {
-                    cpu[slot] = true;
-                    busy_cpu = t_cpu;
-                } else {
-                    busy_pair = t_pair;
-                }
-            }
-        }
-    }
-    cpu
 }
 
 /// Node emission state: the dag so far plus each stream's FIFO tails.
@@ -408,9 +342,7 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
         last_stage_out[batch] = prev;
     }
 
-    // 3. Pipelined two-way merges: ready when both inputs exist. Hybrid
-    //    routing types the selected slots onto the CPU merge resource.
-    let cpu_slots = hybrid_cpu_slots(&config, &pairs);
+    // 3. Pipelined two-way merges: ready when both inputs exist.
     let mut pair_nodes: Vec<usize> = Vec::with_capacity(pairs.len());
     let src_dep = |src: MergeSrc, pair_nodes: &[usize]| match src {
         MergeSrc::Batch(b) => last_stage_out[b],
@@ -421,12 +353,7 @@ fn lower(config: HetSortConfig, n: usize) -> Plan {
             src_dep(spec.left, &pair_nodes),
             src_dep(spec.right, &pair_nodes),
         ];
-        let op = if cpu_slots[slot] {
-            DagOp::CpuMerge { slot }
-        } else {
-            DagOp::PairMerge { slot }
-        };
-        pair_nodes.push(e.push(op, deps, None));
+        pair_nodes.push(e.push(DagOp::PairMerge { slot }, deps, None));
     }
 
     // 4. Final multiway merge (absent when n_b = 1: StageOut wrote B).

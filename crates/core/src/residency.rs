@@ -227,7 +227,7 @@ pub fn host_peak_bytes(plan: &Plan) -> u64 {
                 dir_in: false,
                 ..
             } => live += bytes(src_len(MergeSrc::Batch(*batch))),
-            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+            DagOp::PairMerge { slot } => {
                 if let Some(p) = plan.pairs.get(*slot) {
                     live += bytes(p.out_elems);
                     freed = bytes(src_len(p.left) + src_len(p.right));

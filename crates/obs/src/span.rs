@@ -24,11 +24,6 @@ pub enum OpClass {
     PairMerge,
     /// Final multiway merge on the CPU.
     MultiwayMerge,
-    /// A two-way merge pinned to the CPU merge resource by the DAG
-    /// scheduler (hybrid schedules) — same data semantics as
-    /// [`OpClass::PairMerge`], kept distinct so hybrid plans are
-    /// visible in per-class totals.
-    CpuMerge,
     /// Pinned-memory allocation (`cudaMallocHost`).
     PinnedAlloc,
     /// Synchronization / barrier latency surfaced as its own span.
@@ -47,14 +42,13 @@ pub enum OpClass {
 
 impl OpClass {
     /// Every class, in display order.
-    pub const ALL: [OpClass; 11] = [
+    pub const ALL: [OpClass; 10] = [
         OpClass::HtoD,
         OpClass::DtoH,
         OpClass::GpuSort,
         OpClass::StagingCopy,
         OpClass::PairMerge,
         OpClass::MultiwayMerge,
-        OpClass::CpuMerge,
         OpClass::PinnedAlloc,
         OpClass::Sync,
         OpClass::CpuPart,
@@ -80,7 +74,6 @@ impl OpClass {
             OpClass::StagingCopy => "StagingCopy",
             OpClass::PairMerge => "PairMerge",
             OpClass::MultiwayMerge => "MultiwayMerge",
-            OpClass::CpuMerge => "CpuMerge",
             OpClass::PinnedAlloc => "PinnedAlloc",
             OpClass::Sync => "Sync",
             OpClass::CpuPart => "CpuPart",

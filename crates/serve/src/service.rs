@@ -699,32 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_job_completes_through_the_dag_engine() {
-        // A tenant submitting a hybrid-routed config goes through the
-        // same admission/dispatch path; the CpuMerge lowering happens
-        // inside the job's own dag and changes nothing observable at
-        // the service layer except where its merges ran.
-        use hetsort_core::HybridMode;
-        let svc = SortService::new(ServeConfig::new(budget_for(2)));
-        let d = data(6_000, 7);
-        let hybrid_cfg = small_cfg().with_hybrid(HybridMode::Auto);
-        let out = svc.run(vec![
-            SortJob::new(d.clone(), small_cfg()),
-            SortJob::new(d, hybrid_cfg),
-        ]);
-        assert_eq!(out.completed.len(), 2, "hybrid job must not shed or fail");
-        assert!(out.shed.is_empty() && out.failed.is_empty());
-        let bits =
-            |r: &crate::job::JobReport| r.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert!(out.completed.iter().all(|r| r.verified));
-        assert_eq!(
-            bits(&out.completed[0]),
-            bits(&out.completed[1]),
-            "hybrid routing must not change the sorted output"
-        );
-    }
-
-    #[test]
     fn queue_full_sheds_typed_overloaded() {
         let cfg = ServeConfig::new(budget_for(1)).with_queue_cap(1);
         let svc = SortService::new(cfg);

@@ -306,36 +306,6 @@ impl Machine {
         self.sim.op(op)
     }
 
-    /// A pair merge routed to the hybrid CPU pool
-    /// (`DagOp::CpuMerge`). Identical cost model to [`pair_merge`] —
-    /// the work is the same merge path on the same cores — but tagged
-    /// [`tags::CPU_MERGE`] so reports separate hybrid-routed merges
-    /// from pipelined pair-lane ones.
-    ///
-    /// [`pair_merge`]: Machine::pair_merge
-    pub fn cpu_merge(
-        &mut self,
-        elems_out: f64,
-        threads: u32,
-        deps: &[OpId],
-        lane: Option<LaneId>,
-    ) -> OpId {
-        let tag = self.sim.tag(tags::CPU_MERGE);
-        let cpu = &self.plat.cpu;
-        let per_core = 1e9 / cpu.merge_ns_per_elem_core;
-        let cap = amdahl_speedup(cpu.merge_parallel_fraction, threads.max(1) as usize) * per_core;
-        let mut op = Op::new(tag, elems_out)
-            .cap(cap)
-            .weight(cap)
-            .demand(self.bus, cpu.merge_traffic_bytes_per_elem)
-            .demand(self.cores, 1.0 / per_core)
-            .deps(deps.iter().copied());
-        if let Some(l) = lane {
-            op = op.lane(l);
-        }
-        self.sim.op(op)
-    }
-
     /// Final multiway merge of `k` sorted sublists, `elems` total
     /// output elements, `threads` workers (GNU parallel-mode stand-in).
     pub fn multiway_merge(

@@ -21,11 +21,6 @@ pub const PINNED_ALLOC: &str = "PinnedAlloc";
 pub const PAIR_MERGE: &str = "PairMerge";
 /// Device-side merge of sorted runs (the §V future-work experiment).
 pub const GPU_MERGE: &str = "GpuMerge";
-/// Pair merge stolen by the hybrid CPU pool (the `DagOp::CpuMerge`
-/// lowering). Costed like [`PAIR_MERGE`] but tagged separately so
-/// hybrid plans account CPU-routed merges on their own line. Not part
-/// of the literature taxonomy (like [`GPU_MERGE`] / [`REF_SORT`]).
-pub const CPU_MERGE: &str = "CpuMerge";
 /// Final multiway merge on the CPU.
 pub const MULTIWAY_MERGE: &str = "MultiwayMerge";
 /// Parallel CPU reference sort (GNU parallel mode stand-in).

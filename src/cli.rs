@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use hetsort_core::{
-    Approach, HetSortConfig, HetSortError, HybridMode, PairStrategy, Plan, RecoveryPolicy,
-};
+use hetsort_core::{Approach, HetSortConfig, HetSortError, PairStrategy, Plan, RecoveryPolicy};
 use hetsort_serve::{parse_schedule, PoolEvent};
 use hetsort_vgpu::{platform1, platform2, FaultInjector, PlatformSpec};
 
@@ -86,7 +84,6 @@ pub struct Args {
     pub streams: Option<usize>,
     pub pinned: Option<usize>,
     pub strategy: PairStrategy,
-    pub hybrid: HybridMode,
     pub seed: u64,
     pub faults: Option<Arc<FaultInjector>>,
     pub retries: Option<usize>,
@@ -117,7 +114,6 @@ impl Default for Args {
             streams: None,
             pinned: None,
             strategy: PairStrategy::PaperHeuristic,
-            hybrid: HybridMode::Off,
             seed: 42,
             faults: None,
             retries: None,
@@ -144,8 +140,7 @@ impl Args {
     /// [`HetSortConfig::validate`] as given, 0 included.
     pub fn config(&self) -> HetSortConfig {
         let mut cfg = HetSortConfig::paper_defaults(self.platform.clone(), self.approach)
-            .with_pair_strategy(self.strategy)
-            .with_hybrid(self.hybrid);
+            .with_pair_strategy(self.strategy);
         if self.par_memcpy {
             cfg = cfg.with_par_memcpy();
         }
@@ -320,10 +315,6 @@ options! {
         "pinned staging buffer p_s in elements (default 1e6)";
     STRATEGY = ["--strategy"], RUN, Value("S", |a, v| parse_strategy(v).map(|s| a.strategy = s)),
         "pair-merge strategy: paper (the paper's heuristic; default), online or tree";
-    HYBRID = ["--hybrid"], RUN, Value("MODE", |a, v| HybridMode::parse(v).map(|h| a.hybrid = h)),
-        "route pair merges to the CPU merge pool at dag lowering: off (default); a fraction in \
-         [0,1] re-types that trailing share of merge slots as CpuMerge; auto lets a greedy \
-         earliest-finish cost model pick the slots";
     SEED = ["--seed"], &[Sort, Trace, ServeSim],
         Value("N", |a, v| v.parse().map(|s| a.seed = s).map_err(|e| e.to_string())),
         "seed of the generated input, or of serve-sim's job mix (default 42)";
@@ -685,27 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_hybrid_knob() {
-        let r = args("sort -n 1e5 --hybrid 0.5", Command::Sort);
-        assert_eq!(r.hybrid, HybridMode::Fraction(0.5));
-        assert_eq!(r.config().hybrid, HybridMode::Fraction(0.5));
-        assert_eq!(
-            args("simulate --hybrid auto", Command::Simulate).hybrid,
-            HybridMode::Auto
-        );
-        assert_eq!(
-            args("sort --hybrid off", Command::Sort).hybrid,
-            HybridMode::Off
-        );
-        // Default stays off.
-        assert_eq!(args("sort", Command::Sort).hybrid, HybridMode::Off);
-
-        assert!(parse(&argv("sort --hybrid 1.5")).is_err());
-        assert!(parse(&argv("sort --hybrid bogus")).is_err());
-        assert!(parse(&argv("sort --hybrid")).is_err());
-    }
-
-    #[test]
     fn parse_analyze() {
         let r = args("analyze --matrix", Command::Analyze);
         assert!(r.matrix);
@@ -792,7 +762,6 @@ mod tests {
             "--streams" => "3",
             "--pinned" => "500",
             "--strategy" => "tree",
-            "--hybrid" => "auto",
             "--seed" => "7",
             "--faults" => "lose:0@1",
             "--retries" => "5",

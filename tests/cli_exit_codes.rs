@@ -1,9 +1,10 @@
 //! The CLI never reports partial work as a pass and never dies on its
 //! input: a truncated exploration is exit 1, an oversized plan is a
 //! typed exit 1 (not an allocation abort), an explicit zero reaches
-//! validation instead of meaning "default", a fractional count or a
-//! schedule naming a GPU or stream the run lacks is a usage error, and
-//! a fault the run recovers from writes nothing to stderr.
+//! validation instead of meaning "default", a fractional count, a
+//! deleted option or a schedule naming a GPU or stream the run lacks is
+//! a usage error, and a fault the run recovers from writes nothing to
+//! stderr.
 
 use std::process::{Command, Output};
 
@@ -85,6 +86,16 @@ fn fractional_count_is_a_usage_error() {
     // Scientific notation with an integral value stays valid.
     let out = hetsort("simulate -n 2.5e9");
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+}
+
+#[test]
+fn a_deleted_option_is_a_usage_error() {
+    // `--hybrid` left with the hybrid merge route; a script that still
+    // passes it must fail loudly, not run a different plan.
+    let out = hetsort("sort --hybrid 0.5");
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option '--hybrid'"), "{stderr}");
 }
 
 #[test]

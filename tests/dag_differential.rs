@@ -1,35 +1,26 @@
 //! DAG-engine differential suite: every way of running a [`PlanDag`]
 //! must agree on the data.
 //!
-//! Every scenario runs under the cross product of hybrid lowering
-//! ([`HybridMode::Off`] / `Fraction` / `Auto` — which re-types trailing
-//! or cost-model-selected pair merges to [`DagOp::CpuMerge`] nodes),
-//! staging protocol ([`StagingMode::Paper`] / `DoubleBuffered`) and
-//! worker count (`0` = every node inline on the caller, and one worker
-//! per stream). The contract:
+//! Every scenario runs under the cross product of staging protocol
+//! ([`StagingMode::Paper`] / `DoubleBuffered`) and worker count (`0` =
+//! every node inline on the caller, and one worker per stream). The
+//! contract:
 //!
 //! * **Output** is bitwise identical across the whole grid and equal to
-//!   the reference CPU sort — hybrid routing, the staging protocol and
-//!   the worker count change *where and when* work runs, never what it
-//!   computes.
+//!   the reference CPU sort — the staging protocol and the worker count
+//!   change *where and when* work runs, never what it computes.
 //! * **Worker counts** additionally agree on the failover span texts,
 //!   and on fault-free runs on recovery stats and every span's
 //!   placement (node × class × stream × batch × GPU): the worker count
 //!   is a resource parameter of one engine, so the observable schedule
 //!   is the inline run's.
-//! * Hybrid dags — including the all-CPU `Fraction(1.0)` extreme —
-//!   pass [`analyze_dag`] with zero findings: the re-typed nodes keep
-//!   the validator's producer keys and the lowered trace's sync edges.
 //! * Fault injection (transient faults, OOM splits, device loss up to
 //!   losing *every* GPU) recovers to the reference output everywhere,
 //!   and every lost device is attributed in
 //!   [`RecoveryStats::lost_gpu_mask`].
 //!
 //! [`PlanDag`]: hetsort::core::PlanDag
-//! [`HybridMode::Off`]: hetsort::core::HybridMode
 //! [`StagingMode::Paper`]: hetsort::core::StagingMode
-//! [`DagOp::CpuMerge`]: hetsort::core::DagOp
-//! [`analyze_dag`]: hetsort::analyze::analyze_dag
 //! [`RecoveryStats::lost_gpu_mask`]: hetsort::core::RecoveryStats
 
 use std::collections::BTreeMap;
@@ -37,11 +28,8 @@ use std::sync::Arc;
 
 use hetsort::algos::introsort::introsort;
 use hetsort::algos::keys::{KeyValue, RadixKey, SortOrd};
-use hetsort::analyze::analyze_dag;
 use hetsort::core::exec_real::RealOutcome;
-use hetsort::core::{
-    execute_dag_pooled, Approach, DagOp, HetSortConfig, HybridMode, Plan, PlanDag, StagingMode,
-};
+use hetsort::core::{execute_dag_pooled, Approach, HetSortConfig, Plan, PlanDag, StagingMode};
 use hetsort::obs::{MetricsRegistry, OpClass};
 use hetsort::vgpu::{platform1, platform2, FaultInjector, PlatformSpec};
 
@@ -104,21 +92,9 @@ fn span_placements(reg: &MetricsRegistry) -> BTreeMap<Placement, usize> {
     m
 }
 
-/// The lowering grid every scenario runs under: hybrid mode × staging
-/// protocol.
-fn lowering_grid() -> Vec<(String, HybridMode, StagingMode)> {
-    let mut grid = Vec::new();
-    for (hname, hybrid) in [
-        ("off", HybridMode::Off),
-        ("frac0.5", HybridMode::Fraction(0.5)),
-        ("auto", HybridMode::Auto),
-    ] {
-        for staging in [StagingMode::Paper, StagingMode::DoubleBuffered] {
-            grid.push((format!("h={hname}/{}", staging.name()), hybrid, staging));
-        }
-    }
-    grid
-}
+/// The staging protocols every scenario runs under; [`check_modes`]
+/// adds the worker-count axis.
+const STAGINGS: [StagingMode; 2] = [StagingMode::Paper, StagingMode::DoubleBuffered];
 
 /// The failover span texts of a run, sorted.
 fn failover_texts(reg: &MetricsRegistry) -> Vec<&str> {
@@ -192,19 +168,16 @@ where
     inline
 }
 
-/// Run `mk`'s config across the lowering grid (each at both worker
-/// counts) and assert the outputs are all bitwise equal to `expect`.
-fn check_hybrid_grid<T>(label: &str, mk: &dyn Fn() -> HetSortConfig, data: &[T], expect: &[T])
+/// Run `mk`'s config under both staging protocols (each at both
+/// worker counts) and assert the outputs are all bitwise equal to
+/// `expect`.
+fn check_grid<T>(label: &str, mk: &dyn Fn() -> HetSortConfig, data: &[T], expect: &[T])
 where
     T: RadixKey + SortOrd + Default + Bits,
 {
-    for (gname, hybrid, staging) in lowering_grid() {
-        let label = format!("{label}/{gname}");
-        let out = check_modes(
-            &label,
-            &|| mk().with_hybrid(hybrid).with_staging(staging),
-            data,
-        );
+    for staging in STAGINGS {
+        let label = format!("{label}/{}", staging.name());
+        let out = check_modes(&label, &|| mk().with_staging(staging), data);
         assert_eq!(
             all_bits(&out.sorted),
             all_bits(expect),
@@ -241,24 +214,23 @@ fn matrix(plat: &PlatformSpec) -> Vec<(String, HetSortConfig, usize)> {
 }
 
 #[test]
-fn hybrid_modes_agree_bitwise_f64() {
+fn stagings_and_worker_counts_agree_bitwise_f64() {
     for plat in [platform1(), platform2()] {
         for (label, cfg, n) in matrix(&plat) {
             let data = lcg_data(n, 0xDA6);
             let mut expect = data.clone();
             hetsort::core::reference::reference_sort_real(4, &mut expect);
-            check_hybrid_grid(&label, &|| cfg.clone(), &data, &expect);
+            check_grid(&label, &|| cfg.clone(), &data, &expect);
         }
     }
 }
 
 #[test]
-fn hybrid_modes_agree_bitwise_key_value_records() {
+fn stagings_and_worker_counts_agree_bitwise_key_value_records() {
     // 16-byte key/value rows (§IV-E workload of [5]): the payload must
-    // ride along bit-exactly through staging, device sort, and merges —
-    // including merges routed to the CPU pool. One geometry per
-    // platform keeps the grid (3 hybrid × 2 staging × 2 worker counts)
-    // affordable.
+    // ride along bit-exactly through staging, device sort, and merges.
+    // One geometry per platform keeps the grid (2 staging × 2 worker
+    // counts) affordable.
     for plat in [platform1(), platform2()] {
         let label = format!("{}/PipeMerge/kv16", plat.name);
         let n = 30_000;
@@ -277,55 +249,17 @@ fn hybrid_modes_agree_bitwise_key_value_records() {
             .with_elem_bytes(hetsort::core::ElemWidth::KeyValue);
         let mut expect = rows.clone();
         introsort(&mut expect);
-        check_hybrid_grid(&label, &|| cfg.clone(), &rows, &expect);
+        check_grid(&label, &|| cfg.clone(), &rows, &expect);
     }
 }
 
 #[test]
-fn cpu_merge_heavy_dag_analyzes_clean() {
-    // The all-CPU extreme: Fraction(1.0) re-types every pair merge.
-    // The dag must still satisfy all validator rules and lower to a
-    // race-free trace — CpuMerge keeps PairMerge's producer key,
-    // dependency edges, and buffer accesses.
-    for plat in [platform1(), platform2()] {
-        let cfg = HetSortConfig::paper_defaults(plat.clone(), Approach::PipeMerge)
-            .with_batch_elems(7_000)
-            .with_pinned_elems(1_500)
-            .with_hybrid(HybridMode::Fraction(1.0));
-        let plan = Plan::build(cfg, 30_000).expect("plan");
-        let dag = PlanDag::from_plan(plan);
-        let cpu_merges = dag
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.op, DagOp::CpuMerge { .. }))
-            .count();
-        assert!(cpu_merges > 0, "{}: no CpuMerge nodes lowered", plat.name);
-        assert!(
-            !dag.nodes
-                .iter()
-                .any(|n| matches!(n.op, DagOp::PairMerge { .. })),
-            "{}: Fraction(1.0) must re-type every pair merge",
-            plat.name
-        );
-        let report = analyze_dag(&dag);
-        assert!(
-            report.findings.is_empty(),
-            "{}: CpuMerge-heavy dag has findings: {:?}",
-            plat.name,
-            report.findings
-        );
-    }
-}
-
-#[test]
-fn hybrid_modes_agree_under_faults() {
+fn stagings_and_worker_counts_agree_under_faults() {
     // Recovery paths must hold in every mode: transient transfer faults
     // with retries, an OOM split, and a mid-run device loss each
-    // recover to the reference output whether merges run on the pair
-    // lane or the CPU pool, under either staging protocol. Fresh
-    // injectors per
-    // execution (the config closure) keep occurrence counters from
-    // leaking across runs.
+    // recover to the reference output under either staging protocol
+    // and worker count. Fresh injectors per execution (the config
+    // closure) keep occurrence counters from leaking across runs.
     let n = 40_000;
     let data = lcg_data(n, 0xFA17);
     let mut expect = data.clone();
@@ -345,13 +279,9 @@ fn hybrid_modes_agree_under_faults() {
                     FaultInjector::parse(spec).expect("valid fault spec"),
                 ))
         };
-        for (gname, hybrid, staging) in lowering_grid() {
-            let label = format!("{label}/{gname}");
-            let out = check_modes(
-                &label,
-                &|| mk().with_hybrid(hybrid).with_staging(staging),
-                &data,
-            );
+        for staging in STAGINGS {
+            let label = format!("{label}/{}", staging.name());
+            let out = check_modes(&label, &|| mk().with_staging(staging), &data);
             assert!(out.recovery.any(), "{label}: fault schedule never fired");
             assert_eq!(
                 all_bits(&out.sorted),
@@ -375,13 +305,9 @@ fn no_survivor_fallback_attributes_the_loss() {
             .with_pinned_elems(800)
             .with_faults(Arc::new(FaultInjector::new().lose_device(0, 2)))
     };
-    for (gname, hybrid, staging) in lowering_grid() {
-        let label = format!("p1/PipeData/no-survivors/{gname}");
-        let out = check_modes(
-            &label,
-            &|| mk().with_hybrid(hybrid).with_staging(staging),
-            &data,
-        );
+    for staging in STAGINGS {
+        let label = format!("p1/PipeData/no-survivors/{}", staging.name());
+        let out = check_modes(&label, &|| mk().with_staging(staging), &data);
         assert!(out.recovery.device_lost >= 1);
         assert!(
             out.recovery.degraded_batches > 0,

@@ -70,7 +70,6 @@ fn node_placements(label: &str, reg: &MetricsRegistry) -> BTreeMap<u32, Placemen
         let batchless = matches!(
             s.class,
             OpClass::PairMerge
-                | OpClass::CpuMerge
                 | OpClass::MultiwayMerge
                 | OpClass::PinnedAlloc
                 | OpClass::Sync
@@ -94,10 +93,7 @@ fn node_placements(label: &str, reg: &MetricsRegistry) -> BTreeMap<u32, Placemen
     for node in parts {
         let class = placed.get(&node).map(|p| p.0);
         assert!(
-            matches!(
-                class,
-                Some(OpClass::PairMerge | OpClass::CpuMerge | OpClass::MultiwayMerge)
-            ),
+            matches!(class, Some(OpClass::PairMerge | OpClass::MultiwayMerge)),
             "{label}: CpuPart span of node {node}, a {class:?}"
         );
     }

@@ -130,11 +130,9 @@ fn engine_of(plan: &Plan) -> SimBuilder {
                 Op::new(tag, 8.0 * len as f64).demand(pcie, 1.0)
             }
             DagOp::Sort { batch } => Op::new(tag, plan.batches[batch].len as f64).cap(1.9e9),
-            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-                Op::new(tag, plan.pairs[slot].out_elems as f64)
-                    .cap(2.3e9)
-                    .demand(bus, 24.0)
-            }
+            DagOp::PairMerge { slot } => Op::new(tag, plan.pairs[slot].out_elems as f64)
+                .cap(2.3e9)
+                .demand(bus, 24.0),
             DagOp::MultiwayMerge { .. } => Op::new(tag, plan.n as f64).cap(2.3e9).demand(bus, 24.0),
         };
         sb.op(op.deps(node.deps.iter().map(|&d| OpId(d))));
