@@ -45,8 +45,11 @@
 //! The workspace's other crates forbid `unsafe`; this one holds all of
 //! it, each block with a `SAFETY:` comment (the lint below enforces it):
 //!
-//! * [`merge::merge_into`] — unchecked indexing in the branch-free merge
-//!   loop, bounded by its loop condition and the length assert;
+//! * [`merge::merge_into`] — unchecked indexing in its two branch-free
+//!   loops. The chained loop advances four co-rank blocks in lockstep
+//!   for `steps` rounds, where every block had at least `steps`
+//!   elements left on both sides; a one-chain loop is bounded by its
+//!   loop condition. Both write at `i + j`, under the length assert;
 //! * `samplesort`'s write-once `Slot` — `Send`/`Sync` impls and its one
 //!   write through an `UnsafeCell`;
 //! * [`mem`] — the `madvise(MADV_HUGEPAGE)` call (Linux only).

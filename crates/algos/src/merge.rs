@@ -14,19 +14,40 @@
 use crate::keys::SortOrd;
 use crate::par::{self, par_parts_stats, split_evenly, split_ranges_mut, SchedCfg, SchedStats};
 
+/// Independent merge chains [`merge_into`] advances in one loop. On
+/// one worker, from 16 Ki keys per side up, one chain reads 4.1–4.5 ns
+/// per element, two 2.4–2.7, four 1.4–1.8 and eight 1.6–2.5 (eight
+/// lose on tie-heavy keys) (DESIGN.md § 21, "Merge chains").
+pub const MERGE_CHAINS: usize = 4;
+
+/// The shortest output [`merge_into`] cuts into [`MERGE_CHAINS`]
+/// chains; a shorter one runs as one chain. Four chains tie or lose to
+/// one at 64 elements, where the co-rank searches and the chains'
+/// remainders cost what the overlap saves, and win at 128.
+pub const CHAIN_MIN_LEN: usize = 128;
+
 /// Sequentially merge sorted `a` and `b` into `out`.
 ///
 /// When all of `a` sorts before-or-equal all of `b` — disjoint ranges,
 /// or both inside one run of equal keys — the stable merge is `a` then
-/// `b`: one comparison and two copies. Otherwise the inner loop is
-/// branchless: while both inputs have elements, the
-/// comparison result advances the cursors as index arithmetic and
-/// selects the output via [`SortOrd::select`] (an integer-domain
-/// conditional move), so random key interleavings cost no branch
-/// mispredictions (the classic merge bottleneck on comparison-
-/// unpredictable data). Once either side is exhausted the rest is a
-/// straight `copy_from_slice`. The selection predicate is exactly
-/// [`merge_into_reference`]'s, so output is bit-identical.
+/// `b`: one comparison and two copies.
+///
+/// Otherwise the output is cut at `c·n/4` for c = 1, 2, 3 by
+/// [`co_rank`], which sends ties to `a`, so the four blocks are four
+/// independent stable merges whose concatenation is the whole merge
+/// (the merge-path theorem). One branchless loop advances all four
+/// chains a step at a time: each step loads both heads of a chain,
+/// compares them and selects the output via [`SortOrd::select`] (an
+/// integer-domain conditional move), and the comparison result moves
+/// the chain's cursors as index arithmetic. One chain waits on its own
+/// loads every step; four give the core four dependency chains to
+/// overlap, and random key interleavings still cost no branch
+/// mispredictions. Once a chain empties either side, each chain's
+/// remainder is finished as one chain: the same branchless step until
+/// a side is empty, then a straight `copy_from_slice`. Outputs shorter
+/// than [`CHAIN_MIN_LEN`] run as one chain from the start. The
+/// selection predicate is exactly [`merge_into_reference`]'s, so
+/// output is bit-identical.
 ///
 /// # Panics
 ///
@@ -41,9 +62,72 @@ pub fn merge_into<T: SortOrd>(a: &[T], b: &[T], out: &mut [T]) {
             return;
         }
     }
+    let n = out.len();
+    if n < CHAIN_MIN_LEN {
+        merge_chain(a, b, out);
+        return;
+    }
+    // Chain c merges a[i[c]..ie[c]] with b[j[c]..je[c]] into
+    // out[i[c] + j[c]..ie[c] + je[c]]: a co-rank (i, j) of output
+    // position k has i + j = k.
+    let mut i = [0; MERGE_CHAINS];
+    let mut j = [0; MERGE_CHAINS];
+    let mut ie = [a.len(); MERGE_CHAINS];
+    let mut je = [b.len(); MERGE_CHAINS];
+    for c in 1..MERGE_CHAINS {
+        let (ci, cj) = co_rank(c * n / MERGE_CHAINS, a, b);
+        // Sorted inputs cut monotonically, so the `max` is a no-op on
+        // them; it keeps unsorted ones a permutation, not a panic.
+        (i[c], j[c]) = (ci.max(i[c - 1]), cj.max(j[c - 1]));
+        (ie[c - 1], je[c - 1]) = (i[c], j[c]);
+    }
+    // The cuts ascend, so every block lies inside its input.
+    assert!(i[MERGE_CHAINS - 1] <= a.len() && j[MERGE_CHAINS - 1] <= b.len());
+    loop {
+        // Every chain has at least `steps` elements left on both sides,
+        // so `steps` rounds need no bounds test.
+        let steps = (0..MERGE_CHAINS)
+            .map(|c| (ie[c] - i[c]).min(je[c] - j[c]))
+            .min()
+            .unwrap_or(0);
+        if steps == 0 {
+            break;
+        }
+        for _ in 0..steps {
+            for c in 0..MERGE_CHAINS {
+                // SAFETY: each round advances one of `i[c]`, `j[c]` by
+                // one, and before round r of `steps` both had at least
+                // `steps - r ≥ 1` elements left, so `i[c] < ie[c] ≤
+                // a.len()` and `j[c] < je[c] ≤ b.len()` (the cuts ascend
+                // to the asserted last one), and the output position
+                // `i[c] + j[c] < a.len() + b.len() == out.len()`.
+                unsafe {
+                    let x = *a.get_unchecked(i[c]);
+                    let y = *b.get_unchecked(j[c]);
+                    let take_a = x.le(&y);
+                    *out.get_unchecked_mut(i[c] + j[c]) = T::select(take_a, x, y);
+                    i[c] += take_a as usize;
+                    j[c] += 1 - take_a as usize;
+                }
+            }
+        }
+    }
+    for c in 0..MERGE_CHAINS {
+        merge_chain(
+            &a[i[c]..ie[c]],
+            &b[j[c]..je[c]],
+            &mut out[i[c] + j[c]..ie[c] + je[c]],
+        );
+    }
+}
+
+/// One chain: the stable merge of `a` and `b` into `out`, branchless
+/// until a side is empty, then a copy of the other side's rest.
+#[inline(always)]
+fn merge_chain<T: SortOrd>(a: &[T], b: &[T], out: &mut [T]) {
+    assert_eq!(out.len(), a.len() + b.len(), "output must hold both inputs");
     let mut i = 0;
     let mut j = 0;
-    let mut o = 0;
     while i < a.len() && j < b.len() {
         // Stable: take from `a` on ties. Reading both heads and
         // selecting arithmetically keeps the loop body branch-free;
@@ -51,23 +135,21 @@ pub fn merge_into<T: SortOrd>(a: &[T], b: &[T], out: &mut [T]) {
         // mispredicted jump.
         //
         // SAFETY: the loop condition guarantees `i < a.len()` and
-        // `j < b.len()`; `o == i + j < a.len() + b.len() == out.len()`
-        // (checked by the assert above). Unchecked indexing is what
-        // lets LLVM keep the body jump-free.
+        // `j < b.len()`, so the output position `i + j < a.len() +
+        // b.len() == out.len()` (asserted above). Unchecked indexing is
+        // what lets LLVM keep the body jump-free.
         unsafe {
             let x = *a.get_unchecked(i);
             let y = *b.get_unchecked(j);
             let take_a = x.le(&y);
-            *out.get_unchecked_mut(o) = T::select(take_a, x, y);
+            *out.get_unchecked_mut(i + j) = T::select(take_a, x, y);
             i += take_a as usize;
             j += 1 - take_a as usize;
-            o += 1;
         }
     }
     // At most one of these copies is non-empty.
-    out[o..o + (a.len() - i)].copy_from_slice(&a[i..]);
-    let o = o + (a.len() - i);
-    out[o..].copy_from_slice(&b[j..]);
+    out[i + j..a.len() + j].copy_from_slice(&a[i..]);
+    out[a.len() + j..].copy_from_slice(&b[j..]);
 }
 
 /// The pre-optimization sequential merge, kept as the differential

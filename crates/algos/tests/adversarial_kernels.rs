@@ -9,7 +9,9 @@
 //! output).
 
 use hetsort_algos::keys::{KeyValue, SortOrd};
-use hetsort_algos::merge::{merge_into, merge_into_reference, par_merge_into_cfg};
+use hetsort_algos::merge::{
+    merge_into, merge_into_reference, par_merge_into_cfg, CHAIN_MIN_LEN, MERGE_CHAINS,
+};
 use hetsort_algos::multiway::{
     multiway_merge_into, par_multiway_merge_into_cfg, MERGE_SCRATCH_ELEMS,
 };
@@ -226,6 +228,89 @@ fn merge_tail_copy_handles_disjoint_ranges() {
         let mut got = vec![0.0f64; expect.len()];
         merge_into(a, b, &mut got);
         assert_eq!(bits(&got), bits(&expect));
+    }
+}
+
+/// `merge_into` cuts an output of at least `CHAIN_MIN_LEN` elements at
+/// `c·n/MERGE_CHAINS` by co-rank and runs the blocks as independent
+/// chains. Ties must stay with `a` at every cut: records of a 4-key
+/// alphabet, payload = position in `a ++ b`, so ties straddle every cut
+/// and any reordering of equal keys changes a payload.
+#[test]
+fn merge_chain_cuts_keep_ties_stable() {
+    const KEYS: [f64; 4] = [-0.0, 0.0, 1.5, f64::NAN];
+    let records = |keys: &[f64], first: u64| -> Vec<KeyValue> {
+        let mut keys = keys.to_vec();
+        keys.sort_by(|a, b| a.total_order(b));
+        (first..)
+            .zip(keys)
+            .map(|(value, key)| KeyValue { key, value })
+            .collect()
+    };
+    let check = |a: &[KeyValue], b: &[KeyValue], what: &str| {
+        let mut want = vec![KeyValue::default(); a.len() + b.len()];
+        merge_into_reference(a, b, &mut want);
+        let want = kv_bits(&want);
+        let mut got = vec![KeyValue::default(); want.len()];
+        merge_into(a, b, &mut got);
+        assert_eq!(kv_bits(&got), want, "{what}: merge_into");
+        for threads in [1usize, 2, 8] {
+            got.fill(KeyValue::default());
+            par_merge_into_cfg(&SchedCfg::default(), threads, a, b, &mut got);
+            assert_eq!(kv_bits(&got), want, "{what}: threads={threads}");
+        }
+        got.fill(KeyValue::default());
+        multiway_merge_into(&[a, b], &mut got);
+        assert_eq!(kv_bits(&got), want, "{what}: multiway, two lists");
+        let lists: [&[KeyValue]; 3] = [a, b, a];
+        let want = kv_bits(&fold_reference(&lists));
+        let mut got = vec![KeyValue::default(); want.len()];
+        multiway_merge_into(&lists, &mut got);
+        assert_eq!(kv_bits(&got), want, "{what}: multiway, three lists");
+    };
+
+    let bound = CHAIN_MIN_LEN;
+    let c = MERGE_CHAINS;
+    let mut totals = vec![bound - 1, bound, bound + 1];
+    for m in [bound / c, bound / c + 1, 1_000, 3_000] {
+        totals.extend((0..c).map(|r| c * m + r));
+    }
+    let mut rng = Rng::new(0xC4A1);
+    for &n in &totals {
+        for la in [1, n / 3, n / 2, n / 2 + 1, n - 1] {
+            let lb = n - la;
+            let what = format!("n={n} |a|={la}");
+            let mut keys = |len| (0..len).map(|_| *rng.pick(&KEYS)).collect::<Vec<_>>();
+            let (ka, kb) = (keys(la), keys(lb));
+            check(&records(&ka, 0), &records(&kb, la as u64), &what);
+            // A chain whose `b` block is empty: the first cuts fall in
+            // a run of `a` keys below every key of `b`, and one large
+            // `a` key keeps the merge off the ordered-halves copy.
+            let mut ka = vec![KEYS[0]; la - 1];
+            ka.push(KEYS[3]);
+            let a = records(&ka, 0);
+            let b = records(&vec![KEYS[1]; lb], la as u64);
+            check(&a, &b, &format!("{what}, empty b block"));
+            // A chain whose `a` block is empty: one small `a` key, then
+            // keys above every key of `b`.
+            let mut ka = vec![KEYS[2]; la - 1];
+            ka.insert(0, KEYS[0]);
+            let a = records(&ka, 0);
+            check(&a, &b, &format!("{what}, empty a block"));
+            // All keys equal under `==`: +0.0 in `a`, -0.0 in `b`, so
+            // the total order puts all of `b` first; then both signs
+            // mixed on both sides.
+            let a = records(&vec![0.0; la], 0);
+            let b = records(&vec![-0.0; lb], la as u64);
+            check(&a, &b, &format!("{what}, +0.0 before -0.0"));
+            let mut zeros = |len| (0..len).map(|_| *rng.pick(&KEYS[..2])).collect::<Vec<_>>();
+            let (za, zb) = (zeros(la), zeros(lb));
+            check(
+                &records(&za, 0),
+                &records(&zb, la as u64),
+                &format!("{what}, mixed zeros"),
+            );
+        }
     }
 }
 

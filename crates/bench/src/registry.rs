@@ -219,7 +219,7 @@ pub const REGISTRY: &[Experiment] = &[
         name: "host_fig06",
         about: "Figure 6 with the real pair merge on this host",
         file: Some("host_fig06_merge.csv"),
-        header: "threads,seconds,speedup",
+        header: "keys,threads,seconds,speedup",
         run: Run::Host(host_fig06),
     },
 ];
@@ -1097,20 +1097,24 @@ fn host_fig06(n: usize) -> Output {
     use hetsort_algos::merge::par_merge_into;
     use hetsort_workloads::{generate_batch_sorted, Distribution};
 
-    let w = generate_batch_sorted(Distribution::Uniform, n / 2, 2, 7).expect("valid workload");
-    let (a, b) = w.split_at(n / 2);
-    let mut out = vec![0.0f64; a.len() + b.len()];
-    let t1 = best_of_3(|| {
-        par_merge_into(1, a, b, &mut out);
-    });
-    let rows = host_threads()
-        .map(|p| {
-            let t = best_of_3(|| {
-                par_merge_into(p, a, b, &mut out);
-            });
-            format!("{p},{t:.6},{:.4}", t1 / t)
-        })
-        .collect();
+    // Uniform keys, and the 16 distinct keys of `sort_dups`, whose
+    // merges are runs of ties.
+    let shapes = [
+        ("uniform", Distribution::Uniform),
+        ("16_distinct", Distribution::DuplicateHeavy { distinct: 16 }),
+    ];
+    let mut rows = Vec::new();
+    for (keys, dist) in shapes {
+        let w = generate_batch_sorted(dist, n / 2, 2, 7).expect("valid workload");
+        let (a, b) = w.split_at(n / 2);
+        let mut out = vec![0.0f64; a.len() + b.len()];
+        let mut time = |p| best_of_3(|| par_merge_into(p, a, b, &mut out));
+        let t1 = time(1);
+        for p in host_threads() {
+            let t = if p == 1 { t1 } else { time(p) };
+            rows.push(format!("{keys},{p},{t:.6},{:.4}", t1 / t));
+        }
+    }
     Output {
         rows,
         note: format!(
