@@ -299,9 +299,10 @@ impl SchedModel for EngineModel {
     fn name(&self) -> String {
         let plan = &self.dag.plan;
         format!(
-            "engine {} n={} staging={} faults={:?}",
+            "engine {} n={} gpus={} staging={} faults={:?}",
             plan.config.approach.name(),
             plan.n,
+            plan.config.platform.n_gpus(),
             plan.config.staging.name(),
             self.losses
         )

@@ -1,9 +1,12 @@
 //! Stateless model checking of scheduler state spaces with dynamic
 //! partial-order reduction.
 //!
-//! The happens-before checker ([`crate::hb`]) validates the *one*
-//! interleaving a trace records. This module explores **every**
-//! reachable interleaving of a small configuration: a [`SchedModel`]
+//! The happens-before checker ([`crate::hb`]) judges a lowered trace
+//! once: with one record per event id its verdict holds for every
+//! linearization (DESIGN § 16). This module explores **every**
+//! reachable interleaving of a scheduler whose choices change what
+//! runs — the dag engine racing device losses, the admission
+//! controller racing pool churn: a [`SchedModel`]
 //! exposes the scheduler state as deterministic per-thread next
 //! actions behind an `enabled()`/`step()` interface (CDSChecker-style
 //! stateless model checking — the model is replayed from `reset()`
@@ -15,12 +18,7 @@
 //! with **sleep sets**: a backtrack point is added only where two
 //! *dependent* actions of different threads actually met (their
 //! [`Footprint`]s conflict), and sleep sets prune interleavings that
-//! merely commute independent actions. Event record/wait pairs are
-//! ordered by blocking semantics — a wait is enabled only after its
-//! record executed — so they are never co-enabled and need no
-//! backtrack point (see [`Footprint::conflicts_reversible`]); they
-//! still participate in sleep-set filtering, which keeps the
-//! reduction sound when a step enables a sleeping thread.
+//! merely commute independent actions.
 //!
 //! Three invariant classes ride on the exploration, surfaced as
 //! ordinary [`Finding`]s:
@@ -56,8 +54,6 @@ pub enum Res {
     /// A traced buffer; conflict is overlap-aware (host ranges clash
     /// only when their element ranges intersect).
     Buf(Buffer),
-    /// An event identity (record/wait discipline).
-    Event(usize),
     /// A physical device: its liveness flag and budget counter.
     Gpu(usize),
     /// The shared pinned-staging budget pool.
@@ -74,7 +70,6 @@ impl Res {
         match (self, other) {
             (Res::Global | Res::Epoch, _) | (_, Res::Global | Res::Epoch) => true,
             (Res::Buf(a), Res::Buf(b)) => a.overlaps(b),
-            (Res::Event(a), Res::Event(b)) => a == b,
             (Res::Gpu(a), Res::Gpu(b)) => a == b,
             (Res::Pinned, Res::Pinned) => true,
             _ => false,
@@ -98,11 +93,6 @@ pub struct ResAccess {
 pub struct Footprint(pub Vec<ResAccess>);
 
 impl Footprint {
-    /// A footprint reading one resource.
-    pub fn read(res: Res) -> Footprint {
-        Footprint(vec![ResAccess { res, write: false }])
-    }
-
     /// A footprint writing one resource.
     pub fn write(res: Res) -> Footprint {
         Footprint(vec![ResAccess { res, write: true }])
@@ -144,20 +134,14 @@ impl Footprint {
         })
     }
 
-    /// Dependence restricted to *reversible* pairs. Record/wait pairs
-    /// on the same event are dependent but can never be co-enabled
-    /// (the wait blocks until the record executed), so reversing them
-    /// is impossible and they need no backtrack point. An [`Res::Epoch`]
-    /// access seeds none either: only an epoch-ending action's other
-    /// accesses do. Everything else falls through to
+    /// Dependence restricted to *reversible* pairs: an [`Res::Epoch`]
+    /// access seeds no backtrack point, only an epoch-ending action's
+    /// other accesses do. Everything else falls through to
     /// [`Footprint::conflicts`].
     pub fn conflicts_reversible(&self, other: &Footprint) -> bool {
         self.0.iter().any(|a| {
             other.0.iter().any(|b| {
-                let ordered = matches!(
-                    (&a.res, &b.res),
-                    (Res::Event(_), Res::Event(_)) | (Res::Epoch, _) | (_, Res::Epoch)
-                );
+                let ordered = matches!((&a.res, &b.res), (Res::Epoch, _) | (_, Res::Epoch));
                 !ordered && (a.write || b.write) && a.res.overlaps(&b.res)
             })
         })
@@ -668,19 +652,23 @@ mod tests {
 
     #[test]
     fn footprint_conflicts_and_reversibility() {
-        let w = Footprint::write(Res::Event(3));
-        let r = Footprint::read(Res::Event(3));
-        assert!(w.conflicts(&r), "record/wait are dependent for sleep sets");
+        let epoch = Footprint::write(Res::Epoch);
+        let gpu = Footprint::write(Res::Gpu(0));
         assert!(
-            !w.conflicts_reversible(&r),
-            "but never co-enabled, so not backtrack-worthy"
+            epoch.conflicts(&gpu),
+            "an epoch end is dependent for sleep sets"
         );
+        assert!(
+            !epoch.conflicts_reversible(&gpu),
+            "but its Epoch access seeds no backtrack point"
+        );
+        assert!(epoch.and_read(Res::Gpu(0)).conflicts_reversible(&gpu));
         let a = Footprint::write(Res::Buf(Buffer::Host {
             region: 1,
             start: 0,
             len: 10,
         }));
-        let b = Footprint::read(Res::Buf(Buffer::Host {
+        let b = Footprint::default().and_read(Res::Buf(Buffer::Host {
             region: 1,
             start: 5,
             len: 10,
@@ -693,7 +681,8 @@ mod tests {
         assert!(a.conflicts(&b), "overlapping ranges conflict");
         assert!(!a.conflicts(&c), "disjoint ranges commute");
         assert!(Footprint::global().conflicts(&c));
-        assert!(!Footprint::read(Res::Pinned).conflicts(&Footprint::read(Res::Pinned)));
-        assert!(Footprint::read(Res::Pinned).conflicts(&Footprint::write(Res::Pinned)));
+        let read = || Footprint::default().and_read(Res::Pinned);
+        assert!(!read().conflicts(&read()));
+        assert!(read().conflicts(&Footprint::write(Res::Pinned)));
     }
 }

@@ -22,12 +22,13 @@
 //! 3. **Schedule-space explorer** ([`mod@explore`]): stateless model
 //!    checking with persistent-set DPOR + sleep sets over
 //!    `enabled()`/`step()` scheduler models — every reachable
-//!    interleaving of a lowered trace ([`trace_model`]), of the shipped
-//!    dag engine recovering from device losses ([`engine_model`]), and
-//!    of `hetsort-serve`'s admission controller under pool churn
-//!    ([`admission_model`]). The HB checker runs on every explored
-//!    linearization, plus three interleaving-only invariants:
-//!    reachable deadlock, budget safety, and replan cover.
+//!    interleaving of the shipped dag engine recovering from device
+//!    losses ([`engine_model`]) and of `hetsort-serve`'s admission
+//!    controller under pool churn ([`admission_model`]), checked for
+//!    three interleaving-only invariants: reachable deadlock, budget
+//!    safety, and replan cover. A lowered trace needs no exploration:
+//!    it records each event id once, so the HB checker's verdict on
+//!    submission order holds for every linearization.
 //!
 //! The plan memory math the linter budgets with — [`Residency`] and the
 //! host-memory model — lives beside `Plan` in `hetsort_core::residency`;
@@ -58,7 +59,6 @@ pub mod finding;
 pub mod hb;
 pub mod mutate;
 pub mod static_lint;
-pub mod trace_model;
 
 pub use admission_model::AdmissionModel;
 pub use engine_model::EngineModel;
@@ -66,7 +66,6 @@ pub use explore::{explore, ExploreConfig, ExploreReport, SchedModel};
 pub use finding::{AnalysisReport, Finding, FindingClass};
 pub use hetsort_core::Residency;
 pub use mutate::{EngineKill, Kill, Mutant, Site};
-pub use trace_model::{explore_plan, explore_plan_trace, TraceModel};
 
 use hetsort_core::optrace::{lower_dag, lower_plan, OpTrace};
 use hetsort_core::plan::Plan;
@@ -80,13 +79,20 @@ pub fn analyze_plan(plan: &Plan) -> AnalysisReport {
 
 /// Analyze an op dag: the static lint over the *dag's* nodes (a
 /// failing [`PlanDag::validate`] rule becomes a
-/// [`FindingClass::Malformed`] finding instead of an error), then
-/// happens-before over the trace lowered from the dag's edges. A dag
-/// whose dependency edges were mutated loses exactly those sync edges
-/// in the lowered trace, so the HB checker reports the race even when
-/// the structural validator is blind to it.
+/// [`FindingClass::Malformed`] finding instead of an error), then, if
+/// the dag validates, happens-before over the trace lowered from its
+/// edges. A dag whose dependency edges were mutated loses exactly those
+/// sync edges in the lowered trace, so the HB checker reports the race
+/// even when the structural validator is blind to it. A rejected dag is
+/// not lowered: its edges may name nodes it does not have.
 pub fn analyze_dag(dag: &PlanDag) -> AnalysisReport {
-    with_races(static_lint::lint_dag(dag), &dag.plan, &lower_dag(dag))
+    let valid = dag.validate();
+    let lowers = valid.is_ok();
+    let findings = static_lint::lint(&dag.plan, &dag.nodes, valid);
+    if !lowers {
+        return AnalysisReport { findings };
+    }
+    with_races(findings, &dag.plan, &lower_dag(dag))
 }
 
 /// Analyze a plan against a specific trace — the lowered static trace,
@@ -99,15 +105,10 @@ pub fn analyze_plan_with_trace(plan: &Plan, trace: &OpTrace) -> AnalysisReport {
 /// `findings` plus the happens-before findings over `trace`, against
 /// the capacities of `plan`'s GPUs.
 fn with_races(mut findings: Vec<Finding>, plan: &Plan, trace: &OpTrace) -> AnalysisReport {
-    findings.extend(hb::check_trace(trace, Some(&gpu_capacities(plan))));
-    AnalysisReport { findings }
-}
-
-/// Global memory of each of `plan`'s GPUs, by plan-local index: what
-/// the happens-before checker holds a trace's device allocations to.
-pub(crate) fn gpu_capacities(plan: &Plan) -> Vec<u64> {
     let gpus = &plan.config.platform.gpus;
-    gpus.iter().map(|g| g.global_mem_bytes).collect()
+    let caps: Vec<u64> = gpus.iter().map(|g| g.global_mem_bytes).collect();
+    findings.extend(hb::check_trace(trace, Some(&caps)));
+    AnalysisReport { findings }
 }
 
 #[cfg(test)]

@@ -36,10 +36,12 @@ pub enum Kill {
     /// [`FindingClass::Malformed`] finding.
     Validator(&'static str),
     /// The analyzer reports this class over the mutated dag and trace
-    /// ([`Mutant::analyze`]).
+    /// ([`Mutant::analyze`]), or, for a [`Site::Survivor`] mutant, over
+    /// the survivor plan and its mutated trace
+    /// ([`crate::analyze_plan_with_trace`]).
     Analyzer(FindingClass),
-    /// Exploring the interleavings reports this class: of the shipped
-    /// engine losing a GPU, or of the survivor plan's trace.
+    /// Exploring every node order and loss alignment of the shipped
+    /// engine losing a GPU reports this class.
     Explorer(FindingClass),
     /// The output stays bit-perfect; only comparing the run's
     /// `RecoveryStats` with the healthy run's sees the defect.
@@ -223,9 +225,10 @@ impl Mutant {
             Mutant::RetargetBatchGpu => Kill::Validator("placement"),
             Mutant::OversizeBatch | Mutant::UndersizeStaging => Kill::Analyzer(Oom),
             Mutant::BreakPairCount => Kill::Analyzer(Malformed),
-            Mutant::DropWait | Mutant::RetargetHtoD | Mutant::WrongStreamEvent => {
-                Kill::Analyzer(MissingSync)
-            }
+            Mutant::DropWait
+            | Mutant::RetargetHtoD
+            | Mutant::WrongStreamEvent
+            | Mutant::DropRecoveryWait => Kill::Analyzer(MissingSync),
             Mutant::DropEventRecord | Mutant::WaitCycle => Kill::Analyzer(Deadlock),
             Mutant::AliasPinned => Kill::Analyzer(Aliasing),
             Mutant::DropFree => Kill::Analyzer(Leak),
@@ -237,7 +240,6 @@ impl Mutant {
                 Kill::Engine(EngineKill::Unverified)
             }
             Mutant::DropRecoveryBatch => Kill::Explorer(ReplanCover),
-            Mutant::DropRecoveryWait => Kill::Explorer(MissingSync),
         }
     }
 

@@ -34,7 +34,11 @@ pub fn lint_dag(dag: &PlanDag) -> Vec<Finding> {
 }
 
 /// The lints over `nodes`, given the validator's verdict on them.
-fn lint(plan: &Plan, nodes: &[DagNode], valid: Result<(), HetSortError>) -> Vec<Finding> {
+pub(crate) fn lint(
+    plan: &Plan,
+    nodes: &[DagNode],
+    valid: Result<(), HetSortError>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     let cfg = &plan.config;
 

@@ -1,20 +1,19 @@
-//! Exhaustive schedule-space sweep: every shipped approach, on both
-//! paper platforms, under both staging protocols, with an uneven final
-//! batch, must explore **every** reachable interleaving of its lowered
-//! trace with zero findings and no budget truncation. The shipped
-//! engine gets the same treatment over single- and double-loss fault
-//! schedules: every node order and loss alignment recovers with every
-//! batch published exactly once.
+//! Exhaustive schedule-space sweep: the shipped engine running every
+//! shipped approach, on both paper platforms, under both staging
+//! protocols, with an uneven final batch, must explore **every** node
+//! order with zero findings and no budget truncation. The same engine
+//! gets that treatment over single- and double-loss fault schedules:
+//! every node order and loss alignment recovers with every batch
+//! published exactly once.
 //!
 //! Also pinned here: the DPOR-reduction guarantee (persistent sets +
-//! sleep sets must finish schedule spaces naive enumeration cannot, on
-//! a lowered trace and on the engine), bound-truncation reporting, the
-//! lost set of a schedule naming one GPU twice, and replayability.
+//! sleep sets must finish the engine's schedule space where naive
+//! enumeration cannot), bound-truncation reporting, the lost set of a
+//! schedule naming one GPU twice, and replayability.
 
 use hetsort_analyze::explore::{explore, ExploreConfig};
-use hetsort_analyze::{explore_plan, explore_plan_trace, EngineModel, Mutant, TraceModel};
+use hetsort_analyze::EngineModel;
 use hetsort_core::dag::hooks::EngineHooks;
-use hetsort_core::optrace::lower_plan;
 use hetsort_core::plan::Plan;
 use hetsort_core::{execute_dag, Approach, HetSortConfig, PlanDag, StagingMode};
 use hetsort_vgpu::{platform1, platform2, FaultInjector};
@@ -73,7 +72,8 @@ fn every_approach_explores_clean_on_both_platforms() {
                 };
                 let name = format!("{name}/{}", staging.name());
                 let plan = Plan::build(cfg, n).unwrap();
-                let report = explore_plan(&plan, &ExploreConfig::default());
+                let mut model = EngineModel::new(&plan, &[], EngineHooks::default());
+                let report = explore(&mut model, &ExploreConfig::default());
                 assert!(
                     report.is_clean(),
                     "{name}: schedule-space findings on a shipped plan:\n{}",
@@ -183,102 +183,17 @@ fn exploring_the_engine_twice_replays_identically() {
 }
 
 #[test]
-fn dpor_finishes_trace_spaces_naive_cannot() {
-    // On a real lowered trace the gap is qualitative, not just a
-    // ratio: DPOR completes the whole schedule space of the smallest
-    // multi-stream plan while naive enumeration cannot finish within
-    // a 200k-op budget — and has already visited more traces than
-    // DPOR needed in total.
-    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::BLineMulti)
-        .with_batch_elems(1000)
-        .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 2000).unwrap();
-
-    let dpor = explore_plan(&plan, &ExploreConfig::default());
-    assert!(dpor.is_clean() && !dpor.truncated, "{}", dpor.summary());
-
-    let naive = explore_plan(&plan, &ExploreConfig::with_max_ops(200_000).naive());
-    assert!(
-        naive.truncated,
-        "naive should not finish: {}",
-        naive.summary()
-    );
-    assert!(
-        naive.traces > dpor.traces,
-        "naive visited {} traces before truncation, DPOR needed {} total",
-        naive.traces,
-        dpor.traces
-    );
-}
-
-#[test]
 fn op_budget_truncation_is_reported_not_silent() {
     let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeData)
         .with_batch_elems(1000)
         .with_pinned_elems(500);
     let plan = Plan::build(cfg, 2500).unwrap();
-    let report = explore_plan(&plan, &ExploreConfig::with_max_ops(10));
+    let mut model = EngineModel::new(&plan, &[], EngineHooks::default());
+    let report = explore(&mut model, &ExploreConfig::with_max_ops(10));
     assert!(report.truncated);
     assert!(
         report.summary().contains("TRUNCATED"),
         "{}",
         report.summary()
     );
-}
-
-#[test]
-fn seeded_wait_cycle_is_a_reachable_deadlock_in_every_interleaving_engine() {
-    // The HB checker flags the cycle on the static linearization; the
-    // explorer must *also* find it as an empty-enabled-set state —
-    // the two detectors agree on this defect class.
-    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
-        .with_batch_elems(1000)
-        .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 2500).unwrap();
-    let mut trace = lower_plan(&plan);
-    assert!(Mutant::WaitCycle.apply_trace(&plan, &mut trace));
-    let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.class == hetsort_analyze::FindingClass::Deadlock),
-        "{}",
-        report.summary()
-    );
-}
-
-#[test]
-fn explored_interleavings_rerun_the_hb_checker_per_trace() {
-    // Drop the last wait: the race is order-dependent, so only some
-    // linearizations exhibit the unordered conflicting pair. The
-    // explorer must rerun HB on every trace and still catch it.
-    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeData)
-        .with_batch_elems(1000)
-        .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 2500).unwrap();
-    let mut trace = lower_plan(&plan);
-    assert!(Mutant::DropWait.apply_trace(&plan, &mut trace));
-    let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.class == hetsort_analyze::FindingClass::MissingSync),
-        "{}",
-        report.summary()
-    );
-}
-
-#[test]
-fn trace_model_thread_count_matches_plan_streams() {
-    let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
-        .with_batch_elems(1000)
-        .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 2500).unwrap();
-    let trace = lower_plan(&plan);
-    let model = TraceModel::new(trace, None, "pinned");
-    use hetsort_analyze::SchedModel;
-    // Streams plus the host thread.
-    assert_eq!(model.n_threads(), plan.total_streams + 1);
 }

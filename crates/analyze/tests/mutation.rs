@@ -7,7 +7,8 @@
 //!   lowering record for record, and those of every recovery route);
 //! * **every seeded defect dies by its named check**: each [`Mutant`] of
 //!   the catalogue is applied to one base dag per protocol and
-//!   dispatched on its [`Kill`] — a validator rule, an analyzer class,
+//!   dispatched on its [`Kill`] — a validator rule, an analyzer class
+//!   (over the base dag, or over the survivor plan of a device loss),
 //!   an explorer class, the `RecoveryStats` differential, or the
 //!   engine's own answer. A mutant that survives, dies by another check,
 //!   or finds no site under a protocol the catalogue calls applicable
@@ -20,8 +21,8 @@ use hetsort_algos::par::default_threads;
 use hetsort_algos::verify::check_parts;
 use hetsort_analyze::explore::{explore, ExploreConfig};
 use hetsort_analyze::{
-    analyze_dag, analyze_plan, analyze_plan_with_trace, explore_plan_trace, EngineKill,
-    EngineModel, FindingClass, Kill, Mutant, Site,
+    analyze_dag, analyze_plan, analyze_plan_with_trace, EngineKill, EngineModel, FindingClass,
+    Kill, Mutant, Site,
 };
 use hetsort_core::dag::hooks::{execute_dag_hooked, EngineHooks};
 use hetsort_core::dag::DagOp;
@@ -67,6 +68,8 @@ fn shipped_plans() -> Vec<Plan> {
                 let cfg = scaled(Approach::PipeMerge).with_pair_strategy(strategy);
                 plans.push(Plan::build(cfg, 6000).expect("strategy must plan"));
             }
+            let cfg = scaled(Approach::PipeMerge).with_par_memcpy();
+            plans.push(Plan::build(cfg, 6000).expect("par-memcpy must plan"));
         }
     }
     plans
@@ -123,8 +126,9 @@ fn survivor(staging: StagingMode) -> (Plan, OpTrace) {
     (plan, trace)
 }
 
-/// `PlanDag::validate` rejects the mutated dag by `rule`, and the
-/// linter reports that rule as a `Malformed` finding.
+/// `PlanDag::validate` rejects the mutated dag by `rule`, and both the
+/// linter and `analyze_dag` over the mutated dag report that rule as a
+/// `Malformed` finding.
 fn kill_validator(m: Mutant, rule: &str, base: &PlanDag, case: &str) {
     let mut dag = base.clone();
     assert!(m.apply_dag(&mut dag), "{case}: no site in the base dag");
@@ -136,29 +140,32 @@ fn kill_validator(m: Mutant, rule: &str, base: &PlanDag, case: &str) {
         msg.contains(&format!("{rule}:")),
         "{case}: killed by the wrong rule — expected '{rule}:', got: {msg}"
     );
-    let report = m.analyze(base).expect("applied above");
-    assert!(
+    let names_rule = |report: &hetsort_analyze::AnalysisReport| {
         report
             .of_class(FindingClass::Malformed)
-            .any(|f| f.message.contains(&format!("{rule}:"))),
+            .any(|f| f.message.contains(&format!("{rule}:")))
+    };
+    let report = m.analyze(base).expect("applied above");
+    assert!(
+        names_rule(&report),
         "{case}: the linter missed '{rule}:': {report}"
+    );
+    let report = analyze_dag(&dag);
+    assert!(
+        names_rule(&report),
+        "{case}: analyze_dag missed '{rule}:': {report}"
     );
 }
 
-/// Exploring reports `class`: the shipped engine with the defect's
-/// hooks, or the survivor plan's mutated trace.
+/// Exploring the shipped engine with the defect's hooks reports
+/// `class`.
 fn kill_explorer(m: Mutant, class: FindingClass, staging: StagingMode, case: &str) {
-    let classes = match m.site() {
-        Site::Hooks => explore_engine(m.hooks(), staging),
-        Site::Survivor => {
-            let (plan, mut trace) = survivor(staging);
-            assert!(m.apply_trace(&plan, &mut trace), "{case}: no site");
-            let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
-            assert!(!report.truncated, "{case}: {}", report.summary());
-            report.findings.iter().map(|f| f.class).collect()
-        }
-        site => panic!("{case}: the explorer runs no {site:?} mutant"),
-    };
+    assert_eq!(
+        m.site(),
+        Site::Hooks,
+        "{case}: the explorer runs engine hooks only"
+    );
+    let classes = explore_engine(m.hooks(), staging);
     assert!(
         classes.contains(&class),
         "{case}: exploring missed the seeded defect — expected {}, got {classes:?}",
@@ -285,8 +292,8 @@ fn every_mutant_is_killed_by_its_named_check() {
         assert!(analyze_dag(&base).is_clean(), "{}", staging.name());
         assert!(explore_engine(EngineHooks::default(), staging).is_empty());
         let (plan, trace) = survivor(staging);
-        let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
-        assert!(report.is_clean(), "{}", report.summary());
+        let report = analyze_plan_with_trace(&plan, &trace);
+        assert!(report.is_clean(), "{}: {report}", staging.name());
 
         for m in Mutant::ALL {
             let case = format!("{m:?} under {} staging", staging.name());
@@ -304,9 +311,14 @@ fn every_mutant_is_killed_by_its_named_check() {
             match m.kill() {
                 Kill::Validator(rule) => kill_validator(m, rule, &base, &case),
                 Kill::Analyzer(class) => {
-                    let report = m
-                        .analyze(&base)
-                        .unwrap_or_else(|| panic!("{case}: no site"));
+                    let report = if m.site() == Site::Survivor {
+                        let (plan, mut trace) = survivor(staging);
+                        assert!(m.apply_trace(&plan, &mut trace), "{case}: no site");
+                        analyze_plan_with_trace(&plan, &trace)
+                    } else {
+                        m.analyze(&base)
+                            .unwrap_or_else(|| panic!("{case}: no site"))
+                    };
                     assert!(
                         report.has_class(class),
                         "{case}: expected a {} finding, got:\n{report}",

@@ -8,8 +8,8 @@ use std::process::ExitCode;
 
 use hetsort::analyze::admission_model::clean_scenarios;
 use hetsort::analyze::{
-    analyze_plan, analyze_plan_with_trace, explore_plan, AdmissionModel, AnalysisReport,
-    EngineModel, ExploreConfig,
+    analyze_plan, analyze_plan_with_trace, AdmissionModel, AnalysisReport, EngineModel,
+    ExploreConfig,
 };
 use hetsort::cli::{parse, usage, Args, CliError, Command};
 use hetsort::core::dag::hooks::EngineHooks;
@@ -220,6 +220,14 @@ fn run(command: Command, r: Args, w: &mut impl Write) -> Result<(), CliError> {
                 }
             } else {
                 let plan = r.plan()?;
+                // The engine model sorts n elements per explored
+                // interleaving.
+                if r.explore && plan.n > 1_000_000 {
+                    return Err(CliError::Usage(format!(
+                        "--explore runs the engine per explored interleaving: use -n ≤ 1e6 (got {})",
+                        plan.n
+                    )));
+                }
                 writeln!(
                     w,
                     "analyzing {} on {}: n={} → {} batches, {} streams, {} steps",
@@ -564,10 +572,9 @@ impl ExploreTally {
     }
 }
 
-/// Model-check one configured plan: exhaustively explore its lowered
-/// trace, and — when a fault spec schedules device losses — the shipped
-/// engine recovering from those losses in every node order and loss
-/// alignment.
+/// Model-check one configured plan: explore the shipped engine running
+/// it in every node order and, when a fault spec schedules device
+/// losses, at every loss alignment.
 fn explore_one(plan: &Plan, ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliError> {
     let losses: Vec<usize> = plan
         .config
@@ -575,27 +582,17 @@ fn explore_one(plan: &Plan, ecfg: &ExploreConfig, w: &mut impl Write) -> Result<
         .as_ref()
         .map(|f| f.scheduled_losses())
         .unwrap_or_default();
-    // The engine model sorts n elements per explored interleaving.
-    if !losses.is_empty() && plan.n > 1_000_000 {
-        return Err(CliError::Usage(format!(
-            "--explore with a loss schedule runs the engine per interleaving: use -n ≤ 1e6 (got {})",
-            plan.n
-        )));
-    }
     let mut tally = ExploreTally::default();
-    tally.record(&explore_plan(plan, ecfg), w)?;
-    if !losses.is_empty() {
-        let mut model = EngineModel::new(plan, &losses, EngineHooks::default());
-        tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
-    }
+    let mut model = EngineModel::new(plan, &losses, EngineHooks::default());
+    tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
     tally.verdict().map(|_| ())
 }
 
 /// Model-check the shipped matrix at small exhaustive geometry, under
-/// both staging protocols: every approach (PIPEMERGE with and without
-/// --par-memcpy) on both platforms, the shipped engine under single-
-/// and double-loss schedules, and the admission state machine's
-/// scenarios.
+/// both staging protocols: the shipped engine running every approach
+/// (PIPEMERGE with and without --par-memcpy) on both platforms and
+/// under single- and double-loss schedules, and the admission state
+/// machine's scenarios.
 fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliError> {
     let mut tally = ExploreTally::default();
     writeln!(
@@ -618,7 +615,9 @@ fn explore_matrix(ecfg: &ExploreConfig, w: &mut impl Write) -> Result<(), CliErr
                 (base(Approach::PipeMerge).with_par_memcpy(), 2500),
             ];
             for (cfg, n) in shapes {
-                tally.record(&explore_plan(&Plan::build(cfg, n)?, ecfg), w)?;
+                let mut model =
+                    EngineModel::new(&Plan::build(cfg, n)?, &[], EngineHooks::default());
+                tally.record(&hetsort::analyze::explore(&mut model, ecfg), w)?;
             }
             if platform.n_gpus() < 2 {
                 continue;

@@ -325,8 +325,8 @@ options! {
         "deterministic fault schedule, e.g. oom:1,htod:3: oom:K fails the K-th device \
          allocation, htod:K / dtoh:K the K-th transfer, sort:K the K-th device sort, panic:W@K \
          kills stream W at its K-th batch, lose:G@N loses GPU G for good at its N-th device op \
-         (the engine re-plans onto the survivors); analyze explores the engine recovering from \
-         lose: entries (n <= 1e6)";
+         (the engine re-plans onto the survivors); analyze --explore explores the engine \
+         recovering from lose: entries";
     RETRIES = ["--retries"], &[Sort, Trace],
         Value("K", |a, v| parse_count(v).map(|r| a.retries = Some(r))),
         "retry budget for transient transfer faults (default 2)";
@@ -343,10 +343,11 @@ options! {
     MATRIX = ["--matrix"], &[Analyze], Flag(|a| a.matrix = true),
         "analyze every shipped configuration (approaches x strategies x platforms)";
     EXPLORE = ["--explore"], &[Analyze], Flag(|a| a.explore = true),
-        "model-check the schedule space: every reachable interleaving of the lowered trace \
-         (DPOR + sleep sets) through the happens-before checker and the deadlock, budget and \
-         replan-cover invariants; with the matrix, approaches x platforms x staging x loss \
-         schedules x admission scenarios";
+        "model-check the schedule space (n <= 1e6): every node order of the shipped engine \
+         running the plan, at every alignment of the --faults losses (DPOR + sleep sets), \
+         against the deadlock and replan-cover invariants; with the matrix, approaches x \
+         platforms x staging x loss schedules, plus the admission controller's scenarios \
+         against the budget invariant";
     MAX_OPS = ["--max-ops"], &[Analyze],
         Value("N", |a, v| parse_count(v).map(|m| a.max_ops = Some(m))),
         "exploration op budget (default 1e6 per model); hitting it is TRUNCATED, exit 1";

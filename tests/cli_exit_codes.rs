@@ -21,7 +21,8 @@ fn text(bytes: &[u8]) -> String {
 
 #[test]
 fn truncated_exploration_is_exit_one_and_names_the_models() {
-    // Single plan: the one explored model hits the 20-op budget.
+    // Single plan: the one explored model, the engine, hits the 20-op
+    // budget (it takes 56 steps at this geometry).
     let out = hetsort("analyze -n 2500 -b 1000 --pinned 500 --explore --max-ops 20");
     let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
     assert!(stdout.contains("TRUNCATED at op budget"), "{stdout}");
@@ -30,10 +31,7 @@ fn truncated_exploration_is_exit_one_and_names_the_models() {
         stderr.contains("1 of 1 truncated at the op budget"),
         "{stderr}"
     );
-    assert!(
-        stderr.contains("PipeMerge n=2500 gpus=1 streams=2"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("engine PipeMerge n=2500"), "{stderr}");
 
     // Matrix: some of the 28 models finish inside 50 ops, most do not.
     let out = hetsort("analyze --matrix --explore --max-ops 50");
@@ -55,11 +53,17 @@ fn truncated_exploration_is_exit_one_and_names_the_models() {
 
 #[test]
 fn exploring_the_engine_at_paper_scale_is_a_usage_error() {
-    // The engine model sorts n elements per explored interleaving.
-    let out = hetsort("analyze -n 2e9 -p p2 --faults lose:1@3 --explore");
-    let stderr = text(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("use -n ≤ 1e6"), "{stderr}");
+    // The engine model sorts n elements per explored interleaving, with
+    // or without a loss schedule (the default n is 2e9).
+    for args in [
+        "analyze -n 2e9 -p p2 --faults lose:1@3 --explore",
+        "analyze --explore",
+    ] {
+        let out = hetsort(args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(stderr.contains("use -n ≤ 1e6"), "{args}: {stderr}");
+    }
 }
 
 #[test]
